@@ -28,12 +28,9 @@ from .dynamics import (
     FixedPointClass,
     MapTrajectory,
     QuadraticCharacteristic,
-    RootLocation,
-    RootVerdict,
     StabilityKind,
     Trajectory,
     classify_fixed_point_2d,
-    classify_quadratic,
     conserved_quantity_drift,
     find_fixed_points_grid,
     iterate,

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
-from typing import Sequence
+from dataclasses import asdict, dataclass, fields
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,10 +37,6 @@ DEFAULT_MATCH_EPS = 1e-6
 
 def _tolerance(args) -> Tolerance:
     return Tolerance(abs_eps=args.abs_eps, iter_eps=args.iter_eps, max_iters=args.max_iters)
-
-
-def _tolerance_doc(tol: Tolerance) -> dict:
-    return {"abs_eps": tol.abs_eps, "iter_eps": tol.iter_eps, "max_iters": tol.max_iters}
 
 
 def _parse_numbers(text: str) -> list[float]:
@@ -73,7 +71,7 @@ def _parse_range(text: str) -> list[float]:
     lo, hi, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
     if count < 0:
         raise SchemaError("range", "count must be >= 0")
-    return [float(v) for v in np.linspace(lo, hi, count)]
+    return _linspace(lo, hi, count)
 
 
 def _write_json(doc: dict, path: str | None) -> None:
@@ -85,22 +83,157 @@ def _write_json(doc: dict, path: str | None) -> None:
             fh.write(text)
 
 
+def _write_csv(path: str, header: Sequence[str], rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _state_doc(state: PopulationState) -> dict:
     return {"female": list(state.female.probs), "male": list(state.male.probs)}
 
 
 # ---------------------------------------------------------------------------
-# construct
+# The cases: per-case parts of predict, verify and sweep.
 # ---------------------------------------------------------------------------
 
 
-def cmd_construct(args) -> int:
+@dataclass(frozen=True)
+class Case:
+    """The per-case parts of predict, verify and sweep.
+
+    A start is what the case's predictor takes: a point, a population state
+    or a scalar.  ``coords`` flattens a start or a limit into the coordinate
+    tuple that ``params.step`` iterates and that sweep rows hold.  Predictors
+    are looked up in their module at call time, so a wrapped module
+    attribute sees every call.
+    """
+
+    params: type  # its fields are the case's parameter names, in sweep-column order
+    parse_start: Callable[[str], object]
+    predict: Callable  # (params, start) -> closed-form limit
+    label: Callable  # (params, limit) -> class label
+    doc: Callable  # (start, limit) -> the start and limit fields of the predict document
+    sample: Callable  # (params, rng) -> one random verify start
+    sweep_columns: tuple[tuple[str, ...], tuple[str, ...]]  # start and limit columns
+    start_flag: str = "state"
+    coords: Callable[[object], tuple] = tuple
+    grid_starts: Callable[[int], list] | None = None  # sweep starts for 'grid:N'
+    fixes: Callable[[object], dict] = lambda start: {}  # parameters a start determines
+    fallback: Callable | None = None  # (params, start, error, tol) -> sweep status, limit
+    verify_axes: tuple[str, str] = ("a", "c")
+    on_line: Callable[[object], bool] = lambda p: False  # cell goes to critical-line
+    planar: Callable | None = None  # params -> (planar map, (w, h) of its box [0,w] x [0,h])
+    portrait: tuple = ()  # (regime, parameter overrides) of each verify portrait regime
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(f.name for f in fields(self.params))
+
+
+def _params(case_name: str, args, **values):
+    """The parameters of a case from the flags in ``args``, overridden by ``values``."""
+    case = CASES[case_name]
+    return case.params(**{n: values[n] if n in values else getattr(args, n) for n in case.names})
+
+
+def _linspace(lo: float, hi: float, count: int) -> list[float]:
+    return [float(v) for v in np.linspace(lo, hi, count)]
+
+
+def _four_type_fixes(state: PopulationState) -> dict:
+    """The slice (a0, c0) that a four-type start lies on."""
+    sums = four_types.slice_sums(state)
+    return {"a0": sums[0], "c0": sums[2]}
+
+
+def _four_type_sample(p: four_types.FourTypeParams, rng) -> PopulationState:
+    """A random state on the slice (a0, c0): each pair split at a uniform fraction."""
+    a0, c0 = p.a0, p.c0
+    x1, x3, y1, y3 = (w * rng.uniform(0.05, 0.95) for w in (a0, 1.0 - a0, c0, 1.0 - c0))
+    return make_state((x1, a0 - x1, x3, 1.0 - a0 - x3), (y1, c0 - y1, y3, 1.0 - c0 - y3))
+
+
+def _four_type_fallback(p, state, exc, tol):
+    """Iterate where the closed form does not apply; the end state stands in."""
+    run = dynamics.iterate_map(p.step, state.coords(), tol)
+    status = "critical-line" if isinstance(exc, four_types.CriticalLineError) else "fixed-start"
+    return status, run.states[-1]
+
+
+_COORDS8 = [f"x{i+1}" for i in range(4)] + [f"y{k+1}" for k in range(4)]
+
+CASES = {
+    "two-type": Case(
+        params=two_types.TwoTypeParams,
+        parse_start=lambda text: (
+            two_types.reduce_state(_parse_full_state(text)) if ";" in text else _parse_point(text)
+        ),
+        predict=lambda p, s: two_types.predict_limit(p, s),
+        label=lambda p, lim: "m1-extinct" if lim[1] == 0.0 and lim[0] < 1.0 else "f2-extinct",
+        doc=lambda s, lim: {
+            "start": list(s),
+            "limit": list(lim),
+            "limit_full": _state_doc(two_types.lift_point(lim)),
+        },
+        sample=lambda p, rng: (rng.uniform(0.02, 0.98), rng.uniform(0.02, 0.98)),
+        sweep_columns=(("x0", "y0"), ("limit_x", "limit_y")),
+        grid_starts=lambda count: list(itertools.product(_linspace(0.1, 0.9, count), repeat=2)),
+        verify_axes=("a", "b"),
+        planar=lambda p: (p.step, (1.0, 1.0)),
+        portrait=(("two-type", {}),),
+    ),
+    "four-type": Case(
+        params=four_types.FourTypeParams,
+        parse_start=_parse_full_state,
+        predict=lambda p, s: four_types.predict_limit(p, s),
+        label=lambda p, lim: four_types.survivor_label(p),
+        doc=lambda s, lim: {"start": _state_doc(s), "limit": _state_doc(lim)},
+        sample=_four_type_sample,
+        sweep_columns=(tuple(f"s0_{c}" for c in _COORDS8), tuple(f"limit_{c}" for c in _COORDS8)),
+        coords=PopulationState.coords,
+        fixes=_four_type_fixes,
+        fallback=_four_type_fallback,
+        on_line=four_types.FourTypeParams.on_critical_line,
+        planar=lambda p: (p.sub12_step, (p.a0, p.c0)),
+        portrait=tuple(
+            (regime, {"a": a, "c": c})
+            for regime, a, c in (("below", 0.3, 0.3), ("above", 0.7, 0.7), ("critical", 0.4, 0.6))
+        ),
+    ),
+    "critical-line": Case(
+        params=four_types.CriticalMapParams,
+        parse_start=float,
+        predict=lambda p, x: four_types.predict_limit_critical(p, x),
+        label=lambda p, lim: "affine" if p.is_affine else "quadratic",
+        doc=lambda x, lim: {"x0": x, "limit": lim},
+        sample=lambda p, rng: rng.uniform(0.02, 0.98),
+        sweep_columns=(("x0",), ("limit",)),
+        start_flag="x0",
+        coords=lambda x: (x,),
+        grid_starts=lambda count: _linspace(0.05, 0.95, count),
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# construct / iterate
+# ---------------------------------------------------------------------------
+
+
+def _construct(path: str):
+    """The configuration space and the operator built from a construction JSON file."""
     try:
-        doc = construction.load_json(args.input)
+        doc = construction.load_json(path)
     except json.JSONDecodeError as exc:
         raise SchemaError("input", f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     space, weights = construction.construction_from_json(doc)
-    op = construction.build_operator(space, weights)
+    return space, construction.build_operator(space, weights)
+
+
+def cmd_construct(args) -> int:
+    space, op = _construct(args.input)
     connected = len(space.components) == 1
     identity = construction.is_identity(
         op, trials=20, tol=_tolerance(args), rng=np.random.default_rng(args.seed)
@@ -110,11 +243,6 @@ def cmd_construct(args) -> int:
     print(f"connected: {str(connected).lower()}")
     print(f"identity: {str(identity).lower()}")
     return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# iterate
-# ---------------------------------------------------------------------------
 
 
 def _operator_from_args(args) -> tuple[construction.BisexualOperator, dict]:
@@ -132,34 +260,14 @@ def _operator_from_args(args) -> tuple[construction.BisexualOperator, dict]:
         doc = construction.load_json(args.operator)
         return construction.operator_from_json(doc), {"kind": "operator-json", "path": args.operator}
     if args.construction is not None:
-        doc = construction.load_json(args.construction)
-        space, weights = construction.construction_from_json(doc)
-        return construction.build_operator(space, weights), {
-            "kind": "construction-json",
-            "path": args.construction,
-        }
-    if args.two_type:
-        p = two_types.TwoTypeParams(a=args.a, b=args.b)
-        return two_types.lift_operator(p), {"kind": "two-type", "a": p.a, "b": p.b}
-    p4 = four_types.FourTypeParams(
-        a=args.a, b=args.b, c=args.c, d=args.d, a0=args.a0, c0=args.c0
-    )
-    return four_types.lift_operator(p4), {
-        "kind": "four-type",
-        "a": p4.a,
-        "b": p4.b,
-        "c": p4.c,
-        "d": p4.d,
-    }
-
-
-def _write_trajectory_csv(path: str, trajectory: dynamics.Trajectory, n: int, nu: int) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["step"] + [f"x_{i+1}" for i in range(n)] + [f"y_{k+1}" for k in range(nu)]
-        writer.writerow(header)
-        for step_index, state in zip(trajectory.state_steps, trajectory.states):
-            writer.writerow([step_index, *state.coords()])
+        _, op = _construct(args.construction)
+        return op, {"kind": "construction-json", "path": args.construction}
+    kind = "two-type" if args.two_type else "four-type"
+    p = _params(kind, args)
+    module = two_types if args.two_type else four_types
+    # The slice sums a0, c0 are not part of the four-type operator.
+    meta = {n: getattr(p, n) for n in CASES[kind].names if n not in ("a0", "c0")}
+    return module.lift_operator(p), {"kind": kind, **meta}
 
 
 def cmd_iterate(args) -> int:
@@ -168,7 +276,9 @@ def cmd_iterate(args) -> int:
     tol = _tolerance(args)
     trajectory = dynamics.iterate(op, state, tol)
     if args.trajectory is not None:
-        _write_trajectory_csv(args.trajectory, trajectory, op.n, op.nu)
+        header = ["step"] + [f"x_{i+1}" for i in range(op.n)] + [f"y_{k+1}" for k in range(op.nu)]
+        rows = ([t, *s.coords()] for t, s in zip(trajectory.state_steps, trajectory.states))
+        _write_csv(args.trajectory, header, rows)
     drifts = {
         "female_total": dynamics.conserved_quantity_drift(
             trajectory, lambda s: sum(s.female.probs)
@@ -183,43 +293,26 @@ def cmd_iterate(args) -> int:
         "limit": _state_doc(trajectory.limit) if trajectory.limit is not None else None,
         "drifts": drifts,
         "seed": args.seed,
-        "tolerance": _tolerance_doc(tol),
+        "tolerance": asdict(tol),
     }
     _write_json(summary, args.summary)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# fixed-points / classify / predict
+# fixed-points / classify: per-case documents
 # ---------------------------------------------------------------------------
-
-
-def _two_type_params(args) -> two_types.TwoTypeParams:
-    return two_types.TwoTypeParams(a=args.a, b=args.b)
-
-
-def _four_type_params(args) -> four_types.FourTypeParams:
-    return four_types.FourTypeParams(
-        a=args.a, b=args.b, c=args.c, d=args.d, a0=args.a0, c0=args.c0
-    )
 
 
 def cmd_fixed_points(args) -> int:
     tol = _tolerance(args)
+    case, p = CASES[args.case], _params(args.case, args)
     if args.case == "two-type":
-        p = _two_type_params(args)
         doc = {"case": "two-type", "segments": two_types.fixed_segments(p).describe()}
-        if args.grid:
-            points = dynamics.find_fixed_points_grid(
-                two_types.step_fn(p), ((0.0, 1.0), (0.0, 1.0)), args.grid, tol
-            )
-            doc["grid_points"] = [list(pt) for pt in points]
     elif args.case == "four-type":
-        p4 = _four_type_params(args)
-        fixed = four_types.sub12_fixed_points(p4)
-        step = four_types.sub12_step_fn(p4)
+        fixed = four_types.sub12_fixed_points(p)
         residuals = [
-            max(abs(n - o) for n, o in zip(step(pt), pt)) for pt in fixed.points
+            max(abs(n - o) for n, o in zip(p.sub12_step(pt), pt)) for pt in fixed.points
         ]
         doc = {
             "case": "four-type",
@@ -227,217 +320,109 @@ def cmd_fixed_points(args) -> int:
             "points": [list(pt) for pt in fixed.points],
             "residuals": residuals,
         }
-        if args.grid:
-            found = dynamics.find_fixed_points_grid(
-                step, ((0.0, p4.a0), (0.0, p4.c0)), args.grid, tol
-            )
-            doc["grid_points"] = [list(pt) for pt in found]
     else:
-        cp = four_types.CriticalMapParams(a=args.a, a0=args.a0, c0=args.c0)
-        fixed = four_types.critical_fixed_points(cp)
+        fixed = four_types.critical_fixed_points(p)
         doc = {
             "case": "critical-line",
             "point": fixed.point,
             "spurious": fixed.spurious,
             "discriminant": fixed.discriminant,
-            "slope": four_types.critical_slope(cp),
+            "slope": four_types.critical_slope(p),
         }
+    if args.grid and case.planar is not None:
+        step, (w, h) = case.planar(p)
+        found = dynamics.find_fixed_points_grid(step, ((0.0, w), (0.0, h)), args.grid, tol)
+        doc["grid_points"] = [list(pt) for pt in found]
     _write_json(doc, args.output)
     return EXIT_OK
+
+
+def _verdict_doc(verdict: dynamics.FixedPointClass) -> dict:
+    return {"kind": verdict.kind.value, "eigen_moduli": list(verdict.eigen_moduli)}
 
 
 def cmd_classify(args) -> int:
     tol = _tolerance(args)
+    p = _params(args.case, args)
     if args.case == "two-type":
-        p = _two_type_params(args)
         point = _parse_point(args.state)
         verdict = dynamics.classify_fixed_point_2d(two_types.jacobian_matrix(p, point), tol)
-        doc = {
-            "case": "two-type",
-            "state": list(point),
-            "kind": verdict.kind.value,
-            "eigen_moduli": list(verdict.eigen_moduli),
-        }
+        doc = {"case": "two-type", "state": list(point), **_verdict_doc(verdict)}
     else:
-        p4 = _four_type_params(args)
-        verdicts = four_types.classify_sub12_fixed_points(p4, tol)
-        doc = {
-            "case": "four-type",
-            "points": [
-                {
-                    "point": list(pt),
-                    "kind": v.kind.value,
-                    "eigen_moduli": list(v.eigen_moduli),
-                }
-                for pt, v in sorted(verdicts.items())
-            ],
-        }
+        verdicts = four_types.classify_sub12_fixed_points(p, tol)
+        points = [{"point": list(pt), **_verdict_doc(v)} for pt, v in sorted(verdicts.items())]
+        doc = {"case": "four-type", "points": points}
     _write_json(doc, args.output)
     return EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# predict / verify / sweep: one loop each over the case table
+# ---------------------------------------------------------------------------
 
 
 def cmd_predict(args) -> int:
-    if args.case in ("two-type", "four-type") and args.state is None:
-        raise SchemaError("state", f"--state is required for --case {args.case}")
-    if args.case == "critical-line" and args.x0 is None:
-        raise SchemaError("x0", "--x0 is required for --case critical-line")
-    if args.case == "two-type":
-        p = _two_type_params(args)
-        if ";" in args.state:
-            state = _parse_full_state(args.state)
-            reduced = two_types.reduce_state(state)
-        else:
-            reduced = _parse_point(args.state)
-        limit = two_types.predict_limit(p, reduced)
-        doc = {
-            "case": "two-type",
-            "start": list(reduced),
-            "limit": list(limit),
-            "limit_full": _state_doc(two_types.lift_point(limit)),
-            "class": "m1-extinct" if limit[1] == 0.0 and limit[0] < 1.0 else "f2-extinct",
-        }
-    elif args.case == "four-type":
-        state = _parse_full_state(args.state)
-        sums = four_types.slice_sums(state)
-        p4 = four_types.FourTypeParams(
-            a=args.a, b=args.b, c=args.c, d=args.d, a0=sums[0], c0=sums[2]
-        )
-        limit = four_types.predict_limit(p4, state)
-        doc = {
-            "case": "four-type",
-            "start": _state_doc(state),
-            "limit": _state_doc(limit),
-            "class": four_types.survivor_label(p4),
-        }
-    else:
-        cp = four_types.CriticalMapParams(a=args.a, a0=args.a0, c0=args.c0)
-        doc = {
-            "case": "critical-line",
-            "x0": args.x0,
-            "limit": four_types.predict_limit_critical(cp, args.x0),
-            "class": "affine" if cp.is_affine else "quadratic",
-        }
+    case = CASES[args.case]
+    text = getattr(args, case.start_flag)
+    if text is None:
+        flag = case.start_flag
+        raise SchemaError(flag, f"--{flag} is required for --case {args.case}")
+    start = case.parse_start(text)
+    p = _params(args.case, args, **case.fixes(start))
+    limit = case.predict(p, start)
+    doc = {"case": args.case, **case.doc(start, limit), "class": case.label(p, limit)}
     _write_json(doc, args.output)
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
-
-
-def _verify_two_type_cell(a: float, b: float, starts, tol: Tolerance) -> float:
-    p = two_types.TwoTypeParams(a=a, b=b)
+def _verify_cell(case: Case, p, starts, tol: Tolerance) -> float:
+    """Largest coordinate gap between iterated end states and closed-form limits."""
     worst = 0.0
     for s0 in starts:
-        predicted = two_types.predict_limit(p, s0)
-        run = dynamics.iterate_map(two_types.step_fn(p), s0, tol)
-        end = run.states[-1]
-        worst = max(worst, max(abs(u - v) for u, v in zip(end, predicted)))
+        predicted = case.coords(case.predict(p, s0))
+        run = dynamics.iterate_map(p.step, case.coords(s0), tol)
+        worst = max(worst, max(abs(u - v) for u, v in zip(run.states[-1], predicted)))
     return worst
 
 
-def _verify_four_type_cell(p: four_types.FourTypeParams, starts, tol: Tolerance) -> float:
-    worst = 0.0
-    for s0 in starts:
-        state = make_state(s0[:4], s0[4:])
-        predicted = four_types.predict_limit(p, state)
-        run = dynamics.iterate_map(four_types.full_step_fn(p), s0, tol)
-        end = run.states[-1]
-        worst = max(
-            worst, max(abs(u - v) for u, v in zip(end, predicted.coords()))
-        )
-    return worst
-
-
-def _verify_critical_cell(cp: four_types.CriticalMapParams, xs, tol: Tolerance) -> float:
-    worst = 0.0
-    step = four_types.critical_orbit_fn(cp)
-    for x0 in xs:
-        predicted = four_types.predict_limit_critical(cp, x0)
-        run = dynamics.iterate_map(step, (x0,), tol)
-        worst = max(worst, abs(run.states[-1][0] - predicted))
-    return worst
-
-
-def _portrait_rows(args, tol: Tolerance) -> list[tuple]:
-    """Trajectory point streams behind the three phase-portrait regimes."""
-    rows: list[tuple] = []
+def _portrait_rows(case: Case, args, tol: Tolerance):
+    """Trajectory point streams behind the case's phase-portrait regimes."""
     short_tol = Tolerance(abs_eps=tol.abs_eps, iter_eps=tol.iter_eps, max_iters=20_000)
     fan = [(0.05, 0.9), (0.3, 0.9), (0.6, 0.9), (0.9, 0.85), (0.9, 0.1), (0.6, 0.05), (0.3, 0.08), (0.08, 0.3)]
-    if args.case == "two-type":
-        regimes = [("two-type", two_types.step_fn(two_types.TwoTypeParams(a=args.a, b=args.b)), 1.0, 1.0)]
-    else:
-        a0, c0 = args.a0, args.c0
-        regimes = []
-        for name, (ra, rc) in (("below", (0.3, 0.3)), ("above", (0.7, 0.7)), ("critical", (0.4, 0.6))):
-            p = four_types.FourTypeParams(a=ra, b=args.b, c=rc, d=args.d, a0=a0, c0=c0)
-            regimes.append((name, four_types.sub12_step_fn(p), a0, c0))
-    for regime, step, w, h in regimes:
+    for regime, overrides in case.portrait:
+        step, (w, h) = case.planar(_params(args.case, args, **overrides))
         for t, (u, v) in enumerate(fan):
             run = dynamics.iterate_map(step, (u * w, v * h), short_tol, store_cap=400)
             for step_index, (x, y) in zip(run.state_steps, run.states):
-                rows.append((regime, t, step_index, x, y))
-    return rows
+                yield (regime, t, step_index, x, y)
 
 
 def cmd_verify(args) -> int:
+    if args.grid < 1 or args.starts < 1:
+        raise SchemaError(
+            "grid", f"--grid and --starts must be >= 1, got {args.grid} and {args.starts}"
+        )
+    case = CASES[args.case]
     tol = _tolerance(args)
     rng = np.random.default_rng(args.seed)
-    grid_values = np.linspace(0.05, 0.95, args.grid)
+    grid_values = _linspace(0.05, 0.95, args.grid)
     cells = []
-    if args.case == "two-type":
-        for a in grid_values:
-            for b in grid_values:
-                starts = [
-                    (rng.uniform(0.02, 0.98), rng.uniform(0.02, 0.98))
-                    for _ in range(args.starts)
-                ]
-                mismatch = _verify_two_type_cell(float(a), float(b), starts, tol)
-                cells.append(
-                    {
-                        "a": float(a),
-                        "b": float(b),
-                        "kind": "closed-form",
-                        "max_mismatch": mismatch,
-                        "pass": mismatch <= args.match_eps,
-                    }
-                )
-    else:
-        if abs(args.b + args.d - 1.0) <= four_types.CRITICAL_EPS:
-            raise SchemaError("b,d", "b+d sits on the critical line; pick another pair")
-        a0, c0 = args.a0, args.c0
-        for a in grid_values:
-            for c in grid_values:
-                if abs(a + c - 1.0) <= four_types.CRITICAL_EPS:
-                    cp = four_types.CriticalMapParams(a=float(a), a0=a0, c0=c0)
-                    xs = [rng.uniform(0.02, 0.98) for _ in range(args.starts)]
-                    mismatch = _verify_critical_cell(cp, xs, tol)
-                    kind = "critical-line"
-                else:
-                    p = four_types.FourTypeParams(
-                        a=float(a), b=args.b, c=float(c), d=args.d, a0=a0, c0=c0
-                    )
-                    starts = []
-                    for _ in range(args.starts):
-                        x1 = a0 * rng.uniform(0.05, 0.95)
-                        x3 = (1.0 - a0) * rng.uniform(0.05, 0.95)
-                        y1 = c0 * rng.uniform(0.05, 0.95)
-                        y3 = (1.0 - c0) * rng.uniform(0.05, 0.95)
-                        starts.append(
-                            (x1, a0 - x1, x3, 1.0 - a0 - x3, y1, c0 - y1, y3, 1.0 - c0 - y3)
-                        )
-                    mismatch = _verify_four_type_cell(p, starts, tol)
-                    kind = "closed-form"
-                cells.append(
-                    {
-                        "a": float(a),
-                        "c": float(c),
-                        "kind": kind,
-                        "max_mismatch": mismatch,
-                        "pass": mismatch <= args.match_eps,
-                    }
-                )
+    for u in grid_values:
+        for v in grid_values:
+            cell = dict(zip(case.verify_axes, (u, v)))
+            cell_case, p = case, _params(args.case, args, **cell)
+            if case.on_line(p):
+                cell_case, p = CASES["critical-line"], _params("critical-line", args, **cell)
+            starts = [cell_case.sample(p, rng) for _ in range(args.starts)]
+            mismatch = _verify_cell(cell_case, p, starts, tol)
+            cells.append(
+                {
+                    **cell,
+                    "kind": "closed-form" if cell_case is case else "critical-line",
+                    "max_mismatch": mismatch,
+                    "pass": mismatch <= args.match_eps,
+                }
+            )
     n_pass = sum(1 for cell in cells if cell["pass"])
     report = {
         "case": args.case,
@@ -445,7 +430,7 @@ def cmd_verify(args) -> int:
         "starts": args.starts,
         "seed": args.seed,
         "match_eps": args.match_eps,
-        "tolerance": _tolerance_doc(tol),
+        "tolerance": asdict(tol),
         "cells": cells,
         "n_cells": len(cells),
         "n_pass": n_pass,
@@ -454,120 +439,52 @@ def cmd_verify(args) -> int:
     }
     _write_json(report, args.report)
     if args.portrait is not None:
-        with open(args.portrait, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["regime", "traj", "step", "x", "y"])
-            for row in _portrait_rows(args, tol):
-                writer.writerow(row)
+        header = ["regime", "traj", "step", "x", "y"]
+        _write_csv(args.portrait, header, _portrait_rows(case, args, tol))
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# sweep
-# ---------------------------------------------------------------------------
-
-
-def _sweep_states_two_type(args) -> list[tuple[float, float]]:
-    if args.state.startswith("grid:"):
-        count = int(args.state.split(":", 1)[1])
-        values = np.linspace(0.1, 0.9, count)
-        return [(float(u), float(v)) for u in values for v in values]
-    return [_parse_point(args.state)]
-
-
-def _sweep_rows_two_type(args, tol: Tolerance):
-    header = ["a", "b", "x0", "y0", "status", "limit_x", "limit_y", "class"]
-    rows = []
-    for a in _parse_range(args.a):
-        for b in _parse_range(args.b):
-            for s0 in _sweep_states_two_type(args):
-                try:
-                    p = two_types.TwoTypeParams(a=a, b=b)
-                    limit = two_types.predict_limit(p, s0)
-                    label = "m1-extinct" if limit[1] == 0.0 and limit[0] < 1.0 else "f2-extinct"
-                    rows.append([a, b, s0[0], s0[1], "ok", limit[0], limit[1], label])
-                except QsobpError as exc:
-                    rows.append([a, b, s0[0], s0[1], type(exc).__name__, "", "", ""])
-    return header, rows
-
-
-def _sweep_rows_four_type(args, tol: Tolerance):
-    state = _parse_full_state(args.state)
-    sums = four_types.slice_sums(state)
-    coord_names = [f"x{i+1}" for i in range(4)] + [f"y{k+1}" for k in range(4)]
-    header = (
-        ["a", "b", "c", "d", "a0", "c0"]
-        + [f"s0_{name}" for name in coord_names]
-        + ["status"]
-        + [f"limit_{name}" for name in coord_names]
-        + ["class"]
-    )
-    rows = []
-    for a in _parse_range(args.a):
-        for b in _parse_range(args.b):
-            for c in _parse_range(args.c):
-                for d in _parse_range(args.d):
-                    prefix = [a, b, c, d, sums[0], sums[2], *state.coords()]
-                    try:
-                        p = four_types.FourTypeParams(
-                            a=a, b=b, c=c, d=d, a0=sums[0], c0=sums[2]
-                        )
-                    except ValueError as exc:
-                        rows.append(prefix + ["ValueError", *[""] * 8, ""])
-                        continue
-                    try:
-                        limit = four_types.predict_limit(p, state)
-                        rows.append(
-                            prefix
-                            + ["ok", *limit.coords(), four_types.survivor_label(p)]
-                        )
-                    except QsobpError as exc:
-                        run = dynamics.iterate_map(
-                            four_types.full_step_fn(p), state.coords(), tol
-                        )
-                        status = (
-                            "critical-line"
-                            if isinstance(exc, four_types.CriticalLineError)
-                            else "fixed-start"
-                        )
-                        rows.append(prefix + [status, *run.states[-1], ""])
-    return header, rows
-
-
-def _sweep_rows_critical(args, tol: Tolerance):
-    header = ["a", "a0", "c0", "x0", "status", "limit", "class"]
-    if args.x0.startswith("grid:"):
-        xs = [float(v) for v in np.linspace(0.05, 0.95, int(args.x0.split(":", 1)[1]))]
-    else:
-        xs = [float(args.x0)]
-    rows = []
-    for a in _parse_range(args.a):
-        for a0 in _parse_range(args.a0):
-            for c0 in _parse_range(args.c0):
-                for x0 in xs:
-                    try:
-                        cp = four_types.CriticalMapParams(a=a, a0=a0, c0=c0)
-                        limit = four_types.predict_limit_critical(cp, x0)
-                        label = "affine" if cp.is_affine else "quadratic"
-                        rows.append([a, a0, c0, x0, "ok", limit, label])
-                    except QsobpError as exc:
-                        rows.append([a, a0, c0, x0, type(exc).__name__, "", ""])
-    return header, rows
-
-
 def cmd_sweep(args) -> int:
+    """Closed-form limits over a parameter grid, one CSV row per (parameters, start).
+
+    Parameters outside their valid range give status ``ValueError`` and
+    starts the closed form rejects give the error's name, both with blank
+    limits; the four-type case iterates such starts instead.
+    """
+    case = CASES[args.case]
     tol = _tolerance(args)
-    if args.case == "two-type":
-        header, rows = _sweep_rows_two_type(args, tol)
-    elif args.case == "four-type":
-        header, rows = _sweep_rows_four_type(args, tol)
+    text = getattr(args, case.start_flag)
+    if text.startswith("grid:") and case.grid_starts is not None:
+        starts = case.grid_starts(int(text.split(":", 1)[1]))
     else:
-        header, rows = _sweep_rows_critical(args, tol)
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        starts = [case.parse_start(text)]
+    # Only the four-type case has start-determined parameters, and its sweep takes one start.
+    fixed = case.fixes(starts[0]) if starts else {}
+    swept = [n for n in case.names if n not in fixed]
+    start_rows = [(s, list(case.coords(s))) for s in starts]
+    start_columns, limit_columns = case.sweep_columns
+    blank = [""] * len(limit_columns)
+    rows = []
+    for combo in itertools.product(*(_parse_range(getattr(args, n)) for n in swept)):
+        values = {**dict(zip(swept, combo)), **fixed}
+        head = [values[n] for n in case.names]
+        try:
+            p = case.params(**values)
+        except ValueError:
+            rows.extend(head + sr + ["ValueError", *blank, ""] for _, sr in start_rows)
+            continue
+        for start, start_row in start_rows:
+            try:
+                limit = case.predict(p, start)
+            except QsobpError as exc:
+                if case.fallback is None:
+                    status, end = type(exc).__name__, blank
+                else:
+                    status, end = case.fallback(p, start, exc, tol)
+                rows.append(head + start_row + [status, *end, ""])
+                continue
+            rows.append(head + start_row + ["ok", *case.coords(limit), case.label(p, limit)])
+    _write_csv(args.output, [*case.names, *start_columns, "status", *limit_columns, "class"], rows)
     return EXIT_OK
 
 
@@ -575,12 +492,7 @@ def cmd_sweep(args) -> int:
 # Parser assembly.
 # ---------------------------------------------------------------------------
 
-
-def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--abs-eps", type=float, default=1e-9, help="comparison epsilon")
-    parser.add_argument("--iter-eps", type=float, default=1e-12, help="iteration stop threshold")
-    parser.add_argument("--max-iters", type=int, default=10**6, help="iteration budget")
-    parser.add_argument("--seed", type=int, default=42, help="seed for any random draws")
+CASE_DEFAULTS = {"a": 0.3, "b": 0.3, "c": 0.3, "d": 0.3, "a0": 0.5, "c0": 0.5}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -591,80 +503,64 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_construct = sub.add_parser("construct", help="build an operator from a construction JSON")
-    p_construct.add_argument("--input", required=True, help="construction JSON path")
-    p_construct.add_argument("--output", required=True, help="operator JSON path")
-    _add_tolerance_flags(p_construct)
-    p_construct.set_defaults(func=cmd_construct)
+    def command(name, func, about, cases=None, params=None, kind=float, params_help=None):
+        """A subcommand with its --case choices, parameter flags and tolerance flags."""
+        cmd = sub.add_parser(name, help=about)
+        cmd.set_defaults(func=func)
+        if cases is not None:
+            cmd.add_argument("--case", choices=cases, required=True)
+        for flag, default in (params or {}).items():
+            cmd.add_argument(f"--{flag}", type=kind, default=default, help=params_help)
+        cmd.add_argument("--abs-eps", type=float, default=1e-9, help="comparison epsilon")
+        cmd.add_argument("--iter-eps", type=float, default=1e-12, help="iteration stop threshold")
+        cmd.add_argument("--max-iters", type=int, default=10**6, help="iteration budget")
+        cmd.add_argument("--seed", type=int, default=42, help="seed for any random draws")
+        return cmd
 
-    p_iterate = sub.add_parser("iterate", help="iterate an operator from a state")
-    p_iterate.add_argument("--operator", default=None, help="operator JSON path")
-    p_iterate.add_argument("--construction", default=None, help="construction JSON path")
-    p_iterate.add_argument("--two-type", action="store_true", help="inline two-type params")
-    p_iterate.add_argument("--four-type", action="store_true", help="inline four-type params")
-    for name, default in (("a", 0.5), ("b", 0.5), ("c", 0.5), ("d", 0.5), ("a0", 0.5), ("c0", 0.5)):
-        p_iterate.add_argument(f"--{name}", type=float, default=default)
-    p_iterate.add_argument("--state", required=True, help="'x1,..;y1,..'")
-    p_iterate.add_argument("--trajectory", default=None, help="trajectory CSV path")
-    p_iterate.add_argument("--summary", default=None, help="summary JSON path (default stdout)")
-    _add_tolerance_flags(p_iterate)
-    p_iterate.set_defaults(func=cmd_iterate)
+    cmd = command("construct", cmd_construct, "build an operator from a construction JSON")
+    cmd.add_argument("--input", required=True, help="construction JSON path")
+    cmd.add_argument("--output", required=True, help="operator JSON path")
 
-    case_choices = ["two-type", "four-type", "critical-line"]
+    cmd = command("iterate", cmd_iterate, "iterate an operator from a state",
+                  params=dict.fromkeys(CASE_DEFAULTS, 0.5))
+    cmd.add_argument("--operator", default=None, help="operator JSON path")
+    cmd.add_argument("--construction", default=None, help="construction JSON path")
+    cmd.add_argument("--two-type", action="store_true", help="inline two-type params")
+    cmd.add_argument("--four-type", action="store_true", help="inline four-type params")
+    cmd.add_argument("--state", required=True, help="'x1,..;y1,..'")
+    cmd.add_argument("--trajectory", default=None, help="trajectory CSV path")
+    cmd.add_argument("--summary", default=None, help="summary JSON path (default stdout)")
 
-    p_fixed = sub.add_parser("fixed-points", help="fixed points of a case map")
-    p_fixed.add_argument("--case", choices=case_choices, required=True)
-    for name, default in (("a", 0.3), ("b", 0.3), ("c", 0.3), ("d", 0.3), ("a0", 0.5), ("c0", 0.5)):
-        p_fixed.add_argument(f"--{name}", type=float, default=default)
-    p_fixed.add_argument("--grid", type=int, default=0, help="grid cross-check resolution")
-    p_fixed.add_argument("--output", default=None)
-    _add_tolerance_flags(p_fixed)
-    p_fixed.set_defaults(func=cmd_fixed_points)
+    cmd = command("fixed-points", cmd_fixed_points, "fixed points of a case map", list(CASES),
+                  CASE_DEFAULTS)
+    cmd.add_argument("--grid", type=int, default=0, help="grid cross-check resolution")
+    cmd.add_argument("--output", default=None)
 
-    p_classify = sub.add_parser("classify", help="stability classes of fixed points")
-    p_classify.add_argument("--case", choices=["two-type", "four-type"], required=True)
-    for name, default in (("a", 0.3), ("b", 0.3), ("c", 0.3), ("d", 0.3), ("a0", 0.5), ("c0", 0.5)):
-        p_classify.add_argument(f"--{name}", type=float, default=default)
-    p_classify.add_argument("--state", default="0,0", help="two-type: point to classify at")
-    p_classify.add_argument("--output", default=None)
-    _add_tolerance_flags(p_classify)
-    p_classify.set_defaults(func=cmd_classify)
+    cmd = command("classify", cmd_classify, "stability classes of fixed points",
+                  ["two-type", "four-type"], CASE_DEFAULTS)
+    cmd.add_argument("--state", default="0,0", help="two-type: point to classify at")
+    cmd.add_argument("--output", default=None)
 
-    p_predict = sub.add_parser("predict", help="closed-form trajectory limit")
-    p_predict.add_argument("--case", choices=case_choices, required=True)
-    for name, default in (("a", 0.3), ("b", 0.3), ("c", 0.3), ("d", 0.3), ("a0", 0.5), ("c0", 0.5)):
-        p_predict.add_argument(f"--{name}", type=float, default=default)
-    p_predict.add_argument("--state", default=None, help="initial state")
-    p_predict.add_argument("--x0", type=float, default=None, help="critical-line start")
-    p_predict.add_argument("--output", default=None)
-    _add_tolerance_flags(p_predict)
-    p_predict.set_defaults(func=cmd_predict)
+    cmd = command("predict", cmd_predict, "closed-form trajectory limit", list(CASES),
+                  CASE_DEFAULTS)
+    cmd.add_argument("--state", default=None, help="initial state")
+    cmd.add_argument("--x0", type=float, default=None, help="critical-line start")
+    cmd.add_argument("--output", default=None)
 
-    p_verify = sub.add_parser("verify", help="pair closed-form limits with brute-force iteration")
-    p_verify.add_argument("--case", choices=["two-type", "four-type"], required=True)
-    p_verify.add_argument("--grid", type=int, default=10)
-    p_verify.add_argument("--starts", type=int, default=3, help="random starts per cell")
-    p_verify.add_argument("--b", type=float, default=0.3)
-    p_verify.add_argument("--d", type=float, default=0.4)
-    p_verify.add_argument("--a0", type=float, default=0.5)
-    p_verify.add_argument("--c0", type=float, default=0.5)
-    p_verify.add_argument("--a", type=float, default=0.3, help="portrait params for two-type")
-    p_verify.add_argument("--match-eps", type=float, default=DEFAULT_MATCH_EPS)
-    p_verify.add_argument("--report", required=True, help="report JSON path")
-    p_verify.add_argument("--portrait", default=None, help="phase-portrait CSV path")
-    _add_tolerance_flags(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
+    cmd = command("verify", cmd_verify, "pair closed-form limits with brute-force iteration",
+                  ["two-type", "four-type"], {"b": 0.3, "d": 0.4, "a0": 0.5, "c0": 0.5, "a": 0.3},
+                  params_help="parameters the grid leaves fixed; two-type --a/--b set the portrait")
+    cmd.add_argument("--grid", type=int, default=10)
+    cmd.add_argument("--starts", type=int, default=3, help="random starts per cell")
+    cmd.add_argument("--match-eps", type=float, default=DEFAULT_MATCH_EPS)
+    cmd.add_argument("--report", required=True, help="report JSON path")
+    cmd.add_argument("--portrait", default=None, help="phase-portrait CSV path")
 
-    p_sweep = sub.add_parser("sweep", help="batch closed-form predictions over parameter grids")
-    p_sweep.add_argument("--case", choices=case_choices, required=True)
-    for name in ("a", "b", "c", "d", "a0", "c0"):
-        p_sweep.add_argument(f"--{name}", type=str, default="0.3", help="value or lo:hi:count")
-    p_sweep.add_argument("--state", default="0.2,0.3", help="start state or grid:N (two-type)")
-    p_sweep.add_argument("--x0", default="0.2", help="critical-line start or grid:N")
-    p_sweep.add_argument("--output", required=True, help="sweep CSV path")
-    _add_tolerance_flags(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
+    cmd = command("sweep", cmd_sweep, "batch closed-form predictions over parameter grids",
+                  list(CASES), dict.fromkeys(CASE_DEFAULTS, "0.3"), str, "value or lo:hi:count")
+    cmd.add_argument("--state", default="0.2,0.3", help="start state or grid:N (two-type)")
+    cmd.add_argument("--x0", default="0.2", help="critical-line start or grid:N")
+    cmd.add_argument("--output", required=True, help="sweep CSV path")
     return parser
 
 

@@ -380,6 +380,11 @@ def is_identity(
 # ---------------------------------------------------------------------------
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which Python counts as an int.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(doc: Mapping, field: str, kind: type):
     if field not in doc:
         raise SchemaError(field, "missing required field")
@@ -388,7 +393,7 @@ def _require(doc: Mapping, field: str, kind: type):
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise SchemaError(field, f"expected a number, got {type(value).__name__}")
         return float(value)
-    if not isinstance(value, kind):
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise SchemaError(field, f"expected {kind.__name__}, got {type(value).__name__}")
     return value
 
@@ -420,9 +425,9 @@ def construction_from_json(doc: Mapping) -> tuple[ConfigurationSpace, WeightPair
     alleles = _require(doc, "alleles", int)
     females_raw = _require(doc, "females", list)
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, int) for v in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(_is_int(v) for v in e)):
             raise SchemaError("edges", f"edge {e!r} is not a pair of integers")
-    if not all(isinstance(i, int) for i in females_raw):
+    if not all(_is_int(i) for i in females_raw):
         raise SchemaError("females", "cell indices must be integers")
     try:
         graph = make_graph(vertices, edges)

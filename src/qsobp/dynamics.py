@@ -4,9 +4,8 @@ The engine is generic: it iterates any bisexual operator, and also bare
 low-dimensional maps given as callables on coordinate tuples.  Convergence
 is detected from successive-state distance, never from distance to a known
 limit, so the same loop serves operators whose limits are unknown.
-Classification of planar fixed points goes through the characteristic
-polynomial of the Jacobian; root location is decided from the polynomial's
-values at +1 and -1 together with its constant term.
+Planar fixed points are classified from the moduli of the roots of their
+Jacobian's characteristic polynomial, that is, of its two eigenvalues.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ class MapTrajectory:
     converged: bool
     limit: Point | None
     steps_taken: int
-    tracked_drift: float | None = None
 
 
 @dataclass(frozen=True)
@@ -62,8 +60,6 @@ def iterate_map(
     start: Sequence[float],
     tol: Tolerance = DEFAULT_TOLERANCE,
     *,
-    full_run: bool = False,
-    track: Callable[[Point], float] | None = None,
     store_cap: int = TRAJECTORY_STORE_CAP,
 ) -> MapTrajectory:
     """Iterate ``step`` from ``start`` until successive states stop moving.
@@ -78,27 +74,16 @@ def iterate_map(
         step: The map; takes and returns a coordinate tuple.
         start: Initial coordinates.
         tol: Iteration thresholds and budget.
-        full_run: Run the whole budget even after convergence is reached
-            (used for long-run conservation measurements).
-        track: Optional functional whose maximal deviation from its initial
-            value is recorded per step in ``tracked_drift``.
         store_cap: Thinning threshold for stored states.
     """
     state: Point = tuple(float(v) for v in start)
     stored: list[tuple[int, Point]] = [(0, state)]
     stride = 1
-    base = track(state) if track is not None else 0.0
-    drift = 0.0
     converged = False
-    steps_taken = tol.max_iters
     total = 0
     for t in range(tol.max_iters):
         nxt = step(state)
         moved = max(abs(a - b) for a, b in zip(nxt, state))
-        if track is not None:
-            dev = abs(track(nxt) - base)
-            if dev > drift:
-                drift = dev
         total = t + 1
         if total % stride == 0:
             stored.append((total, nxt))
@@ -106,11 +91,9 @@ def iterate_map(
                 stored = stored[::2]
                 stride *= 2
         state = nxt
-        if moved <= tol.iter_eps and not converged:
+        if moved <= tol.iter_eps:
             converged = True
-            steps_taken = t
-            if not full_run:
-                break
+            break
     if stored[-1][0] != total:
         stored.append((total, state))
     return MapTrajectory(
@@ -118,8 +101,7 @@ def iterate_map(
         state_steps=tuple(t for t, _ in stored),
         converged=converged,
         limit=state if converged else None,
-        steps_taken=steps_taken if converged else total,
-        tracked_drift=drift if track is not None else None,
+        steps_taken=total - 1 if converged else total,
     )
 
 
@@ -174,7 +156,7 @@ def jacobian(op: BisexualOperator, state: PopulationState) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Root location for monic quadratics and planar fixed-point classes.
+# Planar fixed-point classes.
 # ---------------------------------------------------------------------------
 
 
@@ -185,9 +167,6 @@ class QuadraticCharacteristic:
     B: float
     C: float
 
-    def at(self, t: float) -> float:
-        return t * t + self.B * t + self.C
-
     def roots(self) -> tuple[complex, complex]:
         disc = self.B * self.B - 4.0 * self.C
         if disc >= 0.0:
@@ -195,60 +174,6 @@ class QuadraticCharacteristic:
             return ((-self.B + s) / 2.0, (-self.B - s) / 2.0)
         s = math.sqrt(-disc)
         return (complex(-self.B / 2.0, s / 2.0), complex(-self.B / 2.0, -s / 2.0))
-
-
-class RootLocation(enum.Enum):
-    BOTH_INSIDE = "both_inside"
-    BOTH_OUTSIDE = "both_outside"
-    SPLIT = "split"
-    ON_CIRCLE = "on_circle"
-    ROOT_AT_ONE = "root_at_one"
-
-
-@dataclass(frozen=True)
-class RootVerdict:
-    kind: RootLocation
-    # For ROOT_AT_ONE: where the second root sits ("inside"/"outside"/"on").
-    other: str | None = None
-
-
-def classify_quadratic(qc: QuadraticCharacteristic) -> RootVerdict:
-    """Locate the roots of t^2 + Bt + C relative to the unit circle.
-
-    Decided purely from the signs of q(1), q(-1) and the constant term:
-    with q(1) > 0 both roots are inside iff q(-1) > 0 and C < 1, both are
-    outside iff q(-1) > 0 and C > 1, and they straddle the circle iff
-    q(-1) < 0; q(1) = 0 puts a root at one, and its partner is C; q(1) < 0
-    puts one root beyond one while q(-1) tells where the other sits.
-    """
-    at_one = qc.at(1.0)
-    at_minus_one = qc.at(-1.0)
-    if at_one == 0.0:
-        # Roots are 1 and C.
-        if abs(qc.C) < 1.0:
-            other = "inside"
-        elif abs(qc.C) > 1.0:
-            other = "outside"
-        else:
-            other = "on"
-        return RootVerdict(RootLocation.ROOT_AT_ONE, other)
-    if at_one > 0.0:
-        if at_minus_one < 0.0:
-            return RootVerdict(RootLocation.SPLIT)
-        if at_minus_one == 0.0:
-            return RootVerdict(RootLocation.ON_CIRCLE)
-        if qc.C < 1.0:
-            return RootVerdict(RootLocation.BOTH_INSIDE)
-        if qc.C > 1.0:
-            return RootVerdict(RootLocation.BOTH_OUTSIDE)
-        # C == 1 with q(+-1) > 0: conjugate pair of modulus one.
-        return RootVerdict(RootLocation.ON_CIRCLE)
-    # q(1) < 0: one root beyond +1.
-    if at_minus_one < 0.0:
-        return RootVerdict(RootLocation.BOTH_OUTSIDE)
-    if at_minus_one == 0.0:
-        return RootVerdict(RootLocation.ON_CIRCLE)
-    return RootVerdict(RootLocation.SPLIT)
 
 
 class StabilityKind(enum.Enum):

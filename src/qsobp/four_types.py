@@ -87,43 +87,38 @@ class FourTypeParams:
     def mirror_on_critical_line(self) -> bool:
         return abs(self.b + self.d - 1.0) <= CRITICAL_EPS
 
+    def step(self, coords: Coords8) -> Coords8:
+        """One step on bare coordinates (x1..x4, y1..y4); pairwise sums conserved."""
+        x1, x2, x3, x4, y1, y2, y3, y4 = coords
+        a, b, c, d = self.a, self.b, self.c, self.d
+        return (
+            x1 - (1.0 - a) * x1 * y2 + a * x2 * y1,
+            x2 - a * x2 * y1 + (1.0 - a) * x1 * y2,
+            x3 - (1.0 - b) * x3 * y4 + b * x4 * y3,
+            x4 - b * x4 * y3 + (1.0 - b) * x3 * y4,
+            y1 - (1.0 - c) * x2 * y1 + c * x1 * y2,
+            y2 - c * x1 * y2 + (1.0 - c) * x2 * y1,
+            y3 - (1.0 - d) * x4 * y3 + d * x3 * y4,
+            y4 - d * x3 * y4 + (1.0 - d) * x4 * y3,
+        )
+
+    def sub12_step(self, s: Point2) -> Point2:
+        """Type-1/2 block: advance (x1, y1) inside the box [0,a0] x [0,c0]."""
+        x, y = s
+        a, c, a0, c0 = self.a, self.c, self.a0, self.c0
+        return (
+            x - (1.0 - a) * x * (c0 - y) + a * (a0 - x) * y,
+            y - (1.0 - c) * (a0 - x) * y + c * x * (c0 - y),
+        )
+
+    def sub34_step(self, s: Point2) -> Point2:
+        """Type-3/4 block, by delegation to the type-1/2 block under the swap."""
+        return mirror_params(self).sub12_step(s)
+
 
 def mirror_params(p: FourTypeParams) -> FourTypeParams:
     """The parameter swap turning the type-3/4 block into the type-1/2 block."""
     return FourTypeParams(a=p.b, b=p.a, c=p.d, d=p.c, a0=1.0 - p.a0, c0=1.0 - p.c0)
-
-
-# ---------------------------------------------------------------------------
-# The full eight-coordinate operator.
-# ---------------------------------------------------------------------------
-
-
-def full_step_raw(p: FourTypeParams, coords: Coords8) -> Coords8:
-    """One step on bare coordinates (x1..x4, y1..y4); pairwise sums conserved."""
-    x1, x2, x3, x4, y1, y2, y3, y4 = coords
-    a, b, c, d = p.a, p.b, p.c, p.d
-    return (
-        x1 - (1.0 - a) * x1 * y2 + a * x2 * y1,
-        x2 - a * x2 * y1 + (1.0 - a) * x1 * y2,
-        x3 - (1.0 - b) * x3 * y4 + b * x4 * y3,
-        x4 - b * x4 * y3 + (1.0 - b) * x3 * y4,
-        y1 - (1.0 - c) * x2 * y1 + c * x1 * y2,
-        y2 - c * x1 * y2 + (1.0 - c) * x2 * y1,
-        y3 - (1.0 - d) * x4 * y3 + d * x3 * y4,
-        y4 - d * x3 * y4 + (1.0 - d) * x4 * y3,
-    )
-
-
-def full_step(p: FourTypeParams, state: PopulationState) -> PopulationState:
-    new = full_step_raw(p, state.coords())
-    return make_state(new[:4], new[4:])
-
-
-def full_step_fn(p: FourTypeParams) -> Callable[[Coords8], Coords8]:
-    def _step(s: Coords8) -> Coords8:
-        return full_step_raw(p, s)
-
-    return _step
 
 
 def slice_sums(state: PopulationState) -> tuple[float, float, float, float]:
@@ -156,27 +151,6 @@ def lift_operator(p: FourTypeParams) -> BisexualOperator:
 # ---------------------------------------------------------------------------
 # The two decoupled planar subsystems on a slice.
 # ---------------------------------------------------------------------------
-
-
-def sub12_step(p: FourTypeParams, x: float, y: float) -> Point2:
-    """Type-1/2 block: advance (x1, y1) inside the box [0,a0] x [0,c0]."""
-    a, c, a0, c0 = p.a, p.c, p.a0, p.c0
-    return (
-        x - (1.0 - a) * x * (c0 - y) + a * (a0 - x) * y,
-        y - (1.0 - c) * (a0 - x) * y + c * x * (c0 - y),
-    )
-
-
-def sub34_step(p: FourTypeParams, u: float, v: float) -> Point2:
-    """Type-3/4 block, by delegation to the type-1/2 block under the swap."""
-    return sub12_step(mirror_params(p), u, v)
-
-
-def sub12_step_fn(p: FourTypeParams) -> Callable[[Point2], Point2]:
-    def _step(s: Point2) -> Point2:
-        return sub12_step(p, s[0], s[1])
-
-    return _step
 
 
 def sub12_jacobian(p: FourTypeParams, x: float, y: float) -> np.ndarray:
@@ -284,7 +258,7 @@ def predict_limit(
             f"state slice sums {sums[0]}, {sums[2]} disagree with a0={p.a0}, c0={p.c0}"
         )
     first_high, second_high = limit_branch(p)
-    moved = max(abs(n - o) for n, o in zip(full_step_raw(p, state.coords()), state.coords()))
+    moved = max(abs(n - o) for n, o in zip(p.step(state.coords()), state.coords()))
     if moved <= tol.abs_eps:
         raise FixedPointInputError("the starting state is already fixed")
     a0, c0 = p.a0, p.c0
@@ -320,6 +294,10 @@ class CriticalMapParams:
         # The quadratic coefficient 2a-1 vanishes at a = 1/2.
         return abs(2.0 * self.a - 1.0) <= 1e-12
 
+    def step(self, s: tuple[float]) -> tuple[float]:
+        """The section map on 1-tuples, as the iteration engine expects."""
+        return (critical_step(self, s[0]),)
+
 
 def critical_step(cp: CriticalMapParams, x):
     """The section map x' = (2a-1) x^2 + ((1-a)(2-c0) - a a0) x + a a0.
@@ -329,24 +307,6 @@ def critical_step(cp: CriticalMapParams, x):
     quad = 2.0 * cp.a - 1.0
     lin = (1.0 - cp.a) * (2.0 - cp.c0) - cp.a * cp.a0
     return quad * x * x + lin * x + cp.a * cp.a0
-
-
-def critical_step_fn(cp: CriticalMapParams) -> Callable[[float], float]:
-    """Scalar (and array) form of the section map, e.g. for periodic scans."""
-
-    def _step(x):
-        return critical_step(cp, x)
-
-    return _step
-
-
-def critical_orbit_fn(cp: CriticalMapParams) -> Callable[[tuple[float]], tuple[float]]:
-    """The section map on 1-tuples, as the iteration engine expects."""
-
-    def _step(s: tuple[float]) -> tuple[float]:
-        return (critical_step(cp, s[0]),)
-
-    return _step
 
 
 @dataclass(frozen=True)

@@ -53,18 +53,10 @@ class TwoTypeParams:
         wm1, wm2 = male
         return cls(a=wf1 / (wf1 + wf2), b=wm1 / (wm1 + wm2))
 
-
-def step(p: TwoTypeParams, s: Point2) -> Point2:
-    """One step of the reduced planar map; maps the unit square into itself."""
-    x, y = s
-    return (x + p.a * (1.0 - x) * y, y * (x + p.b * (1.0 - x)))
-
-
-def step_fn(p: TwoTypeParams):
-    def _step(s: Point2) -> Point2:
-        return step(p, s)
-
-    return _step
+    def step(self, s: Point2) -> Point2:
+        """One step of the reduced planar map; maps the unit square into itself."""
+        x, y = s
+        return (x + self.a * (1.0 - x) * y, y * (x + self.b * (1.0 - x)))
 
 
 def jacobian_matrix(p: TwoTypeParams, s: Point2) -> np.ndarray:
@@ -79,7 +71,7 @@ def jacobian_matrix(p: TwoTypeParams, s: Point2) -> np.ndarray:
 
 
 def lift_operator(p: TwoTypeParams) -> BisexualOperator:
-    """The full 2x2-type operator whose reduction is ``step``.
+    """The full 2x2-type operator whose reduction is ``TwoTypeParams.step``.
 
     Heredity rows: every parent pair breeds true except the (type-2 mother,
     type-1 father) pair, which yields type-1 daughters with probability

@@ -16,6 +16,7 @@ import json
 
 import pytest
 
+from qsobp import four_types, two_types
 from qsobp.cli import main
 
 TWO_TYPE_DOC = {
@@ -359,3 +360,75 @@ def test_sweep_is_deterministic(tmp_path):
     assert main(args + ["--output", str(out1)]) == 0
     assert main(args + ["--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "case, start_args, limit_columns",
+    [
+        ("two-type", ["--b", "0.5", "--state", "grid:2"], 2),
+        ("four-type", ["--state", "0.1,0.4,0.2,0.3;0.2,0.3,0.25,0.25"], 8),
+        ("critical-line", ["--x0", "grid:2"], 1),
+    ],
+)
+def test_sweep_writes_value_error_rows_for_invalid_parameters(
+    tmp_path, case, start_args, limit_columns
+):
+    # a runs over 0, 0.5, 1: the two ends lie outside (0, 1)
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--case", case, "--a", "0:1:3", *start_args, "--output", str(out)])
+    assert code == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    header, rows = rows[0], rows[1:]
+    status = header.index("status")
+    starts = len(rows) // 3
+    for row in rows:
+        if float(row[0]) == 0.5:
+            assert row[status] == "ok"
+        else:
+            assert row[status] == "ValueError"
+            assert row[status + 1 :] == [""] * (limit_columns + 1)
+    assert [float(row[0]) for row in rows] == [0.0] * starts + [0.5] * starts + [1.0] * starts
+
+
+@pytest.mark.parametrize("flags", [["--grid", "0"], ["--starts", "0"], ["--grid", "-1"]])
+def test_verify_rejects_empty_grids_and_starts(tmp_path, capsys, flags):
+    report = tmp_path / "r.json"
+    code = main(["verify", "--case", "two-type", "--grid", "3", *flags, "--report", str(report)])
+    assert code == 2
+    assert not report.exists()
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+def test_construct_rejects_boolean_vertex_count(tmp_path, capsys):
+    doc = {"vertices": 1, "edges": [], "alleles": 2, "females": [1],
+           "female_weights": {"1": 1.0}, "male_weights": {"2": 1.0}}
+    out = str(tmp_path / "op.json")
+    assert main(["construct", "--input", _write(tmp_path / "one.json", doc), "--output", out]) == 0
+    doc["vertices"] = True
+    assert main(["construct", "--input", _write(tmp_path / "bool.json", doc), "--output", out]) == 2
+
+
+def test_iterate_rejects_boolean_operator_sizes(tmp_path):
+    doc = {"n": True, "nu": True, "pf": [[[1.0]]], "pm": [[[1.0]]]}
+    op_path = _write(tmp_path / "op.json", doc)
+    assert main(["iterate", "--operator", op_path, "--state", "1;1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "module, name, case",
+    [
+        (two_types, "predict_limit", "two-type"),
+        (four_types, "predict_limit", "four-type"),
+        (four_types, "predict_limit_critical", "critical-line"),
+    ],
+)
+def test_predictors_are_looked_up_in_their_module_at_call_time(
+    tmp_path, monkeypatch, module, name, case
+):
+    # Tools that wrap a module attribute (tracers, profilers) must see every call.
+    original, calls = getattr(module, name), []
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
+    state = ["--state", "0.1,0.4,0.2,0.3;0.2,0.3,0.25,0.25"] if case == "four-type" else []
+    assert main(["sweep", "--case", case, *state, "--output", str(tmp_path / "s.csv")]) == 0
+    assert len(calls) == 1

@@ -217,9 +217,9 @@ def test_four_type_operator_matches_closed_form_map():
     p = four_types.FourTypeParams.from_weights(female_w, male_w, a0=0.5, c0=0.5)
     for _ in range(100):
         s = random_state(rng, 4, 4)
-        via_tensors = op.apply(s)
-        via_closed_form = four_types.full_step(p, s)
-        assert state_distance(via_tensors, via_closed_form) <= 1e-12
+        via_tensors = op.apply(s).coords()
+        via_closed_form = p.step(s.coords())
+        assert max(abs(u - v) for u, v in zip(via_tensors, via_closed_form)) <= 1e-12
 
 
 def test_weight_scale_invariance():
@@ -379,6 +379,41 @@ def test_construction_json_schema_errors():
     doc["female_weights"] = {"1": 2.0, "2": "heavy"}
     with pytest.raises(SchemaError):
         construction_from_json(doc)
+
+
+ONE_VERTEX_DOC = {
+    "vertices": 1,
+    "edges": [],
+    "alleles": 2,
+    "females": [1],
+    "female_weights": {"1": 1.0},
+    "male_weights": {"2": 1.0},
+}
+
+
+@pytest.mark.parametrize(
+    "base, field, value",
+    [
+        (ONE_VERTEX_DOC, "vertices", True),
+        (dict(ONE_VERTEX_DOC, vertices=2, edges=[[1, 2]], females=[1, 2],
+              female_weights={"1": 1.0, "2": 1.0}, male_weights={"3": 1.0, "4": 1.0}),
+         "edges", [[True, 2]]),
+        (_two_vertex_doc(), "females", [True, 2]),
+    ],
+    ids=["vertices", "edges", "females"],
+)
+def test_construction_json_rejects_booleans_as_integers(base, field, value):
+    construction_from_json(base)  # the document is valid with the integer in place
+    with pytest.raises(SchemaError):
+        construction_from_json(dict(base, **{field: value}))
+
+
+def test_operator_json_rejects_booleans_as_sizes():
+    doc = {"n": True, "nu": True, "pf": [[[1.0]]], "pm": [[[1.0]]]}
+    with pytest.raises(SchemaError):
+        operator_from_json(doc)
+    doc["n"] = doc["nu"] = 1
+    assert operator_from_json(doc).n == 1
 
 
 def test_operator_json_round_trip():

@@ -7,7 +7,7 @@ Core claims:
     and reports fixed starting points as zero steps
   - the analytic Jacobian equals central finite differences of the
     quadratic form
-  - quadratic root location agrees with direct root computation
+  - planar classification agrees with directly computed eigenvalues
   - grid search finds exactly the isolated fixed points, and only points
     of the fixed set when that set is a continuum
 """
@@ -17,11 +17,9 @@ import pytest
 
 from qsobp import four_types, two_types
 from qsobp.dynamics import (
-    QuadraticCharacteristic,
-    RootLocation,
+    TRAJECTORY_STORE_CAP,
     StabilityKind,
     classify_fixed_point_2d,
-    classify_quadratic,
     conserved_quantity_drift,
     find_fixed_points_grid,
     iterate,
@@ -87,7 +85,7 @@ def test_iterate_two_type_example():
 
 def test_iterate_four_type_interior_start():
     p = four_types.FourTypeParams(a=0.3, b=0.3, c=0.3, d=0.3, a0=0.5, c0=0.5)
-    run = iterate_map(four_types.full_step_fn(p), (0.2, 0.3, 0.3, 0.2, 0.1, 0.4, 0.2, 0.3))
+    run = iterate_map(p.step, (0.2, 0.3, 0.3, 0.2, 0.1, 0.4, 0.2, 0.3))
     assert run.converged
     # types 1 and 3 die out in both sexes
     for idx in (0, 2, 4, 6):
@@ -113,17 +111,6 @@ def test_iterate_map_thins_storage():
     assert len(run.states) <= 10_001
     assert run.state_steps[0] == 0
     assert run.state_steps[-1] == 50_000
-
-
-def test_iterate_map_tracks_functional_drift():
-    p = TwoTypeParams(a=0.4, b=0.5)
-    run = iterate_map(
-        two_types.step_fn(p),
-        (0.2, 0.25),
-        track=lambda s: two_types.invariant_line_level(p, s),
-    )
-    assert run.converged
-    assert run.tracked_drift <= 1e-12
 
 
 # -- jacobian ----------------------------------------------------------------
@@ -179,69 +166,6 @@ def test_jacobian_matches_central_differences():
         assert np.abs(analytic - numeric).max() <= 1e-6
 
 
-# -- quadratic root location -------------------------------------------------
-
-
-def test_classify_quadratic_examples():
-    assert classify_quadratic(QuadraticCharacteristic(-0.5, 0.04)).kind is RootLocation.BOTH_INSIDE
-    verdict = classify_quadratic(QuadraticCharacteristic(-3.0, 2.0))
-    assert verdict.kind is RootLocation.ROOT_AT_ONE
-    assert verdict.other == "outside"
-    assert classify_quadratic(QuadraticCharacteristic(-2.5, 1.0)).kind is RootLocation.SPLIT
-
-
-def test_classify_quadratic_circle_cases():
-    # conjugate pair on the circle and a double root at -1
-    assert classify_quadratic(QuadraticCharacteristic(0.5, 1.0)).kind is RootLocation.ON_CIRCLE
-    assert classify_quadratic(QuadraticCharacteristic(2.0, 1.0)).kind is RootLocation.ON_CIRCLE
-    verdict = classify_quadratic(QuadraticCharacteristic(-2.0, 1.0))
-    assert verdict.kind is RootLocation.ROOT_AT_ONE
-    assert verdict.other == "on"
-
-
-def _verdict_from_roots(B, C):
-    moduli = sorted(abs(r) for r in np.roots([1.0, B, C]))
-    roots = np.roots([1.0, B, C])
-    if any(abs(r - 1.0) < 1e-12 for r in roots):
-        other = min(abs(r) for r in roots if abs(r - 1.0) >= 1e-12) if sum(
-            abs(r - 1.0) < 1e-12 for r in roots
-        ) == 1 else 1.0
-        if abs(other - 1.0) < 1e-12:
-            tag = "on"
-        elif other < 1.0:
-            tag = "inside"
-        else:
-            tag = "outside"
-        return (RootLocation.ROOT_AT_ONE, tag)
-    if any(abs(m - 1.0) < 1e-12 for m in moduli):
-        return (RootLocation.ON_CIRCLE, None)
-    if moduli[1] < 1.0:
-        return (RootLocation.BOTH_INSIDE, None)
-    if moduli[0] > 1.0:
-        return (RootLocation.BOTH_OUTSIDE, None)
-    return (RootLocation.SPLIT, None)
-
-
-def test_classify_quadratic_agrees_with_direct_roots():
-    rng = np.random.default_rng(99)
-    checked = 0
-    while checked < 2000:
-        B = float(rng.uniform(-4.0, 4.0))
-        C = float(rng.uniform(-4.0, 4.0))
-        qc = QuadraticCharacteristic(B, C)
-        near_boundary = (
-            abs(qc.at(1.0)) < 1e-9 or abs(qc.at(-1.0)) < 1e-9 or abs(abs(C) - 1.0) < 1e-9
-        )
-        if near_boundary:
-            continue
-        verdict = classify_quadratic(qc)
-        kind, tag = _verdict_from_roots(B, C)
-        assert verdict.kind is kind, (B, C)
-        if tag is not None:
-            assert verdict.other == tag
-        checked += 1
-
-
 # -- planar classification ---------------------------------------------------
 
 
@@ -253,6 +177,38 @@ def test_classify_fixed_point_2d_kinds():
     verdict = classify_fixed_point_2d([[1.0, 0.0], [0.0, 0.5]], tol)
     assert verdict.kind is StabilityKind.NON_HYPERBOLIC
     assert verdict.eigen_moduli == (1.0, 0.5)
+
+
+def test_classify_fixed_point_2d_unit_circle_cases():
+    tol = Tolerance()
+    angle = 0.7
+    rotation = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+    # a root at one with its partner outside; a conjugate pair on the
+    # circle; double roots at -1 and at +1
+    for matrix in ([[1.0, 0.0], [0.0, 2.0]], rotation, [[-1.0, 0.0], [0.0, -1.0]], np.eye(2)):
+        verdict = classify_fixed_point_2d(matrix, tol)
+        assert verdict.kind is StabilityKind.NON_HYPERBOLIC
+        assert min(abs(m - 1.0) for m in verdict.eigen_moduli) <= 1e-12
+    assert classify_fixed_point_2d([[1.0, 0.0], [0.0, 2.0]], tol).eigen_moduli == (2.0, 1.0)
+
+
+def test_classify_fixed_point_2d_agrees_with_eigvals():
+    rng = np.random.default_rng(99)
+    tol = Tolerance()
+    expected_kind = {2: StabilityKind.ATTRACTING, 1: StabilityKind.SADDLE, 0: StabilityKind.REPELLING}
+    seen = set()
+    checked = 0
+    while checked < 2000:
+        m = rng.uniform(-2.0, 2.0, (2, 2))
+        moduli = sorted(np.abs(np.linalg.eigvals(m)), reverse=True)
+        if any(abs(mod - 1.0) < 1e-6 for mod in moduli):
+            continue  # stay away from the unit circle, where rounding decides
+        verdict = classify_fixed_point_2d(m, tol)
+        np.testing.assert_allclose(verdict.eigen_moduli, moduli, atol=1e-7)
+        assert verdict.kind is expected_kind[sum(mod < 1.0 for mod in moduli)], m
+        seen.add(verdict.kind)
+        checked += 1
+    assert seen == set(expected_kind.values())
 
 
 def test_two_type_boundary_points_are_non_hyperbolic():
@@ -268,7 +224,7 @@ def test_two_type_boundary_points_are_non_hyperbolic():
 def test_grid_finds_isolated_four_type_points():
     p = four_types.FourTypeParams(a=0.3, b=0.3, c=0.3, d=0.3, a0=0.5, c0=0.5)
     points = find_fixed_points_grid(
-        four_types.sub12_step_fn(p), ((0.0, 0.5), (0.0, 0.5)), grid=7
+        p.sub12_step, ((0.0, 0.5), (0.0, 0.5)), grid=7
     )
     assert len(points) == 2
     np.testing.assert_allclose(points[0], (0.0, 0.0), atol=1e-8)
@@ -279,7 +235,7 @@ def test_grid_on_critical_line_lands_on_fixed_curve():
     p = four_types.FourTypeParams(a=0.4, b=0.3, c=0.6, d=0.3, a0=0.5, c0=0.5)
     curve = four_types.fixed_curve(p)
     points = find_fixed_points_grid(
-        four_types.sub12_step_fn(p), ((0.0, 0.5), (0.0, 0.5)), grid=8
+        p.sub12_step, ((0.0, 0.5), (0.0, 0.5)), grid=8
     )
     assert len(points) >= 8
     for x, y in points:
@@ -292,7 +248,7 @@ def test_grid_on_two_type_map_stays_in_fixed_segments():
     # 1e-6 set-distance guarantee.
     p = TwoTypeParams(a=0.45, b=0.55)
     points = find_fixed_points_grid(
-        two_types.step_fn(p), ((0.0, 1.0), (0.0, 1.0)), grid=6, tol=Tolerance(abs_eps=1e-12)
+        p.step, ((0.0, 1.0), (0.0, 1.0)), grid=6, tol=Tolerance(abs_eps=1e-12)
     )
     assert points
     for x, y in points:
@@ -304,19 +260,22 @@ def test_grid_on_two_type_map_stays_in_fixed_segments():
 
 def test_constant_functional_has_zero_drift():
     p = TwoTypeParams(a=0.4, b=0.5)
-    run = iterate_map(two_types.step_fn(p), (0.2, 0.25))
+    run = iterate_map(p.step, (0.2, 0.25))
     assert conserved_quantity_drift(run, lambda s: 1.0) == 0.0
 
 
 def test_invariant_level_drift_is_tiny():
     p = TwoTypeParams(a=0.4, b=0.5)
-    run = iterate_map(two_types.step_fn(p), (0.2, 0.25))
+    run = iterate_map(p.step, (0.2, 0.25))
+    assert run.converged
+    # Unthinned, so the drift below covers every step.
+    assert len(run.states) < TRAJECTORY_STORE_CAP
     drift = conserved_quantity_drift(run, lambda s: two_types.invariant_line_level(p, s))
     assert drift <= 1e-12
 
 
 def test_pair_sum_drift_is_tiny():
     p = four_types.FourTypeParams(a=0.7, b=0.2, c=0.6, d=0.4, a0=0.4, c0=0.6)
-    run = iterate_map(four_types.full_step_fn(p), (0.1, 0.3, 0.25, 0.35, 0.3, 0.3, 0.15, 0.25))
+    run = iterate_map(p.step, (0.1, 0.3, 0.25, 0.35, 0.3, 0.3, 0.15, 0.25))
     drift = conserved_quantity_drift(run, lambda s: s[0] + s[1])
     assert drift <= 1e-12

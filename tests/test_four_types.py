@@ -23,14 +23,9 @@ from qsobp.four_types import (
     FourTypeParams,
     classify_sub12_fixed_points,
     critical_fixed_points,
-    critical_orbit_fn,
     critical_slope,
     critical_step,
-    critical_step_fn,
     fixed_curve,
-    full_step,
-    full_step_fn,
-    full_step_raw,
     lift_operator,
     mirror_params,
     predict_limit,
@@ -38,9 +33,6 @@ from qsobp.four_types import (
     scan_periodic_points,
     slice_sums,
     sub12_fixed_points,
-    sub12_step,
-    sub12_step_fn,
-    sub34_step,
     survivor_label,
 )
 from qsobp.simplex import Tolerance, make_state, state_distance
@@ -56,7 +48,7 @@ def params(a=0.3, b=0.3, c=0.3, d=0.3, a0=0.5, c0=0.5) -> FourTypeParams:
 def test_corner_state_is_fixed():
     p = params()
     s = make_state([0.0, p.a0, 0.0, 1.0 - p.a0], [0.0, p.c0, 0.0, 1.0 - p.c0])
-    assert state_distance(full_step(p, s), s) == 0.0
+    assert p.step(s.coords()) == s.coords()
 
 
 def test_pairwise_sums_conserved_per_step():
@@ -66,7 +58,7 @@ def test_pairwise_sums_conserved_per_step():
         x = rng.dirichlet(np.ones(4))
         y = rng.dirichlet(np.ones(4))
         s = tuple(x) + tuple(y)
-        out = full_step_raw(p, s)
+        out = p.step(s)
         for lo in (0, 2, 4, 6):
             before = s[lo] + s[lo + 1]
             after = out[lo] + out[lo + 1]
@@ -82,8 +74,8 @@ def test_every_image_lands_in_its_own_slice():
     y = rng.dirichlet(np.ones(4))
     s = make_state(x, y)
     sums = slice_sums(s)
-    out = full_step(p, s)
-    assert slice_sums(out) == pytest.approx(sums, abs=1e-15)
+    out = p.step(s.coords())
+    assert slice_sums(make_state(out[:4], out[4:])) == pytest.approx(sums, abs=1e-15)
 
 
 def test_full_step_agrees_with_lifted_tensors():
@@ -92,7 +84,7 @@ def test_full_step_agrees_with_lifted_tensors():
     op = lift_operator(p)
     for _ in range(50):
         s = make_state(rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4)))
-        assert state_distance(full_step(p, s), op.apply(s)) <= 1e-15
+        assert max(abs(u - v) for u, v in zip(p.step(s.coords()), op.apply(s).coords())) <= 1e-15
 
 
 # -- decoupled blocks --------------------------------------------------------
@@ -100,13 +92,13 @@ def test_full_step_agrees_with_lifted_tensors():
 
 def test_sub12_corners_are_fixed():
     p = params()
-    assert sub12_step(p, 0.0, 0.0) == (0.0, 0.0)
-    assert sub12_step(p, p.a0, p.c0) == (p.a0, p.c0)
+    assert p.sub12_step((0.0, 0.0)) == (0.0, 0.0)
+    assert p.sub12_step((p.a0, p.c0)) == (p.a0, p.c0)
 
 
 def test_sub12_step_value():
     p = params(a=0.3, c=0.3, a0=0.5, c0=0.5)
-    x, y = sub12_step(p, 0.25, 0.25)
+    x, y = p.sub12_step((0.25, 0.25))
     assert x == pytest.approx(0.225)
     assert y == pytest.approx(0.225)
 
@@ -117,22 +109,22 @@ def test_sub12_stays_in_box():
     for _ in range(200):
         x = float(rng.uniform(0, p.a0))
         y = float(rng.uniform(0, p.c0))
-        nx, ny = sub12_step(p, x, y)
+        nx, ny = p.sub12_step((x, y))
         assert -1e-15 <= nx <= p.a0 + 1e-15
         assert -1e-15 <= ny <= p.c0 + 1e-15
 
 
 def test_sub34_corners_are_fixed():
     p = params(a0=0.4, c0=0.7)
-    assert sub34_step(p, 0.0, 0.0) == (0.0, 0.0)
-    assert sub34_step(p, 1.0 - p.a0, 1.0 - p.c0) == (1.0 - p.a0, 1.0 - p.c0)
+    assert p.sub34_step((0.0, 0.0)) == (0.0, 0.0)
+    assert p.sub34_step((1.0 - p.a0, 1.0 - p.c0)) == (1.0 - p.a0, 1.0 - p.c0)
 
 
 def test_sub34_is_the_mirrored_sub12():
     p = params(a=0.2, b=0.8, c=0.55, d=0.31, a0=0.35, c0=0.62)
     q = mirror_params(p)
     assert (q.a, q.b, q.c, q.d, q.a0, q.c0) == (p.b, p.a, p.d, p.c, 1 - p.a0, 1 - p.c0)
-    assert sub34_step(p, 0.2, 0.1) == sub12_step(q, 0.2, 0.1)
+    assert p.sub34_step((0.2, 0.1)) == q.sub12_step((0.2, 0.1))
 
 
 def test_sub34_interior_converges_to_far_corner():
@@ -140,7 +132,7 @@ def test_sub34_interior_converges_to_far_corner():
     p = params(a=0.3, b=0.7, c=0.3, d=0.7, a0=0.5, c0=0.5)
     s = (0.1, 0.2)
     for _ in range(5000):
-        s = sub34_step(p, s[0], s[1])
+        s = p.sub34_step(s)
     assert s == pytest.approx((0.5, 0.5), abs=1e-9)
 
 
@@ -149,8 +141,8 @@ def test_block_trajectory_matches_full_trajectory():
     full = (0.2, 0.35, 0.25, 0.2, 0.3, 0.15, 0.2, 0.35)
     block = (full[0], full[4])
     for _ in range(200):
-        full = full_step_raw(p, full)
-        block = sub12_step(p, block[0], block[1])
+        full = p.step(full)
+        block = p.sub12_step(block)
         assert abs(full[0] - block[0]) <= 1e-13
         assert abs(full[4] - block[1]) <= 1e-13
 
@@ -176,7 +168,7 @@ def test_fixed_curve_points_have_tiny_residual():
     fixed = sub12_fixed_points(p, curve_samples=21)
     assert fixed.critical
     for x, y in fixed.points:
-        nx, ny = sub12_step(p, x, y)
+        nx, ny = p.sub12_step((x, y))
         assert max(abs(nx - x), abs(ny - y)) <= 1e-12
 
 
@@ -257,7 +249,7 @@ def test_iterated_limits_match_prediction():
         p = params(a=float(a), b=float(b), c=float(c), d=float(d), a0=float(a0), c0=float(c0))
         state = _interior_state(p.a0, p.c0)
         predicted = predict_limit(p, state)
-        run = dynamics.iterate_map(full_step_fn(p), state.coords())
+        run = dynamics.iterate_map(p.step, state.coords())
         assert max(abs(u - v) for u, v in zip(run.states[-1], predicted.coords())) <= 1e-6
 
 
@@ -266,10 +258,10 @@ def test_iterated_limits_match_prediction():
 
 def test_sum_conserved_on_critical_line():
     p = params(a=0.4, c=0.6, a0=0.5, c0=0.5)
-    run = dynamics.iterate_map(
-        sub12_step_fn(p), (0.3, 0.1), track=lambda s: s[0] + s[1]
-    )
-    assert run.tracked_drift <= 1e-12
+    run = dynamics.iterate_map(p.sub12_step, (0.3, 0.1))
+    # Unthinned, so the drift below covers every step.
+    assert len(run.states) < dynamics.TRAJECTORY_STORE_CAP
+    assert dynamics.conserved_quantity_drift(run, lambda s: s[0] + s[1]) <= 1e-12
 
 
 def test_critical_trajectories_land_on_fixed_curve():
@@ -278,7 +270,7 @@ def test_critical_trajectories_land_on_fixed_curve():
     rng = np.random.default_rng(15)
     for _ in range(10):
         s = (float(rng.uniform(0.02, 0.48)), float(rng.uniform(0.02, 0.48)))
-        run = dynamics.iterate_map(sub12_step_fn(p), s)
+        run = dynamics.iterate_map(p.sub12_step, s)
         x_end, y_end = run.states[-1]
         assert abs(y_end - curve(x_end)) <= 1e-6
 
@@ -382,7 +374,7 @@ def test_critical_slope_is_contracting():
 def test_scan_finds_no_low_period_points():
     cp = CriticalMapParams(a=0.75, a0=0.5, c0=0.5)
     for period in (2, 3):
-        assert scan_periodic_points(critical_step_fn(cp), period, grid=100_000) == []
+        assert scan_periodic_points(lambda x: critical_step(cp, x), period, grid=100_000) == []
 
 
 def test_scan_sanity_on_logistic_map():
@@ -412,5 +404,5 @@ def test_critical_iteration_reaches_predicted_limit():
         target = critical_fixed_points(cp).point
         if abs(x0 - target) <= 1e-9:
             continue
-        run = dynamics.iterate_map(critical_orbit_fn(cp), (x0,))
+        run = dynamics.iterate_map(cp.step, (x0,))
         assert abs(run.states[-1][0] - predict_limit_critical(cp, x0)) <= 1e-6

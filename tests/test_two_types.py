@@ -26,8 +26,6 @@ from qsobp.two_types import (
     predict_limit,
     predict_limit_state,
     reduce_state,
-    step,
-    step_fn,
 )
 
 
@@ -50,18 +48,18 @@ def test_params_from_weights():
 def test_horizontal_segment_is_fixed():
     p = TwoTypeParams(a=0.7, b=0.2)
     for x in (0.0, 0.4, 0.99):
-        assert step(p, (x, 0.0)) == (x, 0.0)
+        assert p.step((x, 0.0)) == (x, 0.0)
 
 
 def test_right_edge_is_fixed():
     p = TwoTypeParams(a=0.7, b=0.2)
     for y in (0.0, 0.5, 1.0):
-        assert step(p, (1.0, y)) == (1.0, y)
+        assert p.step((1.0, y)) == (1.0, y)
 
 
 def test_step_value():
     p = TwoTypeParams(a=2.0 / 3.0, b=0.4)
-    x, y = step(p, (0.5, 0.5))
+    x, y = p.step((0.5, 0.5))
     assert x == pytest.approx(2.0 / 3.0)
     assert y == pytest.approx(0.5 * (0.5 + 0.4 * 0.5))
 
@@ -71,7 +69,7 @@ def test_step_stays_in_unit_square():
     for _ in range(200):
         p = TwoTypeParams(a=float(rng.uniform(0.05, 0.95)), b=float(rng.uniform(0.05, 0.95)))
         s = (float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
-        x, y = step(p, s)
+        x, y = p.step(s)
         assert -1e-15 <= x <= 1.0 + 1e-15
         assert -1e-15 <= y <= 1.0 + 1e-15
 
@@ -82,7 +80,7 @@ def test_monotone_coordinates_along_trajectories():
         p = TwoTypeParams(a=float(rng.uniform(0.05, 0.95)), b=float(rng.uniform(0.05, 0.95)))
         x, y = float(rng.uniform(0, 1)), float(rng.uniform(0, 1))
         for _ in range(300):
-            nx, ny = step(p, (x, y))
+            nx, ny = p.step((x, y))
             assert nx >= x - 1e-15
             assert ny <= y + 1e-15
             x, y = nx, ny
@@ -98,7 +96,7 @@ def test_lift_projects_onto_reduced_map():
     for _ in range(100):
         x, y = float(rng.uniform(0, 1)), float(rng.uniform(0, 1))
         lifted_out = op.apply(lift_point((x, y)))
-        assert reduce_state(lifted_out) == pytest.approx(step(p, (x, y)), abs=1e-15)
+        assert reduce_state(lifted_out) == pytest.approx(p.step((x, y)), abs=1e-15)
 
 
 def test_lift_tensors_are_stochastic():
@@ -128,10 +126,11 @@ def test_invariant_level_is_conserved():
     for _ in range(20):
         p = TwoTypeParams(a=float(rng.uniform(0.1, 0.9)), b=float(rng.uniform(0.1, 0.9)))
         s = (float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
-        run = dynamics.iterate_map(
-            step_fn(p), s, track=lambda q: invariant_line_level(p, q)
-        )
-        assert run.tracked_drift <= 1e-12
+        run = dynamics.iterate_map(p.step, s)
+        # Unthinned, so the drift below covers every step.
+        assert len(run.states) < dynamics.TRAJECTORY_STORE_CAP
+        drift = dynamics.conserved_quantity_drift(run, lambda q: invariant_line_level(p, q))
+        assert drift <= 1e-12
 
 
 # -- fixed segments ----------------------------------------------------------
@@ -148,7 +147,7 @@ def test_fixed_segment_membership():
 
 def test_interior_point_moves():
     p = TwoTypeParams(a=0.5, b=0.5)
-    assert step(p, (0.5, 0.5)) != (0.5, 0.5)
+    assert p.step((0.5, 0.5)) != (0.5, 0.5)
 
 
 # -- limit prediction --------------------------------------------------------
@@ -204,7 +203,7 @@ def test_iterated_limits_match_prediction():
         p = TwoTypeParams(a=float(rng.uniform(0.05, 0.95)), b=float(rng.uniform(0.05, 0.95)))
         s = (float(rng.uniform(0.01, 0.99)), float(rng.uniform(0.01, 0.99)))
         predicted = predict_limit(p, s)
-        run = dynamics.iterate_map(step_fn(p), s, tol)
+        run = dynamics.iterate_map(p.step, s, tol)
         end = run.states[-1]
         assert max(abs(u - v) for u, v in zip(end, predicted)) <= 1e-6
 
@@ -215,7 +214,7 @@ def test_branch_dichotomy():
         p = TwoTypeParams(a=float(rng.uniform(0.05, 0.95)), b=float(rng.uniform(0.05, 0.95)))
         s = (float(rng.uniform(0.01, 0.99)), float(rng.uniform(0.01, 0.99)))
         reach = p.a * invariant_line_level(p, s)
-        run = dynamics.iterate_map(step_fn(p), s)
+        run = dynamics.iterate_map(p.step, s)
         x_end, y_end = run.states[-1]
         if reach < 1.0 - 1e-3:
             assert y_end <= 1e-6 and x_end < 1.0 - 1e-6
