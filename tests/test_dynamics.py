@@ -113,6 +113,17 @@ def test_iterate_map_thins_storage():
     assert run.state_steps[-1] == 50_000
 
 
+def test_iterate_map_tracks_functional_drift():
+    # Drift of a conserved functional is read off the stored trajectory;
+    # the run is unthinned, so that covers every step.
+    p = TwoTypeParams(a=0.4, b=0.5)
+    run = iterate_map(p.step, (0.2, 0.25))
+    assert run.converged
+    assert len(run.states) < TRAJECTORY_STORE_CAP
+    drift = conserved_quantity_drift(run, lambda s: two_types.invariant_line_level(p, s))
+    assert drift <= 1e-12
+
+
 # -- jacobian ----------------------------------------------------------------
 
 
@@ -267,9 +278,6 @@ def test_constant_functional_has_zero_drift():
 def test_invariant_level_drift_is_tiny():
     p = TwoTypeParams(a=0.4, b=0.5)
     run = iterate_map(p.step, (0.2, 0.25))
-    assert run.converged
-    # Unthinned, so the drift below covers every step.
-    assert len(run.states) < TRAJECTORY_STORE_CAP
     drift = conserved_quantity_drift(run, lambda s: two_types.invariant_line_level(p, s))
     assert drift <= 1e-12
 
