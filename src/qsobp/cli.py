@@ -112,7 +112,7 @@ class Case:
 
     params: type  # its fields are the case's parameter names, in sweep-column order
     parse_start: Callable[[str], object]
-    predict: Callable  # (params, start) -> closed-form limit
+    predict: Callable  # (params, start, tolerance) -> closed-form limit
     label: Callable  # (params, limit) -> class label
     doc: Callable  # (start, limit) -> the start and limit fields of the predict document
     sample: Callable  # (params, rng) -> one random verify start
@@ -170,7 +170,7 @@ CASES = {
         parse_start=lambda text: (
             two_types.reduce_state(_parse_full_state(text)) if ";" in text else _parse_point(text)
         ),
-        predict=lambda p, s: two_types.predict_limit(p, s),
+        predict=lambda p, s, tol: two_types.predict_limit(p, s, tol),
         label=lambda p, lim: "m1-extinct" if lim[1] == 0.0 and lim[0] < 1.0 else "f2-extinct",
         doc=lambda s, lim: {
             "start": list(s),
@@ -187,7 +187,7 @@ CASES = {
     "four-type": Case(
         params=four_types.FourTypeParams,
         parse_start=_parse_full_state,
-        predict=lambda p, s: four_types.predict_limit(p, s),
+        predict=lambda p, s, tol: four_types.predict_limit(p, s, tol),
         label=lambda p, lim: four_types.survivor_label(p),
         doc=lambda s, lim: {"start": _state_doc(s), "limit": _state_doc(lim)},
         sample=_four_type_sample,
@@ -205,7 +205,7 @@ CASES = {
     "critical-line": Case(
         params=four_types.CriticalMapParams,
         parse_start=float,
-        predict=lambda p, x: four_types.predict_limit_critical(p, x),
+        predict=lambda p, x, tol: four_types.predict_limit_critical(p, x, tol),
         label=lambda p, lim: "affine" if p.is_affine else "quadratic",
         doc=lambda x, lim: {"x0": x, "limit": lim},
         sample=lambda p, rng: rng.uniform(0.02, 0.98),
@@ -235,9 +235,7 @@ def _construct(path: str):
 def cmd_construct(args) -> int:
     space, op = _construct(args.input)
     connected = len(space.components) == 1
-    identity = construction.is_identity(
-        op, trials=20, tol=_tolerance(args), rng=np.random.default_rng(args.seed)
-    )
+    identity = construction.is_identity(op, _tolerance(args))
     construction.dump_json(construction.operator_to_json(op), args.output)
     print(f"n={op.n} nu={op.nu}")
     print(f"connected: {str(connected).lower()}")
@@ -308,7 +306,7 @@ def cmd_fixed_points(args) -> int:
     tol = _tolerance(args)
     case, p = CASES[args.case], _params(args.case, args)
     if args.case == "two-type":
-        doc = {"case": "two-type", "segments": two_types.fixed_segments(p).describe()}
+        doc = {"case": "two-type", "segments": two_types.FIXED_SEGMENTS}
     elif args.case == "four-type":
         fixed = four_types.sub12_fixed_points(p)
         residuals = [
@@ -363,13 +361,14 @@ def cmd_classify(args) -> int:
 
 def cmd_predict(args) -> int:
     case = CASES[args.case]
+    tol = _tolerance(args)
     text = getattr(args, case.start_flag)
     if text is None:
         flag = case.start_flag
         raise SchemaError(flag, f"--{flag} is required for --case {args.case}")
     start = case.parse_start(text)
     p = _params(args.case, args, **case.fixes(start))
-    limit = case.predict(p, start)
+    limit = case.predict(p, start, tol)
     doc = {"case": args.case, **case.doc(start, limit), "class": case.label(p, limit)}
     _write_json(doc, args.output)
     return EXIT_OK
@@ -379,7 +378,7 @@ def _verify_cell(case: Case, p, starts, tol: Tolerance) -> float:
     """Largest coordinate gap between iterated end states and closed-form limits."""
     worst = 0.0
     for s0 in starts:
-        predicted = case.coords(case.predict(p, s0))
+        predicted = case.coords(case.predict(p, s0, tol))
         run = dynamics.iterate_map(p.step, case.coords(s0), tol)
         worst = max(worst, max(abs(u - v) for u, v in zip(run.states[-1], predicted)))
     return worst
@@ -475,7 +474,7 @@ def cmd_sweep(args) -> int:
             continue
         for start, start_row in start_rows:
             try:
-                limit = case.predict(p, start)
+                limit = case.predict(p, start, tol)
             except QsobpError as exc:
                 if case.fallback is None:
                     status, end = type(exc).__name__, blank
@@ -541,8 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--state", default="0,0", help="two-type: point to classify at")
     cmd.add_argument("--output", default=None)
 
-    cmd = command("predict", cmd_predict, "closed-form trajectory limit", list(CASES),
-                  CASE_DEFAULTS)
+    cmd = command("predict", cmd_predict, "closed-form trajectory limit; a start that one step "
+                  "moves by at most --abs-eps is fixed and exits 2", list(CASES), CASE_DEFAULTS)
     cmd.add_argument("--state", default=None, help="initial state")
     cmd.add_argument("--x0", type=float, default=None, help="critical-line start")
     cmd.add_argument("--output", default=None)

@@ -29,20 +29,16 @@ from .errors import (
     SchemaError,
     SizeOverflowError,
 )
-from .simplex import (
-    DEFAULT_TOLERANCE,
-    PopulationState,
-    Tolerance,
-    make_state,
-    random_state,
-    state_distance,
-)
+from .simplex import DEFAULT_TOLERANCE, PopulationState, Tolerance, make_state
 
 # A cell maps each vertex (positionally) to a 1-based allele index.
 Cell = tuple[int, ...]
 
-# Enumerating more cells than this is refused; tensors grow as n*nu*(n+nu).
-DEFAULT_CELL_CAP = 2**20
+# Spaces whose dense operator tensors (pf, pm and their two mixing copies,
+# float64) would exceed this many bytes are refused before enumeration.  The
+# JSON round trip of an operator holds pf and pm again as Python lists, about
+# four times their array size, so the bound leaves room for that too.
+TENSOR_BYTES_CAP = 2**28
 
 # Stochasticity of constructed tensor rows is checked to this tolerance;
 # individual entries may undershoot zero only by float dust.
@@ -105,15 +101,10 @@ def connected_components(graph: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(components)
 
 
-def enumerate_cells(
-    graph: Graph, allele_count: int, cap: int = DEFAULT_CELL_CAP
-) -> tuple[Cell, ...]:
+def enumerate_cells(graph: Graph, allele_count: int) -> tuple[Cell, ...]:
     """All allele assignments over the vertices, in lexicographic order."""
     if allele_count < 1:
         raise ValueError("allele_count must be positive")
-    total = allele_count**graph.vertex_count
-    if total > cap:
-        raise SizeOverflowError(f"{total} cells exceed the cap of {cap}")
     return tuple(itertools.product(range(1, allele_count + 1), repeat=graph.vertex_count))
 
 
@@ -134,16 +125,23 @@ class ConfigurationSpace:
     males: tuple[int, ...]
 
     @classmethod
-    def build(
-        cls,
-        graph: Graph,
-        allele_count: int,
-        females: Iterable[int],
-        cap: int = DEFAULT_CELL_CAP,
-    ) -> "ConfigurationSpace":
-        """Enumerate the space and split it by the given female cell indices."""
-        cells = enumerate_cells(graph, allele_count, cap)
+    def build(cls, graph: Graph, allele_count: int, females: Iterable[int]) -> "ConfigurationSpace":
+        """Enumerate the space and split it by the given female cell indices.
+
+        Raises ``SizeOverflowError``, before enumerating, when the operator's
+        dense tensors would need more than ``TENSOR_BYTES_CAP`` bytes.
+        """
         female_set = set(int(i) for i in females)
+        # An allele count below one is left for enumerate_cells to refuse.
+        n = len(female_set)
+        nu = max(allele_count, 1) ** graph.vertex_count - n
+        needed = 2 * n * nu * (n + nu) * 8
+        if needed > TENSOR_BYTES_CAP:
+            raise SizeOverflowError(
+                f"n={n}, nu={nu}: the operator tensors need {needed} bytes, "
+                f"above the bound of {TENSOR_BYTES_CAP}"
+            )
+        cells = enumerate_cells(graph, allele_count)
         for i in female_set:
             if not (0 <= i < len(cells)):
                 raise PartitionIndexError(f"female cell index {i} out of range")
@@ -343,29 +341,14 @@ def build_operator(space: ConfigurationSpace, weights: WeightPair) -> BisexualOp
     return BisexualOperator(n=tensors.n, nu=tensors.nu, tensors=tensors)
 
 
-def is_identity(
-    op: BisexualOperator,
-    trials: int = 20,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-    rng: np.random.Generator | None = None,
-) -> bool:
-    """Decide whether the operator is the identity map.
+def is_identity(op: BisexualOperator, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+    """Decide whether the operator is the identity map on the product of simplexes.
 
-    Requires both that every heredity row is an indicator row and that
-    ``trials`` random states come back unchanged within ``tol.abs_eps``.
+    It is exactly when every parent pair breeds true, that is, when both
+    mixing parts vanish (within ``tol.abs_eps``): a pair of vertex states
+    (x, y) = (e_i, e_k) picks out the mixing row of the pair (i, k).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    for t in (op.tensors.pf, op.tensors.pm):
-        if np.abs(t.max(axis=2) - 1.0).max() > tol.abs_eps:
-            return False
-    if rng is None:
-        rng = np.random.default_rng(0)
-    for _ in range(trials):
-        s = random_state(rng, op.n, op.nu)
-        if state_distance(op.apply(s), s) > tol.abs_eps:
-            return False
-    return True
+    return all(np.abs(q).max() <= tol.abs_eps for q in (op._qf, op._qm))
 
 
 # ---------------------------------------------------------------------------

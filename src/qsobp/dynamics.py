@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from operator import sub
 from typing import Callable, Sequence
 
 import numpy as np
@@ -103,6 +104,15 @@ def iterate_map(
         limit=state if converged else None,
         steps_taken=total - 1 if converged else total,
     )
+
+
+def is_fixed(step: MapStep, point: Sequence[float], tol: Tolerance) -> bool:
+    """Whether one step moves ``point`` by at most ``tol.abs_eps`` in the max norm.
+
+    The one rule by which every closed-form predictor decides that its start
+    is already fixed.
+    """
+    return max(map(abs, map(sub, step(point), point))) <= tol.abs_eps
 
 
 def operator_step(op: BisexualOperator) -> MapStep:

@@ -18,7 +18,7 @@ class DimensionMismatchError(QsobpError):
 
 
 class SizeOverflowError(QsobpError):
-    """A configuration enumeration would exceed the configured cap."""
+    """A configuration space's operator tensors would exceed the memory bound."""
 
 
 class PartitionIndexError(QsobpError):

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .construction import BisexualOperator
-from .dynamics import FixedPointClass, classify_fixed_point_2d
+from .dynamics import FixedPointClass, classify_fixed_point_2d, is_fixed
 from .errors import CriticalLineError, FixedPointInputError
 from .simplex import DEFAULT_TOLERANCE, PopulationState, Tolerance, make_state
 
@@ -258,8 +258,7 @@ def predict_limit(
             f"state slice sums {sums[0]}, {sums[2]} disagree with a0={p.a0}, c0={p.c0}"
         )
     first_high, second_high = limit_branch(p)
-    moved = max(abs(n - o) for n, o in zip(p.step(state.coords()), state.coords()))
-    if moved <= tol.abs_eps:
+    if is_fixed(p.step, state.coords(), tol):
         raise FixedPointInputError("the starting state is already fixed")
     a0, c0 = p.a0, p.c0
     x = (a0, 0.0, 1.0 - a0, 0.0) if first_high else (0.0, a0, 1.0 - a0, 0.0)
@@ -361,12 +360,15 @@ def critical_slope(cp: CriticalMapParams) -> float:
     return 2.0 * (2.0 * cp.a - 1.0) * t + (1.0 - cp.a) * (2.0 - cp.c0) - cp.a * cp.a0
 
 
-def predict_limit_critical(cp: CriticalMapParams, x0: float) -> float:
+def predict_limit_critical(
+    cp: CriticalMapParams, x0: float, tol: Tolerance = DEFAULT_TOLERANCE
+) -> float:
     """Every non-fixed point of [0, 1] converges to the in-range fixed point."""
-    target = critical_fixed_points(cp).point
-    if abs(x0 - target) <= 1e-9:
+    if not 0.0 <= x0 <= 1.0:
+        raise ValueError(f"x0={x0} lies outside [0, 1]")
+    if is_fixed(cp.step, (x0,), tol):
         raise FixedPointInputError(f"x0={x0} is already the fixed point")
-    return target
+    return critical_fixed_points(cp).point
 
 
 # ---------------------------------------------------------------------------
@@ -379,28 +381,22 @@ def scan_periodic_points(
     period: int,
     grid: int = 100_000,
     domain: tuple[float, float] = (0.0, 1.0),
-    exclude: Sequence[float] | None = None,
-    exclude_radius: float = 1e-8,
     refine_eps: float = 1e-10,
+    tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> list[float]:
     """Roots of step^period(x) = x on the domain that are not fixed points.
 
     The composite map is evaluated by repeated application on a uniform
     grid (never expanded into polynomial coefficients), sign changes are
-    bracketed and refined by bisection to ``refine_eps``, and any root
-    within ``exclude_radius`` of a fixed point is dropped.  ``step`` must
-    accept numpy arrays as well as scalars.  When ``exclude`` is None the
-    fixed points are located by the same scan at period one.
+    bracketed and refined by bisection to ``refine_eps``, and a root that
+    ``dynamics.is_fixed`` calls fixed under ``tol`` is dropped.  ``step``
+    must accept numpy arrays as well as scalars.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
     if grid < 2:
         raise ValueError("grid must be >= 2")
     lo, hi = domain
-    if exclude is None:
-        exclude = [] if period == 1 else scan_periodic_points(
-            step, 1, grid=grid, domain=domain, exclude=[], exclude_radius=exclude_radius
-        )
 
     def composite(x):
         for _ in range(period):
@@ -432,4 +428,4 @@ def scan_periodic_points(
         roots.append(0.5 * (left + right))
     if gap[-1] == 0.0:
         roots.append(float(xs[-1]))
-    return [r for r in roots if all(abs(r - e) > exclude_radius for e in exclude)]
+    return [r for r in roots if not is_fixed(lambda s: (step(s[0]),), (r,), tol)]

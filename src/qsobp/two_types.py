@@ -6,10 +6,12 @@ x2 = 1 - x1 and y2 = 1 - y1, to a planar map on the unit square,
     x' = x + a (1 - x) y,        y' = y (x + b (1 - x)),
 
 driven by two mixing probabilities a, b in (0, 1).  The map fixes the whole
-segment y = 0 and the whole edge x = 1, conserves the linear level
-x / a + y / (1 - b), increases x and decreases y monotonically, and every
-other point converges to a boundary point determined in closed form by its
-conserved level.
+segment y = 0 and the whole edge x = 1 (``FIXED_SEGMENTS``), conserves the
+linear level x / a + y / (1 - b), increases x and decreases y monotonically,
+and every other point converges to a boundary point determined in closed
+form by its conserved level.  The predictor tells a fixed start through the
+map itself, with ``dynamics.is_fixed``, not through membership in the
+segments.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ from typing import Sequence
 import numpy as np
 
 from .construction import BisexualOperator
+from .dynamics import is_fixed
 from .errors import FixedPointInputError
-from .simplex import PopulationState, make_state
+from .simplex import DEFAULT_TOLERANCE, PopulationState, Tolerance, make_state
 
-# Membership tolerance for the fixed-segment predicates.
-SEGMENT_EPS = 1e-9
+# The fixed-point set of the reduced map, for every a and b.
+FIXED_SEGMENTS = {"horizontal": "y = 0, x in [0, 1)", "right_edge": "x = 1, y in [0, 1]"}
 
 Point2 = tuple[float, float]
 
@@ -106,57 +109,20 @@ def invariant_line_level(p: TwoTypeParams, s: Point2) -> float:
     return x / p.a + y / (1.0 - p.b)
 
 
-@dataclass(frozen=True)
-class FixedSegments:
-    """The two fixed segments of the reduced map: y = 0 and x = 1."""
-
-    eps: float = SEGMENT_EPS
-
-    def in_horizontal(self, s: Point2) -> bool:
-        # y = 0 with x in [0, 1); the corner (1, 0) belongs to the edge set.
-        x, y = s
-        return abs(y) <= self.eps and -self.eps <= x < 1.0 - self.eps
-
-    def in_right_edge(self, s: Point2) -> bool:
-        x, y = s
-        return abs(x - 1.0) <= self.eps and -self.eps <= y <= 1.0 + self.eps
-
-    def contains(self, s: Point2) -> bool:
-        x, y = s
-        return abs(y) <= self.eps or abs(x - 1.0) <= self.eps
-
-    def describe(self) -> dict:
-        return {
-            "horizontal": "y = 0, x in [0, 1)",
-            "right_edge": "x = 1, y in [0, 1]",
-        }
-
-
-def fixed_segments(p: TwoTypeParams) -> FixedSegments:
-    """Fixed-point set of the reduced map (independent of the parameters)."""
-    return FixedSegments()
-
-
-def is_fixed(s: Point2, eps: float = SEGMENT_EPS) -> bool:
-    return FixedSegments(eps).contains(s)
-
-
-def predict_limit(p: TwoTypeParams, start: Point2) -> Point2:
-    """Closed-form trajectory limit for a non-fixed starting point.
+def predict_limit(p: TwoTypeParams, start: Point2, tol: Tolerance = DEFAULT_TOLERANCE) -> Point2:
+    """Closed-form trajectory limit for a non-fixed start in the unit square.
 
     With level c = x0/a + y0/(1-b): the limit is (ac, 0) when ac < 1 and
     (1, (ac - 1)(1 - b)/a) when ac >= 1; at ac = 1 both expressions give
     the corner (1, 0).
     """
-    if is_fixed(start):
+    x, y = start
+    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+        raise ValueError(f"start {start} lies outside the unit square")
+    if is_fixed(p.step, start, tol):
         raise FixedPointInputError(f"{start} is already a fixed point")
     level = invariant_line_level(p, start)
     reach = p.a * level
     if reach < 1.0:
         return (reach, 0.0)
     return (1.0, (reach - 1.0) * (1.0 - p.b) / p.a)
-
-
-def predict_limit_state(p: TwoTypeParams, state: PopulationState) -> PopulationState:
-    """Limit of the full 2x2-type operator, lifted from the reduced prediction."""
-    return lift_point(predict_limit(p, reduce_state(state)))

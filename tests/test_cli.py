@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from qsobp import four_types, two_types
+from qsobp import construction, four_types, two_types
 from qsobp.cli import main
 
 TWO_TYPE_DOC = {
@@ -432,3 +432,52 @@ def test_predictors_are_looked_up_in_their_module_at_call_time(
     state = ["--state", "0.1,0.4,0.2,0.3;0.2,0.3,0.25,0.25"] if case == "four-type" else []
     assert main(["sweep", "--case", case, *state, "--output", str(tmp_path / "s.csv")]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # --max-iters 0 is not a valid tolerance.
+        ["--case", "two-type", "--a", "0.4", "--b", "0.5", "--state", "0.2,0.25",
+         "--max-iters", "0"],
+        # One step moves this start by 0.00196, inside the band --abs-eps sets.
+        ["--case", "four-type", "--a", "0.7", "--b", "0.3", "--c", "0.7", "--d", "0.2",
+         "--abs-eps", "0.1", "--state", "0.49,0.01,0.5,0;0.49,0.01,0.5,0"],
+        # Starts outside the map's domain.
+        ["--case", "critical-line", "--a", "0.75", "--a0", "0.5", "--c0", "0.5", "--x0", "5"],
+        ["--case", "two-type", "--a", "0.4", "--b", "0.5", "--state", "3,-2"],
+    ],
+)
+def test_predict_reads_the_tolerance_and_the_domain(tmp_path, argv):
+    out = tmp_path / "p.json"
+    assert main(["predict", *argv, "--output", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--case", "two-type", "--a", "0.3", "--b", "0.3", "--state", "3,-2"],
+        ["--case", "critical-line", "--a", "0.75", "--a0", "0.5", "--c0", "0.5", "--x0", "5"],
+    ],
+)
+def test_sweep_rejects_starts_outside_the_domain(tmp_path, capsys, argv):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", *argv, "--output", str(out)]) == 2
+    assert not out.exists()
+    assert "outside" in capsys.readouterr().err
+
+
+def test_construct_rejects_oversized_space_before_enumerating(tmp_path, capsys, monkeypatch):
+    # Three alleles on seven vertices, split evenly: the four dense tensors of
+    # 1093 female and 1094 male types would need about 42 GB.
+    def enumerate_cells(*args):
+        raise AssertionError("the space was enumerated")
+
+    monkeypatch.setattr(construction, "enumerate_cells", enumerate_cells)
+    doc = {"vertices": 7, "edges": [], "alleles": 3, "females": list(range(1, 1094)),
+           "female_weights": {}, "male_weights": {}}
+    out = tmp_path / "op.json"
+    assert main(["construct", "--input", _write(tmp_path / "c.json", doc), "--output", str(out)]) == 2
+    assert not out.exists()
+    assert "bytes" in capsys.readouterr().err

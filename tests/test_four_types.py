@@ -401,8 +401,7 @@ def test_critical_iteration_reaches_predicted_limit():
             c0=float(rng.uniform(0.05, 0.95)),
         )
         x0 = float(rng.uniform(0.0, 1.0))
-        target = critical_fixed_points(cp).point
-        if abs(x0 - target) <= 1e-9:
+        if dynamics.is_fixed(cp.step, (x0,), Tolerance()):
             continue
         run = dynamics.iterate_map(cp.step, (x0,))
         assert abs(run.states[-1][0] - predict_limit_critical(cp, x0)) <= 1e-6

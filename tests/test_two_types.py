@@ -18,13 +18,11 @@ from qsobp.errors import FixedPointInputError
 from qsobp.simplex import Tolerance, make_state, state_distance
 from qsobp.two_types import (
     TwoTypeParams,
-    fixed_segments,
     invariant_line_level,
     jacobian_matrix,
     lift_operator,
     lift_point,
     predict_limit,
-    predict_limit_state,
     reduce_state,
 )
 
@@ -136,15 +134,6 @@ def test_invariant_level_is_conserved():
 # -- fixed segments ----------------------------------------------------------
 
 
-def test_fixed_segment_membership():
-    segments = fixed_segments(TwoTypeParams(a=0.5, b=0.5))
-    assert segments.in_horizontal((0.3, 0.0))
-    assert not segments.in_horizontal((1.0, 0.0))
-    assert segments.in_right_edge((1.0, 0.7))
-    assert segments.in_right_edge((1.0, 0.0))
-    assert not segments.contains((0.5, 0.5))
-
-
 def test_interior_point_moves():
     p = TwoTypeParams(a=0.5, b=0.5)
     assert p.step((0.5, 0.5)) != (0.5, 0.5)
@@ -178,22 +167,37 @@ def test_predict_rejects_fixed_start():
         predict_limit(p, (1.0, 0.5))
 
 
-def test_predict_full_state_low_branch():
-    p = TwoTypeParams(a=0.4, b=0.5)
-    limit = predict_limit_state(p, make_state([0.2, 0.8], [0.25, 0.75]))
-    assert state_distance(limit, make_state([0.4, 0.6], [0.0, 1.0])) <= 1e-15
+@pytest.mark.parametrize(
+    "a, start, expected",
+    [
+        (0.4, ([0.2, 0.8], [0.25, 0.75]), ([0.4, 0.6], [0.0, 1.0])),  # low branch
+        (0.8, ([0.6, 0.4], [0.5, 0.5]), ([1.0, 0.0], [0.25, 0.75])),  # high branch
+        (0.8, ([1.0, 0.0], [0.5, 0.5]), None),  # fixed start
+    ],
+)
+def test_predict_full_state(a, start, expected):
+    p = TwoTypeParams(a=a, b=0.5)
+    point = reduce_state(make_state(*start))
+    if expected is None:
+        with pytest.raises(FixedPointInputError):
+            predict_limit(p, point)
+    else:
+        limit = lift_point(predict_limit(p, point))
+        assert state_distance(limit, make_state(*expected)) <= 1e-15
 
 
-def test_predict_full_state_high_branch():
-    p = TwoTypeParams(a=0.8, b=0.5)
-    limit = predict_limit_state(p, make_state([0.6, 0.4], [0.5, 0.5]))
-    assert state_distance(limit, make_state([1.0, 0.0], [0.25, 0.75])) <= 1e-15
+@pytest.mark.parametrize("start", [(1.5, 0.5), (0.5, -0.1), (3.0, -2.0), (float("nan"), 0.5)])
+def test_predict_rejects_starts_outside_the_unit_square(start):
+    with pytest.raises(ValueError, match="unit square"):
+        predict_limit(TwoTypeParams(a=0.4, b=0.5), start)
 
 
-def test_predict_full_state_rejects_fixed():
-    p = TwoTypeParams(a=0.8, b=0.5)
+def test_predict_reads_the_fixed_band_from_the_tolerance():
+    # One step moves (0.5, 1e-6) by a (1 - x) y = 2e-7.
+    p, start = TwoTypeParams(a=0.4, b=0.5), (0.5, 1e-6)
+    assert predict_limit(p, start, Tolerance(abs_eps=1e-9)) == pytest.approx((0.5 + 0.4 * 2e-6, 0.0))
     with pytest.raises(FixedPointInputError):
-        predict_limit_state(p, make_state([1.0, 0.0], [0.5, 0.5]))
+        predict_limit(p, start, Tolerance(abs_eps=1e-6))
 
 
 def test_iterated_limits_match_prediction():
