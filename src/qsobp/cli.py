@@ -111,7 +111,7 @@ class Case:
     """
 
     params: type  # its fields are the case's parameter names, in sweep-column order
-    parse_start: Callable[[str], object]
+    parse_start: Callable[[str], object]  # raises ValueError for a start outside the domain
     predict: Callable  # (params, start, tolerance) -> closed-form limit
     label: Callable  # (params, limit) -> class label
     doc: Callable  # (start, limit) -> the start and limit fields of the predict document
@@ -167,7 +167,7 @@ _COORDS8 = [f"x{i+1}" for i in range(4)] + [f"y{k+1}" for k in range(4)]
 CASES = {
     "two-type": Case(
         params=two_types.TwoTypeParams,
-        parse_start=lambda text: (
+        parse_start=lambda text: two_types.check_start(
             two_types.reduce_state(_parse_full_state(text)) if ";" in text else _parse_point(text)
         ),
         predict=lambda p, s, tol: two_types.predict_limit(p, s, tol),
@@ -204,7 +204,7 @@ CASES = {
     ),
     "critical-line": Case(
         params=four_types.CriticalMapParams,
-        parse_start=float,
+        parse_start=lambda text: four_types.check_critical_start(float(text)),
         predict=lambda p, x, tol: four_types.predict_limit_critical(p, x, tol),
         label=lambda p, lim: "affine" if p.is_affine else "quadratic",
         doc=lambda x, lim: {"x0": x, "limit": lim},

@@ -128,13 +128,20 @@ class ConfigurationSpace:
     def build(cls, graph: Graph, allele_count: int, females: Iterable[int]) -> "ConfigurationSpace":
         """Enumerate the space and split it by the given female cell indices.
 
-        Raises ``SizeOverflowError``, before enumerating, when the operator's
-        dense tensors would need more than ``TENSOR_BYTES_CAP`` bytes.
+        The female indices are checked, and then the operator's dense tensors
+        against ``TENSOR_BYTES_CAP`` bytes (``SizeOverflowError``), before any
+        cell is enumerated.
         """
         female_set = set(int(i) for i in females)
-        # An allele count below one is left for enumerate_cells to refuse.
-        n = len(female_set)
-        nu = max(allele_count, 1) ** graph.vertex_count - n
+        if allele_count < 1:
+            raise ValueError("allele_count must be positive")
+        size = allele_count**graph.vertex_count
+        for i in female_set:
+            if not (0 <= i < size):
+                raise PartitionIndexError(f"female cell index {i} out of range")
+        if not female_set or len(female_set) == size:
+            raise PartitionIndexError("both partition classes must be nonempty")
+        n, nu = len(female_set), size - len(female_set)
         needed = 2 * n * nu * (n + nu) * 8
         if needed > TENSOR_BYTES_CAP:
             raise SizeOverflowError(
@@ -142,11 +149,6 @@ class ConfigurationSpace:
                 f"above the bound of {TENSOR_BYTES_CAP}"
             )
         cells = enumerate_cells(graph, allele_count)
-        for i in female_set:
-            if not (0 <= i < len(cells)):
-                raise PartitionIndexError(f"female cell index {i} out of range")
-        if not female_set or len(female_set) == len(cells):
-            raise PartitionIndexError("both partition classes must be nonempty")
         males = tuple(i for i in range(len(cells)) if i not in female_set)
         return cls(
             graph=graph,

@@ -360,12 +360,18 @@ def critical_slope(cp: CriticalMapParams) -> float:
     return 2.0 * (2.0 * cp.a - 1.0) * t + (1.0 - cp.a) * (2.0 - cp.c0) - cp.a * cp.a0
 
 
+def check_critical_start(x0: float) -> float:
+    """The start itself; ``ValueError`` when it lies outside [0, 1]."""
+    if not 0.0 <= x0 <= 1.0:
+        raise ValueError(f"x0={x0} lies outside [0, 1]")
+    return x0
+
+
 def predict_limit_critical(
     cp: CriticalMapParams, x0: float, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> float:
     """Every non-fixed point of [0, 1] converges to the in-range fixed point."""
-    if not 0.0 <= x0 <= 1.0:
-        raise ValueError(f"x0={x0} lies outside [0, 1]")
+    check_critical_start(x0)
     if is_fixed(cp.step, (x0,), tol):
         raise FixedPointInputError(f"x0={x0} is already the fixed point")
     return critical_fixed_points(cp).point
@@ -382,15 +388,14 @@ def scan_periodic_points(
     grid: int = 100_000,
     domain: tuple[float, float] = (0.0, 1.0),
     refine_eps: float = 1e-10,
-    tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> list[float]:
     """Roots of step^period(x) = x on the domain that are not fixed points.
 
     The composite map is evaluated by repeated application on a uniform
     grid (never expanded into polynomial coefficients), sign changes are
     bracketed and refined by bisection to ``refine_eps``, and a root that
-    ``dynamics.is_fixed`` calls fixed under ``tol`` is dropped.  ``step``
-    must accept numpy arrays as well as scalars.
+    ``dynamics.is_fixed`` calls fixed under ``DEFAULT_TOLERANCE`` is
+    dropped.  ``step`` must accept numpy arrays as well as scalars.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
@@ -428,4 +433,4 @@ def scan_periodic_points(
         roots.append(0.5 * (left + right))
     if gap[-1] == 0.0:
         roots.append(float(xs[-1]))
-    return [r for r in roots if not is_fixed(lambda s: (step(s[0]),), (r,), tol)]
+    return [r for r in roots if not is_fixed(lambda s: (step(s[0]),), (r,), DEFAULT_TOLERANCE)]

@@ -109,6 +109,14 @@ def invariant_line_level(p: TwoTypeParams, s: Point2) -> float:
     return x / p.a + y / (1.0 - p.b)
 
 
+def check_start(start: Point2) -> Point2:
+    """The start itself; ``ValueError`` when it lies outside the unit square."""
+    x, y = start
+    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+        raise ValueError(f"start {start} lies outside the unit square")
+    return start
+
+
 def predict_limit(p: TwoTypeParams, start: Point2, tol: Tolerance = DEFAULT_TOLERANCE) -> Point2:
     """Closed-form trajectory limit for a non-fixed start in the unit square.
 
@@ -116,9 +124,7 @@ def predict_limit(p: TwoTypeParams, start: Point2, tol: Tolerance = DEFAULT_TOLE
     (1, (ac - 1)(1 - b)/a) when ac >= 1; at ac = 1 both expressions give
     the corner (1, 0).
     """
-    x, y = start
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-        raise ValueError(f"start {start} lies outside the unit square")
+    check_start(start)
     if is_fixed(p.step, start, tol):
         raise FixedPointInputError(f"{start} is already a fixed point")
     level = invariant_line_level(p, start)

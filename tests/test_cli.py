@@ -454,11 +454,24 @@ def test_predict_reads_the_tolerance_and_the_domain(tmp_path, argv):
     assert not out.exists()
 
 
+def test_verify_stops_at_a_sampled_start_inside_the_fixed_band(tmp_path, capsys):
+    # At a = 0.05, b = 0.95 one step moves (x, y) by (1 - x) y max(a, 1 - b),
+    # so --abs-eps 1e-3 makes every sample with (1 - x) y <= 0.02 fixed.
+    report = tmp_path / "v.json"
+    argv = ["verify", "--case", "two-type", "--grid", "2", "--starts", "200", "--abs-eps", "1e-3"]
+    assert main([*argv, "--report", str(report)]) == 2
+    assert not report.exists()
+    assert "already a fixed point" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["--case", "two-type", "--a", "0.3", "--b", "0.3", "--state", "3,-2"],
         ["--case", "critical-line", "--a", "0.75", "--a0", "0.5", "--c0", "0.5", "--x0", "5"],
+        # Every parameter tuple invalid: the start is checked all the same.
+        ["--case", "two-type", "--a", "0:1:2", "--b", "0.3", "--state", "3,-2"],
+        ["--case", "critical-line", "--a", "0:1:2", "--a0", "0.5", "--c0", "0.5", "--x0", "5"],
     ],
 )
 def test_sweep_rejects_starts_outside_the_domain(tmp_path, capsys, argv):
@@ -468,16 +481,26 @@ def test_sweep_rejects_starts_outside_the_domain(tmp_path, capsys, argv):
     assert "outside" in capsys.readouterr().err
 
 
-def test_construct_rejects_oversized_space_before_enumerating(tmp_path, capsys, monkeypatch):
-    # Three alleles on seven vertices, split evenly: the four dense tensors of
-    # 1093 female and 1094 male types would need about 42 GB.
+@pytest.mark.parametrize(
+    "vertices, alleles, females, message",
+    [
+        # Three alleles on seven vertices, split evenly: the four dense tensors
+        # of 1093 female and 1094 male types would need about 42 GB.
+        (7, 3, list(range(1, 1094)), "bytes"),
+        # No females: no tensor at all, but 2**40 cells to enumerate.
+        (40, 2, [], "nonempty"),
+    ],
+)
+def test_construct_rejects_oversized_space_before_enumerating(
+    tmp_path, capsys, monkeypatch, vertices, alleles, females, message
+):
     def enumerate_cells(*args):
         raise AssertionError("the space was enumerated")
 
     monkeypatch.setattr(construction, "enumerate_cells", enumerate_cells)
-    doc = {"vertices": 7, "edges": [], "alleles": 3, "females": list(range(1, 1094)),
+    doc = {"vertices": vertices, "edges": [], "alleles": alleles, "females": females,
            "female_weights": {}, "male_weights": {}}
     out = tmp_path / "op.json"
     assert main(["construct", "--input", _write(tmp_path / "c.json", doc), "--output", str(out)]) == 2
     assert not out.exists()
-    assert "bytes" in capsys.readouterr().err
+    assert message in capsys.readouterr().err

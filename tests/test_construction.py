@@ -16,7 +16,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qsobp import four_types
+from qsobp import construction, four_types
 from qsobp.construction import (
     BisexualOperator,
     ConfigurationSpace,
@@ -84,14 +84,25 @@ def test_enumerate_cells_singleton():
     assert enumerate_cells(make_graph(1, []), 1) == ((1,),)
 
 
-def test_enumerate_cells_overflow():
+def test_enumerate_cells_overflow(monkeypatch):
+    def enumerate_cells(*args):
+        raise AssertionError("the space was enumerated")
+
+    # Every refusal below comes before enumerating; a broken check fails fast
+    # here instead of listing 2**40 cells.
+    monkeypatch.setattr(construction, "enumerate_cells", enumerate_cells)
     # Three alleles on seven vertices, split evenly: 1093 female and 1094
     # male cells, whose four dense tensors would need about 42 GB.
     with pytest.raises(SizeOverflowError, match="41841404064 bytes"):
         ConfigurationSpace.build(make_graph(7, []), 3, range(1093))
-    # The bound is checked before enumerating: 2**40 cells are never listed.
     with pytest.raises(SizeOverflowError):
         ConfigurationSpace.build(make_graph(40, []), 2, [0])
+    # An empty female set (no tensor at all) is refused before enumerating too.
+    with pytest.raises(PartitionIndexError, match="nonempty"):
+        ConfigurationSpace.build(make_graph(40, []), 2, [])
+    with pytest.raises(PartitionIndexError, match="out of range"):
+        ConfigurationSpace.build(make_graph(40, []), 2, [2**40])
+    monkeypatch.undo()
     assert ConfigurationSpace.build(make_graph(7, []), 2, range(64)).n == 64
 
 
