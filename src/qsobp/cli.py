@@ -502,8 +502,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, about, cases=None, params=None, kind=float, params_help=None):
-        """A subcommand with its --case choices, parameter flags and tolerance flags."""
+    def command(name, func, about, cases=None, params=None, kind=float, params_help=None,
+                seed_help=None):
+        """A subcommand with its --case choices, parameter flags, tolerance flags
+        and, given ``seed_help``, a --seed flag."""
         cmd = sub.add_parser(name, help=about)
         cmd.set_defaults(func=func)
         if cases is not None:
@@ -513,15 +515,18 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--abs-eps", type=float, default=1e-9, help="comparison epsilon")
         cmd.add_argument("--iter-eps", type=float, default=1e-12, help="iteration stop threshold")
         cmd.add_argument("--max-iters", type=int, default=10**6, help="iteration budget")
-        cmd.add_argument("--seed", type=int, default=42, help="seed for any random draws")
+        if seed_help is not None:
+            cmd.add_argument("--seed", type=int, default=42, help=seed_help)
         return cmd
 
-    cmd = command("construct", cmd_construct, "build an operator from a construction JSON")
+    cmd = command("construct", cmd_construct, "build an operator from a construction JSON",
+                  seed_help="ignored: the construction draws nothing at random")
     cmd.add_argument("--input", required=True, help="construction JSON path")
     cmd.add_argument("--output", required=True, help="operator JSON path")
 
     cmd = command("iterate", cmd_iterate, "iterate an operator from a state",
-                  params=dict.fromkeys(CASE_DEFAULTS, 0.5))
+                  params=dict.fromkeys(CASE_DEFAULTS, 0.5),
+                  seed_help="recorded in the summary; iteration draws nothing at random")
     cmd.add_argument("--operator", default=None, help="operator JSON path")
     cmd.add_argument("--construction", default=None, help="construction JSON path")
     cmd.add_argument("--two-type", action="store_true", help="inline two-type params")
@@ -548,7 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd = command("verify", cmd_verify, "pair closed-form limits with brute-force iteration",
                   ["two-type", "four-type"], {"b": 0.3, "d": 0.4, "a0": 0.5, "c0": 0.5, "a": 0.3},
-                  params_help="parameters the grid leaves fixed; two-type --a/--b set the portrait")
+                  params_help="parameters the grid leaves fixed; two-type --a/--b set the portrait",
+                  seed_help="seed of the random starts")
     cmd.add_argument("--grid", type=int, default=10)
     cmd.add_argument("--starts", type=int, default=3, help="random starts per cell")
     cmd.add_argument("--match-eps", type=float, default=DEFAULT_MATCH_EPS)

@@ -8,6 +8,15 @@ the graph, it coincides with the mother's assignment or with the father's.
 Heredity coefficients are the weight of the child normalized over its
 compatible set, so only weight ratios matter.
 
+The build works on whole arrays.  Each cell's restriction to each component
+is encoded as one integer: the component's allele pattern read as base
+``allele_count`` digits, the component's first vertex the lowest digit.  Two
+cells agree on a component exactly when their codes for it are equal, so the
+compatibility of every child with every parent pair is a broadcast equality
+test against the mother's and the father's codes, taken one component at a
+time.  ``compatible_sets`` states the same rule one pair at a time and stays
+as the readable reference.
+
 On a connected graph each compatible set collapses to the parent itself and
 the resulting operator is the identity; mixing requires at least two
 components.
@@ -17,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -34,10 +44,13 @@ from .simplex import DEFAULT_TOLERANCE, PopulationState, Tolerance, make_state
 # A cell maps each vertex (positionally) to a 1-based allele index.
 Cell = tuple[int, ...]
 
-# Spaces whose dense operator tensors (pf, pm and their two mixing copies,
-# float64) would exceed this many bytes are refused before enumeration.  The
-# JSON round trip of an operator holds pf and pm again as Python lists, about
-# four times their array size, so the bound leaves room for that too.
+# Spaces whose dense operator tensors (pf, pm and their mixing matrix, which
+# holds both mixing parts, float64) would exceed this many bytes are refused
+# before enumeration.  The build's largest temporary is the running sum that
+# normalizes one side, as large as pf or pm; the boolean compatibility mask of
+# both sides takes an eighth of pf and pm together.  The JSON round trip of an
+# operator holds pf and pm again as Python lists, about four times their array
+# size, so the bound leaves room for that too.
 TENSOR_BYTES_CAP = 2**28
 
 # Stochasticity of constructed tensor rows is checked to this tolerance;
@@ -215,8 +228,10 @@ class WeightPair:
     def __post_init__(self):
         for label, weights in (("female", self.female_weights), ("male", self.male_weights)):
             for idx, w in weights.items():
-                if not w > 0:
-                    raise ValueError(f"{label} weight for cell {idx} must be > 0, got {w}")
+                if not (math.isfinite(w) and w > 0):
+                    raise ValueError(
+                        f"{label} weight for cell {idx} must be finite and > 0, got {w}"
+                    )
 
 
 def uniform_weights(space: ConfigurationSpace) -> WeightPair:
@@ -246,6 +261,8 @@ class HeredityTensors:
         if self.pm.shape != (self.n, self.nu, self.nu):
             raise DimensionMismatchError(f"pm shape {self.pm.shape}")
         for name, t in (("pf", self.pf), ("pm", self.pm)):
+            if not np.isfinite(t).all():
+                raise ValueError(f"{name} has non-finite entries")
             if t.min() < -NEG_ENTRY_EPS:
                 raise ValueError(f"{name} has negative entries")
             row_sums = t.sum(axis=2)
@@ -256,26 +273,59 @@ class HeredityTensors:
         self.pm.setflags(write=False)
 
 
+def _component_codes(space: ConfigurationSpace) -> np.ndarray:
+    """codes[c, k]: the allele pattern of cell ``c`` on component ``k``, read as
+    base ``allele_count`` digits."""
+    alleles = np.array(space.cells) - 1
+    return np.stack(
+        [alleles[:, [v - 1 for v in comp]] @ space.allele_count ** np.arange(len(comp))
+         for comp in space.components],
+        axis=1,
+    )
+
+
+def _normalized_rows(compatible: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each (i, k) row: the weights of its compatible children over their total.
+
+    The total is the sequential running sum, which adds the weights in cell
+    order as a Python ``sum`` over the compatible set does, so every entry has
+    the same bits as the pair-by-pair quotient.
+    """
+    rows = np.where(compatible, weights, 0.0)
+    rows /= np.cumsum(rows, axis=2)[..., -1:]
+    return rows
+
+
 def build_heredity(space: ConfigurationSpace, weights: WeightPair) -> HeredityTensors:
-    """Normalize the weights over each compatible set into heredity tensors."""
+    """Normalize the weights over each compatible set into heredity tensors.
+
+    Gives the same tensors, bit for bit, as normalizing the weights over
+    ``compatible_sets`` of every parent pair.
+    """
     missing_f = set(space.females) - set(weights.female_weights)
     missing_m = set(space.males) - set(weights.male_weights)
     if missing_f or missing_m:
         raise ValueError(f"weights missing for cells {sorted(missing_f | missing_m)}")
     n, nu = space.n, space.nu
-    f_pos = {cell: t for t, cell in enumerate(space.females)}
-    m_pos = {cell: t for t, cell in enumerate(space.males)}
-    pf = np.zeros((n, nu, n))
-    pm = np.zeros((n, nu, nu))
-    for i, f_idx in enumerate(space.females):
-        for k, m_idx in enumerate(space.males):
-            female_side, male_side = compatible_sets(space, f_idx, m_idx)
-            f_total = sum(weights.female_weights[c] for c in female_side)
-            m_total = sum(weights.male_weights[c] for c in male_side)
-            for c in female_side:
-                pf[i, k, f_pos[c]] = weights.female_weights[c] / f_total
-            for c in male_side:
-                pm[i, k, m_pos[c]] = weights.male_weights[c] / m_total
+    codes = _component_codes(space)
+    mother, father = codes[list(space.females)], codes[list(space.males)]
+    child = np.concatenate((mother, father))
+    # compatible[i, k, c]: child c agrees with mother i or father k on every
+    # component; children are the female cells, then the male cells.
+    compatible = np.ones((n, nu, n + nu), dtype=bool)
+    for k in range(len(space.components)):
+        compatible &= (child[:, k] == mother[:, None, None, k]) | (
+            child[:, k] == father[None, :, None, k]
+        )
+    if not (
+        compatible[np.arange(n), :, np.arange(n)].all()
+        and compatible[:, np.arange(nu), n + np.arange(nu)].all()
+    ):
+        raise EmptyCompatibleSetError("a parent fell out of its own compatible set")
+    wf = np.array([weights.female_weights[c] for c in space.females], dtype=float)
+    wm = np.array([weights.male_weights[c] for c in space.males], dtype=float)
+    pf = _normalized_rows(compatible[:, :, :n], wf)
+    pm = _normalized_rows(compatible[:, :, n:], wm)
     return HeredityTensors(n=n, nu=nu, pf=pf, pm=pm)
 
 
@@ -303,13 +353,15 @@ class BisexualOperator:
     def __post_init__(self):
         if (self.n, self.nu) != (self.tensors.n, self.tensors.nu):
             raise DimensionMismatchError("operator dims disagree with tensor dims")
-        # Mixing parts: heredity minus the breed-true identity pattern.
-        qf = self.tensors.pf - np.eye(self.n)[:, None, :]
-        qm = self.tensors.pm - np.eye(self.nu)[None, :, :]
-        qf.setflags(write=False)
-        qm.setflags(write=False)
-        object.__setattr__(self, "_qf", qf)
-        object.__setattr__(self, "_qm", qm)
+        # Mixing matrix: heredity minus the breed-true identity pattern, both
+        # sexes side by side, one row per parent pair (i, k) at i * nu + k.
+        n, nu = self.n, self.nu
+        q = np.concatenate((self.tensors.pf, self.tensors.pm), axis=2)
+        q[np.arange(n), :, np.arange(n)] -= 1.0
+        q[:, np.arange(nu), n + np.arange(nu)] -= 1.0
+        q = q.reshape(n * nu, n + nu)
+        q.setflags(write=False)
+        object.__setattr__(self, "_q", q)
 
     @classmethod
     def from_tensors(cls, pf: np.ndarray, pm: np.ndarray) -> "BisexualOperator":
@@ -326,9 +378,8 @@ class BisexualOperator:
 
     def apply_raw(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One step on bare coordinate vectors, without simplex validation."""
-        new_x = x + np.einsum("ikj,i,k->j", self._qf, x, y)
-        new_y = y + np.einsum("ikl,i,k->l", self._qm, x, y)
-        return new_x, new_y
+        d = np.outer(x, y).ravel() @ self._q
+        return x + d[: self.n], y + d[self.n :]
 
     def apply(self, state: PopulationState) -> PopulationState:
         """One evolution step; the result is again a valid state."""
@@ -350,7 +401,7 @@ def is_identity(op: BisexualOperator, tol: Tolerance = DEFAULT_TOLERANCE) -> boo
     mixing parts vanish (within ``tol.abs_eps``): a pair of vertex states
     (x, y) = (e_i, e_k) picks out the mixing row of the pair (i, k).
     """
-    return all(np.abs(q).max() <= tol.abs_eps for q in (op._qf, op._qm))
+    return bool(np.abs(op._q).max() <= tol.abs_eps)
 
 
 # ---------------------------------------------------------------------------

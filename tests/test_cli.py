@@ -8,14 +8,21 @@ Core claims:
   - verify pairs closed-form limits with iteration and reports pass/fail
   - sweep emits deterministic CSV, flipping branches exactly at the
     critical parameter sum
-  - exit codes: 0 ran, 2 input error, 3 i/o error
+  - exit codes: 0 ran, 2 input error, 3 i/o error; non-finite weights and
+    tensor entries and --seed on a command that draws nothing are input errors
+  - trajectory files do not depend on the number of BLAS threads
 """
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import qsobp
 from qsobp import construction, four_types, two_types
 from qsobp.cli import main
 
@@ -504,3 +511,83 @@ def test_construct_rejects_oversized_space_before_enumerating(
     assert main(["construct", "--input", _write(tmp_path / "c.json", doc), "--output", str(out)]) == 2
     assert not out.exists()
     assert message in capsys.readouterr().err
+
+
+def test_construct_rejects_an_infinite_weight(tmp_path, capsys):
+    doc = dict(TWO_TYPE_DOC, female_weights={"1": float("inf"), "2": 1.0})
+    out = tmp_path / "op.json"
+    assert main(["construct", "--input", _write(tmp_path / "c.json", doc), "--output", str(out)]) == 2
+    assert not out.exists()
+    assert "finite" in capsys.readouterr().err
+
+
+def test_iterate_rejects_a_nan_operator_before_any_step(tmp_path, monkeypatch):
+    op_path = tmp_path / "op.json"
+    assert main(["construct", "--input", _write(tmp_path / "c.json", TWO_TYPE_DOC),
+                 "--output", str(op_path)]) == 0
+    doc = json.loads(op_path.read_text())
+    doc["pf"][1][0] = [float("nan"), 0.5]
+    _write(op_path, doc)
+
+    def apply_raw(*args):
+        raise AssertionError("the operator was stepped")
+
+    monkeypatch.setattr(construction.BisexualOperator, "apply_raw", apply_raw)
+    summary = tmp_path / "s.json"
+    argv = ["iterate", "--operator", str(op_path), "--state", "0.5,0.5;0.5,0.5"]
+    assert main([*argv, "--summary", str(summary)]) == 2
+    assert not summary.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fixed-points", "--case", "two-type"],
+        ["classify", "--case", "two-type"],
+        ["predict", "--case", "two-type", "--state", "0.2,0.3"],
+        ["sweep", "--case", "two-type", "--output", "s.csv"],
+    ],
+)
+def test_commands_that_draw_nothing_reject_seed(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--seed", "1"])
+    assert exit_info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_iterate_trajectory_does_not_depend_on_blas_threads(tmp_path):
+    # The operator step is a BLAS matrix-vector product; its bits must not
+    # depend on how many threads OpenBLAS splits it over.  128 cells on one
+    # edge and five isolated vertices give n = nu = 64, large enough that
+    # OpenBLAS threads the product.
+    rng = np.random.default_rng(7)
+    cells = 2**7
+    females = sorted(int(c) + 1 for c in rng.choice(cells, cells // 2, replace=False))
+    weights = rng.uniform(0.5, 2.0, cells)
+    doc = {
+        "vertices": 7,
+        "edges": [[1, 2]],
+        "alleles": 2,
+        "females": females,
+        "female_weights": {str(c): float(weights[c - 1]) for c in females},
+        "male_weights": {str(c): float(weights[c - 1])
+                         for c in range(1, cells + 1) if c not in females},
+    }
+    op_path = tmp_path / "op.json"
+    assert main(["construct", "--input", _write(tmp_path / "c.json", doc),
+                 "--output", str(op_path)]) == 0
+    x, y = rng.dirichlet(np.ones(64), 2)
+    state = ",".join(map(repr, x.tolist())) + ";" + ",".join(map(repr, y.tolist()))
+    src = os.path.dirname(os.path.dirname(qsobp.__file__))
+    trajectories = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.csv"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        subprocess.run(
+            [sys.executable, "-m", "qsobp.cli", "iterate", "--operator", str(op_path),
+             "--state", state, "--max-iters", "300", "--trajectory", str(out),
+             "--summary", str(tmp_path / "s.json")],
+            env=env, check=True, timeout=120,
+        )
+        trajectories.append(out.read_bytes())
+    assert trajectories[0] == trajectories[1]

@@ -122,8 +122,8 @@ DIGESTS = {
         "f.json": "65be8fe228ff23e671dd4c57158d8abbffb18f161163ce7ee601a691e672b0df",
     },
     "iterate-four": {
-        "s.json": "d22237f1e6edde130d5dcbfc374cc08497c4bd4c669fd534affdf041241d77c3",
-        "t.csv": "ce3fc3e1e0561f72b28fec9e21614ac88e8dd843ffe2ec07c5d9a61aa68a9664",
+        "s.json": "632343138c8ce07c1dbdb713e9c4f286b41b86617baa68a3d0c0e0e8180ded4d",
+        "t.csv": "777411711f19448e875bc4e47ba2f725a84011dc361a5ef00c31b9fdbb5a3353",
     },
     "iterate-two": {
         "s.json": "ae88ff3135f80f5c3e3e5b5bd112e12a1b662a0d48b74c0c4313422114a6b49a",

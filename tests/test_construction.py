@@ -257,8 +257,11 @@ def test_weight_scale_invariance():
 
 def test_weights_must_be_positive_and_complete():
     space = two_vertex_space()
-    with pytest.raises(ValueError):
-        WeightPair({0: 0.0, 1: 1.0}, {2: 1.0, 3: 1.0})
+    for bad in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            WeightPair({0: bad, 1: 1.0}, {2: 1.0, 3: 1.0})
+        with pytest.raises(ValueError):
+            WeightPair({0: 1.0, 1: 1.0}, {2: 1.0, 3: bad})
     with pytest.raises(ValueError):
         build_heredity(space, WeightPair({0: 1.0}, {2: 1.0, 3: 1.0}))
 
@@ -457,4 +460,14 @@ def test_operator_rejects_nonstochastic_tensor():
     pf = np.full((2, 2, 2), 0.3)
     pm = np.full((2, 2, 2), 0.5)
     with pytest.raises(ValueError):
+        BisexualOperator.from_tensors(pf, pm)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_operator_rejects_non_finite_entries(bad):
+    # Neither the minimum nor the row-sum test sees a NaN.
+    pf = np.full((2, 2, 2), 0.5)
+    pm = np.full((2, 2, 2), 0.5)
+    pm[1, 0] = [bad, 0.5]
+    with pytest.raises(ValueError, match="non-finite"):
         BisexualOperator.from_tensors(pf, pm)

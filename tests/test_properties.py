@@ -1,4 +1,4 @@
-"""Property tests of the three closed-form cases over their whole domains.
+"""Property tests of the closed-form cases and of operators built from graphs.
 
 Core claims, for in-domain parameters and starts of the two-type, the
 four-type and the critical-line case:
@@ -7,13 +7,27 @@ four-type and the critical-line case:
   - every predicted limit is a fixed point of the case's step to 1e-12
   - one step conserves x/a + y/(1-b) (two-type) and the four slice sums
     (four-type) to 1e-12
+
+and, for random graphs, allele counts, female splits and weights:
+  - build_heredity equals, bit for bit, the tensors normalized pair by pair
+    over compatible_sets with a Python sum
+  - the operator step agrees with the literal contraction to 1e-15
 """
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsobp import dynamics
+from qsobp.construction import (
+    ConfigurationSpace,
+    WeightPair,
+    build_heredity,
+    build_operator,
+    compatible_sets,
+    make_graph,
+)
 from qsobp.errors import FixedPointInputError
 from qsobp.four_types import (
     CriticalMapParams,
@@ -29,6 +43,9 @@ from qsobp.two_types import predict_limit as predict_limit_two
 
 # Reproducible examples, and no example database written next to the tests.
 PROPERTY = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+# The pair-by-pair reference costs about cells**3 restriction lookups, so
+# constructions get fewer examples.
+CONSTRUCTION = settings(PROPERTY, max_examples=60)
 
 unit = st.floats(0.01, 0.99)
 # Coordinates and splits that hit the boundary, where the fixed points lie, half the time.
@@ -95,3 +112,60 @@ def test_critical_line_predictor(a, a0, c0, x0, tol):
     assert (limit is None) == dynamics.is_fixed(cp.step, (x0,), tol)
     if limit is not None:
         assert _moved(cp.step, (limit,)) <= 1e-12
+
+
+@st.composite
+def constructions(draw):
+    """A space of at most 81 cells (5 vertices with 2 alleles, 4 with 3) with
+    a random proper female split and weights in [0.5, 2]."""
+    alleles = draw(st.integers(2, 3))
+    vertices = draw(st.integers(1, 5 if alleles == 2 else 4))
+    pairs = [(a, b) for a in range(1, vertices + 1) for b in range(a + 1, vertices + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    size = alleles**vertices
+    females = draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=size - 1))
+    space = ConfigurationSpace.build(make_graph(vertices, edges), alleles, females)
+    weight = st.floats(0.5, 2.0)
+    weights = WeightPair(
+        {i: draw(weight) for i in space.females}, {j: draw(weight) for j in space.males}
+    )
+    return space, weights
+
+
+def _pairwise_tensors(space, weights):
+    """The heredity tensors, one parent pair at a time over compatible_sets."""
+    f_pos = {cell: t for t, cell in enumerate(space.females)}
+    m_pos = {cell: t for t, cell in enumerate(space.males)}
+    pf = np.zeros((space.n, space.nu, space.n))
+    pm = np.zeros((space.n, space.nu, space.nu))
+    for i, f_idx in enumerate(space.females):
+        for k, m_idx in enumerate(space.males):
+            female_side, male_side = compatible_sets(space, f_idx, m_idx)
+            f_total = sum(weights.female_weights[c] for c in female_side)
+            m_total = sum(weights.male_weights[c] for c in male_side)
+            for c in female_side:
+                pf[i, k, f_pos[c]] = weights.female_weights[c] / f_total
+            for c in male_side:
+                pm[i, k, m_pos[c]] = weights.male_weights[c] / m_total
+    return pf, pm
+
+
+@CONSTRUCTION
+@given(constructions())
+def test_build_heredity_matches_the_pairwise_reference(case):
+    space, weights = case
+    built = build_heredity(space, weights)
+    pf, pm = _pairwise_tensors(space, weights)
+    assert np.array_equal(built.pf, pf)
+    assert np.array_equal(built.pm, pm)
+
+
+@CONSTRUCTION
+@given(constructions(), st.integers(0, 2**32 - 1))
+def test_operator_step_matches_the_quadratic_form(case, seed):
+    op = build_operator(*case)
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        x, y = rng.dirichlet(np.ones(op.n)), rng.dirichlet(np.ones(op.nu))
+        for step, literal in zip(op.apply_raw(x, y), op.quadratic_form(x, y)):
+            assert np.abs(step - literal).max() <= 1e-15
