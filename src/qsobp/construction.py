@@ -422,6 +422,8 @@ def _is_int(value) -> bool:
 
 
 def _require(doc: Mapping, field: str, kind: type):
+    if not isinstance(doc, Mapping):
+        raise SchemaError(field, f"expected a JSON object, got {type(doc).__name__}")
     if field not in doc:
         raise SchemaError(field, "missing required field")
     value = doc[field]

@@ -1,9 +1,17 @@
 """Trajectory iteration, Jacobians and fixed-point classification.
 
-The engine is generic: it iterates any bisexual operator, and also bare
-low-dimensional maps given as callables on coordinate tuples.  Convergence
-is detected from successive-state distance, never from distance to a known
+One engine, ``iterate_batch``, steps every trajectory: a (d, B) array holds
+B states of d coordinates, one column per trajectory, and each step maps the
+whole array at once.  Each column stops on its own, when one step moves it by
+at most ``tol.iter_eps`` in the max norm (converged) or after
+``tol.max_iters`` steps (not converged; that is a result, not an error).
+Finished columns leave the batch, together with their per-row parameters, so
+the last steps cost only what the slowest trajectories need.  Convergence is
+detected from successive-state distance, never from distance to a known
 limit, so the same loop serves operators whose limits are unknown.
+
+``iterate_map`` (a bare coordinate map) and ``iterate`` (a bisexual
+operator) run one trajectory through the engine and keep its thinned history.
 Planar fixed points are classified from the moduli of the roots of their
 Jacobian's characteristic polynomial, that is, of its two eigenvalues.
 """
@@ -12,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from operator import sub
 from typing import Callable, Sequence
 
@@ -28,6 +36,9 @@ TRAJECTORY_STORE_CAP = 10_000
 
 Point = tuple[float, ...]
 MapStep = Callable[[Point], Point]
+# (per-row parameters or None, (d, B) states) -> the (d, B) next states, as an
+# array or as d rows.
+BatchStep = Callable[[object, np.ndarray], object]
 
 
 @dataclass(frozen=True)
@@ -56,6 +67,121 @@ class Trajectory:
     steps_taken: int
 
 
+@dataclass(frozen=True)
+class BatchRun:
+    """Iteration record of a batch, one entry or column per trajectory.
+
+    ``end`` is the (d, B) array of last states.  ``history`` is None unless
+    the caller asked for it; then it holds, per trajectory, the true step
+    indices of its stored states and those states as a (k, d) array.
+    """
+
+    end: np.ndarray
+    steps_taken: np.ndarray
+    converged: np.ndarray
+    history: tuple[tuple[tuple[int, ...], np.ndarray], ...] | None = None
+
+
+def stack_params(rows: Sequence):
+    """One parameters dataclass whose fields hold the rows' values as (B,) arrays.
+
+    The dataclass validates the arrays as it validates numbers.
+    """
+    kind = type(rows[0])
+    return kind(**{f.name: np.array([getattr(p, f.name) for p in rows]) for f in fields(kind)})
+
+
+def _narrow(params, keep: np.ndarray):
+    """Stacked parameters restricted to the rows where ``keep`` holds."""
+    return replace(params, **{f.name: getattr(params, f.name)[keep] for f in fields(params)})
+
+
+def _history(stored: list, column: int, total: int, last: np.ndarray):
+    """One trajectory's stored step indices and states, ending at step ``total``."""
+    steps = [t for t, _ in stored]
+    states = [s[:, column] for _, s in stored]
+    if steps[-1] != total:
+        steps.append(total)
+        states.append(last)
+    return tuple(steps), np.stack(states)
+
+
+def iterate_batch(
+    step: BatchStep,
+    states,
+    tol: Tolerance = DEFAULT_TOLERANCE,
+    *,
+    params=None,
+    store_cap: int | None = None,
+) -> BatchRun:
+    """Iterate ``step`` from each column of ``states`` until it stops moving.
+
+    Each column stops when one step moves it by at most ``tol.iter_eps`` in
+    the max norm (converged) or after ``tol.max_iters`` steps (not
+    converged).  Its ``steps_taken`` is the index of its first state that no
+    longer moves, so a fixed start reports zero steps.
+
+    Args:
+        step: The map, called as ``step(params, states)`` on the columns still
+            moving.
+        states: Initial coordinates, shape (d, B).
+        tol: Iteration thresholds and budget.
+        params: Per-row parameters, a dataclass whose fields are (B,) arrays
+            (see ``stack_params``), narrowed to the rows still moving; or None.
+        store_cap: When given, every trajectory's history is kept, thinned to
+            every k-th state once it would hold more than ``store_cap``.
+    """
+    state = np.array(states, dtype=float)
+    width = state.shape[1]
+    end = state.copy()
+    steps_taken = np.zeros(width, dtype=np.int64)
+    converged = np.zeros(width, dtype=bool)
+    histories = [None] * width if store_cap is not None else None
+    rows = np.arange(width)  # the column of ``end`` behind each column of ``state``
+    stored = [(0, state)]
+    stride = 1
+    total = 0
+    while rows.size and total < tol.max_iters:
+        nxt = np.asarray(step(params, state))
+        moved = np.maximum.reduce(np.abs(nxt - state))
+        total += 1
+        if histories is not None and total % stride == 0:
+            stored.append((total, nxt))
+            if len(stored) > store_cap:
+                stored = stored[::2]
+                stride *= 2
+        state = nxt
+        done = moved <= tol.iter_eps
+        if not np.count_nonzero(done):
+            continue
+        finished = rows[done]
+        end[:, finished] = state[:, done]
+        steps_taken[finished] = total - 1
+        converged[finished] = True
+        keep = ~done
+        if histories is not None:
+            for column in np.flatnonzero(done):
+                histories[rows[column]] = _history(stored, column, total, state[:, column])
+        rows, state = rows[keep], state[:, keep]
+        if not rows.size:
+            break
+        if histories is not None:
+            stored = [(t, s[:, keep]) for t, s in stored]
+        if params is not None:
+            params = _narrow(params, keep)
+    end[:, rows] = state
+    steps_taken[rows] = total
+    if histories is not None:
+        for column, row in enumerate(rows):
+            histories[row] = _history(stored, column, total, state[:, column])
+    return BatchRun(
+        end=end,
+        steps_taken=steps_taken,
+        converged=converged,
+        history=tuple(histories) if histories is not None else None,
+    )
+
+
 def iterate_map(
     step: MapStep,
     start: Sequence[float],
@@ -65,44 +191,22 @@ def iterate_map(
 ) -> MapTrajectory:
     """Iterate ``step`` from ``start`` until successive states stop moving.
 
-    Stops when the max-norm distance between successive states drops to
-    ``tol.iter_eps`` (converged) or after ``tol.max_iters`` steps (not
-    converged; that is a result, not an error).  ``steps_taken`` is the
-    index of the first state that no longer moves, so a fixed starting
-    point reports zero steps.
-
-    Args:
-        step: The map; takes and returns a coordinate tuple.
-        start: Initial coordinates.
-        tol: Iteration thresholds and budget.
-        store_cap: Thinning threshold for stored states.
+    One trajectory through ``iterate_batch``, with the same stopping rule,
+    and its history thinned at ``store_cap`` stored states.  ``step`` takes
+    and returns coordinates; it sees them as a (d, 1) column.
     """
-    state: Point = tuple(float(v) for v in start)
-    stored: list[tuple[int, Point]] = [(0, state)]
-    stride = 1
-    converged = False
-    total = 0
-    for t in range(tol.max_iters):
-        nxt = step(state)
-        moved = max(abs(a - b) for a, b in zip(nxt, state))
-        total = t + 1
-        if total % stride == 0:
-            stored.append((total, nxt))
-            if len(stored) > store_cap:
-                stored = stored[::2]
-                stride *= 2
-        state = nxt
-        if moved <= tol.iter_eps:
-            converged = True
-            break
-    if stored[-1][0] != total:
-        stored.append((total, state))
+    run = iterate_batch(
+        lambda _, s: step(s), np.reshape(start, (-1, 1)), tol, store_cap=store_cap
+    )
+    ((state_steps, stored),) = run.history
+    states = tuple(map(tuple, stored.tolist()))
+    converged = bool(run.converged[0])
     return MapTrajectory(
-        states=tuple(s for _, s in stored),
-        state_steps=tuple(t for t, _ in stored),
+        states=states,
+        state_steps=state_steps,
         converged=converged,
-        limit=state if converged else None,
-        steps_taken=total - 1 if converged else total,
+        limit=states[-1] if converged else None,
+        steps_taken=int(run.steps_taken[0]),
     )
 
 
@@ -116,11 +220,10 @@ def is_fixed(step: MapStep, point: Sequence[float], tol: Tolerance) -> bool:
 
 
 def operator_step(op: BisexualOperator) -> MapStep:
-    """The operator as a map on concatenated (female, male) coordinates."""
+    """The operator as a map on columns of concatenated (female, male) coordinates."""
 
-    def step(s: Point) -> Point:
-        x, y = op.apply_raw(np.asarray(s[: op.n]), np.asarray(s[op.n :]))
-        return tuple(x) + tuple(y)
+    def step(s: np.ndarray) -> np.ndarray:
+        return np.column_stack([np.concatenate(op.apply_raw(c[: op.n], c[op.n :])) for c in s.T])
 
     return step
 

@@ -29,7 +29,7 @@ import numpy as np
 from .construction import BisexualOperator
 from .dynamics import FixedPointClass, classify_fixed_point_2d, is_fixed
 from .errors import CriticalLineError, FixedPointInputError
-from .simplex import DEFAULT_TOLERANCE, PopulationState, Tolerance, make_state
+from .simplex import DEFAULT_TOLERANCE, PopulationState, Tolerance, check_open_unit, make_state
 
 # Parameter sums within this distance of 1 are treated as critical.
 CRITICAL_EPS = 1e-9
@@ -56,10 +56,7 @@ class FourTypeParams:
     c0: float
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "d", "a0", "c0"):
-            v = getattr(self, name)
-            if not (0.0 < v < 1.0):
-                raise ValueError(f"{name} must lie strictly inside (0,1), got {v}")
+        check_open_unit(self)
 
     @classmethod
     def from_weights(
@@ -91,15 +88,20 @@ class FourTypeParams:
         """One step on bare coordinates (x1..x4, y1..y4); pairwise sums conserved."""
         x1, x2, x3, x4, y1, y2, y3, y4 = coords
         a, b, c, d = self.a, self.b, self.c, self.d
+        # The offspring mass each mixed pairing moves between the two types of a pair.
+        fa, fa_back = (1.0 - a) * x1 * y2, a * x2 * y1
+        fb, fb_back = (1.0 - b) * x3 * y4, b * x4 * y3
+        mc, mc_back = (1.0 - c) * x2 * y1, c * x1 * y2
+        md, md_back = (1.0 - d) * x4 * y3, d * x3 * y4
         return (
-            x1 - (1.0 - a) * x1 * y2 + a * x2 * y1,
-            x2 - a * x2 * y1 + (1.0 - a) * x1 * y2,
-            x3 - (1.0 - b) * x3 * y4 + b * x4 * y3,
-            x4 - b * x4 * y3 + (1.0 - b) * x3 * y4,
-            y1 - (1.0 - c) * x2 * y1 + c * x1 * y2,
-            y2 - c * x1 * y2 + (1.0 - c) * x2 * y1,
-            y3 - (1.0 - d) * x4 * y3 + d * x3 * y4,
-            y4 - d * x3 * y4 + (1.0 - d) * x4 * y3,
+            x1 - fa + fa_back,
+            x2 - fa_back + fa,
+            x3 - fb + fb_back,
+            x4 - fb_back + fb,
+            y1 - mc + mc_back,
+            y2 - mc_back + mc,
+            y3 - md + md_back,
+            y4 - md_back + md,
         )
 
     def sub12_step(self, s: Point2) -> Point2:
@@ -283,10 +285,7 @@ class CriticalMapParams:
     c0: float
 
     def __post_init__(self):
-        for name in ("a", "a0", "c0"):
-            v = getattr(self, name)
-            if not (0.0 < v < 1.0):
-                raise ValueError(f"{name} must lie strictly inside (0,1), got {v}")
+        check_open_unit(self)
 
     @property
     def is_affine(self) -> bool:

@@ -10,6 +10,7 @@ failures instead of being masked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -84,11 +85,28 @@ class Tolerance:
     max_iters: int = 10**6
 
     def __post_init__(self):
-        if not (self.abs_eps > 0 and self.iter_eps > 0 and self.max_iters > 0):
-            raise ValueError("all tolerance fields must be strictly positive")
+        values = (self.abs_eps, self.iter_eps, self.max_iters)
+        if not all(0 < v < math.inf for v in values):
+            raise ValueError(
+                f"all tolerance fields must be finite and strictly positive, got {values}"
+            )
 
 
 DEFAULT_TOLERANCE = Tolerance()
+
+
+def check_open_unit(params) -> None:
+    """``ValueError`` unless every field of the dataclass ``params`` lies strictly inside (0, 1).
+
+    A field is a number or, for parameters stacked one row per trajectory,
+    an array whose every entry must lie inside.
+    """
+    # ``vars`` and ``is True`` keep the check of numbers, by far the most
+    # frequent case, as cheap as a chained comparison.
+    for name, v in vars(params).items():
+        inside = (0.0 < v) & (v < 1.0)
+        if not (inside is True or np.all(inside)):
+            raise ValueError(f"{name} must lie strictly inside (0,1), got {v}")
 
 
 def state_distance(s1: PopulationState, s2: PopulationState) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 from .construction import BisexualOperator
 from .dynamics import is_fixed
 from .errors import FixedPointInputError
-from .simplex import DEFAULT_TOLERANCE, PopulationState, Tolerance, make_state
+from .simplex import DEFAULT_TOLERANCE, PopulationState, Tolerance, check_open_unit, make_state
 
 # The fixed-point set of the reduced map, for every a and b.
 FIXED_SEGMENTS = {"horizontal": "y = 0, x in [0, 1)", "right_edge": "x = 1, y in [0, 1]"}
@@ -45,9 +45,7 @@ class TwoTypeParams:
     b: float
 
     def __post_init__(self):
-        for name, v in (("a", self.a), ("b", self.b)):
-            if not (0.0 < v < 1.0):
-                raise ValueError(f"{name} must lie strictly inside (0,1), got {v}")
+        check_open_unit(self)
 
     @classmethod
     def from_weights(cls, female: Sequence[float], male: Sequence[float]) -> "TwoTypeParams":
@@ -59,7 +57,8 @@ class TwoTypeParams:
     def step(self, s: Point2) -> Point2:
         """One step of the reduced planar map; maps the unit square into itself."""
         x, y = s
-        return (x + self.a * (1.0 - x) * y, y * (x + self.b * (1.0 - x)))
+        rest = 1.0 - x
+        return (x + self.a * rest * y, y * (x + self.b * rest))
 
 
 def jacobian_matrix(p: TwoTypeParams, s: Point2) -> np.ndarray:

@@ -407,6 +407,39 @@ def test_verify_rejects_empty_grids_and_starts(tmp_path, capsys, flags):
     assert "must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--iter-eps", "inf"], "finite and strictly positive"),
+        (["--match-eps", "nan"], "match-eps: must be finite"),
+        (["--match-eps", "-1"], "match-eps: must be finite"),
+    ],
+)
+def test_verify_rejects_non_finite_and_negative_thresholds(tmp_path, capsys, flags, message):
+    report = tmp_path / "r.json"
+    code = main(["verify", "--case", "two-type", "--grid", "2", *flags, "--report", str(report)])
+    assert code == 2
+    assert not report.exists()
+    assert message in capsys.readouterr().err
+
+
+def test_verify_cells_report_steps_and_fail_when_a_start_does_not_converge(tmp_path):
+    report = tmp_path / "r.json"
+    argv = ["verify", "--case", "four-type", "--grid", "3", "--starts", "2"]
+    assert main([*argv, "--report", str(report)]) == 0
+    converged = json.loads(report.read_text())
+    assert all(cell["converged"] and cell["pass"] for cell in converged["cells"])
+    assert all(0 < cell["steps"] < 2 * 10**6 for cell in converged["cells"])
+    # With a budget of 5 steps no start converges: each cell reports 2 * 5
+    # steps and fails, whatever its end state's gap to the closed form.
+    assert main([*argv, "--max-iters", "5", "--match-eps", "1", "--report", str(report)]) == 0
+    cut = json.loads(report.read_text())
+    assert [cell["steps"] for cell in cut["cells"]] == [10] * 9
+    assert not any(cell["converged"] or cell["pass"] for cell in cut["cells"])
+    assert all(cell["max_mismatch"] <= 1 for cell in cut["cells"])
+    assert cut["n_pass"] == 0 and cut["pass"] is False
+
+
 def test_construct_rejects_boolean_vertex_count(tmp_path, capsys):
     doc = {"vertices": 1, "edges": [], "alleles": 2, "females": [1],
            "female_weights": {"1": 1.0}, "male_weights": {"2": 1.0}}
@@ -420,6 +453,21 @@ def test_iterate_rejects_boolean_operator_sizes(tmp_path):
     doc = {"n": True, "nu": True, "pf": [[[1.0]]], "pm": [[[1.0]]]}
     op_path = _write(tmp_path / "op.json", doc)
     assert main(["iterate", "--operator", op_path, "--state", "1;1"]) == 2
+
+
+@pytest.mark.parametrize("doc", [5, True, None, "n", [1]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--input", "{f}", "--output", "{d}/op.json"],
+        ["iterate", "--operator", "{f}", "--state", "1;1"],
+    ],
+)
+def test_a_document_that_is_not_an_object_is_an_input_error(tmp_path, capsys, doc, argv):
+    path = _write(tmp_path / "doc.json", doc)
+    argv = [a.replace("{f}", path).replace("{d}", str(tmp_path)) for a in argv]
+    assert main(argv) == 2
+    assert "expected a JSON object" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -158,14 +158,14 @@ DIGESTS = {
     },
     "verify-four-portrait": {
         "p.csv": "ecea692027eb11b177132f75efb617692674a0616fc06c87d86613413bd41b27",
-        "r.json": "14c023d998c3bb3c0a796f8314ca7e2ebe20eb445c322918193709040a927634",
+        "r.json": "118618974932917d0c22ad422584237ab80a66da0251f9420a836c2c8043a4e1",
     },
     "verify-two": {
-        "r.json": "fcb25bd4ef0ff5550d8de06fb7981bc36da9fbeec6bed1284412a32160d677fe",
+        "r.json": "c8e4b5aac12de8b8c358ce8c5922262cce9b2866e0616b949a7165cf4d5caeb1",
     },
     "verify-two-portrait": {
         "p.csv": "53d15a0952a799780b6c24ec9a45f65529d12bad16f36af8b3b8fe0a07345909",
-        "r.json": "13a537a5f645b19cec12c0e52cfaa4a828e6ec6809f490f667f18c2fb5cabefa",
+        "r.json": "4016bfc251af0dee80780d65709536641052cf059d035135f0de7475eb585ed5",
     },
 }
 

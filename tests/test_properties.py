@@ -7,6 +7,9 @@ four-type and the critical-line case:
   - every predicted limit is a fixed point of the case's step to 1e-12
   - one step conserves x/a + y/(1-b) (two-type) and the four slice sums
     (four-type) to 1e-12
+  - a batch of trajectories with per-row parameters ends each row where the
+    row run alone ends, bit for bit, after as many steps and with the same
+    convergence flag, whether the budget lets it converge or cuts it off
 
 and, for random graphs, allele counts, female splits and weights:
   - build_heredity equals, bit for bit, the tensors normalized pair by pair
@@ -112,6 +115,55 @@ def test_critical_line_predictor(a, a0, c0, x0, tol):
     assert (limit is None) == dynamics.is_fixed(cp.step, (x0,), tol)
     if limit is not None:
         assert _moved(cp.step, (limit,)) <= 1e-12
+
+
+@st.composite
+def batch_rows(draw):
+    """1-4 rows of (parameters, start coordinates) of one case, then one row
+    whose start is a fixed point of its map."""
+    case = draw(st.sampled_from(["two-type", "four-type", "critical-line"]))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        if case == "two-type":
+            rows.append((TwoTypeParams(draw(unit), draw(unit)), draw(st.tuples(fraction, fraction))))
+        elif case == "four-type":
+            p, state = draw(four_type_cases())
+            rows.append((p, state.coords()))
+        else:
+            rows.append((CriticalMapParams(draw(unit), draw(unit), draw(unit)), (draw(fraction),)))
+    p = rows[0][0]
+    if case == "two-type":
+        fixed = (draw(fraction), 0.0)
+    elif case == "four-type":
+        fixed = (p.a0, 0.0, 1.0 - p.a0, 0.0, p.c0, 0.0, 1.0 - p.c0, 0.0)
+    else:
+        fixed = (critical_fixed_points(p).point,)
+    return rows + [(p, fixed)]
+
+
+@settings(PROPERTY, max_examples=40)
+@given(batch_rows())
+def test_a_batch_equals_its_rows_run_alone(rows):
+    step = type(rows[0][0]).step
+    starts = np.array([start for _, start in rows]).T
+    # 5 steps leave every moving start unconverged; 400 let many converge.
+    for tol in (Tolerance(max_iters=5), Tolerance(max_iters=400)):
+        params = dynamics.stack_params([p for p, _ in rows])
+        run = dynamics.iterate_batch(step, starts, tol, params=params)
+        assert run.steps_taken[-1] == 0 and run.converged[-1]
+        for column, (p, start) in enumerate(rows):
+            alone = dynamics.iterate_batch(
+                step, starts[:, [column]], tol, params=dynamics.stack_params([p])
+            )
+            assert np.array_equal(run.end[:, column], alone.end[:, 0])
+            assert run.steps_taken[column] == alone.steps_taken[0]
+            assert run.converged[column] == alone.converged[0]
+            # The one-row wrapper, stepping with the parameters as numbers.
+            mapped = dynamics.iterate_map(p.step, start, tol)
+            assert np.array_equal(run.end[:, column], mapped.states[-1])
+            assert (run.steps_taken[column], run.converged[column]) == (
+                mapped.steps_taken, mapped.converged
+            )
 
 
 @st.composite
