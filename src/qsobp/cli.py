@@ -77,7 +77,8 @@ def _parse_range(text: str) -> list[float]:
 
 
 def _write_json(doc: dict, path: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Write ``doc``; ``ValueError``, before anything is written, on NaN or infinity."""
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -117,15 +118,14 @@ class Case:
     predict: Callable  # (params, start, tolerance) -> closed-form limit
     label: Callable  # (params, limit) -> class label
     doc: Callable  # (start, limit) -> the start and limit fields of the predict document
-    sample: Callable  # (params, rng) -> one random verify start
     sweep_columns: tuple[tuple[str, ...], tuple[str, ...]]  # start and limit columns
     start_flag: str = "state"
     coords: Callable[[object], tuple] = tuple
     grid_starts: Callable[[int], list] | None = None  # sweep starts for 'grid:N'
     fixes: Callable[[object], dict] = lambda start: {}  # parameters a start determines
-    fallback: Callable | None = None  # (params, start, error, tol) -> sweep status, limit
+    sample: Callable | None = None  # (params, rng) -> one random verify start
     verify_axes: tuple[str, str] = ("a", "c")
-    on_line: Callable[[object], bool] = lambda p: False  # cell goes to critical-line
+    on_line: Callable[[object], bool] = lambda p: False  # verify names the cell critical-line
     planar: Callable | None = None  # params -> (planar map, (w, h) of its box [0,w] x [0,h])
     portrait: tuple = ()  # (regime, parameter overrides) of each verify portrait regime
 
@@ -155,13 +155,6 @@ def _four_type_sample(p: four_types.FourTypeParams, rng) -> PopulationState:
     a0, c0 = p.a0, p.c0
     x1, x3, y1, y3 = (w * rng.uniform(0.05, 0.95) for w in (a0, 1.0 - a0, c0, 1.0 - c0))
     return make_state((x1, a0 - x1, x3, 1.0 - a0 - x3), (y1, c0 - y1, y3, 1.0 - c0 - y3))
-
-
-def _four_type_fallback(p, state, exc, tol):
-    """Iterate where the closed form does not apply; the end state stands in."""
-    run = dynamics.iterate_map(p.step, state.coords(), tol)
-    status = "critical-line" if isinstance(exc, four_types.CriticalLineError) else "fixed-start"
-    return status, run.states[-1]
 
 
 _COORDS8 = [f"x{i+1}" for i in range(4)] + [f"y{k+1}" for k in range(4)]
@@ -196,8 +189,7 @@ CASES = {
         sweep_columns=(tuple(f"s0_{c}" for c in _COORDS8), tuple(f"limit_{c}" for c in _COORDS8)),
         coords=PopulationState.coords,
         fixes=_four_type_fixes,
-        fallback=_four_type_fallback,
-        on_line=four_types.FourTypeParams.on_critical_line,
+        on_line=lambda p: 0 in four_types.limit_branch(p),
         planar=lambda p: (p.sub12_step, (p.a0, p.c0)),
         portrait=tuple(
             (regime, {"a": a, "c": c})
@@ -210,7 +202,6 @@ CASES = {
         predict=lambda p, x, tol: four_types.predict_limit_critical(p, x, tol),
         label=lambda p, lim: "affine" if p.is_affine else "quadratic",
         doc=lambda x, lim: {"x0": x, "limit": lim},
-        sample=lambda p, rng: rng.uniform(0.02, 0.98),
         sweep_columns=(("x0",), ("limit",)),
         start_flag="x0",
         coords=lambda x: (x,),
@@ -345,7 +336,9 @@ def cmd_classify(args) -> int:
     tol = _tolerance(args)
     p = _params(args.case, args)
     if args.case == "two-type":
-        point = _parse_point(args.state)
+        point = two_types.check_start(_parse_point(args.state))
+        if not dynamics.is_fixed(p.step, point, tol):
+            raise ValueError(f"{point} is not fixed: one step moves it by more than --abs-eps")
         verdict = dynamics.classify_fixed_point_2d(two_types.jacobian_matrix(p, point), tol)
         doc = {"case": "two-type", "state": list(point), **_verdict_doc(verdict)}
     else:
@@ -382,9 +375,10 @@ def _portrait_rows(case: Case, args, tol: Tolerance):
     fan = [(0.05, 0.9), (0.3, 0.9), (0.6, 0.9), (0.9, 0.85), (0.9, 0.1), (0.6, 0.05), (0.3, 0.08), (0.08, 0.3)]
     for regime, overrides in case.portrait:
         step, (w, h) = case.planar(_params(args.case, args, **overrides))
-        for t, (u, v) in enumerate(fan):
-            run = dynamics.iterate_map(step, (u * w, v * h), short_tol, store_cap=400)
-            for step_index, (x, y) in zip(run.state_steps, run.states):
+        starts = [[u * w for u, _ in fan], [v * h for _, v in fan]]
+        run = dynamics.iterate_batch(lambda _, s: step(s), starts, short_tol, store_cap=400)
+        for t, (state_steps, states) in enumerate(run.history):
+            for step_index, (x, y) in zip(state_steps, states.tolist()):
                 yield (regime, t, step_index, x, y)
 
 
@@ -399,47 +393,39 @@ def cmd_verify(args) -> int:
     tol = _tolerance(args)
     rng = np.random.default_rng(args.seed)
     grid_values = _linspace(0.05, 0.95, args.grid)
-    kinds = {"closed-form": case, "critical-line": CASES["critical-line"]}
-    # Per kind, of each start one after another: parameters, coordinates of the
-    # start and of its closed-form limit, and the index of its cell.
-    rows = {kind: ([], array("d"), array("d"), []) for kind in kinds}
+    # Of each start one after another: parameters, coordinates of the start and
+    # of its closed-form limit, and the index of its cell.
+    params, start_coords, limit_coords, owners = [], array("d"), array("d"), []
     cells = []
     for u in grid_values:
         for v in grid_values:
             cell = dict(zip(case.verify_axes, (u, v)))
             p = _params(args.case, args, **cell)
-            kind = "critical-line" if case.on_line(p) else "closed-form"
-            cell_case = kinds[kind]
-            if cell_case is not case:
-                p = _params("critical-line", args, **cell)
-            starts = [cell_case.sample(p, rng) for _ in range(args.starts)]
-            params, start_coords, limit_coords, owners = rows[kind]
+            starts = [case.sample(p, rng) for _ in range(args.starts)]
             for s0 in starts:
-                limit_coords.extend(cell_case.coords(cell_case.predict(p, s0, tol)))
-                start_coords.extend(cell_case.coords(s0))
+                limit_coords.extend(case.coords(case.predict(p, s0, tol)))
+                start_coords.extend(case.coords(s0))
                 params.append(p)
                 owners.append(len(cells))
+            kind = "critical-line" if case.on_line(p) else "closed-form"
             cells.append({**cell, "kind": kind, "max_mismatch": 0.0, "steps": 0, "converged": True})
-    # One batch per kind steps all its starts; each cell keeps its starts' largest
-    # coordinate gap to the closed form, their summed steps and whether all converged.
-    for kind, (params, start_coords, limit_coords, owners) in rows.items():
-        if not params:
-            continue
-        shape = (len(params), -1)
-        run = dynamics.iterate_batch(
-            kinds[kind].params.step,
-            np.frombuffer(start_coords).reshape(shape).T,
-            tol,
-            params=dynamics.stack_params(params),
-        )
-        gaps = np.abs(run.end - np.frombuffer(limit_coords).reshape(shape).T).max(axis=0)
-        for owner, gap, steps, converged in zip(
-            owners, gaps.tolist(), run.steps_taken.tolist(), run.converged.tolist()
-        ):
-            cell = cells[owner]
-            cell["max_mismatch"] = max(cell["max_mismatch"], gap)
-            cell["steps"] += steps
-            cell["converged"] = cell["converged"] and converged
+    # One batch steps every start; each cell keeps its starts' largest coordinate
+    # gap to the closed form, their summed steps and whether all converged.
+    shape = (len(params), -1)
+    run = dynamics.iterate_batch(
+        case.params.step,
+        np.frombuffer(start_coords).reshape(shape).T,
+        tol,
+        params=dynamics.stack_params(params),
+    )
+    gaps = np.abs(run.end - np.frombuffer(limit_coords).reshape(shape).T).max(axis=0)
+    for owner, gap, steps, converged in zip(
+        owners, gaps.tolist(), run.steps_taken.tolist(), run.converged.tolist()
+    ):
+        cell = cells[owner]
+        cell["max_mismatch"] = max(cell["max_mismatch"], gap)
+        cell["steps"] += steps
+        cell["converged"] = cell["converged"] and converged
     for cell in cells:
         cell["pass"] = cell["converged"] and cell["max_mismatch"] <= args.match_eps
     n_pass = sum(1 for cell in cells if cell["pass"])
@@ -468,7 +454,7 @@ def cmd_sweep(args) -> int:
 
     Parameters outside their valid range give status ``ValueError`` and
     starts the closed form rejects give the error's name, both with blank
-    limits; the four-type case iterates such starts instead.
+    limits.
     """
     case = CASES[args.case]
     tol = _tolerance(args)
@@ -496,11 +482,7 @@ def cmd_sweep(args) -> int:
             try:
                 limit = case.predict(p, start, tol)
             except QsobpError as exc:
-                if case.fallback is None:
-                    status, end = type(exc).__name__, blank
-                else:
-                    status, end = case.fallback(p, start, exc, tol)
-                rows.append(head + start_row + [status, *end, ""])
+                rows.append(head + start_row + [type(exc).__name__, *blank, ""])
                 continue
             rows.append(head + start_row + ["ok", *case.coords(limit), case.label(p, limit)])
     _write_csv(args.output, [*case.names, *start_columns, "status", *limit_columns, "class"], rows)

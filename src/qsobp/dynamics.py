@@ -183,20 +183,16 @@ def iterate_batch(
 
 
 def iterate_map(
-    step: MapStep,
-    start: Sequence[float],
-    tol: Tolerance = DEFAULT_TOLERANCE,
-    *,
-    store_cap: int = TRAJECTORY_STORE_CAP,
+    step: MapStep, start: Sequence[float], tol: Tolerance = DEFAULT_TOLERANCE
 ) -> MapTrajectory:
     """Iterate ``step`` from ``start`` until successive states stop moving.
 
     One trajectory through ``iterate_batch``, with the same stopping rule,
-    and its history thinned at ``store_cap`` stored states.  ``step`` takes
-    and returns coordinates; it sees them as a (d, 1) column.
+    and its history thinned at ``TRAJECTORY_STORE_CAP`` stored states.
+    ``step`` takes and returns coordinates; it sees them as a (d, 1) column.
     """
     run = iterate_batch(
-        lambda _, s: step(s), np.reshape(start, (-1, 1)), tol, store_cap=store_cap
+        lambda _, s: step(s), np.reshape(start, (-1, 1)), tol, store_cap=TRAJECTORY_STORE_CAP
     )
     ((state_steps, stored),) = run.history
     states = tuple(map(tuple, stored.tolist()))

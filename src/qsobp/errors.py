@@ -37,11 +37,6 @@ class FixedPointInputError(QsobpError):
     """A limit predictor was called with an initial point that is already fixed."""
 
 
-class CriticalLineError(QsobpError):
-    """Parameters sit on a critical line where the requested closed form
-    does not apply; the one-dimensional critical-line map must be used."""
-
-
 class SchemaError(QsobpError):
     """A JSON document does not match the expected schema."""
 

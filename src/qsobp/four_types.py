@@ -12,10 +12,11 @@ that swap.
 Away from the critical lines a+c = 1 and b+d = 1 each subsystem has two
 isolated fixed points whose stability flips with the sign of a+c-1, and
 every interior trajectory converges to a corner determined by those signs.
-On a+c = 1 the fixed points form a curve, x+y is conserved, and the motion
-along the diagonal section x+y = 1 reduces to a one-dimensional quadratic
-self-map of [0, 1] with a single attracting fixed point and no periodic
-orbits of period two or more.
+On a+c = 1 the fixed points form a curve and x+y is conserved, so every
+line x+y = k meets the curve in one point, the limit of every start on that
+line; ``critical_root`` gives it in closed form.  The diagonal section
+x+y = 1 is a one-dimensional quadratic self-map of [0, 1] with a single
+attracting fixed point and no periodic orbits of period two or more.
 """
 
 from __future__ import annotations
@@ -28,11 +29,13 @@ import numpy as np
 
 from .construction import BisexualOperator
 from .dynamics import FixedPointClass, classify_fixed_point_2d, is_fixed
-from .errors import CriticalLineError, FixedPointInputError
+from .errors import FixedPointInputError
 from .simplex import DEFAULT_TOLERANCE, PopulationState, Tolerance, check_open_unit, make_state
 
 # Parameter sums within this distance of 1 are treated as critical.
 CRITICAL_EPS = 1e-9
+# On the critical line, a quadratic coefficient 2a-1 this small is treated as zero.
+AFFINE_EPS = 1e-12
 
 Point2 = tuple[float, float]
 Coords8 = tuple[float, float, float, float, float, float, float, float]
@@ -77,12 +80,6 @@ class FourTypeParams:
             a0=a0,
             c0=c0,
         )
-
-    def on_critical_line(self) -> bool:
-        return abs(self.a + self.c - 1.0) <= CRITICAL_EPS
-
-    def mirror_on_critical_line(self) -> bool:
-        return abs(self.b + self.d - 1.0) <= CRITICAL_EPS
 
     def step(self, coords: Coords8) -> Coords8:
         """One step on bare coordinates (x1..x4, y1..y4); pairwise sums conserved."""
@@ -180,10 +177,6 @@ class SubsystemFixedPoints:
 
     critical: bool
     points: tuple[Point2, ...]
-    curve: Callable[[float], float] | None = None
-
-    def __iter__(self):
-        return iter(self.points)
 
 
 def sub12_fixed_points(p: FourTypeParams, curve_samples: int = 11) -> SubsystemFixedPoints:
@@ -191,15 +184,15 @@ def sub12_fixed_points(p: FourTypeParams, curve_samples: int = 11) -> SubsystemF
 
     Off the critical line these are exactly the corners (0, 0) and
     (a0, c0).  On it, every point of the curve y = c c0 x / (a a0 + (c-a) x)
-    is fixed; the curve is returned as a callable plus evenly sampled points
-    (the curve passes through both corners).
+    is fixed; it is returned as evenly sampled points (the curve passes
+    through both corners).
     """
-    if not p.on_critical_line():
+    if limit_branch(p)[0]:
         return SubsystemFixedPoints(critical=False, points=((0.0, 0.0), (p.a0, p.c0)))
     curve = fixed_curve(p)
     xs = np.linspace(0.0, p.a0, curve_samples)
     samples = tuple((float(x), float(curve(x))) for x in xs)
-    return SubsystemFixedPoints(critical=True, points=samples, curve=curve)
+    return SubsystemFixedPoints(critical=True, points=samples)
 
 
 def classify_sub12_fixed_points(
@@ -219,30 +212,48 @@ def classify_sub12_fixed_points(
 
 
 # ---------------------------------------------------------------------------
-# Limit prediction on a slice (both parameter sums off their critical lines).
+# Limit prediction on a slice.
 # ---------------------------------------------------------------------------
 
+
+def _side(total: float) -> int:
+    """1 when a block's parameter sum lies above one, -1 below, 0 on its critical line."""
+    return (total - 1.0 > CRITICAL_EPS) - (1.0 - total > CRITICAL_EPS)
+
+
+# The types of a block that persist in the limit, by the block's side: the
+# first type above the line, the second below it, both on it.
+_BLOCK_TYPES = ({-1: "2", 0: "12", 1: "1"}, {-1: "4", 0: "34", 1: "3"})
 _SURVIVOR_LABELS = {
-    (False, False): "f2,f4|m2,m4",
-    (False, True): "f2,f3|m2,m3",
-    (True, False): "f1,f4|m1,m4",
-    (True, True): "f1,f3|m1,m3",
+    (s12, s34): "|".join(",".join(sex + t for t in t12 + t34) for sex in "fm")
+    for s12, t12 in _BLOCK_TYPES[0].items()
+    for s34, t34 in _BLOCK_TYPES[1].items()
 }
 
 
-def limit_branch(p: FourTypeParams) -> tuple[bool, bool]:
-    """Signs of (a+c-1, b+d-1) as booleans (True = sum above one)."""
-    if p.on_critical_line() or p.mirror_on_critical_line():
-        raise CriticalLineError(
-            f"a+c={p.a + p.c}, b+d={p.b + p.d}: a parameter sum sits on the "
-            "critical line; use the one-dimensional critical-line map"
-        )
-    return (p.a + p.c > 1.0, p.b + p.d > 1.0)
+def limit_branch(p: FourTypeParams) -> tuple[int, int]:
+    """Sides of (a+c, b+d): 1 above one, -1 below, 0 on the critical line."""
+    return (_side(p.a + p.c), _side(p.b + p.d))
 
 
 def survivor_label(p: FourTypeParams) -> str:
     """Compact tag of which types persist in the predicted limit."""
     return _SURVIVOR_LABELS[limit_branch(p)]
+
+
+def _block_limit(side: int, a: float, a0: float, c0: float, x: float, y: float):
+    """Limit (x, a0 - x, y, c0 - y) of the type-1/2 block from its start (x, y).
+
+    A corner off the critical line; on it, the fixed point on the line x+y = k
+    of the start.  The type-3/4 block passes (b, 1-a0, 1-c0), as ``mirror_params``.
+    """
+    if side > 0:
+        return a0, 0.0, c0, 0.0
+    if side < 0:
+        return 0.0, a0, 0.0, c0
+    k = x + y
+    root = critical_root(a, a0, c0, k)[0]
+    return root, a0 - root, k - root, c0 - (k - root)
 
 
 def predict_limit(
@@ -251,24 +262,21 @@ def predict_limit(
     """Closed-form limit of the full operator from a non-fixed slice state.
 
     The slice sums of ``state`` must match the a0, c0 carried by the
-    parameters.  Raises on critical parameter sums and on fixed starting
-    states, which callers must treat as their own limit.
+    parameters.  Raises ``FixedPointInputError`` on a fixed starting state,
+    which callers must treat as its own limit.
     """
     sums = slice_sums(state)
     if abs(sums[0] - p.a0) > tol.abs_eps or abs(sums[2] - p.c0) > tol.abs_eps:
         raise ValueError(
             f"state slice sums {sums[0]}, {sums[2]} disagree with a0={p.a0}, c0={p.c0}"
         )
-    first_high, second_high = limit_branch(p)
-    if is_fixed(p.step, state.coords(), tol):
+    side12, side34 = limit_branch(p)
+    coords = state.coords()
+    if is_fixed(p.step, coords, tol):
         raise FixedPointInputError("the starting state is already fixed")
-    a0, c0 = p.a0, p.c0
-    x = (a0, 0.0, 1.0 - a0, 0.0) if first_high else (0.0, a0, 1.0 - a0, 0.0)
-    y = (c0, 0.0, 1.0 - c0, 0.0) if first_high else (0.0, c0, 1.0 - c0, 0.0)
-    if not second_high:
-        x = (x[0], x[1], 0.0, 1.0 - a0)
-        y = (y[0], y[1], 0.0, 1.0 - c0)
-    return make_state(x, y)
+    x1, x2, y1, y2 = _block_limit(side12, p.a, p.a0, p.c0, coords[0], coords[4])
+    x3, x4, y3, y4 = _block_limit(side34, p.b, 1.0 - p.a0, 1.0 - p.c0, coords[2], coords[6])
+    return make_state((x1, x2, x3, x4), (y1, y2, y3, y4))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +298,7 @@ class CriticalMapParams:
     @property
     def is_affine(self) -> bool:
         # The quadratic coefficient 2a-1 vanishes at a = 1/2.
-        return abs(2.0 * self.a - 1.0) <= 1e-12
+        return abs(2.0 * self.a - 1.0) <= AFFINE_EPS
 
     def step(self, s: tuple[float]) -> tuple[float]:
         """The section map on 1-tuples, as the iteration engine expects."""
@@ -321,31 +329,36 @@ class CriticalFixedPoints:
     discriminant: float | None
 
 
+def critical_root(a: float, a0: float, c0: float, k: float):
+    """Where the line x+y = k meets the fixed curve of the type-1/2 block when c = 1-a.
+
+    ``(inside, outside, discriminant)``: the root in [max(0, k-c0), min(a0, k)]
+    of (2a-1) x^2 - K x + k a a0 = 0, K = k + a a0 - (1-a)(2k - c0), and the
+    other root; at a = 1/2, k a0 / (a0 + c0), None and None.
+    """
+    quad = 2.0 * a - 1.0
+    if abs(quad) <= AFFINE_EPS:
+        return k * a0 / (a0 + c0), None, None
+    # At k = 1.0 every operation is the section map's own, bit for bit.
+    big_k = k + a * a0 - (1.0 - a) * (2.0 * k - c0)
+    disc = big_k * big_k - 4.0 * a * a0 * quad * k
+    root = math.sqrt(max(disc, 0.0))
+    # Pair the additions by sign to avoid cancellation: the in-range root
+    # carries -sign(K)*sqrt(D).
+    if big_k >= 0.0:
+        q = (big_k + root) / 2.0
+        return (a * a0 * k) / q, q / quad, disc
+    q = (big_k - root) / 2.0
+    return q / quad, (a * a0 * k) / q, disc
+
+
 def critical_fixed_points(cp: CriticalMapParams) -> CriticalFixedPoints:
     """Solve the fixed-point equation of the section map in closed form.
 
-    The quadratic case uses the cancellation-free root formula; the in-range
-    root has derivative 1 - sqrt(D) there.  In the affine case the fixed
-    point is a0 / (a0 + c0).
+    The section map is the line x+y = 1 of ``critical_root``; the in-range
+    root has derivative 1 - sqrt(D) there.
     """
-    if cp.is_affine:
-        return CriticalFixedPoints(
-            point=cp.a0 / (cp.a0 + cp.c0), spurious=None, discriminant=None
-        )
-    a, a0, c0 = cp.a, cp.a0, cp.c0
-    quad = 2.0 * a - 1.0
-    k = 1.0 + a * a0 - (1.0 - a) * (2.0 - c0)
-    disc = k * k - 4.0 * a * a0 * quad
-    root = math.sqrt(max(disc, 0.0))
-    # Roots of quad*t^2 - k*t + a*a0; pair the additions by sign to avoid
-    # cancellation: the in-range root carries -sign(k)*sqrt(D).
-    if k >= 0.0:
-        q = (k + root) / 2.0
-        inside, outside = (a * a0) / q, q / quad
-    else:
-        q = (k - root) / 2.0
-        inside, outside = q / quad, (a * a0) / q
-    return CriticalFixedPoints(point=inside, spurious=outside, discriminant=disc)
+    return CriticalFixedPoints(*critical_root(cp.a, cp.a0, cp.c0, 1.0))
 
 
 def critical_slope(cp: CriticalMapParams) -> float:

@@ -7,9 +7,11 @@ Core claims:
   - predict / classify / fixed-points emit the documented JSON documents
   - verify pairs closed-form limits with iteration and reports pass/fail
   - sweep emits deterministic CSV, flipping branches exactly at the
-    critical parameter sum
+    critical parameter sum, where the limit keeps the block's x+y
   - exit codes: 0 ran, 2 input error, 3 i/o error; non-finite weights and
-    tensor entries and --seed on a command that draws nothing are input errors
+    tensor entries, --seed on a command that draws nothing and a two-type
+    classify point that is not fixed are input errors; no JSON document
+    holds NaN or infinity
   - trajectory files do not depend on the number of BLAS threads
 """
 
@@ -23,7 +25,7 @@ import numpy as np
 import pytest
 
 import qsobp
-from qsobp import construction, four_types, two_types
+from qsobp import cli, construction, four_types, two_types
 from qsobp.cli import main
 
 TWO_TYPE_DOC = {
@@ -297,12 +299,17 @@ def test_verify_four_type_with_portrait(tmp_path):
         assert max(abs(x), abs(y)) <= 1e-6
 
 
-def test_verify_rejects_critical_mirror_params(tmp_path):
+def test_verify_passes_every_cell_on_the_mirror_critical_line(tmp_path):
+    report = tmp_path / "r.json"
     code = main(
         ["verify", "--case", "four-type", "--grid", "2", "--b", "0.45", "--d", "0.55",
-         "--report", str(tmp_path / "r.json")]
+         "--report", str(report)]
     )
-    assert code == 2
+    assert code == 0
+    cells = json.loads(report.read_text())["cells"]
+    assert len(cells) == 4
+    for cell in cells:
+        assert cell["kind"] == "critical-line" and cell["pass"] is True
 
 
 def test_sweep_empty_grid_writes_header_only(tmp_path):
@@ -328,10 +335,14 @@ def test_sweep_four_type_flips_at_critical_sum(tmp_path):
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 7
+    assert sum(row["b"] == "0.5" for row in rows) == 1
     for row in rows:
         total = float(row["b"]) + float(row["d"])
         if abs(total - 1.0) <= 1e-9:
-            assert row["status"] == "critical-line"
+            assert row["status"] == "ok"
+            assert row["class"] == "f2,f3,f4|m2,m3,m4"
+            kept = float(row["limit_x3"]) + float(row["limit_y3"])
+            assert kept == pytest.approx(float(row["s0_x3"]) + float(row["s0_y3"]), abs=1e-15)
         elif total < 1.0:
             assert row["class"] == "f2,f4|m2,m4"
             assert float(row["limit_x3"]) == 0.0
@@ -585,6 +596,28 @@ def test_iterate_rejects_a_nan_operator_before_any_step(tmp_path, monkeypatch):
     argv = ["iterate", "--operator", str(op_path), "--state", "0.5,0.5;0.5,0.5"]
     assert main([*argv, "--summary", str(summary)]) == 2
     assert not summary.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--state", "nan,0.3"],
+        ["--state", "5,7"],
+        ["--a", "0.6", "--b", "0.4", "--state", "0.3,0.2"],  # inside the square, not fixed
+    ],
+)
+def test_classify_two_type_rejects_a_point_that_is_not_fixed(flags, tmp_path):
+    out = tmp_path / "c.json"
+    assert main(["classify", "--case", "two-type", *flags, "--output", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_json_documents_reject_nan_and_infinity(tmp_path):
+    for value in (float("nan"), float("inf")):
+        out = tmp_path / "d.json"
+        with pytest.raises(ValueError):
+            cli._write_json({"x": value}, str(out))
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

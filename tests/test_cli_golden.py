@@ -4,9 +4,9 @@ Each case runs one CLI command in a fresh directory and compares the sha256
 of every file it writes with a recorded digest, so any change to an output
 byte (a float's repr, a key, a row order) fails here.  Inputs stay inside the
 parameter ranges every version of the CLI accepts.  To print the digest table
-of the current code:
+of the current code, for every case or only for the cases named:
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py [CASE ...]
 """
 
 import hashlib
@@ -145,10 +145,10 @@ DIGESTS = {
         "s.csv": "046c3e92b59938cc796655a40a209da8dcedf987f7ee0cd4264cf2550bcc5e78",
     },
     "sweep-four": {
-        "s.csv": "a42801b265989737c44e01ba449485c738ce3880749ea33360cf1c87b6bcbcf1",
+        "s.csv": "762f2153dc5319a0dd3648d9cf1a361c44a7d3496e9364bb05d6a202a1736569",
     },
     "sweep-four-fixed-start": {
-        "s.csv": "de9732b0062f4864f132b8f64cb59184a30e70658719acba2da6d918f4fd0e22",
+        "s.csv": "458bb1017b3d9b07749c8e52d79a696511c2692ca0c78c1cc3745681fb281410",
     },
     "sweep-two": {
         "s.csv": "9a1674cb99dbe09d57a76e7bffa347d509ae4e75a0038a77aae6a236493296a7",
@@ -158,7 +158,7 @@ DIGESTS = {
     },
     "verify-four-portrait": {
         "p.csv": "ecea692027eb11b177132f75efb617692674a0616fc06c87d86613413bd41b27",
-        "r.json": "118618974932917d0c22ad422584237ab80a66da0251f9420a836c2c8043a4e1",
+        "r.json": "5931f69a182c1329dbbedb8ca6379896964c630e75df5d885068aaea10a179cd",
     },
     "verify-two": {
         "r.json": "c8e4b5aac12de8b8c358ce8c5922262cce9b2866e0616b949a7165cf4d5caeb1",
@@ -196,8 +196,12 @@ if __name__ == "__main__":
     import io
     import tempfile
 
+    names = sys.argv[1:] or sorted(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown cases: {', '.join(unknown)}")
     table = {}
-    for case in sorted(CASES):
+    for case in names:
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
             code, table[case] = run_case(case, tmp)
         if code != 0:

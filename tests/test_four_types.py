@@ -8,8 +8,9 @@ Core claims:
   - off the critical line the fixed points and their stability follow the
     sign of a+c-1, and iterated limits match the four-branch prediction
   - on the critical line x+y is conserved, the fixed set is the stated
-    curve, and the one-dimensional section map has one attracting fixed
-    point, correct slope, and no low-period cycles
+    curve, the predicted limit is the curve's point on the start's line x+y,
+    and the one-dimensional section map has one attracting fixed point,
+    correct slope, and no low-period cycles
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 
 from qsobp import dynamics
 from qsobp.dynamics import StabilityKind
-from qsobp.errors import CriticalLineError, FixedPointInputError
+from qsobp.errors import FixedPointInputError
 from qsobp.four_types import (
     CriticalMapParams,
     FourTypeParams,
@@ -27,6 +28,7 @@ from qsobp.four_types import (
     critical_step,
     fixed_curve,
     lift_operator,
+    limit_branch,
     mirror_params,
     predict_limit,
     predict_limit_critical,
@@ -218,11 +220,28 @@ def test_predict_limit_four_branches(a, b, c, d, expected_x, expected_y, label):
     assert survivor_label(p) == label
 
 
-def test_predict_limit_rejects_critical_params():
-    with pytest.raises(CriticalLineError):
-        predict_limit(params(a=0.4, c=0.6), _interior_state(0.5, 0.5))
-    with pytest.raises(CriticalLineError):
-        predict_limit(params(b=0.45, d=0.55), _interior_state(0.5, 0.5))
+@pytest.mark.parametrize(
+    "p,label",
+    [
+        (params(a=0.4, c=0.6, a0=0.35, c0=0.6), "f1,f2,f4|m1,m2,m4"),
+        (params(b=0.45, d=0.55, a0=0.35, c0=0.6), "f2,f3,f4|m2,m3,m4"),
+        (params(a=0.7, c=0.3, b=0.8, d=0.2, a0=0.35, c0=0.6), "f1,f2,f3,f4|m1,m2,m3,m4"),
+    ],
+    ids=["a+c=1", "b+d=1", "both"],
+)
+def test_predict_limit_on_each_critical_line(p, label):
+    state = _interior_state(p.a0, p.c0)
+    limit = predict_limit(p, state)
+    x, y = limit.female.probs, limit.male.probs
+    # A block on its line keeps its x+y and ends on its fixed curve.
+    for i, side, block in zip((0, 2), limit_branch(p), (p, mirror_params(p))):
+        if side == 0:
+            assert x[i] + y[i] == pytest.approx(state.female[i] + state.male[i], rel=0, abs=1e-15)
+            assert y[i] == pytest.approx(fixed_curve(block)(x[i]), rel=0, abs=1e-15)
+    assert max(abs(n - o) for n, o in zip(p.step(limit.coords()), limit.coords())) <= 1e-15
+    run = dynamics.iterate_map(p.step, state.coords(), Tolerance(iter_eps=1e-15))
+    assert max(abs(u - v) for u, v in zip(run.states[-1], limit.coords())) <= 1e-12
+    assert survivor_label(p) == label
 
 
 def test_predict_limit_rejects_fixed_state():

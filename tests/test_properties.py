@@ -5,6 +5,8 @@ four-type and the critical-line case:
   - a predictor raises FixedPointInputError exactly when dynamics.is_fixed
     holds for its start under the same tolerance
   - every predicted limit is a fixed point of the case's step to 1e-12
+  - a four-type block on its critical line (a+c = 1 or b+d = 1) keeps its
+    x+y in the limit to 1e-12, and the limit is where iteration ends to 1e-9
   - one step conserves x/a + y/(1-b) (two-type) and the four slice sums
     (four-type) to 1e-12
   - a batch of trajectories with per-row parameters ends each row where the
@@ -19,7 +21,7 @@ and, for random graphs, allele counts, female splits and weights:
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsobp import dynamics
@@ -36,6 +38,7 @@ from qsobp.four_types import (
     CriticalMapParams,
     FourTypeParams,
     critical_fixed_points,
+    limit_branch,
     predict_limit,
     predict_limit_critical,
     slice_sums,
@@ -68,16 +71,22 @@ def _predicts(predictor, p, start, tol):
         return None
 
 
+def _slice_state(a0, c0, fx1, fx3, fy1, fy3):
+    """The state on the slice (a0, c0) that splits each pair at the given fractions."""
+    x1, x3, y1, y3 = fx1 * a0, fx3 * (1.0 - a0), fy1 * c0, fy3 * (1.0 - c0)
+    return make_state((x1, a0 - x1, x3, 1.0 - a0 - x3), (y1, c0 - y1, y3, 1.0 - c0 - y3))
+
+
 @st.composite
 def four_type_cases(draw):
-    a0, c0 = draw(unit), draw(unit)
-    fx1, fx3, fy1, fy3 = (draw(fraction) for _ in range(4))
-    x1, x3, y1, y3 = fx1 * a0, fx3 * (1.0 - a0), fy1 * c0, fy3 * (1.0 - c0)
-    state = make_state((x1, a0 - x1, x3, 1.0 - a0 - x3), (y1, c0 - y1, y3, 1.0 - c0 - y3))
+    """Parameters and a slice state; half the time a+c = 1, b+d = 1 or both."""
+    state = _slice_state(draw(unit), draw(unit), *(draw(fraction) for _ in range(4)))
     sums = slice_sums(state)
-    p = FourTypeParams(draw(unit), draw(unit), draw(unit), draw(unit), a0=sums[0], c0=sums[2])
-    assume(not (p.on_critical_line() or p.mirror_on_critical_line()))
-    return p, state
+    a, b, c, d = (draw(unit) for _ in range(4))
+    lines = draw(st.sampled_from(["", "", "", "12", "34", "12 34"]))
+    c = 1.0 - a if "12" in lines else c
+    d = 1.0 - b if "34" in lines else d
+    return FourTypeParams(a, b, c, d, a0=sums[0], c0=sums[2]), state
 
 
 @PROPERTY
@@ -100,6 +109,10 @@ def test_four_type_predictor(case, tol):
     assert (limit is None) == dynamics.is_fixed(p.step, state.coords(), tol)
     if limit is not None:
         assert _moved(p.step, limit.coords()) <= 1e-12
+        for i, side in zip((0, 2), limit_branch(p)):
+            if side == 0:
+                kept = limit.female[i] + limit.male[i]
+                assert kept == pytest.approx(state.female[i] + state.male[i], rel=0, abs=1e-12)
     after = p.step(state.coords())
     moved_sums = slice_sums(make_state(after[:4], after[4:]))
     assert max(abs(u - v) for u, v in zip(moved_sums, slice_sums(state))) <= 1e-12
@@ -115,6 +128,38 @@ def test_critical_line_predictor(a, a0, c0, x0, tol):
     assert (limit is None) == dynamics.is_fixed(cp.step, (x0,), tol)
     if limit is not None:
         assert _moved(cp.step, (limit,)) <= 1e-12
+
+
+def test_critical_line_limits_are_where_iteration_ends():
+    # A block off its line stays at least 0.05 away from it: closer, its
+    # corner attracts so slowly that iteration stops short of it.
+    rng = np.random.default_rng(2024)
+    rows, starts, limits = [], [], []
+    for _ in range(300):
+        lines = rng.integers(3)  # 0: a+c = 1, 1: b+d = 1, 2: both
+        a, b, c, d = rng.uniform(0.05, 0.95, 4)
+        if lines != 1:
+            c = 1.0 - a
+        if lines != 0:
+            d = 1.0 - b
+        while lines == 0 and abs(b + d - 1.0) < 0.05:
+            d = rng.uniform(0.05, 0.95)
+        while lines == 1 and abs(a + c - 1.0) < 0.05:
+            c = rng.uniform(0.05, 0.95)
+        a0, c0 = rng.uniform(0.05, 0.95, 2)
+        state = _slice_state(a0, c0, *rng.uniform(0.05, 0.95, 4))
+        p = FourTypeParams(*map(float, (a, b, c, d)), a0=float(a0), c0=float(c0))
+        rows.append(p)
+        starts.append(state.coords())
+        limits.append(predict_limit(p, state).coords())
+    run = dynamics.iterate_batch(
+        FourTypeParams.step,
+        np.array(starts).T,
+        Tolerance(iter_eps=1e-13, max_iters=10**5),
+        params=dynamics.stack_params(rows),
+    )
+    assert run.converged.all()
+    assert np.abs(run.end - np.array(limits).T).max() <= 1e-9
 
 
 @st.composite
