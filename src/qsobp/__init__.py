@@ -26,7 +26,6 @@ from .construction import (
 )
 from .dynamics import (
     FixedPointClass,
-    MapTrajectory,
     QuadraticCharacteristic,
     StabilityKind,
     Trajectory,
@@ -35,7 +34,6 @@ from .dynamics import (
     find_fixed_points_grid,
     iterate,
     iterate_map,
-    jacobian,
 )
 from .four_types import CriticalMapParams, FourTypeParams
 from .simplex import (
@@ -44,7 +42,6 @@ from .simplex import (
     Tolerance,
     make_distribution,
     make_state,
-    state_distance,
 )
 from .two_types import TwoTypeParams
 

@@ -126,7 +126,7 @@ class Case:
     sample: Callable | None = None  # (params, rng) -> one random verify start
     verify_axes: tuple[str, str] = ("a", "c")
     on_line: Callable[[object], bool] = lambda p: False  # verify names the cell critical-line
-    planar: Callable | None = None  # params -> (planar map, (w, h) of its box [0,w] x [0,h])
+    planar: Callable | None = None  # params -> (planar map, its Jacobian, (w, h) of [0,w] x [0,h])
     portrait: tuple = ()  # (regime, parameter overrides) of each verify portrait regime
 
     @property
@@ -176,7 +176,7 @@ CASES = {
         sweep_columns=(("x0", "y0"), ("limit_x", "limit_y")),
         grid_starts=lambda count: list(itertools.product(_linspace(0.1, 0.9, count), repeat=2)),
         verify_axes=("a", "b"),
-        planar=lambda p: (p.step, (1.0, 1.0)),
+        planar=lambda p: (p.step, lambda s: two_types.jacobian_matrix(p, s), (1.0, 1.0)),
         portrait=(("two-type", {}),),
     ),
     "four-type": Case(
@@ -190,7 +190,7 @@ CASES = {
         coords=PopulationState.coords,
         fixes=_four_type_fixes,
         on_line=lambda p: 0 in four_types.limit_branch(p),
-        planar=lambda p: (p.sub12_step, (p.a0, p.c0)),
+        planar=lambda p: (p.sub12_step, lambda s: four_types.sub12_jacobian(p, s), (p.a0, p.c0)),
         portrait=tuple(
             (regime, {"a": a, "c": c})
             for regime, a, c in (("below", 0.3, 0.3), ("above", 0.7, 0.7), ("critical", 0.4, 0.6))
@@ -266,22 +266,21 @@ def cmd_iterate(args) -> int:
     state = _parse_full_state(args.state)
     tol = _tolerance(args)
     trajectory = dynamics.iterate(op, state, tol)
+    n, limit = op.n, trajectory.limit
     if args.trajectory is not None:
-        header = ["step"] + [f"x_{i+1}" for i in range(op.n)] + [f"y_{k+1}" for k in range(op.nu)]
-        rows = ([t, *s.coords()] for t, s in zip(trajectory.state_steps, trajectory.states))
+        header = ["step"] + [f"x_{i+1}" for i in range(n)] + [f"y_{k+1}" for k in range(op.nu)]
+        rows = ([t, *s] for t, s in zip(trajectory.state_steps, trajectory.states.tolist()))
         _write_csv(args.trajectory, header, rows)
     drifts = {
-        "female_total": dynamics.conserved_quantity_drift(
-            trajectory, lambda s: sum(s.female.probs)
-        ),
-        "male_total": dynamics.conserved_quantity_drift(trajectory, lambda s: sum(s.male.probs)),
+        "female_total": dynamics.conserved_quantity_drift(trajectory, lambda s: sum(s[:n])),
+        "male_total": dynamics.conserved_quantity_drift(trajectory, lambda s: sum(s[n:])),
     }
     summary = {
         "source": meta,
         "initial": _state_doc(state),
         "converged": trajectory.converged,
         "steps": trajectory.steps_taken,
-        "limit": _state_doc(trajectory.limit) if trajectory.limit is not None else None,
+        "limit": None if limit is None else {"female": list(limit[:n]), "male": list(limit[n:])},
         "drifts": drifts,
         "seed": args.seed,
         "tolerance": asdict(tol),
@@ -321,8 +320,7 @@ def cmd_fixed_points(args) -> int:
             "slope": four_types.critical_slope(p),
         }
     if args.grid and case.planar is not None:
-        step, (w, h) = case.planar(p)
-        found = dynamics.find_fixed_points_grid(step, ((0.0, w), (0.0, h)), args.grid, tol)
+        found = dynamics.find_fixed_points_grid(*case.planar(p), args.grid, tol)
         doc["grid_points"] = [list(pt) for pt in found]
     _write_json(doc, args.output)
     return EXIT_OK
@@ -374,11 +372,11 @@ def _portrait_rows(case: Case, args, tol: Tolerance):
     short_tol = Tolerance(abs_eps=tol.abs_eps, iter_eps=tol.iter_eps, max_iters=20_000)
     fan = [(0.05, 0.9), (0.3, 0.9), (0.6, 0.9), (0.9, 0.85), (0.9, 0.1), (0.6, 0.05), (0.3, 0.08), (0.08, 0.3)]
     for regime, overrides in case.portrait:
-        step, (w, h) = case.planar(_params(args.case, args, **overrides))
+        step, _, (w, h) = case.planar(_params(args.case, args, **overrides))
         starts = [[u * w for u, _ in fan], [v * h for _, v in fan]]
         run = dynamics.iterate_batch(lambda _, s: step(s), starts, short_tol, store_cap=400)
-        for t, (state_steps, states) in enumerate(run.history):
-            for step_index, (x, y) in zip(state_steps, states.tolist()):
+        for t, trajectory in enumerate(run.trajectories):
+            for step_index, (x, y) in zip(trajectory.state_steps, trajectory.states.tolist()):
                 yield (regime, t, step_index, x, y)
 
 
@@ -539,7 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd = command("fixed-points", cmd_fixed_points, "fixed points of a case map", list(CASES),
                   CASE_DEFAULTS)
-    cmd.add_argument("--grid", type=int, default=0, help="grid cross-check resolution")
+    cmd.add_argument("--grid", type=int, default=0, help="seeds per axis of the numerical "
+                     "fixed-point search (≥ 2; 0 skips it)")
     cmd.add_argument("--output", default=None)
 
     cmd = command("classify", cmd_classify, "stability classes of fixed points",

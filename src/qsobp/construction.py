@@ -234,13 +234,6 @@ class WeightPair:
                     )
 
 
-def uniform_weights(space: ConfigurationSpace) -> WeightPair:
-    return WeightPair(
-        {i: 1.0 for i in space.females},
-        {j: 1.0 for j in space.males},
-    )
-
-
 @dataclass(frozen=True)
 class HeredityTensors:
     """Stochastic heredity coefficients.

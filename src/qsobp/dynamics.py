@@ -1,4 +1,4 @@
-"""Trajectory iteration, Jacobians and fixed-point classification.
+"""Trajectory iteration, fixed-point classification and fixed-point search.
 
 One engine, ``iterate_batch``, steps every trajectory: a (d, B) array holds
 B states of d coordinates, one column per trajectory, and each step maps the
@@ -11,9 +11,10 @@ detected from successive-state distance, never from distance to a known
 limit, so the same loop serves operators whose limits are unknown.
 
 ``iterate_map`` (a bare coordinate map) and ``iterate`` (a bisexual
-operator) run one trajectory through the engine and keep its thinned history.
-Planar fixed points are classified from the moduli of the roots of their
-Jacobian's characteristic polynomial, that is, of its two eigenvalues.
+operator) run one trajectory through the engine and return its thinned
+history as a ``Trajectory``.  Planar fixed points are found by one batched
+refinement of a seed lattice and classified from the moduli of the roots of
+their Jacobian's characteristic polynomial, that is, of its two eigenvalues.
 """
 
 from __future__ import annotations
@@ -42,44 +43,34 @@ BatchStep = Callable[[object, np.ndarray], object]
 
 
 @dataclass(frozen=True)
-class MapTrajectory:
-    """Iteration record of a bare coordinate map.
+class Trajectory:
+    """Iteration record of one trajectory.
 
-    ``states`` may be thinned; ``state_steps`` holds the true step index of
-    each stored state (first and last are always present).
+    ``states`` is the (k, d) array of stored states, possibly thinned;
+    ``state_steps`` holds the true step index of each (first and last are
+    always present).  ``limit`` is the last state if the run converged.
     """
 
-    states: tuple[Point, ...]
+    states: np.ndarray
     state_steps: tuple[int, ...]
     converged: bool
+    steps_taken: int
     limit: Point | None
-    steps_taken: int
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Iteration record of a bisexual operator."""
-
-    states: tuple[PopulationState, ...]
-    state_steps: tuple[int, ...]
-    converged: bool
-    limit: PopulationState | None
-    steps_taken: int
 
 
 @dataclass(frozen=True)
 class BatchRun:
     """Iteration record of a batch, one entry or column per trajectory.
 
-    ``end`` is the (d, B) array of last states.  ``history`` is None unless
-    the caller asked for it; then it holds, per trajectory, the true step
-    indices of its stored states and those states as a (k, d) array.
+    ``end`` is the (d, B) array of last states.  ``trajectories`` is None
+    unless the caller asked for histories; then it holds one ``Trajectory``
+    per column.
     """
 
     end: np.ndarray
     steps_taken: np.ndarray
     converged: np.ndarray
-    history: tuple[tuple[tuple[int, ...], np.ndarray], ...] | None = None
+    trajectories: tuple[Trajectory, ...] | None = None
 
 
 def stack_params(rows: Sequence):
@@ -96,14 +87,16 @@ def _narrow(params, keep: np.ndarray):
     return replace(params, **{f.name: getattr(params, f.name)[keep] for f in fields(params)})
 
 
-def _history(stored: list, column: int, total: int, last: np.ndarray):
-    """One trajectory's stored step indices and states, ending at step ``total``."""
+def _trajectory(stored: list, column: int, total: int, last: np.ndarray, converged: bool):
+    """One column's record; it stopped moving at step ``total`` when ``converged``."""
     steps = [t for t, _ in stored]
     states = [s[:, column] for _, s in stored]
     if steps[-1] != total:
         steps.append(total)
         states.append(last)
-    return tuple(steps), np.stack(states)
+    steps_taken = total - 1 if converged else total
+    limit = tuple(last.tolist()) if converged else None
+    return Trajectory(np.stack(states), tuple(steps), converged, steps_taken, limit)
 
 
 def iterate_batch(
@@ -128,8 +121,8 @@ def iterate_batch(
         tol: Iteration thresholds and budget.
         params: Per-row parameters, a dataclass whose fields are (B,) arrays
             (see ``stack_params``), narrowed to the rows still moving; or None.
-        store_cap: When given, every trajectory's history is kept, thinned to
-            every k-th state once it would hold more than ``store_cap``.
+        store_cap: When given, every column's ``Trajectory`` is kept, thinned
+            to every k-th state once it would hold more than ``store_cap``.
     """
     state = np.array(states, dtype=float)
     width = state.shape[1]
@@ -161,7 +154,7 @@ def iterate_batch(
         keep = ~done
         if histories is not None:
             for column in np.flatnonzero(done):
-                histories[rows[column]] = _history(stored, column, total, state[:, column])
+                histories[rows[column]] = _trajectory(stored, column, total, state[:, column], True)
         rows, state = rows[keep], state[:, keep]
         if not rows.size:
             break
@@ -173,18 +166,18 @@ def iterate_batch(
     steps_taken[rows] = total
     if histories is not None:
         for column, row in enumerate(rows):
-            histories[row] = _history(stored, column, total, state[:, column])
+            histories[row] = _trajectory(stored, column, total, state[:, column], False)
     return BatchRun(
         end=end,
         steps_taken=steps_taken,
         converged=converged,
-        history=tuple(histories) if histories is not None else None,
+        trajectories=tuple(histories) if histories is not None else None,
     )
 
 
 def iterate_map(
     step: MapStep, start: Sequence[float], tol: Tolerance = DEFAULT_TOLERANCE
-) -> MapTrajectory:
+) -> Trajectory:
     """Iterate ``step`` from ``start`` until successive states stop moving.
 
     One trajectory through ``iterate_batch``, with the same stopping rule,
@@ -194,16 +187,7 @@ def iterate_map(
     run = iterate_batch(
         lambda _, s: step(s), np.reshape(start, (-1, 1)), tol, store_cap=TRAJECTORY_STORE_CAP
     )
-    ((state_steps, stored),) = run.history
-    states = tuple(map(tuple, stored.tolist()))
-    converged = bool(run.converged[0])
-    return MapTrajectory(
-        states=states,
-        state_steps=state_steps,
-        converged=converged,
-        limit=states[-1] if converged else None,
-        steps_taken=int(run.steps_taken[0]),
-    )
+    return run.trajectories[0]
 
 
 def is_fixed(step: MapStep, point: Sequence[float], tol: Tolerance) -> bool:
@@ -215,53 +199,22 @@ def is_fixed(step: MapStep, point: Sequence[float], tol: Tolerance) -> bool:
     return max(map(abs, map(sub, step(point), point))) <= tol.abs_eps
 
 
-def operator_step(op: BisexualOperator) -> MapStep:
-    """The operator as a map on columns of concatenated (female, male) coordinates."""
-
-    def step(s: np.ndarray) -> np.ndarray:
-        return np.column_stack([np.concatenate(op.apply_raw(c[: op.n], c[op.n :])) for c in s.T])
-
-    return step
-
-
 def iterate(
     op: BisexualOperator, start: PopulationState, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> Trajectory:
-    """Iterate a bisexual operator from a population state."""
+    """Iterate a bisexual operator on its coordinates, female block first.
+
+    ``make_state`` checks that every stored state lies on the simplexes.
+    """
     if start.dims != (op.n, op.nu):
         raise DimensionMismatchError(f"state dims {start.dims}, operator ({op.n},{op.nu})")
-    raw = iterate_map(operator_step(op), start.coords(), tol)
-
-    def unpack(s: Point) -> PopulationState:
-        return make_state(s[: op.n], s[op.n :])
-
-    return Trajectory(
-        states=tuple(unpack(s) for s in raw.states),
-        state_steps=raw.state_steps,
-        converged=raw.converged,
-        limit=unpack(raw.limit) if raw.limit is not None else None,
-        steps_taken=raw.steps_taken,
+    n = op.n
+    run = iterate_map(
+        lambda s: np.concatenate(op.apply_raw(s[:n, 0], s[n:, 0]))[:, None], start.coords(), tol
     )
-
-
-def jacobian(op: BisexualOperator, state: PopulationState) -> np.ndarray:
-    """Analytic Jacobian of the full coordinate map at ``state``.
-
-    The map is quadratic, so the partials are linear:
-    d x'_j / d x_i = sum_k pf[i,k,j] y_k, d x'_j / d y_k = sum_i pf[i,k,j] x_i,
-    and likewise for the male block.  Rows are outputs (female block first),
-    columns are inputs.
-    """
-    if state.dims != (op.n, op.nu):
-        raise DimensionMismatchError(f"state dims {state.dims}, operator ({op.n},{op.nu})")
-    x = np.array(state.female.probs)
-    y = np.array(state.male.probs)
-    pf, pm = op.tensors.pf, op.tensors.pm
-    jxx = np.einsum("ikj,k->ji", pf, y)
-    jxy = np.einsum("ikj,i->jk", pf, x)
-    jyx = np.einsum("ikl,k->li", pm, y)
-    jyy = np.einsum("ikl,i->lk", pm, x)
-    return np.block([[jxx, jxy], [jyx, jyy]])
+    for row in run.states.tolist():
+        make_state(row[:n], row[n:])
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -329,97 +282,61 @@ def classify_fixed_point_2d(
 # Numerical fixed-point search for planar maps.
 # ---------------------------------------------------------------------------
 
-Step2D = Callable[[tuple[float, float]], tuple[float, float]]
-
-
-def _fd_residual_jacobian(step: Step2D, p: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    j = np.empty((2, 2))
-    for col in range(2):
-        hi = p.copy()
-        lo = p.copy()
-        hi[col] += h
-        lo[col] -= h
-        fhi = np.array(step((hi[0], hi[1]))) - hi
-        flo = np.array(step((lo[0], lo[1]))) - lo
-        j[:, col] = (fhi - flo) / (2.0 * h)
-    return j
-
-
-def _refine_fixed_point(
-    step: Step2D, seed: tuple[float, float], tol: Tolerance
-) -> tuple[float, float] | None:
-    """Damped least-squares descent on the fixed-point residual."""
-    p = np.array(seed, dtype=float)
-    residual = np.array(step((p[0], p[1]))) - p
-    damping = 1e-3
-    for _ in range(80):
-        if np.abs(residual).max() <= 0.01 * tol.abs_eps:
-            break
-        j = _fd_residual_jacobian(step, p)
-        lhs = j.T @ j + damping * np.eye(2)
-        try:
-            delta = np.linalg.solve(lhs, -j.T @ residual)
-        except np.linalg.LinAlgError:
-            damping *= 10.0
-            continue
-        candidate = p + delta
-        cand_residual = np.array(step((candidate[0], candidate[1]))) - candidate
-        if np.dot(cand_residual, cand_residual) < np.dot(residual, residual):
-            p, residual = candidate, cand_residual
-            damping = max(damping * 0.3, 1e-12)
-        else:
-            damping *= 10.0
-            if damping > 1e10:
-                break
-    if np.abs(residual).max() <= tol.abs_eps:
-        return (float(p[0]), float(p[1]))
-    return None
-
 
 def find_fixed_points_grid(
-    step: Step2D,
-    domain: tuple[tuple[float, float], tuple[float, float]],
+    step: Callable,
+    jacobian: Callable,
+    box: tuple[float, float],
     grid: int,
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> list[tuple[float, float]]:
-    """Seed a lattice over ``domain`` and refine each seed to a fixed point.
+    """Fixed points of a planar map, refined from a grid x grid lattice of seeds on [0,w] x [0,h].
 
-    Points whose final max-norm residual exceeds ``tol.abs_eps`` are
-    dropped, as are points escaping the domain; survivors are deduplicated
-    within ``10 * tol.abs_eps``.  A continuum of fixed points comes back as
-    a cloud of nearby points, one per basin of the refinement.
+    ``step`` maps (2, B) points to their images, ``jacobian`` to the (2, 2, B)
+    Jacobians there.  All seeds descend at once by damped least squares on
+    r = step(p) - p until max|r| <= abs_eps / 100.  Points left with
+    max|r| > abs_eps or more than 1e-9 outside the box are dropped; the rest
+    are clipped into the box and deduplicated within ``10 * abs_eps``, so a
+    continuum of fixed points comes back as a cloud, one point per basin.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    (x_lo, x_hi), (y_lo, y_hi) = domain
+    w, h = box
+    xs, ys = np.meshgrid(np.linspace(0.0, w, grid), np.linspace(0.0, h, grid), indexing="ij")
+    p = np.stack([xs.ravel(), ys.ravel()])
+    r = np.asarray(step(p)) - p
+    damping = np.full(p.shape[1], 1e-3)
+    for _ in range(80):
+        active = (np.abs(r).max(axis=0) > 0.01 * tol.abs_eps) & (damping <= 1e10)
+        if not active.any():
+            break
+        j = np.asarray(jacobian(p)) - np.eye(2)[:, :, None]
+        (a, b), (_, d) = np.einsum("kib,kjb->ijb", j, j) + damping * np.eye(2)[:, :, None]
+        g = np.einsum("kib,kb->ib", j, r)
+        det = a * d - b * b
+        solvable = active & (det > 0.0)
+        det = np.where(solvable, det, 1.0)
+        candidate = p + np.stack([b * g[1] - d * g[0], b * g[0] - a * g[1]]) / det
+        cand_r = np.asarray(step(candidate)) - candidate
+        better = solvable & ((cand_r * cand_r).sum(axis=0) < (r * r).sum(axis=0))
+        p, r = np.where(better, candidate, p), np.where(better, cand_r, r)
+        damping = np.where(better, np.maximum(damping * 0.3, 1e-12), damping)
+        damping[active & ~better] *= 10.0
     margin = 1e-9
-    candidates: list[tuple[float, float]] = []
-    for xs in np.linspace(x_lo, x_hi, grid):
-        for ys in np.linspace(y_lo, y_hi, grid):
-            p = _refine_fixed_point(step, (float(xs), float(ys)), tol)
-            if p is None:
-                continue
-            if not (x_lo - margin <= p[0] <= x_hi + margin):
-                continue
-            if not (y_lo - margin <= p[1] <= y_hi + margin):
-                continue
-            candidates.append(p)
-    candidates.sort()
+    x, y = p
+    ok = (np.abs(r).max(axis=0) <= tol.abs_eps) & (-margin <= x) & (x <= w + margin)
+    ok &= (-margin <= y) & (y <= h + margin)
     kept: list[tuple[float, float]] = []
-    for p in candidates:
-        if all(max(abs(p[0] - q[0]), abs(p[1] - q[1])) > 10.0 * tol.abs_eps for q in kept):
-            kept.append(p)
+    for pt in sorted(zip(np.clip(x[ok], 0.0, w).tolist(), np.clip(y[ok], 0.0, h).tolist())):
+        if all(max(abs(pt[0] - q[0]), abs(pt[1] - q[1])) > 10.0 * tol.abs_eps for q in kept):
+            kept.append(pt)
     return kept
 
 
 def conserved_quantity_drift(trajectory, functional: Callable[..., float]) -> float:
-    """Maximal deviation of ``functional`` from its initial value along a trajectory.
+    """Largest deviation of ``functional`` from its initial value along a ``Trajectory``.
 
-    Accepts either an operator ``Trajectory`` or a ``MapTrajectory``; the
-    functional receives the stored states as-is.
+    The functional receives each stored state as a list of Python floats.
     """
-    states = trajectory.states
-    if not states:
-        raise ValueError("trajectory has no states")
-    base = functional(states[0])
-    return max(abs(functional(s) - base) for s in states)
+    values = [functional(s) for s in trajectory.states.tolist()]
+    return max(abs(v - values[0]) for v in values)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -61,26 +61,6 @@ class FourTypeParams:
     def __post_init__(self):
         check_open_unit(self)
 
-    @classmethod
-    def from_weights(
-        cls,
-        female: Sequence[float],
-        male: Sequence[float],
-        a0: float,
-        c0: float,
-    ) -> "FourTypeParams":
-        """Parameters from positive cell weights, pair by pair."""
-        wf1, wf2, wf3, wf4 = female
-        wm1, wm2, wm3, wm4 = male
-        return cls(
-            a=wf1 / (wf1 + wf2),
-            b=wf3 / (wf3 + wf4),
-            c=wm1 / (wm1 + wm2),
-            d=wm3 / (wm3 + wm4),
-            a0=a0,
-            c0=c0,
-        )
-
     def step(self, coords: Coords8) -> Coords8:
         """One step on bare coordinates (x1..x4, y1..y4); pairwise sums conserved."""
         x1, x2, x3, x4, y1, y2, y3, y4 = coords
@@ -109,10 +89,6 @@ class FourTypeParams:
             x - (1.0 - a) * x * (c0 - y) + a * (a0 - x) * y,
             y - (1.0 - c) * (a0 - x) * y + c * x * (c0 - y),
         )
-
-    def sub34_step(self, s: Point2) -> Point2:
-        """Type-3/4 block, by delegation to the type-1/2 block under the swap."""
-        return mirror_params(self).sub12_step(s)
 
 
 def mirror_params(p: FourTypeParams) -> FourTypeParams:
@@ -152,7 +128,9 @@ def lift_operator(p: FourTypeParams) -> BisexualOperator:
 # ---------------------------------------------------------------------------
 
 
-def sub12_jacobian(p: FourTypeParams, x: float, y: float) -> np.ndarray:
+def sub12_jacobian(p: FourTypeParams, s: Point2) -> np.ndarray:
+    """Jacobian of ``sub12_step`` at s = (x, y); on (B,) arrays x, y it is (2, 2, B)."""
+    x, y = s
     a, c, a0, c0 = p.a, p.c, p.a0, p.c0
     return np.array(
         [
@@ -206,7 +184,7 @@ def classify_sub12_fixed_points(
     """
     fixed = sub12_fixed_points(p)
     return {
-        pt: classify_fixed_point_2d(sub12_jacobian(p, pt[0], pt[1]), tol)
+        pt: classify_fixed_point_2d(sub12_jacobian(p, pt), tol)
         for pt in fixed.points
     }
 
@@ -387,62 +365,3 @@ def predict_limit_critical(
     if is_fixed(cp.step, (x0,), tol):
         raise FixedPointInputError(f"x0={x0} is already the fixed point")
     return critical_fixed_points(cp).point
-
-
-# ---------------------------------------------------------------------------
-# Brute-force periodic-point scan for one-dimensional maps.
-# ---------------------------------------------------------------------------
-
-
-def scan_periodic_points(
-    step: Callable,
-    period: int,
-    grid: int = 100_000,
-    domain: tuple[float, float] = (0.0, 1.0),
-    refine_eps: float = 1e-10,
-) -> list[float]:
-    """Roots of step^period(x) = x on the domain that are not fixed points.
-
-    The composite map is evaluated by repeated application on a uniform
-    grid (never expanded into polynomial coefficients), sign changes are
-    bracketed and refined by bisection to ``refine_eps``, and a root that
-    ``dynamics.is_fixed`` calls fixed under ``DEFAULT_TOLERANCE`` is
-    dropped.  ``step`` must accept numpy arrays as well as scalars.
-    """
-    if period < 1:
-        raise ValueError("period must be >= 1")
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
-    lo, hi = domain
-
-    def composite(x):
-        for _ in range(period):
-            x = step(x)
-        return x
-
-    xs = np.linspace(lo, hi, grid)
-    gap = composite(xs) - xs
-    roots: list[float] = []
-    for i in range(grid - 1):
-        gi, gj = gap[i], gap[i + 1]
-        if gi == 0.0:
-            roots.append(float(xs[i]))
-            continue
-        if gi * gj >= 0.0:
-            continue
-        left, right = float(xs[i]), float(xs[i + 1])
-        g_left = float(gi)
-        while right - left > refine_eps:
-            mid = 0.5 * (left + right)
-            g_mid = float(composite(mid) - mid)
-            if g_mid == 0.0:
-                left = right = mid
-                break
-            if (g_left < 0.0) == (g_mid < 0.0):
-                left, g_left = mid, g_mid
-            else:
-                right = mid
-        roots.append(0.5 * (left + right))
-    if gap[-1] == 0.0:
-        roots.append(float(xs[-1]))
-    return [r for r in roots if not is_fixed(lambda s: (step(s[0]),), (r,), DEFAULT_TOLERANCE)]

@@ -107,23 +107,3 @@ def check_open_unit(params) -> None:
         inside = (0.0 < v) & (v < 1.0)
         if not (inside is True or np.all(inside)):
             raise ValueError(f"{name} must lie strictly inside (0,1), got {v}")
-
-
-def state_distance(s1: PopulationState, s2: PopulationState) -> float:
-    """Max-norm distance between two states over all coordinates.
-
-    The max norm matches the per-coordinate limit statements the package
-    verifies, and makes convergence thresholds dimension-independent.
-    """
-    if s1.dims != s2.dims:
-        raise DimensionMismatchError(f"state dims {s1.dims} vs {s2.dims}")
-    return max(abs(a - b) for a, b in zip(s1.coords(), s2.coords()))
-
-
-def random_distribution(rng: np.random.Generator, dim: int) -> Distribution:
-    """Uniform (flat Dirichlet) random point of the simplex."""
-    return make_distribution(rng.dirichlet(np.ones(dim)))
-
-
-def random_state(rng: np.random.Generator, n: int, nu: int) -> PopulationState:
-    return PopulationState(random_distribution(rng, n), random_distribution(rng, nu))

@@ -17,7 +17,6 @@ segments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -47,13 +46,6 @@ class TwoTypeParams:
     def __post_init__(self):
         check_open_unit(self)
 
-    @classmethod
-    def from_weights(cls, female: Sequence[float], male: Sequence[float]) -> "TwoTypeParams":
-        """Parameters from positive cell weights: a = wf1/(wf1+wf2), b = wm1/(wm1+wm2)."""
-        wf1, wf2 = female
-        wm1, wm2 = male
-        return cls(a=wf1 / (wf1 + wf2), b=wm1 / (wm1 + wm2))
-
     def step(self, s: Point2) -> Point2:
         """One step of the reduced planar map; maps the unit square into itself."""
         x, y = s
@@ -62,7 +54,10 @@ class TwoTypeParams:
 
 
 def jacobian_matrix(p: TwoTypeParams, s: Point2) -> np.ndarray:
-    """Jacobian of the reduced map: [[1-ay, a(1-x)], [y(1-b), x(1-b)+b]]."""
+    """Jacobian of the reduced map: [[1-ay, a(1-x)], [y(1-b), x(1-b)+b]].
+
+    On (B,) arrays x, y it is (2, 2, B).
+    """
     x, y = s
     return np.array(
         [

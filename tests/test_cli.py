@@ -261,6 +261,8 @@ def test_fixed_points_four_type_with_grid(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["points"] == [[0.0, 0.0], [0.5, 0.5]]
     assert len(doc["grid_points"]) == 2
+    # The search runs on the box [0, a0] x [0, c0]; no point may lie outside it.
+    assert all(0.0 <= x <= 0.5 and 0.0 <= y <= 0.5 for x, y in doc["grid_points"])
 
 
 def test_verify_two_type_small_grid(tmp_path):

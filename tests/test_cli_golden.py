@@ -113,13 +113,13 @@ DIGESTS = {
         "f.json": "bc93ec512d21df32fe4fcbd431cf5d5e79cd90b18fe394f327e0da86aa5e2ce3",
     },
     "fixed-points-four": {
-        "f.json": "b7c09ba6091851af1670b3a02c6d9af46b56f8dcd027829dbdc42993abf45330",
+        "f.json": "e3b541f052804d0cf00b784fd88eeceb590988a2f6db51a6360e870132682812",
     },
     "fixed-points-four-on-line": {
         "f.json": "4ef38524aad2d27129e8941f4de2dd8792d50572ce5c2ac12266db6af9956d93",
     },
     "fixed-points-two": {
-        "f.json": "65be8fe228ff23e671dd4c57158d8abbffb18f161163ce7ee601a691e672b0df",
+        "f.json": "43daf07433a4d35333efa3d6209d71720de7b25746b8f1819f4d6a58dec2d8e0",
     },
     "iterate-four": {
         "s.json": "632343138c8ce07c1dbdb713e9c4f286b41b86617baa68a3d0c0e0e8180ded4d",

@@ -31,10 +31,10 @@ from qsobp.construction import (
     make_graph,
     operator_from_json,
     operator_to_json,
-    uniform_weights,
 )
 from qsobp.errors import PartitionIndexError, SchemaError, SizeOverflowError
-from qsobp.simplex import random_state, state_distance
+
+from helpers import four_type_from_weights, random_state, state_distance, uniform_weights
 
 # The two standard spaces used throughout: two isolated vertices with the
 # first-allele-at-vertex-1 cells as females, and one edge plus an isolated
@@ -216,7 +216,7 @@ def test_four_type_tensors_match_closed_form_pattern():
         dict(zip(space.females, female_w)), dict(zip(space.males, male_w))
     )
     built = build_heredity(space, weights)
-    p = four_types.FourTypeParams.from_weights(female_w, male_w, a0=0.5, c0=0.5)
+    p = four_type_from_weights(female_w, male_w, a0=0.5, c0=0.5)
     lifted = four_types.lift_operator(p)
     np.testing.assert_allclose(built.pf, lifted.tensors.pf, atol=1e-15)
     np.testing.assert_allclose(built.pm, lifted.tensors.pm, atol=1e-15)
@@ -231,7 +231,7 @@ def test_four_type_operator_matches_closed_form_map():
         dict(zip(space.females, female_w)), dict(zip(space.males, male_w))
     )
     op = build_operator(space, weights)
-    p = four_types.FourTypeParams.from_weights(female_w, male_w, a0=0.5, c0=0.5)
+    p = four_type_from_weights(female_w, male_w, a0=0.5, c0=0.5)
     for _ in range(100):
         s = random_state(rng, 4, 4)
         via_tensors = op.apply(s).coords()

@@ -24,14 +24,16 @@ from qsobp.dynamics import (
     find_fixed_points_grid,
     iterate,
     iterate_map,
-    jacobian,
 )
-from qsobp.simplex import Tolerance, make_state, random_state, state_distance
+from qsobp.errors import NotNormalizedError
+from qsobp.simplex import Tolerance, make_state
 from qsobp.two_types import TwoTypeParams, lift_operator
+
+from helpers import jacobian, random_state, state_distance, uniform_weights
 
 
 def identity_operator():
-    from qsobp.construction import ConfigurationSpace, build_operator, make_graph, uniform_weights
+    from qsobp.construction import ConfigurationSpace, build_operator, make_graph
 
     space = ConfigurationSpace.build(make_graph(2, [(1, 2)]), 2, [0, 1])
     return build_operator(space, uniform_weights(space))
@@ -72,15 +74,40 @@ def test_iterate_fixed_start_reports_zero_steps():
     run = iterate(op, s)
     assert run.converged
     assert run.steps_taken == 0
-    assert state_distance(run.limit, s) == 0.0
+    assert run.limit == s.coords()
 
 
 def test_iterate_two_type_example():
     op = lift_operator(TwoTypeParams(a=0.4, b=0.5))
     run = iterate(op, make_state([0.2, 0.8], [0.25, 0.75]))
     assert run.converged
-    expected = make_state([0.4, 0.6], [0.0, 1.0])
-    assert state_distance(run.limit, expected) <= 1e-6
+    assert np.abs(np.subtract(run.limit, (0.4, 0.6, 0.0, 1.0))).max() <= 1e-6
+
+
+def test_iterate_records_the_operator_step_of_iterate_map():
+    # The operator run is the coordinate-map run of its step, female block first.
+    op = lift_operator(TwoTypeParams(a=0.4, b=0.5))
+    s = make_state([0.2, 0.8], [0.25, 0.75])
+    run = iterate(op, s)
+
+    def step(c):
+        return np.concatenate(op.apply_raw(c[:2, 0], c[2:, 0]))[:, None]
+
+    mapped = iterate_map(step, s.coords())
+    assert type(run) is type(mapped)
+    assert np.array_equal(run.states, mapped.states)
+    assert run.states.shape == (len(run.state_steps), 4)
+    assert (run.state_steps, run.converged, run.steps_taken, run.limit) == (
+        mapped.state_steps, mapped.converged, mapped.steps_taken, mapped.limit
+    )
+    assert type(run.converged) is bool and type(run.steps_taken) is int
+
+
+def test_iterate_rejects_a_state_that_leaves_the_simplex(monkeypatch):
+    op = lift_operator(TwoTypeParams(a=0.4, b=0.5))
+    monkeypatch.setattr(type(op), "apply_raw", lambda self, x, y: (x * 0.5, y))
+    with pytest.raises(NotNormalizedError):
+        iterate(op, make_state([0.2, 0.8], [0.25, 0.75]))
 
 
 def test_iterate_four_type_interior_start():
@@ -235,7 +262,7 @@ def test_two_type_boundary_points_are_non_hyperbolic():
 def test_grid_finds_isolated_four_type_points():
     p = four_types.FourTypeParams(a=0.3, b=0.3, c=0.3, d=0.3, a0=0.5, c0=0.5)
     points = find_fixed_points_grid(
-        p.sub12_step, ((0.0, 0.5), (0.0, 0.5)), grid=7
+        p.sub12_step, lambda s: four_types.sub12_jacobian(p, s), (0.5, 0.5), grid=7
     )
     assert len(points) == 2
     np.testing.assert_allclose(points[0], (0.0, 0.0), atol=1e-8)
@@ -246,7 +273,7 @@ def test_grid_on_critical_line_lands_on_fixed_curve():
     p = four_types.FourTypeParams(a=0.4, b=0.3, c=0.6, d=0.3, a0=0.5, c0=0.5)
     curve = four_types.fixed_curve(p)
     points = find_fixed_points_grid(
-        p.sub12_step, ((0.0, 0.5), (0.0, 0.5)), grid=8
+        p.sub12_step, lambda s: four_types.sub12_jacobian(p, s), (0.5, 0.5), grid=8
     )
     assert len(points) >= 8
     for x, y in points:
@@ -259,7 +286,11 @@ def test_grid_on_two_type_map_stays_in_fixed_segments():
     # 1e-6 set-distance guarantee.
     p = TwoTypeParams(a=0.45, b=0.55)
     points = find_fixed_points_grid(
-        p.step, ((0.0, 1.0), (0.0, 1.0)), grid=6, tol=Tolerance(abs_eps=1e-12)
+        p.step,
+        lambda s: two_types.jacobian_matrix(p, s),
+        (1.0, 1.0),
+        grid=6,
+        tol=Tolerance(abs_eps=1e-12),
     )
     assert points
     for x, y in points:

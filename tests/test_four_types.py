@@ -32,12 +32,13 @@ from qsobp.four_types import (
     mirror_params,
     predict_limit,
     predict_limit_critical,
-    scan_periodic_points,
     slice_sums,
     sub12_fixed_points,
     survivor_label,
 )
-from qsobp.simplex import Tolerance, make_state, state_distance
+from qsobp.simplex import Tolerance, make_state
+
+from helpers import scan_periodic_points, state_distance, sub34_step
 
 
 def params(a=0.3, b=0.3, c=0.3, d=0.3, a0=0.5, c0=0.5) -> FourTypeParams:
@@ -118,15 +119,15 @@ def test_sub12_stays_in_box():
 
 def test_sub34_corners_are_fixed():
     p = params(a0=0.4, c0=0.7)
-    assert p.sub34_step((0.0, 0.0)) == (0.0, 0.0)
-    assert p.sub34_step((1.0 - p.a0, 1.0 - p.c0)) == (1.0 - p.a0, 1.0 - p.c0)
+    assert sub34_step(p, (0.0, 0.0)) == (0.0, 0.0)
+    assert sub34_step(p, (1.0 - p.a0, 1.0 - p.c0)) == (1.0 - p.a0, 1.0 - p.c0)
 
 
 def test_sub34_is_the_mirrored_sub12():
     p = params(a=0.2, b=0.8, c=0.55, d=0.31, a0=0.35, c0=0.62)
     q = mirror_params(p)
     assert (q.a, q.b, q.c, q.d, q.a0, q.c0) == (p.b, p.a, p.d, p.c, 1 - p.a0, 1 - p.c0)
-    assert p.sub34_step((0.2, 0.1)) == q.sub12_step((0.2, 0.1))
+    assert sub34_step(p, (0.2, 0.1)) == q.sub12_step((0.2, 0.1))
 
 
 def test_sub34_interior_converges_to_far_corner():
@@ -134,7 +135,7 @@ def test_sub34_interior_converges_to_far_corner():
     p = params(a=0.3, b=0.7, c=0.3, d=0.7, a0=0.5, c0=0.5)
     s = (0.1, 0.2)
     for _ in range(5000):
-        s = p.sub34_step(s)
+        s = sub34_step(p, s)
     assert s == pytest.approx((0.5, 0.5), abs=1e-9)
 
 

@@ -12,6 +12,9 @@ four-type and the critical-line case:
   - a batch of trajectories with per-row parameters ends each row where the
     row run alone ends, bit for bit, after as many steps and with the same
     convergence flag, whether the budget lets it converge or cuts it off
+  - every point the grid search refines lies in its map's box and moves by
+    at most abs_eps under one step; off a+c = 1 the four-type block's
+    points are its two corners, on it they lie on its fixed curve to 1e-7
 
 and, for random graphs, allele counts, female splits and weights:
   - build_heredity equals, bit for bit, the tensors normalized pair by pair
@@ -21,10 +24,11 @@ and, for random graphs, allele counts, female splits and weights:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsobp import dynamics
+from qsobp.cli import CASES
 from qsobp.construction import (
     ConfigurationSpace,
     WeightPair,
@@ -38,6 +42,7 @@ from qsobp.four_types import (
     CriticalMapParams,
     FourTypeParams,
     critical_fixed_points,
+    fixed_curve,
     limit_branch,
     predict_limit,
     predict_limit_critical,
@@ -160,6 +165,44 @@ def test_critical_line_limits_are_where_iteration_ends():
     )
     assert run.converged.all()
     assert np.abs(run.end - np.array(limits).T).max() <= 1e-9
+
+
+@st.composite
+def planar_cases(draw):
+    """A case name and parameters: two-type, or four-type with half the
+    examples on a+c = 1 and the rest at least 0.05 away from it."""
+    if draw(st.booleans()):
+        return "two-type", TwoTypeParams(draw(unit), draw(unit))
+    a, c = draw(unit), draw(unit)
+    if draw(st.booleans()):
+        c = 1.0 - a
+    else:
+        # The residual's Jacobian at a corner has determinant a0 c0 (1-a-c).
+        # Nearer to singular, seeds stop at residuals below abs_eps but too
+        # far from the corner, and from each other, to be merged.
+        assume(abs(a + c - 1.0) >= 0.05)
+    a0, c0 = draw(st.floats(0.1, 0.9)), draw(st.floats(0.1, 0.9))
+    return "four-type", FourTypeParams(a, 0.3, c, 0.3, a0=a0, c0=c0)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(planar_cases(), st.integers(2, 6))
+def test_grid_search_points_are_fixed_and_inside_the_box(case, grid):
+    name, p = case
+    step, jacobian, (w, h) = CASES[name].planar(p)
+    tol = Tolerance()
+    points = dynamics.find_fixed_points_grid(step, jacobian, (w, h), grid, tol)
+    assert points
+    for x, y in points:
+        assert 0.0 <= x <= w and 0.0 <= y <= h
+        assert _moved(step, (x, y)) <= tol.abs_eps
+    if name == "two-type":
+        return
+    if limit_branch(p)[0]:
+        np.testing.assert_allclose(points, [(0.0, 0.0), (w, h)], rtol=0, atol=1e-7)
+    else:
+        curve = fixed_curve(p)
+        assert max(abs(y - curve(x)) for x, y in points) <= 1e-7
 
 
 @st.composite

@@ -8,13 +8,9 @@ from qsobp.errors import (
     NegativeEntryError,
     NotNormalizedError,
 )
-from qsobp.simplex import (
-    Tolerance,
-    make_distribution,
-    make_state,
-    random_state,
-    state_distance,
-)
+from qsobp.simplex import Tolerance, make_distribution, make_state
+
+from helpers import random_state, state_distance
 
 
 def test_symmetric_point_is_valid():

@@ -15,7 +15,9 @@ import pytest
 
 from qsobp import dynamics
 from qsobp.errors import FixedPointInputError
-from qsobp.simplex import Tolerance, make_state, state_distance
+from qsobp.simplex import Tolerance, make_state
+
+from helpers import state_distance, two_type_from_weights
 from qsobp.two_types import (
     TwoTypeParams,
     invariant_line_level,
@@ -35,7 +37,7 @@ def test_params_validate_open_interval():
 
 
 def test_params_from_weights():
-    p = TwoTypeParams.from_weights(female=(2.0, 1.0), male=(1.0, 3.0))
+    p = two_type_from_weights(female=(2.0, 1.0), male=(1.0, 3.0))
     assert p.a == pytest.approx(2.0 / 3.0)
     assert p.b == pytest.approx(0.25)
 
