@@ -26,7 +26,6 @@ from .construction import (
 )
 from .dynamics import (
     FixedPointClass,
-    QuadraticCharacteristic,
     StabilityKind,
     Trajectory,
     classify_fixed_point_2d,

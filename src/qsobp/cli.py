@@ -1,4 +1,4 @@
-"""Command-line surface: construct, iterate, analyze, verify, sweep.
+"""Command-line surface: construct, iterate, fixed-points, classify, predict, verify, sweep.
 
 Machine-readable outputs: trajectories and sweeps go to CSV, summaries and
 reports to JSON with sorted keys, so identical invocations produce
@@ -38,7 +38,8 @@ DEFAULT_MATCH_EPS = 1e-6
 
 
 def _tolerance(args) -> Tolerance:
-    return Tolerance(abs_eps=args.abs_eps, iter_eps=args.iter_eps, max_iters=args.max_iters)
+    """The command's tolerance flags; ``Tolerance``'s defaults for the fields it has no flag for."""
+    return Tolerance(**{f.name: getattr(args, f.name) for f in fields(Tolerance) if f.name in args})
 
 
 def _parse_numbers(text: str) -> list[float]:
@@ -297,51 +298,52 @@ def cmd_iterate(args) -> int:
 def cmd_fixed_points(args) -> int:
     tol = _tolerance(args)
     case, p = CASES[args.case], _params(args.case, args)
+    if args.grid and case.planar is None:
+        raise SchemaError("grid", f"--case {args.case} has no planar map to search; omit --grid")
     if args.case == "two-type":
         doc = {"case": "two-type", "segments": two_types.FIXED_SEGMENTS}
     elif args.case == "four-type":
-        fixed = four_types.sub12_fixed_points(p)
-        residuals = [
-            max(abs(n - o) for n, o in zip(p.sub12_step(pt), pt)) for pt in fixed.points
-        ]
+        points = four_types.sub12_fixed_points(p)
+        residuals = [max(abs(n - o) for n, o in zip(p.sub12_step(pt), pt)) for pt in points]
         doc = {
             "case": "four-type",
-            "critical": fixed.critical,
-            "points": [list(pt) for pt in fixed.points],
+            "critical": four_types.limit_branch(p)[0] == 0,
+            "points": [list(pt) for pt in points],
             "residuals": residuals,
         }
     else:
-        fixed = four_types.critical_fixed_points(p)
+        point, spurious, discriminant = four_types.critical_fixed_points(p)
         doc = {
             "case": "critical-line",
-            "point": fixed.point,
-            "spurious": fixed.spurious,
-            "discriminant": fixed.discriminant,
+            "point": point,
+            "spurious": spurious,
+            "discriminant": discriminant,
             "slope": four_types.critical_slope(p),
         }
-    if args.grid and case.planar is not None:
+    if args.grid:
         found = dynamics.find_fixed_points_grid(*case.planar(p), args.grid, tol)
         doc["grid_points"] = [list(pt) for pt in found]
     _write_json(doc, args.output)
     return EXIT_OK
 
 
-def _verdict_doc(verdict: dynamics.FixedPointClass) -> dict:
+def _verdict_doc(matrix, tol: Tolerance) -> dict:
+    verdict = dynamics.classify_fixed_point_2d(matrix, tol)
     return {"kind": verdict.kind.value, "eigen_moduli": list(verdict.eigen_moduli)}
 
 
 def cmd_classify(args) -> int:
     tol = _tolerance(args)
     p = _params(args.case, args)
+    step, jacobian, _ = CASES[args.case].planar(p)
     if args.case == "two-type":
         point = two_types.check_start(_parse_point(args.state))
-        if not dynamics.is_fixed(p.step, point, tol):
+        if not dynamics.is_fixed(step, point, tol):
             raise ValueError(f"{point} is not fixed: one step moves it by more than --abs-eps")
-        verdict = dynamics.classify_fixed_point_2d(two_types.jacobian_matrix(p, point), tol)
-        doc = {"case": "two-type", "state": list(point), **_verdict_doc(verdict)}
+        doc = {"case": "two-type", "state": list(point), **_verdict_doc(jacobian(point), tol)}
     else:
-        verdicts = four_types.classify_sub12_fixed_points(p, tol)
-        points = [{"point": list(pt), **_verdict_doc(v)} for pt, v in sorted(verdicts.items())]
+        fixed = four_types.sub12_fixed_points(p)
+        points = [{"point": list(pt), **_verdict_doc(jacobian(pt), tol)} for pt in fixed]
         doc = {"case": "four-type", "points": points}
     _write_json(doc, args.output)
     return EXIT_OK
@@ -513,8 +515,10 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, default in (params or {}).items():
             cmd.add_argument(f"--{flag}", type=kind, default=default, help=params_help)
         cmd.add_argument("--abs-eps", type=float, default=1e-9, help="comparison epsilon")
-        cmd.add_argument("--iter-eps", type=float, default=1e-12, help="iteration stop threshold")
-        cmd.add_argument("--max-iters", type=int, default=10**6, help="iteration budget")
+        if name in ("iterate", "verify"):  # the commands that iterate
+            cmd.add_argument("--iter-eps", type=float, default=1e-12,
+                             help="iteration stop threshold")
+            cmd.add_argument("--max-iters", type=int, default=10**6, help="iteration budget")
         if seed_help is not None:
             cmd.add_argument("--seed", type=int, default=42, help=seed_help)
         return cmd
@@ -537,8 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd = command("fixed-points", cmd_fixed_points, "fixed points of a case map", list(CASES),
                   CASE_DEFAULTS)
-    cmd.add_argument("--grid", type=int, default=0, help="seeds per axis of the numerical "
-                     "fixed-point search (≥ 2; 0 skips it)")
+    cmd.add_argument("--grid", type=int, default=0, help="two-type and four-type only: seeds "
+                     "per axis of the numerical fixed-point search (≥ 2; 0 skips it)")
     cmd.add_argument("--output", default=None)
 
     cmd = command("classify", cmd_classify, "stability classes of fixed points",

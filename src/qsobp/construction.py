@@ -335,8 +335,8 @@ class BisexualOperator:
     rounding would compound exponentially along a trajectory, while the
     difference form keeps normalization drift at the rounding level
     without ever renormalizing.  The literal contraction stays available
-    as :meth:`quadratic_form` (it is the unrestricted coordinate map whose
-    Jacobian the engine reports).
+    as :meth:`quadratic_form`, the unrestricted coordinate map off the
+    simplexes.
     """
 
     n: int
@@ -484,8 +484,11 @@ def operator_to_json(op: BisexualOperator) -> dict:
 def operator_from_json(doc: Mapping) -> BisexualOperator:
     n = _require(doc, "n", int)
     nu = _require(doc, "nu", int)
-    pf = np.asarray(_require(doc, "pf", list), dtype=float)
-    pm = np.asarray(_require(doc, "pm", list), dtype=float)
+    try:
+        pf = np.asarray(_require(doc, "pf", list), dtype=float)
+        pm = np.asarray(_require(doc, "pm", list), dtype=float)
+    except TypeError as exc:
+        raise SchemaError("tensors", f"expected nested lists of numbers ({exc})") from exc
     if pf.shape != (n, nu, n):
         raise SchemaError("pf", f"expected shape {(n, nu, n)}, got {pf.shape}")
     if pm.shape != (n, nu, nu):

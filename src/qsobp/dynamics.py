@@ -222,22 +222,6 @@ def iterate(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadraticCharacteristic:
-    """Coefficients of the monic quadratic q(t) = t^2 + B t + C."""
-
-    B: float
-    C: float
-
-    def roots(self) -> tuple[complex, complex]:
-        disc = self.B * self.B - 4.0 * self.C
-        if disc >= 0.0:
-            s = math.sqrt(disc)
-            return ((-self.B + s) / 2.0, (-self.B - s) / 2.0)
-        s = math.sqrt(-disc)
-        return (complex(-self.B / 2.0, s / 2.0), complex(-self.B / 2.0, -s / 2.0))
-
-
 class StabilityKind(enum.Enum):
     ATTRACTING = "attracting"
     REPELLING = "repelling"
@@ -265,8 +249,15 @@ def classify_fixed_point_2d(
     m = np.asarray(matrix, dtype=float)
     if m.shape != (2, 2):
         raise DimensionMismatchError(f"expected a 2x2 matrix, got {m.shape}")
-    qc = QuadraticCharacteristic(B=-float(np.trace(m)), C=float(np.linalg.det(m)))
-    moduli = tuple(sorted((abs(r) for r in qc.roots()), reverse=True))
+    trace, det = float(np.trace(m)), float(np.linalg.det(m))
+    disc = trace * trace - 4.0 * det
+    if disc >= 0.0:
+        s = math.sqrt(disc)
+        roots = ((trace + s) / 2.0, (trace - s) / 2.0)
+    else:
+        s = math.sqrt(-disc)
+        roots = (complex(trace / 2.0, s / 2.0), complex(trace / 2.0, -s / 2.0))
+    moduli = tuple(sorted((abs(r) for r in roots), reverse=True))
     if any(abs(mod - 1.0) <= tol.abs_eps for mod in moduli):
         kind = StabilityKind.NON_HYPERBOLIC
     elif all(mod < 1.0 for mod in moduli):

@@ -16,19 +16,18 @@ On a+c = 1 the fixed points form a curve and x+y is conserved, so every
 line x+y = k meets the curve in one point, the limit of every start on that
 line; ``critical_root`` gives it in closed form.  The diagonal section
 x+y = 1 is a one-dimensional quadratic self-map of [0, 1] with a single
-attracting fixed point and no periodic orbits of period two or more.
+attracting fixed point and no periodic orbits of period two or more;
+``CriticalMapParams.step`` is that map, on a number or on a numpy array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .construction import BisexualOperator
-from .dynamics import FixedPointClass, classify_fixed_point_2d, is_fixed
+from .dynamics import is_fixed
 from .errors import FixedPointInputError
 from .simplex import DEFAULT_TOLERANCE, PopulationState, Tolerance, check_open_unit, make_state
 
@@ -140,53 +139,22 @@ def sub12_jacobian(p: FourTypeParams, s: Point2) -> np.ndarray:
     )
 
 
-def fixed_curve(p: FourTypeParams) -> Callable[[float], float]:
-    """On the critical line a+c = 1: y as a function of x along the fixed curve."""
-
-    def curve(x: float) -> float:
-        return p.c * p.c0 * x / (p.a * p.a0 + (p.c - p.a) * x)
-
-    return curve
+def fixed_curve(p: FourTypeParams, x):
+    """On the critical line a+c = 1: y at x along the fixed curve; x may be a numpy array."""
+    return p.c * p.c0 * x / (p.a * p.a0 + (p.c - p.a) * x)
 
 
-@dataclass(frozen=True)
-class SubsystemFixedPoints:
-    """Fixed points of a planar subsystem: two isolated points, or a curve."""
-
-    critical: bool
-    points: tuple[Point2, ...]
-
-
-def sub12_fixed_points(p: FourTypeParams, curve_samples: int = 11) -> SubsystemFixedPoints:
-    """Fixed points of the type-1/2 block.
+def sub12_fixed_points(p: FourTypeParams) -> tuple[Point2, ...]:
+    """Fixed points of the type-1/2 block, in increasing x.
 
     Off the critical line these are exactly the corners (0, 0) and
     (a0, c0).  On it, every point of the curve y = c c0 x / (a a0 + (c-a) x)
-    is fixed; it is returned as evenly sampled points (the curve passes
+    is fixed; it is returned as 11 evenly sampled points (the curve passes
     through both corners).
     """
     if limit_branch(p)[0]:
-        return SubsystemFixedPoints(critical=False, points=((0.0, 0.0), (p.a0, p.c0)))
-    curve = fixed_curve(p)
-    xs = np.linspace(0.0, p.a0, curve_samples)
-    samples = tuple((float(x), float(curve(x))) for x in xs)
-    return SubsystemFixedPoints(critical=True, points=samples)
-
-
-def classify_sub12_fixed_points(
-    p: FourTypeParams, tol: Tolerance = DEFAULT_TOLERANCE
-) -> dict[Point2, FixedPointClass]:
-    """Stability class of each fixed point of the type-1/2 block.
-
-    Off the critical line the origin is attracting and (a0, c0) a saddle
-    when a+c < 1, and vice versa when a+c > 1; on the line every curve
-    point is non-hyperbolic (one unit eigenvalue).
-    """
-    fixed = sub12_fixed_points(p)
-    return {
-        pt: classify_fixed_point_2d(sub12_jacobian(p, pt), tol)
-        for pt in fixed.points
-    }
+        return ((0.0, 0.0), (p.a0, p.c0))
+    return tuple((float(x), float(fixed_curve(p, x))) for x in np.linspace(0.0, p.a0, 11))
 
 
 # ---------------------------------------------------------------------------
@@ -278,33 +246,15 @@ class CriticalMapParams:
         # The quadratic coefficient 2a-1 vanishes at a = 1/2.
         return abs(2.0 * self.a - 1.0) <= AFFINE_EPS
 
-    def step(self, s: tuple[float]) -> tuple[float]:
-        """The section map on 1-tuples, as the iteration engine expects."""
-        return (critical_step(self, s[0]),)
+    def step(self, s: tuple) -> tuple:
+        """The section map x' = (2a-1) x^2 + ((1-a)(2-c0) - a a0) x + a a0 on 1-tuples.
 
-
-def critical_step(cp: CriticalMapParams, x):
-    """The section map x' = (2a-1) x^2 + ((1-a)(2-c0) - a a0) x + a a0.
-
-    Maps [0, 1] into itself.  Accepts scalars or numpy arrays.
-    """
-    quad = 2.0 * cp.a - 1.0
-    lin = (1.0 - cp.a) * (2.0 - cp.c0) - cp.a * cp.a0
-    return quad * x * x + lin * x + cp.a * cp.a0
-
-
-@dataclass(frozen=True)
-class CriticalFixedPoints:
-    """Fixed points of the section map.
-
-    ``point`` is the unique fixed point inside [0, 1]; ``spurious`` is the
-    second root of the quadratic, which always falls outside [0, 1] and is
-    reported for diagnostics only (None in the affine case a = 1/2).
-    """
-
-    point: float
-    spurious: float | None
-    discriminant: float | None
+        Maps [0, 1] into itself; the coordinate is a number or a numpy array.
+        """
+        (x,) = s
+        quad = 2.0 * self.a - 1.0
+        lin = (1.0 - self.a) * (2.0 - self.c0) - self.a * self.a0
+        return (quad * x * x + lin * x + self.a * self.a0,)
 
 
 def critical_root(a: float, a0: float, c0: float, k: float):
@@ -330,13 +280,13 @@ def critical_root(a: float, a0: float, c0: float, k: float):
     return q / quad, (a * a0 * k) / q, disc
 
 
-def critical_fixed_points(cp: CriticalMapParams) -> CriticalFixedPoints:
-    """Solve the fixed-point equation of the section map in closed form.
+def critical_fixed_points(cp: CriticalMapParams):
+    """The section map's ``(point, spurious, discriminant)``: ``critical_root`` at k = 1.
 
-    The section map is the line x+y = 1 of ``critical_root``; the in-range
-    root has derivative 1 - sqrt(D) there.
+    ``point`` is the one fixed point in [0, 1], with derivative 1 - sqrt(D);
+    ``spurious`` lies outside [0, 1].  Both others are None at a = 1/2.
     """
-    return CriticalFixedPoints(*critical_root(cp.a, cp.a0, cp.c0, 1.0))
+    return critical_root(cp.a, cp.a0, cp.c0, 1.0)
 
 
 def critical_slope(cp: CriticalMapParams) -> float:
@@ -346,7 +296,7 @@ def critical_slope(cp: CriticalMapParams) -> float:
     affine case; its absolute value is below one for all valid parameters,
     so the fixed point is always attracting.
     """
-    t = critical_fixed_points(cp).point
+    t = critical_fixed_points(cp)[0]
     return 2.0 * (2.0 * cp.a - 1.0) * t + (1.0 - cp.a) * (2.0 - cp.c0) - cp.a * cp.a0
 
 
@@ -364,4 +314,4 @@ def predict_limit_critical(
     check_critical_start(x0)
     if is_fixed(cp.step, (x0,), tol):
         raise FixedPointInputError(f"x0={x0} is already the fixed point")
-    return critical_fixed_points(cp).point
+    return critical_fixed_points(cp)[0]

@@ -3,18 +3,23 @@
 Core claims:
   - construct writes an operator JSON and prints the size and verdicts
   - iterate writes a step-indexed trajectory CSV and a summary JSON whose
-    limit matches the closed-form prediction
+    limit matches the closed-form prediction; from a construction it writes
+    what construct followed by iterate --operator writes
   - predict / classify / fixed-points emit the documented JSON documents
   - verify pairs closed-form limits with iteration and reports pass/fail
   - sweep emits deterministic CSV, flipping branches exactly at the
     critical parameter sum, where the limit keeps the block's x+y
   - exit codes: 0 ran, 2 input error, 3 i/o error; non-finite weights and
-    tensor entries, --seed on a command that draws nothing and a two-type
+    tensor entries, non-numeric tensor entries, --seed on a command that
+    draws nothing, --grid on a case without a planar map and a two-type
     classify point that is not fixed are input errors; no JSON document
     holds NaN or infinity
+  - each command takes only the flags it reads: the iteration threshold and
+    budget only where something iterates
   - trajectory files do not depend on the number of BLAS threads
 """
 
+import argparse
 import csv
 import json
 import os
@@ -27,6 +32,8 @@ import pytest
 import qsobp
 from qsobp import cli, construction, four_types, two_types
 from qsobp.cli import main
+
+from test_cli_golden import FOUR_STATE, INPUTS
 
 TWO_TYPE_DOC = {
     "vertices": 2,
@@ -190,6 +197,23 @@ def test_iterate_with_operator_json(tmp_path):
     assert json.loads(summ.read_text())["converged"] is True
 
 
+def test_iterate_from_a_construction_equals_construct_then_iterate(tmp_path):
+    construction_path = _write(tmp_path / "four.json", INPUTS["four.json"])
+    op_path = str(tmp_path / "op.json")
+    assert main(["construct", "--input", construction_path, "--output", op_path]) == 0
+    runs = {}
+    for source, path in (("construction", construction_path), ("operator", op_path)):
+        trajectory, summary = tmp_path / f"{source}.csv", tmp_path / f"{source}.json"
+        assert main(["iterate", f"--{source}", path, "--state", FOUR_STATE,
+                     "--trajectory", str(trajectory), "--summary", str(summary)]) == 0
+        runs[source] = (trajectory.read_bytes(), json.loads(summary.read_text()))
+    (built_rows, built), (loaded_rows, loaded) = runs["construction"], runs["operator"]
+    assert built_rows == loaded_rows
+    assert built.pop("source") == {"kind": "construction-json", "path": construction_path}
+    assert loaded.pop("source") == {"kind": "operator-json", "path": op_path}
+    assert built == loaded
+
+
 def test_iterate_dimension_mismatch_exits_2(tmp_path):
     code = main(
         ["iterate", "--two-type", "--a", "0.4", "--b", "0.5", "--state", "0.2,0.3,0.5;0.25,0.75"]
@@ -263,6 +287,14 @@ def test_fixed_points_four_type_with_grid(tmp_path):
     assert len(doc["grid_points"]) == 2
     # The search runs on the box [0, a0] x [0, c0]; no point may lie outside it.
     assert all(0.0 <= x <= 0.5 and 0.0 <= y <= 0.5 for x, y in doc["grid_points"])
+
+
+def test_fixed_points_grid_on_a_case_without_a_planar_map_exits_2(tmp_path, capsys):
+    out = tmp_path / "f.json"
+    code = main(["fixed-points", "--case", "critical-line", "--grid", "5", "--output", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert "--case critical-line has no planar map" in capsys.readouterr().err
 
 
 def test_verify_two_type_small_grid(tmp_path):
@@ -468,6 +500,16 @@ def test_iterate_rejects_boolean_operator_sizes(tmp_path):
     assert main(["iterate", "--operator", op_path, "--state", "1;1"]) == 2
 
 
+@pytest.mark.parametrize("field", ["pf", "pm"])
+def test_a_tensor_entry_that_is_not_a_number_is_an_input_error(tmp_path, capsys, field):
+    doc = {"n": 1, "nu": 1, "pf": [[[1]]], "pm": [[[1]]]}
+    doc[field] = [[[{}]]]
+    assert main(["iterate", "--operator", _write(tmp_path / "op.json", doc), "--state", "1;1"]) == 2
+    err = capsys.readouterr().err
+    assert "tensors: expected nested lists of numbers" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("doc", [5, True, None, "n", [1]])
 @pytest.mark.parametrize(
     "argv",
@@ -505,9 +547,9 @@ def test_predictors_are_looked_up_in_their_module_at_call_time(
 @pytest.mark.parametrize(
     "argv",
     [
-        # --max-iters 0 is not a valid tolerance.
+        # --abs-eps 0 is not a valid tolerance.
         ["--case", "two-type", "--a", "0.4", "--b", "0.5", "--state", "0.2,0.25",
-         "--max-iters", "0"],
+         "--abs-eps", "0"],
         # One step moves this start by 0.00196, inside the band --abs-eps sets.
         ["--case", "four-type", "--a", "0.7", "--b", "0.3", "--c", "0.7", "--d", "0.2",
          "--abs-eps", "0.1", "--state", "0.49,0.01,0.5,0;0.49,0.01,0.5,0"],
@@ -674,3 +716,33 @@ def test_iterate_trajectory_does_not_depend_on_blas_threads(tmp_path):
         )
         trajectories.append(out.read_bytes())
     assert trajectories[0] == trajectories[1]
+
+
+PARAMETER_FLAGS = {"--a", "--a0", "--b", "--c", "--c0", "--d"}
+COMMAND_FLAGS = {
+    "construct": {"--abs-eps", "--input", "--output", "--seed"},
+    "iterate": PARAMETER_FLAGS | {
+        "--abs-eps", "--construction", "--four-type", "--iter-eps", "--max-iters", "--operator",
+        "--seed", "--state", "--summary", "--trajectory", "--two-type",
+    },
+    "fixed-points": PARAMETER_FLAGS | {"--abs-eps", "--case", "--grid", "--output"},
+    "classify": PARAMETER_FLAGS | {"--abs-eps", "--case", "--output", "--state"},
+    "predict": PARAMETER_FLAGS | {"--abs-eps", "--case", "--output", "--state", "--x0"},
+    "verify": PARAMETER_FLAGS - {"--c"} | {
+        "--abs-eps", "--case", "--grid", "--iter-eps", "--match-eps", "--max-iters",
+        "--portrait", "--report", "--seed", "--starts",
+    },
+    "sweep": PARAMETER_FLAGS | {"--abs-eps", "--case", "--output", "--state", "--x0"},
+}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    # Only iterate and verify iterate, so only they take --iter-eps and --max-iters.
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        name: {flag for action in cmd._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, cmd in commands.choices.items()
+    }
+    assert flags == COMMAND_FLAGS
+    assert sum(map(len, flags.values())) == 78

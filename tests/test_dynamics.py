@@ -271,13 +271,12 @@ def test_grid_finds_isolated_four_type_points():
 
 def test_grid_on_critical_line_lands_on_fixed_curve():
     p = four_types.FourTypeParams(a=0.4, b=0.3, c=0.6, d=0.3, a0=0.5, c0=0.5)
-    curve = four_types.fixed_curve(p)
     points = find_fixed_points_grid(
         p.sub12_step, lambda s: four_types.sub12_jacobian(p, s), (0.5, 0.5), grid=8
     )
     assert len(points) >= 8
     for x, y in points:
-        assert abs(y - curve(x)) <= 1e-7
+        assert abs(y - four_types.fixed_curve(p, x)) <= 1e-7
 
 
 def test_grid_on_two_type_map_stays_in_fixed_segments():

@@ -17,15 +17,13 @@ import numpy as np
 import pytest
 
 from qsobp import dynamics
-from qsobp.dynamics import StabilityKind
+from qsobp.dynamics import StabilityKind, classify_fixed_point_2d
 from qsobp.errors import FixedPointInputError
 from qsobp.four_types import (
     CriticalMapParams,
     FourTypeParams,
-    classify_sub12_fixed_points,
     critical_fixed_points,
     critical_slope,
-    critical_step,
     fixed_curve,
     lift_operator,
     limit_branch,
@@ -34,6 +32,7 @@ from qsobp.four_types import (
     predict_limit_critical,
     slice_sums,
     sub12_fixed_points,
+    sub12_jacobian,
     survivor_label,
 )
 from qsobp.simplex import Tolerance, make_state
@@ -154,42 +153,46 @@ def test_block_trajectory_matches_full_trajectory():
 
 
 def test_isolated_fixed_points_off_critical_line():
-    fixed = sub12_fixed_points(params(a=0.3, c=0.3))
-    assert not fixed.critical
-    assert fixed.points == ((0.0, 0.0), (0.5, 0.5))
+    assert sub12_fixed_points(params(a=0.3, c=0.3)) == ((0.0, 0.0), (0.5, 0.5))
 
 
 def test_fixed_curve_passes_through_both_corners():
     p = params(a=0.4, c=0.6, a0=0.5, c0=0.5)
-    curve = fixed_curve(p)
-    assert curve(0.0) == 0.0
-    assert curve(p.a0) == pytest.approx(p.c0)
+    assert fixed_curve(p, 0.0) == 0.0
+    assert fixed_curve(p, p.a0) == pytest.approx(p.c0)
 
 
 def test_fixed_curve_points_have_tiny_residual():
     p = params(a=0.4, c=0.6, a0=0.5, c0=0.5)
-    fixed = sub12_fixed_points(p, curve_samples=21)
-    assert fixed.critical
-    for x, y in fixed.points:
+    for x in np.linspace(0.0, p.a0, 21).tolist():
+        y = fixed_curve(p, x)
         nx, ny = p.sub12_step((x, y))
         assert max(abs(nx - x), abs(ny - y)) <= 1e-12
+    # On the line the fixed points are 11 samples of that curve.
+    samples = np.linspace(0.0, p.a0, 11).tolist()
+    assert sub12_fixed_points(p) == tuple((x, fixed_curve(p, x)) for x in samples)
+
+
+def _verdicts(p):
+    """Stability class of each fixed point of the type-1/2 block, as ``classify`` reports it."""
+    return {pt: classify_fixed_point_2d(sub12_jacobian(p, pt)) for pt in sub12_fixed_points(p)}
 
 
 def test_classification_below_critical_line():
-    verdicts = classify_sub12_fixed_points(params(a=0.3, c=0.3))
+    verdicts = _verdicts(params(a=0.3, c=0.3))
     assert verdicts[(0.0, 0.0)].kind is StabilityKind.ATTRACTING
     assert verdicts[(0.5, 0.5)].kind is StabilityKind.SADDLE
 
 
 def test_classification_above_critical_line():
-    verdicts = classify_sub12_fixed_points(params(a=0.7, c=0.7))
+    verdicts = _verdicts(params(a=0.7, c=0.7))
     assert verdicts[(0.0, 0.0)].kind is StabilityKind.SADDLE
     assert verdicts[(0.5, 0.5)].kind is StabilityKind.ATTRACTING
 
 
 def test_classification_on_critical_line_is_non_hyperbolic():
-    verdicts = classify_sub12_fixed_points(params(a=0.4, c=0.6))
-    assert verdicts
+    verdicts = _verdicts(params(a=0.4, c=0.6))
+    assert len(verdicts) == 11
     for verdict in verdicts.values():
         assert verdict.kind is StabilityKind.NON_HYPERBOLIC
 
@@ -238,7 +241,7 @@ def test_predict_limit_on_each_critical_line(p, label):
     for i, side, block in zip((0, 2), limit_branch(p), (p, mirror_params(p))):
         if side == 0:
             assert x[i] + y[i] == pytest.approx(state.female[i] + state.male[i], rel=0, abs=1e-15)
-            assert y[i] == pytest.approx(fixed_curve(block)(x[i]), rel=0, abs=1e-15)
+            assert y[i] == pytest.approx(fixed_curve(block, x[i]), rel=0, abs=1e-15)
     assert max(abs(n - o) for n, o in zip(p.step(limit.coords()), limit.coords())) <= 1e-15
     run = dynamics.iterate_map(p.step, state.coords(), Tolerance(iter_eps=1e-15))
     assert max(abs(u - v) for u, v in zip(run.states[-1], limit.coords())) <= 1e-12
@@ -286,13 +289,12 @@ def test_sum_conserved_on_critical_line():
 
 def test_critical_trajectories_land_on_fixed_curve():
     p = params(a=0.4, c=0.6, a0=0.5, c0=0.5)
-    curve = fixed_curve(p)
     rng = np.random.default_rng(15)
     for _ in range(10):
         s = (float(rng.uniform(0.02, 0.48)), float(rng.uniform(0.02, 0.48)))
         run = dynamics.iterate_map(p.sub12_step, s)
         x_end, y_end = run.states[-1]
-        assert abs(y_end - curve(x_end)) <= 1e-6
+        assert abs(y_end - fixed_curve(p, x_end)) <= 1e-6
 
 
 # -- critical section map ----------------------------------------------------
@@ -302,21 +304,21 @@ def test_critical_step_affine_case():
     cp = CriticalMapParams(a=0.5, a0=0.4, c0=0.6)
     # quadratic term vanishes: x' = (1 - (a0+c0)/2) x + a0/2
     for x in (0.0, 0.3, 1.0):
-        assert critical_step(cp, x) == pytest.approx(0.5 * x + 0.2)
+        assert cp.step((x,)) == pytest.approx((0.5 * x + 0.2,))
 
 
 def test_critical_step_endpoint_values():
     cp = CriticalMapParams(a=0.7, a0=0.35, c0=0.8)
-    assert critical_step(cp, 0.0) == pytest.approx(cp.a * cp.a0)
-    assert critical_step(cp, 1.0) == pytest.approx(1.0 - cp.c0 * (1.0 - cp.a))
+    assert cp.step((0.0,)) == pytest.approx((cp.a * cp.a0,))
+    assert cp.step((1.0,)) == pytest.approx((1.0 - cp.c0 * (1.0 - cp.a),))
 
 
 def test_critical_step_quadratic_example():
     cp = CriticalMapParams(a=0.75, a0=0.5, c0=0.5)
     # x' = 0.5 x^2 + 0.375
-    assert critical_step(cp, 0.0) == pytest.approx(0.375)
-    assert critical_step(cp, 0.5) == pytest.approx(0.5)
-    assert critical_step(cp, 1.0) == pytest.approx(0.875)
+    assert cp.step((0.0,)) == pytest.approx((0.375,))
+    assert cp.step((0.5,)) == pytest.approx((0.5,))
+    assert cp.step((1.0,)) == pytest.approx((0.875,))
 
 
 def test_critical_step_maps_interval_to_itself():
@@ -328,22 +330,24 @@ def test_critical_step_maps_interval_to_itself():
             a0=float(rng.uniform(0.02, 0.98)),
             c0=float(rng.uniform(0.02, 0.98)),
         )
-        values = critical_step(cp, xs)
+        (values,) = cp.step((xs,))
+        # The array form gives each number's image bit for bit.
+        assert values.tolist() == [cp.step((x,))[0] for x in xs.tolist()]
         assert values.min() >= -1e-15
         assert values.max() <= 1.0 + 1e-15
 
 
 def test_critical_fixed_point_affine():
-    fixed = critical_fixed_points(CriticalMapParams(a=0.5, a0=0.4, c0=0.6))
-    assert fixed.point == pytest.approx(0.4)
-    assert fixed.spurious is None
+    point, spurious, discriminant = critical_fixed_points(CriticalMapParams(a=0.5, a0=0.4, c0=0.6))
+    assert point == pytest.approx(0.4)
+    assert spurious is None and discriminant is None
 
 
 def test_critical_fixed_point_quadratic():
-    fixed = critical_fixed_points(CriticalMapParams(a=0.75, a0=0.5, c0=0.5))
-    assert fixed.point == pytest.approx(0.5, abs=1e-12)
-    assert fixed.spurious == pytest.approx(1.5, abs=1e-12)
-    assert fixed.discriminant == pytest.approx(0.25, abs=1e-12)
+    point, spurious, discriminant = critical_fixed_points(CriticalMapParams(a=0.75, a0=0.5, c0=0.5))
+    assert point == pytest.approx(0.5, abs=1e-12)
+    assert spurious == pytest.approx(1.5, abs=1e-12)
+    assert discriminant == pytest.approx(0.25, abs=1e-12)
 
 
 def test_root_ordering():
@@ -353,21 +357,21 @@ def test_root_ordering():
         if abs(a - 0.5) < 1e-3:
             continue
         cp = CriticalMapParams(a=a, a0=float(rng.uniform(0.02, 0.98)), c0=float(rng.uniform(0.02, 0.98)))
-        fixed = critical_fixed_points(cp)
-        assert 0.0 < fixed.point < 1.0
+        point, spurious, _ = critical_fixed_points(cp)
+        assert 0.0 < point < 1.0
         if a > 0.5:
-            assert fixed.spurious > 1.0
+            assert spurious > 1.0
         else:
-            assert fixed.spurious < 0.0
+            assert spurious < 0.0
         # closed-form root really is fixed
-        assert critical_step(cp, fixed.point) == pytest.approx(fixed.point, abs=1e-12)
+        assert cp.step((point,)) == pytest.approx((point,), abs=1e-12)
 
 
 def test_critical_slope_quadratic_case():
     cp = CriticalMapParams(a=0.75, a0=0.5, c0=0.5)
     assert critical_slope(cp) == pytest.approx(0.5, abs=1e-12)
-    fixed = critical_fixed_points(cp)
-    assert critical_slope(cp) == pytest.approx(1.0 - np.sqrt(fixed.discriminant), abs=1e-12)
+    discriminant = critical_fixed_points(cp)[2]
+    assert critical_slope(cp) == pytest.approx(1.0 - np.sqrt(discriminant), abs=1e-12)
 
 
 def test_critical_slope_affine_case():
@@ -375,8 +379,8 @@ def test_critical_slope_affine_case():
     cp = CriticalMapParams(a=0.5, a0=0.4, c0=0.6)
     assert critical_slope(cp) == pytest.approx(0.5, abs=1e-15)
     h = 1e-6
-    t = critical_fixed_points(cp).point
-    numeric = (critical_step(cp, t + h) - critical_step(cp, t - h)) / (2 * h)
+    t = critical_fixed_points(cp)[0]
+    numeric = (cp.step((t + h,))[0] - cp.step((t - h,))[0]) / (2 * h)
     assert critical_slope(cp) == pytest.approx(numeric, abs=1e-9)
 
 
@@ -394,7 +398,7 @@ def test_critical_slope_is_contracting():
 def test_scan_finds_no_low_period_points():
     cp = CriticalMapParams(a=0.75, a0=0.5, c0=0.5)
     for period in (2, 3):
-        assert scan_periodic_points(lambda x: critical_step(cp, x), period, grid=100_000) == []
+        assert scan_periodic_points(lambda x: cp.step((x,))[0], period, grid=100_000) == []
 
 
 def test_scan_sanity_on_logistic_map():

@@ -128,7 +128,7 @@ def test_four_type_predictor(case, tol):
 def test_critical_line_predictor(a, a0, c0, x0, tol):
     cp = CriticalMapParams(a, a0, c0)
     if x0 is None:  # the fixed point itself
-        x0 = critical_fixed_points(cp).point
+        x0 = critical_fixed_points(cp)[0]
     limit = _predicts(predict_limit_critical, cp, x0, tol)
     assert (limit is None) == dynamics.is_fixed(cp.step, (x0,), tol)
     if limit is not None:
@@ -201,8 +201,7 @@ def test_grid_search_points_are_fixed_and_inside_the_box(case, grid):
     if limit_branch(p)[0]:
         np.testing.assert_allclose(points, [(0.0, 0.0), (w, h)], rtol=0, atol=1e-7)
     else:
-        curve = fixed_curve(p)
-        assert max(abs(y - curve(x)) for x, y in points) <= 1e-7
+        assert max(abs(y - fixed_curve(p, x)) for x, y in points) <= 1e-7
 
 
 @st.composite
@@ -225,7 +224,7 @@ def batch_rows(draw):
     elif case == "four-type":
         fixed = (p.a0, 0.0, 1.0 - p.a0, 0.0, p.c0, 0.0, 1.0 - p.c0, 0.0)
     else:
-        fixed = (critical_fixed_points(p).point,)
+        fixed = (critical_fixed_points(p)[0],)
     return rows + [(p, fixed)]
 
 
