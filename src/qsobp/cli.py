@@ -94,6 +94,19 @@ def _write_csv(path: str, header: Sequence[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _write_trajectory(path: str, header: Sequence[str], steps, states) -> None:
+    """The bytes ``_write_csv`` writes for the rows ``[step, *state]``.
+
+    A row holds an int and floats, which ``csv`` writes as ``str`` and
+    ``repr`` and never quotes, so each row is one join.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(
+            f"{t}," + ",".join(map(float.__repr__, s)) + "\r\n" for t, s in zip(steps, states)
+        )
+
+
 def _state_doc(state: PopulationState) -> dict:
     return {"female": list(state.female.probs), "male": list(state.male.probs)}
 
@@ -270,8 +283,8 @@ def cmd_iterate(args) -> int:
     n, limit = op.n, trajectory.limit
     if args.trajectory is not None:
         header = ["step"] + [f"x_{i+1}" for i in range(n)] + [f"y_{k+1}" for k in range(op.nu)]
-        rows = ([t, *s] for t, s in zip(trajectory.state_steps, trajectory.states.tolist()))
-        _write_csv(args.trajectory, header, rows)
+        states = trajectory.states.tolist()
+        _write_trajectory(args.trajectory, header, trajectory.state_steps, states)
     drifts = {
         "female_total": dynamics.conserved_quantity_drift(trajectory, lambda s: sum(s[:n])),
         "male_total": dynamics.conserved_quantity_drift(trajectory, lambda s: sum(s[n:])),
@@ -337,11 +350,14 @@ def cmd_classify(args) -> int:
     p = _params(args.case, args)
     step, jacobian, _ = CASES[args.case].planar(p)
     if args.case == "two-type":
-        point = two_types.check_start(_parse_point(args.state))
+        point = two_types.check_start(_parse_point("0,0" if args.state is None else args.state))
         if not dynamics.is_fixed(step, point, tol):
             raise ValueError(f"{point} is not fixed: one step moves it by more than --abs-eps")
         doc = {"case": "two-type", "state": list(point), **_verdict_doc(jacobian(point), tol)}
     else:
+        if args.state is not None:
+            raise SchemaError("state", "--state is not read by --case four-type, which "
+                              "classifies every fixed point of its slice")
         fixed = four_types.sub12_fixed_points(p)
         points = [{"point": list(pt), **_verdict_doc(jacobian(pt), tol)} for pt in fixed]
         doc = {"case": "four-type", "points": points}
@@ -354,14 +370,29 @@ def cmd_classify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _start_text(args, defaults: dict | None = None):
+    """The value of the case's start flag, ``--state`` or ``--x0``.
+
+    A ``SchemaError`` when the other start flag was given, which the case
+    does not read, or when the start flag was not given and has no entry in
+    ``defaults``.
+    """
+    flag = CASES[args.case].start_flag
+    other = "x0" if flag == "state" else "state"
+    if getattr(args, other) is not None:
+        raise SchemaError(other, f"--{other} is not read by --case {args.case}; give --{flag}")
+    text = getattr(args, flag)
+    if text is None:
+        if flag not in (defaults or {}):
+            raise SchemaError(flag, f"--{flag} is required for --case {args.case}")
+        return defaults[flag]
+    return text
+
+
 def cmd_predict(args) -> int:
     case = CASES[args.case]
     tol = _tolerance(args)
-    text = getattr(args, case.start_flag)
-    if text is None:
-        flag = case.start_flag
-        raise SchemaError(flag, f"--{flag} is required for --case {args.case}")
-    start = case.parse_start(text)
+    start = case.parse_start(_start_text(args))
     p = _params(args.case, args, **case.fixes(start))
     limit = case.predict(p, start, tol)
     doc = {"case": args.case, **case.doc(start, limit), "class": case.label(p, limit)}
@@ -458,7 +489,7 @@ def cmd_sweep(args) -> int:
     """
     case = CASES[args.case]
     tol = _tolerance(args)
-    text = getattr(args, case.start_flag)
+    text = _start_text(args, SWEEP_STARTS)
     if text.startswith("grid:") and case.grid_starts is not None:
         starts = case.grid_starts(int(text.split(":", 1)[1]))
     else:
@@ -494,6 +525,8 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 CASE_DEFAULTS = {"a": 0.3, "b": 0.3, "c": 0.3, "d": 0.3, "a0": 0.5, "c0": 0.5}
+# The start of a sweep whose start flag is not given.
+SWEEP_STARTS = {"state": "0.2,0.3", "x0": "0.2"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -547,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd = command("classify", cmd_classify, "stability classes of fixed points",
                   ["two-type", "four-type"], CASE_DEFAULTS)
-    cmd.add_argument("--state", default="0,0", help="two-type: point to classify at")
+    cmd.add_argument("--state", default=None, help="two-type: point to classify at (default 0,0)")
     cmd.add_argument("--output", default=None)
 
     cmd = command("predict", cmd_predict, "closed-form trajectory limit; a start that one step "
@@ -568,8 +601,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd = command("sweep", cmd_sweep, "batch closed-form predictions over parameter grids",
                   list(CASES), dict.fromkeys(CASE_DEFAULTS, "0.3"), str, "value or lo:hi:count")
-    cmd.add_argument("--state", default="0.2,0.3", help="start state or grid:N (two-type)")
-    cmd.add_argument("--x0", default="0.2", help="critical-line start or grid:N")
+    cmd.add_argument("--state", default=None,
+                     help="start state or grid:N (two-type); default 0.2,0.3")
+    cmd.add_argument("--x0", default=None, help="critical-line start or grid:N; default 0.2")
     cmd.add_argument("--output", required=True, help="sweep CSV path")
     return parser
 

@@ -48,9 +48,10 @@ Cell = tuple[int, ...]
 # holds both mixing parts, float64) would exceed this many bytes are refused
 # before enumeration.  The build's largest temporary is the running sum that
 # normalizes one side, as large as pf or pm; the boolean compatibility mask of
-# both sides takes an eighth of pf and pm together.  The JSON round trip of an
-# operator holds pf and pm again as Python lists, about four times their array
-# size, so the bound leaves room for that too.
+# both sides takes an eighth of pf and pm together.  Writing an operator
+# document holds the text of one (i, ., .) plane at a time, but loading one
+# holds pf and pm as Python lists, about four times their array size, so the
+# bound leaves room for that too.
 TENSOR_BYTES_CAP = 2**28
 
 # Stochasticity of constructed tensor rows is checked to this tolerance;
@@ -484,15 +485,23 @@ def operator_to_json(op: BisexualOperator) -> dict:
 def operator_from_json(doc: Mapping) -> BisexualOperator:
     n = _require(doc, "n", int)
     nu = _require(doc, "nu", int)
+    raw = {"pf": _require(doc, "pf", list), "pm": _require(doc, "pm", list)}
     try:
-        pf = np.asarray(_require(doc, "pf", list), dtype=float)
-        pm = np.asarray(_require(doc, "pm", list), dtype=float)
+        pf, pm = np.asarray(raw["pf"], dtype=float), np.asarray(raw["pm"], dtype=float)
     except TypeError as exc:
         raise SchemaError("tensors", f"expected nested lists of numbers ({exc})") from exc
     if pf.shape != (n, nu, n):
         raise SchemaError("pf", f"expected shape {(n, nu, n)}, got {pf.shape}")
     if pm.shape != (n, nu, nu):
         raise SchemaError("pm", f"expected shape {(n, nu, nu)}, got {pm.shape}")
+    # The shapes hold, so each tensor is a list of planes of rows of entries.
+    # numpy converts strings and booleans too, which are not JSON numbers; the
+    # type of ``true`` is ``bool``, not ``int``.
+    for field, tensor in raw.items():
+        kinds = set(map(type, itertools.chain.from_iterable(itertools.chain.from_iterable(tensor))))
+        if not kinds <= {float, int}:
+            names = ", ".join(sorted(kind.__name__ for kind in kinds - {float, int}))
+            raise SchemaError("tensors", f"expected nested lists of numbers, {field} holds {names}")
     try:
         return BisexualOperator.from_tensors(pf, pm)
     except ValueError as exc:
@@ -505,6 +514,29 @@ def load_json(path: str) -> dict:
 
 
 def dump_json(doc: dict, path: str) -> None:
+    """Write an operator document as ``json.dump(doc, fh, indent=2, sort_keys=True)``
+    and a final newline would, byte for byte.
+
+    ``json.dump`` with an indent runs the pure-Python encoder.  Here each
+    tensor goes out one (i, ., .) plane of text at a time, and each row of a
+    plane is one join over ``float.__repr__``, JSON's format of a finite
+    float.  Tensor entries are finite floats, as ``operator_to_json`` gives
+    them; ``HeredityTensors`` refuses the others.
+    """
+    # Planes sit at depth 2 of the document, rows at depth 3, entries at depth 4.
+    open_plane, close_plane = "\n    [\n      [\n        ", "\n      ]\n    ]"
+    row_sep, entry_sep = "\n      ],\n      [\n        ", ",\n        "
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write("{")
+        for k, key in enumerate(sorted(doc)):
+            value = doc[key]
+            fh.write(("," if k else "") + "\n  " + json.dumps(key) + ": ")
+            if not isinstance(value, list):
+                fh.write(json.dumps(value))
+                continue
+            fh.write("[")
+            for i, plane in enumerate(value):
+                rows = row_sep.join(entry_sep.join(map(float.__repr__, row)) for row in plane)
+                fh.write(("," if i else "") + open_plane + rows + close_plane)
+            fh.write("\n  ]")
+        fh.write("\n}\n")

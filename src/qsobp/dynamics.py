@@ -29,7 +29,7 @@ import numpy as np
 
 from .construction import BisexualOperator
 from .errors import DimensionMismatchError
-from .simplex import DEFAULT_TOLERANCE, PopulationState, Tolerance, make_state
+from .simplex import DEFAULT_TOLERANCE, PopulationState, Tolerance, check_states
 
 # At most this many states are kept per trajectory; longer runs are thinned
 # to every k-th state, always retaining the first and the last.
@@ -204,7 +204,7 @@ def iterate(
 ) -> Trajectory:
     """Iterate a bisexual operator on its coordinates, female block first.
 
-    ``make_state`` checks that every stored state lies on the simplexes.
+    ``check_states`` checks that every stored state lies on the simplexes.
     """
     if start.dims != (op.n, op.nu):
         raise DimensionMismatchError(f"state dims {start.dims}, operator ({op.n},{op.nu})")
@@ -212,8 +212,7 @@ def iterate(
     run = iterate_map(
         lambda s: np.concatenate(op.apply_raw(s[:n, 0], s[n:, 0]))[:, None], start.coords(), tol
     )
-    for row in run.states.tolist():
-        make_state(row[:n], row[n:])
+    check_states(run.states, n)
     return run
 
 

@@ -76,6 +76,22 @@ def make_state(female: Sequence[float], male: Sequence[float]) -> PopulationStat
     return PopulationState(make_distribution(female), make_distribution(male))
 
 
+def check_states(states: np.ndarray, n: int) -> None:
+    """Raise what ``make_state(row[:n], row[n:])`` raises for the first of the
+    (k, d) ``states`` rows that it rejects.
+
+    One array test with ``Distribution``'s tolerances picks out the rows that
+    go to ``make_state``.  Each block's total is its sequential running sum,
+    which adds the entries in order as ``Distribution``'s Python ``sum`` does.
+    """
+    ok = np.ones(len(states), dtype=bool)
+    for block in (states[:, :n], states[:, n:]):
+        ok &= np.abs(np.cumsum(block, axis=1)[:, -1] - 1.0) <= NORMALIZATION_EPS
+        ok &= block.min(axis=1) >= -NEGATIVITY_EPS
+    for row in states[~ok].tolist():
+        make_state(row[:n], row[n:])
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Numerical knobs: comparison epsilon, iteration stop, iteration budget."""

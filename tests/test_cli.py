@@ -10,10 +10,10 @@ Core claims:
   - sweep emits deterministic CSV, flipping branches exactly at the
     critical parameter sum, where the limit keeps the block's x+y
   - exit codes: 0 ran, 2 input error, 3 i/o error; non-finite weights and
-    tensor entries, non-numeric tensor entries, --seed on a command that
-    draws nothing, --grid on a case without a planar map and a two-type
-    classify point that is not fixed are input errors; no JSON document
-    holds NaN or infinity
+    tensor entries, tensor entries that are not JSON numbers, --seed on a
+    command that draws nothing, --grid on a case without a planar map, a
+    start flag the case does not read and a two-type classify point that is
+    not fixed are input errors; no JSON document holds NaN or infinity
   - each command takes only the flags it reads: the iteration threshold and
     budget only where something iterates
   - trajectory files do not depend on the number of BLAS threads
@@ -510,6 +510,16 @@ def test_a_tensor_entry_that_is_not_a_number_is_an_input_error(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("entries", [{"pf": [[["1"]]], "pm": [[["1"]]]}, {"pf": [[[True]]]}])
+def test_a_string_or_boolean_tensor_entry_is_an_input_error(tmp_path, capsys, entries):
+    # numpy would read both as 1.0.
+    doc = {"n": 1, "nu": 1, "pf": [[[1.0]]], "pm": [[[1.0]]], **entries}
+    assert main(["iterate", "--operator", _write(tmp_path / "op.json", doc), "--state", "1;1"]) == 2
+    err = capsys.readouterr().err
+    assert "tensors: expected nested lists of numbers, pf holds " in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("doc", [5, True, None, "n", [1]])
 @pytest.mark.parametrize(
     "argv",
@@ -654,6 +664,35 @@ def test_classify_two_type_rejects_a_point_that_is_not_fixed(flags, tmp_path):
     out = tmp_path / "c.json"
     assert main(["classify", "--case", "two-type", *flags, "--output", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["classify", "--case", "four-type", "--state", "5,5"], "--state"),
+        (["predict", "--case", "critical-line", "--x0", "0.3", "--state", "0.1,0.2"], "--state"),
+        (["predict", "--case", "two-type", "--state", "0.2,0.3", "--x0", "7"], "--x0"),
+        (["predict", "--case", "four-type", "--state", FOUR_STATE, "--x0", "0.3"], "--x0"),
+        (["sweep", "--case", "critical-line", "--state", "0.1,0.2"], "--state"),
+        (["sweep", "--case", "two-type", "--x0", "0.3"], "--x0"),
+    ],
+)
+def test_a_start_flag_the_case_does_not_read_is_an_input_error(argv, flag, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, "--output", str(out)]) == 2
+    assert f"{flag} is not read by --case" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_start_flags_left_out_take_their_defaults(tmp_path):
+    out = tmp_path / "c.json"
+    assert main(["classify", "--case", "two-type", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["state"] == [0.0, 0.0]
+    for case, start in (("two-type", ["0.2", "0.3"]), ("critical-line", ["0.2"])):
+        out = tmp_path / f"{case}.csv"
+        assert main(["sweep", "--case", case, "--output", str(out)]) == 0
+        header, row = list(csv.reader(out.open(newline="")))
+        assert row[2 if case == "two-type" else 3:][: len(start)] == start
 
 
 def test_json_documents_reject_nan_and_infinity(tmp_path):

@@ -8,10 +8,12 @@ Core claims:
   - a connected graph yields the identity operator, a disconnected one
     does not (checked exhaustively on small graphs)
   - the four-type space reproduces the closed-form four-type operator
-  - JSON documents round-trip bit-exactly
+  - JSON documents round-trip bit-exactly, and an operator document written,
+    loaded and written again keeps its bytes
 """
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -449,6 +451,27 @@ def test_operator_json_round_trip():
     for _ in range(20):
         s = random_state(rng, 2, 2)
         assert state_distance(op.apply(s), back.apply(s)) == 0.0
+
+
+def test_operator_file_round_trip_keeps_its_bytes(tmp_path):
+    # 32 cells on one edge and three isolated vertices, split 16 to 16.
+    rng = np.random.default_rng(3)
+    space = ConfigurationSpace.build(make_graph(5, [(1, 2)]), 2, range(0, 32, 2))
+    weights = WeightPair(
+        {c: float(rng.uniform(0.5, 2.0)) for c in space.females},
+        {c: float(rng.uniform(0.5, 2.0)) for c in space.males},
+    )
+    op = build_operator(space, weights)
+    assert (op.n, op.nu) == (16, 16)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    construction.dump_json(operator_to_json(op), str(first))
+    back = operator_from_json(construction.load_json(str(first)))
+    assert np.array_equal(back.tensors.pf, op.tensors.pf)
+    assert np.array_equal(back.tensors.pm, op.tensors.pm)
+    construction.dump_json(operator_to_json(back), str(second))
+    assert second.read_bytes() == first.read_bytes()
+    expected = json.dumps(operator_to_json(op), indent=2, sort_keys=True) + "\n"
+    assert first.read_bytes() == expected.encode()
 
 
 def test_operator_json_shape_check():

@@ -25,7 +25,7 @@ from qsobp.dynamics import (
     iterate,
     iterate_map,
 )
-from qsobp.errors import NotNormalizedError
+from qsobp.errors import NegativeEntryError, NotNormalizedError
 from qsobp.simplex import Tolerance, make_state
 from qsobp.two_types import TwoTypeParams, lift_operator
 
@@ -107,6 +107,20 @@ def test_iterate_rejects_a_state_that_leaves_the_simplex(monkeypatch):
     op = lift_operator(TwoTypeParams(a=0.4, b=0.5))
     monkeypatch.setattr(type(op), "apply_raw", lambda self, x, y: (x * 0.5, y))
     with pytest.raises(NotNormalizedError):
+        iterate(op, make_state([0.2, 0.8], [0.25, 0.75]))
+
+
+@pytest.mark.parametrize(
+    "shift, error", [((0.0, 1e-8), NotNormalizedError), ((-0.31, 0.31), NegativeEntryError)]
+)
+def test_iterate_rejects_one_stored_state_off_the_simplex(monkeypatch, shift, error):
+    # Of the stored states only the male block of step 2 leaves the simplex;
+    # step 3 returns to step 1, which step 4 repeats.
+    op = lift_operator(TwoTypeParams(a=0.4, b=0.5))
+    x, y = np.array([0.2, 0.8]), np.array([0.3, 0.7])
+    script = iter([(x, y), (x, y + shift)])
+    monkeypatch.setattr(type(op), "apply_raw", lambda self, *_: next(script, (x, y)))
+    with pytest.raises(error):
         iterate(op, make_state([0.2, 0.8], [0.25, 0.75]))
 
 

@@ -20,14 +20,26 @@ and, for random graphs, allele counts, female splits and weights:
   - build_heredity equals, bit for bit, the tensors normalized pair by pair
     over compatible_sets with a Python sum
   - the operator step agrees with the literal contraction to 1e-15
+
+and for the writers and the trajectory check:
+  - dump_json writes an operator document with the bytes of json.dump with
+    indent 2 and sorted keys, and a final newline
+  - the trajectory CSV has the bytes csv.writer gives for the same rows
+  - check_states raises what make_state raises for the first row it rejects
 """
+
+import csv
+import io
+import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qsobp import dynamics
+from qsobp import cli, dynamics
 from qsobp.cli import CASES
 from qsobp.construction import (
     ConfigurationSpace,
@@ -35,9 +47,10 @@ from qsobp.construction import (
     build_heredity,
     build_operator,
     compatible_sets,
+    dump_json,
     make_graph,
 )
-from qsobp.errors import FixedPointInputError
+from qsobp.errors import FixedPointInputError, NegativeEntryError, NotNormalizedError
 from qsobp.four_types import (
     CriticalMapParams,
     FourTypeParams,
@@ -48,7 +61,7 @@ from qsobp.four_types import (
     predict_limit_critical,
     slice_sums,
 )
-from qsobp.simplex import Tolerance, make_state
+from qsobp.simplex import Tolerance, check_states, make_state
 from qsobp.two_types import TwoTypeParams, invariant_line_level
 from qsobp.two_types import predict_limit as predict_limit_two
 
@@ -308,3 +321,96 @@ def test_operator_step_matches_the_quadratic_form(case, seed):
         x, y = rng.dirichlet(np.ones(op.n)), rng.dirichlet(np.ones(op.nu))
         for step, literal in zip(op.apply_raw(x, y), op.quadratic_form(x, y)):
             assert np.abs(step - literal).max() <= 1e-15
+
+
+def _written(write, *args) -> bytes:
+    """The bytes ``write(path, *args)`` leaves in a fresh file."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "out")
+        write(path, *args)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+# Entries whose reprs take every form: signed zero, the smallest subnormal,
+# exponent notation on both sides, and 16 or 17 significant digits.
+ENTRY = st.sampled_from([0.0, -0.0, 5e-324, 1e-05, 1 / 3, 0.1 + 0.2, 1e16])
+
+
+@st.composite
+def operator_documents(draw):
+    n, nu = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+
+    def tensor(last):
+        return [[[draw(ENTRY) for _ in range(last)] for _ in range(nu)] for _ in range(n)]
+
+    return {"pm": tensor(nu), "n": n, "pf": tensor(n), "nu": nu}
+
+
+@PROPERTY
+@given(operator_documents())
+def test_dump_json_writes_the_bytes_of_json_dump(doc):
+    text = io.StringIO()
+    json.dump(doc, text, indent=2, sort_keys=True)
+    assert _written(lambda path: dump_json(doc, path)) == (text.getvalue() + "\n").encode()
+
+
+@PROPERTY
+@given(
+    st.integers(1, 4).flatmap(
+        lambda d: st.lists(
+            st.tuples(st.integers(0, 10**6), st.lists(st.floats(), min_size=d, max_size=d)),
+            max_size=5,
+        )
+    )
+)
+def test_the_trajectory_csv_is_what_csv_writer_writes(rows):
+    header = ["step"] + [f"x_{i + 1}" for i in range(len(rows[0][1]) if rows else 1)]
+    steps, states = [t for t, _ in rows], [s for _, s in rows]
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    writer.writerows([t, *s] for t, s in rows)
+    written = _written(cli._write_trajectory, header, steps, states)
+    assert written == expected.getvalue().encode()
+
+
+def _first_rejection(states, n):
+    """The error ``make_state`` raises first over the rows, or None."""
+    for row in states.tolist():
+        try:
+            make_state(row[:n], row[n:])
+        except (NotNormalizedError, NegativeEntryError) as exc:
+            return type(exc)
+    return None
+
+
+@PROPERTY
+@given(
+    st.integers(1, 3),
+    st.lists(
+        st.tuples(
+            st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=4, max_size=4),
+            st.integers(0, 3),
+            st.sampled_from([0.0, 5e-10, -5e-10, 2e-9, -2e-9, -5e-13, -2e-12, float("nan")]),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_check_states_raises_what_make_state_raises(n, rows):
+    # Each block is normalized, then one entry of the row is shifted across
+    # or along one of the two tolerances.
+    states = []
+    for weights, position, shift in rows:
+        blocks = (weights[:n], weights[n:])
+        row = [v / sum(b) if sum(b) > 0 else 1.0 / len(b) for b in blocks for v in b]
+        row[position] += shift
+        states.append(row)
+    states = np.array(states)
+    expected = _first_rejection(states, n)
+    if expected is None:
+        check_states(states, n)
+    else:
+        with pytest.raises(expected):
+            check_states(states, n)
