@@ -688,11 +688,11 @@ def test_start_flags_left_out_take_their_defaults(tmp_path):
     out = tmp_path / "c.json"
     assert main(["classify", "--case", "two-type", "--output", str(out)]) == 0
     assert json.loads(out.read_text())["state"] == [0.0, 0.0]
-    for case, start in (("two-type", ["0.2", "0.3"]), ("critical-line", ["0.2"])):
+    for case, start in (("two-type", {"x0": "0.2", "y0": "0.3"}), ("critical-line", {"x0": "0.2"})):
         out = tmp_path / f"{case}.csv"
         assert main(["sweep", "--case", case, "--output", str(out)]) == 0
-        header, row = list(csv.reader(out.open(newline="")))
-        assert row[2 if case == "two-type" else 3:][: len(start)] == start
+        header, row = csv.reader(out.read_text().splitlines())
+        assert {column: value for column, value in zip(header, row) if column in start} == start
 
 
 def test_json_documents_reject_nan_and_infinity(tmp_path):
