@@ -29,7 +29,6 @@ from .dynamics import (
     StabilityKind,
     Trajectory,
     classify_fixed_point_2d,
-    conserved_quantity_drift,
     find_fixed_points_grid,
     iterate,
     iterate_map,

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import construction, dynamics, four_types, two_types
 from .errors import QsobpError, SchemaError
-from .simplex import PopulationState, Tolerance, make_state
+from .simplex import PopulationState, Tolerance, block_totals, make_state
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -148,10 +148,24 @@ class Case:
         return tuple(f.name for f in fields(self.params))
 
 
+def _param_values(case_name: str, args, fixed=()) -> dict:
+    """The flag, or its default when not given, of each case parameter the command
+    has a flag for and the start does not fix: a ``SchemaError`` names any other
+    parameter flag that was given."""
+    names = CASES[case_name].names
+    for name in args.param_defaults:
+        if getattr(args, name) is not None and (name not in names or name in fixed):
+            why = "fixed by the start in" if name in names else "not read by"
+            raise SchemaError(name, f"--{name} is {why} --case {case_name}")
+    return {
+        n: args.param_defaults[n] if getattr(args, n) is None else getattr(args, n)
+        for n in names if n in args.param_defaults and n not in fixed
+    }
+
+
 def _params(case_name: str, args, **values):
     """The parameters of a case from the flags in ``args``, overridden by ``values``."""
-    case = CASES[case_name]
-    return case.params(**{n: values[n] if n in values else getattr(args, n) for n in case.names})
+    return CASES[case_name].params(**{**_param_values(case_name, args), **values})
 
 
 def _linspace(lo: float, hi: float, count: int) -> list[float]:
@@ -285,10 +299,10 @@ def cmd_iterate(args) -> int:
         header = ["step"] + [f"x_{i+1}" for i in range(n)] + [f"y_{k+1}" for k in range(op.nu)]
         states = trajectory.states.tolist()
         _write_trajectory(args.trajectory, header, trajectory.state_steps, states)
-    drifts = {
-        "female_total": dynamics.conserved_quantity_drift(trajectory, lambda s: sum(s[:n])),
-        "male_total": dynamics.conserved_quantity_drift(trajectory, lambda s: sum(s[n:])),
-    }
+    # Each block total's largest distance from its value at the start.
+    female, male = block_totals(trajectory.states, n)
+    drifts = {"female_total": float(np.abs(female - female[0]).max()),
+              "male_total": float(np.abs(male - male[0]).max())}
     summary = {
         "source": meta,
         "initial": _state_doc(state),
@@ -393,7 +407,8 @@ def cmd_predict(args) -> int:
     case = CASES[args.case]
     tol = _tolerance(args)
     start = case.parse_start(_start_text(args))
-    p = _params(args.case, args, **case.fixes(start))
+    fixed = case.fixes(start)
+    p = case.params(**_param_values(args.case, args, fixed), **fixed)
     limit = case.predict(p, start, tol)
     doc = {"case": args.case, **case.doc(start, limit), "class": case.label(p, limit)}
     _write_json(doc, args.output)
@@ -424,25 +439,21 @@ def cmd_verify(args) -> int:
     tol = _tolerance(args)
     rng = np.random.default_rng(args.seed)
     grid_values = _linspace(0.05, 0.95, args.grid)
-    # Of each start one after another: parameters, coordinates of the start and
-    # of its closed-form limit, and the index of its cell.
-    params, start_coords, limit_coords, owners = [], array("d"), array("d"), []
-    cells = []
+    # Of each start one after another, a cell's starts together: parameters and
+    # coordinates of the start and of its closed-form limit.
+    params, start_coords, limit_coords, cells = [], array("d"), array("d"), []
     for u in grid_values:
         for v in grid_values:
             cell = dict(zip(case.verify_axes, (u, v)))
             p = _params(args.case, args, **cell)
-            starts = [case.sample(p, rng) for _ in range(args.starts)]
-            for s0 in starts:
+            for s0 in [case.sample(p, rng) for _ in range(args.starts)]:
                 limit_coords.extend(case.coords(case.predict(p, s0, tol)))
                 start_coords.extend(case.coords(s0))
-                params.append(p)
-                owners.append(len(cells))
-            kind = "critical-line" if case.on_line(p) else "closed-form"
-            cells.append({**cell, "kind": kind, "max_mismatch": 0.0, "steps": 0, "converged": True})
+            params.extend([p] * args.starts)
+            cells.append({**cell, "kind": "critical-line" if case.on_line(p) else "closed-form"})
     # One batch steps every start; each cell keeps its starts' largest coordinate
     # gap to the closed form, their summed steps and whether all converged.
-    shape = (len(params), -1)
+    shape, per_cell = (len(params), -1), (len(cells), args.starts)
     run = dynamics.iterate_batch(
         case.params.step,
         np.frombuffer(start_coords).reshape(shape).T,
@@ -450,15 +461,14 @@ def cmd_verify(args) -> int:
         params=dynamics.stack_params(params),
     )
     gaps = np.abs(run.end - np.frombuffer(limit_coords).reshape(shape).T).max(axis=0)
-    for owner, gap, steps, converged in zip(
-        owners, gaps.tolist(), run.steps_taken.tolist(), run.converged.tolist()
+    for cell, gap, steps, converged in zip(
+        cells,
+        gaps.reshape(per_cell).max(axis=1).tolist(),
+        run.steps_taken.reshape(per_cell).sum(axis=1).tolist(),
+        run.converged.reshape(per_cell).all(axis=1).tolist(),
     ):
-        cell = cells[owner]
-        cell["max_mismatch"] = max(cell["max_mismatch"], gap)
-        cell["steps"] += steps
-        cell["converged"] = cell["converged"] and converged
-    for cell in cells:
-        cell["pass"] = cell["converged"] and cell["max_mismatch"] <= args.match_eps
+        passed = converged and gap <= args.match_eps
+        cell.update({"max_mismatch": gap, "steps": steps, "converged": converged, "pass": passed})
     n_pass = sum(1 for cell in cells if cell["pass"])
     report = {
         "case": args.case,
@@ -496,13 +506,13 @@ def cmd_sweep(args) -> int:
         starts = [case.parse_start(text)]
     # Only the four-type case has start-determined parameters, and its sweep takes one start.
     fixed = case.fixes(starts[0]) if starts else {}
-    swept = [n for n in case.names if n not in fixed]
+    ranges = _param_values(args.case, args, fixed)
     start_rows = [(s, list(case.coords(s))) for s in starts]
     start_columns, limit_columns = case.sweep_columns
     blank = [""] * len(limit_columns)
     rows = []
-    for combo in itertools.product(*(_parse_range(getattr(args, n)) for n in swept)):
-        values = {**dict(zip(swept, combo)), **fixed}
+    for combo in itertools.product(*map(_parse_range, ranges.values())):
+        values = {**dict(zip(ranges, combo)), **fixed}
         head = [values[n] for n in case.names]
         try:
             p = case.params(**values)
@@ -539,14 +549,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, func, about, cases=None, params=None, kind=float, params_help=None,
                 seed_help=None):
-        """A subcommand with its --case choices, parameter flags, tolerance flags
-        and, given ``seed_help``, a --seed flag."""
+        """A subcommand with its --case choices, parameter flags (None when left
+        out; ``params``, their defaults, becomes ``args.param_defaults``),
+        tolerance flags and, given ``seed_help``, a --seed flag."""
         cmd = sub.add_parser(name, help=about)
-        cmd.set_defaults(func=func)
+        cmd.set_defaults(func=func, param_defaults=params or {})
         if cases is not None:
             cmd.add_argument("--case", choices=cases, required=True)
-        for flag, default in (params or {}).items():
-            cmd.add_argument(f"--{flag}", type=kind, default=default, help=params_help)
+        for flag in params or {}:
+            cmd.add_argument(f"--{flag}", type=kind, default=None, help=params_help)
         cmd.add_argument("--abs-eps", type=float, default=1e-9, help="comparison epsilon")
         if name in ("iterate", "verify"):  # the commands that iterate
             cmd.add_argument("--iter-eps", type=float, default=1e-12,

@@ -39,7 +39,7 @@ from .errors import (
     SchemaError,
     SizeOverflowError,
 )
-from .simplex import DEFAULT_TOLERANCE, PopulationState, Tolerance, make_state
+from .simplex import DEFAULT_TOLERANCE, Tolerance
 
 # A cell maps each vertex (positionally) to a 1-based allele index.
 Cell = tuple[int, ...]
@@ -237,30 +237,29 @@ class WeightPair:
 
 @dataclass(frozen=True)
 class HeredityTensors:
-    """Stochastic heredity coefficients.
+    """Stochastic heredity coefficients of n female and nu male types.
 
     ``pf[i, k, j]``: probability that mother type ``i`` and father type ``k``
     produce a female child of type ``j``; ``pm[i, k, l]`` the male analogue.
-    Every (i, k) row sums to one.
+    Every (i, k) row sums to one.  The shapes carry the sizes: pf is
+    (n, nu, n) and pm is (n, nu, nu), with n and nu read from ``pf.shape``.
+    An operator on them steps coordinate vectors of n + nu entries, the
+    female block first.
     """
 
-    n: int
-    nu: int
     pf: np.ndarray
     pm: np.ndarray
 
     def __post_init__(self):
-        if self.pf.shape != (self.n, self.nu, self.n):
-            raise DimensionMismatchError(f"pf shape {self.pf.shape}")
-        if self.pm.shape != (self.n, self.nu, self.nu):
-            raise DimensionMismatchError(f"pm shape {self.pm.shape}")
+        shape = self.pf.shape
+        if len(shape) != 3 or shape[2] != shape[0] or self.pm.shape != shape[:2] + shape[1:2]:
+            raise DimensionMismatchError(f"tensor shapes {shape}, {self.pm.shape}")
         for name, t in (("pf", self.pf), ("pm", self.pm)):
             if not np.isfinite(t).all():
                 raise ValueError(f"{name} has non-finite entries")
             if t.min() < -NEG_ENTRY_EPS:
                 raise ValueError(f"{name} has negative entries")
-            row_sums = t.sum(axis=2)
-            worst = np.abs(row_sums - 1.0).max()
+            worst = np.abs(t.sum(axis=2) - 1.0).max()
             if worst > ROW_SUM_EPS:
                 raise ValueError(f"{name} rows deviate from stochasticity by {worst}")
         self.pf.setflags(write=False)
@@ -320,17 +319,19 @@ def build_heredity(space: ConfigurationSpace, weights: WeightPair) -> HeredityTe
     wm = np.array([weights.male_weights[c] for c in space.males], dtype=float)
     pf = _normalized_rows(compatible[:, :, :n], wf)
     pm = _normalized_rows(compatible[:, :, n:], wm)
-    return HeredityTensors(n=n, nu=nu, pf=pf, pm=pm)
+    return HeredityTensors(pf, pm)
 
 
 @dataclass(frozen=True)
 class BisexualOperator:
     """Quadratic evolution operator on a product of two simplexes.
 
-    On the simplex, applying the operator to a state (x, y) gives
+    A state is one coordinate vector s = (x, y), the n female coordinates
+    first, then the nu male ones; n and nu are those of the tensors.  On the
+    simplexes the operator maps it to
     ``x'_j = sum_{i,k} pf[i,k,j] x_i y_k`` and
-    ``y'_l = sum_{i,k} pm[i,k,l] x_i y_k``.  Internally the step is
-    evaluated in the algebraically identical difference form
+    ``y'_l = sum_{i,k} pm[i,k,l] x_i y_k``.  :meth:`apply_raw` evaluates the
+    step in the algebraically identical difference form
     ``x'_j = x_j + sum_{i,k} (pf[i,k,j] - [i=j]) x_i y_k``: the literal
     contraction multiplies the total mass of both blocks, so its float
     rounding would compound exponentially along a trajectory, while the
@@ -340,13 +341,9 @@ class BisexualOperator:
     simplexes.
     """
 
-    n: int
-    nu: int
     tensors: HeredityTensors
 
     def __post_init__(self):
-        if (self.n, self.nu) != (self.tensors.n, self.tensors.nu):
-            raise DimensionMismatchError("operator dims disagree with tensor dims")
         # Mixing matrix: heredity minus the breed-true identity pattern, both
         # sexes side by side, one row per parent pair (i, k) at i * nu + k.
         n, nu = self.n, self.nu
@@ -357,35 +354,35 @@ class BisexualOperator:
         q.setflags(write=False)
         object.__setattr__(self, "_q", q)
 
+    @property
+    def n(self) -> int:
+        return self.tensors.pf.shape[0]
+
+    @property
+    def nu(self) -> int:
+        return self.tensors.pf.shape[1]
+
     @classmethod
-    def from_tensors(cls, pf: np.ndarray, pm: np.ndarray) -> "BisexualOperator":
-        pf = np.asarray(pf, dtype=float)
-        pm = np.asarray(pm, dtype=float)
-        tensors = HeredityTensors(n=pf.shape[0], nu=pf.shape[1], pf=pf, pm=pm)
-        return cls(n=tensors.n, nu=tensors.nu, tensors=tensors)
+    def from_tensors(cls, pf, pm) -> "BisexualOperator":
+        return cls(HeredityTensors(np.asarray(pf, dtype=float), np.asarray(pm, dtype=float)))
 
-    def quadratic_form(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The literal tensor contraction, defined for arbitrary coordinates."""
+    def quadratic_form(self, s: np.ndarray) -> np.ndarray:
+        """The literal tensor contraction, defined for arbitrary (d,) coordinates."""
+        x, y = s[: self.n], s[self.n :]
         new_x = np.einsum("ikj,i,k->j", self.tensors.pf, x, y)
-        new_y = np.einsum("ikl,i,k->l", self.tensors.pm, x, y)
-        return new_x, new_y
+        return np.concatenate((new_x, np.einsum("ikl,i,k->l", self.tensors.pm, x, y)))
 
-    def apply_raw(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One step on bare coordinate vectors, without simplex validation."""
-        d = np.outer(x, y).ravel() @ self._q
-        return x + d[: self.n], y + d[self.n :]
+    def apply_raw(self, s: np.ndarray) -> np.ndarray:
+        """One step on coordinates, without simplex validation.
 
-    def apply(self, state: PopulationState) -> PopulationState:
-        """One evolution step; the result is again a valid state."""
-        if state.dims != (self.n, self.nu):
-            raise DimensionMismatchError(f"state dims {state.dims}, operator ({self.n},{self.nu})")
-        new_x, new_y = self.apply_raw(np.array(state.female.probs), np.array(state.male.probs))
-        return make_state(new_x, new_y)
+        ``s`` is a (d,) vector or the engine's (d, 1) column, and the result
+        has its shape.
+        """
+        return s + (np.outer(s[: self.n], s[self.n :]).ravel() @ self._q).reshape(s.shape)
 
 
 def build_operator(space: ConfigurationSpace, weights: WeightPair) -> BisexualOperator:
-    tensors = build_heredity(space, weights)
-    return BisexualOperator(n=tensors.n, nu=tensors.nu, tensors=tensors)
+    return BisexualOperator(build_heredity(space, weights))
 
 
 def is_identity(op: BisexualOperator, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:

@@ -208,11 +208,8 @@ def iterate(
     """
     if start.dims != (op.n, op.nu):
         raise DimensionMismatchError(f"state dims {start.dims}, operator ({op.n},{op.nu})")
-    n = op.n
-    run = iterate_map(
-        lambda s: np.concatenate(op.apply_raw(s[:n, 0], s[n:, 0]))[:, None], start.coords(), tol
-    )
-    check_states(run.states, n)
+    run = iterate_map(op.apply_raw, start.coords(), tol)
+    check_states(run.states, op.n)
     return run
 
 
@@ -322,11 +319,3 @@ def find_fixed_points_grid(
             kept.append(pt)
     return kept
 
-
-def conserved_quantity_drift(trajectory, functional: Callable[..., float]) -> float:
-    """Largest deviation of ``functional`` from its initial value along a ``Trajectory``.
-
-    The functional receives each stored state as a list of Python floats.
-    """
-    values = [functional(s) for s in trajectory.states.tolist()]
-    return max(abs(v - values[0]) for v in values)

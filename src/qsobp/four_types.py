@@ -90,11 +90,6 @@ class FourTypeParams:
         )
 
 
-def mirror_params(p: FourTypeParams) -> FourTypeParams:
-    """The parameter swap turning the type-3/4 block into the type-1/2 block."""
-    return FourTypeParams(a=p.b, b=p.a, c=p.d, d=p.c, a0=1.0 - p.a0, c0=1.0 - p.c0)
-
-
 def slice_sums(state: PopulationState) -> tuple[float, float, float, float]:
     """The four conserved pairwise sums (x1+x2, x3+x4, y1+y2, y3+y4)."""
     x, y = state.female.probs, state.male.probs
@@ -191,7 +186,8 @@ def _block_limit(side: int, a: float, a0: float, c0: float, x: float, y: float):
     """Limit (x, a0 - x, y, c0 - y) of the type-1/2 block from its start (x, y).
 
     A corner off the critical line; on it, the fixed point on the line x+y = k
-    of the start.  The type-3/4 block passes (b, 1-a0, 1-c0), as ``mirror_params``.
+    of the start.  The type-3/4 block, the type-1/2 block under the parameter
+    swap, passes (b, 1-a0, 1-c0).
     """
     if side > 0:
         return a0, 0.0, c0, 0.0

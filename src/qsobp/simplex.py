@@ -76,17 +76,23 @@ def make_state(female: Sequence[float], male: Sequence[float]) -> PopulationStat
     return PopulationState(make_distribution(female), make_distribution(male))
 
 
+def block_totals(states: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The female and the male total of each (k, d) ``states`` row: the block's
+    running sum, which adds the entries in order as ``Distribution``'s ``sum`` does."""
+    # The copy frees each block's running sums before the next block's are taken.
+    return tuple(np.cumsum(b, axis=1)[:, -1].copy() for b in (states[:, :n], states[:, n:]))
+
+
 def check_states(states: np.ndarray, n: int) -> None:
     """Raise what ``make_state(row[:n], row[n:])`` raises for the first of the
     (k, d) ``states`` rows that it rejects.
 
-    One array test with ``Distribution``'s tolerances picks out the rows that
-    go to ``make_state``.  Each block's total is its sequential running sum,
-    which adds the entries in order as ``Distribution``'s Python ``sum`` does.
+    One array test with ``Distribution``'s tolerances, on the ``block_totals``
+    and each block's minimum, picks out the rows that go to ``make_state``.
     """
     ok = np.ones(len(states), dtype=bool)
-    for block in (states[:, :n], states[:, n:]):
-        ok &= np.abs(np.cumsum(block, axis=1)[:, -1] - 1.0) <= NORMALIZATION_EPS
+    for block, total in zip((states[:, :n], states[:, n:]), block_totals(states, n)):
+        ok &= np.abs(total - 1.0) <= NORMALIZATION_EPS
         ok &= block.min(axis=1) >= -NEGATIVITY_EPS
     for row in states[~ok].tolist():
         make_state(row[:n], row[n:])

@@ -1,8 +1,10 @@
 """Reference helpers that only the tests use.
 
-Random states, a state metric, uniform weights, parameters from cell
-weights, the type-3/4 block step, the full operator Jacobian and a
-brute-force periodic-point scan.  The package itself needs none of them.
+Random states, a state metric, one operator step on a population state,
+the drift of a functional along a trajectory, uniform weights, parameters
+from cell weights, the four-type parameter swap and the type-3/4 block
+step, the full operator Jacobian and a brute-force periodic-point scan.
+The package itself needs none of them.
 """
 
 from typing import Callable, Sequence
@@ -12,8 +14,14 @@ import numpy as np
 from qsobp.construction import BisexualOperator, ConfigurationSpace, WeightPair
 from qsobp.dynamics import is_fixed
 from qsobp.errors import DimensionMismatchError
-from qsobp.four_types import FourTypeParams, mirror_params
-from qsobp.simplex import DEFAULT_TOLERANCE, Distribution, PopulationState, make_distribution
+from qsobp.four_types import FourTypeParams
+from qsobp.simplex import (
+    DEFAULT_TOLERANCE,
+    Distribution,
+    PopulationState,
+    make_distribution,
+    make_state,
+)
 from qsobp.two_types import TwoTypeParams
 
 
@@ -31,6 +39,23 @@ def random_distribution(rng: np.random.Generator, dim: int) -> Distribution:
 
 def random_state(rng: np.random.Generator, n: int, nu: int) -> PopulationState:
     return PopulationState(random_distribution(rng, n), random_distribution(rng, nu))
+
+
+def apply(op: BisexualOperator, state: PopulationState) -> PopulationState:
+    """One operator step on a population state; the result is validated as a state."""
+    if state.dims != (op.n, op.nu):
+        raise DimensionMismatchError(f"state dims {state.dims}, operator ({op.n},{op.nu})")
+    s = op.apply_raw(np.array(state.coords()))
+    return make_state(s[: op.n], s[op.n :])
+
+
+def conserved_quantity_drift(trajectory, functional: Callable[..., float]) -> float:
+    """Largest deviation of ``functional`` from its initial value along a ``Trajectory``.
+
+    The functional receives each stored state as a list of Python floats.
+    """
+    values = [functional(s) for s in trajectory.states.tolist()]
+    return max(abs(v - values[0]) for v in values)
 
 
 def uniform_weights(space: ConfigurationSpace) -> WeightPair:
@@ -58,6 +83,11 @@ def four_type_from_weights(
         a0=a0,
         c0=c0,
     )
+
+
+def mirror_params(p: FourTypeParams) -> FourTypeParams:
+    """The parameter swap turning the type-3/4 block into the type-1/2 block."""
+    return FourTypeParams(a=p.b, b=p.a, c=p.d, d=p.c, a0=1.0 - p.a0, c0=1.0 - p.c0)
 
 
 def sub34_step(p: FourTypeParams, s):

@@ -12,8 +12,9 @@ Core claims:
   - exit codes: 0 ran, 2 input error, 3 i/o error; non-finite weights and
     tensor entries, tensor entries that are not JSON numbers, --seed on a
     command that draws nothing, --grid on a case without a planar map, a
-    start flag the case does not read and a two-type classify point that is
-    not fixed are input errors; no JSON document holds NaN or infinity
+    start or parameter flag the case does not read, a parameter flag the
+    start fixes and a two-type classify point that is not fixed are input
+    errors; no JSON document holds NaN or infinity
   - each command takes only the flags it reads: the iteration threshold and
     budget only where something iterates
   - trajectory files do not depend on the number of BLAS threads
@@ -681,6 +682,25 @@ def test_a_start_flag_the_case_does_not_read_is_an_input_error(argv, flag, tmp_p
     out = tmp_path / "out"
     assert main([*argv, "--output", str(out)]) == 2
     assert f"{flag} is not read by --case" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["predict", "--case", "two-type", "--state", "0.2,0.3", "--c", "0.9"], "--c is not read"),
+        (["fixed-points", "--case", "two-type", "--c", "0.9"], "--c is not read"),
+        (["predict", "--case", "four-type", "--state", FOUR_STATE, "--a0", "0.9"],
+         "--a0 is fixed by the start"),
+        (["sweep", "--case", "critical-line", "--b", "0.9"], "--b is not read"),
+    ],
+)
+def test_a_parameter_flag_the_case_does_not_read_is_an_input_error(
+    argv, message, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    assert main([*argv, "--output", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

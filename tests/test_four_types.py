@@ -27,7 +27,6 @@ from qsobp.four_types import (
     fixed_curve,
     lift_operator,
     limit_branch,
-    mirror_params,
     predict_limit,
     predict_limit_critical,
     slice_sums,
@@ -37,7 +36,14 @@ from qsobp.four_types import (
 )
 from qsobp.simplex import Tolerance, make_state
 
-from helpers import scan_periodic_points, state_distance, sub34_step
+from helpers import (
+    apply,
+    conserved_quantity_drift,
+    mirror_params,
+    scan_periodic_points,
+    state_distance,
+    sub34_step,
+)
 
 
 def params(a=0.3, b=0.3, c=0.3, d=0.3, a0=0.5, c0=0.5) -> FourTypeParams:
@@ -86,7 +92,7 @@ def test_full_step_agrees_with_lifted_tensors():
     op = lift_operator(p)
     for _ in range(50):
         s = make_state(rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4)))
-        assert max(abs(u - v) for u, v in zip(p.step(s.coords()), op.apply(s).coords())) <= 1e-15
+        assert max(abs(u - v) for u, v in zip(p.step(s.coords()), apply(op, s).coords())) <= 1e-15
 
 
 # -- decoupled blocks --------------------------------------------------------
@@ -284,7 +290,7 @@ def test_sum_conserved_on_critical_line():
     run = dynamics.iterate_map(p.sub12_step, (0.3, 0.1))
     # Unthinned, so the drift below covers every step.
     assert len(run.states) < dynamics.TRAJECTORY_STORE_CAP
-    assert dynamics.conserved_quantity_drift(run, lambda s: s[0] + s[1]) <= 1e-12
+    assert conserved_quantity_drift(run, lambda s: s[0] + s[1]) <= 1e-12
 
 
 def test_critical_trajectories_land_on_fixed_curve():
