@@ -149,9 +149,9 @@ class Case:
 
 
 def _param_values(case_name: str, args, fixed=()) -> dict:
-    """The flag, or its default when not given, of each case parameter the command
-    has a flag for and the start does not fix: a ``SchemaError`` names any other
-    parameter flag that was given."""
+    """Each case parameter the command has a flag for and the start does not fix:
+    the flag's value, or the default when not given.  A ``SchemaError`` names any
+    other parameter flag that was given."""
     names = CASES[case_name].names
     for name in args.param_defaults:
         if getattr(args, name) is not None and (name not in names or name in fixed):
