@@ -94,6 +94,20 @@ CASES = {
     "sweep-critical": (["sweep", "--case", "critical-line", "--a", "0.4:0.6:5",
                         "--a0", "0.3:0.7:3", "--c0", "0.4", "--x0", "grid:4",
                         "--output", "{d}/s.csv"], ["s.csv"]),
+    # Edge rows: parameter values outside (0, 1), starts inside the fixed band,
+    # four-type grids across a + c = 1 and b + d = 1, critical-line grids
+    # across a = 1/2.
+    "sweep-two-invalid-rows": (["sweep", "--case", "two-type", "--a", "0:1:5", "--b", "0:0.5:3",
+                                "--state", "grid:3", "--output", "{d}/s.csv"], ["s.csv"]),
+    "sweep-two-fixed-grid-starts": (["sweep", "--case", "two-type", "--a", "0.2:0.8:3",
+                                     "--b", "0.3:0.9:3", "--state", "grid:5", "--abs-eps", "0.02",
+                                     "--output", "{d}/s.csv"], ["s.csv"]),
+    "sweep-four-critical-lines": (["sweep", "--case", "four-type", "--a", "0:1:6",
+                                   "--b", "0.4:0.6:3", "--c", "0.3:0.7:5", "--d", "0.5",
+                                   "--state", FOUR_STATE, "--output", "{d}/s.csv"], ["s.csv"]),
+    "sweep-critical-half": (["sweep", "--case", "critical-line", "--a", "0:1:9",
+                             "--a0", "0.2:0.8:3", "--c0", "0.5:1:3", "--x0", "grid:7",
+                             "--abs-eps", "0.02", "--output", "{d}/s.csv"], ["s.csv"]),
 }
 
 DIGESTS = {
@@ -144,8 +158,14 @@ DIGESTS = {
     "sweep-critical": {
         "s.csv": "046c3e92b59938cc796655a40a209da8dcedf987f7ee0cd4264cf2550bcc5e78",
     },
+    "sweep-critical-half": {
+        "s.csv": "3f811f60ad03c46ba154931df8af5830c56517db5ff3bde16b917cb999ee91a7",
+    },
     "sweep-four": {
         "s.csv": "762f2153dc5319a0dd3648d9cf1a361c44a7d3496e9364bb05d6a202a1736569",
+    },
+    "sweep-four-critical-lines": {
+        "s.csv": "2f45f13d085b076e3a17ce9991fbdffe5fbd506e74c2ad4e953313d9be84cb8f",
     },
     "sweep-four-fixed-start": {
         "s.csv": "458bb1017b3d9b07749c8e52d79a696511c2692ca0c78c1cc3745681fb281410",
@@ -153,8 +173,14 @@ DIGESTS = {
     "sweep-two": {
         "s.csv": "9a1674cb99dbe09d57a76e7bffa347d509ae4e75a0038a77aae6a236493296a7",
     },
+    "sweep-two-fixed-grid-starts": {
+        "s.csv": "7f4fa6c784fe199ca7c55f5320029fbfac1064d5bdaed938af32bef48fbfd76d",
+    },
     "sweep-two-fixed-start": {
         "s.csv": "c9e3397ef19d8f51a66d5301abab485dd34b949cac506e5001a57f52b85c4298",
+    },
+    "sweep-two-invalid-rows": {
+        "s.csv": "0a1b2657fb96a4a5919ba1e69c9b060e0687f89f1f36839bba3bf735c36d5397",
     },
     "verify-four-portrait": {
         "p.csv": "ecea692027eb11b177132f75efb617692674a0616fc06c87d86613413bd41b27",
