@@ -9,20 +9,19 @@ byte-identical files.  Exit codes: 0 = ran (including non-convergence),
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import math
 import sys
-from array import array
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import construction, dynamics, four_types, two_types
-from .errors import QsobpError, SchemaError
-from .simplex import PopulationState, Tolerance, block_totals, make_state
+from .errors import FixedPointInputError, QsobpError, SchemaError
+from .simplex import (PopulationState, Tolerance, block_totals, check_states, check_unit,
+                      make_state, rejected_rows)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -87,28 +86,23 @@ def _write_json(doc: dict, path: str | None) -> None:
             fh.write(text)
 
 
-def _write_csv(path: str, header: Sequence[str], rows) -> None:
+def _write_lines(path: str, header: Sequence[str], lines) -> None:
+    """The CSV file ``csv.writer`` writes for ``header`` and rows whose fields it never quotes
+    (names, ints, float reprs) or quotes as given; each of ``lines`` is one row and its CR LF."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(lines)
 
 
 def _write_trajectory(path: str, header: Sequence[str], steps, states) -> None:
-    """The bytes ``_write_csv`` writes for the rows ``[step, *state]``.
-
-    A row holds an int and floats, which ``csv`` writes as ``str`` and
-    ``repr`` and never quotes, so each row is one join.
-    """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(
-            f"{t}," + ",".join(map(float.__repr__, s)) + "\r\n" for t, s in zip(steps, states)
-        )
+    """The rows ``[step, *state]`` of an int and floats."""
+    rows = (f"{t}," + ",".join(map(float.__repr__, s)) + "\r\n" for t, s in zip(steps, states))
+    _write_lines(path, header, rows)
 
 
-def _state_doc(state: PopulationState) -> dict:
-    return {"female": list(state.female.probs), "male": list(state.male.probs)}
+def _state_doc(coords: Sequence[float], n: int) -> dict:
+    """The female block, the first ``n`` coordinates, and the male block."""
+    return {"female": list(coords[:n]), "male": list(coords[n:])}
 
 
 # ---------------------------------------------------------------------------
@@ -120,24 +114,24 @@ def _state_doc(state: PopulationState) -> dict:
 class Case:
     """The per-case parts of predict, verify and sweep.
 
-    A start is what the case's predictor takes: a point, a population state
-    or a scalar.  ``coords`` flattens a start or a limit into the coordinate
-    tuple that ``params.step`` iterates and that sweep rows hold.  Predictors
-    are looked up in their module at call time, so a wrapped module
-    attribute sees every call.
+    A start is the tuple of coordinates that ``params.step`` iterates and that
+    sweep rows hold; B starts are a (B, d) array, which the predictor takes with
+    parameters whose fields are numbers or (B,) arrays.  Predictors are looked
+    up in their module at call time, so a wrapped module attribute sees every call.
     """
 
     params: type  # its fields are the case's parameter names, in sweep-column order
-    parse_start: Callable[[str], object]  # raises ValueError for a start outside the domain
-    predict: Callable  # (params, start, tolerance) -> closed-form limit
-    label: Callable  # (params, limit) -> class label
+    parse_start: Callable[[str], tuple]  # raises ValueError for a start outside the domain
+    predict: Callable  # (params, (B, d) starts, tolerance) -> (limits, fixed, invalid)
+    labels: tuple[str, ...]  # the class labels
+    label: Callable  # (params, (B, d) limits) -> each row's index into ``labels``
     doc: Callable  # (start, limit) -> the start and limit fields of the predict document
     sweep_columns: tuple[tuple[str, ...], tuple[str, ...]]  # start and limit columns
     start_flag: str = "state"
-    coords: Callable[[object], tuple] = tuple
+    state_n: int = 0  # the female block's size when starts and limits are population states
     grid_starts: Callable[[int], list] | None = None  # sweep starts for 'grid:N'
-    fixes: Callable[[object], dict] = lambda start: {}  # parameters a start determines
-    sample: Callable | None = None  # (params, rng) -> one random verify start
+    fixes: Callable[[tuple], dict] = lambda start: {}  # parameters a start determines
+    sample: Callable | None = None  # (stacked params, rng) -> one random verify start per row
     verify_axes: tuple[str, str] = ("a", "c")
     on_line: Callable[[object], bool] = lambda p: False  # verify names the cell critical-line
     planar: Callable | None = None  # params -> (planar map, its Jacobian, (w, h) of [0,w] x [0,h])
@@ -148,19 +142,23 @@ class Case:
         return tuple(f.name for f in fields(self.params))
 
 
+def _reject(args, names, why: str) -> None:
+    """A ``SchemaError`` naming the first of the parameter flags ``names`` that was given."""
+    for name in names:
+        if getattr(args, name, None) is not None:
+            raise SchemaError(name, f"--{name} is {why}")
+
+
 def _param_values(case_name: str, args, fixed=()) -> dict:
     """Each case parameter the command has a flag for and the start does not fix:
     the flag's value, or the default when not given.  A ``SchemaError`` names any
     other parameter flag that was given."""
     names = CASES[case_name].names
-    for name in args.param_defaults:
-        if getattr(args, name) is not None and (name not in names or name in fixed):
-            why = "fixed by the start in" if name in names else "not read by"
-            raise SchemaError(name, f"--{name} is {why} --case {case_name}")
-    return {
-        n: args.param_defaults[n] if getattr(args, n) is None else getattr(args, n)
-        for n in names if n in args.param_defaults and n not in fixed
-    }
+    unread = [n for n in args.param_defaults if n not in names]
+    _reject(args, unread, f"not read by --case {case_name}")
+    _reject(args, fixed, f"fixed by the start in --case {case_name}")
+    return {n: args.param_defaults[n] if getattr(args, n) is None else getattr(args, n)
+            for n in names if n in args.param_defaults and n not in fixed}
 
 
 def _params(case_name: str, args, **values):
@@ -172,17 +170,12 @@ def _linspace(lo: float, hi: float, count: int) -> list[float]:
     return [float(v) for v in np.linspace(lo, hi, count)]
 
 
-def _four_type_fixes(state: PopulationState) -> dict:
-    """The slice (a0, c0) that a four-type start lies on."""
-    sums = four_types.slice_sums(state)
-    return {"a0": sums[0], "c0": sums[2]}
-
-
-def _four_type_sample(p: four_types.FourTypeParams, rng) -> PopulationState:
-    """A random state on the slice (a0, c0): each pair split at a uniform fraction."""
+def _four_type_sample(p: four_types.FourTypeParams, rng) -> np.ndarray:
+    """A random state on each row's slice (a0, c0): each pair split at a uniform fraction."""
     a0, c0 = p.a0, p.c0
-    x1, x3, y1, y3 = (w * rng.uniform(0.05, 0.95) for w in (a0, 1.0 - a0, c0, 1.0 - c0))
-    return make_state((x1, a0 - x1, x3, 1.0 - a0 - x3), (y1, c0 - y1, y3, 1.0 - c0 - y3))
+    widths = np.stack([a0, 1.0 - a0, c0, 1.0 - c0], axis=1)
+    x1, x3, y1, y3 = (widths * rng.uniform(0.05, 0.95, widths.shape)).T
+    return np.stack([x1, a0 - x1, x3, 1.0 - a0 - x3, y1, c0 - y1, y3, 1.0 - c0 - y3], axis=1)
 
 
 _COORDS8 = [f"x{i+1}" for i in range(4)] + [f"y{k+1}" for k in range(4)]
@@ -190,17 +183,19 @@ _COORDS8 = [f"x{i+1}" for i in range(4)] + [f"y{k+1}" for k in range(4)]
 CASES = {
     "two-type": Case(
         params=two_types.TwoTypeParams,
-        parse_start=lambda text: two_types.check_start(
-            two_types.reduce_state(_parse_full_state(text)) if ";" in text else _parse_point(text)
+        parse_start=lambda text: check_unit(
+            two_types.reduce_state(_parse_full_state(text)) if ";" in text else _parse_point(text),
+            "the unit square",
         ),
         predict=lambda p, s, tol: two_types.predict_limit(p, s, tol),
-        label=lambda p, lim: "m1-extinct" if lim[1] == 0.0 and lim[0] < 1.0 else "f2-extinct",
+        labels=("m1-extinct", "f2-extinct"),
+        label=lambda p, lim: np.where((lim[:, 1] == 0.0) & (lim[:, 0] < 1.0), 0, 1),
         doc=lambda s, lim: {
             "start": list(s),
             "limit": list(lim),
-            "limit_full": _state_doc(two_types.lift_point(lim)),
+            "limit_full": _state_doc(two_types.lift_point(lim).coords(), 2),
         },
-        sample=lambda p, rng: (rng.uniform(0.02, 0.98), rng.uniform(0.02, 0.98)),
+        sample=lambda p, rng: rng.uniform(0.02, 0.98, (len(p.a), 2)),
         sweep_columns=(("x0", "y0"), ("limit_x", "limit_y")),
         grid_starts=lambda count: list(itertools.product(_linspace(0.1, 0.9, count), repeat=2)),
         verify_axes=("a", "b"),
@@ -209,14 +204,15 @@ CASES = {
     ),
     "four-type": Case(
         params=four_types.FourTypeParams,
-        parse_start=_parse_full_state,
+        parse_start=lambda text: _parse_full_state(text).coords(),
         predict=lambda p, s, tol: four_types.predict_limit(p, s, tol),
-        label=lambda p, lim: four_types.survivor_label(p),
-        doc=lambda s, lim: {"start": _state_doc(s), "limit": _state_doc(lim)},
+        labels=four_types.SURVIVOR_LABELS,
+        label=lambda p, lim: np.broadcast_to(four_types.survivor_code(p), len(lim)),
+        doc=lambda s, lim: {"start": _state_doc(s, 4), "limit": _state_doc(lim, 4)},
         sample=_four_type_sample,
         sweep_columns=(tuple(f"s0_{c}" for c in _COORDS8), tuple(f"limit_{c}" for c in _COORDS8)),
-        coords=PopulationState.coords,
-        fixes=_four_type_fixes,
+        state_n=4,
+        fixes=lambda s: dict(zip(("a0", "c0"), four_types.slice_sums(s)[::2])),  # its slice
         on_line=lambda p: 0 in four_types.limit_branch(p),
         planar=lambda p: (p.sub12_step, lambda s: four_types.sub12_jacobian(p, s), (p.a0, p.c0)),
         portrait=tuple(
@@ -226,16 +222,28 @@ CASES = {
     ),
     "critical-line": Case(
         params=four_types.CriticalMapParams,
-        parse_start=lambda text: four_types.check_critical_start(float(text)),
+        parse_start=lambda text: (check_unit(float(text), "[0, 1]"),),
         predict=lambda p, x, tol: four_types.predict_limit_critical(p, x, tol),
-        label=lambda p, lim: "affine" if p.is_affine else "quadratic",
-        doc=lambda x, lim: {"x0": x, "limit": lim},
+        labels=("quadratic", "affine"),
+        label=lambda p, lim: np.broadcast_to(p.is_affine, len(lim)),
+        doc=lambda x, lim: {"x0": x[0], "limit": lim[0]},
         sweep_columns=(("x0",), ("limit",)),
         start_flag="x0",
-        coords=lambda x: (x,),
-        grid_starts=lambda count: _linspace(0.05, 0.95, count),
+        grid_starts=lambda count: [(x,) for x in _linspace(0.05, 0.95, count)],
     ),
 }
+
+
+def _predict(case: Case, p, starts: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """The limits of the (B, d) ``starts`` under valid ``p``; ``FixedPointInputError``
+    names the first fixed start; ``check_states`` checks starts and limits that are states."""
+    limits, fixed, _ = case.predict(p, starts, tol)
+    if case.state_n:
+        check_states(np.concatenate([starts, limits]), case.state_n)
+    if fixed.any():
+        start = tuple(starts[np.argmax(fixed)].tolist())
+        raise FixedPointInputError(f"the start {start} is already a fixed point")
+    return limits
 
 
 # ---------------------------------------------------------------------------
@@ -265,16 +273,14 @@ def cmd_construct(args) -> int:
 
 
 def _operator_from_args(args) -> tuple[construction.BisexualOperator, dict]:
-    sources = [
-        args.operator is not None,
-        args.construction is not None,
-        args.two_type,
-        args.four_type,
-    ]
-    if sum(sources) != 1:
+    files = {"operator": args.operator, "construction": args.construction}
+    if sum(v is not None for v in files.values()) + args.two_type + args.four_type != 1:
         raise SchemaError(
             "operator", "exactly one of --operator, --construction, --two-type, --four-type"
         )
+    for flag, path in files.items():
+        if path is not None:  # the file holds the operator: no parameter flag reaches it
+            _reject(args, args.param_defaults, f"not read by --{flag}")
     if args.operator is not None:
         doc = construction.load_json(args.operator)
         return construction.operator_from_json(doc), {"kind": "operator-json", "path": args.operator}
@@ -282,9 +288,10 @@ def _operator_from_args(args) -> tuple[construction.BisexualOperator, dict]:
         _, op = _construct(args.construction)
         return op, {"kind": "construction-json", "path": args.construction}
     kind = "two-type" if args.two_type else "four-type"
+    # The slice sums a0, c0 are not part of the four-type operator.
+    _reject(args, ("a0", "c0"), "not read by --four-type, whose operator acts on every slice")
     p = _params(kind, args)
     module = two_types if args.two_type else four_types
-    # The slice sums a0, c0 are not part of the four-type operator.
     meta = {n: getattr(p, n) for n in CASES[kind].names if n not in ("a0", "c0")}
     return module.lift_operator(p), {"kind": kind, **meta}
 
@@ -305,10 +312,10 @@ def cmd_iterate(args) -> int:
               "male_total": float(np.abs(male - male[0]).max())}
     summary = {
         "source": meta,
-        "initial": _state_doc(state),
+        "initial": _state_doc(state.coords(), n),
         "converged": trajectory.converged,
         "steps": trajectory.steps_taken,
-        "limit": None if limit is None else {"female": list(limit[:n]), "male": list(limit[n:])},
+        "limit": None if limit is None else _state_doc(limit, n),
         "drifts": drifts,
         "seed": args.seed,
         "tolerance": asdict(tol),
@@ -332,21 +339,12 @@ def cmd_fixed_points(args) -> int:
     elif args.case == "four-type":
         points = four_types.sub12_fixed_points(p)
         residuals = [max(abs(n - o) for n, o in zip(p.sub12_step(pt), pt)) for pt in points]
-        doc = {
-            "case": "four-type",
-            "critical": four_types.limit_branch(p)[0] == 0,
-            "points": [list(pt) for pt in points],
-            "residuals": residuals,
-        }
+        doc = {"case": "four-type", "critical": four_types.limit_branch(p)[0] == 0,
+               "points": [list(pt) for pt in points], "residuals": residuals}
     else:
         point, spurious, discriminant = four_types.critical_fixed_points(p)
-        doc = {
-            "case": "critical-line",
-            "point": point,
-            "spurious": spurious,
-            "discriminant": discriminant,
-            "slope": four_types.critical_slope(p),
-        }
+        doc = {"case": "critical-line", "point": point, "spurious": spurious,
+               "discriminant": discriminant, "slope": four_types.critical_slope(p)}
     if args.grid:
         found = dynamics.find_fixed_points_grid(*case.planar(p), args.grid, tol)
         doc["grid_points"] = [list(pt) for pt in found]
@@ -364,7 +362,8 @@ def cmd_classify(args) -> int:
     p = _params(args.case, args)
     step, jacobian, _ = CASES[args.case].planar(p)
     if args.case == "two-type":
-        point = two_types.check_start(_parse_point("0,0" if args.state is None else args.state))
+        point = _parse_point("0,0" if args.state is None else args.state)
+        check_unit(point, "the unit square")
         if not dynamics.is_fixed(step, point, tol):
             raise ValueError(f"{point} is not fixed: one step moves it by more than --abs-eps")
         doc = {"case": "two-type", "state": list(point), **_verdict_doc(jacobian(point), tol)}
@@ -409,8 +408,10 @@ def cmd_predict(args) -> int:
     start = case.parse_start(_start_text(args))
     fixed = case.fixes(start)
     p = case.params(**_param_values(args.case, args, fixed), **fixed)
-    limit = case.predict(p, start, tol)
-    doc = {"case": args.case, **case.doc(start, limit), "class": case.label(p, limit)}
+    limits = _predict(case, p, np.array([start]), tol)
+    limit = tuple(limits[0].tolist())
+    label = case.labels[int(case.label(p, limits)[0])]
+    doc = {"case": args.case, **case.doc(start, limit), "class": label}
     _write_json(doc, args.output)
     return EXIT_OK
 
@@ -425,7 +426,7 @@ def _portrait_rows(case: Case, args, tol: Tolerance):
         run = dynamics.iterate_batch(lambda _, s: step(s), starts, short_tol, store_cap=400)
         for t, trajectory in enumerate(run.trajectories):
             for step_index, (x, y) in zip(trajectory.state_steps, trajectory.states.tolist()):
-                yield (regime, t, step_index, x, y)
+                yield f"{regime},{t},{step_index},{x!r},{y!r}\r\n"
 
 
 def cmd_verify(args) -> int:
@@ -436,31 +437,28 @@ def cmd_verify(args) -> int:
     if not 0.0 <= args.match_eps < math.inf:
         raise SchemaError("match-eps", f"must be finite and >= 0, got {args.match_eps}")
     case = CASES[args.case]
+    # A grid axis that every portrait regime sets as well is read from no flag.
+    grid_set = set(case.verify_axes).intersection(*(overrides for _, overrides in case.portrait))
+    _reject(args, sorted(grid_set), f"set by the grid and the portrait in --case {args.case}")
     tol = _tolerance(args)
     rng = np.random.default_rng(args.seed)
     grid_values = _linspace(0.05, 0.95, args.grid)
-    # Of each start one after another, a cell's starts together: parameters and
-    # coordinates of the start and of its closed-form limit.
-    params, start_coords, limit_coords, cells = [], array("d"), array("d"), []
+    # One parameters row per start, a cell's starts together.
+    rows, cells = [], []
     for u in grid_values:
         for v in grid_values:
             cell = dict(zip(case.verify_axes, (u, v)))
             p = _params(args.case, args, **cell)
-            for s0 in [case.sample(p, rng) for _ in range(args.starts)]:
-                limit_coords.extend(case.coords(case.predict(p, s0, tol)))
-                start_coords.extend(case.coords(s0))
-            params.extend([p] * args.starts)
+            rows.extend([p] * args.starts)
             cells.append({**cell, "kind": "critical-line" if case.on_line(p) else "closed-form"})
+    params = dynamics.stack_params(rows)
+    starts = case.sample(params, rng)
+    limits = _predict(case, params, starts, tol)
     # One batch steps every start; each cell keeps its starts' largest coordinate
     # gap to the closed form, their summed steps and whether all converged.
-    shape, per_cell = (len(params), -1), (len(cells), args.starts)
-    run = dynamics.iterate_batch(
-        case.params.step,
-        np.frombuffer(start_coords).reshape(shape).T,
-        tol,
-        params=dynamics.stack_params(params),
-    )
-    gaps = np.abs(run.end - np.frombuffer(limit_coords).reshape(shape).T).max(axis=0)
+    per_cell = (len(cells), args.starts)
+    run = dynamics.iterate_batch(case.params.step, starts.T, tol, params=params)
+    gaps = np.abs(run.end - limits.T).max(axis=0)
     for cell, gap, steps, converged in zip(
         cells,
         gaps.reshape(per_cell).max(axis=1).tolist(),
@@ -486,16 +484,18 @@ def cmd_verify(args) -> int:
     _write_json(report, args.report)
     if args.portrait is not None:
         header = ["regime", "traj", "step", "x", "y"]
-        _write_csv(args.portrait, header, _portrait_rows(case, args, tol))
+        _write_lines(args.portrait, header, _portrait_rows(case, args, tol))
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    """Closed-form limits over a parameter grid, one CSV row per (parameters, start).
+    """Closed-form limits over a parameter grid, one CSV row per (parameters, start),
+    predicted and written ``SWEEP_BLOCK_ROWS`` rows at a time.
 
-    Parameters outside their valid range give status ``ValueError`` and
-    starts the closed form rejects give the error's name, both with blank
-    limits.
+    The status is ``ValueError`` for parameters outside (0, 1), else
+    ``FixedPointInputError`` for a start that one step moves by at most
+    ``--abs-eps``, else the name of the error ``make_state`` raises for a
+    four-type limit off the simplexes, else ``ok``, the one status with limits.
     """
     case = CASES[args.case]
     tol = _tolerance(args)
@@ -507,26 +507,41 @@ def cmd_sweep(args) -> int:
     # Only the four-type case has start-determined parameters, and its sweep takes one start.
     fixed = case.fixes(starts[0]) if starts else {}
     ranges = _param_values(args.case, args, fixed)
-    start_rows = [(s, list(case.coords(s))) for s in starts]
+    axes = [[fixed[n]] if n in fixed else _parse_range(ranges[n]) for n in case.names]
+    table = np.array(list(itertools.product(*axes))).reshape(-1, len(axes))
     start_columns, limit_columns = case.sweep_columns
-    blank = [""] * len(limit_columns)
-    rows = []
-    for combo in itertools.product(*map(_parse_range, ranges.values())):
-        values = {**dict(zip(ranges, combo)), **fixed}
-        head = [values[n] for n in case.names]
-        try:
-            p = case.params(**values)
-        except ValueError:
-            rows.extend(head + sr + ["ValueError", *blank, ""] for _, sr in start_rows)
-            continue
-        for start, start_row in start_rows:
-            try:
-                limit = case.predict(p, start, tol)
-            except QsobpError as exc:
-                rows.append(head + start_row + [type(exc).__name__, *blank, ""])
-                continue
-            rows.append(head + start_row + ["ok", *case.coords(limit), case.label(p, limit)])
-    _write_csv(args.output, [*case.names, *start_columns, "status", *limit_columns, "class"], rows)
+    start_array = np.array(starts).reshape(len(starts), len(start_columns))
+    # Each parameter row, start and label as text once.  The labels hold no
+    # quote or line break, so only a comma makes csv quote one.
+    heads = [",".join(map(float.__repr__, row)) for row in table.tolist()]
+    start_texts = [",".join(map(float.__repr__, start)) for start in starts]
+    labels = [f'"{label}"' if "," in label else label for label in case.labels]
+    blank = "," * len(limit_columns)
+
+    def lines():
+        total = len(heads) * len(starts)
+        for first in range(0, total, SWEEP_BLOCK_ROWS):
+            rows = np.arange(first, min(first + SWEEP_BLOCK_ROWS, total))
+            head, start = np.divmod(rows, len(starts))
+            p = case.params(**dict(zip(case.names, table[head].T)))
+            limits, fixed_rows, invalid = case.predict(p, start_array[start], tol)
+            status = np.where(fixed_rows, "FixedPointInputError", "ok")
+            status = np.where(invalid, "ValueError", status).tolist()
+            if case.state_n:
+                predicted = np.flatnonzero(~(invalid | fixed_rows))
+                for row in predicted[rejected_rows(limits[predicted], case.state_n)].tolist():
+                    try:
+                        check_states(limits[row : row + 1], case.state_n)
+                    except QsobpError as exc:
+                        status[row] = type(exc).__name__
+            texts = map(",".join, zip(*(map(float.__repr__, c) for c in limits.T.tolist())))
+            rows = zip(head.tolist(), start.tolist(), status, texts, case.label(p, limits).tolist())
+            yield "".join([f"{heads[i]},{start_texts[j]},ok,{text},{labels[c]}\r\n" if s == "ok"
+                           else f"{heads[i]},{start_texts[j]},{s},{blank}\r\n"
+                           for i, j, s, text, c in rows])
+
+    header = [*case.names, *start_columns, "status", *limit_columns, "class"]
+    _write_lines(args.output, header, lines())
     return EXIT_OK
 
 
@@ -534,9 +549,9 @@ def cmd_sweep(args) -> int:
 # Parser assembly.
 # ---------------------------------------------------------------------------
 
+SWEEP_BLOCK_ROWS = 4096  # a whole grid's lines at once take memory that grows with the grid
 CASE_DEFAULTS = {"a": 0.3, "b": 0.3, "c": 0.3, "d": 0.3, "a0": 0.5, "c0": 0.5}
-# The start of a sweep whose start flag is not given.
-SWEEP_STARTS = {"state": "0.2,0.3", "x0": "0.2"}
+SWEEP_STARTS = {"state": "0.2,0.3", "x0": "0.2"}  # of a sweep whose start flag is not given
 
 
 def build_parser() -> argparse.ArgumentParser:

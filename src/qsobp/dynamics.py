@@ -22,14 +22,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields, replace
-from operator import sub
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .construction import BisexualOperator
 from .errors import DimensionMismatchError
-from .simplex import DEFAULT_TOLERANCE, PopulationState, Tolerance, check_states
+from .simplex import DEFAULT_TOLERANCE, PopulationState, Tolerance, check_open_unit, check_states
 
 # At most this many states are kept per trajectory; longer runs are thinned
 # to every k-th state, always retaining the first and the last.
@@ -74,10 +73,8 @@ class BatchRun:
 
 
 def stack_params(rows: Sequence):
-    """One parameters dataclass whose fields hold the rows' values as (B,) arrays.
-
-    The dataclass validates the arrays as it validates numbers.
-    """
+    """One parameters dataclass whose fields hold the rows' values as (B,) arrays:
+    stacked parameters, which ``iterate_batch`` and the closed-form predictors take."""
     kind = type(rows[0])
     return kind(**{f.name: np.array([getattr(p, f.name) for p in rows]) for f in fields(kind)})
 
@@ -190,13 +187,22 @@ def iterate_map(
     return run.trajectories[0]
 
 
-def is_fixed(step: MapStep, point: Sequence[float], tol: Tolerance) -> bool:
-    """Whether one step moves ``point`` by at most ``tol.abs_eps`` in the max norm.
+def is_fixed(step: MapStep, point, tol: Tolerance):
+    """Whether one step moves ``point``, d numbers, by at most ``tol.abs_eps`` in the
+    max norm; for a (d, B) array of B points, the (B,) mask.  The one rule by which
+    every closed-form predictor decides that its start is already fixed."""
+    return np.maximum.reduce(np.abs(np.subtract(step(point), point))) <= tol.abs_eps
 
-    The one rule by which every closed-form predictor decides that its start
-    is already fixed.
-    """
-    return max(map(abs, map(sub, step(point), point))) <= tol.abs_eps
+
+def predicted(p, coords: np.ndarray, limits, tol: Tolerance):
+    """What a closed-form predictor returns for the columns of the (d, B) ``coords``
+    under ``p``: the (B, d) limits of the d ``limits`` columns, NaN in the rows of the
+    (B,) mask of starts that ``is_fixed`` and of the (B,) mask of ``p`` outside (0, 1)."""
+    invalid = ~np.broadcast_to(check_open_unit(p), coords.shape[1:])
+    fixed = is_fixed(p.step, coords, tol) & ~invalid
+    limits = np.stack(np.broadcast_arrays(*limits, coords[0])[:-1], axis=1)
+    limits[invalid | fixed] = np.nan
+    return limits, fixed, invalid
 
 
 def iterate(

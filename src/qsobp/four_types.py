@@ -22,14 +22,12 @@ attracting fixed point and no periodic orbits of period two or more;
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 import numpy as np
 
 from .construction import BisexualOperator
-from .dynamics import is_fixed
-from .errors import FixedPointInputError
-from .simplex import DEFAULT_TOLERANCE, PopulationState, Tolerance, check_open_unit, make_state
+from .dynamics import predicted
+from .simplex import DEFAULT_TOLERANCE, Tolerance, check_open_unit, check_unit
 
 # Parameter sums within this distance of 1 are treated as critical.
 CRITICAL_EPS = 1e-9
@@ -90,10 +88,11 @@ class FourTypeParams:
         )
 
 
-def slice_sums(state: PopulationState) -> tuple[float, float, float, float]:
-    """The four conserved pairwise sums (x1+x2, x3+x4, y1+y2, y3+y4)."""
-    x, y = state.female.probs, state.male.probs
-    return (x[0] + x[1], x[2] + x[3], y[0] + y[1], y[2] + y[3])
+def slice_sums(coords) -> tuple:
+    """The four conserved pairwise sums (x1+x2, x3+x4, y1+y2, y3+y4) of the
+    coordinates (x1..x4, y1..y4), each a number or a (B,) array."""
+    x1, x2, x3, x4, y1, y2, y3, y4 = coords
+    return (x1 + x2, x3 + x4, y1 + y2, y3 + y4)
 
 
 def lift_operator(p: FourTypeParams) -> BisexualOperator:
@@ -157,68 +156,56 @@ def sub12_fixed_points(p: FourTypeParams) -> tuple[Point2, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _side(total: float) -> int:
+def _side(total):
     """1 when a block's parameter sum lies above one, -1 below, 0 on its critical line."""
-    return (total - 1.0 > CRITICAL_EPS) - (1.0 - total > CRITICAL_EPS)
+    return (total - 1.0 > CRITICAL_EPS) * 1 - (1.0 - total > CRITICAL_EPS)
 
 
 # The types of a block that persist in the limit, by the block's side: the
 # first type above the line, the second below it, both on it.
 _BLOCK_TYPES = ({-1: "2", 0: "12", 1: "1"}, {-1: "4", 0: "34", 1: "3"})
-_SURVIVOR_LABELS = {
-    (s12, s34): "|".join(",".join(sex + t for t in t12 + t34) for sex in "fm")
-    for s12, t12 in _BLOCK_TYPES[0].items()
-    for s34, t34 in _BLOCK_TYPES[1].items()
-}
+SURVIVOR_LABELS = tuple(
+    "|".join(",".join(sex + t for t in t12 + t34) for sex in "fm")
+    for t12 in _BLOCK_TYPES[0].values()
+    for t34 in _BLOCK_TYPES[1].values()
+)
 
 
-def limit_branch(p: FourTypeParams) -> tuple[int, int]:
+def limit_branch(p: FourTypeParams) -> tuple:
     """Sides of (a+c, b+d): 1 above one, -1 below, 0 on the critical line."""
     return (_side(p.a + p.c), _side(p.b + p.d))
 
 
-def survivor_label(p: FourTypeParams) -> str:
-    """Compact tag of which types persist in the predicted limit."""
-    return _SURVIVOR_LABELS[limit_branch(p)]
+def survivor_code(p: FourTypeParams):
+    """Index into ``SURVIVOR_LABELS`` of which types persist in the predicted limit."""
+    side12, side34 = limit_branch(p)
+    return 3 * side12 + side34 + 4
 
 
-def _block_limit(side: int, a: float, a0: float, c0: float, x: float, y: float):
-    """Limit (x, a0 - x, y, c0 - y) of the type-1/2 block from its start (x, y).
-
-    A corner off the critical line; on it, the fixed point on the line x+y = k
-    of the start.  The type-3/4 block, the type-1/2 block under the parameter
-    swap, passes (b, 1-a0, 1-c0).
-    """
-    if side > 0:
-        return a0, 0.0, c0, 0.0
-    if side < 0:
-        return 0.0, a0, 0.0, c0
+def _block_limit(side, a, a0, c0, x, y):
+    """Limit (x, a0 - x, y, c0 - y) of the type-1/2 block from its start (x, y): a
+    corner off the critical line, and on it the fixed point on the start's line x+y = k.
+    The type-3/4 block, the type-1/2 block under the parameter swap, passes (b, 1-a0, 1-c0)."""
     k = x + y
     root = critical_root(a, a0, c0, k)[0]
-    return root, a0 - root, k - root, c0 - (k - root)
+    x_limit = np.where(side > 0, a0, np.where(side < 0, 0.0, root))
+    y_limit = np.where(side > 0, c0, np.where(side < 0, 0.0, k - root))
+    return x_limit, a0 - x_limit, y_limit, c0 - y_limit
 
 
-def predict_limit(
-    p: FourTypeParams, state: PopulationState, tol: Tolerance = DEFAULT_TOLERANCE
-) -> PopulationState:
-    """Closed-form limit of the full operator from a non-fixed slice state.
-
-    The slice sums of ``state`` must match the a0, c0 carried by the
-    parameters.  Raises ``FixedPointInputError`` on a fixed starting state,
-    which callers must treat as its own limit.
-    """
-    sums = slice_sums(state)
-    if abs(sums[0] - p.a0) > tol.abs_eps or abs(sums[2] - p.c0) > tol.abs_eps:
-        raise ValueError(
-            f"state slice sums {sums[0]}, {sums[2]} disagree with a0={p.a0}, c0={p.c0}"
-        )
+def predict_limit(p: FourTypeParams, starts, tol: Tolerance = DEFAULT_TOLERANCE):
+    """Closed-form limits of the full operator from the (B, 8) slice ``starts``, as
+    ``dynamics.predicted`` returns them; ``p`` may be stacked.  ``ValueError`` when a
+    start's slice sums miss its a0, c0; ``simplex.check_states`` checks the limits."""
+    coords = np.asarray(starts, dtype=float).T
+    sums = slice_sums(coords)
+    off = (np.abs(sums[0] - p.a0) > tol.abs_eps) | (np.abs(sums[2] - p.c0) > tol.abs_eps)
+    if off.any():
+        raise ValueError(f"the slice sums of start {np.argmax(off)} miss its a0, c0")
     side12, side34 = limit_branch(p)
-    coords = state.coords()
-    if is_fixed(p.step, coords, tol):
-        raise FixedPointInputError("the starting state is already fixed")
     x1, x2, y1, y2 = _block_limit(side12, p.a, p.a0, p.c0, coords[0], coords[4])
     x3, x4, y3, y4 = _block_limit(side34, p.b, 1.0 - p.a0, 1.0 - p.c0, coords[2], coords[6])
-    return make_state((x1, x2, x3, x4), (y1, y2, y3, y4))
+    return predicted(p, coords, (x1, x2, x3, x4, y1, y2, y3, y4), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -253,27 +240,28 @@ class CriticalMapParams:
         return (quad * x * x + lin * x + self.a * self.a0,)
 
 
-def critical_root(a: float, a0: float, c0: float, k: float):
+def critical_root(a, a0, c0, k):
     """Where the line x+y = k meets the fixed curve of the type-1/2 block when c = 1-a.
 
     ``(inside, outside, discriminant)``: the root in [max(0, k-c0), min(a0, k)]
     of (2a-1) x^2 - K x + k a a0 = 0, K = k + a a0 - (1-a)(2k - c0), and the
-    other root; at a = 1/2, k a0 / (a0 + c0), None and None.
+    other root; at a = 1/2 the first is k a0 / (a0 + c0) and the others are
+    meaningless.  Each argument is a number or an array.
     """
     quad = 2.0 * a - 1.0
-    if abs(quad) <= AFFINE_EPS:
-        return k * a0 / (a0 + c0), None, None
     # At k = 1.0 every operation is the section map's own, bit for bit.
     big_k = k + a * a0 - (1.0 - a) * (2.0 * k - c0)
     disc = big_k * big_k - 4.0 * a * a0 * quad * k
-    root = math.sqrt(max(disc, 0.0))
+    root = np.sqrt(np.maximum(disc, 0.0))
     # Pair the additions by sign to avoid cancellation: the in-range root
     # carries -sign(K)*sqrt(D).
-    if big_k >= 0.0:
-        q = (big_k + root) / 2.0
-        return (a * a0 * k) / q, q / quad, disc
-    q = (big_k - root) / 2.0
-    return q / quad, (a * a0 * k) / q, disc
+    positive = big_k >= 0.0
+    q = (big_k + np.where(positive, root, -root)) / 2.0
+    # Rows of stacked parameters outside (0, 1) may divide by zero.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        by_q, by_quad, affine = (a * a0 * k) / q, q / quad, k * a0 / (a0 + c0)
+    inside = np.where(np.abs(quad) <= AFFINE_EPS, affine, np.where(positive, by_q, by_quad))
+    return inside, np.where(positive, by_quad, by_q), disc
 
 
 def critical_fixed_points(cp: CriticalMapParams):
@@ -282,7 +270,8 @@ def critical_fixed_points(cp: CriticalMapParams):
     ``point`` is the one fixed point in [0, 1], with derivative 1 - sqrt(D);
     ``spurious`` lies outside [0, 1].  Both others are None at a = 1/2.
     """
-    return critical_root(cp.a, cp.a0, cp.c0, 1.0)
+    point, spurious, disc = map(float, critical_root(cp.a, cp.a0, cp.c0, 1.0))
+    return (point, None, None) if cp.is_affine else (point, spurious, disc)
 
 
 def critical_slope(cp: CriticalMapParams) -> float:
@@ -296,18 +285,9 @@ def critical_slope(cp: CriticalMapParams) -> float:
     return 2.0 * (2.0 * cp.a - 1.0) * t + (1.0 - cp.a) * (2.0 - cp.c0) - cp.a * cp.a0
 
 
-def check_critical_start(x0: float) -> float:
-    """The start itself; ``ValueError`` when it lies outside [0, 1]."""
-    if not 0.0 <= x0 <= 1.0:
-        raise ValueError(f"x0={x0} lies outside [0, 1]")
-    return x0
-
-
-def predict_limit_critical(
-    cp: CriticalMapParams, x0: float, tol: Tolerance = DEFAULT_TOLERANCE
-) -> float:
-    """Every non-fixed point of [0, 1] converges to the in-range fixed point."""
-    check_critical_start(x0)
-    if is_fixed(cp.step, (x0,), tol):
-        raise FixedPointInputError(f"x0={x0} is already the fixed point")
-    return critical_fixed_points(cp)[0]
+def predict_limit_critical(cp: CriticalMapParams, starts, tol: Tolerance = DEFAULT_TOLERANCE):
+    """Every non-fixed point of [0, 1] converges to the in-range fixed point: the
+    (B, 1) limits of the (B, 1) ``starts`` with the masks of ``dynamics.predicted``;
+    ``cp`` may be stacked (B,) arrays."""
+    coords = check_unit(np.asarray(starts, dtype=float), "[0, 1]").T
+    return predicted(cp, coords, (critical_root(cp.a, cp.a0, cp.c0, 1.0)[0],), tol)

@@ -83,18 +83,21 @@ def block_totals(states: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.cumsum(b, axis=1)[:, -1].copy() for b in (states[:, :n], states[:, n:]))
 
 
-def check_states(states: np.ndarray, n: int) -> None:
-    """Raise what ``make_state(row[:n], row[n:])`` raises for the first of the
-    (k, d) ``states`` rows that it rejects.
-
-    One array test with ``Distribution``'s tolerances, on the ``block_totals``
-    and each block's minimum, picks out the rows that go to ``make_state``.
-    """
+def rejected_rows(states: np.ndarray, n: int) -> np.ndarray:
+    """Indices of the (k, d) ``states`` rows that ``make_state(row[:n], row[n:])``
+    rejects: one array test with ``Distribution``'s tolerances, on the
+    ``block_totals`` and each block's minimum."""
     ok = np.ones(len(states), dtype=bool)
     for block, total in zip((states[:, :n], states[:, n:]), block_totals(states, n)):
         ok &= np.abs(total - 1.0) <= NORMALIZATION_EPS
         ok &= block.min(axis=1) >= -NEGATIVITY_EPS
-    for row in states[~ok].tolist():
+    return np.flatnonzero(~ok)
+
+
+def check_states(states: np.ndarray, n: int) -> None:
+    """Raise what ``make_state(row[:n], row[n:])`` raises for the first of the
+    (k, d) ``states`` rows that it rejects; only ``rejected_rows`` go to ``make_state``."""
+    for row in states[rejected_rows(states, n)].tolist():
         make_state(row[:n], row[n:])
 
 
@@ -117,15 +120,21 @@ class Tolerance:
 DEFAULT_TOLERANCE = Tolerance()
 
 
-def check_open_unit(params) -> None:
-    """``ValueError`` unless every field of the dataclass ``params`` lies strictly inside (0, 1).
+def check_unit(start, domain: str):
+    """``start``; ``ValueError`` when an entry of it lies outside [0, 1], the ``domain``."""
+    if not np.all(np.greater_equal(start, 0.0) & np.less_equal(start, 1.0)):
+        raise ValueError(f"start {start} lies outside {domain}")
+    return start
 
-    A field is a number or, for parameters stacked one row per trajectory,
-    an array whose every entry must lie inside.
-    """
-    # ``vars`` and ``is True`` keep the check of numbers, by far the most
-    # frequent case, as cheap as a chained comparison.
+
+def check_open_unit(params):
+    """Where every field of the dataclass ``params`` lies strictly inside (0, 1): a
+    number field raises ``ValueError`` unless it does, and for fields stacked as (B,)
+    arrays, one row per trajectory, the result is the (B,) mask of rows inside."""
+    inside = True
     for name, v in vars(params).items():
-        inside = (0.0 < v) & (v < 1.0)
-        if not (inside is True or np.all(inside)):
+        ok = (0.0 < v) & (v < 1.0)
+        if np.ndim(ok) == 0 and not ok:
             raise ValueError(f"{name} must lie strictly inside (0,1), got {v}")
+        inside = inside & ok
+    return inside

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construction import BisexualOperator
-from .dynamics import is_fixed
-from .errors import FixedPointInputError
-from .simplex import DEFAULT_TOLERANCE, PopulationState, Tolerance, check_open_unit, make_state
+from .dynamics import predicted
+from .simplex import (DEFAULT_TOLERANCE, PopulationState, Tolerance, check_open_unit, check_unit,
+                      make_state)
 
 # The fixed-point set of the reduced map, for every a and b.
 FIXED_SEGMENTS = {"horizontal": "y = 0, x in [0, 1)", "right_edge": "x = 1, y in [0, 1]"}
@@ -103,26 +103,15 @@ def invariant_line_level(p: TwoTypeParams, s: Point2) -> float:
     return x / p.a + y / (1.0 - p.b)
 
 
-def check_start(start: Point2) -> Point2:
-    """The start itself; ``ValueError`` when it lies outside the unit square."""
-    x, y = start
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-        raise ValueError(f"start {start} lies outside the unit square")
-    return start
-
-
-def predict_limit(p: TwoTypeParams, start: Point2, tol: Tolerance = DEFAULT_TOLERANCE) -> Point2:
-    """Closed-form trajectory limit for a non-fixed start in the unit square.
-
-    With level c = x0/a + y0/(1-b): the limit is (ac, 0) when ac < 1 and
-    (1, (ac - 1)(1 - b)/a) when ac >= 1; at ac = 1 both expressions give
-    the corner (1, 0).
-    """
-    check_start(start)
-    if is_fixed(p.step, start, tol):
-        raise FixedPointInputError(f"{start} is already a fixed point")
-    level = invariant_line_level(p, start)
-    reach = p.a * level
-    if reach < 1.0:
-        return (reach, 0.0)
-    return (1.0, (reach - 1.0) * (1.0 - p.b) / p.a)
+def predict_limit(p: TwoTypeParams, starts, tol: Tolerance = DEFAULT_TOLERANCE):
+    """Closed-form limits of the (B, 2) ``starts`` in the unit square, as
+    ``dynamics.predicted`` returns them; ``p`` may be stacked.  With level
+    c = x0/a + y0/(1-b) the limit is (ac, 0) when ac < 1 and (1, (ac - 1)(1 - b)/a)
+    when ac >= 1; at ac = 1 both expressions give the corner (1, 0)."""
+    coords = check_unit(np.asarray(starts, dtype=float), "the unit square").T
+    # Rows of stacked parameters outside (0, 1) may divide by zero.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = p.a * invariant_line_level(p, coords)
+        below = reach < 1.0
+        limit_y = np.where(below, 0.0, (reach - 1.0) * (1.0 - p.b) / p.a)
+    return predicted(p, coords, (np.where(below, reach, 1.0), limit_y), tol)

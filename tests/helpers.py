@@ -2,8 +2,9 @@
 
 Random states, a state metric, one operator step on a population state,
 the drift of a functional along a trajectory, uniform weights, parameters
-from cell weights, the four-type parameter swap and the type-3/4 block
-step, the full operator Jacobian and a brute-force periodic-point scan.
+from cell weights, the four-type parameter swap, the type-3/4 block step
+and survivor label, a closed-form predictor on one start, the full
+operator Jacobian and a brute-force periodic-point scan.
 The package itself needs none of them.
 """
 
@@ -13,8 +14,8 @@ import numpy as np
 
 from qsobp.construction import BisexualOperator, ConfigurationSpace, WeightPair
 from qsobp.dynamics import is_fixed
-from qsobp.errors import DimensionMismatchError
-from qsobp.four_types import FourTypeParams
+from qsobp.errors import DimensionMismatchError, FixedPointInputError
+from qsobp.four_types import SURVIVOR_LABELS, FourTypeParams, survivor_code
 from qsobp.simplex import (
     DEFAULT_TOLERANCE,
     Distribution,
@@ -93,6 +94,21 @@ def mirror_params(p: FourTypeParams) -> FourTypeParams:
 def sub34_step(p: FourTypeParams, s):
     """Type-3/4 block, by delegation to the type-1/2 block under the swap."""
     return mirror_params(p).sub12_step(s)
+
+
+def survivor_label(p: FourTypeParams) -> str:
+    """Compact tag of which types persist in the predicted limit."""
+    return SURVIVOR_LABELS[survivor_code(p)]
+
+
+def predict_one(predictor, p, start, tol=DEFAULT_TOLERANCE) -> tuple:
+    """A batched closed-form predictor on one start, coordinates or a number:
+    its limit as a tuple, or ``FixedPointInputError`` when the start is fixed."""
+    limits, fixed, invalid = predictor(p, np.reshape(start, (1, -1)), tol)
+    assert not invalid[0]
+    if fixed[0]:
+        raise FixedPointInputError(f"{start} is already fixed")
+    return tuple(limits[0].tolist())
 
 
 def jacobian(op: BisexualOperator, state: PopulationState) -> np.ndarray:

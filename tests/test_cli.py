@@ -704,6 +704,37 @@ def test_a_parameter_flag_the_case_does_not_read_is_an_input_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, output, message",
+    [
+        # The four-type operator acts on every slice: a0 and c0 are the start's.
+        (["iterate", "--four-type", "--a0", "0.9", "--state", FOUR_STATE], "--summary",
+         "--a0 is not read by --four-type"),
+        # An operator file holds its own heredity: no parameter flag reaches it.
+        (["iterate", "--operator", "{d}/op.json", "--a", "0.9", "--state", "0.5,0.5;0.5,0.5"],
+         "--summary", "--a is not read by --operator"),
+        # Four-type verify cells set a and c, and so does every portrait regime.
+        (["verify", "--case", "four-type", "--grid", "2", "--a", "0.9"], "--report",
+         "--a is set by the grid and the portrait"),
+    ],
+)
+def test_a_parameter_flag_that_no_source_reads_is_an_input_error(
+    argv, output, message, tmp_path, capsys
+):
+    op_path = tmp_path / "op.json"
+    assert main(["construct", "--input", _write(tmp_path / "c.json", TWO_TYPE_DOC),
+                 "--output", str(op_path)]) == 0
+    out = tmp_path / "out"
+    argv = [arg.replace("{d}", str(tmp_path)) for arg in argv]
+    assert main([*argv, output, str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    # Without the flag the same command runs.
+    flag = message.split()[0]
+    at = argv.index(flag)
+    assert main([*argv[:at], *argv[at + 2:], output, str(out)]) == 0
+
+
 def test_start_flags_left_out_take_their_defaults(tmp_path):
     out = tmp_path / "c.json"
     assert main(["classify", "--case", "two-type", "--output", str(out)]) == 0

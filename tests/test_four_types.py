@@ -32,7 +32,6 @@ from qsobp.four_types import (
     slice_sums,
     sub12_fixed_points,
     sub12_jacobian,
-    survivor_label,
 )
 from qsobp.simplex import Tolerance, make_state
 
@@ -40,9 +39,11 @@ from helpers import (
     apply,
     conserved_quantity_drift,
     mirror_params,
+    predict_one,
     scan_periodic_points,
     state_distance,
     sub34_step,
+    survivor_label,
 )
 
 
@@ -81,9 +82,9 @@ def test_every_image_lands_in_its_own_slice():
     x = rng.dirichlet(np.ones(4))
     y = rng.dirichlet(np.ones(4))
     s = make_state(x, y)
-    sums = slice_sums(s)
+    sums = slice_sums(s.coords())
     out = p.step(s.coords())
-    assert slice_sums(make_state(out[:4], out[4:])) == pytest.approx(sums, abs=1e-15)
+    assert slice_sums(make_state(out[:4], out[4:]).coords()) == pytest.approx(sums, abs=1e-15)
 
 
 def test_full_step_agrees_with_lifted_tensors():
@@ -206,6 +207,12 @@ def test_classification_on_critical_line_is_non_hyperbolic():
 # -- limit prediction --------------------------------------------------------
 
 
+def _predict(p, state):
+    """The predicted limit of a slice state, checked as a state."""
+    limit = predict_one(predict_limit, p, state.coords())
+    return make_state(limit[:4], limit[4:])
+
+
 def _interior_state(a0, c0):
     return make_state(
         [0.3 * a0, 0.7 * a0, 0.4 * (1 - a0), 0.6 * (1 - a0)],
@@ -225,7 +232,7 @@ def _interior_state(a0, c0):
 def test_predict_limit_four_branches(a, b, c, d, expected_x, expected_y, label):
     p = params(a=a, b=b, c=c, d=d)
     state = _interior_state(p.a0, p.c0)
-    limit = predict_limit(p, state)
+    limit = _predict(p, state)
     assert state_distance(limit, make_state(expected_x, expected_y)) <= 1e-15
     assert survivor_label(p) == label
 
@@ -241,7 +248,7 @@ def test_predict_limit_four_branches(a, b, c, d, expected_x, expected_y, label):
 )
 def test_predict_limit_on_each_critical_line(p, label):
     state = _interior_state(p.a0, p.c0)
-    limit = predict_limit(p, state)
+    limit = _predict(p, state)
     x, y = limit.female.probs, limit.male.probs
     # A block on its line keeps its x+y and ends on its fixed curve.
     for i, side, block in zip((0, 2), limit_branch(p), (p, mirror_params(p))):
@@ -258,13 +265,13 @@ def test_predict_limit_rejects_fixed_state():
     p = params(a=0.3, c=0.3)
     corner = make_state([0.0, 0.5, 0.0, 0.5], [0.0, 0.5, 0.0, 0.5])
     with pytest.raises(FixedPointInputError):
-        predict_limit(p, corner)
+        _predict(p, corner)
 
 
 def test_predict_limit_checks_slice_sums():
     p = params(a=0.3, c=0.3, a0=0.4, c0=0.4)
     with pytest.raises(ValueError):
-        predict_limit(p, _interior_state(0.5, 0.5))
+        _predict(p, _interior_state(0.5, 0.5))
 
 
 def test_iterated_limits_match_prediction():
@@ -277,7 +284,7 @@ def test_iterated_limits_match_prediction():
         a0, c0 = rng.uniform(0.2, 0.8, 2)
         p = params(a=float(a), b=float(b), c=float(c), d=float(d), a0=float(a0), c0=float(c0))
         state = _interior_state(p.a0, p.c0)
-        predicted = predict_limit(p, state)
+        predicted = _predict(p, state)
         run = dynamics.iterate_map(p.step, state.coords())
         assert max(abs(u - v) for u, v in zip(run.states[-1], predicted.coords())) <= 1e-6
 
@@ -415,11 +422,11 @@ def test_scan_sanity_on_logistic_map():
 
 def test_predict_limit_critical():
     cp = CriticalMapParams(a=0.75, a0=0.5, c0=0.5)
-    assert predict_limit_critical(cp, 0.1) == pytest.approx(0.5)
+    assert predict_one(predict_limit_critical, cp, 0.1) == pytest.approx((0.5,))
     affine = CriticalMapParams(a=0.5, a0=0.4, c0=0.6)
-    assert predict_limit_critical(affine, 0.9) == pytest.approx(0.4)
+    assert predict_one(predict_limit_critical, affine, 0.9) == pytest.approx((0.4,))
     with pytest.raises(FixedPointInputError):
-        predict_limit_critical(cp, 0.5)
+        predict_one(predict_limit_critical, cp, 0.5)
 
 
 def test_critical_iteration_reaches_predicted_limit():
@@ -434,4 +441,4 @@ def test_critical_iteration_reaches_predicted_limit():
         if dynamics.is_fixed(cp.step, (x0,), Tolerance()):
             continue
         run = dynamics.iterate_map(cp.step, (x0,))
-        assert abs(run.states[-1][0] - predict_limit_critical(cp, x0)) <= 1e-6
+        assert abs(run.states[-1][0] - predict_one(predict_limit_critical, cp, x0)[0]) <= 1e-6

@@ -2,8 +2,12 @@
 
 Core claims, for in-domain parameters and starts of the two-type, the
 four-type and the critical-line case:
-  - a predictor raises FixedPointInputError exactly when dynamics.is_fixed
-    holds for its start under the same tolerance
+  - a predictor marks a start fixed exactly when dynamics.is_fixed holds
+    for it under the same tolerance
+  - on stacked rows that include parameters outside (0, 1), fixed starts
+    and the critical lines, a predictor gives each row, bit for bit and
+    masks included, what its one-row call gives, and what the call with
+    the row's parameters as numbers gives
   - every predicted limit is a fixed point of the case's step to 1e-12
   - a four-type block on its critical line (a+c = 1 or b+d = 1) keeps its
     x+y in the limit to 1e-12, and the limit is where iteration ends to 1e-9
@@ -55,6 +59,7 @@ from qsobp.four_types import (
     CriticalMapParams,
     FourTypeParams,
     critical_fixed_points,
+    critical_root,
     fixed_curve,
     limit_branch,
     predict_limit,
@@ -64,6 +69,8 @@ from qsobp.four_types import (
 from qsobp.simplex import Tolerance, check_states, make_state
 from qsobp.two_types import TwoTypeParams, invariant_line_level
 from qsobp.two_types import predict_limit as predict_limit_two
+
+from helpers import predict_one
 
 # Reproducible examples, and no example database written next to the tests.
 PROPERTY = settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -84,7 +91,7 @@ def _moved(step, point):
 def _predicts(predictor, p, start, tol):
     """The predicted limit, or None when the predictor calls the start fixed."""
     try:
-        return predictor(p, start, tol)
+        return predict_one(predictor, p, start, tol)
     except FixedPointInputError:
         return None
 
@@ -99,7 +106,7 @@ def _slice_state(a0, c0, fx1, fx3, fy1, fy3):
 def four_type_cases(draw):
     """Parameters and a slice state; half the time a+c = 1, b+d = 1 or both."""
     state = _slice_state(draw(unit), draw(unit), *(draw(fraction) for _ in range(4)))
-    sums = slice_sums(state)
+    sums = slice_sums(state.coords())
     a, b, c, d = (draw(unit) for _ in range(4))
     lines = draw(st.sampled_from(["", "", "", "12", "34", "12 34"]))
     c = 1.0 - a if "12" in lines else c
@@ -123,17 +130,18 @@ def test_two_type_predictor(a, b, start, tol):
 @given(four_type_cases(), tolerance)
 def test_four_type_predictor(case, tol):
     p, state = case
-    limit = _predicts(predict_limit, p, state, tol)
+    limit = _predicts(predict_limit, p, state.coords(), tol)
     assert (limit is None) == dynamics.is_fixed(p.step, state.coords(), tol)
     if limit is not None:
-        assert _moved(p.step, limit.coords()) <= 1e-12
+        make_state(limit[:4], limit[4:])
+        assert _moved(p.step, limit) <= 1e-12
         for i, side in zip((0, 2), limit_branch(p)):
             if side == 0:
-                kept = limit.female[i] + limit.male[i]
+                kept = limit[i] + limit[4 + i]
                 assert kept == pytest.approx(state.female[i] + state.male[i], rel=0, abs=1e-12)
     after = p.step(state.coords())
-    moved_sums = slice_sums(make_state(after[:4], after[4:]))
-    assert max(abs(u - v) for u, v in zip(moved_sums, slice_sums(state))) <= 1e-12
+    moved_sums = slice_sums(make_state(after[:4], after[4:]).coords())
+    assert max(abs(u - v) for u, v in zip(moved_sums, slice_sums(state.coords()))) <= 1e-12
 
 
 @PROPERTY
@@ -145,7 +153,7 @@ def test_critical_line_predictor(a, a0, c0, x0, tol):
     limit = _predicts(predict_limit_critical, cp, x0, tol)
     assert (limit is None) == dynamics.is_fixed(cp.step, (x0,), tol)
     if limit is not None:
-        assert _moved(cp.step, (limit,)) <= 1e-12
+        assert _moved(cp.step, limit) <= 1e-12
 
 
 def test_critical_line_limits_are_where_iteration_ends():
@@ -169,15 +177,80 @@ def test_critical_line_limits_are_where_iteration_ends():
         p = FourTypeParams(*map(float, (a, b, c, d)), a0=float(a0), c0=float(c0))
         rows.append(p)
         starts.append(state.coords())
-        limits.append(predict_limit(p, state).coords())
+    params, starts = dynamics.stack_params(rows), np.array(starts)
+    limits, fixed, invalid = predict_limit(params, starts)
+    assert not (fixed.any() or invalid.any())
+    check_states(limits, 4)
     run = dynamics.iterate_batch(
-        FourTypeParams.step,
-        np.array(starts).T,
-        Tolerance(iter_eps=1e-13, max_iters=10**5),
-        params=dynamics.stack_params(rows),
+        FourTypeParams.step, starts.T, Tolerance(iter_eps=1e-13, max_iters=10**5), params=params
     )
     assert run.converged.all()
-    assert np.abs(run.end - np.array(limits).T).max() <= 1e-9
+    assert np.abs(run.end - limits.T).max() <= 1e-9
+
+
+# Parameter values outside (0, 1) a tenth of the time each.
+param = st.one_of(st.sampled_from([0.0, 1.0, -0.5, float("nan")]), unit, unit, unit, unit, unit)
+
+
+@st.composite
+def predictor_grids(draw):
+    """A predictor, its parameters dataclass, 1-12 rows of parameter values and
+    the (B, d) starts.  Rows hold invalid values, fixed starts and points on
+    the critical lines a+c = 1, b+d = 1 and, on the section map, a = 1/2."""
+    case = draw(st.sampled_from(["two-type", "four-type", "critical-line"]))
+    rows, starts = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        fixed = draw(st.booleans())
+        if case == "two-type":
+            rows.append({"a": draw(param), "b": draw(param)})
+            x, y = draw(fraction), draw(fraction)
+            starts.append(((x, 0.0) if draw(st.booleans()) else (1.0, y)) if fixed else (x, y))
+        elif case == "four-type":
+            # The slice sums of the start are the row's a0, c0, as sweep sets them.
+            a0, c0 = draw(st.one_of(st.sampled_from([0.0, 1.0]), unit)), draw(unit)
+            if fixed:
+                start = (a0, 0.0, 1.0 - a0, 0.0, c0, 0.0, 1.0 - c0, 0.0)
+            else:
+                start = _slice_state(a0, c0, *(draw(fraction) for _ in range(4))).coords()
+            sums = slice_sums(start)
+            a, b, c, d = (draw(param) for _ in range(4))
+            lines = draw(st.sampled_from(["", "12", "34", "12 34"]))
+            c = 1.0 - a if "12" in lines else c
+            d = 1.0 - b if "34" in lines else d
+            rows.append({"a": a, "b": b, "c": c, "d": d, "a0": sums[0], "c0": sums[2]})
+            starts.append(start)
+        else:
+            a = draw(st.one_of(st.just(0.5), param))
+            a0, c0 = draw(param), draw(param)
+            point = float(critical_root(*np.array([a, a0, c0, 1.0]))[0])
+            rows.append({"a": a, "a0": a0, "c0": c0})
+            starts.append((point,) if fixed and 0.0 <= point <= 1.0 else (draw(fraction),))
+    return CASES[case], rows, np.array(starts)
+
+
+@PROPERTY
+@given(predictor_grids(), tolerance)
+def test_a_batched_predictor_equals_its_one_row_calls(grid, tol):
+    case, rows, starts = grid
+    columns = {name: np.array([row[name] for row in rows]) for name in case.names}
+    limits, fixed, invalid = case.predict(case.params(**columns), starts, tol)
+    assert limits.shape == starts.shape and fixed.shape == invalid.shape == (len(rows),)
+    for i, row in enumerate(rows):
+        one = case.params(**{name: column[i : i + 1] for name, column in columns.items()})
+        one_limits, one_fixed, one_invalid = case.predict(one, starts[i : i + 1], tol)
+        assert one_limits.tobytes() == limits[i : i + 1].tobytes()
+        assert (one_fixed[0], one_invalid[0]) == (fixed[i], invalid[i])
+        # The masks are the rules that the parameters and starts are read by.
+        assert invalid[i] == (not all(0.0 < v < 1.0 for v in row.values()))
+        if invalid[i]:
+            assert not fixed[i] and np.isnan(limits[i]).all()
+            continue
+        # Parameters as numbers: the scalar call is the same B = 1 call.
+        p = case.params(**row)
+        assert fixed[i] == dynamics.is_fixed(p.step, tuple(starts[i].tolist()), tol)
+        scalar_limits, _, _ = case.predict(p, starts[i : i + 1], tol)
+        assert scalar_limits.tobytes() == limits[i : i + 1].tobytes()
+        assert np.isnan(limits[i]).all() == fixed[i]
 
 
 @st.composite

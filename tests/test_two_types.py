@@ -17,7 +17,13 @@ from qsobp import dynamics
 from qsobp.errors import FixedPointInputError
 from qsobp.simplex import Tolerance, make_state
 
-from helpers import apply, conserved_quantity_drift, state_distance, two_type_from_weights
+from helpers import (
+    apply,
+    conserved_quantity_drift,
+    predict_one,
+    state_distance,
+    two_type_from_weights,
+)
 from qsobp.two_types import (
     TwoTypeParams,
     invariant_line_level,
@@ -146,27 +152,27 @@ def test_interior_point_moves():
 
 def test_predict_low_level_branch():
     p = TwoTypeParams(a=0.4, b=0.5)
-    assert predict_limit(p, (0.2, 0.25)) == pytest.approx((0.4, 0.0))
+    assert predict_one(predict_limit, p, (0.2, 0.25)) == pytest.approx((0.4, 0.0))
 
 
 def test_predict_high_level_branch():
     p = TwoTypeParams(a=0.8, b=0.5)
     # level = 0.6/0.8 + 0.5/0.5 = 1.75, a*level = 1.4 >= 1
-    limit = predict_limit(p, (0.6, 0.5))
+    limit = predict_one(predict_limit, p, (0.6, 0.5))
     assert limit == pytest.approx((1.0, 0.25))
 
 
 def test_predict_boundary_level_gives_corner():
     p = TwoTypeParams(a=0.5, b=0.5)
-    assert predict_limit(p, (0.5, 0.5)) == pytest.approx((1.0, 0.0))
+    assert predict_one(predict_limit, p, (0.5, 0.5)) == pytest.approx((1.0, 0.0))
 
 
 def test_predict_rejects_fixed_start():
     p = TwoTypeParams(a=0.4, b=0.5)
     with pytest.raises(FixedPointInputError):
-        predict_limit(p, (0.3, 0.0))
+        predict_one(predict_limit, p, (0.3, 0.0))
     with pytest.raises(FixedPointInputError):
-        predict_limit(p, (1.0, 0.5))
+        predict_one(predict_limit, p, (1.0, 0.5))
 
 
 @pytest.mark.parametrize(
@@ -182,24 +188,25 @@ def test_predict_full_state(a, start, expected):
     point = reduce_state(make_state(*start))
     if expected is None:
         with pytest.raises(FixedPointInputError):
-            predict_limit(p, point)
+            predict_one(predict_limit, p, point)
     else:
-        limit = lift_point(predict_limit(p, point))
+        limit = lift_point(predict_one(predict_limit, p, point))
         assert state_distance(limit, make_state(*expected)) <= 1e-15
 
 
 @pytest.mark.parametrize("start", [(1.5, 0.5), (0.5, -0.1), (3.0, -2.0), (float("nan"), 0.5)])
 def test_predict_rejects_starts_outside_the_unit_square(start):
     with pytest.raises(ValueError, match="unit square"):
-        predict_limit(TwoTypeParams(a=0.4, b=0.5), start)
+        predict_one(predict_limit, TwoTypeParams(a=0.4, b=0.5), start)
 
 
 def test_predict_reads_the_fixed_band_from_the_tolerance():
     # One step moves (0.5, 1e-6) by a (1 - x) y = 2e-7.
     p, start = TwoTypeParams(a=0.4, b=0.5), (0.5, 1e-6)
-    assert predict_limit(p, start, Tolerance(abs_eps=1e-9)) == pytest.approx((0.5 + 0.4 * 2e-6, 0.0))
+    limit = predict_one(predict_limit, p, start, Tolerance(abs_eps=1e-9))
+    assert limit == pytest.approx((0.5 + 0.4 * 2e-6, 0.0))
     with pytest.raises(FixedPointInputError):
-        predict_limit(p, start, Tolerance(abs_eps=1e-6))
+        predict_one(predict_limit, p, start, Tolerance(abs_eps=1e-6))
 
 
 def test_iterated_limits_match_prediction():
@@ -208,7 +215,7 @@ def test_iterated_limits_match_prediction():
     for _ in range(50):
         p = TwoTypeParams(a=float(rng.uniform(0.05, 0.95)), b=float(rng.uniform(0.05, 0.95)))
         s = (float(rng.uniform(0.01, 0.99)), float(rng.uniform(0.01, 0.99)))
-        predicted = predict_limit(p, s)
+        predicted = predict_one(predict_limit, p, s)
         run = dynamics.iterate_map(p.step, s, tol)
         end = run.states[-1]
         assert max(abs(u - v) for u, v in zip(end, predicted)) <= 1e-6
