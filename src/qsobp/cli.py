@@ -238,11 +238,11 @@ def _predict(case: Case, p, starts: np.ndarray, tol: Tolerance) -> np.ndarray:
     """The limits of the (B, d) ``starts`` under valid ``p``; ``FixedPointInputError``
     names the first fixed start; ``check_states`` checks starts and limits that are states."""
     limits, fixed, _ = case.predict(p, starts, tol)
-    if case.state_n:
-        check_states(np.concatenate([starts, limits]), case.state_n)
     if fixed.any():
         start = tuple(starts[np.argmax(fixed)].tolist())
         raise FixedPointInputError(f"the start {start} is already a fixed point")
+    if case.state_n:
+        check_states(np.concatenate([starts, limits]), case.state_n)
     return limits
 
 

@@ -575,6 +575,21 @@ def test_predict_reads_the_tolerance_and_the_domain(tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--case", "two-type", "--state", "0.3,0"],
+        ["--case", "four-type", "--state", "0.5,0,0.5,0;0.4,0,0.6,0"],
+        ["--case", "critical-line", "--a", "0.5", "--a0", "0.4", "--c0", "0.6", "--x0", "0.4"],
+    ],
+)
+def test_predict_names_a_fixed_start(tmp_path, capsys, argv):
+    out = tmp_path / "p.json"
+    assert main(["predict", *argv, "--output", str(out)]) == 2
+    assert not out.exists()
+    assert "already a fixed point" in capsys.readouterr().err
+
+
 def test_verify_stops_at_a_sampled_start_inside_the_fixed_band(tmp_path, capsys):
     # At a = 0.05, b = 0.95 one step moves (x, y) by (1 - x) y max(a, 1 - b),
     # so --abs-eps 1e-3 makes every sample with (1 - x) y <= 0.02 fixed.
