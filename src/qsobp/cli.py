@@ -12,6 +12,7 @@ import argparse
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, Sequence
@@ -552,6 +553,7 @@ def cmd_sweep(args) -> int:
 SWEEP_BLOCK_ROWS = 4096  # a whole grid's lines at once take memory that grows with the grid
 CASE_DEFAULTS = {"a": 0.3, "b": 0.3, "c": 0.3, "d": 0.3, "a0": 0.5, "c0": 0.5}
 SWEEP_STARTS = {"state": "0.2,0.3", "x0": "0.2"}  # of a sweep whose start flag is not given
+NEGATIVE_VALUE = re.compile(r"-\.?\d")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -568,6 +570,9 @@ def build_parser() -> argparse.ArgumentParser:
         out; ``params``, their defaults, becomes ``args.param_defaults``),
         tolerance flags and, given ``seed_help``, a --seed flag."""
         cmd = sub.add_parser(name, help=about)
+        # Read '-' then a digit, as in the range -1:2:7 or -1e-3, as a value, not an
+        # option; argparse's own pattern takes only plain negative numbers so.
+        cmd._negative_number_matcher = NEGATIVE_VALUE
         cmd.set_defaults(func=func, param_defaults=params or {})
         if cases is not None:
             cmd.add_argument("--case", choices=cases, required=True)

@@ -10,6 +10,13 @@ the last steps cost only what the slowest trajectories need.  Convergence is
 detected from successive-state distance, never from distance to a known
 limit, so the same loop serves operators whose limits are unknown.
 
+A numpy step costs about the same on 1 column as on 16, so a batch with
+per-row parameters and no histories finishes its last ``TAIL_WIDTH`` rows
+one at a time on Python floats: the same ``step`` on a list of floats, with
+the row's parameters as floats.  Python floats and numpy float64 round each
++, -, * alike, and the step runs the same operations in the same order, so
+every state, step count and convergence flag is the one the numpy loop gives.
+
 ``iterate_map`` (a bare coordinate map) and ``iterate`` (a bisexual
 operator) run one trajectory through the engine and return its thinned
 history as a ``Trajectory``.  Planar fixed points are found by one batched
@@ -22,6 +29,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields, replace
+from itertools import repeat
+from operator import ge, sub
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,6 +42,9 @@ from .simplex import DEFAULT_TOLERANCE, PopulationState, Tolerance, check_open_u
 # At most this many states are kept per trajectory; longer runs are thinned
 # to every k-th state, always retaining the first and the last.
 TRAJECTORY_STORE_CAP = 10_000
+# A batch with stacked parameters and no histories finishes its last rows
+# one at a time on Python floats once at most this many are left.
+TAIL_WIDTH = 12
 
 Point = tuple[float, ...]
 MapStep = Callable[[Point], Point]
@@ -84,6 +96,20 @@ def _narrow(params, keep: np.ndarray):
     return replace(params, **{f.name: getattr(params, f.name)[keep] for f in fields(params)})
 
 
+def _finish(step, p, state: list, total: int, tol: Tolerance):
+    """``iterate_batch``'s loop for one row on Python floats, from step ``total``:
+    its last state, ``steps_taken`` and ``converged``.  The move test is the
+    engine's: every |u - v| <= eps, which no NaN passes (a ``max`` would drop it)."""
+    eps = repeat(tol.iter_eps)
+    while total < tol.max_iters:
+        nxt = step(p, state)
+        total += 1
+        if all(map(ge, eps, map(abs, map(sub, nxt, state)))):
+            return nxt, total - 1, True
+        state = nxt
+    return state, total, False
+
+
 def _trajectory(stored: list, column: int, total: int, last: np.ndarray, converged: bool):
     """One column's record; it stopped moving at step ``total`` when ``converged``."""
     steps = [t for t, _ in stored]
@@ -109,7 +135,9 @@ def iterate_batch(
     Each column stops when one step moves it by at most ``tol.iter_eps`` in
     the max norm (converged) or after ``tol.max_iters`` steps (not
     converged).  Its ``steps_taken`` is the index of its first state that no
-    longer moves, so a fixed start reports zero steps.
+    longer moves, so a fixed start reports zero steps.  With ``params`` and no
+    ``store_cap``, the last ``TAIL_WIDTH`` rows step one at a time on Python
+    floats, with the same bits and steps (see the module docstring).
 
     Args:
         step: The map, called as ``step(params, states)`` on the columns still
@@ -131,7 +159,8 @@ def iterate_batch(
     stored = [(0, state)]
     stride = 1
     total = 0
-    while rows.size and total < tol.max_iters:
+    scalar_tail = params is not None and histories is None
+    while rows.size > (TAIL_WIDTH if scalar_tail else 0) and total < tol.max_iters:
         nxt = np.asarray(step(params, state))
         moved = np.maximum.reduce(np.abs(nxt - state))
         total += 1
@@ -159,8 +188,18 @@ def iterate_batch(
             stored = [(t, s[:, keep]) for t, s in stored]
         if params is not None:
             params = _narrow(params, keep)
-    end[:, rows] = state
-    steps_taken[rows] = total
+    if scalar_tail:
+        names = [f.name for f in fields(params)]
+        values = zip(*(getattr(params, name).tolist() for name in names))
+        for row, start, row_values in zip(rows.tolist(), state.T.tolist(), values):
+            # The row's parameters as Python floats, set without ``__post_init__``'s
+            # check, so a stacked row outside (0, 1) still does not raise.
+            p = object.__new__(type(params))
+            p.__dict__.update(zip(names, row_values))
+            end[:, row], steps_taken[row], converged[row] = _finish(step, p, start, total, tol)
+    else:
+        end[:, rows] = state
+        steps_taken[rows] = total
     if histories is not None:
         for column, row in enumerate(rows):
             histories[row] = _trajectory(stored, column, total, state[:, column], False)

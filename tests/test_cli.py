@@ -17,6 +17,8 @@ Core claims:
     errors; no JSON document holds NaN or infinity
   - each command takes only the flags it reads: the iteration threshold and
     budget only where something iterates
+  - a value that starts with '-' and a digit, such as the range -1:2:7, is a
+    value after its flag as after '='
   - trajectory files do not depend on the number of BLAS threads
 """
 
@@ -442,6 +444,33 @@ def test_sweep_writes_value_error_rows_for_invalid_parameters(
             assert row[status] == "ValueError"
             assert row[status + 1 :] == [""] * (limit_columns + 1)
     assert [float(row[0]) for row in rows] == [0.0] * starts + [0.5] * starts + [1.0] * starts
+
+
+@pytest.mark.parametrize(
+    "case, flags, start_args",
+    [
+        ("two-type", ["a", "b"], ["--state", "grid:2"]),
+        ("four-type", ["a", "b", "c", "d"], ["--state", "0.1,0.4,0.2,0.3;0.2,0.3,0.25,0.25"]),
+        ("critical-line", ["a", "a0", "c0"], ["--x0", "grid:2"]),
+    ],
+)
+def test_a_parameter_range_that_starts_with_a_minus_sign_is_a_value(
+    tmp_path, case, flags, start_args
+):
+    for flag in flags:
+        written = []
+        for value_args in ([f"--{flag}", "-1:2:7"], [f"--{flag}=-1:2:7"]):
+            out = tmp_path / f"{flag}{len(written)}.csv"
+            argv = ["sweep", "--case", case, *value_args, *start_args, "--output", str(out)]
+            assert main(argv) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert b",ValueError," in written[0] and b",ok," in written[0]
+
+
+def test_a_parameter_value_in_exponent_form_below_zero_is_a_value(capsys):
+    assert main(["predict", "--case", "two-type", "--a", "-1e-3", "--state", "0.2,0.3"]) == 2
+    assert "a must lie strictly inside (0,1), got -0.001" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [["--grid", "0"], ["--starts", "0"], ["--grid", "-1"]])

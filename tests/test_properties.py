@@ -15,7 +15,14 @@ four-type and the critical-line case:
     (four-type) to 1e-12
   - a batch of trajectories with per-row parameters ends each row where the
     row run alone ends, bit for bit, after as many steps and with the same
-    convergence flag, whether the budget lets it converge or cuts it off
+    convergence flag, whether the budget lets it converge or cuts it off;
+    this holds for batches that start in the scalar tail or reach it mid-run,
+    for rows that finish before, at or after the handoff, and for rows whose
+    parameters are 0, 1, -0.5 or NaN, which the numpy engine steps alone
+  - off a+c = 1 (by at least 1e-6) the four-type block's corner (a0, c0)
+    attracts when a+c > 1 and (0, 0) when a+c < 1, and the other corner is a
+    saddle or repelling; on the line every fixed point is non-hyperbolic
+    with exactly one modulus within abs_eps of one
   - every point the grid search refines lies in its map's box and moves by
     at most abs_eps under one step; off a+c = 1 the four-type block's
     points are its two corners, on it they lie on its fixed curve to 1e-7
@@ -35,8 +42,10 @@ and for the writers and the trajectory check:
 import csv
 import io
 import json
+import math
 import os
 import tempfile
+from functools import partial
 
 import numpy as np
 import pytest
@@ -54,6 +63,7 @@ from qsobp.construction import (
     dump_json,
     make_graph,
 )
+from qsobp.dynamics import StabilityKind, classify_fixed_point_2d
 from qsobp.errors import FixedPointInputError, NegativeEntryError, NotNormalizedError
 from qsobp.four_types import (
     CriticalMapParams,
@@ -65,6 +75,8 @@ from qsobp.four_types import (
     predict_limit,
     predict_limit_critical,
     slice_sums,
+    sub12_fixed_points,
+    sub12_jacobian,
 )
 from qsobp.simplex import Tolerance, check_states, make_state
 from qsobp.two_types import TwoTypeParams, invariant_line_level
@@ -291,6 +303,40 @@ def test_grid_search_points_are_fixed_and_inside_the_box(case, grid):
 
 
 @st.composite
+def off_line_blocks(draw):
+    """Four-type parameters whose type-1/2 block lies at least 1e-6 off a+c = 1,
+    half the time within 1e-2 of it.  Closer, a corner's modulus is within abs_eps of one."""
+    a, a0, c0 = draw(unit), draw(unit), draw(unit)
+    if draw(st.booleans()):
+        c = draw(unit)
+    else:
+        c = 1.0 - a + draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-6.0, -2.0))
+    assume(0.0 < c < 1.0 and abs(a + c - 1.0) >= 1e-6)
+    return FourTypeParams(a, draw(unit), c, draw(unit), a0, c0)
+
+
+@PROPERTY
+@given(off_line_blocks())
+def test_off_the_critical_line_the_corner_on_the_side_of_a_plus_c_attracts(p):
+    zero, corner = (classify_fixed_point_2d(sub12_jacobian(p, pt)).kind for pt in sub12_fixed_points(p))
+    attracting, other = (corner, zero) if p.a + p.c > 1.0 else (zero, corner)
+    assert attracting is StabilityKind.ATTRACTING
+    assert other in (StabilityKind.SADDLE, StabilityKind.REPELLING)
+
+
+@PROPERTY
+@given(unit, unit, unit, unit)
+def test_on_the_critical_line_every_fixed_point_has_one_unit_modulus(a, a0, c0, b):
+    p = FourTypeParams(a, b, 1.0 - a, b, a0, c0)
+    points = sub12_fixed_points(p)
+    assert len(points) == 11
+    for point in points:
+        verdict = classify_fixed_point_2d(sub12_jacobian(p, point))
+        assert verdict.kind is StabilityKind.NON_HYPERBOLIC
+        assert sum(abs(m - 1.0) <= Tolerance().abs_eps for m in verdict.eigen_moduli) == 1
+
+
+@st.composite
 def batch_rows(draw):
     """1-4 rows of (parameters, start coordinates) of one case, then one row
     whose start is a fixed point of its map."""
@@ -337,6 +383,93 @@ def test_a_batch_equals_its_rows_run_alone(rows):
             assert (run.steps_taken[column], run.converged[column]) == (
                 mapped.steps_taken, mapped.converged
             )
+
+
+def _batch_against_rows(kind, columns: dict, starts: list, tol: Tolerance):
+    """One ``iterate_batch`` run of the rows of (B,) parameter ``columns`` from
+    ``starts``, after requiring each row to end as the numpy engine ends it alone, bit
+    for bit, with as many steps and the same flag: ``iterate_map`` stepping the row's
+    parameters as numbers when they lie in (0, 1), else as (1,) arrays."""
+    params = kind(**{name: np.array(column, dtype=float) for name, column in columns.items()})
+    # A row outside (0, 1) may overflow, which numpy reports and Python floats do not.
+    with np.errstate(over="ignore", invalid="ignore"):
+        run = dynamics.iterate_batch(kind.step, np.array(starts, dtype=float).T, tol, params=params)
+        for row, start in enumerate(starts):
+            values = {name: column[row] for name, column in columns.items()}
+            if all(0.0 < v < 1.0 for v in values.values()):
+                step = kind(**values).step
+            else:
+                step = partial(kind.step, kind(**{name: np.array([v]) for name, v in values.items()}))
+            alone = dynamics.iterate_map(step, start, tol)
+            assert run.end[:, row].tobytes() == alone.states[-1].tobytes()
+            assert (run.steps_taken[row], run.converged[row]) == (alone.steps_taken, alone.converged)
+    return run
+
+
+def test_a_batch_hands_its_last_rows_to_the_scalar_tail_mid_run():
+    """A two-type batch of 2 * TAIL_WIDTH + 8 rows: the numpy steps end once
+    TAIL_WIDTH rows are left, and the rest finish one at a time on Python floats."""
+    width = dynamics.TAIL_WIDTH
+    late = (0.1, 0.7)
+    valid = [(0.1, y) for y in np.linspace(0.05, 0.3, width).tolist()]  # 44 to 71 steps
+    valid += [(0.3, 0.0), (1.0, 0.5)]  # fixed
+    # ``late`` converges one step after its image, which is the last row the engine
+    # steps; the slow rows converge in 247 to 432 steps.
+    valid += [late, TwoTypeParams(0.5, 0.5).step(late)]
+    valid += [(0.1, y) for y in np.linspace(0.72, 0.8, width - 4).tolist()]
+    # The last row's first step moves x by 0 and y to NaN: a move test that
+    # takes the max of the moves in order would call it converged.
+    invalid = [((0.0, 0.5), (0.1, 0.5)), ((1.0, 0.5), (0.1, 0.5)), ((-0.5, 0.5), (0.1, 0.5)),
+               ((math.nan, 0.5), (0.1, 0.5)), ((0.5, math.nan), (0.3, 0.0))]
+    rows = [((0.5, 0.5), start) for start in valid] + invalid
+    for max_iters in (300, 3000):
+        tol = Tolerance(max_iters=max_iters)
+        # Alone, the invalid rows are a batch that starts in the tail; ``run`` is
+        # the whole batch's.
+        for batch in (invalid, rows):
+            columns = {"a": [a for (a, _), _ in batch], "b": [b for (_, b), _ in batch]}
+            run = _batch_against_rows(TwoTypeParams, columns, [s for _, s in batch], tol)
+        # The numpy steps each row takes part in; the engine stops after the step
+        # that leaves at most TAIL_WIDTH rows.
+        taken = run.steps_taken + run.converged
+        handoff = np.sort(taken)[::-1][width]
+        assert np.count_nonzero(taken > handoff) == width and handoff < max_iters
+        assert (taken < handoff).any()  # converged before it
+        assert (run.converged & (taken == handoff)).any()  # its last numpy step
+        assert (run.converged & (taken == handoff + 1)).any()  # the first scalar step
+        assert (run.converged & (taken > handoff + 1)).any()  # later in the tail
+        assert (~run.converged & (taken == max_iters)).any()  # cut off in the tail
+
+
+@st.composite
+def tail_batches(draw):
+    """TAIL_WIDTH - 2 to TAIL_WIDTH + 8 rows of one case, so the batch starts in the
+    scalar tail or reaches it mid-run; in half the rows one parameter is 0, 1, -0.5
+    or NaN, which takes a four-type block or a two-type coordinate to NaN."""
+    case = draw(st.sampled_from(["two-type", "four-type", "critical-line"]))
+    rows = []
+    for _ in range(draw(st.integers(dynamics.TAIL_WIDTH - 2, dynamics.TAIL_WIDTH + 8))):
+        if case == "two-type":
+            p, start = TwoTypeParams(draw(unit), draw(unit)), draw(st.tuples(fraction, fraction))
+        elif case == "four-type":
+            p, state = draw(four_type_cases())
+            start = state.coords()
+        else:
+            p, start = CriticalMapParams(draw(unit), draw(unit), draw(unit)), (draw(fraction),)
+        values = dict(vars(p))
+        if draw(st.booleans()):
+            values[draw(st.sampled_from(sorted(values)))] = draw(st.sampled_from([0.0, 1.0, -0.5, math.nan]))
+        rows.append((values, start))
+    return type(p), rows
+
+
+@settings(PROPERTY, max_examples=50)
+@given(tail_batches(), st.sampled_from([3, 40, 400]), st.sampled_from([1e-12, 1e-6]))
+def test_a_batch_with_a_scalar_tail_equals_its_rows_run_alone(batch, max_iters, iter_eps):
+    kind, rows = batch
+    columns = {name: [values[name] for values, _ in rows] for name in rows[0][0]}
+    tol = Tolerance(iter_eps=iter_eps, max_iters=max_iters)
+    _batch_against_rows(kind, columns, [start for _, start in rows], tol)
 
 
 @st.composite
