@@ -318,7 +318,9 @@ def off_line_blocks(draw):
 @PROPERTY
 @given(off_line_blocks())
 def test_off_the_critical_line_the_corner_on_the_side_of_a_plus_c_attracts(p):
-    zero, corner = (classify_fixed_point_2d(sub12_jacobian(p, pt)).kind for pt in sub12_fixed_points(p))
+    zero, corner = (
+        classify_fixed_point_2d(sub12_jacobian(p, pt)).kind for pt in sub12_fixed_points(p)
+    )
     attracting, other = (corner, zero) if p.a + p.c > 1.0 else (zero, corner)
     assert attracting is StabilityKind.ATTRACTING
     assert other in (StabilityKind.SADDLE, StabilityKind.REPELLING)
@@ -399,15 +401,17 @@ def _batch_against_rows(kind, columns: dict, starts: list, tol: Tolerance):
             if all(0.0 < v < 1.0 for v in values.values()):
                 step = kind(**values).step
             else:
-                step = partial(kind.step, kind(**{name: np.array([v]) for name, v in values.items()}))
+                one = kind(**{name: np.array([v]) for name, v in values.items()})
+                step = partial(kind.step, one)
             alone = dynamics.iterate_map(step, start, tol)
             assert run.end[:, row].tobytes() == alone.states[-1].tobytes()
-            assert (run.steps_taken[row], run.converged[row]) == (alone.steps_taken, alone.converged)
+            assert run.steps_taken[row] == alone.steps_taken
+            assert run.converged[row] == alone.converged
     return run
 
 
 def test_a_batch_hands_its_last_rows_to_the_scalar_tail_mid_run():
-    """A two-type batch of 2 * TAIL_WIDTH + 8 rows: the numpy steps end once
+    """A two-type batch of 2 * TAIL_WIDTH + 5 rows: the numpy steps end once
     TAIL_WIDTH rows are left, and the rest finish one at a time on Python floats."""
     width = dynamics.TAIL_WIDTH
     late = (0.1, 0.7)
@@ -458,7 +462,8 @@ def tail_batches(draw):
             p, start = CriticalMapParams(draw(unit), draw(unit), draw(unit)), (draw(fraction),)
         values = dict(vars(p))
         if draw(st.booleans()):
-            values[draw(st.sampled_from(sorted(values)))] = draw(st.sampled_from([0.0, 1.0, -0.5, math.nan]))
+            name = draw(st.sampled_from(sorted(values)))
+            values[name] = draw(st.sampled_from([0.0, 1.0, -0.5, math.nan]))
         rows.append((values, start))
     return type(p), rows
 
