@@ -22,7 +22,7 @@ import numpy as np
 from . import construction, dynamics, four_types, two_types
 from .errors import FixedPointInputError, QsobpError, SchemaError
 from .simplex import (PopulationState, Tolerance, block_totals, check_states, check_unit,
-                      make_state, rejected_rows)
+                      float_texts, make_state, rejected_rows)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -89,16 +89,25 @@ def _write_json(doc: dict, path: str | None) -> None:
 
 def _write_lines(path: str, header: Sequence[str], lines) -> None:
     """The CSV file ``csv.writer`` writes for ``header`` and rows whose fields it never quotes
-    (names, ints, float reprs) or quotes as given; each of ``lines`` is one row and its CR LF."""
+    (names, ints, ``float_texts``) or quotes as given; ``lines`` hold whole rows and CR LFs."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(lines)
 
 
 def _write_trajectory(path: str, header: Sequence[str], steps, states) -> None:
-    """The rows ``[step, *state]`` of an int and floats."""
-    rows = (f"{t}," + ",".join(map(float.__repr__, s)) + "\r\n" for t, s in zip(steps, states))
-    _write_lines(path, header, rows)
+    """The rows ``[step, *state]`` of an int and floats, formatted in blocks of about
+    ``SWEEP_BLOCK_ROWS`` floats."""
+    states = np.asarray(states, dtype=float)
+    per_block = max(1, SWEEP_BLOCK_ROWS // max(1, states[:1].size))  # at least one row
+
+    def lines():
+        for first in range(0, len(states), per_block):
+            block = slice(first, first + per_block)
+            texts = float_texts(states[block]).tolist()
+            yield "".join(f"{t}," + ",".join(s) + "\r\n" for t, s in zip(steps[block], texts))
+
+    _write_lines(path, header, lines())
 
 
 def _state_doc(coords: Sequence[float], n: int) -> dict:
@@ -305,8 +314,7 @@ def cmd_iterate(args) -> int:
     n, limit = op.n, trajectory.limit
     if args.trajectory is not None:
         header = ["step"] + [f"x_{i+1}" for i in range(n)] + [f"y_{k+1}" for k in range(op.nu)]
-        states = trajectory.states.tolist()
-        _write_trajectory(args.trajectory, header, trajectory.state_steps, states)
+        _write_trajectory(args.trajectory, header, trajectory.state_steps, trajectory.states)
     # Each block total's largest distance from its value at the start.
     female, male = block_totals(trajectory.states, n)
     drifts = {"female_total": float(np.abs(female - female[0]).max()),
@@ -426,8 +434,9 @@ def _portrait_rows(case: Case, args, tol: Tolerance):
         starts = [[u * w for u, _ in fan], [v * h for _, v in fan]]
         run = dynamics.iterate_batch(lambda _, s: step(s), starts, short_tol, store_cap=400)
         for t, trajectory in enumerate(run.trajectories):
-            for step_index, (x, y) in zip(trajectory.state_steps, trajectory.states.tolist()):
-                yield f"{regime},{t},{step_index},{x!r},{y!r}\r\n"
+            texts = float_texts(trajectory.states).tolist()
+            yield "".join(f"{regime},{t},{step_index},{x},{y}\r\n"
+                          for step_index, (x, y) in zip(trajectory.state_steps, texts))
 
 
 def cmd_verify(args) -> int:
@@ -491,7 +500,8 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     """Closed-form limits over a parameter grid, one CSV row per (parameters, start),
-    predicted and written ``SWEEP_BLOCK_ROWS`` rows at a time.
+    predicted and written ``SWEEP_BLOCK_ROWS`` rows at a time, so that no step holds
+    the whole grid: a block builds only its own parameter rows, from its row indices.
 
     The status is ``ValueError`` for parameters outside (0, 1), else
     ``FixedPointInputError`` for a start that one step moves by at most
@@ -508,22 +518,25 @@ def cmd_sweep(args) -> int:
     # Only the four-type case has start-determined parameters, and its sweep takes one start.
     fixed = case.fixes(starts[0]) if starts else {}
     ranges = _param_values(args.case, args, fixed)
-    axes = [[fixed[n]] if n in fixed else _parse_range(ranges[n]) for n in case.names]
-    table = np.array(list(itertools.product(*axes))).reshape(-1, len(axes))
+    axes = [np.array([fixed[n]] if n in fixed else _parse_range(ranges[n])) for n in case.names]
+    shape = tuple(map(len, axes))
     start_columns, limit_columns = case.sweep_columns
     start_array = np.array(starts).reshape(len(starts), len(start_columns))
-    # Each parameter row, start and label as text once.  The labels hold no
-    # quote or line break, so only a comma makes csv quote one.
-    heads = [",".join(map(float.__repr__, row)) for row in table.tolist()]
-    start_texts = [",".join(map(float.__repr__, start)) for start in starts]
+    # Each start and label as text once.  The labels hold no quote or line
+    # break, so only a comma makes csv quote one.
+    start_texts = list(map(",".join, float_texts(start_array).tolist()))
     labels = [f'"{label}"' if "," in label else label for label in case.labels]
     blank = "," * len(limit_columns)
 
     def lines():
-        total = len(heads) * len(starts)
+        total = math.prod(shape) * len(starts)
         for first in range(0, total, SWEEP_BLOCK_ROWS):
             rows = np.arange(first, min(first + SWEEP_BLOCK_ROWS, total))
             head, start = np.divmod(rows, len(starts))
+            index = np.unravel_index(np.arange(head[0], head[-1] + 1), shape)
+            table = np.stack([axis[i] for axis, i in zip(axes, index)], axis=1)
+            heads = list(map(",".join, float_texts(table).tolist()))
+            head -= head[0]  # each row's index into ``table`` and ``heads``
             p = case.params(**dict(zip(case.names, table[head].T)))
             limits, fixed_rows, invalid = case.predict(p, start_array[start], tol)
             status = np.where(fixed_rows, "FixedPointInputError", "ok")
@@ -535,7 +548,7 @@ def cmd_sweep(args) -> int:
                         check_states(limits[row : row + 1], case.state_n)
                     except QsobpError as exc:
                         status[row] = type(exc).__name__
-            texts = map(",".join, zip(*(map(float.__repr__, c) for c in limits.T.tolist())))
+            texts = map(",".join, float_texts(limits).tolist())
             rows = zip(head.tolist(), start.tolist(), status, texts, case.label(p, limits).tolist())
             yield "".join([f"{heads[i]},{start_texts[j]},ok,{text},{labels[c]}\r\n" if s == "ok"
                            else f"{heads[i]},{start_texts[j]},{s},{blank}\r\n"
@@ -550,7 +563,7 @@ def cmd_sweep(args) -> int:
 # Parser assembly.
 # ---------------------------------------------------------------------------
 
-SWEEP_BLOCK_ROWS = 4096  # a whole grid's lines at once take memory that grows with the grid
+SWEEP_BLOCK_ROWS = 4096  # rows of a sweep block; about the floats of a trajectory block
 CASE_DEFAULTS = {"a": 0.3, "b": 0.3, "c": 0.3, "d": 0.3, "a0": 0.5, "c0": 0.5}
 SWEEP_STARTS = {"state": "0.2,0.3", "x0": "0.2"}  # of a sweep whose start flag is not given
 NEGATIVE_VALUE = re.compile(r"-\.?\d")

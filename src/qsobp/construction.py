@@ -39,7 +39,7 @@ from .errors import (
     SchemaError,
     SizeOverflowError,
 )
-from .simplex import DEFAULT_TOLERANCE, Tolerance
+from .simplex import DEFAULT_TOLERANCE, Tolerance, float_texts
 
 # A cell maps each vertex (positionally) to a 1-based allele index.
 Cell = tuple[int, ...]
@@ -515,10 +515,11 @@ def dump_json(doc: dict, path: str) -> None:
     and a final newline would, byte for byte.
 
     ``json.dump`` with an indent runs the pure-Python encoder.  Here each
-    tensor goes out one (i, ., .) plane of text at a time, and each row of a
-    plane is one join over ``float.__repr__``, JSON's format of a finite
-    float.  Tensor entries are finite floats, as ``operator_to_json`` gives
-    them; ``HeredityTensors`` refuses the others.
+    tensor goes out one (i, ., .) plane of text at a time: ``float_texts``
+    formats the plane's distinct entries with ``float.__repr__``, JSON's
+    format of a finite float, and each row is one join.  Tensor entries are
+    finite floats, as ``operator_to_json`` gives them; ``HeredityTensors``
+    refuses the others.
     """
     # Planes sit at depth 2 of the document, rows at depth 3, entries at depth 4.
     open_plane, close_plane = "\n    [\n      [\n        ", "\n      ]\n    ]"
@@ -533,7 +534,7 @@ def dump_json(doc: dict, path: str) -> None:
                 continue
             fh.write("[")
             for i, plane in enumerate(value):
-                rows = row_sep.join(entry_sep.join(map(float.__repr__, row)) for row in plane)
+                rows = row_sep.join(map(entry_sep.join, float_texts(plane).tolist()))
                 fh.write(("," if i else "") + open_plane + rows + close_plane)
             fh.write("\n  ]")
         fh.write("\n}\n")

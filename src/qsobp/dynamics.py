@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import repeat
 from operator import ge, sub
 from typing import Callable, Sequence
@@ -91,9 +91,12 @@ def stack_params(rows: Sequence):
     return kind(**{f.name: np.array([getattr(p, f.name) for p in rows]) for f in fields(kind)})
 
 
-def _narrow(params, keep: np.ndarray):
-    """Stacked parameters restricted to the rows where ``keep`` holds."""
-    return replace(params, **{f.name: getattr(params, f.name)[keep] for f in fields(params)})
+def _unchecked(params, values):
+    """Parameters of ``params``' class that hold the (name, value) pairs ``values``, set
+    without ``__post_init__``'s check, so rows outside (0, 1) still do not raise."""
+    p = object.__new__(type(params))
+    p.__dict__.update(values)
+    return p
 
 
 def _finish(step, p, state: list, total: int, tol: Tolerance):
@@ -186,16 +189,13 @@ def iterate_batch(
             break
         if histories is not None:
             stored = [(t, s[:, keep]) for t, s in stored]
-        if params is not None:
-            params = _narrow(params, keep)
+        if params is not None:  # the rows still moving
+            params = _unchecked(params, [(name, v[keep]) for name, v in vars(params).items()])
     if scalar_tail:
-        names = [f.name for f in fields(params)]
-        values = zip(*(getattr(params, name).tolist() for name in names))
+        names = list(vars(params))
+        values = zip(*(v.tolist() for v in vars(params).values()))
         for row, start, row_values in zip(rows.tolist(), state.T.tolist(), values):
-            # The row's parameters as Python floats, set without ``__post_init__``'s
-            # check, so a stacked row outside (0, 1) still does not raise.
-            p = object.__new__(type(params))
-            p.__dict__.update(zip(names, row_values))
+            p = _unchecked(params, zip(names, row_values))  # the row's, as Python floats
             end[:, row], steps_taken[row], converged[row] = _finish(step, p, start, total, tol)
     else:
         end[:, rows] = state

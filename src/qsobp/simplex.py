@@ -1,4 +1,4 @@
-"""Probability vectors, product states and tolerance settings.
+"""Probability vectors, product states, tolerance settings and the text of floats.
 
 A population state is a pair of probability distributions: one over the
 female types, one over the male types.  Everything downstream (operator
@@ -118,6 +118,16 @@ class Tolerance:
 
 
 DEFAULT_TOLERANCE = Tolerance()
+
+
+def float_texts(values) -> np.ndarray:
+    """``float.__repr__`` of each entry of the float array ``values``, as an object
+    array of its shape.  Each distinct bit pattern is formatted once, so -0.0 and
+    0.0 keep their own texts; the one place where floats become output text."""
+    values = np.asarray(values, dtype=np.float64)
+    bits, inverse = np.unique(values.ravel().view(np.int64), return_inverse=True)
+    texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].reshape(values.shape)
 
 
 def check_unit(start, domain: str):

@@ -11,8 +11,9 @@ The package itself needs none of them.
 from typing import Callable, Sequence
 
 import numpy as np
+from hypothesis import strategies as st
 
-from qsobp.construction import BisexualOperator, ConfigurationSpace, WeightPair
+from qsobp.construction import BisexualOperator, ConfigurationSpace, WeightPair, make_graph
 from qsobp.dynamics import is_fixed
 from qsobp.errors import DimensionMismatchError, FixedPointInputError
 from qsobp.four_types import SURVIVOR_LABELS, FourTypeParams, survivor_code
@@ -40,6 +41,24 @@ def random_distribution(rng: np.random.Generator, dim: int) -> Distribution:
 
 def random_state(rng: np.random.Generator, n: int, nu: int) -> PopulationState:
     return PopulationState(random_distribution(rng, n), random_distribution(rng, nu))
+
+
+@st.composite
+def constructions(draw):
+    """A space of at most 81 cells (5 vertices with 2 alleles, 4 with 3) with
+    a random proper female split and weights in [0.5, 2]."""
+    alleles = draw(st.integers(2, 3))
+    vertices = draw(st.integers(1, 5 if alleles == 2 else 4))
+    pairs = [(a, b) for a in range(1, vertices + 1) for b in range(a + 1, vertices + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    size = alleles**vertices
+    females = draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=size - 1))
+    space = ConfigurationSpace.build(make_graph(vertices, edges), alleles, females)
+    weight = st.floats(0.5, 2.0)
+    weights = WeightPair(
+        {i: draw(weight) for i in space.females}, {j: draw(weight) for j in space.males}
+    )
+    return space, weights
 
 
 def apply(op: BisexualOperator, state: PopulationState) -> PopulationState:

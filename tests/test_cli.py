@@ -8,7 +8,8 @@ Core claims:
   - predict / classify / fixed-points emit the documented JSON documents
   - verify pairs closed-form limits with iteration and reports pass/fail
   - sweep emits deterministic CSV, flipping branches exactly at the
-    critical parameter sum, where the limit keeps the block's x+y
+    critical parameter sum, where the limit keeps the block's x+y; it
+    writes -0.0 and 0.0 as given, and its memory does not grow with the grid
   - exit codes: 0 ran, 2 input error, 3 i/o error; non-finite weights and
     tensor entries, tensor entries that are not JSON numbers, --seed on a
     command that draws nothing, --grid on a case without a planar map, a
@@ -28,6 +29,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -415,6 +417,34 @@ def test_sweep_is_deterministic(tmp_path):
     assert main(args + ["--output", str(out1)]) == 0
     assert main(args + ["--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_sweep_keeps_the_sign_of_a_zero_parameter(tmp_path):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--case", "two-type", "--a=-0.0", "--b", "0.0:0.5:3", "--output", str(out)]
+    assert main(argv) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["a"], row["b"]) for row in rows] == [("-0.0", "0.0"), ("-0.0", "0.25"),
+                                                      ("-0.0", "0.5")]
+
+
+def test_sweep_memory_does_not_grow_with_the_grid(tmp_path):
+    # 4,860 and 48,600 parameter rows, one start each: the larger sweep's
+    # traced peak stays within twice the smaller one's, since each block
+    # builds and formats only its own parameter rows.
+    peaks = []
+    for count in (60, 600):
+        argv = ["sweep", "--case", "critical-line", "--a", f"0.05:0.95:{count}",
+                "--a0", "0.1:0.9:9", "--c0", "0.1:0.9:9", "--x0", "0.2",
+                "--output", str(tmp_path / f"{count}.csv")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0], peaks
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qsobp import construction, four_types
 from qsobp.construction import (
@@ -35,14 +37,18 @@ from qsobp.construction import (
     operator_to_json,
 )
 from qsobp.errors import PartitionIndexError, SchemaError, SizeOverflowError
+from qsobp.simplex import block_totals, check_states
 
-from helpers import apply, four_type_from_weights, random_state, state_distance, uniform_weights
+from helpers import (apply, constructions, four_type_from_weights, random_state, state_distance,
+                     uniform_weights)
 
 # The two standard spaces used throughout: two isolated vertices with the
 # first-allele-at-vertex-1 cells as females, and one edge plus an isolated
 # vertex with females = cells where vertex 3 repeats vertex 1's allele.
 TWO_VERTEX_FEMALES = [0, 1]  # cells (1,1), (1,2)
 THREE_VERTEX_FEMALES = [0, 2, 5, 7]  # cells (1,1,1), (1,2,1), (2,1,2), (2,2,2)
+# How far a block total may move from one over a long run of operator steps.
+TOTAL_DRIFT = 1e-12
 
 
 def two_vertex_space() -> ConfigurationSpace:
@@ -298,19 +304,35 @@ def test_random_spaces_yield_stochastic_supported_tensors():
                 assert support <= allowed
 
 
-def test_built_operators_preserve_the_simplex():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        space = _random_small_space(rng)
-        weights = WeightPair(
-            {i: float(rng.uniform(0.1, 5.0)) for i in space.females},
-            {j: float(rng.uniform(0.1, 5.0)) for j in space.males},
-        )
-        op = build_operator(space, weights)
-        s = random_state(rng, op.n, op.nu)
-        for _ in range(50):
-            s = apply(op, s)  # validates on construction
-        assert abs(sum(s.female.probs) - 1.0) <= 1e-12
+# A start's weights: zero half the time, so starts lie on faces of the simplexes too.
+START_WEIGHT = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+
+
+@st.composite
+def operators_and_starts(draw):
+    """A built operator and a start on the product of simplexes."""
+    op = build_operator(*draw(constructions()))
+    blocks = []
+    for size in (op.n, op.nu):
+        w = np.array(draw(st.lists(START_WEIGHT, min_size=size, max_size=size)))
+        assume(w.sum() > 0.0)
+        blocks.append(w / w.sum())
+    return op, np.concatenate(blocks)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(operators_and_starts())
+def test_built_operators_preserve_the_simplex(case):
+    # 300 steps: every state passes check_states, and each block total stays
+    # within TOTAL_DRIFT of one.
+    op, s = case
+    states = [s]
+    for _ in range(300):
+        states.append(op.apply_raw(states[-1]))
+    states = np.array(states)
+    check_states(states, op.n)
+    for total in block_totals(states, op.n):
+        assert np.abs(total - 1.0).max() <= TOTAL_DRIFT
 
 
 # -- identity detection ------------------------------------------------------

@@ -33,6 +33,8 @@ and, for random graphs, allele counts, female splits and weights:
   - the operator step agrees with the literal contraction to 1e-15
 
 and for the writers and the trajectory check:
+  - float_texts gives float.__repr__ of each entry of an array of any
+    shape, empty ones included, keeping -0.0 apart from 0.0
   - dump_json writes an operator document with the bytes of json.dump with
     indent 2 and sorted keys, and a final newline
   - the trajectory CSV has the bytes csv.writer gives for the same rows
@@ -51,18 +53,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from qsobp import cli, dynamics
 from qsobp.cli import CASES
-from qsobp.construction import (
-    ConfigurationSpace,
-    WeightPair,
-    build_heredity,
-    build_operator,
-    compatible_sets,
-    dump_json,
-    make_graph,
-)
+from qsobp.construction import build_heredity, build_operator, compatible_sets, dump_json
 from qsobp.dynamics import StabilityKind, classify_fixed_point_2d
 from qsobp.errors import FixedPointInputError, NegativeEntryError, NotNormalizedError
 from qsobp.four_types import (
@@ -78,11 +73,11 @@ from qsobp.four_types import (
     sub12_fixed_points,
     sub12_jacobian,
 )
-from qsobp.simplex import Tolerance, check_states, make_state
+from qsobp.simplex import Tolerance, check_states, float_texts, make_state
 from qsobp.two_types import TwoTypeParams, invariant_line_level
 from qsobp.two_types import predict_limit as predict_limit_two
 
-from helpers import predict_one
+from helpers import constructions, predict_one
 
 # Reproducible examples, and no example database written next to the tests.
 PROPERTY = settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -477,24 +472,6 @@ def test_a_batch_with_a_scalar_tail_equals_its_rows_run_alone(batch, max_iters, 
     _batch_against_rows(kind, columns, [start for _, start in rows], tol)
 
 
-@st.composite
-def constructions(draw):
-    """A space of at most 81 cells (5 vertices with 2 alleles, 4 with 3) with
-    a random proper female split and weights in [0.5, 2]."""
-    alleles = draw(st.integers(2, 3))
-    vertices = draw(st.integers(1, 5 if alleles == 2 else 4))
-    pairs = [(a, b) for a in range(1, vertices + 1) for b in range(a + 1, vertices + 1)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    size = alleles**vertices
-    females = draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=size - 1))
-    space = ConfigurationSpace.build(make_graph(vertices, edges), alleles, females)
-    weight = st.floats(0.5, 2.0)
-    weights = WeightPair(
-        {i: draw(weight) for i in space.females}, {j: draw(weight) for j in space.males}
-    )
-    return space, weights
-
-
 def _pairwise_tensors(space, weights):
     """The heredity tensors, one parent pair at a time over compatible_sets."""
     f_pos = {cell: t for t, cell in enumerate(space.females)}
@@ -583,6 +560,24 @@ def test_the_trajectory_csv_is_what_csv_writer_writes(rows):
     writer.writerows([t, *s] for t, s in rows)
     written = _written(cli._write_trajectory, header, steps, states)
     assert written == expected.getvalue().encode()
+
+
+# Values with special texts, mixed in so that entries repeat.
+SPECIAL = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.0])
+
+
+@PROPERTY
+@given(
+    arrays(
+        np.float64,
+        array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+        elements=st.one_of(st.floats(), SPECIAL),
+    )
+)
+def test_float_texts_is_the_repr_of_each_entry(values):
+    texts = float_texts(values)
+    assert texts.shape == values.shape and texts.dtype == object
+    assert texts.ravel().tolist() == list(map(float.__repr__, values.ravel().tolist()))
 
 
 def _first_rejection(states, n):
