@@ -4,7 +4,8 @@ Random states, a state metric, one operator step on a population state,
 the drift of a functional along a trajectory, uniform weights, parameters
 from cell weights, the four-type parameter swap, the type-3/4 block step
 and survivor label, a closed-form predictor on one start, the full
-operator Jacobian and a brute-force periodic-point scan.
+operator Jacobian, a brute-force periodic-point scan and a hypothesis
+strategy of small constructions.
 The package itself needs none of them.
 """
 
