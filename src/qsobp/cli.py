@@ -263,11 +263,7 @@ def _predict(case: Case, p, starts: np.ndarray, tol: Tolerance) -> np.ndarray:
 
 def _construct(path: str):
     """The configuration space and the operator built from a construction JSON file."""
-    try:
-        doc = construction.load_json(path)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("input", f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    space, weights = construction.construction_from_json(doc)
+    space, weights = construction.construction_from_json(construction.load_json(path))
     return space, construction.build_operator(space, weights)
 
 
@@ -275,7 +271,8 @@ def cmd_construct(args) -> int:
     space, op = _construct(args.input)
     connected = len(space.components) == 1
     identity = construction.is_identity(op, _tolerance(args))
-    construction.dump_json(construction.operator_to_json(op), args.output)
+    pf, pm = op.tensors.pf, op.tensors.pm  # as arrays: dump_json formats each tensor once
+    construction.dump_json({"n": op.n, "nu": op.nu, "pf": pf, "pm": pm}, args.output)
     print(f"n={op.n} nu={op.nu}")
     print(f"connected: {str(connected).lower()}")
     print(f"identity: {str(identity).lower()}")

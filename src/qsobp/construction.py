@@ -46,12 +46,10 @@ Cell = tuple[int, ...]
 
 # Spaces whose dense operator tensors (pf, pm and their mixing matrix, which
 # holds both mixing parts, float64) would exceed this many bytes are refused
-# before enumeration.  The build's largest temporary is the running sum that
-# normalizes one side, as large as pf or pm; the boolean compatibility mask of
-# both sides takes an eighth of pf and pm together.  Writing an operator
-# document holds the text of one (i, ., .) plane at a time, but loading one
-# holds pf and pm as Python lists, about four times their array size, so the
-# bound leaves room for that too.
+# before enumeration; what it counts is twice the bytes of pf and pm.  In
+# multiples of those bytes, the peak traced memory measured at n = nu = 32 and
+# 64 is 4.8 and 4.6 for construct, which builds and writes, and 4.1 and 3.9
+# for loading an operator document.
 TENSOR_BYTES_CAP = 2**28
 
 # Stochasticity of constructed tensor rows is checked to this tolerance;
@@ -505,9 +503,26 @@ def operator_from_json(doc: Mapping) -> BisexualOperator:
         raise SchemaError("tensors", str(exc)) from exc
 
 
+class _SharedFloats(dict):
+    """Number text -> its float, made on first use."""
+
+    def __missing__(self, text: str) -> float:
+        value = self[text] = float(text)
+        return value
+
+
 def load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON document in the file ``path``, equal to what ``json.load`` gives, with
+    one float object per distinct number text: tensors of mostly ``0.0`` cost one
+    reference per entry.  Malformed JSON and text that is not UTF-8 raise
+    ``SchemaError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, parse_float=_SharedFloats().__getitem__)
+    except json.JSONDecodeError as exc:
+        raise SchemaError("input", f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError("input", f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
 def dump_json(doc: dict, path: str) -> None:
@@ -515,11 +530,11 @@ def dump_json(doc: dict, path: str) -> None:
     and a final newline would, byte for byte.
 
     ``json.dump`` with an indent runs the pure-Python encoder.  Here each
-    tensor goes out one (i, ., .) plane of text at a time: ``float_texts``
-    formats the plane's distinct entries with ``float.__repr__``, JSON's
-    format of a finite float, and each row is one join.  Tensor entries are
-    finite floats, as ``operator_to_json`` gives them; ``HeredityTensors``
-    refuses the others.
+    tensor, a nested list or an array, goes through ``float_texts`` once,
+    which formats its distinct entries with ``float.__repr__``, JSON's format
+    of a finite float; the text goes out one (i, ., .) plane at a time, each
+    row one join.  Tensor entries are finite floats, as ``HeredityTensors``
+    holds them.
     """
     # Planes sit at depth 2 of the document, rows at depth 3, entries at depth 4.
     open_plane, close_plane = "\n    [\n      [\n        ", "\n      ]\n    ]"
@@ -529,12 +544,14 @@ def dump_json(doc: dict, path: str) -> None:
         for k, key in enumerate(sorted(doc)):
             value = doc[key]
             fh.write(("," if k else "") + "\n  " + json.dumps(key) + ": ")
-            if not isinstance(value, list):
+            if not isinstance(value, (list, np.ndarray)):
                 fh.write(json.dumps(value))
                 continue
+            # A generator: no leftover plane keeps these texts while the next tensor's are made.
             fh.write("[")
-            for i, plane in enumerate(value):
-                rows = row_sep.join(map(entry_sep.join, float_texts(plane).tolist()))
-                fh.write(("," if i else "") + open_plane + rows + close_plane)
+            fh.writelines(
+                ("," if i else "") + open_plane + row_sep.join(map(entry_sep.join, plane.tolist()))
+                + close_plane for i, plane in enumerate(float_texts(value))
+            )
             fh.write("\n  ]")
         fh.write("\n}\n")

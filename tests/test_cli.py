@@ -10,8 +10,9 @@ Core claims:
   - sweep emits deterministic CSV, flipping branches exactly at the
     critical parameter sum, where the limit keeps the block's x+y; it
     writes -0.0 and 0.0 as given, and its memory does not grow with the grid
-  - exit codes: 0 ran, 2 input error, 3 i/o error; non-finite weights and
-    tensor entries, tensor entries that are not JSON numbers, --seed on a
+  - exit codes: 0 ran, 2 input error, 3 i/o error; malformed JSON, a file
+    that is not UTF-8, non-finite weights and tensor entries, tensor
+    entries that are not JSON numbers, --seed on a
     command that draws nothing, --grid on a case without a planar map, a
     start or parameter flag the case does not read, a parameter flag the
     start fixes and a two-type classify point that is not fixed are input
@@ -580,19 +581,39 @@ def test_a_string_or_boolean_tensor_entry_is_an_input_error(tmp_path, capsys, en
     assert "Traceback" not in err
 
 
+# The two commands that read a JSON document; {f} is the document, {d} a directory.
+READS_A_DOCUMENT = [
+    ["construct", "--input", "{f}", "--output", "{d}/op.json"],
+    ["iterate", "--operator", "{f}", "--state", "1;1"],
+]
+
+
 @pytest.mark.parametrize("doc", [5, True, None, "n", [1]])
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["construct", "--input", "{f}", "--output", "{d}/op.json"],
-        ["iterate", "--operator", "{f}", "--state", "1;1"],
-    ],
-)
+@pytest.mark.parametrize("argv", READS_A_DOCUMENT)
 def test_a_document_that_is_not_an_object_is_an_input_error(tmp_path, capsys, doc, argv):
     path = _write(tmp_path / "doc.json", doc)
     argv = [a.replace("{f}", path).replace("{d}", str(tmp_path)) for a in argv]
     assert main(argv) == 2
     assert "expected a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"n": 1,\n  "nu": 1,\n}', "input: invalid JSON at line 3: Expecting property name"),
+        (b'{"n": 1, "pf": [[[0.5\xff]]]}', "input: not UTF-8 text: invalid start byte at byte 21"),
+    ],
+    ids=["malformed", "not-utf-8"],
+)
+@pytest.mark.parametrize("argv", READS_A_DOCUMENT)
+def test_a_file_that_is_not_json_is_an_input_error(tmp_path, capsys, content, message, argv):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    argv = [a.replace("{f}", str(path)).replace("{d}", str(tmp_path)) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -12,10 +12,13 @@ Core claims:
     simplexes, with both block totals within 1e-12 of one
   - JSON documents round-trip bit-exactly, and an operator document written,
     loaded and written again keeps its bytes
+  - loading an operator document of n = nu = 32 traces at most 5 times the
+    tensors' bytes, and construct at most 5.5 times
 """
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsobp import construction, four_types
+from qsobp.cli import main
 from qsobp.construction import (
     BisexualOperator,
     ConfigurationSpace,
@@ -496,6 +500,47 @@ def test_operator_file_round_trip_keeps_its_bytes(tmp_path):
     assert second.read_bytes() == first.read_bytes()
     expected = json.dumps(operator_to_json(op), indent=2, sort_keys=True) + "\n"
     assert first.read_bytes() == expected.encode()
+
+
+def _half_female_six_vertex_document():
+    """64 cells on one edge and four isolated vertices, the odd-numbered ones
+    female (n = nu = 32), with weights in [0.5, 2]."""
+    rng = np.random.default_rng(7)
+    weights = {str(c): float(rng.uniform(0.5, 2.0)) for c in range(1, 65)}
+    return {"vertices": 6, "edges": [[1, 2]], "alleles": 2, "females": list(range(1, 65, 2)),
+            "female_weights": {c: w for c, w in weights.items() if int(c) % 2},
+            "male_weights": {c: w for c, w in weights.items() if not int(c) % 2}}
+
+
+def _traced_peak(run) -> int:
+    """The largest number of bytes traced while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_loading_an_operator_document_holds_few_copies_of_its_tensors(tmp_path):
+    # About 4.1 times the tensors' bytes; with one float object per entry, 6.3.
+    op = build_operator(*construction_from_json(_half_female_six_vertex_document()))
+    assert (op.n, op.nu) == (32, 32)
+    path = str(tmp_path / "op.json")
+    construction.dump_json(operator_to_json(op), path)
+    tensor_bytes = op.tensors.pf.nbytes + op.tensors.pm.nbytes
+    peak = _traced_peak(lambda: operator_from_json(construction.load_json(path)))
+    assert peak <= 5 * tensor_bytes
+
+
+def test_construct_holds_few_copies_of_the_tensors(tmp_path, capsys):
+    # About 4.8 times the tensors' bytes; through nested lists of floats, 6.6.
+    doc = _half_female_six_vertex_document()
+    op = build_operator(*construction_from_json(doc))
+    (tmp_path / "c.json").write_text(json.dumps(doc))
+    argv = ["construct", "--input", str(tmp_path / "c.json"), "--output", str(tmp_path / "op.json")]
+    peak = _traced_peak(lambda: main(argv))
+    assert peak <= 5.5 * (op.tensors.pf.nbytes + op.tensors.pm.nbytes)
 
 
 def test_operator_json_shape_check():

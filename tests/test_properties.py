@@ -36,7 +36,11 @@ and for the writers and the trajectory check:
   - float_texts gives float.__repr__ of each entry of an array of any
     shape, empty ones included, keeping -0.0 apart from 0.0
   - dump_json writes an operator document with the bytes of json.dump with
-    indent 2 and sorted keys, and a final newline
+    indent 2 and sorted keys, and a final newline, whether its tensors are
+    nested lists or arrays
+  - load_json decodes an operator or construction document as json.load
+    does, leaf types and the sign of zero included, with one float object
+    per distinct number text
   - the trajectory CSV has the bytes csv.writer gives for the same rows
   - check_states raises what make_state raises for the first row it rejects
 """
@@ -57,7 +61,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from qsobp import cli, dynamics
 from qsobp.cli import CASES
-from qsobp.construction import build_heredity, build_operator, compatible_sets, dump_json
+from qsobp.construction import (build_heredity, build_operator, compatible_sets, dump_json,
+                                load_json)
 from qsobp.dynamics import StabilityKind, classify_fixed_point_2d
 from qsobp.errors import FixedPointInputError, NegativeEntryError, NotNormalizedError
 from qsobp.four_types import (
@@ -540,6 +545,64 @@ def test_dump_json_writes_the_bytes_of_json_dump(doc):
     text = io.StringIO()
     json.dump(doc, text, indent=2, sort_keys=True)
     assert _written(lambda path: dump_json(doc, path)) == (text.getvalue() + "\n").encode()
+
+
+@PROPERTY
+@given(operator_documents())
+def test_dump_json_writes_the_same_bytes_from_arrays(doc):
+    arrays = dict(doc, pf=np.array(doc["pf"]), pm=np.array(doc["pm"]))
+    from_lists = _written(lambda path: dump_json(doc, path))
+    assert _written(lambda path: dump_json(arrays, path)) == from_lists
+
+
+def _loaded(text: str):
+    """What ``load_json`` decodes from a fresh file that holds ``text``."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return load_json(path)
+
+
+def _leaves(doc):
+    """The numbers, strings and keys of a decoded JSON document, depth first."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield key
+            yield from _leaves(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _leaves(value)
+    else:
+        yield doc
+
+
+@st.composite
+def construction_documents(draw):
+    """A two-vertex construction document; its weights are ints or ENTRY floats."""
+    w = [draw(st.one_of(ENTRY, st.integers(1, 9))) for _ in range(4)]
+    return {"vertices": 2, "edges": [[1, 2]], "alleles": 2, "females": [1, 2],
+            "female_weights": {"1": w[0], "2": w[1]}, "male_weights": {"3": w[2], "4": w[3]}}
+
+
+@PROPERTY
+@given(st.one_of(operator_documents(), construction_documents()))
+def test_load_json_decodes_what_json_load_decodes(doc):
+    text = json.dumps(doc, indent=2)
+    loaded, expected = _loaded(text), json.loads(text)
+    assert loaded == expected
+    # Equal leaves of another type (1 and 1.0) or sign (-0.0 and 0.0) differ in repr.
+    typed = [(type(v), repr(v)) for v in _leaves(loaded)]
+    assert typed == [(type(v), repr(v)) for v in _leaves(expected)]
+
+
+@PROPERTY
+@given(operator_documents())
+def test_load_json_shares_one_float_per_number_text(doc):
+    floats = [v for v in _leaves(_loaded(json.dumps(doc))) if isinstance(v, float)]
+    # json.dumps writes each float as its repr, so equal reprs are equal texts;
+    # -0.0 and 0.0 are two texts and stay two objects.
+    assert len({id(v) for v in floats}) == len({repr(v) for v in floats})
 
 
 @PROPERTY
