@@ -44,8 +44,9 @@ from .simplex import DEFAULT_TOLERANCE, Tolerance, float_texts
 # A cell maps each vertex (positionally) to a 1-based allele index.
 Cell = tuple[int, ...]
 
-# Spaces whose dense operator tensors (pf, pm and their mixing matrix, which
-# holds both mixing parts, float64) would exceed this many bytes are refused
+# Spaces whose dense operator tensors (pf, pm and their child-major mixing
+# matrix, which holds both mixing parts as one row per child type over one
+# column per parent pair, float64) would exceed this many bytes are refused
 # before enumeration; what it counts is twice the bytes of pf and pm.  In
 # multiples of those bytes, the peak traced memory measured at n = nu = 32 and
 # 64 is 4.8 and 4.6 for construct, which builds and writes, and 4.1 and 3.9
@@ -334,21 +335,29 @@ class BisexualOperator:
     contraction multiplies the total mass of both blocks, so its float
     rounding would compound exponentially along a trajectory, while the
     difference form keeps normalization drift at the rounding level
-    without ever renormalizing.  The literal contraction stays available
-    as :meth:`quadratic_form`, the unrestricted coordinate map off the
-    simplexes.
+    without ever renormalizing.  The differences are held child-major as
+    the (n + nu, n * nu) mixing matrix ``_q``: row ``c`` is child type ``c``
+    and column ``i * nu + k`` the parent pair (i, k), so a step is
+    ``s + _q @ (x ⊗ y)``, and a linear functional ``w`` is conserved on the
+    simplexes exactly when ``w @ _q = 0``.  The literal contraction stays
+    available as :meth:`quadratic_form`, the unrestricted coordinate map off
+    the simplexes.
     """
 
     tensors: HeredityTensors
 
     def __post_init__(self):
-        # Mixing matrix: heredity minus the breed-true identity pattern, both
-        # sexes side by side, one row per parent pair (i, k) at i * nu + k.
+        # Mixing matrix: heredity minus the breed-true identity pattern,
+        # child-major so that each output of a step is one contiguous dot
+        # product.  It is filled from transposed views, so no transposed copy
+        # of pf or pm is made.
         n, nu = self.n, self.nu
-        q = np.concatenate((self.tensors.pf, self.tensors.pm), axis=2)
-        q[np.arange(n), :, np.arange(n)] -= 1.0
-        q[:, np.arange(nu), n + np.arange(nu)] -= 1.0
-        q = q.reshape(n * nu, n + nu)
+        q = np.empty((n + nu, n, nu))
+        q[:n] = self.tensors.pf.transpose(2, 0, 1)
+        q[n:] = self.tensors.pm.transpose(2, 0, 1)
+        q[np.arange(n), np.arange(n), :] -= 1.0
+        q[n + np.arange(nu), :, np.arange(nu)] -= 1.0
+        q = q.reshape(n + nu, n * nu)
         q.setflags(write=False)
         object.__setattr__(self, "_q", q)
 
@@ -376,7 +385,7 @@ class BisexualOperator:
         ``s`` is a (d,) vector or the engine's (d, 1) column, and the result
         has its shape.
         """
-        return s + (np.outer(s[: self.n], s[self.n :]).ravel() @ self._q).reshape(s.shape)
+        return s + (self._q @ np.outer(s[: self.n], s[self.n :]).ravel()).reshape(s.shape)
 
 
 def build_operator(space: ConfigurationSpace, weights: WeightPair) -> BisexualOperator:

@@ -869,7 +869,8 @@ def test_iterate_trajectory_does_not_depend_on_blas_threads(tmp_path):
     # The operator step is a BLAS matrix-vector product; its bits must not
     # depend on how many threads OpenBLAS splits it over.  128 cells on one
     # edge and five isolated vertices give n = nu = 64, large enough that
-    # OpenBLAS threads the product.
+    # OpenBLAS threads the product.  The runs are single-threaded, two
+    # threads and the library's default.
     rng = np.random.default_rng(7)
     cells = 2**7
     females = sorted(int(c) + 1 for c in rng.choice(cells, cells // 2, replace=False))
@@ -883,24 +884,24 @@ def test_iterate_trajectory_does_not_depend_on_blas_threads(tmp_path):
         "male_weights": {str(c): float(weights[c - 1])
                          for c in range(1, cells + 1) if c not in females},
     }
-    op_path = tmp_path / "op.json"
-    assert main(["construct", "--input", _write(tmp_path / "c.json", doc),
-                 "--output", str(op_path)]) == 0
+    construction_path = _write(tmp_path / "c.json", doc)
     x, y = rng.dirichlet(np.ones(64), 2)
     state = ",".join(map(repr, x.tolist())) + ";" + ",".join(map(repr, y.tolist()))
     src = os.path.dirname(os.path.dirname(qsobp.__file__))
-    trajectories = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"t{threads}.csv"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+    default = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    outputs = []
+    for name, threads in (("single", {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}),
+                          ("two", {"OPENBLAS_NUM_THREADS": "2"}), ("default", {})):
+        trajectory, summary = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
         subprocess.run(
-            [sys.executable, "-m", "qsobp.cli", "iterate", "--operator", str(op_path),
-             "--state", state, "--max-iters", "300", "--trajectory", str(out),
-             "--summary", str(tmp_path / "s.json")],
-            env=env, check=True, timeout=120,
+            [sys.executable, "-m", "qsobp.cli", "iterate", "--construction", construction_path,
+             "--state", state, "--max-iters", "500", "--trajectory", str(trajectory),
+             "--summary", str(summary)],
+            env={**default, **threads, "PYTHONPATH": src}, check=True, timeout=120,
         )
-        trajectories.append(out.read_bytes())
-    assert trajectories[0] == trajectories[1]
+        outputs.append((trajectory.read_bytes(), summary.read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 PARAMETER_FLAGS = {"--a", "--a0", "--b", "--c", "--c0", "--d"}

@@ -10,6 +10,8 @@ Core claims:
   - the four-type space reproduces the closed-form four-type operator
   - a built operator keeps 300 steps from any start on the product of
     simplexes, with both block totals within 1e-12 of one
+  - at n = nu = 64 a step agrees with the tensor contraction to 1e-15, and a
+    (d,) vector and a (d, 1) column step to the same bits
   - JSON documents round-trip bit-exactly, and an operator document written,
     loaded and written again keeps its bytes
   - loading an operator document of n = nu = 32 traces at most 5 times the
@@ -339,6 +341,24 @@ def test_built_operators_preserve_the_simplex(case):
     check_states(states, op.n)
     for total in block_totals(states, op.n):
         assert np.abs(total - 1.0).max() <= TOTAL_DRIFT
+
+
+def test_operator_step_at_graph_operator_size_matches_the_quadratic_form():
+    # 128 cells on one edge and five isolated vertices, half of them female,
+    # give n = nu = 64: there OpenBLAS threads the step's product, which the
+    # small spaces of the property tests never reach.
+    rng = np.random.default_rng(15)
+    space = ConfigurationSpace.build(make_graph(7, [(1, 2)]), 2, rng.choice(128, 64, replace=False))
+    weights = WeightPair({c: float(rng.uniform(0.5, 2.0)) for c in space.females},
+                         {c: float(rng.uniform(0.5, 2.0)) for c in space.males})
+    op = build_operator(space, weights)
+    assert (op.n, op.nu) == (64, 64)
+    for _ in range(20):
+        s = np.concatenate((rng.dirichlet(np.ones(op.n)), rng.dirichlet(np.ones(op.nu))))
+        step = op.apply_raw(s)
+        assert np.abs(step - op.quadratic_form(s)).max() <= 1e-15
+        # The engine's (d, 1) column steps to the same bits as the (d,) vector.
+        assert np.array_equal(op.apply_raw(s[:, None]), step[:, None])
 
 
 # -- identity detection ------------------------------------------------------
