@@ -227,6 +227,15 @@ def test_iterate_dimension_mismatch_exits_2(tmp_path):
     assert code == 2
 
 
+def test_iterate_a_start_split_unlike_the_operator_exits_2(tmp_path, capsys):
+    # 0.5,0.5;0.5,0.5 has the length of the construction's n = 1 and nu = 3.
+    doc = {"vertices": 2, "edges": [], "alleles": 2, "females": [1],
+           "female_weights": {"1": 1.0}, "male_weights": {"2": 1.0, "3": 1.0, "4": 1.0}}
+    path = _write(tmp_path / "c.json", doc)
+    assert main(["iterate", "--construction", path, "--state", "0.5,0.5;0.5,0.5"]) == 2
+    assert "state dims (2, 2), operator (1,3)" in capsys.readouterr().err
+
+
 def test_predict_two_type(tmp_path):
     out = tmp_path / "p.json"
     code = main(

@@ -24,7 +24,7 @@ from qsobp.dynamics import (
     iterate,
     iterate_map,
 )
-from qsobp.errors import NegativeEntryError, NotNormalizedError
+from qsobp.errors import DimensionMismatchError, NegativeEntryError, NotNormalizedError
 from qsobp.simplex import Tolerance, make_state
 from qsobp.two_types import TwoTypeParams, lift_operator
 
@@ -109,6 +109,18 @@ def test_iterate_records_the_operator_step_of_iterate_map():
         mapped.state_steps, mapped.converged, mapped.steps_taken, mapped.limit
     )
     assert type(run.converged) is bool and type(run.steps_taken) is int
+
+
+def test_iterate_rejects_a_start_split_unlike_the_operator():
+    # Both blocks lie on their simplexes and the length 2 + 2 is the
+    # operator's 1 + 3; only the (n, nu) split differs.
+    from qsobp.construction import ConfigurationSpace, build_operator, make_graph
+
+    space = ConfigurationSpace.build(make_graph(2, []), 2, [0])
+    op = build_operator(space, uniform_weights(space))
+    assert (op.n, op.nu) == (1, 3)
+    with pytest.raises(DimensionMismatchError, match=r"state dims \(2, 2\), operator \(1,3\)"):
+        iterate(op, make_state([0.5, 0.5], [0.5, 0.5]))
 
 
 def test_iterate_rejects_a_state_that_leaves_the_simplex(monkeypatch):
