@@ -21,8 +21,8 @@ import numpy as np
 
 from . import construction, dynamics, four_types, two_types
 from .errors import FixedPointInputError, QsobpError, SchemaError
-from .simplex import (PopulationState, Tolerance, block_totals, check_states, check_unit,
-                      float_texts, make_state, rejected_rows)
+from .simplex import (Tolerance, block_totals, check_states, check_unit, float_texts, make_state,
+                      rejected_rows)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -49,12 +49,19 @@ def _parse_numbers(text: str) -> list[float]:
         raise SchemaError("state", f"cannot parse {text!r} as comma-separated numbers") from None
 
 
-def _parse_full_state(text: str) -> PopulationState:
-    """Parse 'x1,..,xn;y1,..,ynu' into a population state."""
+def _parse_full_state(text: str) -> tuple[list[float], list[float]]:
+    """The female and the male block of 'x1,..,xn;y1,..,ynu', unchecked."""
     parts = text.split(";")
     if len(parts) != 2:
         raise SchemaError("state", "expected 'females;males' with a single ';'")
-    return make_state(_parse_numbers(parts[0]), _parse_numbers(parts[1]))
+    return _parse_numbers(parts[0]), _parse_numbers(parts[1])
+
+
+def _first_types(text: str) -> tuple[float, float]:
+    """(x1, y1) of the two-type state 'x1,x2;y1,y2', which ``make_state`` checks."""
+    female, male = _parse_full_state(text)
+    make_state(female, male)
+    return (female[0], male[0])
 
 
 def _parse_point(text: str) -> tuple[float, float]:
@@ -194,7 +201,7 @@ CASES = {
     "two-type": Case(
         params=two_types.TwoTypeParams,
         parse_start=lambda text: check_unit(
-            two_types.reduce_state(_parse_full_state(text)) if ";" in text else _parse_point(text),
+            _first_types(text) if ";" in text else _parse_point(text),
             "the unit square",
         ),
         predict=lambda p, s, tol: two_types.predict_limit(p, s, tol),
@@ -203,7 +210,8 @@ CASES = {
         doc=lambda s, lim: {
             "start": list(s),
             "limit": list(lim),
-            "limit_full": _state_doc(two_types.lift_point(lim).coords(), 2),
+            # The full state of the point (x1, y1).
+            "limit_full": _state_doc(make_state(*([v, 1.0 - v] for v in lim)).tolist(), 2),
         },
         sample=lambda p, rng: rng.uniform(0.02, 0.98, (len(p.a), 2)),
         sweep_columns=(("x0", "y0"), ("limit_x", "limit_y")),
@@ -214,7 +222,7 @@ CASES = {
     ),
     "four-type": Case(
         params=four_types.FourTypeParams,
-        parse_start=lambda text: _parse_full_state(text).coords(),
+        parse_start=lambda text: tuple(make_state(*_parse_full_state(text)).tolist()),
         predict=lambda p, s, tol: four_types.predict_limit(p, s, tol),
         labels=four_types.SURVIVOR_LABELS,
         label=lambda p, lim: np.broadcast_to(four_types.survivor_code(p), len(lim)),
@@ -305,20 +313,19 @@ def _operator_from_args(args) -> tuple[construction.BisexualOperator, dict]:
 
 def cmd_iterate(args) -> int:
     op, meta = _operator_from_args(args)
-    state = _parse_full_state(args.state)
+    female, male = _parse_full_state(args.state)
     tol = _tolerance(args)
-    trajectory = dynamics.iterate(op, state, tol)
+    trajectory = dynamics.iterate(op, female, male, tol)
     n, limit = op.n, trajectory.limit
     if args.trajectory is not None:
         header = ["step"] + [f"x_{i+1}" for i in range(n)] + [f"y_{k+1}" for k in range(op.nu)]
         _write_trajectory(args.trajectory, header, trajectory.state_steps, trajectory.states)
     # Each block total's largest distance from its value at the start.
-    female, male = block_totals(trajectory.states, n)
-    drifts = {"female_total": float(np.abs(female - female[0]).max()),
-              "male_total": float(np.abs(male - male[0]).max())}
+    drifts = {f"{block}_total": float(np.abs(total - total[0]).max())
+              for block, total in zip(("female", "male"), block_totals(trajectory.states, n))}
     summary = {
         "source": meta,
-        "initial": _state_doc(state.coords(), n),
+        "initial": {"female": female, "male": male},
         "converged": trajectory.converged,
         "steps": trajectory.steps_taken,
         "limit": None if limit is None else _state_doc(limit, n),

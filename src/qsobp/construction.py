@@ -81,8 +81,6 @@ def make_graph(vertex_count: int, edges: Iterable[Sequence[int]]) -> Graph:
     normalized = set()
     for e in edges:
         a, b = int(e[0]), int(e[1])
-        if a == b:
-            raise ValueError(f"loop edge ({a},{b}) not allowed")
         normalized.add((min(a, b), max(a, b)))
     return Graph(vertex_count, frozenset(normalized))
 
@@ -475,15 +473,6 @@ def construction_from_json(doc: Mapping) -> tuple[ConfigurationSpace, WeightPair
         _weights_from_json(doc, "male_weights", space.males),
     )
     return space, weights
-
-
-def operator_to_json(op: BisexualOperator) -> dict:
-    return {
-        "n": op.n,
-        "nu": op.nu,
-        "pf": op.tensors.pf.tolist(),
-        "pm": op.tensors.pm.tolist(),
-    }
 
 
 def operator_from_json(doc: Mapping) -> BisexualOperator:

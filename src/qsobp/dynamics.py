@@ -37,7 +37,7 @@ import numpy as np
 
 from .construction import BisexualOperator
 from .errors import DimensionMismatchError
-from .simplex import DEFAULT_TOLERANCE, PopulationState, Tolerance, check_open_unit, check_states
+from .simplex import DEFAULT_TOLERANCE, Tolerance, check_open_unit, check_states, make_state
 
 # At most this many states are kept per trajectory; longer runs are thinned
 # to every k-th state, always retaining the first and the last.
@@ -244,16 +244,16 @@ def predicted(p, coords: np.ndarray, limits, tol: Tolerance):
     return limits, fixed, invalid
 
 
-def iterate(
-    op: BisexualOperator, start: PopulationState, tol: Tolerance = DEFAULT_TOLERANCE
-) -> Trajectory:
-    """Iterate a bisexual operator on its coordinates, female block first.
-
-    ``check_states`` checks that every stored state lies on the simplexes.
-    """
-    if start.dims != (op.n, op.nu):
-        raise DimensionMismatchError(f"state dims {start.dims}, operator ({op.n},{op.nu})")
-    run = iterate_map(op.apply_raw, start.coords(), tol)
+def iterate(op: BisexualOperator, female: Sequence[float], male: Sequence[float],
+            tol: Tolerance = DEFAULT_TOLERANCE) -> Trajectory:
+    """Iterate a bisexual operator on its coordinates, female block first, from the state
+    with blocks ``female`` and ``male``: ``make_state`` checks it before its (n, ν) split
+    is compared with the operator's, and ``check_states`` checks every stored state."""
+    start = make_state(female, male)
+    dims = (len(female), len(male))
+    if dims != (op.n, op.nu):
+        raise DimensionMismatchError(f"state dims {dims}, operator ({op.n},{op.nu})")
+    run = iterate_map(op.apply_raw, start, tol)
     check_states(run.states, op.n)
     return run
 

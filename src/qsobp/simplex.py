@@ -1,18 +1,19 @@
-"""Probability vectors, product states, tolerance settings and the text of floats.
+"""Population states, tolerance settings and the text of floats.
 
-A population state is a pair of probability distributions: one over the
-female types, one over the male types.  Everything downstream (operator
-application, trajectory iteration, limit prediction) works with these
-immutable value types.  Validation happens at construction; states are
-never silently renormalized, so conservation bugs surface as validation
-failures instead of being masked.
+A population state, one point of a product of simplexes, is the float array
+of its coordinates: the female block, then the male block.  ``make_state`` and
+``check_states`` raise the errors of one per-block check.  States are never
+silently renormalized, so conservation bugs surface as validation failures
+instead of being masked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import reduce
+from operator import add
+from typing import Sequence
 
 import numpy as np
 
@@ -24,68 +25,37 @@ NEGATIVITY_EPS = 1e-12
 NORMALIZATION_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class Distribution:
-    """A point of the standard simplex: nonnegative entries summing to one."""
-
-    probs: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.probs) == 0:
-            raise DimensionMismatchError("a distribution needs at least one entry")
-        total = sum(self.probs)
-        if not (abs(total - 1.0) <= NORMALIZATION_EPS):
-            raise NotNormalizedError(f"entries sum to {total}, expected 1")
-        smallest = min(self.probs)
-        if not (smallest >= -NEGATIVITY_EPS):
-            raise NegativeEntryError(f"entry {smallest} < -{NEGATIVITY_EPS}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.probs)
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.probs)
-
-    def __getitem__(self, i: int) -> float:
-        return self.probs[i]
+def _checked_block(values: Sequence[float]) -> np.ndarray:
+    """``values`` as a float array if it is a point of a simplex.  Raises for no entry, then
+    a total off one by more than NORMALIZATION_EPS, then an entry below -NEGATIVITY_EPS."""
+    block = np.asarray(values, dtype=float)
+    if not block.size:
+        raise DimensionMismatchError("a distribution needs at least one entry")
+    total = reduce(add, block.tolist(), 0.0)  # in order, as ``block_totals`` adds
+    if not (abs(total - 1.0) <= NORMALIZATION_EPS):
+        raise NotNormalizedError(f"entries sum to {total}, expected 1")
+    smallest = float(block.min())
+    if not (smallest >= -NEGATIVITY_EPS):
+        raise NegativeEntryError(f"entry {smallest} < -{NEGATIVITY_EPS}")
+    return block
 
 
-def make_distribution(values: Sequence[float]) -> Distribution:
-    """Validate a sequence of probabilities and wrap it as a Distribution."""
-    return Distribution(tuple(float(v) for v in values))
-
-
-@dataclass(frozen=True)
-class PopulationState:
-    """Female and male type distributions, one point of a product of simplexes."""
-
-    female: Distribution
-    male: Distribution
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return (self.female.dim, self.male.dim)
-
-    def coords(self) -> tuple[float, ...]:
-        """All coordinates, female block first."""
-        return self.female.probs + self.male.probs
-
-
-def make_state(female: Sequence[float], male: Sequence[float]) -> PopulationState:
-    return PopulationState(make_distribution(female), make_distribution(male))
+def make_state(female: Sequence[float], male: Sequence[float]) -> np.ndarray:
+    """The (n + ν,) coordinates of the state with blocks ``female`` and ``male``; raises
+    what ``_checked_block`` raises for the female block, then for the male block."""
+    return np.concatenate([_checked_block(female), _checked_block(male)])
 
 
 def block_totals(states: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The female and the male total of each (k, d) ``states`` row: the block's
-    running sum, which adds the entries in order as ``Distribution``'s ``sum`` does."""
+    running sum, which adds the entries in order, as ``_checked_block`` does."""
     # The copy frees each block's running sums before the next block's are taken.
     return tuple(np.cumsum(b, axis=1)[:, -1].copy() for b in (states[:, :n], states[:, n:]))
 
 
 def rejected_rows(states: np.ndarray, n: int) -> np.ndarray:
     """Indices of the (k, d) ``states`` rows that ``make_state(row[:n], row[n:])``
-    rejects: one array test with ``Distribution``'s tolerances, on the
+    rejects: one array test with ``_checked_block``'s tolerances, on the
     ``block_totals`` and each block's minimum."""
     ok = np.ones(len(states), dtype=bool)
     for block, total in zip((states[:, :n], states[:, n:]), block_totals(states, n)):
@@ -96,9 +66,10 @@ def rejected_rows(states: np.ndarray, n: int) -> np.ndarray:
 
 def check_states(states: np.ndarray, n: int) -> None:
     """Raise what ``make_state(row[:n], row[n:])`` raises for the first of the
-    (k, d) ``states`` rows that it rejects; only ``rejected_rows`` go to ``make_state``."""
-    for row in states[rejected_rows(states, n)].tolist():
-        make_state(row[:n], row[n:])
+    (k, d) ``states`` rows that ``rejected_rows`` finds; only those rows are checked."""
+    for row in states[rejected_rows(states, n)]:
+        _checked_block(row[:n])
+        _checked_block(row[n:])
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,7 @@ import numpy as np
 
 from .construction import BisexualOperator
 from .dynamics import predicted
-from .simplex import (DEFAULT_TOLERANCE, PopulationState, Tolerance, check_open_unit, check_unit,
-                      make_state)
+from .simplex import DEFAULT_TOLERANCE, Tolerance, check_open_unit, check_unit
 
 # The fixed-point set of the reduced map, for every a and b.
 FIXED_SEGMENTS = {"horizontal": "y = 0, x in [0, 1)", "right_edge": "x = 1, y in [0, 1]"}
@@ -85,16 +84,6 @@ def lift_operator(p: TwoTypeParams) -> BisexualOperator:
     pm[1, 0] = (p.b, 1.0 - p.b)
     pm[1, 1] = (0.0, 1.0)
     return BisexualOperator.from_tensors(pf, pm)
-
-
-def reduce_state(state: PopulationState) -> Point2:
-    """Project a full two-type state to its (x1, y1) coordinates."""
-    return (state.female[0], state.male[0])
-
-
-def lift_point(s: Point2) -> PopulationState:
-    x, y = s
-    return make_state([x, 1.0 - x], [y, 1.0 - y])
 
 
 def invariant_line_level(p: TwoTypeParams, s: Point2) -> float:

@@ -1,14 +1,17 @@
 """Reference helpers that only the tests use.
 
-Random states, a state metric, one operator step on a population state,
-the drift of a functional along a trajectory, uniform weights, parameters
-from cell weights, the four-type parameter swap, the type-3/4 block step
-and survivor label, a closed-form predictor on one start, the full
-operator Jacobian, a brute-force periodic-point scan and a hypothesis
-strategy of small constructions.
+The simplex rule that ``make_state`` applies, stated on its own, random
+states, a state metric, one operator step on a population state, the drift
+of a functional along a trajectory, uniform weights, parameters from cell
+weights, the four-type parameter swap, the type-3/4 block step and survivor
+label, a closed-form predictor on one start, the full operator Jacobian, a
+brute-force periodic-point scan and a hypothesis strategy of small
+constructions.
 The package itself needs none of them.
 """
 
+from functools import reduce
+from operator import add
 from typing import Callable, Sequence
 
 import numpy as np
@@ -16,32 +19,42 @@ from hypothesis import strategies as st
 
 from qsobp.construction import BisexualOperator, ConfigurationSpace, WeightPair, make_graph
 from qsobp.dynamics import is_fixed
-from qsobp.errors import DimensionMismatchError, FixedPointInputError
+from qsobp.errors import (DimensionMismatchError, FixedPointInputError, NegativeEntryError,
+                          NotNormalizedError)
 from qsobp.four_types import SURVIVOR_LABELS, FourTypeParams, survivor_code
-from qsobp.simplex import (
-    DEFAULT_TOLERANCE,
-    Distribution,
-    PopulationState,
-    make_distribution,
-    make_state,
-)
+from qsobp.simplex import DEFAULT_TOLERANCE, NEGATIVITY_EPS, NORMALIZATION_EPS, make_state
 from qsobp.two_types import TwoTypeParams
 
 
-def state_distance(s1: PopulationState, s2: PopulationState) -> float:
+def simplex_violation(female: Sequence[float], male: Sequence[float]):
+    """The (error type, message) that a state with blocks ``female`` and ``male``
+    must raise, or None when it is one.  For the female block, then the male
+    block: no entry, then a total that the Python floats add up to in order
+    (as ``sum`` did before Python 3.12) farther than NORMALIZATION_EPS from one,
+    then a ``min`` below -NEGATIVITY_EPS."""
+    for block in (female, male):
+        values = [float(v) for v in block]
+        if not values:
+            return DimensionMismatchError, "a distribution needs at least one entry"
+        total = reduce(add, values, 0)
+        if not (abs(total - 1.0) <= NORMALIZATION_EPS):
+            return NotNormalizedError, f"entries sum to {total}, expected 1"
+        smallest = min(values)
+        if not (smallest >= -NEGATIVITY_EPS):
+            return NegativeEntryError, f"entry {smallest} < -{NEGATIVITY_EPS}"
+    return None
+
+
+def state_distance(s1: np.ndarray, s2: np.ndarray) -> float:
     """Max-norm distance between two states over all coordinates."""
-    if s1.dims != s2.dims:
-        raise DimensionMismatchError(f"state dims {s1.dims} vs {s2.dims}")
-    return max(abs(a - b) for a, b in zip(s1.coords(), s2.coords()))
+    if np.shape(s1) != np.shape(s2):
+        raise DimensionMismatchError(f"state shapes {np.shape(s1)} vs {np.shape(s2)}")
+    return float(np.max(np.abs(np.subtract(s1, s2))))
 
 
-def random_distribution(rng: np.random.Generator, dim: int) -> Distribution:
-    """Uniform (flat Dirichlet) random point of the simplex."""
-    return make_distribution(rng.dirichlet(np.ones(dim)))
-
-
-def random_state(rng: np.random.Generator, n: int, nu: int) -> PopulationState:
-    return PopulationState(random_distribution(rng, n), random_distribution(rng, nu))
+def random_state(rng: np.random.Generator, n: int, nu: int) -> np.ndarray:
+    """Uniform (flat Dirichlet) random points of the two simplexes."""
+    return make_state(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(nu)))
 
 
 @st.composite
@@ -62,11 +75,11 @@ def constructions(draw):
     return space, weights
 
 
-def apply(op: BisexualOperator, state: PopulationState) -> PopulationState:
+def apply(op: BisexualOperator, state: np.ndarray) -> np.ndarray:
     """One operator step on a population state; the result is validated as a state."""
-    if state.dims != (op.n, op.nu):
-        raise DimensionMismatchError(f"state dims {state.dims}, operator ({op.n},{op.nu})")
-    s = op.apply_raw(np.array(state.coords()))
+    if np.shape(state) != (op.n + op.nu,):
+        raise DimensionMismatchError(f"state shape {np.shape(state)}, operator ({op.n},{op.nu})")
+    s = op.apply_raw(np.asarray(state))
     return make_state(s[: op.n], s[op.n :])
 
 
@@ -131,7 +144,7 @@ def predict_one(predictor, p, start, tol=DEFAULT_TOLERANCE) -> tuple:
     return tuple(limits[0].tolist())
 
 
-def jacobian(op: BisexualOperator, state: PopulationState) -> np.ndarray:
+def jacobian(op: BisexualOperator, state: np.ndarray) -> np.ndarray:
     """Analytic Jacobian of the full coordinate map at ``state``.
 
     The map is quadratic, so the partials are linear:
@@ -139,10 +152,9 @@ def jacobian(op: BisexualOperator, state: PopulationState) -> np.ndarray:
     and likewise for the male block.  Rows are outputs (female block first),
     columns are inputs.
     """
-    if state.dims != (op.n, op.nu):
-        raise DimensionMismatchError(f"state dims {state.dims}, operator ({op.n},{op.nu})")
-    x = np.array(state.female.probs)
-    y = np.array(state.male.probs)
+    if np.shape(state) != (op.n + op.nu,):
+        raise DimensionMismatchError(f"state shape {np.shape(state)}, operator ({op.n},{op.nu})")
+    x, y = np.asarray(state[: op.n]), np.asarray(state[op.n :])
     pf, pm = op.tensors.pf, op.tensors.pm
     jxx = np.einsum("ikj,k->ji", pf, y)
     jxy = np.einsum("ikj,i->jk", pf, x)

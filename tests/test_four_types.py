@@ -57,7 +57,7 @@ def params(a=0.3, b=0.3, c=0.3, d=0.3, a0=0.5, c0=0.5) -> FourTypeParams:
 def test_corner_state_is_fixed():
     p = params()
     s = make_state([0.0, p.a0, 0.0, 1.0 - p.a0], [0.0, p.c0, 0.0, 1.0 - p.c0])
-    assert p.step(s.coords()) == s.coords()
+    assert p.step(s) == tuple(s)
 
 
 def test_pairwise_sums_conserved_per_step():
@@ -82,9 +82,9 @@ def test_every_image_lands_in_its_own_slice():
     x = rng.dirichlet(np.ones(4))
     y = rng.dirichlet(np.ones(4))
     s = make_state(x, y)
-    sums = slice_sums(s.coords())
-    out = p.step(s.coords())
-    assert slice_sums(make_state(out[:4], out[4:]).coords()) == pytest.approx(sums, abs=1e-15)
+    sums = slice_sums(s)
+    out = p.step(s)
+    assert slice_sums(make_state(out[:4], out[4:])) == pytest.approx(sums, abs=1e-15)
 
 
 def test_full_step_agrees_with_lifted_tensors():
@@ -93,7 +93,7 @@ def test_full_step_agrees_with_lifted_tensors():
     op = lift_operator(p)
     for _ in range(50):
         s = make_state(rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4)))
-        assert max(abs(u - v) for u, v in zip(p.step(s.coords()), apply(op, s).coords())) <= 1e-15
+        assert max(abs(u - v) for u, v in zip(p.step(s), apply(op, s))) <= 1e-15
 
 
 # -- decoupled blocks --------------------------------------------------------
@@ -209,7 +209,7 @@ def test_classification_on_critical_line_is_non_hyperbolic():
 
 def _predict(p, state):
     """The predicted limit of a slice state, checked as a state."""
-    limit = predict_one(predict_limit, p, state.coords())
+    limit = predict_one(predict_limit, p, state)
     return make_state(limit[:4], limit[4:])
 
 
@@ -249,15 +249,15 @@ def test_predict_limit_four_branches(a, b, c, d, expected_x, expected_y, label):
 def test_predict_limit_on_each_critical_line(p, label):
     state = _interior_state(p.a0, p.c0)
     limit = _predict(p, state)
-    x, y = limit.female.probs, limit.male.probs
+    x, y = limit[:4], limit[4:]
     # A block on its line keeps its x+y and ends on its fixed curve.
     for i, side, block in zip((0, 2), limit_branch(p), (p, mirror_params(p))):
         if side == 0:
-            assert x[i] + y[i] == pytest.approx(state.female[i] + state.male[i], rel=0, abs=1e-15)
+            assert x[i] + y[i] == pytest.approx(state[i] + state[4 + i], rel=0, abs=1e-15)
             assert y[i] == pytest.approx(fixed_curve(block, x[i]), rel=0, abs=1e-15)
-    assert max(abs(n - o) for n, o in zip(p.step(limit.coords()), limit.coords())) <= 1e-15
-    run = dynamics.iterate_map(p.step, state.coords(), Tolerance(iter_eps=1e-15))
-    assert max(abs(u - v) for u, v in zip(run.states[-1], limit.coords())) <= 1e-12
+    assert max(abs(n - o) for n, o in zip(p.step(limit), limit)) <= 1e-15
+    run = dynamics.iterate_map(p.step, state, Tolerance(iter_eps=1e-15))
+    assert max(abs(u - v) for u, v in zip(run.states[-1], limit)) <= 1e-12
     assert survivor_label(p) == label
 
 
@@ -285,8 +285,8 @@ def test_iterated_limits_match_prediction():
         p = params(a=float(a), b=float(b), c=float(c), d=float(d), a0=float(a0), c0=float(c0))
         state = _interior_state(p.a0, p.c0)
         predicted = _predict(p, state)
-        run = dynamics.iterate_map(p.step, state.coords())
-        assert max(abs(u - v) for u, v in zip(run.states[-1], predicted.coords())) <= 1e-6
+        run = dynamics.iterate_map(p.step, state)
+        assert max(abs(u - v) for u, v in zip(run.states[-1], predicted)) <= 1e-6
 
 
 # -- critical line: conservation and empirical limits -------------------------

@@ -42,7 +42,10 @@ and for the writers and the trajectory check:
     does, leaf types and the sign of zero included, with one float object
     per distinct number text
   - the trajectory CSV has the bytes csv.writer gives for the same rows
-  - check_states raises what make_state raises for the first row it rejects
+  - make_state raises the error type and message that helpers.simplex_violation
+    names, female block first, for blocks that are empty, off one by a shift
+    across or along either tolerance, infinite or NaN; check_states raises the
+    one of the first row that has one
 """
 
 import csv
@@ -64,7 +67,7 @@ from qsobp.cli import CASES
 from qsobp.construction import (build_heredity, build_operator, compatible_sets, dump_json,
                                 load_json)
 from qsobp.dynamics import StabilityKind, classify_fixed_point_2d
-from qsobp.errors import FixedPointInputError, NegativeEntryError, NotNormalizedError
+from qsobp.errors import FixedPointInputError
 from qsobp.four_types import (
     CriticalMapParams,
     FourTypeParams,
@@ -82,7 +85,7 @@ from qsobp.simplex import Tolerance, check_states, float_texts, make_state
 from qsobp.two_types import TwoTypeParams, invariant_line_level
 from qsobp.two_types import predict_limit as predict_limit_two
 
-from helpers import constructions, predict_one
+from helpers import constructions, predict_one, simplex_violation
 
 # Reproducible examples, and no example database written next to the tests.
 PROPERTY = settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -118,7 +121,7 @@ def _slice_state(a0, c0, fx1, fx3, fy1, fy3):
 def four_type_cases(draw):
     """Parameters and a slice state; half the time a+c = 1, b+d = 1 or both."""
     state = _slice_state(draw(unit), draw(unit), *(draw(fraction) for _ in range(4)))
-    sums = slice_sums(state.coords())
+    sums = slice_sums(state.tolist())
     a, b, c, d = (draw(unit) for _ in range(4))
     lines = draw(st.sampled_from(["", "", "", "12", "34", "12 34"]))
     c = 1.0 - a if "12" in lines else c
@@ -142,18 +145,18 @@ def test_two_type_predictor(a, b, start, tol):
 @given(four_type_cases(), tolerance)
 def test_four_type_predictor(case, tol):
     p, state = case
-    limit = _predicts(predict_limit, p, state.coords(), tol)
-    assert (limit is None) == dynamics.is_fixed(p.step, state.coords(), tol)
+    limit = _predicts(predict_limit, p, state.tolist(), tol)
+    assert (limit is None) == dynamics.is_fixed(p.step, state.tolist(), tol)
     if limit is not None:
         make_state(limit[:4], limit[4:])
         assert _moved(p.step, limit) <= 1e-12
         for i, side in zip((0, 2), limit_branch(p)):
             if side == 0:
                 kept = limit[i] + limit[4 + i]
-                assert kept == pytest.approx(state.female[i] + state.male[i], rel=0, abs=1e-12)
-    after = p.step(state.coords())
-    moved_sums = slice_sums(make_state(after[:4], after[4:]).coords())
-    assert max(abs(u - v) for u, v in zip(moved_sums, slice_sums(state.coords()))) <= 1e-12
+                assert kept == pytest.approx(state[i] + state[4 + i], rel=0, abs=1e-12)
+    after = p.step(state.tolist())
+    moved_sums = slice_sums(make_state(after[:4], after[4:]).tolist())
+    assert max(abs(u - v) for u, v in zip(moved_sums, slice_sums(state.tolist()))) <= 1e-12
 
 
 @PROPERTY
@@ -188,7 +191,7 @@ def test_critical_line_limits_are_where_iteration_ends():
         state = _slice_state(a0, c0, *rng.uniform(0.05, 0.95, 4))
         p = FourTypeParams(*map(float, (a, b, c, d)), a0=float(a0), c0=float(c0))
         rows.append(p)
-        starts.append(state.coords())
+        starts.append(state.tolist())
     params, starts = dynamics.stack_params(rows), np.array(starts)
     limits, fixed, invalid = predict_limit(params, starts)
     assert not (fixed.any() or invalid.any())
@@ -223,7 +226,7 @@ def predictor_grids(draw):
             if fixed:
                 start = (a0, 0.0, 1.0 - a0, 0.0, c0, 0.0, 1.0 - c0, 0.0)
             else:
-                start = _slice_state(a0, c0, *(draw(fraction) for _ in range(4))).coords()
+                start = _slice_state(a0, c0, *(draw(fraction) for _ in range(4))).tolist()
             sums = slice_sums(start)
             a, b, c, d = (draw(param) for _ in range(4))
             lines = draw(st.sampled_from(["", "12", "34", "12 34"]))
@@ -349,7 +352,7 @@ def batch_rows(draw):
             rows.append((TwoTypeParams(draw(unit), draw(unit)), draw(st.tuples(fraction, fraction))))
         elif case == "four-type":
             p, state = draw(four_type_cases())
-            rows.append((p, state.coords()))
+            rows.append((p, state.tolist()))
         else:
             rows.append((CriticalMapParams(draw(unit), draw(unit), draw(unit)), (draw(fraction),)))
     p = rows[0][0]
@@ -457,7 +460,7 @@ def tail_batches(draw):
             p, start = TwoTypeParams(draw(unit), draw(unit)), draw(st.tuples(fraction, fraction))
         elif case == "four-type":
             p, state = draw(four_type_cases())
-            start = state.coords()
+            start = state.tolist()
         else:
             p, start = CriticalMapParams(draw(unit), draw(unit), draw(unit)), (draw(fraction),)
         values = dict(vars(p))
@@ -643,24 +646,26 @@ def test_float_texts_is_the_repr_of_each_entry(values):
     assert texts.ravel().tolist() == list(map(float.__repr__, values.ravel().tolist()))
 
 
-def _first_rejection(states, n):
-    """The error ``make_state`` raises first over the rows, or None."""
-    for row in states.tolist():
-        try:
-            make_state(row[:n], row[n:])
-        except (NotNormalizedError, NegativeEntryError) as exc:
-            return type(exc)
-    return None
+def _raises(call, violation):
+    """Whether ``call()`` raises the (error type, message) ``violation``, or returns
+    when it is None."""
+    if violation is None:
+        call()
+        return True
+    with pytest.raises(violation[0]) as info:
+        call()
+    return str(info.value) == violation[1]
 
 
 @PROPERTY
 @given(
-    st.integers(1, 3),
+    st.integers(0, 4),
     st.lists(
         st.tuples(
             st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=4, max_size=4),
             st.integers(0, 3),
-            st.sampled_from([0.0, 5e-10, -5e-10, 2e-9, -2e-9, -5e-13, -2e-12, float("nan")]),
+            st.sampled_from([0.0, 5e-10, -5e-10, 2e-9, -2e-9, -5e-13, -2e-12, math.nan,
+                             math.inf, -math.inf]),
         ),
         min_size=1,
         max_size=6,
@@ -668,17 +673,17 @@ def _first_rejection(states, n):
 )
 def test_check_states_raises_what_make_state_raises(n, rows):
     # Each block is normalized, then one entry of the row is shifted across
-    # or along one of the two tolerances.
+    # or along one of the two tolerances, or made infinite or NaN; n = 0 and
+    # n = 4 leave one block empty.
     states = []
     for weights, position, shift in rows:
         blocks = (weights[:n], weights[n:])
         row = [v / sum(b) if sum(b) > 0 else 1.0 / len(b) for b in blocks for v in b]
         row[position] += shift
         states.append(row)
-    states = np.array(states)
-    expected = _first_rejection(states, n)
-    if expected is None:
-        check_states(states, n)
-    else:
-        with pytest.raises(expected):
-            check_states(states, n)
+    violations = [simplex_violation(row[:n], row[n:]) for row in states]
+    for row, violation in zip(states, violations):
+        assert _raises(partial(make_state, row[:n], row[n:]), violation)
+    if 0 < n < 4:  # check_states takes rows of two nonempty blocks
+        first = next((v for v in violations if v is not None), None)
+        assert _raises(partial(check_states, np.array(states), n), first)

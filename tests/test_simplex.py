@@ -1,4 +1,5 @@
-"""Validation and metric behavior of simplex points and product states."""
+"""Validation and metric behavior of population states, the coordinate arrays
+of points of a product of simplexes."""
 
 import numpy as np
 import pytest
@@ -8,49 +9,72 @@ from qsobp.errors import (
     NegativeEntryError,
     NotNormalizedError,
 )
-from qsobp.simplex import Tolerance, make_distribution, make_state
+from qsobp.simplex import Tolerance, make_state
 
-from helpers import random_state, state_distance
+from helpers import random_state, simplex_violation, state_distance
 
 
 def test_symmetric_point_is_valid():
-    d = make_distribution([0.5, 0.5])
-    assert d.dim == 2
-    assert d.probs == (0.5, 0.5)
+    s = make_state([0.5, 0.5], [0.25, 0.75])
+    assert s.dtype == np.float64
+    assert s.tolist() == [0.5, 0.5, 0.25, 0.75]
 
 
 def test_vertex_is_valid():
-    d = make_distribution([1.0, 0.0])
-    assert d.probs == (1.0, 0.0)
+    assert make_state([1.0, 0.0], [0.0, 1.0]).tolist() == [1.0, 0.0, 0.0, 1.0]
 
 
 def test_single_type_population():
-    assert make_distribution([1.0]).dim == 1
+    assert make_state([1.0], [1.0]).tolist() == [1.0, 1.0]
 
 
 def test_rejects_unnormalized():
-    with pytest.raises(NotNormalizedError):
-        make_distribution([0.5, 0.6])
+    for blocks in (([0.5, 0.6], [1.0]), ([1.0], [0.5, 0.6])):
+        with pytest.raises(NotNormalizedError, match=r"entries sum to 1\.1, expected 1"):
+            make_state(*blocks)
 
 
 def test_rejects_negative_entry():
-    with pytest.raises(NegativeEntryError):
-        make_distribution([-1e-6, 1.0 + 1e-6])
+    for blocks in (([-1e-6, 1.0 + 1e-6], [1.0]), ([1.0], [-1e-6, 1.0 + 1e-6])):
+        with pytest.raises(NegativeEntryError, match=r"entry -1e-06 < -1e-12"):
+            make_state(*blocks)
 
 
 def test_accepts_tiny_negative_dust():
-    d = make_distribution([-1e-13, 1.0 + 1e-13])
-    assert d.probs[0] == -1e-13
+    s = make_state([-1e-13, 1.0 + 1e-13], [1.0, -1e-13])
+    assert s[0] == -1e-13 and s[3] == -1e-13
 
 
 def test_rejects_nan():
-    with pytest.raises(NotNormalizedError):
-        make_distribution([float("nan"), 0.5])
+    with pytest.raises(NotNormalizedError, match="entries sum to nan"):
+        make_state([float("nan"), 0.5], [1.0])
 
 
 def test_rejects_empty():
-    with pytest.raises(DimensionMismatchError):
-        make_distribution([])
+    for blocks in (([], [1.0]), ([1.0], []), ([], [])):
+        with pytest.raises(DimensionMismatchError, match="at least one entry"):
+            make_state(*blocks)
+
+
+@pytest.mark.parametrize(
+    "female, male",
+    [
+        ([-0.0, -0.0], [1.0]),  # totals 0.0, as Python's sum, which starts at 0, gives
+        ([float("inf")], [1.0]),
+        ([float("-inf"), float("inf")], [1.0]),
+        ([1e308, 1e308], [1.0]),
+        ([1.0], [float("nan"), -1.0]),
+        ([0.5, 0.5 + 2e-9], [-1.0, 2.0]),
+        ([2.0, -1.0], [0.25, 0.25, 0.5]),
+        ([-1e-6, 1.0 + 1e-6], [0.5, 0.6]),  # the female block is checked first
+        ([0.5, 0.6], []),
+    ],
+)
+def test_make_state_raises_the_error_of_the_reference_rule(female, male):
+    kind, message = simplex_violation(female, male)
+    with pytest.raises(kind) as info:
+        make_state(female, male)
+    assert str(info.value) == message
 
 
 def test_distance_identical_states_is_zero():
