@@ -17,7 +17,8 @@ four-type and the critical-line case:
     row run alone ends, bit for bit, after as many steps and with the same
     convergence flag, whether the budget lets it converge or cuts it off;
     this holds for batches that start in the scalar tail or reach it mid-run,
-    for rows that finish before, at or after the handoff, and for rows whose
+    for rows that finish before, at or after the handoff, for groups of rows
+    that finish on one step while the batch is still wide, and for rows whose
     parameters are 0, 1, -0.5 or NaN, which the numpy engine steps alone
   - off a+c = 1 (by at least 1e-6) the four-type block's corner (a0, c0)
     attracts when a+c > 1 and (0, 0) when a+c < 1, and the other corner is a
@@ -450,12 +451,17 @@ def test_a_batch_hands_its_last_rows_to_the_scalar_tail_mid_run():
 
 @st.composite
 def tail_batches(draw):
-    """TAIL_WIDTH - 2 to TAIL_WIDTH + 8 rows of one case, so the batch starts in the
-    scalar tail or reaches it mid-run; in half the rows one parameter is 0, 1, -0.5
-    or NaN, which takes a four-type block or a two-type coordinate to NaN."""
+    """TAIL_WIDTH - 2 to 4 * TAIL_WIDTH + 8 rows of one case, so the batch starts in the
+    scalar tail or reaches it mid-run, and rows finish while it is still wide.  A third
+    of the rows repeat an earlier row, so groups of rows finish on the same step; in half
+    the others one parameter is 0, 1, -0.5 or NaN, which takes a four-type block or a
+    two-type coordinate to NaN."""
     case = draw(st.sampled_from(["two-type", "four-type", "critical-line"]))
     rows = []
-    for _ in range(draw(st.integers(dynamics.TAIL_WIDTH - 2, dynamics.TAIL_WIDTH + 8))):
+    for _ in range(draw(st.integers(dynamics.TAIL_WIDTH - 2, 4 * dynamics.TAIL_WIDTH + 8))):
+        if rows and draw(st.integers(0, 2)) == 0:
+            rows.append(draw(st.sampled_from(rows)))
+            continue
         if case == "two-type":
             p, start = TwoTypeParams(draw(unit), draw(unit)), draw(st.tuples(fraction, fraction))
         elif case == "four-type":
