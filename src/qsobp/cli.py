@@ -150,7 +150,8 @@ class Case:
     fixes: Callable[[tuple], dict] = lambda start: {}  # parameters a start determines
     sample: Callable | None = None  # (stacked params, rng) -> one random verify start per row
     verify_axes: tuple[str, str] = ("a", "c")
-    on_line: Callable[[object], bool] = lambda p: False  # verify names the cell critical-line
+    # Stacked parameters -> where verify names the cell critical-line, as a mask or one bool.
+    on_line: Callable = lambda p: False
     planar: Callable | None = None  # params -> (planar map, its Jacobian, (w, h) of [0,w] x [0,h])
     portrait: tuple = ()  # (regime, parameter overrides) of each verify portrait regime
 
@@ -231,7 +232,7 @@ CASES = {
         sweep_columns=(tuple(f"s0_{c}" for c in _COORDS8), tuple(f"limit_{c}" for c in _COORDS8)),
         state_n=4,
         fixes=lambda s: dict(zip(("a0", "c0"), four_types.slice_sums(s)[::2])),  # its slice
-        on_line=lambda p: 0 in four_types.limit_branch(p),
+        on_line=lambda p: np.equal(four_types.limit_branch(p), 0).any(axis=0),
         planar=lambda p: (p.sub12_step, lambda s: four_types.sub12_jacobian(p, s), (p.a0, p.c0)),
         portrait=tuple(
             (regime, {"a": a, "c": c})
@@ -457,15 +458,20 @@ def cmd_verify(args) -> int:
     tol = _tolerance(args)
     rng = np.random.default_rng(args.seed)
     grid_values = _linspace(0.05, 0.95, args.grid)
-    # One parameters row per start, a cell's starts together.
-    rows, cells = [], []
-    for u in grid_values:
-        for v in grid_values:
-            cell = dict(zip(case.verify_axes, (u, v)))
-            p = _params(args.case, args, **cell)
-            rows.extend([p] * args.starts)
-            cells.append({**cell, "kind": "critical-line" if case.on_line(p) else "closed-form"})
-    params = dynamics.stack_params(rows)
+    u, v = case.verify_axes
+    # The first cell's parameters check the flags, which every cell shares, so
+    # errors name what a one-cell check names.  Then one (cells,) array per field,
+    # and one row per start, a cell's starts together.
+    first = _params(args.case, args, **{u: grid_values[0], v: grid_values[0]})
+    axis, n_cells = np.array(grid_values), args.grid**2
+    columns = {name: np.full(n_cells, value) for name, value in vars(first).items()}
+    columns.update({u: np.repeat(axis, args.grid), v: np.tile(axis, args.grid)})
+    on_line = np.broadcast_to(case.on_line(case.params(**columns)), n_cells).tolist()
+    cells = [
+        {u: x, v: y, "kind": "critical-line" if line else "closed-form"}
+        for (x, y), line in zip(itertools.product(grid_values, repeat=2), on_line)
+    ]
+    params = case.params(**{name: np.repeat(c, args.starts) for name, c in columns.items()})
     starts = case.sample(params, rng)
     limits = _predict(case, params, starts, tol)
     # One batch steps every start; each cell keeps its starts' largest coordinate

@@ -5,17 +5,23 @@ B states of d coordinates, one column per trajectory, and each step maps the
 whole array at once.  Each column stops on its own, when one step moves it by
 at most ``tol.iter_eps`` in the max norm (converged) or after
 ``tol.max_iters`` steps (not converged; that is a result, not an error).
-Finished columns leave the batch, together with their per-row parameters, so
-the last steps cost only what the slowest trajectories need.  Convergence is
-detected from successive-state distance, never from distance to a known
-limit, so the same loop serves operators whose limits are unknown.
+A column's end state, steps and flag are recorded at the step it finishes.
+Finished columns leave the batch, together with their per-row parameters, once
+at most half its columns still move: until then they stay in place as NaN,
+which no move test passes, so the batch is narrowed a few times, not at every
+step where a column finishes.  Columns never mix, so no result depends on when
+the batch is narrowed, and the last steps cost only what the slowest
+trajectories need.  Convergence is detected from successive-state distance,
+never from distance to a known limit, so the same loop serves operators whose
+limits are unknown.
 
-A numpy step costs about the same on 1 column as on 16, so a batch with
-per-row parameters and no histories finishes its last ``TAIL_WIDTH`` rows
-one at a time on Python floats: the same ``step`` on a list of floats, with
-the row's parameters as floats.  Python floats and numpy float64 round each
-+, -, * alike, and the step runs the same operations in the same order, so
-every state, step count and convergence flag is the one the numpy loop gives.
+A numpy step costs about the same on 1 column as on 64, so a batch with
+per-row parameters and no histories is narrowed to its moving rows once at
+most ``TAIL_WIDTH`` are left, and finishes them one at a time on Python
+floats: the same ``step`` on a list of floats, with the row's parameters as
+floats.  Python floats and numpy float64 round each +, -, * alike, and the
+step runs the same operations in the same order, so every state, step count
+and convergence flag is the one the numpy loop gives.
 
 ``iterate_map`` (a bare coordinate map) and ``iterate`` (a bisexual
 operator) run one trajectory through the engine and return its thinned
@@ -28,9 +34,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
-from itertools import repeat
-from operator import ge, sub
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,8 +47,9 @@ from .simplex import DEFAULT_TOLERANCE, Tolerance, check_open_unit, check_states
 # to every k-th state, always retaining the first and the last.
 TRAJECTORY_STORE_CAP = 10_000
 # A batch with stacked parameters and no histories finishes its last rows
-# one at a time on Python floats once at most this many are left.
-TAIL_WIDTH = 12
+# one at a time on Python floats once at most this many are left; the
+# fastest of 8 to 40 on the closed-form verify rounds of the benchmark.
+TAIL_WIDTH = 16
 
 Point = tuple[float, ...]
 MapStep = Callable[[Point], Point]
@@ -84,13 +89,6 @@ class BatchRun:
     trajectories: tuple[Trajectory, ...] | None = None
 
 
-def stack_params(rows: Sequence):
-    """One parameters dataclass whose fields hold the rows' values as (B,) arrays:
-    stacked parameters, which ``iterate_batch`` and the closed-form predictors take."""
-    kind = type(rows[0])
-    return kind(**{f.name: np.array([getattr(p, f.name) for p in rows]) for f in fields(kind)})
-
-
 def _unchecked(params, values):
     """Parameters of ``params``' class that hold the (name, value) pairs ``values``, set
     without ``__post_init__``'s check, so rows outside (0, 1) still do not raise."""
@@ -99,15 +97,26 @@ def _unchecked(params, values):
     return p
 
 
+def _narrowed(keep, rows, state, params):
+    """``rows``, the (d, B) ``state`` and the per-row ``params`` at the columns ``keep``."""
+    if params is not None:
+        params = _unchecked(params, [(name, v[keep]) for name, v in vars(params).items()])
+    return rows[keep], state[:, keep], params
+
+
 def _finish(step, p, state: list, total: int, tol: Tolerance):
     """``iterate_batch``'s loop for one row on Python floats, from step ``total``:
     its last state, ``steps_taken`` and ``converged``.  The move test is the
-    engine's: every |u - v| <= eps, which no NaN passes (a ``max`` would drop it)."""
-    eps = repeat(tol.iter_eps)
-    while total < tol.max_iters:
+    engine's: every |u - v| <= eps, tested coordinate by coordinate up to the first
+    that fails it, which a NaN does (a ``max`` would drop it)."""
+    eps, max_iters = tol.iter_eps, tol.max_iters
+    while total < max_iters:
         nxt = step(p, state)
         total += 1
-        if all(map(ge, eps, map(abs, map(sub, nxt, state)))):
+        for u, v in zip(nxt, state):
+            if not abs(u - v) <= eps:
+                break
+        else:
             return nxt, total - 1, True
         state = nxt
     return state, total, False
@@ -138,17 +147,19 @@ def iterate_batch(
     Each column stops when one step moves it by at most ``tol.iter_eps`` in
     the max norm (converged) or after ``tol.max_iters`` steps (not
     converged).  Its ``steps_taken`` is the index of its first state that no
-    longer moves, so a fixed start reports zero steps.  With ``params`` and no
+    longer moves, so a fixed start reports zero steps.  Finished columns are
+    dropped once at most half the batch still moves, or at every finish with
+    ``store_cap``; no result depends on when.  With ``params`` and no
     ``store_cap``, the last ``TAIL_WIDTH`` rows step one at a time on Python
     floats, with the same bits and steps (see the module docstring).
 
     Args:
-        step: The map, called as ``step(params, states)`` on the columns still
-            moving.
+        step: The map, called as ``step(params, states)`` on the columns not
+            yet dropped; a finished column it is given holds NaN.
         states: Initial coordinates, shape (d, B).
         tol: Iteration thresholds and budget.
-        params: Per-row parameters, a dataclass whose fields are (B,) arrays
-            (see ``stack_params``), narrowed to the rows still moving; or None.
+        params: Per-row parameters, a dataclass whose fields are (B,) arrays,
+            narrowed with the columns; or None.
         store_cap: When given, every column's ``Trajectory`` is kept, thinned
             to every k-th state once it would hold more than ``store_cap``.
     """
@@ -159,11 +170,14 @@ def iterate_batch(
     converged = np.zeros(width, dtype=bool)
     histories = [None] * width if store_cap is not None else None
     rows = np.arange(width)  # the column of ``end`` behind each column of ``state``
+    live = np.ones(width, dtype=bool)  # the columns of ``state`` still moving
+    n_live = width
     stored = [(0, state)]
     stride = 1
     total = 0
     scalar_tail = params is not None and histories is None
-    while rows.size > (TAIL_WIDTH if scalar_tail else 0) and total < tol.max_iters:
+    tail, eps, max_iters = TAIL_WIDTH if scalar_tail else 0, tol.iter_eps, tol.max_iters
+    while n_live > tail and total < max_iters:
         nxt = np.asarray(step(params, state))
         moved = np.maximum.reduce(np.abs(nxt - state))
         total += 1
@@ -173,24 +187,27 @@ def iterate_batch(
                 stored = stored[::2]
                 stride *= 2
         state = nxt
-        done = moved <= tol.iter_eps
-        if not np.count_nonzero(done):
+        done = moved <= eps
+        count = np.count_nonzero(done)
+        if not count:
             continue
         finished = rows[done]
         end[:, finished] = state[:, done]
         steps_taken[finished] = total - 1
         converged[finished] = True
-        keep = ~done
+        n_live -= count
+        live[done] = False
         if histories is not None:
             for column in np.flatnonzero(done):
                 histories[rows[column]] = _trajectory(stored, column, total, state[:, column], True)
-        rows, state = rows[keep], state[:, keep]
-        if not rows.size:
-            break
-        if histories is not None:
-            stored = [(t, s[:, keep]) for t, s in stored]
-        if params is not None:  # the rows still moving
-            params = _unchecked(params, [(name, v[keep]) for name, v in vars(params).items()])
+            stored = [(t, s[:, live]) for t, s in stored]
+        elif 2 * n_live > rows.size and n_live > tail:  # more than half still moving
+            state[:, done] = np.nan  # no NaN passes the move test, so they finish once
+            continue
+        rows, state, params = _narrowed(live, rows, state, params)
+        live = np.ones(n_live, dtype=bool)
+    if n_live < rows.size:  # the budget ran out with finished columns in place
+        rows, state, params = _narrowed(live, rows, state, params)
     if scalar_tail:
         names = list(vars(params))
         values = zip(*(v.tolist() for v in vars(params).values()))

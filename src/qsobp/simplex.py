@@ -48,9 +48,11 @@ def make_state(female: Sequence[float], male: Sequence[float]) -> np.ndarray:
 
 def block_totals(states: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The female and the male total of each (k, d) ``states`` row: the block's
-    running sum, which adds the entries in order, as ``_checked_block`` does."""
+    running sum, which adds the entries in order, as ``_checked_block`` does; 0.0
+    for an empty block."""
     # The copy frees each block's running sums before the next block's are taken.
-    return tuple(np.cumsum(b, axis=1)[:, -1].copy() for b in (states[:, :n], states[:, n:]))
+    return tuple(np.cumsum(b, axis=1)[:, -1].copy() if b.shape[1] else np.zeros(len(b))
+                 for b in (states[:, :n], states[:, n:]))
 
 
 def rejected_rows(states: np.ndarray, n: int) -> np.ndarray:
@@ -60,7 +62,7 @@ def rejected_rows(states: np.ndarray, n: int) -> np.ndarray:
     ok = np.ones(len(states), dtype=bool)
     for block, total in zip((states[:, :n], states[:, n:]), block_totals(states, n)):
         ok &= np.abs(total - 1.0) <= NORMALIZATION_EPS
-        ok &= block.min(axis=1) >= -NEGATIVITY_EPS
+        ok &= block.min(axis=1, initial=math.inf) >= -NEGATIVITY_EPS
     return np.flatnonzero(~ok)
 
 

@@ -3,13 +3,14 @@
 The simplex rule that ``make_state`` applies, stated on its own, random
 states, a state metric, one operator step on a population state, the drift
 of a functional along a trajectory, uniform weights, parameters from cell
-weights, the four-type parameter swap, the type-3/4 block step and survivor
-label, a closed-form predictor on one start, the full operator Jacobian, a
-brute-force periodic-point scan and a hypothesis strategy of small
-constructions.
+weights, rows of parameters stacked into one, the four-type parameter swap,
+the type-3/4 block step and survivor label, a closed-form predictor on one
+start, the full operator Jacobian, a brute-force periodic-point scan and a
+hypothesis strategy of small constructions.
 The package itself needs none of them.
 """
 
+from dataclasses import fields
 from functools import reduce
 from operator import add
 from typing import Callable, Sequence
@@ -132,6 +133,13 @@ def sub34_step(p: FourTypeParams, s):
 def survivor_label(p: FourTypeParams) -> str:
     """Compact tag of which types persist in the predicted limit."""
     return SURVIVOR_LABELS[survivor_code(p)]
+
+
+def stack_params(rows: Sequence):
+    """One parameters dataclass whose fields hold the rows' values as (B,) arrays:
+    stacked parameters, which ``iterate_batch`` and the closed-form predictors take."""
+    kind = type(rows[0])
+    return kind(**{f.name: np.array([getattr(p, f.name) for p in rows]) for f in fields(kind)})
 
 
 def predict_one(predictor, p, start, tol=DEFAULT_TOLERANCE) -> tuple:

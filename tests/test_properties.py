@@ -86,7 +86,7 @@ from qsobp.simplex import Tolerance, check_states, float_texts, make_state
 from qsobp.two_types import TwoTypeParams, invariant_line_level
 from qsobp.two_types import predict_limit as predict_limit_two
 
-from helpers import constructions, predict_one, simplex_violation
+from helpers import constructions, predict_one, simplex_violation, stack_params
 
 # Reproducible examples, and no example database written next to the tests.
 PROPERTY = settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -193,7 +193,7 @@ def test_critical_line_limits_are_where_iteration_ends():
         p = FourTypeParams(*map(float, (a, b, c, d)), a0=float(a0), c0=float(c0))
         rows.append(p)
         starts.append(state.tolist())
-    params, starts = dynamics.stack_params(rows), np.array(starts)
+    params, starts = stack_params(rows), np.array(starts)
     limits, fixed, invalid = predict_limit(params, starts)
     assert not (fixed.any() or invalid.any())
     check_states(limits, 4)
@@ -373,12 +373,12 @@ def test_a_batch_equals_its_rows_run_alone(rows):
     starts = np.array([start for _, start in rows]).T
     # 5 steps leave every moving start unconverged; 400 let many converge.
     for tol in (Tolerance(max_iters=5), Tolerance(max_iters=400)):
-        params = dynamics.stack_params([p for p, _ in rows])
+        params = stack_params([p for p, _ in rows])
         run = dynamics.iterate_batch(step, starts, tol, params=params)
         assert run.steps_taken[-1] == 0 and run.converged[-1]
         for column, (p, start) in enumerate(rows):
             alone = dynamics.iterate_batch(
-                step, starts[:, [column]], tol, params=dynamics.stack_params([p])
+                step, starts[:, [column]], tol, params=stack_params([p])
             )
             assert np.array_equal(run.end[:, column], alone.end[:, 0])
             assert run.steps_taken[column] == alone.steps_taken[0]
@@ -447,6 +447,32 @@ def test_a_batch_hands_its_last_rows_to_the_scalar_tail_mid_run():
         assert (run.converged & (taken == handoff + 1)).any()  # the first scalar step
         assert (run.converged & (taken > handoff + 1)).any()  # later in the tail
         assert (~run.converged & (taken == max_iters)).any()  # cut off in the tail
+
+
+def test_a_batch_is_narrowed_once_at_most_half_its_columns_move():
+    """Finished columns stay in the batch as NaN while more than half of it moves:
+    each narrowing the step sees at least halves the width, and the rows still end
+    as they end alone."""
+    rows = 4 * dynamics.TAIL_WIDTH + 8
+    starts = [(0.1, y) for y in np.linspace(0.05, 0.8, rows).tolist()]
+    columns = {"a": [0.5] * rows, "b": [0.5] * rows}
+    run = _batch_against_rows(TwoTypeParams, columns, starts, Tolerance())
+    seen = []  # (width, finished columns) of each numpy step
+
+    def step(p, s):
+        if isinstance(s, np.ndarray):
+            seen.append((s.shape[1], np.count_nonzero(np.isnan(s).all(axis=0))))
+        return TwoTypeParams.step(p, s)
+
+    params = TwoTypeParams(*(np.array(c) for c in columns.values()))
+    again = dynamics.iterate_batch(step, np.array(starts).T, Tolerance(), params=params)
+    assert again.end.tobytes() == run.end.tobytes()
+    assert np.array_equal(again.steps_taken, run.steps_taken)
+    widths = sorted({width for width, _ in seen}, reverse=True)
+    assert widths[0] == rows and len(widths) >= 2
+    assert all(2 * narrow <= wide for wide, narrow in zip(widths, widths[1:]))
+    assert all(2 * finished < width for width, finished in seen)
+    assert any(finished for _, finished in seen)
 
 
 @st.composite
@@ -690,6 +716,5 @@ def test_check_states_raises_what_make_state_raises(n, rows):
     violations = [simplex_violation(row[:n], row[n:]) for row in states]
     for row, violation in zip(states, violations):
         assert _raises(partial(make_state, row[:n], row[n:]), violation)
-    if 0 < n < 4:  # check_states takes rows of two nonempty blocks
-        first = next((v for v in violations if v is not None), None)
-        assert _raises(partial(check_states, np.array(states), n), first)
+    first = next((v for v in violations if v is not None), None)
+    assert _raises(partial(check_states, np.array(states), n), first)

@@ -9,7 +9,7 @@ from qsobp.errors import (
     NegativeEntryError,
     NotNormalizedError,
 )
-from qsobp.simplex import Tolerance, make_state
+from qsobp.simplex import Tolerance, block_totals, check_states, make_state
 
 from helpers import random_state, simplex_violation, state_distance
 
@@ -54,6 +54,16 @@ def test_rejects_empty():
     for blocks in (([], [1.0]), ([1.0], []), ([], [])):
         with pytest.raises(DimensionMismatchError, match="at least one entry"):
             make_state(*blocks)
+
+
+def test_check_states_rejects_an_empty_block_as_make_state_does():
+    states = np.full((2, 3), 1.0 / 3.0)
+    for n in (0, 3):
+        assert [t.tolist() for t in block_totals(states, n)] == (
+            [[0.0, 0.0], [1.0, 1.0]] if n == 0 else [[1.0, 1.0], [0.0, 0.0]]
+        )
+        with pytest.raises(DimensionMismatchError, match="at least one entry"):
+            check_states(states, n)
 
 
 @pytest.mark.parametrize(
