@@ -459,18 +459,15 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     grid_values = _linspace(0.05, 0.95, args.grid)
     u, v = case.verify_axes
-    # The first cell's parameters check the flags, which every cell shares, so
-    # errors name what a one-cell check names.  Then one (cells,) array per field,
-    # and one row per start, a cell's starts together.
+    # The first cell's parameters check the flags that every cell shares.  Then one
+    # (cells,) array per field, and one row per start, a cell's starts together.
     first = _params(args.case, args, **{u: grid_values[0], v: grid_values[0]})
     axis, n_cells = np.array(grid_values), args.grid**2
     columns = {name: np.full(n_cells, value) for name, value in vars(first).items()}
     columns.update({u: np.repeat(axis, args.grid), v: np.tile(axis, args.grid)})
     on_line = np.broadcast_to(case.on_line(case.params(**columns)), n_cells).tolist()
-    cells = [
-        {u: x, v: y, "kind": "critical-line" if line else "closed-form"}
-        for (x, y), line in zip(itertools.product(grid_values, repeat=2), on_line)
-    ]
+    cells = [{u: x, v: y, "kind": "critical-line" if line else "closed-form"}
+             for (x, y), line in zip(itertools.product(grid_values, repeat=2), on_line)]
     params = case.params(**{name: np.repeat(c, args.starts) for name, c in columns.items()})
     starts = case.sample(params, rng)
     limits = _predict(case, params, starts, tol)

@@ -5,15 +5,13 @@ B states of d coordinates, one column per trajectory, and each step maps the
 whole array at once.  Each column stops on its own, when one step moves it by
 at most ``tol.iter_eps`` in the max norm (converged) or after
 ``tol.max_iters`` steps (not converged; that is a result, not an error).
-A column's end state, steps and flag are recorded at the step it finishes.
-Finished columns leave the batch, together with their per-row parameters, once
-at most half its columns still move: until then they stay in place as NaN,
-which no move test passes, so the batch is narrowed a few times, not at every
-step where a column finishes.  Columns never mix, so no result depends on when
-the batch is narrowed, and the last steps cost only what the slowest
-trajectories need.  Convergence is detected from successive-state distance,
-never from distance to a known limit, so the same loop serves operators whose
-limits are unknown.
+A column's end state, steps and flag are recorded at the step it finishes;
+the column stays in place as NaN, which no move test passes, until at most
+half the batch still moves, and then leaves it with its per-row parameters.
+Columns never mix, so no result depends on when the batch is narrowed, and
+the last steps cost only what the slowest trajectories need.  Convergence is
+detected from successive-state distance, never from distance to a known
+limit, so the same loop serves operators whose limits are unknown.
 
 A numpy step costs about the same on 1 column as on 64, so a batch with
 per-row parameters and no histories is narrowed to its moving rows once at
