@@ -5,8 +5,9 @@ states, a state metric, one operator step on a population state, the drift
 of a functional along a trajectory, uniform weights, parameters from cell
 weights, rows of parameters stacked into one, the four-type parameter swap,
 the type-3/4 block step and survivor label, a closed-form predictor on one
-start, the full operator Jacobian, a brute-force periodic-point scan and a
-hypothesis strategy of small constructions.
+start, the full operator Jacobian, a brute-force periodic-point scan, a
+hypothesis strategy of small constructions and the iteration engine's rule
+stated one step at a time.
 The package itself needs none of them.
 """
 
@@ -19,11 +20,12 @@ import numpy as np
 from hypothesis import strategies as st
 
 from qsobp.construction import BisexualOperator, ConfigurationSpace, WeightPair, make_graph
-from qsobp.dynamics import is_fixed
+from qsobp.dynamics import BatchRun, Trajectory, is_fixed
 from qsobp.errors import (DimensionMismatchError, FixedPointInputError, NegativeEntryError,
                           NotNormalizedError)
 from qsobp.four_types import SURVIVOR_LABELS, FourTypeParams, survivor_code
-from qsobp.simplex import DEFAULT_TOLERANCE, NEGATIVITY_EPS, NORMALIZATION_EPS, make_state
+from qsobp.simplex import (DEFAULT_TOLERANCE, NEGATIVITY_EPS, NORMALIZATION_EPS, Tolerance,
+                           make_state)
 from qsobp.two_types import TwoTypeParams
 
 
@@ -219,3 +221,57 @@ def scan_periodic_points(
     if gap[-1] == 0.0:
         roots.append(float(xs[-1]))
     return [r for r in roots if not is_fixed(lambda s: (step(s[0]),), (r,), DEFAULT_TOLERANCE)]
+
+
+def reference_batch(step, states, tol: Tolerance, *, params=None, store_cap=None) -> BatchRun:
+    """What ``dynamics.iterate_batch`` must return, by its rule stated one step at a
+    time: every column is stepped at full width, never narrowed, and each move is
+    tested right after its step.  A column finishes at the first step t that moves
+    it by at most ``tol.iter_eps`` in every coordinate (a NaN move never does), with
+    ``steps_taken`` t - 1, or after ``tol.max_iters`` steps, unconverged.  With
+    ``store_cap`` the states of every column are stored at each multiple of a stride
+    that starts at 1; once more than ``store_cap`` are stored, every other one is
+    dropped, the first kept, and the stride doubles.  A column's history is what is
+    stored when it finishes, then its last state if that was not stored."""
+    state = np.array(states, dtype=float)
+    width = state.shape[1]
+    end = state.copy()
+    steps_taken = np.full(width, tol.max_iters)
+    converged = np.zeros(width, dtype=bool)
+    finished = np.zeros(width, dtype=bool)
+    histories = [None] * width
+    stored, stride = [(0, state)], 1
+
+    def history(column, t, last, converged):
+        steps = [s for s, _ in stored]
+        rows = [v[:, column] for _, v in stored]
+        if steps[-1] != t:
+            steps.append(t)
+            rows.append(last)
+        limit = tuple(last.tolist()) if converged else None
+        steps_taken = t - 1 if converged else t
+        return Trajectory(np.stack(rows), tuple(steps), converged, steps_taken, limit)
+
+    # Finished columns keep being stepped, so they may overflow.
+    with np.errstate(all="ignore"):
+        for t in range(1, tol.max_iters + 1):
+            if finished.all():
+                break
+            nxt = np.array(step(params, state), dtype=float)
+            if store_cap is not None and t % stride == 0:
+                stored.append((t, nxt))
+                if len(stored) > store_cap:
+                    stored, stride = stored[::2], 2 * stride
+            done = ~finished & (np.abs(nxt - state) <= tol.iter_eps).all(axis=0)
+            for column in np.flatnonzero(done).tolist():
+                end[:, column], steps_taken[column], converged[column] = nxt[:, column], t - 1, True
+                if store_cap is not None:
+                    histories[column] = history(column, t, nxt[:, column], True)
+            finished |= done
+            state = nxt
+        for column in np.flatnonzero(~finished).tolist():
+            end[:, column] = state[:, column]
+            if store_cap is not None:
+                histories[column] = history(column, tol.max_iters, state[:, column], False)
+    trajectories = tuple(histories) if store_cap is not None else None
+    return BatchRun(end, steps_taken, converged, trajectories)

@@ -55,6 +55,7 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -86,7 +87,8 @@ from qsobp.simplex import Tolerance, check_states, float_texts, make_state
 from qsobp.two_types import TwoTypeParams, invariant_line_level
 from qsobp.two_types import predict_limit as predict_limit_two
 
-from helpers import constructions, predict_one, simplex_violation, stack_params
+from helpers import (constructions, predict_one, reference_batch, simplex_violation,
+                     stack_params)
 
 # Reproducible examples, and no example database written next to the tests.
 PROPERTY = settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -510,6 +512,106 @@ def test_a_batch_with_a_scalar_tail_equals_its_rows_run_alone(batch, max_iters, 
     columns = {name: [values[name] for values, _ in rows] for name in rows[0][0]}
     tol = Tolerance(iter_eps=iter_eps, max_iters=max_iters)
     _batch_against_rows(kind, columns, [start for _, start in rows], tol)
+
+
+# The most engine steps taken before their moves are tested.
+BLOCK_CAP = 16
+
+
+@dataclass(frozen=True)
+class _Counted:
+    """Two-type parameters of every (x, y) pair of a state, and the row's index, by
+    which ``_pairs_step`` counts how often each column is stepped."""
+
+    a: float
+    b: float
+    row: float
+
+
+def _pairs_step(counts, p, s):
+    """The two-type map on each (x, y) pair of the coordinates ``s``, a (d, B) array
+    or, in the scalar tail, a list of d floats; adds one to the ``counts`` of p's rows."""
+    counts[np.asarray(p.row, dtype=np.intp)] += 1
+    if isinstance(s, list):
+        out = []
+        for x, y in zip(s[0::2], s[1::2]):
+            rest = 1.0 - x
+            out += [x + p.a * rest * y, y * (x + p.b * rest)]
+        return out
+    x, y = s[0::2], s[1::2]
+    rest = 1.0 - x
+    out = np.empty_like(s)
+    out[0::2] = x + p.a * rest * y
+    out[1::2] = y * (x + p.b * rest)
+    return out
+
+
+@st.composite
+def engine_batches(draw):
+    """A (d, B) start of the pairs map and its (B,) parameters.  d is 2, 8 or 256 and B
+    runs to 40 or, at d = 256, to 160, so a block of steps that fits 256 KiB runs from
+    BLOCK_CAP steps down to one.  A fifth of the columns start fixed (every y = 0), a
+    parameter is 0, 1, -0.5, 1.5 or NaN a sixth of the time, and a fifth of the
+    columns repeat an earlier one, so groups of columns finish on one step."""
+    d = draw(st.sampled_from([2, 8, 256]))
+    width = draw(st.integers(1, 160 if d == 256 else 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    starts = rng.uniform(0.0, 1.0, (d, width))
+    starts[1::2, rng.random(width) < 0.2] = 0.0
+    a, b = rng.uniform(0.01, 0.99, (2, width))
+    for values in (a, b):
+        odd = rng.random(width) < 1 / 6
+        values[odd] = rng.choice([0.0, 1.0, -0.5, 1.5, math.nan], np.count_nonzero(odd))
+    for column in np.flatnonzero(rng.random(width) < 0.2).tolist():
+        if column:
+            earlier = int(rng.integers(column))
+            starts[:, column], a[column], b[column] = starts[:, earlier], a[earlier], b[earlier]
+    return starts, a, b
+
+
+@settings(PROPERTY, max_examples=150)
+@given(
+    engine_batches(),
+    st.sampled_from([1, BLOCK_CAP - 1, BLOCK_CAP, BLOCK_CAP + 1, 3 * BLOCK_CAP + 2]),
+    st.sampled_from([None, 2, 3, 5]),
+    st.sampled_from([1e-12, 1e-6, 1e-2]),
+    st.booleans(),
+)
+def test_the_engine_gives_what_its_rule_gives_one_step_at_a_time(
+    batch, max_iters, store_cap, iter_eps, per_row
+):
+    """``iterate_batch`` against ``helpers.reference_batch``, bit for bit: end states,
+    steps, flags and, with ``store_cap``, every stored state and its step.  With
+    per-row parameters no column is stepped more than ``max_iters`` times, and
+    without them the map is called at most ``max_iters`` times."""
+    starts, a, b = batch
+    width = starts.shape[1]
+    tol = Tolerance(iter_eps=iter_eps, max_iters=max_iters)
+    params = _Counted(a, b, np.arange(width, dtype=float)) if per_row else None
+    counts = np.zeros(width, dtype=np.int64)
+    if per_row:
+        step = partial(_pairs_step, counts)
+    else:
+        one = _Counted(float(a[0]), float(b[0]), 0.0)  # counts[0] counts the calls
+        step = lambda _, s: _pairs_step(counts, one, s)  # noqa: E731
+    with np.errstate(all="ignore"):
+        run = dynamics.iterate_batch(step, starts, tol, params=params, store_cap=store_cap)
+        stepped = counts.copy()
+        ref = reference_batch(step, starts, tol, params=params, store_cap=store_cap)
+    assert run.end.tobytes() == ref.end.tobytes()
+    assert np.array_equal(run.steps_taken, ref.steps_taken)
+    assert np.array_equal(run.converged, ref.converged)
+    assert stepped.max() <= max_iters
+    if store_cap is None:
+        assert run.trajectories is None
+        return
+    for got, want in zip(run.trajectories, ref.trajectories, strict=True):
+        assert got.states.tobytes() == want.states.tobytes()
+        assert got.states.shape == want.states.shape
+        assert got.state_steps == want.state_steps
+        assert (got.converged, got.steps_taken, got.limit) == (
+            want.converged, want.steps_taken, want.limit
+        )
 
 
 def _pairwise_tensors(space, weights):
