@@ -430,12 +430,12 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _portrait_rows(case: Case, args, tol: Tolerance):
-    """Trajectory point streams behind the case's phase-portrait regimes."""
+def _portrait_rows(case: Case, regimes, tol: Tolerance):
+    """Trajectory point streams behind the phase-portrait ``regimes``, (name, parameters) pairs."""
     short_tol = Tolerance(abs_eps=tol.abs_eps, iter_eps=tol.iter_eps, max_iters=20_000)
     fan = [(0.05, 0.9), (0.3, 0.9), (0.6, 0.9), (0.9, 0.85), (0.9, 0.1), (0.6, 0.05), (0.3, 0.08), (0.08, 0.3)]
-    for regime, overrides in case.portrait:
-        step, _, (w, h) = case.planar(_params(args.case, args, **overrides))
+    for regime, p in regimes:
+        step, _, (w, h) = case.planar(p)
         starts = [[u * w for u, _ in fan], [v * h for _, v in fan]]
         run = dynamics.iterate_batch(lambda _, s: step(s), starts, short_tol, store_cap=400)
         for t, trajectory in enumerate(run.trajectories):
@@ -452,10 +452,17 @@ def cmd_verify(args) -> int:
     if not 0.0 <= args.match_eps < math.inf:
         raise SchemaError("match-eps", f"must be finite and >= 0, got {args.match_eps}")
     case = CASES[args.case]
-    # A grid axis that every portrait regime sets as well is read from no flag.
-    grid_set = set(case.verify_axes).intersection(*(overrides for _, overrides in case.portrait))
+    # A grid axis is read from its flag only by a portrait regime that does not set it.
+    axes = set(case.verify_axes)
+    grid_set = axes.intersection(*(overrides for _, overrides in case.portrait))
     _reject(args, sorted(grid_set), f"set by the grid and the portrait in --case {args.case}")
+    if args.portrait is None:
+        why = f"set by the grid in --case {args.case}; only --portrait reads it"
+        _reject(args, sorted(axes), why)
     tol = _tolerance(args)
+    # Every regime's parameters are checked before any file is written.
+    regimes = [(regime, _params(args.case, args, **overrides))
+               for regime, overrides in (case.portrait if args.portrait is not None else ())]
     rng = np.random.default_rng(args.seed)
     grid_values = _linspace(0.05, 0.95, args.grid)
     u, v = case.verify_axes
@@ -501,7 +508,7 @@ def cmd_verify(args) -> int:
     _write_json(report, args.report)
     if args.portrait is not None:
         header = ["regime", "traj", "step", "x", "y"]
-        _write_lines(args.portrait, header, _portrait_rows(case, args, tol))
+        _write_lines(args.portrait, header, _portrait_rows(case, regimes, tol))
     return EXIT_OK
 
 

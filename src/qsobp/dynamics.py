@@ -5,19 +5,22 @@ B states of d coordinates, one column per trajectory, and each step maps the
 whole array at once.  Each column stops on its own, when one step moves it by
 at most ``tol.iter_eps`` in the max norm (converged) or after
 ``tol.max_iters`` steps (not converged; that is a result, not an error).
-A column's end state, steps and flag are recorded at the step it finishes;
-the column stays in place as NaN, which no move test passes, until at most
-half the batch still moves, and then leaves it with its per-row parameters.
-Columns never mix, so no result depends on when the batch is narrowed, and
-the last steps cost only what the slowest trajectories need.  Convergence is
-detected from successive-state distance, never from distance to a known
-limit, so the same loop serves operators whose limits are unknown.
+The batch takes a block of up to ``BLOCK_STEPS`` steps into one buffer, then
+tests every move of the block in one array pass; a NaN move fails the test,
+as ``np.maximum`` keeps it.  A column's end state, steps and flag are those
+of the first move in the block that passes, and the columns that finished
+leave the batch at the block's end with their per-row parameters.  They may
+be stepped up to the block's end, and those states are thrown away; columns
+never mix, so no result depends on the block length, and the last blocks
+cost only what the slowest trajectories need.  Convergence is detected from
+successive-state distance, never from distance to a known limit, so the same
+loop serves operators whose limits are unknown.
 
 A numpy step costs about the same on 1 column as on 64, so a batch with
-per-row parameters and no histories is narrowed to its moving rows once at
-most ``TAIL_WIDTH`` are left, and finishes them one at a time on Python
-floats: the same ``step`` on a list of floats, with the row's parameters as
-floats.  Python floats and numpy float64 round each +, -, * alike, and the
+per-row parameters and no histories hands its rows, at the first block end
+with at most ``TAIL_WIDTH`` left, to a scalar tail that finishes them one at
+a time on Python floats: the same ``step`` on a list of floats, with the
+row's parameters as floats.  Python floats and numpy float64 round each +, -, * alike, and the
 step runs the same operations in the same order, so every state, step count
 and convergence flag is the one the numpy loop gives.
 
@@ -45,14 +48,21 @@ from .simplex import DEFAULT_TOLERANCE, Tolerance, check_open_unit, check_states
 # to every k-th state, always retaining the first and the last.
 TRAJECTORY_STORE_CAP = 10_000
 # A batch with stacked parameters and no histories finishes its last rows
-# one at a time on Python floats once at most this many are left; the
-# fastest of 8 to 40 on the closed-form verify rounds of the benchmark.
+# one at a time on Python floats once at most this many are left.
 TAIL_WIDTH = 16
+# A batch takes at most BLOCK_STEPS steps before it tests their moves in one
+# array pass, and fewer when the block's states would take more than
+# BLOCK_BYTES, which keeps the buffer's memory flat on wide batches; the cap
+# bounds the steps a single trajectory takes past its finish.  On the
+# closed-form verify rounds of the benchmark, tail widths of 12 to 24, caps
+# of 16 to 64 and budgets of 128 to 512 KiB all ran within 5 % of these three.
+BLOCK_STEPS = 32
+BLOCK_BYTES = 256 * 1024
 
 Point = tuple[float, ...]
 MapStep = Callable[[Point], Point]
-# (per-row parameters or None, (d, B) states) -> the (d, B) next states, as an
-# array or as d rows.
+# (per-row parameters or None, (d, B) states, a slot of the engine's block
+# buffer) -> the (d, B) next states, as an array or as d rows.
 BatchStep = Callable[[object, np.ndarray], object]
 
 
@@ -145,15 +155,17 @@ def iterate_batch(
     Each column stops when one step moves it by at most ``tol.iter_eps`` in
     the max norm (converged) or after ``tol.max_iters`` steps (not
     converged).  Its ``steps_taken`` is the index of its first state that no
-    longer moves, so a fixed start reports zero steps.  Finished columns are
-    dropped once at most half the batch still moves, or at every finish with
-    ``store_cap``; no result depends on when.  With ``params`` and no
-    ``store_cap``, the last ``TAIL_WIDTH`` rows step one at a time on Python
-    floats, with the same bits and steps (see the module docstring).
+    longer moves, so a fixed start reports zero steps.  The batch takes a
+    block of steps, then tests every move of the block at once; the columns
+    that finished in it are dropped at its end, and no result depends on
+    when.  With ``params`` and no ``store_cap``, the last ``TAIL_WIDTH`` rows
+    step one at a time on Python floats, with the same bits and steps (see
+    the module docstring).
 
     Args:
-        step: The map, called as ``step(params, states)`` on the columns not
-            yet dropped; a finished column it is given holds NaN.
+        step: The map, called as ``step(params, states)`` on the (d, B)
+            columns not yet dropped, a slot of the block's buffer; a column
+            that finished in the block may be stepped on to the block's end.
         states: Initial coordinates, shape (d, B).
         tol: Iteration thresholds and budget.
         params: Per-row parameters, a dataclass whose fields are (B,) arrays,
@@ -168,44 +180,46 @@ def iterate_batch(
     converged = np.zeros(width, dtype=bool)
     histories = [None] * width if store_cap is not None else None
     rows = np.arange(width)  # the column of ``end`` behind each column of ``state``
-    live = np.ones(width, dtype=bool)  # the columns of ``state`` still moving
-    n_live = width
     stored = [(0, state)]
     stride = 1
     total = 0
     scalar_tail = params is not None and histories is None
     tail, eps, max_iters = TAIL_WIDTH if scalar_tail else 0, tol.iter_eps, tol.max_iters
-    while n_live > tail and total < max_iters:
-        nxt = np.asarray(step(params, state))
-        moved = np.maximum.reduce(np.abs(nxt - state))
-        total += 1
-        if histories is not None and total % stride == 0:
-            stored.append((total, nxt))
-            if len(stored) > store_cap:
-                stored = stored[::2]
-                stride *= 2
-        state = nxt
-        done = moved <= eps
-        count = np.count_nonzero(done)
-        if not count:
-            continue
-        finished = rows[done]
-        end[:, finished] = state[:, done]
-        steps_taken[finished] = total - 1
-        converged[finished] = True
-        n_live -= count
-        live[done] = False
-        if histories is not None:
-            for column in np.flatnonzero(done):
-                histories[rows[column]] = _trajectory(stored, column, total, state[:, column], True)
-            stored = [(t, s[:, live]) for t, s in stored]
-        elif 2 * n_live > rows.size and n_live > tail:  # more than half still moving
-            state[:, done] = np.nan  # no NaN passes the move test, so they finish once
-            continue
-        rows, state, params = _narrowed(live, rows, state, params)
-        live = np.ones(n_live, dtype=bool)
-    if n_live < rows.size:  # the budget ran out with finished columns in place
-        rows, state, params = _narrowed(live, rows, state, params)
+    while rows.size > tail and total < max_iters:
+        k = min(BLOCK_STEPS, max(1, BLOCK_BYTES // state.nbytes), max_iters - total)
+        block = np.empty((k + 1, *state.shape))
+        block[0] = state
+        for j in range(1, k + 1):
+            block[j] = step(params, block[j - 1])
+        moves = np.subtract(block[1:], block[:-1])
+        # (k, B): whether each step moved each column by at most eps; NaN never does.
+        still = np.maximum.reduce(np.abs(moves, out=moves), axis=1) <= eps
+        done = still.any(axis=0)
+        columns = np.flatnonzero(done)
+        at = still[:, columns].argmax(axis=0)  # the first move each of them passed
+        if histories is not None:  # the block's steps in order, stored as if taken one by one
+            finishing = {}
+            for column, j in zip(columns.tolist(), at.tolist()):
+                finishing.setdefault(j + 1, []).append(column)
+            for j in range(1, k + 1):
+                if (total + j) % stride == 0:
+                    stored.append((total + j, block[j].copy()))  # a view would hold the block
+                    if len(stored) > store_cap:
+                        stored = stored[::2]
+                        stride *= 2
+                for column in finishing.get(j, ()):
+                    last = block[j, :, column]
+                    histories[rows[column]] = _trajectory(stored, column, total + j, last, True)
+        state = block[k]
+        if columns.size:
+            finished = rows[columns]
+            end[:, finished] = block[at + 1, :, columns].T
+            steps_taken[finished] = total + at
+            converged[finished] = True
+            if histories is not None:
+                stored = [(t, s[:, ~done]) for t, s in stored]
+            rows, state, params = _narrowed(~done, rows, state, params)
+        total += k
     if scalar_tail:
         names = list(vars(params))
         values = zip(*(v.tolist() for v in vars(params).values()))
@@ -233,7 +247,9 @@ def iterate_map(
 
     One trajectory through ``iterate_batch``, with the same stopping rule,
     and its history thinned at ``TRAJECTORY_STORE_CAP`` stored states.
-    ``step`` takes and returns coordinates; it sees them as a (d, 1) column.
+    ``step`` takes and returns coordinates; it sees them as a (d, 1) column,
+    a slot of the engine's block buffer, and may be called up to
+    ``BLOCK_STEPS`` - 1 times past the step at which the trajectory stops.
     """
     run = iterate_batch(
         lambda _, s: step(s), np.reshape(start, (-1, 1)), tol, store_cap=TRAJECTORY_STORE_CAP

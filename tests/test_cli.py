@@ -348,6 +348,19 @@ def test_verify_four_type_with_portrait(tmp_path):
         assert max(abs(x), abs(y)) <= 1e-6
 
 
+def test_verify_checks_the_portrait_parameters_before_it_writes_a_file(tmp_path, capsys):
+    report, portrait = tmp_path / "r.json", tmp_path / "p.csv"
+    argv = ["verify", "--case", "two-type", "--grid", "2", "--starts", "1",
+            "--report", str(report), "--portrait", str(portrait)]
+    assert main([*argv, "--a", "2"]) == 2
+    assert "a must lie strictly inside (0,1), got 2.0" in capsys.readouterr().err
+    assert not report.exists() and not portrait.exists()
+    # A valid --a reaches the portrait.
+    assert main([*argv, "--a", "0.4"]) == 0
+    assert json.loads(report.read_text())["pass"] is True
+    assert portrait.read_bytes().count(b"\r\n") > 1
+
+
 def test_verify_passes_every_cell_on_the_mirror_critical_line(tmp_path):
     report = tmp_path / "r.json"
     code = main(
@@ -820,6 +833,9 @@ def test_a_parameter_flag_the_case_does_not_read_is_an_input_error(
         # Four-type verify cells set a and c, and so does every portrait regime.
         (["verify", "--case", "four-type", "--grid", "2", "--a", "0.9"], "--report",
          "--a is set by the grid and the portrait"),
+        # Two-type verify cells set a and b; only the portrait regime reads them.
+        (["verify", "--case", "two-type", "--grid", "2", "--a", "0.4"], "--report",
+         "--a is set by the grid in --case two-type; only --portrait reads it"),
     ],
 )
 def test_a_parameter_flag_that_no_source_reads_is_an_input_error(

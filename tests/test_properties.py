@@ -416,65 +416,114 @@ def _batch_against_rows(kind, columns: dict, starts: list, tol: Tolerance):
     return run
 
 
+def _numpy_steps(kind, columns: dict, starts: list, tol: Tolerance) -> int:
+    """How many numpy steps ``iterate_batch`` takes on these rows before its scalar tail."""
+    calls = []
+
+    def step(p, s):
+        if isinstance(s, np.ndarray):
+            calls.append(s.shape[1])
+        return kind.step(p, s)
+
+    params = kind(**{name: np.array(column, dtype=float) for name, column in columns.items()})
+    with np.errstate(over="ignore", invalid="ignore"):
+        dynamics.iterate_batch(step, np.array(starts, dtype=float).T, tol, params=params)
+    return len(calls)
+
+
 def test_a_batch_hands_its_last_rows_to_the_scalar_tail_mid_run():
-    """A two-type batch of 2 * TAIL_WIDTH + 5 rows: the numpy steps end once
-    TAIL_WIDTH rows are left, and the rest finish one at a time on Python floats."""
-    width = dynamics.TAIL_WIDTH
-    late = (0.1, 0.7)
+    """A two-type batch of 2 * TAIL_WIDTH + 5 rows: the numpy blocks stop at the first
+    block end that leaves at most TAIL_WIDTH rows, and the rest finish one at a time
+    on Python floats.  Two rows finish on the last numpy step and the first scalar one."""
+    width, block = dynamics.TAIL_WIDTH, dynamics.BLOCK_STEPS
+    p = TwoTypeParams(0.5, 0.5)
+    slowest = (0.1, 0.8)
+    last = dynamics.iterate_map(p.step, slowest).steps_taken + 1  # the step it converges at
     valid = [(0.1, y) for y in np.linspace(0.05, 0.3, width).tolist()]  # 44 to 71 steps
     valid += [(0.3, 0.0), (1.0, 0.5)]  # fixed
-    # ``late`` converges one step after its image, which is the last row the engine
-    # steps; the slow rows converge in 247 to 432 steps.
-    valid += [late, TwoTypeParams(0.5, 0.5).step(late)]
-    valid += [(0.1, y) for y in np.linspace(0.72, 0.8, width - 4).tolist()]
+    valid += [(0.1, y) for y in np.linspace(0.72, 0.79, width - 4).tolist()]  # 247 to 404
     # The last row's first step moves x by 0 and y to NaN: a move test that
     # takes the max of the moves in order would call it converged.
     invalid = [((0.0, 0.5), (0.1, 0.5)), ((1.0, 0.5), (0.1, 0.5)), ((-0.5, 0.5), (0.1, 0.5)),
                ((math.nan, 0.5), (0.1, 0.5)), ((0.5, math.nan), (0.3, 0.0))]
-    rows = [((0.5, 0.5), start) for start in valid] + invalid
     for max_iters in (300, 3000):
         tol = Tolerance(max_iters=max_iters)
+        rows = [((0.5, 0.5), start) for start in valid] + invalid
+        batch_columns = lambda rows: {  # noqa: E731
+            "a": [a for (a, _), _ in rows], "b": [b for (_, b), _ in rows]
+        }
+        handoff = _numpy_steps(TwoTypeParams, batch_columns(rows), [s for _, s in rows], tol)
+        # Two more rows, ``slowest`` stepped on until it has ``handoff`` + 1 and
+        # ``handoff`` steps left, which leave the handoff where it was.
+        late = [slowest]
+        for _ in range(last - handoff):
+            late.append(p.step(late[-1]))
+        rows += [((0.5, 0.5), late[-2]), ((0.5, 0.5), late[-1])]
+        starts = [s for _, s in rows]
+        assert _numpy_steps(TwoTypeParams, batch_columns(rows), starts, tol) == handoff
         # Alone, the invalid rows are a batch that starts in the tail; ``run`` is
         # the whole batch's.
         for batch in (invalid, rows):
-            columns = {"a": [a for (a, _), _ in batch], "b": [b for (_, b), _ in batch]}
-            run = _batch_against_rows(TwoTypeParams, columns, [s for _, s in batch], tol)
-        # The numpy steps each row takes part in; the engine stops after the step
-        # that leaves at most TAIL_WIDTH rows.
+            run = _batch_against_rows(
+                TwoTypeParams, batch_columns(batch), [s for _, s in batch], tol
+            )
+        # The step at which each row finished, or the budget.  The blocks here
+        # are full, BLOCK_STEPS steps each.
         taken = run.steps_taken + run.converged
-        handoff = np.sort(taken)[::-1][width]
-        assert np.count_nonzero(taken > handoff) == width and handoff < max_iters
-        assert (taken < handoff).any()  # converged before it
+        assert handoff % block == 0 and handoff < max_iters
+        left = np.count_nonzero(taken > handoff), np.count_nonzero(taken > handoff - block)
+        assert left[0] <= width < left[1]
+        assert (taken <= handoff - block).any()  # finished before the last numpy block
         assert (run.converged & (taken == handoff)).any()  # its last numpy step
         assert (run.converged & (taken == handoff + 1)).any()  # the first scalar step
         assert (run.converged & (taken > handoff + 1)).any()  # later in the tail
         assert (~run.converged & (taken == max_iters)).any()  # cut off in the tail
 
 
-def test_a_batch_is_narrowed_once_at_most_half_its_columns_move():
-    """Finished columns stay in the batch as NaN while more than half of it moves:
-    each narrowing the step sees at least halves the width, and the rows still end
-    as they end alone."""
-    rows = 4 * dynamics.TAIL_WIDTH + 8
-    starts = [(0.1, y) for y in np.linspace(0.05, 0.8, rows).tolist()]
-    columns = {"a": [0.5] * rows, "b": [0.5] * rows}
-    run = _batch_against_rows(TwoTypeParams, columns, starts, Tolerance())
-    seen = []  # (width, finished columns) of each numpy step
+def test_a_batch_narrows_only_between_blocks_of_steps():
+    """A two-type batch wide enough that its first blocks are shortened to fit
+    BLOCK_BYTES: each block of numpy steps sees one width, as many as BLOCK_STEPS
+    steps and, when it takes more than one, at most BLOCK_BYTES of states per slot
+    of its buffer; no column the step sees holds NaN unless its row's parameters
+    give NaN; and every row ends as a batch of that row alone ends."""
+    rows = 2 * dynamics.BLOCK_BYTES // (2 * 8 * dynamics.BLOCK_STEPS)  # blocks of BLOCK_STEPS / 2
+    a = np.full(rows, 0.5)
+    a[97::97][:6] = [0.0, 1.0, -0.5, math.nan, 1.5, math.nan]  # NaN from the NaN rows only
+    starts = np.stack([np.full(rows, 0.1), np.linspace(0.05, 0.8, rows)])
+    params = TwoTypeParams(a, np.full(rows, 0.5))
+    seen = []  # (slot of the block, width, bytes of the states, a NaN outside the bad rows)
 
     def step(p, s):
         if isinstance(s, np.ndarray):
-            seen.append((s.shape[1], np.count_nonzero(np.isnan(s).all(axis=0))))
+            slot = (s.ctypes.data - s.base.ctypes.data) // s.nbytes
+            ok = (0.0 < p.a) & (p.a < 1.0)
+            seen.append((slot, s.shape[1], s.nbytes, bool(np.isnan(s[:, ok]).any())))
         return TwoTypeParams.step(p, s)
 
-    params = TwoTypeParams(*(np.array(c) for c in columns.values()))
-    again = dynamics.iterate_batch(step, np.array(starts).T, Tolerance(), params=params)
-    assert again.end.tobytes() == run.end.tobytes()
-    assert np.array_equal(again.steps_taken, run.steps_taken)
-    widths = sorted({width for width, _ in seen}, reverse=True)
-    assert widths[0] == rows and len(widths) >= 2
-    assert all(2 * narrow <= wide for wide, narrow in zip(widths, widths[1:]))
-    assert all(2 * finished < width for width, finished in seen)
-    assert any(finished for _, finished in seen)
+    tol = Tolerance(max_iters=1000)  # the valid rows converge by step 432
+    with np.errstate(over="ignore", invalid="ignore"):
+        run = dynamics.iterate_batch(step, starts, tol, params=params)
+        for row in range(rows):
+            one = TwoTypeParams(a[[row]], np.array([0.5]))
+            alone = dynamics.iterate_batch(TwoTypeParams.step, starts[:, [row]], tol, params=one)
+            assert run.end[:, row].tobytes() == alone.end[:, 0].tobytes()
+            assert (run.steps_taken[row], run.converged[row]) == (
+                alone.steps_taken[0], alone.converged[0]
+            )
+    assert not any(nan for *_, nan in seen)
+    blocks = []  # (steps, widths, bytes) of each block
+    for slot, width, nbytes, _ in seen:
+        if slot == 0:
+            blocks.append([0, set(), nbytes])
+        blocks[-1][0] += 1
+        blocks[-1][1].add(width)
+    assert all(len(widths) == 1 for _, widths, _ in blocks)
+    assert all(steps <= dynamics.BLOCK_STEPS for steps, _, _ in blocks)
+    assert all(steps * nbytes <= dynamics.BLOCK_BYTES for steps, _, nbytes in blocks if steps > 1)
+    assert blocks[0][0] == dynamics.BLOCK_STEPS // 2  # shortened to fit the budget
+    assert any(steps == dynamics.BLOCK_STEPS for steps, _, _ in blocks)
+    widths = [widths.pop() for _, widths, _ in blocks]
+    assert widths[0] == rows and widths == sorted(widths, reverse=True) and len(set(widths)) > 2
 
 
 @st.composite
@@ -514,10 +563,6 @@ def test_a_batch_with_a_scalar_tail_equals_its_rows_run_alone(batch, max_iters, 
     _batch_against_rows(kind, columns, [start for _, start in rows], tol)
 
 
-# The most engine steps taken before their moves are tested.
-BLOCK_CAP = 16
-
-
 @dataclass(frozen=True)
 class _Counted:
     """Two-type parameters of every (x, y) pair of a state, and the row's index, by
@@ -549,12 +594,12 @@ def _pairs_step(counts, p, s):
 @st.composite
 def engine_batches(draw):
     """A (d, B) start of the pairs map and its (B,) parameters.  d is 2, 8 or 256 and B
-    runs to 40 or, at d = 256, to 160, so a block of steps that fits 256 KiB runs from
-    BLOCK_CAP steps down to one.  A fifth of the columns start fixed (every y = 0), a
+    runs to 40 or, at d = 256, past two BLOCK_BYTES of states, so a block of steps runs
+    from BLOCK_STEPS steps down to one.  A fifth of the columns start fixed (every y = 0), a
     parameter is 0, 1, -0.5, 1.5 or NaN a sixth of the time, and a fifth of the
     columns repeat an earlier one, so groups of columns finish on one step."""
     d = draw(st.sampled_from([2, 8, 256]))
-    width = draw(st.integers(1, 160 if d == 256 else 40))
+    width = draw(st.integers(1, dynamics.BLOCK_BYTES // (d * 8) + 32 if d == 256 else 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     starts = rng.uniform(0.0, 1.0, (d, width))
     starts[1::2, rng.random(width) < 0.2] = 0.0
@@ -572,7 +617,8 @@ def engine_batches(draw):
 @settings(PROPERTY, max_examples=150)
 @given(
     engine_batches(),
-    st.sampled_from([1, BLOCK_CAP - 1, BLOCK_CAP, BLOCK_CAP + 1, 3 * BLOCK_CAP + 2]),
+    st.sampled_from([1, dynamics.BLOCK_STEPS - 1, dynamics.BLOCK_STEPS, dynamics.BLOCK_STEPS + 1,
+                     3 * dynamics.BLOCK_STEPS + 2]),
     st.sampled_from([None, 2, 3, 5]),
     st.sampled_from([1e-12, 1e-6, 1e-2]),
     st.booleans(),
