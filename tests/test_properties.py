@@ -20,6 +20,11 @@ four-type and the critical-line case:
     for rows that finish before, at or after the handoff, for groups of rows
     that finish on one step while the batch is still wide, and for rows whose
     parameters are 0, 1, -0.5 or NaN, which the numpy engine steps alone
+  - iterate_batch gives, bit for bit, what its rule stated one step at a time
+    (helpers.reference_batch) gives, histories included, for blocks of one to
+    BLOCK_STEPS steps and budgets on both sides of a block, and steps no column
+    more than max_iters times; a batch narrows only between blocks, which fit
+    BLOCK_BYTES, and shows the step no NaN that its parameters do not give
   - off a+c = 1 (by at least 1e-6) the four-type block's corner (a0, c0)
     attracts when a+c > 1 and (0, 0) when a+c < 1, and the other corner is a
     saddle or repelling; on the line every fixed point is non-hyperbolic
@@ -431,6 +436,11 @@ def _numpy_steps(kind, columns: dict, starts: list, tol: Tolerance) -> int:
     return len(calls)
 
 
+def _ab_columns(rows) -> dict:
+    """The ``a`` and ``b`` columns of two-type rows ((a, b), start)."""
+    return {"a": [a for (a, _), _ in rows], "b": [b for (_, b), _ in rows]}
+
+
 def test_a_batch_hands_its_last_rows_to_the_scalar_tail_mid_run():
     """A two-type batch of 2 * TAIL_WIDTH + 5 rows: the numpy blocks stop at the first
     block end that leaves at most TAIL_WIDTH rows, and the rest finish one at a time
@@ -441,7 +451,7 @@ def test_a_batch_hands_its_last_rows_to_the_scalar_tail_mid_run():
     last = dynamics.iterate_map(p.step, slowest).steps_taken + 1  # the step it converges at
     valid = [(0.1, y) for y in np.linspace(0.05, 0.3, width).tolist()]  # 44 to 71 steps
     valid += [(0.3, 0.0), (1.0, 0.5)]  # fixed
-    valid += [(0.1, y) for y in np.linspace(0.72, 0.79, width - 4).tolist()]  # 247 to 404
+    valid += [(0.1, y) for y in np.linspace(0.72, 0.79, width - 4).tolist()]  # 247 to 395
     # The last row's first step moves x by 0 and y to NaN: a move test that
     # takes the max of the moves in order would call it converged.
     invalid = [((0.0, 0.5), (0.1, 0.5)), ((1.0, 0.5), (0.1, 0.5)), ((-0.5, 0.5), (0.1, 0.5)),
@@ -449,10 +459,7 @@ def test_a_batch_hands_its_last_rows_to_the_scalar_tail_mid_run():
     for max_iters in (300, 3000):
         tol = Tolerance(max_iters=max_iters)
         rows = [((0.5, 0.5), start) for start in valid] + invalid
-        batch_columns = lambda rows: {  # noqa: E731
-            "a": [a for (a, _), _ in rows], "b": [b for (_, b), _ in rows]
-        }
-        handoff = _numpy_steps(TwoTypeParams, batch_columns(rows), [s for _, s in rows], tol)
+        handoff = _numpy_steps(TwoTypeParams, _ab_columns(rows), [s for _, s in rows], tol)
         # Two more rows, ``slowest`` stepped on until it has ``handoff`` + 1 and
         # ``handoff`` steps left, which leave the handoff where it was.
         late = [slowest]
@@ -460,13 +467,11 @@ def test_a_batch_hands_its_last_rows_to_the_scalar_tail_mid_run():
             late.append(p.step(late[-1]))
         rows += [((0.5, 0.5), late[-2]), ((0.5, 0.5), late[-1])]
         starts = [s for _, s in rows]
-        assert _numpy_steps(TwoTypeParams, batch_columns(rows), starts, tol) == handoff
+        assert _numpy_steps(TwoTypeParams, _ab_columns(rows), starts, tol) == handoff
         # Alone, the invalid rows are a batch that starts in the tail; ``run`` is
         # the whole batch's.
         for batch in (invalid, rows):
-            run = _batch_against_rows(
-                TwoTypeParams, batch_columns(batch), [s for _, s in batch], tol
-            )
+            run = _batch_against_rows(TwoTypeParams, _ab_columns(batch), [s for _, s in batch], tol)
         # The step at which each row finished, or the budget.  The blocks here
         # are full, BLOCK_STEPS steps each.
         taken = run.steps_taken + run.converged
@@ -482,10 +487,11 @@ def test_a_batch_hands_its_last_rows_to_the_scalar_tail_mid_run():
 
 def test_a_batch_narrows_only_between_blocks_of_steps():
     """A two-type batch wide enough that its first blocks are shortened to fit
-    BLOCK_BYTES: each block of numpy steps sees one width, as many as BLOCK_STEPS
-    steps and, when it takes more than one, at most BLOCK_BYTES of states per slot
-    of its buffer; no column the step sees holds NaN unless its row's parameters
-    give NaN; and every row ends as a batch of that row alone ends."""
+    BLOCK_BYTES.  Each block of numpy steps (told apart by the buffer slot the step
+    is given) sees one width and takes at most BLOCK_STEPS steps, whose states, when
+    it takes more than one, fill at most BLOCK_BYTES; no column the step sees holds
+    NaN unless its row's parameters give NaN; and every row ends as a batch of that
+    row alone ends."""
     rows = 2 * dynamics.BLOCK_BYTES // (2 * 8 * dynamics.BLOCK_STEPS)  # blocks of BLOCK_STEPS / 2
     a = np.full(rows, 0.5)
     a[97::97][:6] = [0.0, 1.0, -0.5, math.nan, 1.5, math.nan]  # NaN from the NaN rows only
