@@ -9,7 +9,6 @@ byte-identical files.  Exit codes: 0 = ran (including non-convergence),
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import re
@@ -57,18 +56,18 @@ def _parse_full_state(text: str) -> tuple[list[float], list[float]]:
     return _parse_numbers(parts[0]), _parse_numbers(parts[1])
 
 
-def _first_types(text: str) -> tuple[float, float]:
-    """(x1, y1) of the two-type state 'x1,x2;y1,y2', which ``make_state`` checks."""
-    female, male = _parse_full_state(text)
-    make_state(female, male)
-    return (female[0], male[0])
-
-
-def _parse_point(text: str) -> tuple[float, float]:
-    values = _parse_numbers(text)
-    if len(values) != 2:
-        raise SchemaError("state", f"expected two coordinates, got {len(values)}")
-    return (values[0], values[1])
+def _two_type_point(text: str) -> tuple[float, float]:
+    """(x1, y1) of 'x1,y1' or of the two-type state 'x1,x2;y1,y2', which ``make_state``
+    checks; ``ValueError`` for a point outside the unit square."""
+    if ";" in text:
+        female, male = _parse_full_state(text)
+        make_state(female, male)
+        values = [female[0], male[0]]
+    else:
+        values = _parse_numbers(text)
+        if len(values) != 2:
+            raise SchemaError("state", f"expected two coordinates, got {len(values)}")
+    return check_unit((values[0], values[1]), "the unit square")
 
 
 def _parse_range(text: str) -> list[float]:
@@ -81,7 +80,7 @@ def _parse_range(text: str) -> list[float]:
     lo, hi, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
     if count < 0:
         raise SchemaError("range", "count must be >= 0")
-    return _linspace(lo, hi, count)
+    return np.linspace(lo, hi, count).tolist()
 
 
 def _write_json(doc: dict, path: str | None) -> None:
@@ -102,19 +101,21 @@ def _write_lines(path: str, header: Sequence[str], lines) -> None:
         fh.writelines(lines)
 
 
-def _write_trajectory(path: str, header: Sequence[str], steps, states) -> None:
-    """The rows ``[step, *state]`` of an int and floats, formatted in blocks of about
+def _float_rows(heads: Sequence, states):
+    """The rows 'head,x1,..,xd' of ``heads`` and (k, d) ``states``, in blocks of about
     ``SWEEP_BLOCK_ROWS`` floats."""
     states = np.asarray(states, dtype=float)
     per_block = max(1, SWEEP_BLOCK_ROWS // max(1, states[:1].size))  # at least one row
+    for first in range(0, len(states), per_block):
+        block = slice(first, first + per_block)
+        texts = float_texts(states[block]).tolist()
+        yield "".join(f"{head}," + ",".join(s) + "\r\n" for head, s in zip(heads[block], texts))
 
-    def lines():
-        for first in range(0, len(states), per_block):
-            block = slice(first, first + per_block)
-            texts = float_texts(states[block]).tolist()
-            yield "".join(f"{t}," + ",".join(s) + "\r\n" for t, s in zip(steps[block], texts))
 
-    _write_lines(path, header, lines())
+def _grid(axes: Sequence[np.ndarray], index) -> np.ndarray:
+    """The rows at the flat ``index`` of the product of the 1-D ``axes``, the last axis fastest."""
+    at = np.unravel_index(index, tuple(map(len, axes)))
+    return np.stack([axis[i] for axis, i in zip(axes, at)], axis=1)
 
 
 def _state_doc(coords: Sequence[float], n: int) -> dict:
@@ -153,6 +154,7 @@ class Case:
     # Stacked parameters -> where verify names the cell critical-line, as a mask or one bool.
     on_line: Callable = lambda p: False
     planar: Callable | None = None  # params -> (planar map, its Jacobian, (w, h) of [0,w] x [0,h])
+    planar_unread: tuple[str, ...] = ()  # the parameters that the planar map does not read
     portrait: tuple = ()  # (regime, parameter overrides) of each verify portrait regime
 
     @property
@@ -184,8 +186,11 @@ def _params(case_name: str, args, **values):
     return CASES[case_name].params(**{**_param_values(case_name, args), **values})
 
 
-def _linspace(lo: float, hi: float, count: int) -> list[float]:
-    return [float(v) for v in np.linspace(lo, hi, count)]
+def _planar_params(args):
+    """``_params`` for a command that reads the case's planar map and no other parameter."""
+    why = f"not read by the planar map of --case {args.case}"
+    _reject(args, CASES[args.case].planar_unread, why)
+    return _params(args.case, args)
 
 
 def _four_type_sample(p: four_types.FourTypeParams, rng) -> np.ndarray:
@@ -201,10 +206,7 @@ _COORDS8 = [f"x{i+1}" for i in range(4)] + [f"y{k+1}" for k in range(4)]
 CASES = {
     "two-type": Case(
         params=two_types.TwoTypeParams,
-        parse_start=lambda text: check_unit(
-            _first_types(text) if ";" in text else _parse_point(text),
-            "the unit square",
-        ),
+        parse_start=_two_type_point,
         predict=lambda p, s, tol: two_types.predict_limit(p, s, tol),
         labels=("m1-extinct", "f2-extinct"),
         label=lambda p, lim: np.where((lim[:, 1] == 0.0) & (lim[:, 0] < 1.0), 0, 1),
@@ -216,7 +218,7 @@ CASES = {
         },
         sample=lambda p, rng: rng.uniform(0.02, 0.98, (len(p.a), 2)),
         sweep_columns=(("x0", "y0"), ("limit_x", "limit_y")),
-        grid_starts=lambda count: list(itertools.product(_linspace(0.1, 0.9, count), repeat=2)),
+        grid_starts=lambda n: _grid([np.linspace(0.1, 0.9, n)] * 2, np.arange(n * n)).tolist(),
         verify_axes=("a", "b"),
         planar=lambda p: (p.step, lambda s: two_types.jacobian_matrix(p, s), (1.0, 1.0)),
         portrait=(("two-type", {}),),
@@ -234,6 +236,7 @@ CASES = {
         fixes=lambda s: dict(zip(("a0", "c0"), four_types.slice_sums(s)[::2])),  # its slice
         on_line=lambda p: np.equal(four_types.limit_branch(p), 0).any(axis=0),
         planar=lambda p: (p.sub12_step, lambda s: four_types.sub12_jacobian(p, s), (p.a0, p.c0)),
+        planar_unread=("b", "d"),  # the type-3/4 block's
         portrait=tuple(
             (regime, {"a": a, "c": c})
             for regime, a, c in (("below", 0.3, 0.3), ("above", 0.7, 0.7), ("critical", 0.4, 0.6))
@@ -248,7 +251,7 @@ CASES = {
         doc=lambda x, lim: {"x0": x[0], "limit": lim[0]},
         sweep_columns=(("x0",), ("limit",)),
         start_flag="x0",
-        grid_starts=lambda count: [(x,) for x in _linspace(0.05, 0.95, count)],
+        grid_starts=lambda count: [(x,) for x in np.linspace(0.05, 0.95, count).tolist()],
     ),
 }
 
@@ -316,19 +319,19 @@ def cmd_iterate(args) -> int:
     op, meta = _operator_from_args(args)
     female, male = _parse_full_state(args.state)
     tol = _tolerance(args)
-    trajectory = dynamics.iterate(op, female, male, tol)
-    n, limit = op.n, trajectory.limit
+    run = dynamics.iterate(op, female, male, tol)
+    n, limit = op.n, run.limit
     if args.trajectory is not None:
         header = ["step"] + [f"x_{i+1}" for i in range(n)] + [f"y_{k+1}" for k in range(op.nu)]
-        _write_trajectory(args.trajectory, header, trajectory.state_steps, trajectory.states)
+        _write_lines(args.trajectory, header, _float_rows(run.state_steps, run.states))
     # Each block total's largest distance from its value at the start.
     drifts = {f"{block}_total": float(np.abs(total - total[0]).max())
-              for block, total in zip(("female", "male"), block_totals(trajectory.states, n))}
+              for block, total in zip(("female", "male"), block_totals(run.states, n))}
     summary = {
         "source": meta,
         "initial": {"female": female, "male": male},
-        "converged": trajectory.converged,
-        "steps": trajectory.steps_taken,
+        "converged": run.converged,
+        "steps": run.steps_taken,
         "limit": None if limit is None else _state_doc(limit, n),
         "drifts": drifts,
         "seed": args.seed,
@@ -345,7 +348,7 @@ def cmd_iterate(args) -> int:
 
 def cmd_fixed_points(args) -> int:
     tol = _tolerance(args)
-    case, p = CASES[args.case], _params(args.case, args)
+    case, p = CASES[args.case], _planar_params(args)
     if args.grid and case.planar is None:
         raise SchemaError("grid", f"--case {args.case} has no planar map to search; omit --grid")
     if args.case == "two-type":
@@ -373,11 +376,10 @@ def _verdict_doc(matrix, tol: Tolerance) -> dict:
 
 def cmd_classify(args) -> int:
     tol = _tolerance(args)
-    p = _params(args.case, args)
+    p = _planar_params(args)
     step, jacobian, _ = CASES[args.case].planar(p)
     if args.case == "two-type":
-        point = _parse_point("0,0" if args.state is None else args.state)
-        check_unit(point, "the unit square")
+        point = _two_type_point("0,0" if args.state is None else args.state)
         if not dynamics.is_fixed(step, point, tol):
             raise ValueError(f"{point} is not fixed: one step moves it by more than --abs-eps")
         doc = {"case": "two-type", "state": list(point), **_verdict_doc(jacobian(point), tol)}
@@ -438,10 +440,8 @@ def _portrait_rows(case: Case, regimes, tol: Tolerance):
         step, _, (w, h) = case.planar(p)
         starts = [[u * w for u, _ in fan], [v * h for _, v in fan]]
         run = dynamics.iterate_batch(lambda _, s: step(s), starts, short_tol, store_cap=400)
-        for t, trajectory in enumerate(run.trajectories):
-            texts = float_texts(trajectory.states).tolist()
-            yield "".join(f"{regime},{t},{step_index},{x},{y}\r\n"
-                          for step_index, (x, y) in zip(trajectory.state_steps, texts))
+        for t, traj in enumerate(run.trajectories):
+            yield from _float_rows([f"{regime},{t},{i}" for i in traj.state_steps], traj.states)
 
 
 def cmd_verify(args) -> int:
@@ -464,17 +464,16 @@ def cmd_verify(args) -> int:
     regimes = [(regime, _params(args.case, args, **overrides))
                for regime, overrides in (case.portrait if args.portrait is not None else ())]
     rng = np.random.default_rng(args.seed)
-    grid_values = _linspace(0.05, 0.95, args.grid)
+    axis = np.linspace(0.05, 0.95, args.grid)
     u, v = case.verify_axes
     # The first cell's parameters check the flags that every cell shares.  Then one
     # (cells,) array per field, and one row per start, a cell's starts together.
-    first = _params(args.case, args, **{u: grid_values[0], v: grid_values[0]})
-    axis, n_cells = np.array(grid_values), args.grid**2
-    columns = {name: np.full(n_cells, value) for name, value in vars(first).items()}
-    columns.update({u: np.repeat(axis, args.grid), v: np.tile(axis, args.grid)})
-    on_line = np.broadcast_to(case.on_line(case.params(**columns)), n_cells).tolist()
+    first = _params(args.case, args, **{u: axis[0].item(), v: axis[0].item()})
+    axes = [axis if name in (u, v) else np.array([getattr(first, name)]) for name in case.names]
+    columns = dict(zip(case.names, _grid(axes, np.arange(args.grid**2)).T))
+    on_line = np.broadcast_to(case.on_line(case.params(**columns)), args.grid**2).tolist()
     cells = [{u: x, v: y, "kind": "critical-line" if line else "closed-form"}
-             for (x, y), line in zip(itertools.product(grid_values, repeat=2), on_line)]
+             for x, y, line in zip(columns[u].tolist(), columns[v].tolist(), on_line)]
     params = case.params(**{name: np.repeat(c, args.starts) for name, c in columns.items()})
     starts = case.sample(params, rng)
     limits = _predict(case, params, starts, tol)
@@ -533,7 +532,6 @@ def cmd_sweep(args) -> int:
     fixed = case.fixes(starts[0]) if starts else {}
     ranges = _param_values(args.case, args, fixed)
     axes = [np.array([fixed[n]] if n in fixed else _parse_range(ranges[n])) for n in case.names]
-    shape = tuple(map(len, axes))
     start_columns, limit_columns = case.sweep_columns
     start_array = np.array(starts).reshape(len(starts), len(start_columns))
     # Each start and label as text once.  The labels hold no quote or line
@@ -543,12 +541,11 @@ def cmd_sweep(args) -> int:
     blank = "," * len(limit_columns)
 
     def lines():
-        total = math.prod(shape) * len(starts)
+        total = math.prod(map(len, axes)) * len(starts)
         for first in range(0, total, SWEEP_BLOCK_ROWS):
             rows = np.arange(first, min(first + SWEEP_BLOCK_ROWS, total))
             head, start = np.divmod(rows, len(starts))
-            index = np.unravel_index(np.arange(head[0], head[-1] + 1), shape)
-            table = np.stack([axis[i] for axis, i in zip(axes, index)], axis=1)
+            table = _grid(axes, np.arange(head[0], head[-1] + 1))
             heads = list(map(",".join, float_texts(table).tolist()))
             head -= head[0]  # each row's index into ``table`` and ``heads``
             p = case.params(**dict(zip(case.names, table[head].T)))
@@ -605,7 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--case", choices=cases, required=True)
         for flag in params or {}:
             cmd.add_argument(f"--{flag}", type=kind, default=None, help=params_help)
-        cmd.add_argument("--abs-eps", type=float, default=1e-9, help="comparison epsilon")
+        if name != "iterate":  # iterate tests only its moves, against --iter-eps
+            cmd.add_argument("--abs-eps", type=float, default=1e-9, help="comparison epsilon")
         if name in ("iterate", "verify"):  # the commands that iterate
             cmd.add_argument("--iter-eps", type=float, default=1e-12,
                              help="iteration stop threshold")

@@ -166,7 +166,7 @@ def iterate_batch(
         step: The map, called as ``step(params, states)`` on the (d, B)
             columns not yet dropped, a slot of the block's buffer; a column
             that finished in the block may be stepped on to the block's end.
-        states: Initial coordinates, shape (d, B).
+        states: Initial coordinates, shape (d, B) with d >= 1.
         tol: Iteration thresholds and budget.
         params: Per-row parameters, a dataclass whose fields are (B,) arrays,
             narrowed with the columns; or None.
@@ -174,6 +174,8 @@ def iterate_batch(
             to every k-th state once it would hold more than ``store_cap``.
     """
     state = np.array(states, dtype=float)
+    if not len(state):
+        raise DimensionMismatchError(f"a state needs at least one coordinate, got {state.shape}")
     width = state.shape[1]
     end = state.copy()
     steps_taken = np.zeros(width, dtype=np.int64)

@@ -14,11 +14,14 @@ Core claims:
     that is not UTF-8, non-finite weights and tensor entries, tensor
     entries that are not JSON numbers, --seed on a
     command that draws nothing, --grid on a case without a planar map, a
-    start or parameter flag the case does not read, a parameter flag the
-    start fixes and a two-type classify point that is not fixed are input
+    start or parameter flag the case (or, for classify and fixed-points, its
+    planar map) does not read, a parameter flag the start fixes and a
+    two-type classify point that is not fixed are input
     errors; no JSON document holds NaN or infinity
   - each command takes only the flags it reads: the iteration threshold and
-    budget only where something iterates
+    budget only where something iterates, the comparison epsilon everywhere
+    but iterate
+  - classify reads a two-type point as predict does, as x,y or a state
   - a value that starts with '-' and a digit, such as the range -1:2:7, is a
     value after its flag as after '='
   - trajectory files do not depend on the number of BLAS threads
@@ -776,6 +779,7 @@ def test_iterate_rejects_a_nan_operator_before_any_step(tmp_path, monkeypatch):
         ["--state", "nan,0.3"],
         ["--state", "5,7"],
         ["--a", "0.6", "--b", "0.4", "--state", "0.3,0.2"],  # inside the square, not fixed
+        ["--state", "0.3,0.2;0,1"],  # a female block off its simplex
     ],
 )
 def test_classify_two_type_rejects_a_point_that_is_not_fixed(flags, tmp_path):
@@ -810,6 +814,13 @@ def test_a_start_flag_the_case_does_not_read_is_an_input_error(argv, flag, tmp_p
         (["predict", "--case", "four-type", "--state", FOUR_STATE, "--a0", "0.9"],
          "--a0 is fixed by the start"),
         (["sweep", "--case", "critical-line", "--b", "0.9"], "--b is not read"),
+        # The four-type planar map is the type-1/2 block: a, c, a0 and c0.
+        (["classify", "--case", "four-type", "--b", "0.9"],
+         "--b is not read by the planar map of --case four-type"),
+        (["fixed-points", "--case", "four-type", "--d", "0.1"],
+         "--d is not read by the planar map of --case four-type"),
+        (["fixed-points", "--case", "four-type", "--grid", "3", "--b", "0.9", "--d", "0.1"],
+         "--b is not read by the planar map of --case four-type"),
     ],
 )
 def test_a_parameter_flag_the_case_does_not_read_is_an_input_error(
@@ -853,6 +864,16 @@ def test_a_parameter_flag_that_no_source_reads_is_an_input_error(
     flag = message.split()[0]
     at = argv.index(flag)
     assert main([*argv[:at], *argv[at + 2:], output, str(out)]) == 0
+
+
+def test_classify_two_type_reads_a_point_or_a_state_as_predict_does(tmp_path):
+    outputs = []
+    for state in ("0.3,0", "0.3,0.7;0,1"):
+        out = tmp_path / "c.json"
+        assert main(["classify", "--case", "two-type", "--state", state, "--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["state"] == [0.3, 0.0]
 
 
 def test_start_flags_left_out_take_their_defaults(tmp_path):
@@ -933,8 +954,8 @@ PARAMETER_FLAGS = {"--a", "--a0", "--b", "--c", "--c0", "--d"}
 COMMAND_FLAGS = {
     "construct": {"--abs-eps", "--input", "--output", "--seed"},
     "iterate": PARAMETER_FLAGS | {
-        "--abs-eps", "--construction", "--four-type", "--iter-eps", "--max-iters", "--operator",
-        "--seed", "--state", "--summary", "--trajectory", "--two-type",
+        "--construction", "--four-type", "--iter-eps", "--max-iters", "--operator", "--seed",
+        "--state", "--summary", "--trajectory", "--two-type",
     },
     "fixed-points": PARAMETER_FLAGS | {"--abs-eps", "--case", "--grid", "--output"},
     "classify": PARAMETER_FLAGS | {"--abs-eps", "--case", "--output", "--state"},
@@ -948,7 +969,8 @@ COMMAND_FLAGS = {
 
 
 def test_each_command_takes_only_the_flags_it_reads():
-    # Only iterate and verify iterate, so only they take --iter-eps and --max-iters.
+    # Only iterate and verify iterate, so only they take --iter-eps and --max-iters;
+    # iterate tests only its moves, so it alone takes no --abs-eps.
     parser = cli.build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     flags = {
@@ -956,4 +978,4 @@ def test_each_command_takes_only_the_flags_it_reads():
         for name, cmd in commands.choices.items()
     }
     assert flags == COMMAND_FLAGS
-    assert sum(map(len, flags.values())) == 78
+    assert sum(map(len, flags.values())) == 77

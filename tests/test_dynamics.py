@@ -22,6 +22,7 @@ from qsobp.dynamics import (
     classify_fixed_point_2d,
     find_fixed_points_grid,
     iterate,
+    iterate_batch,
     iterate_map,
 )
 from qsobp.errors import DimensionMismatchError, NegativeEntryError, NotNormalizedError
@@ -170,6 +171,21 @@ def test_iterate_map_thins_storage():
     assert len(run.states) <= 10_001
     assert run.state_steps[0] == 0
     assert run.state_steps[-1] == 50_000
+
+
+def test_an_empty_start_is_a_dimension_error_and_an_empty_batch_a_result():
+    def step(*_):
+        raise AssertionError("an empty start was stepped")
+
+    with pytest.raises(DimensionMismatchError, match="at least one coordinate"):
+        iterate_map(step, [])
+    with pytest.raises(DimensionMismatchError, match="at least one coordinate"):
+        iterate_batch(step, np.zeros((0, 3)))
+    # A batch of no columns returns no rows, with and without histories.
+    for store_cap in (None, 5):
+        run = iterate_batch(step, np.zeros((3, 0)), store_cap=store_cap)
+        assert run.end.shape == (3, 0) and run.steps_taken.size == run.converged.size == 0
+        assert run.trajectories == (None if store_cap is None else ())
 
 
 def test_iterate_map_tracks_functional_drift():

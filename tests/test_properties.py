@@ -47,7 +47,10 @@ and for the writers and the trajectory check:
   - load_json decodes an operator or construction document as json.load
     does, leaf types and the sign of zero included, with one float object
     per distinct number text
-  - the trajectory CSV has the bytes csv.writer gives for the same rows
+  - the rows of trajectory and portrait CSVs have the bytes csv.writer gives
+    for the same rows, whatever the number of blocks they are formatted in
+  - the CLI's parameter grid gives the rows of the product of its axes, the
+    last axis fastest, at any run of flat indices
   - make_state raises the error type and message that helpers.simplex_violation
     names, female block first, for blocks that are empty, off one by a shift
     across or along either tolerance, infinite or NaN; check_states raises the
@@ -56,12 +59,14 @@ and for the writers and the trajectory check:
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import tempfile
 from dataclasses import dataclass
 from functools import partial
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -794,28 +799,54 @@ def test_load_json_shares_one_float_per_number_text(doc):
     assert len({id(v) for v in floats}) == len({repr(v) for v in floats})
 
 
+# Values with special texts, mixed in so that entries repeat.
+SPECIAL = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.0])
+STEP = st.integers(0, 10**6)
+
+
 @PROPERTY
 @given(
     st.integers(1, 4).flatmap(
-        lambda d: st.lists(
-            st.tuples(st.integers(0, 10**6), st.lists(st.floats(), min_size=d, max_size=d)),
-            max_size=5,
-        )
-    )
+        lambda d: st.lists(st.lists(st.one_of(st.floats(), SPECIAL), min_size=d, max_size=d),
+                           max_size=40)
+    ),
+    st.one_of(  # the heads of a trajectory's rows, or of a portrait's
+        st.tuples(STEP),
+        st.tuples(st.sampled_from(["two-type", "below", "critical"]), st.integers(0, 7), STEP),
+    ),
+    st.integers(1, 12),
 )
-def test_the_trajectory_csv_is_what_csv_writer_writes(rows):
-    header = ["step"] + [f"x_{i + 1}" for i in range(len(rows[0][1]) if rows else 1)]
-    steps, states = [t for t, _ in rows], [s for _, s in rows]
+def test_the_trajectory_csv_is_what_csv_writer_writes(states, head, block_floats):
+    # Each row's head fields, told apart by their step; a block holds about
+    # block_floats floats, so 40 rows reach many blocks.
+    heads = [(*head[:-1], head[-1] + k) for k in range(len(states))]
+    # Steps alone are ints, as in a trajectory's state_steps.
+    texts = tuple(h for h, in heads) if len(head) == 1 else [",".join(map(str, h)) for h in heads]
+    width = len(states[0]) if states else 1
+    header = [f"h{i}" for i in range(len(head))] + [f"x_{i + 1}" for i in range(width)]
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
     writer.writerow(header)
-    writer.writerows([t, *s] for t, s in rows)
-    written = _written(cli._write_trajectory, header, steps, states)
+    writer.writerows([*h, *s] for h, s in zip(heads, states))
+    with patch.object(cli, "SWEEP_BLOCK_ROWS", block_floats):
+        written = _written(cli._write_lines, header, cli._float_rows(texts, states))
+        blocks = list(cli._float_rows(texts, states))
     assert written == expected.getvalue().encode()
+    assert len(blocks) == -(-len(states) // max(1, block_floats // width))
 
 
-# Values with special texts, mixed in so that entries repeat.
-SPECIAL = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.0])
+@PROPERTY
+@given(
+    st.lists(st.lists(st.floats(allow_nan=False), min_size=1, max_size=4), min_size=1, max_size=3),
+    st.data(),
+)
+def test_grid_rows_are_those_of_the_product_of_its_axes(axes, data):
+    rows = [list(row) for row in itertools.product(*axes)]
+    lo = data.draw(st.integers(0, len(rows)))
+    hi = data.draw(st.integers(lo, len(rows)))
+    table = cli._grid([np.array(axis) for axis in axes], np.arange(lo, hi))
+    assert table.shape == (hi - lo, len(axes))
+    assert table.tolist() == rows[lo:hi]
 
 
 @PROPERTY
