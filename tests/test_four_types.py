@@ -3,6 +3,8 @@
 Core claims:
   - the full step conserves all four pairwise sums and fixes the predicted
     corner states
+  - the lifted tensors are the literal tables of the four mixed pairings,
+    byte for byte
   - the type-1/2 block trajectory equals the (x1, y1) coordinates of the
     full trajectory, and the type-3/4 block is its parameter-swapped twin
   - off the critical line the fixed points and their stability follow the
@@ -94,6 +96,30 @@ def test_full_step_agrees_with_lifted_tensors():
     for _ in range(50):
         s = make_state(rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4)))
         assert max(abs(u - v) for u, v in zip(p.step(s), apply(op, s))) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "a, b, c, d",
+    [(0.35, 0.65, 0.52, 0.18), (0.3, 0.3, 0.3, 0.3), (0.7, 0.3, 0.7, 0.2), (0.1, 0.9, 0.9, 0.1)],
+)
+def test_lift_tensors_are_the_literal_tables(a, b, c, d):
+    # pf[i, k] and pm[i, k]: the daughter and the son rows of mother i and father k.
+    pf = np.array([
+        [[1.0, 0.0, 0.0, 0.0], [a, 1.0 - a, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]],
+        [[a, 1.0 - a, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]],
+        [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, b, 1.0 - b]],
+        [[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, b, 1.0 - b], [0.0, 0.0, 0.0, 1.0]],
+    ])
+    pm = np.array([
+        [[1.0, 0.0, 0.0, 0.0], [c, 1.0 - c, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+        [[c, 1.0 - c, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+        [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, d, 1.0 - d]],
+        [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, d, 1.0 - d], [0.0, 0.0, 0.0, 1.0]],
+    ])
+    tensors = lift_operator(params(a=a, b=b, c=c, d=d)).tensors
+    for built, table in ((tensors.pf, pf), (tensors.pm, pm)):
+        assert built.dtype == table.dtype and built.shape == table.shape
+        assert built.tobytes() == table.tobytes()
 
 
 # -- decoupled blocks --------------------------------------------------------

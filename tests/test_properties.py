@@ -13,6 +13,9 @@ four-type and the critical-line case:
     x+y in the limit to 1e-12, and the limit is where iteration ends to 1e-9
   - one step conserves x/a + y/(1-b) (two-type) and the four slice sums
     (four-type) to 1e-12
+  - on a slice, coordinates 0 and 4 of the four-type step are sub12_step of
+    (x1, y1), and coordinates 2 and 6 the swapped block's sub12_step of
+    (x3, y3), bit for bit, for parameters as numbers and stacked
   - a batch of trajectories with per-row parameters ends each row where the
     row run alone ends, bit for bit, after as many steps and with the same
     convergence flag, whether the budget lets it converge or cuts it off;
@@ -97,8 +100,8 @@ from qsobp.simplex import Tolerance, check_states, float_texts, make_state
 from qsobp.two_types import TwoTypeParams, invariant_line_level
 from qsobp.two_types import predict_limit as predict_limit_two
 
-from helpers import (constructions, predict_one, reference_batch, simplex_violation,
-                     stack_params)
+from helpers import (constructions, mirror_params, predict_one, reference_batch,
+                     simplex_violation, stack_params)
 
 # Reproducible examples, and no example database written next to the tests.
 PROPERTY = settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -170,6 +173,25 @@ def test_four_type_predictor(case, tol):
     after = p.step(state.tolist())
     moved_sums = slice_sums(make_state(after[:4], after[4:]).tolist())
     assert max(abs(u - v) for u, v in zip(moved_sums, slice_sums(state.tolist()))) <= 1e-12
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@PROPERTY
+@given(st.lists(st.tuples(*[unit] * 6, *[fraction] * 4), min_size=1, max_size=5))
+def test_the_four_type_step_is_its_type_12_block_and_the_swapped_block(rows):
+    params, coords = [], []
+    for a, b, c, d, a0, c0, fx1, fx3, fy1, fy3 in rows:
+        x1, x3, y1, y3 = fx1 * a0, fx3 * (1.0 - a0), fy1 * c0, fy3 * (1.0 - c0)
+        params.append(FourTypeParams(a, b, c, d, a0, c0))
+        coords.append((x1, a0 - x1, x3, 1.0 - a0 - x3, y1, c0 - y1, y3, 1.0 - c0 - y3))
+    stacked = (stack_params(params), tuple(np.array(column) for column in zip(*coords)))
+    for p, s in [*zip(params, coords), stacked]:
+        out = p.step(s)
+        assert _bits(p.sub12_step((s[0], s[4]))) == _bits((out[0], out[4]))
+        assert _bits(mirror_params(p).sub12_step((s[2], s[6]))) == _bits((out[2], out[6]))
 
 
 @PROPERTY

@@ -2,7 +2,8 @@
 
 Core claims:
   - the reduced map fixes y = 0 and x = 1 pointwise and moves interior points
-  - the lifted operator projects back onto the reduced map
+  - the lifted operator projects back onto the reduced map, and its tensors
+    are the literal tables of the one mixing pair, byte for byte
   - x/a + y/(1-b) is conserved along trajectories
   - x is non-decreasing, y non-increasing
   - iterated limits match the closed-form prediction on both branches
@@ -107,6 +108,17 @@ def test_lift_tensors_are_stochastic():
     op = lift_operator(TwoTypeParams(a=0.3, b=0.6))
     assert np.abs(op.tensors.pf.sum(axis=2) - 1.0).max() <= 1e-15
     assert np.abs(op.tensors.pm.sum(axis=2) - 1.0).max() <= 1e-15
+
+
+@pytest.mark.parametrize("a, b", [(0.3, 0.6), (0.37, 0.81), (0.1, 0.9), (2.0 / 3.0, 0.5)])
+def test_lift_tensors_are_the_literal_tables(a, b):
+    # pf[i, k] and pm[i, k]: the daughter and the son rows of mother i and father k.
+    pf = np.array([[[1.0, 0.0], [1.0, 0.0]], [[a, 1.0 - a], [0.0, 1.0]]])
+    pm = np.array([[[1.0, 0.0], [0.0, 1.0]], [[b, 1.0 - b], [0.0, 1.0]]])
+    tensors = lift_operator(TwoTypeParams(a=a, b=b)).tensors
+    for built, table in ((tensors.pf, pf), (tensors.pm, pm)):
+        assert built.dtype == table.dtype and built.shape == table.shape
+        assert built.tobytes() == table.tobytes()
 
 
 def test_lifted_fixed_line_states_are_fixed():
