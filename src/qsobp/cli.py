@@ -37,8 +37,9 @@ DEFAULT_MATCH_EPS = 1e-6
 
 
 def _tolerance(args) -> Tolerance:
-    """The command's tolerance flags; ``Tolerance``'s defaults for the fields it has no flag for."""
-    return Tolerance(**{f.name: getattr(args, f.name) for f in fields(Tolerance) if f.name in args})
+    """The tolerance flags given; ``Tolerance``'s defaults for the fields left out or flagless."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(Tolerance)}
+    return Tolerance(**{name: value for name, value in given.items() if value is not None})
 
 
 def _parse_numbers(text: str) -> list[float]:
@@ -163,10 +164,12 @@ class Case:
 
 
 def _reject(args, names, why: str) -> None:
-    """A ``SchemaError`` naming the first of the parameter flags ``names`` that was given."""
+    """A ``SchemaError`` naming the first of the flags ``names`` (``args`` attribute
+    names) that was given."""
     for name in names:
         if getattr(args, name, None) is not None:
-            raise SchemaError(name, f"--{name} is {why}")
+            flag = name.replace("_", "-")
+            raise SchemaError(flag, f"--{flag} is {why}")
 
 
 def _param_values(case_name: str, args, fixed=()) -> dict:
@@ -351,6 +354,10 @@ def cmd_fixed_points(args) -> int:
     case, p = CASES[args.case], _planar_params(args)
     if args.grid and case.planar is None:
         raise SchemaError("grid", f"--case {args.case} has no planar map to search; omit --grid")
+    if not args.grid:  # nothing compares to --abs-eps; the two-type segments hold for any a, b
+        unread = ("a", "b", "abs_eps") if args.case == "two-type" else ("abs_eps",)
+        _reject(args, unread, f"not read by fixed-points --case {args.case} without --grid; "
+                "only --grid reads it")
     if args.case == "two-type":
         doc = {"case": "two-type", "segments": two_types.FIXED_SEGMENTS}
     elif args.case == "four-type":
@@ -602,12 +609,12 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--case", choices=cases, required=True)
         for flag in params or {}:
             cmd.add_argument(f"--{flag}", type=kind, default=None, help=params_help)
+        # Tolerance flags left out are None, and take ``Tolerance``'s defaults.
         if name != "iterate":  # iterate tests only its moves, against --iter-eps
-            cmd.add_argument("--abs-eps", type=float, default=1e-9, help="comparison epsilon")
+            cmd.add_argument("--abs-eps", type=float, help="comparison epsilon")
         if name in ("iterate", "verify"):  # the commands that iterate
-            cmd.add_argument("--iter-eps", type=float, default=1e-12,
-                             help="iteration stop threshold")
-            cmd.add_argument("--max-iters", type=int, default=10**6, help="iteration budget")
+            cmd.add_argument("--iter-eps", type=float, help="iteration stop threshold")
+            cmd.add_argument("--max-iters", type=int, help="iteration budget")
         if seed_help is not None:
             cmd.add_argument("--seed", type=int, default=42, help=seed_help)
         return cmd

@@ -337,9 +337,7 @@ class BisexualOperator:
     the (n + nu, n * nu) mixing matrix ``_q``: row ``c`` is child type ``c``
     and column ``i * nu + k`` the parent pair (i, k), so a step is
     ``s + _q @ (x ⊗ y)``, and a linear functional ``w`` is conserved on the
-    simplexes exactly when ``w @ _q = 0``.  The literal contraction stays
-    available as :meth:`quadratic_form`, the unrestricted coordinate map off
-    the simplexes.
+    simplexes exactly when ``w @ _q = 0``.
     """
 
     tensors: HeredityTensors
@@ -371,12 +369,6 @@ class BisexualOperator:
     def from_tensors(cls, pf, pm) -> "BisexualOperator":
         return cls(HeredityTensors(np.asarray(pf, dtype=float), np.asarray(pm, dtype=float)))
 
-    def quadratic_form(self, s: np.ndarray) -> np.ndarray:
-        """The literal tensor contraction, defined for arbitrary (d,) coordinates."""
-        x, y = s[: self.n], s[self.n :]
-        new_x = np.einsum("ikj,i,k->j", self.tensors.pf, x, y)
-        return np.concatenate((new_x, np.einsum("ikl,i,k->l", self.tensors.pm, x, y)))
-
     def apply_raw(self, s: np.ndarray) -> np.ndarray:
         """One step on coordinates, without simplex validation.
 
@@ -388,6 +380,19 @@ class BisexualOperator:
 
 def build_operator(space: ConfigurationSpace, weights: WeightPair) -> BisexualOperator:
     return BisexualOperator(build_heredity(space, weights))
+
+
+def mixing_operator(n: int, nu: int, mixing: Mapping) -> BisexualOperator:
+    """The operator on n female and nu male types in which every parent pair
+    breeds true, a daughter of the mother's type and a son of the father's,
+    except each pair (i, k) in ``mixing``, whose daughter and son rows are
+    ``mixing[i, k]``."""
+    pf, pm = np.zeros((n, nu, n)), np.zeros((n, nu, nu))
+    pf[np.arange(n), :, np.arange(n)] = 1.0
+    pm[:, np.arange(nu), np.arange(nu)] = 1.0
+    for (i, k), (female, male) in mixing.items():
+        pf[i, k], pm[i, k] = female, male
+    return BisexualOperator.from_tensors(pf, pm)
 
 
 def is_identity(op: BisexualOperator, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:

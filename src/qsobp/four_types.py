@@ -7,7 +7,9 @@ dynamics splits into two independent planar subsystems: one for the
 type-1/2 block in the coordinates (x, y) = (x1, y1), one for the type-3/4
 block in (u, v) = (x3, y3); the second is the first under the parameter
 swap a<->b, c<->d, a0<->1-a0, c0<->1-c0, and is implemented only through
-that swap.
+that swap: ``FourTypeParams.step`` applies one pair kernel to the type-1/2
+block with (a, c) and to the type-3/4 block with (b, d), and ``sub12_step``
+is that kernel on (x, a0 - x, y, c0 - y).
 
 Away from the critical lines a+c = 1 and b+d = 1 each subsystem has two
 isolated fixed points whose stability flips with the sign of a+c-1, and
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .construction import BisexualOperator
+from .construction import BisexualOperator, mixing_operator
 from .dynamics import predicted
 from .simplex import DEFAULT_TOLERANCE, Tolerance, check_open_unit, check_unit
 
@@ -61,31 +63,25 @@ class FourTypeParams:
     def step(self, coords: Coords8) -> Coords8:
         """One step on bare coordinates (x1..x4, y1..y4); pairwise sums conserved."""
         x1, x2, x3, x4, y1, y2, y3, y4 = coords
-        a, b, c, d = self.a, self.b, self.c, self.d
-        # The offspring mass each mixed pairing moves between the two types of a pair.
-        fa, fa_back = (1.0 - a) * x1 * y2, a * x2 * y1
-        fb, fb_back = (1.0 - b) * x3 * y4, b * x4 * y3
-        mc, mc_back = (1.0 - c) * x2 * y1, c * x1 * y2
-        md, md_back = (1.0 - d) * x4 * y3, d * x3 * y4
-        return (
-            x1 - fa + fa_back,
-            x2 - fa_back + fa,
-            x3 - fb + fb_back,
-            x4 - fb_back + fb,
-            y1 - mc + mc_back,
-            y2 - mc_back + mc,
-            y3 - md + md_back,
-            y4 - md_back + md,
-        )
+        x1, x2, y1, y2 = _pair_step(self.a, self.c, x1, x2, y1, y2)
+        x3, x4, y3, y4 = _pair_step(self.b, self.d, x3, x4, y3, y4)
+        return (x1, x2, x3, x4, y1, y2, y3, y4)
 
     def sub12_step(self, s: Point2) -> Point2:
         """Type-1/2 block: advance (x1, y1) inside the box [0,a0] x [0,c0]."""
         x, y = s
-        a, c, a0, c0 = self.a, self.c, self.a0, self.c0
-        return (
-            x - (1.0 - a) * x * (c0 - y) + a * (a0 - x) * y,
-            y - (1.0 - c) * (a0 - x) * y + c * x * (c0 - y),
-        )
+        x, _, y, _ = _pair_step(self.a, self.c, x, self.a0 - x, y, self.c0 - y)
+        return (x, y)
+
+
+def _pair_step(a, c, x1, x2, y1, y2):
+    """One step of a block's female pair (x1, x2) and male pair (y1, y2), whose two
+    mixed pairings have daughters of the first type with probability ``a`` and
+    sons of the first type with probability ``c``."""
+    # The offspring mass each mixed pairing moves between the two types.
+    fa, fa_back = (1.0 - a) * x1 * y2, a * x2 * y1
+    mc, mc_back = (1.0 - c) * x2 * y1, c * x1 * y2
+    return (x1 - fa + fa_back, x2 - fa_back + fa, y1 - mc + mc_back, y2 - mc_back + mc)
 
 
 def slice_sums(coords) -> tuple:
@@ -96,24 +92,13 @@ def slice_sums(coords) -> tuple:
 
 
 def lift_operator(p: FourTypeParams) -> BisexualOperator:
-    """The 4x4-type operator as heredity tensors (uses a, b, c, d only).
-
-    Every parent pair breeds true except the four mixed pairings within a
-    block, which redistribute the offspring type inside the block.
-    """
-    pf = np.zeros((4, 4, 4))
-    pm = np.zeros((4, 4, 4))
-    for i in range(4):
-        for k in range(4):
-            pf[i, k, i] = 1.0
-            pm[i, k, k] = 1.0
-    for i, k in ((0, 1), (1, 0)):
-        pf[i, k] = (p.a, 1.0 - p.a, 0.0, 0.0)
-        pm[i, k] = (p.c, 1.0 - p.c, 0.0, 0.0)
-    for i, k in ((2, 3), (3, 2)):
-        pf[i, k] = (0.0, 0.0, p.b, 1.0 - p.b)
-        pm[i, k] = (0.0, 0.0, p.d, 1.0 - p.d)
-    return BisexualOperator.from_tensors(pf, pm)
+    """The 4x4-type operator as heredity tensors (uses a, b, c, d only): the
+    ``mixing_operator`` whose mixed pairings within a block redistribute the
+    offspring type inside the block."""
+    block12 = ((p.a, 1.0 - p.a, 0.0, 0.0), (p.c, 1.0 - p.c, 0.0, 0.0))
+    block34 = ((0.0, 0.0, p.b, 1.0 - p.b), (0.0, 0.0, p.d, 1.0 - p.d))
+    mixing = {(0, 1): block12, (1, 0): block12, (2, 3): block34, (3, 2): block34}
+    return mixing_operator(4, 4, mixing)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import BisexualOperator
+from .construction import BisexualOperator, mixing_operator
 from .dynamics import predicted
 from .simplex import DEFAULT_TOLERANCE, Tolerance, check_open_unit, check_unit
 
@@ -67,23 +67,11 @@ def jacobian_matrix(p: TwoTypeParams, s: Point2) -> np.ndarray:
 
 
 def lift_operator(p: TwoTypeParams) -> BisexualOperator:
-    """The full 2x2-type operator whose reduction is ``TwoTypeParams.step``.
-
-    Heredity rows: every parent pair breeds true except the (type-2 mother,
-    type-1 father) pair, which yields type-1 daughters with probability
-    ``a`` and type-1 sons with probability ``b``.
-    """
-    pf = np.zeros((2, 2, 2))
-    pf[0, 0] = (1.0, 0.0)
-    pf[0, 1] = (1.0, 0.0)
-    pf[1, 0] = (p.a, 1.0 - p.a)
-    pf[1, 1] = (0.0, 1.0)
-    pm = np.zeros((2, 2, 2))
-    pm[0, 0] = (1.0, 0.0)
-    pm[0, 1] = (0.0, 1.0)
-    pm[1, 0] = (p.b, 1.0 - p.b)
-    pm[1, 1] = (0.0, 1.0)
-    return BisexualOperator.from_tensors(pf, pm)
+    """The full 2x2-type operator whose reduction is ``TwoTypeParams.step``: the
+    ``mixing_operator`` whose one mixed pair, (type-2 mother, type-1 father),
+    yields type-1 daughters with probability ``a`` and type-1 sons with
+    probability ``b``."""
+    return mixing_operator(2, 2, {(1, 0): ((p.a, 1.0 - p.a), (p.b, 1.0 - p.b))})
 
 
 def invariant_line_level(p: TwoTypeParams, s: Point2) -> float:

@@ -1,13 +1,14 @@
 """Reference helpers that only the tests use.
 
 The simplex rule that ``make_state`` applies, stated on its own, random
-states, a state metric, one operator step on a population state, the drift
-of a functional along a trajectory, uniform weights, parameters from cell
-weights, rows of parameters stacked into one, the four-type parameter swap,
-the type-3/4 block step and survivor label, a closed-form predictor on one
-start, the full operator Jacobian, a brute-force periodic-point scan, a
-hypothesis strategy of small constructions and the iteration engine's rule
-stated one step at a time.
+states, a state metric, one operator step on a population state, the
+operator's literal tensor contraction, the drift of a functional along a
+trajectory, uniform weights, parameters from cell weights, rows of
+parameters stacked into one, the four-type parameter swap, the type-3/4
+block step and survivor label, a closed-form predictor on one start, the
+full operator Jacobian, a brute-force periodic-point scan, a hypothesis
+strategy of small constructions and the iteration engine's rule stated one
+step at a time.
 The package itself needs none of them.
 """
 
@@ -84,6 +85,13 @@ def apply(op: BisexualOperator, state: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(f"state shape {np.shape(state)}, operator ({op.n},{op.nu})")
     s = op.apply_raw(np.asarray(state))
     return make_state(s[: op.n], s[op.n :])
+
+
+def quadratic_form(op: BisexualOperator, s: np.ndarray) -> np.ndarray:
+    """The literal tensor contraction of the operator, defined for arbitrary (d,) coordinates."""
+    x, y = s[: op.n], s[op.n :]
+    new_x = np.einsum("ikj,i,k->j", op.tensors.pf, x, y)
+    return np.concatenate((new_x, np.einsum("ikl,i,k->l", op.tensors.pm, x, y)))
 
 
 def conserved_quantity_drift(trajectory, functional: Callable[..., float]) -> float:

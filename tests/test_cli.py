@@ -15,7 +15,8 @@ Core claims:
     entries that are not JSON numbers, --seed on a
     command that draws nothing, --grid on a case without a planar map, a
     start or parameter flag the case (or, for classify and fixed-points, its
-    planar map) does not read, a parameter flag the start fixes and a
+    planar map) does not read, fixed-points' --abs-eps, and its two-type
+    --a and --b, without --grid, a parameter flag the start fixes and a
     two-type classify point that is not fixed are input
     errors; no JSON document holds NaN or infinity
   - each command takes only the flags it reads: the iteration threshold and
@@ -305,6 +306,26 @@ def test_fixed_points_four_type_with_grid(tmp_path):
     assert len(doc["grid_points"]) == 2
     # The search runs on the box [0, a0] x [0, c0]; no point may lie outside it.
     assert all(0.0 <= x <= 0.5 and 0.0 <= y <= 0.5 for x, y in doc["grid_points"])
+
+
+@pytest.mark.parametrize(
+    "argv, defaults",
+    [
+        (["fixed-points", "--case", "four-type", "--grid", "5"], ["--abs-eps", "1e-9"]),
+        (["fixed-points", "--case", "two-type", "--grid", "3"],
+         ["--a", "0.3", "--b", "0.3", "--abs-eps", "1e-9"]),
+        (["classify", "--case", "four-type"], ["--abs-eps", "1e-9"]),
+    ],
+)
+def test_a_tolerance_or_parameter_flag_given_its_default_writes_the_same_bytes(
+    argv, defaults, tmp_path
+):
+    outputs = []
+    for flags in ([], defaults):
+        out = tmp_path / "f.json"
+        assert main([*argv, *flags, "--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_fixed_points_grid_on_a_case_without_a_planar_map_exits_2(tmp_path, capsys):
@@ -821,6 +842,17 @@ def test_a_start_flag_the_case_does_not_read_is_an_input_error(argv, flag, tmp_p
          "--d is not read by the planar map of --case four-type"),
         (["fixed-points", "--case", "four-type", "--grid", "3", "--b", "0.9", "--d", "0.1"],
          "--b is not read by the planar map of --case four-type"),
+        # Without --grid the two-type fixed set is the segments, for every a and b,
+        # and no fixed-points document compares against --abs-eps.
+        (["fixed-points", "--case", "two-type", "--a", "0.9", "--b", "0.1"],
+         "--a is not read by fixed-points --case two-type without --grid; only --grid reads it"),
+        (["fixed-points", "--case", "two-type", "--b", "0.1"], "--b is not read by fixed-points"),
+        (["fixed-points", "--case", "four-type", "--abs-eps", "0.5"],
+         "--abs-eps is not read by fixed-points --case four-type without --grid"),
+        (["fixed-points", "--case", "critical-line", "--abs-eps", "1e-9"],
+         "--abs-eps is not read by fixed-points"),
+        (["fixed-points", "--case", "two-type", "--abs-eps", "0.5"],
+         "--abs-eps is not read by fixed-points"),
     ],
 )
 def test_a_parameter_flag_the_case_does_not_read_is_an_input_error(

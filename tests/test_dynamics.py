@@ -33,6 +33,7 @@ from helpers import (
     apply,
     conserved_quantity_drift,
     jacobian,
+    quadratic_form,
     random_state,
     state_distance,
     uniform_weights,
@@ -244,7 +245,7 @@ def test_jacobian_matches_central_differences():
             hi, lo = s.copy(), s.copy()
             hi[col] += h
             lo[col] -= h
-            numeric[:, col] = (op.quadratic_form(hi) - op.quadratic_form(lo)) / (2.0 * h)
+            numeric[:, col] = (quadratic_form(op, hi) - quadratic_form(op, lo)) / (2.0 * h)
         assert np.abs(analytic - numeric).max() <= 1e-6
 
 
