@@ -63,25 +63,75 @@ class FourTypeParams:
     def step(self, coords: Coords8) -> Coords8:
         """One step on bare coordinates (x1..x4, y1..y4); pairwise sums conserved."""
         x1, x2, x3, x4, y1, y2, y3, y4 = coords
-        x1, x2, y1, y2 = _pair_step(self.a, self.c, x1, x2, y1, y2)
-        x3, x4, y3, y4 = _pair_step(self.b, self.d, x3, x4, y3, y4)
+        x1, x2, y1, y2 = _pair_step(self.a, self.a, self.c, self.c, x1, x2, y1, y2)
+        x3, x4, y3, y4 = _pair_step(self.b, self.b, self.d, self.d, x3, x4, y3, y4)
         return (x1, x2, x3, x4, y1, y2, y3, y4)
 
     def sub12_step(self, s: Point2) -> Point2:
         """Type-1/2 block: advance (x1, y1) inside the box [0,a0] x [0,c0]."""
         x, y = s
-        x, _, y, _ = _pair_step(self.a, self.c, x, self.a0 - x, y, self.c0 - y)
+        x, _, y, _ = _pair_step(self.a, self.a, self.c, self.c, x, self.a0 - x, y, self.c0 - y)
         return (x, y)
 
 
-def _pair_step(a, c, x1, x2, y1, y2):
-    """One step of a block's female pair (x1, x2) and male pair (y1, y2), whose two
-    mixed pairings have daughters of the first type with probability ``a`` and
-    sons of the first type with probability ``c``."""
+def _pair_step(alpha, beta, gamma, delta, x1, x2, y1, y2):
+    """One step of a pair block: its female pair (x1, x2) and male pair (y1, y2) breed
+    true in the pairings (1, 1) and (2, 2), while the pairing (type-1 mother, type-2
+    father) has type-1 daughters with probability ``alpha`` and type-1 sons with
+    ``gamma``, and the pairing (type-2 mother, type-1 father) with ``beta`` and ``delta``.
+    With x = x1, y = y1, P = x1 y2 and R = x2 y1 the step is (x, y) + M (P, R),
+    M = [[alpha - 1, beta], [gamma, delta - 1]]; a four-type block is (a, a, c, c)."""
     # The offspring mass each mixed pairing moves between the two types.
-    fa, fa_back = (1.0 - a) * x1 * y2, a * x2 * y1
-    mc, mc_back = (1.0 - c) * x2 * y1, c * x1 * y2
+    fa, fa_back = (1.0 - alpha) * x1 * y2, beta * x2 * y1
+    mc, mc_back = (1.0 - delta) * x2 * y1, gamma * x1 * y2
     return (x1 - fa + fa_back, x2 - fa_back + fa, y1 - mc + mc_back, y2 - mc_back + mc)
+
+
+def pair_side(alpha, beta, gamma, delta):
+    """The corner that draws a pair block's interior starts: 1 for (a0, c0) when
+    det M < 0, -1 for (0, 0) when det M > 0, and 0 within ``CRITICAL_EPS`` of
+    det M = 0, where each start keeps its line (1 - delta) x + beta y."""
+    det = (alpha - 1.0) * (delta - 1.0) - beta * gamma
+    return (det < -CRITICAL_EPS) * 1 - (det > CRITICAL_EPS)
+
+
+def _root(q, b, c, sqrt_disc):
+    """The root (sqrt_disc - b) / (2q) of q t^2 + b t = c, sqrt_disc^2 = b^2 + 4qc, in the
+    form that adds no terms of opposite sign."""
+    return np.where(b > 0.0, 2.0 * c / (b + sqrt_disc), (sqrt_disc - b) / (2.0 * q))
+
+
+def pair_point(alpha, beta, delta, a0, c0, level):
+    """Where the line (1 - delta) x + beta y = ``level`` meets the fixed set
+    (1 - alpha) x (c0 - y) = beta (a0 - x) y of a pair block on det M = 0 (there
+    gamma = (1 - alpha)(1 - delta) / beta), for beta in (0, 1] and delta in [0, 1).
+
+    y is the root of its quadratic, and x is a0 less the root of the quadratic of
+    a0 - x, the distance to the right edge; the two share the discriminant
+    (p - s - d level)^2 + 4ps.  At alpha = 1 the fixed set is the edges y = 0 and
+    x = a0, and a limit on either has that coordinate exactly.  The point is not
+    clipped to the box.  Each argument is a number or an array; NaN where the
+    block is outside these ranges."""
+    u, w = 1.0 - alpha, 1.0 - delta
+    d, s, p = beta - u, u * c0 * beta, beta * a0 * w
+    rest = w * a0 + beta * c0 - level  # the line's level below the corner (a0, c0)
+    # Rows of stacked parameters outside the ranges may divide by zero.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sqrt_disc = np.hypot(p - s - d * level, 2.0 * np.sqrt(p) * np.sqrt(s))
+        y = _root(d * beta, s + p - d * level, u * c0 * level, sqrt_disc)
+        gap = _root(d * w, beta * c0 * beta + u * a0 * w - d * rest, u * a0 * rest, sqrt_disc)
+    return a0 - gap, y
+
+
+def pair_limit(alpha, beta, gamma, delta, a0, c0, x, y):
+    """The limit (x, y) of a pair block from the start (x, y) in the box [0, a0] x [0, c0]:
+    the corner ``pair_side`` names off det M = 0, and on it the ``pair_point`` of the
+    start's line, clipped to the box."""
+    side = pair_side(alpha, beta, gamma, delta)
+    on_line = pair_point(alpha, beta, delta, a0, c0, (1.0 - delta) * x + beta * y)
+    corner = np.where(side > 0, a0, 0.0), np.where(side > 0, c0, 0.0)
+    return tuple(np.where(side, end, np.clip(point, 0.0, top))
+                 for end, point, top in zip(corner, on_line, (a0, c0)))
 
 
 def slice_sums(coords) -> tuple:

@@ -7,14 +7,19 @@ Core claims:
   - x/a + y/(1-b) is conserved along trajectories
   - x is non-decreasing, y non-increasing
   - iterated limits match the closed-form prediction on both branches
+  - below a * level = 1 the limit's y is exactly 0 and the class m1-extinct;
+    above it the limit's x is exactly 1 and the class f2-extinct
   - the Jacobian along the fixed segments has one unit eigenvalue, except
     at the corner (1, 0) where both are one
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsobp import dynamics
+from qsobp.cli import CASES
 from qsobp.errors import FixedPointInputError
 from qsobp.simplex import Tolerance, make_state
 
@@ -230,6 +235,22 @@ def test_iterated_limits_match_prediction():
         run = dynamics.iterate_map(p.step, s, tol)
         end = run.states[-1]
         assert max(abs(u - v) for u, v in zip(end, predicted)) <= 1e-6
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(*[st.floats(0.01, 0.99)] * 4), min_size=1, max_size=8))
+def test_each_branch_is_exact_and_names_its_class(rows):
+    a, b, x, y = map(np.array, zip(*rows))
+    p, starts = TwoTypeParams(a, b), np.stack([x, y], axis=1)
+    limits, fixed, _ = predict_limit(p, starts)
+    case = CASES["two-type"]
+    classes = [case.labels[c] for c in case.label(p, limits)]
+    reach = a * invariant_line_level(p, (x, y))
+    for i in np.flatnonzero(~fixed):
+        if reach[i] < 1.0 - 1e-12:
+            assert limits[i, 1] == 0.0 and classes[i] == "m1-extinct"
+        elif reach[i] > 1.0 + 1e-12:
+            assert limits[i, 0] == 1.0 and classes[i] == "f2-extinct"
 
 
 def test_branch_dichotomy():
