@@ -3,22 +3,19 @@
 The operator on two 3-simplexes conserves the pairwise sums x1+x2, x3+x4,
 y1+y2, y3+y4, so after one step every trajectory lives on a slice where
 these sums are fixed constants (a0, 1-a0, c0, 1-c0).  On a slice the
-dynamics splits into two independent planar subsystems: one for the
-type-1/2 block in the coordinates (x, y) = (x1, y1), one for the type-3/4
-block in (u, v) = (x3, y3); the second is the first under the parameter
-swap a<->b, c<->d, a0<->1-a0, c0<->1-c0, and is implemented only through
-that swap: ``FourTypeParams.step`` applies one pair kernel to the type-1/2
-block with (a, c) and to the type-3/4 block with (b, d), and ``sub12_step``
-is that kernel on (x, a0 - x, y, c0 - y).
+dynamics splits into two independent planar blocks: the type-1/2 block in
+(x, y) = (x1, y1), and the type-3/4 block in (x3, y3), which is the first
+under the swap a<->b, c<->d, a0<->1-a0, c0<->1-c0.
 
-Away from the critical lines a+c = 1 and b+d = 1 each subsystem has two
-isolated fixed points whose stability flips with the sign of a+c-1, and
-every interior trajectory converges to a corner determined by those signs.
-On a+c = 1 the fixed points form a curve and x+y is conserved, so every
-line x+y = k meets the curve in one point, the limit of every start on that
-line; ``critical_root`` gives it in closed form.  The diagonal section
-x+y = 1 is a one-dimensional quadratic self-map of [0, 1] with a single
-attracting fixed point and no periodic orbits of period two or more;
+Each is the pair block of ``_pair_step``: (a, a, c, c) on the box
+[0, a0] x [0, c0], and (b, b, d, d) on the other.  Its M = [[a-1, a], [c, c-1]]
+has det M = 1-a-c, so the critical line a+c = 1 is det M = 0.  Off it the
+fixed points are the two corners, whose stability flips with the sign of
+det M, and every interior start goes to the corner ``pair_side`` names.  On
+it the fixed points form a curve and x+y is conserved, and every start goes
+to where its line x+y = k meets the curve, ``pair_point``.  The diagonal
+section x+y = 1 is a one-dimensional quadratic self-map of [0, 1] with a
+single attracting fixed point and no periodic orbits of period two or more;
 ``CriticalMapParams.step`` is that map, on a number or on a numpy array.
 """
 
@@ -31,23 +28,21 @@ from .construction import BisexualOperator, mixing_operator
 from .dynamics import predicted
 from .simplex import DEFAULT_TOLERANCE, Tolerance, check_open_unit, check_unit
 
-# Parameter sums within this distance of 1 are treated as critical.
+# A pair block with |det M| within this distance of 0 is treated as critical.
 CRITICAL_EPS = 1e-9
-# On the critical line, a quadratic coefficient 2a-1 this small is treated as zero.
+# A section map whose quadratic coefficient 2a-1 is this small is labelled affine.
 AFFINE_EPS = 1e-12
 
 Point2 = tuple[float, float]
-Coords8 = tuple[float, float, float, float, float, float, float, float]
 
 
 @dataclass(frozen=True)
 class FourTypeParams:
     """Mixing probabilities a, b, c, d and slice sums a0, c0, all in (0, 1).
 
-    ``a`` and ``c`` drive the type-1/2 block (daughters and sons of mixed
-    1-2 pairings), ``b`` and ``d`` the type-3/4 block; ``a0`` and ``c0``
-    are the conserved female and male first-pair totals of the slice under
-    study.
+    ``a`` and ``c`` drive the type-1/2 block (daughters and sons of mixed 1-2
+    pairings), ``b`` and ``d`` the type-3/4 block; ``a0`` and ``c0`` are the
+    conserved female and male first-pair totals of the slice under study.
     """
 
     a: float
@@ -60,7 +55,7 @@ class FourTypeParams:
     def __post_init__(self):
         check_open_unit(self)
 
-    def step(self, coords: Coords8) -> Coords8:
+    def step(self, coords: tuple) -> tuple:
         """One step on bare coordinates (x1..x4, y1..y4); pairwise sums conserved."""
         x1, x2, x3, x4, y1, y2, y3, y4 = coords
         x1, x2, y1, y2 = _pair_step(self.a, self.a, self.c, self.c, x1, x2, y1, y2)
@@ -75,12 +70,11 @@ class FourTypeParams:
 
 
 def _pair_step(alpha, beta, gamma, delta, x1, x2, y1, y2):
-    """One step of a pair block: its female pair (x1, x2) and male pair (y1, y2) breed
-    true in the pairings (1, 1) and (2, 2), while the pairing (type-1 mother, type-2
-    father) has type-1 daughters with probability ``alpha`` and type-1 sons with
-    ``gamma``, and the pairing (type-2 mother, type-1 father) with ``beta`` and ``delta``.
-    With x = x1, y = y1, P = x1 y2 and R = x2 y1 the step is (x, y) + M (P, R),
-    M = [[alpha - 1, beta], [gamma, delta - 1]]; a four-type block is (a, a, c, c)."""
+    """One step of a pair block's female pair (x1, x2) and male pair (y1, y2).  The
+    pairings (1, 1) and (2, 2) breed true; (type-1 mother, type-2 father) has type-1
+    daughters with probability ``alpha`` and type-1 sons with ``gamma``, (type-2 mother,
+    type-1 father) with ``beta`` and ``delta``.  With x = x1, y = y1, P = x1 y2 and
+    R = x2 y1 the step is (x, y) + M (P, R), M = [[alpha-1, beta], [gamma, delta-1]]."""
     # The offspring mass each mixed pairing moves between the two types.
     fa, fa_back = (1.0 - alpha) * x1 * y2, beta * x2 * y1
     mc, mc_back = (1.0 - delta) * x2 * y1, gamma * x1 * y2
@@ -96,26 +90,23 @@ def pair_side(alpha, beta, gamma, delta):
 
 
 def _root(q, b, c, sqrt_disc):
-    """The root (sqrt_disc - b) / (2q) of q t^2 + b t = c, sqrt_disc^2 = b^2 + 4qc, in the
+    """The root (sqrt_disc - b) / 2q of q t^2 + b t = c, sqrt_disc^2 = b^2 + 4qc, in the
     form that adds no terms of opposite sign."""
     return np.where(b > 0.0, 2.0 * c / (b + sqrt_disc), (sqrt_disc - b) / (2.0 * q))
 
 
 def pair_point(alpha, beta, delta, a0, c0, level):
-    """Where the line (1 - delta) x + beta y = ``level`` meets the fixed set
-    (1 - alpha) x (c0 - y) = beta (a0 - x) y of a pair block on det M = 0 (there
-    gamma = (1 - alpha)(1 - delta) / beta), for beta in (0, 1] and delta in [0, 1).
+    """Where the line (1-delta) x + beta y = ``level`` meets the fixed set
+    (1-alpha) x (c0-y) = beta (a0-x) y of a pair block on det M = 0, with beta in
+    (0, 1] and delta in [0, 1); not clipped to the box [0, a0] x [0, c0].
 
-    y is the root of its quadratic, and x is a0 less the root of the quadratic of
-    a0 - x, the distance to the right edge; the two share the discriminant
-    (p - s - d level)^2 + 4ps.  At alpha = 1 the fixed set is the edges y = 0 and
-    x = a0, and a limit on either has that coordinate exactly.  The point is not
-    clipped to the box.  Each argument is a number or an array; NaN where the
-    block is outside these ranges."""
+    y and a0 - x are each the root of their own quadratic, with the shared
+    discriminant (p - s - d level)^2 + 4ps, so at alpha = 1, where the fixed set
+    is the edges y = 0 and x = a0, a point on either has that coordinate exactly.
+    Each argument is a number or an array; rows outside the ranges may be NaN."""
     u, w = 1.0 - alpha, 1.0 - delta
     d, s, p = beta - u, u * c0 * beta, beta * a0 * w
     rest = w * a0 + beta * c0 - level  # the line's level below the corner (a0, c0)
-    # Rows of stacked parameters outside the ranges may divide by zero.
     with np.errstate(divide="ignore", invalid="ignore"):
         sqrt_disc = np.hypot(p - s - d * level, 2.0 * np.sqrt(p) * np.sqrt(s))
         y = _root(d * beta, s + p - d * level, u * c0 * level, sqrt_disc)
@@ -124,14 +115,12 @@ def pair_point(alpha, beta, delta, a0, c0, level):
 
 
 def pair_limit(alpha, beta, gamma, delta, a0, c0, x, y):
-    """The limit (x, y) of a pair block from the start (x, y) in the box [0, a0] x [0, c0]:
-    the corner ``pair_side`` names off det M = 0, and on it the ``pair_point`` of the
-    start's line, clipped to the box."""
+    """The limit of a pair block from the start (x, y) in the box [0, a0] x [0, c0]: the
+    corner ``pair_side`` names, or on det M = 0 the start line's ``pair_point``, clipped."""
     side = pair_side(alpha, beta, gamma, delta)
-    on_line = pair_point(alpha, beta, delta, a0, c0, (1.0 - delta) * x + beta * y)
-    corner = np.where(side > 0, a0, 0.0), np.where(side > 0, c0, 0.0)
-    return tuple(np.where(side, end, np.clip(point, 0.0, top))
-                 for end, point, top in zip(corner, on_line, (a0, c0)))
+    point = pair_point(alpha, beta, delta, a0, c0, (1.0 - delta) * x + beta * y)
+    return tuple(np.where(side, (side > 0) * top, np.clip(v, 0.0, top))
+                 for v, top in zip(point, (a0, c0)))
 
 
 def slice_sums(coords) -> tuple:
@@ -186,16 +175,6 @@ def sub12_fixed_points(p: FourTypeParams) -> tuple[Point2, ...]:
     return tuple((float(x), float(fixed_curve(p, x))) for x in np.linspace(0.0, p.a0, 11))
 
 
-# ---------------------------------------------------------------------------
-# Limit prediction on a slice.
-# ---------------------------------------------------------------------------
-
-
-def _side(total):
-    """1 when a block's parameter sum lies above one, -1 below, 0 on its critical line."""
-    return (total - 1.0 > CRITICAL_EPS) * 1 - (1.0 - total > CRITICAL_EPS)
-
-
 # The types of a block that persist in the limit, by the block's side: the
 # first type above the line, the second below it, both on it.
 _BLOCK_TYPES = ({-1: "2", 0: "12", 1: "1"}, {-1: "4", 0: "34", 1: "3"})
@@ -207,25 +186,15 @@ SURVIVOR_LABELS = tuple(
 
 
 def limit_branch(p: FourTypeParams) -> tuple:
-    """Sides of (a+c, b+d): 1 above one, -1 below, 0 on the critical line."""
-    return (_side(p.a + p.c), _side(p.b + p.d))
+    """``pair_side`` of the blocks (a, a, c, c) and (b, b, d, d), whose det M are 1-a-c
+    and 1-b-d: 1 above the critical line, -1 below, 0 on it."""
+    return (pair_side(p.a, p.a, p.c, p.c), pair_side(p.b, p.b, p.d, p.d))
 
 
 def survivor_code(p: FourTypeParams):
     """Index into ``SURVIVOR_LABELS`` of which types persist in the predicted limit."""
     side12, side34 = limit_branch(p)
     return 3 * side12 + side34 + 4
-
-
-def _block_limit(side, a, a0, c0, x, y):
-    """Limit (x, a0 - x, y, c0 - y) of the type-1/2 block from its start (x, y): a
-    corner off the critical line, and on it the fixed point on the start's line x+y = k.
-    The type-3/4 block, the type-1/2 block under the parameter swap, passes (b, 1-a0, 1-c0)."""
-    k = x + y
-    root = critical_root(a, a0, c0, k)[0]
-    x_limit = np.where(side > 0, a0, np.where(side < 0, 0.0, root))
-    y_limit = np.where(side > 0, c0, np.where(side < 0, 0.0, k - root))
-    return x_limit, a0 - x_limit, y_limit, c0 - y_limit
 
 
 def predict_limit(p: FourTypeParams, starts, tol: Tolerance = DEFAULT_TOLERANCE):
@@ -237,10 +206,10 @@ def predict_limit(p: FourTypeParams, starts, tol: Tolerance = DEFAULT_TOLERANCE)
     off = (np.abs(sums[0] - p.a0) > tol.abs_eps) | (np.abs(sums[2] - p.c0) > tol.abs_eps)
     if off.any():
         raise ValueError(f"the slice sums of start {np.argmax(off)} miss its a0, c0")
-    side12, side34 = limit_branch(p)
-    x1, x2, y1, y2 = _block_limit(side12, p.a, p.a0, p.c0, coords[0], coords[4])
-    x3, x4, y3, y4 = _block_limit(side34, p.b, 1.0 - p.a0, 1.0 - p.c0, coords[2], coords[6])
-    return predicted(p, coords, (x1, x2, x3, x4, y1, y2, y3, y4), tol)
+    x1, y1 = pair_limit(p.a, p.a, p.c, p.c, p.a0, p.c0, coords[0], coords[4])
+    x3, y3 = pair_limit(p.b, p.b, p.d, p.d, 1.0 - p.a0, 1.0 - p.c0, coords[2], coords[6])
+    limits = (x1, p.a0 - x1, x3, 1.0 - p.a0 - x3, y1, p.c0 - y1, y3, 1.0 - p.c0 - y3)
+    return predicted(p, coords, limits, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -275,54 +244,33 @@ class CriticalMapParams:
         return (quad * x * x + lin * x + self.a * self.a0,)
 
 
-def critical_root(a, a0, c0, k):
-    """Where the line x+y = k meets the fixed curve of the type-1/2 block when c = 1-a.
-
-    ``(inside, outside, discriminant)``: the root in [max(0, k-c0), min(a0, k)]
-    of (2a-1) x^2 - K x + k a a0 = 0, K = k + a a0 - (1-a)(2k - c0), and the
-    other root; at a = 1/2 the first is k a0 / (a0 + c0) and the others are
-    meaningless.  Each argument is a number or an array.
-    """
-    quad = 2.0 * a - 1.0
-    # At k = 1.0 every operation is the section map's own, bit for bit.
-    big_k = k + a * a0 - (1.0 - a) * (2.0 * k - c0)
-    disc = big_k * big_k - 4.0 * a * a0 * quad * k
-    root = np.sqrt(np.maximum(disc, 0.0))
-    # Pair the additions by sign to avoid cancellation: the in-range root
-    # carries -sign(K)*sqrt(D).
-    positive = big_k >= 0.0
-    q = (big_k + np.where(positive, root, -root)) / 2.0
-    # Rows of stacked parameters outside (0, 1) may divide by zero.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        by_q, by_quad, affine = (a * a0 * k) / q, q / quad, k * a0 / (a0 + c0)
-    inside = np.where(np.abs(quad) <= AFFINE_EPS, affine, np.where(positive, by_q, by_quad))
-    return inside, np.where(positive, by_quad, by_q), disc
-
-
 def critical_fixed_points(cp: CriticalMapParams):
-    """The section map's ``(point, spurious, discriminant)``: ``critical_root`` at k = 1.
+    """The section map's ``(point, spurious, discriminant)``: the roots of its fixed-point
+    equation (2a-1) x^2 - K x + a a0 = 0, K = 1 + a a0 - (1-a)(2 - c0), and its D.
 
-    ``point`` is the one fixed point in [0, 1], with derivative 1 - sqrt(D);
-    ``spurious`` lies outside [0, 1].  Both others are None at a = 1/2.
+    ``point``, the one in [0, 1] with derivative 1 - sqrt(D), is where x+y = 1 meets
+    the fixed curve, ``pair_point``; it lies outside the box [0, a0] x [0, c0] when
+    a0 + c0 < 1.  ``spurious`` lies outside [0, 1].  Both others are None at a = 1/2.
     """
-    point, spurious, disc = map(float, critical_root(cp.a, cp.a0, cp.c0, 1.0))
-    return (point, None, None) if cp.is_affine else (point, spurious, disc)
+    point = float(pair_point(cp.a, cp.a, 1.0 - cp.a, cp.a0, cp.c0, cp.a)[0])
+    if cp.is_affine:
+        return point, None, None
+    quad, big_k = 2.0 * cp.a - 1.0, 1.0 + cp.a * cp.a0 - (1.0 - cp.a) * (2.0 - cp.c0)
+    # The roots' product is a a0 / (2a-1).
+    return point, cp.a * cp.a0 / (quad * point), big_k * big_k - 4.0 * cp.a * cp.a0 * quad
 
 
 def critical_slope(cp: CriticalMapParams) -> float:
-    """Derivative of the section map at its in-range fixed point.
-
-    Equals 1 - sqrt(D) in the quadratic case and 1 - (a0+c0)/2 in the
-    affine case; its absolute value is below one for all valid parameters,
-    so the fixed point is always attracting.
-    """
+    """Derivative of the section map at its in-range fixed point: 1 - sqrt(D), and
+    1 - (a0+c0)/2 in the affine case.  Its absolute value is below one for all valid
+    parameters, so the fixed point is always attracting."""
     t = critical_fixed_points(cp)[0]
     return 2.0 * (2.0 * cp.a - 1.0) * t + (1.0 - cp.a) * (2.0 - cp.c0) - cp.a * cp.a0
 
 
 def predict_limit_critical(cp: CriticalMapParams, starts, tol: Tolerance = DEFAULT_TOLERANCE):
-    """Every non-fixed point of [0, 1] converges to the in-range fixed point: the
-    (B, 1) limits of the (B, 1) ``starts`` with the masks of ``dynamics.predicted``;
-    ``cp`` may be stacked (B,) arrays."""
+    """Every non-fixed point of [0, 1] converges to the in-range fixed point, as in
+    ``critical_fixed_points``: the (B, 1) limits of the (B, 1) ``starts`` with the masks
+    of ``dynamics.predicted``; ``cp`` may be stacked (B,) arrays."""
     coords = check_unit(np.asarray(starts, dtype=float), "[0, 1]").T
-    return predicted(cp, coords, (critical_root(cp.a, cp.a0, cp.c0, 1.0)[0],), tol)
+    return predicted(cp, coords, (pair_point(cp.a, cp.a, 1.0 - cp.a, cp.a0, cp.c0, cp.a)[0],), tol)

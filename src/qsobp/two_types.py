@@ -5,11 +5,15 @@ x2 = 1 - x1 and y2 = 1 - y1, to a planar map on the unit square,
 
     x' = x + a (1 - x) y,        y' = y (x + b (1 - x)),
 
-driven by two mixing probabilities a, b in (0, 1).  The map fixes the whole
-segment y = 0 and the whole edge x = 1 (``FIXED_SEGMENTS``), conserves the
-linear level x / a + y / (1 - b), increases x and decreases y monotonically,
-and every other point converges to a boundary point determined in closed
-form by its conserved level.  The predictor tells a fixed start through the
+driven by two mixing probabilities a, b in (0, 1).  It is the pair block
+(1, a, 0, b) of ``four_types._pair_step`` on the unit square, in which the
+pairing (type-1 mother, type-2 father) breeds true: the paper's reduced
+model, not an output of ``construct``, which no graph data is known to give.
+Its det M is 0 for every a and b.  The map fixes the whole segment y = 0 and
+the whole edge x = 1 (``FIXED_SEGMENTS``), conserves the linear level
+x / a + y / (1 - b), increases x and decreases y monotonically, and every
+other point converges to where its level line meets those segments,
+``four_types.pair_limit``.  The predictor tells a fixed start through the
 map itself, with ``dynamics.is_fixed``, not through membership in the
 segments.
 """
@@ -22,12 +26,11 @@ import numpy as np
 
 from .construction import BisexualOperator, mixing_operator
 from .dynamics import predicted
+from .four_types import Point2, pair_limit
 from .simplex import DEFAULT_TOLERANCE, Tolerance, check_open_unit, check_unit
 
 # The fixed-point set of the reduced map, for every a and b.
 FIXED_SEGMENTS = {"horizontal": "y = 0, x in [0, 1)", "right_edge": "x = 1, y in [0, 1]"}
-
-Point2 = tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -84,11 +87,7 @@ def predict_limit(p: TwoTypeParams, starts, tol: Tolerance = DEFAULT_TOLERANCE):
     """Closed-form limits of the (B, 2) ``starts`` in the unit square, as
     ``dynamics.predicted`` returns them; ``p`` may be stacked.  With level
     c = x0/a + y0/(1-b) the limit is (ac, 0) when ac < 1 and (1, (ac - 1)(1 - b)/a)
-    when ac >= 1; at ac = 1 both expressions give the corner (1, 0)."""
+    when ac >= 1; at ac = 1 both expressions give the corner (1, 0).  Below ac = 1
+    its y is exactly 0, above it its x exactly 1."""
     coords = check_unit(np.asarray(starts, dtype=float), "the unit square").T
-    # Rows of stacked parameters outside (0, 1) may divide by zero.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        reach = p.a * invariant_line_level(p, coords)
-        below = reach < 1.0
-        limit_y = np.where(below, 0.0, (reach - 1.0) * (1.0 - p.b) / p.a)
-    return predicted(p, coords, (np.where(below, reach, 1.0), limit_y), tol)
+    return predicted(p, coords, pair_limit(1.0, p.a, 0.0, p.b, 1.0, 1.0, *coords), tol)

@@ -124,7 +124,7 @@ DIGESTS = {
         "op.json": "f1782073101cae88b5865499604f38e0e943730d41a1eda02bd6e58dcec3b456",
     },
     "fixed-points-critical": {
-        "f.json": "bc93ec512d21df32fe4fcbd431cf5d5e79cd90b18fe394f327e0da86aa5e2ce3",
+        "f.json": "b1b8b64d3e462cdbf8309cdab377973e587e8b0f971cb35b358af9d06240cee2",
     },
     "fixed-points-four": {
         "f.json": "e3b541f052804d0cf00b784fd88eeceb590988a2f6db51a6360e870132682812",
@@ -144,54 +144,54 @@ DIGESTS = {
         "t.csv": "af4372440d5c6f570012fcb706541e22fa04f1992e87008bb3e468808a066530",
     },
     "predict-critical": {
-        "p.json": "fcb9562ae97ecc65c9266d3827e5ea28d3bf91b89b35bb782fe55928f25bf247",
+        "p.json": "7126a618ca165c93c4e7689d17153c75cdc083957ed7a415e8f8af29b74a1e0a",
     },
     "predict-four": {
         "p.json": "263520e4c53354d5096722e15f1fbe2d2cc37204fbde412b004a1d116dbb8126",
     },
     "predict-two-point": {
-        "p.json": "6c24fc783da4d1f845c04bb57d488c5d8fd5df21a501aeb8d0058fa557dac0c2",
+        "p.json": "c96b5c3443686cb984c071aa772699d272b1ed7f5f60dd87f0568223b3a0f440",
     },
     "predict-two-state": {
-        "p.json": "4ae6d0f62761463f5079ee17dcc15d68fa44d6b0e186a2b4cd1fcc3781b4548d",
+        "p.json": "bc87f5f36ba0ca03024cc2a4c68490687acfb95b332a4f2b3027ab70e18f8409",
     },
     "sweep-critical": {
-        "s.csv": "046c3e92b59938cc796655a40a209da8dcedf987f7ee0cd4264cf2550bcc5e78",
+        "s.csv": "c8fe0aef1076800b3d225dbce1fee8268793a750026d4ff7a9cb9238e2a1cb20",
     },
     "sweep-critical-half": {
-        "s.csv": "3f811f60ad03c46ba154931df8af5830c56517db5ff3bde16b917cb999ee91a7",
+        "s.csv": "69fe9977e23273387154e245f63f7a3da1c5517a4290b772040631b77d5b6e55",
     },
     "sweep-four": {
-        "s.csv": "762f2153dc5319a0dd3648d9cf1a361c44a7d3496e9364bb05d6a202a1736569",
+        "s.csv": "9451316d6d20368241332d74fcdfba098007f4a0fca86cc2ba530e2f3fe8c551",
     },
     "sweep-four-critical-lines": {
-        "s.csv": "2f45f13d085b076e3a17ce9991fbdffe5fbd506e74c2ad4e953313d9be84cb8f",
+        "s.csv": "5e4afab7bac1b41210a45e0fe1403f5b7320b0758babbb0c3a69f9ab6b5e0e26",
     },
     "sweep-four-fixed-start": {
         "s.csv": "458bb1017b3d9b07749c8e52d79a696511c2692ca0c78c1cc3745681fb281410",
     },
     "sweep-two": {
-        "s.csv": "9a1674cb99dbe09d57a76e7bffa347d509ae4e75a0038a77aae6a236493296a7",
+        "s.csv": "14ce2080f775027432f0440f2c6b44e6891c984caeb3942828eaf9acba36a626",
     },
     "sweep-two-fixed-grid-starts": {
-        "s.csv": "7f4fa6c784fe199ca7c55f5320029fbfac1064d5bdaed938af32bef48fbfd76d",
+        "s.csv": "fe3d277e5b3f84c7cb7e1cdfd32035a08dd14d36e719ba5b7f19f84b5f3e5def",
     },
     "sweep-two-fixed-start": {
         "s.csv": "c9e3397ef19d8f51a66d5301abab485dd34b949cac506e5001a57f52b85c4298",
     },
     "sweep-two-invalid-rows": {
-        "s.csv": "0a1b2657fb96a4a5919ba1e69c9b060e0687f89f1f36839bba3bf735c36d5397",
+        "s.csv": "b61e833674b31327af9395d710f50584449651bd793494a3f5645791c1e23068",
     },
     "verify-four-portrait": {
         "p.csv": "ecea692027eb11b177132f75efb617692674a0616fc06c87d86613413bd41b27",
         "r.json": "5931f69a182c1329dbbedb8ca6379896964c630e75df5d885068aaea10a179cd",
     },
     "verify-two": {
-        "r.json": "c8e4b5aac12de8b8c358ce8c5922262cce9b2866e0616b949a7165cf4d5caeb1",
+        "r.json": "1e6c8905d469765ce224cdaee13438949dc9266bcc14ea24b3e7d6dc17e09661",
     },
     "verify-two-portrait": {
         "p.csv": "53d15a0952a799780b6c24ec9a45f65529d12bad16f36af8b3b8fe0a07345909",
-        "r.json": "4016bfc251af0dee80780d65709536641052cf059d035135f0de7475eb585ed5",
+        "r.json": "db081dba6499d7eaffebf2ae1d51ff60947ff163b1fa50b153a50798c8b63525",
     },
 }
 

@@ -87,9 +87,9 @@ from qsobp.four_types import (
     CriticalMapParams,
     FourTypeParams,
     critical_fixed_points,
-    critical_root,
     fixed_curve,
     limit_branch,
+    pair_point,
     predict_limit,
     predict_limit_critical,
     slice_sums,
@@ -272,7 +272,7 @@ def predictor_grids(draw):
         else:
             a = draw(st.one_of(st.just(0.5), param))
             a0, c0 = draw(param), draw(param)
-            point = float(critical_root(*np.array([a, a0, c0, 1.0]))[0])
+            point = float(pair_point(*np.array([a, a, 1.0 - a, a0, c0, a]))[0])
             rows.append({"a": a, "a0": a0, "c0": c0})
             starts.append((point,) if fixed and 0.0 <= point <= 1.0 else (draw(fraction),))
     return CASES[case], rows, np.array(starts)
