@@ -3,7 +3,8 @@
 Machine-readable outputs: trajectories and sweeps go to CSV, summaries and
 reports to JSON with sorted keys, so identical invocations produce
 byte-identical files.  Exit codes: 0 = ran (including non-convergence),
-2 = input error, 3 = I/O error.
+2 = input error (a grid or range too large to hold in memory included),
+3 = I/O error.
 """
 
 from __future__ import annotations
@@ -676,7 +677,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (QsobpError, ValueError) as exc:
+    except (QsobpError, ValueError, MemoryError) as exc:  # MemoryError: inputs too large
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

@@ -627,6 +627,25 @@ def test_a_string_or_boolean_tensor_entry_is_an_input_error(tmp_path, capsys, en
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--case", "two-type", "--grid", "1", "--starts", "10000000000000000",
+         "--report", "{d}/r.json"],
+        ["sweep", "--case", "critical-line", "--a", "0:1:10000000000000000",
+         "--output", "{d}/s.csv"],
+    ],
+    ids=["verify-starts", "sweep-range"],
+)
+def test_a_run_too_large_for_memory_is_an_input_error(tmp_path, capsys, argv):
+    # The first array of each needs 8e16 bytes (71 PiB), which no allocator grants.
+    assert main([a.replace("{d}", str(tmp_path)) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: Unable to allocate")
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 # The two commands that read a JSON document; {f} is the document, {d} a directory.
 READS_A_DOCUMENT = [
     ["construct", "--input", "{f}", "--output", "{d}/op.json"],
