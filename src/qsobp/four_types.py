@@ -108,7 +108,7 @@ def pair_point(alpha, beta, delta, a0, c0, level):
     d, s, p = beta - u, u * c0 * beta, beta * a0 * w
     rest = w * a0 + beta * c0 - level  # the line's level below the corner (a0, c0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        sqrt_disc = np.hypot(p - s - d * level, 2.0 * np.sqrt(p) * np.sqrt(s))
+        sqrt_disc = np.sqrt((p - s - d * level) ** 2 + 4.0 * p * s)
         y = _root(d * beta, s + p - d * level, u * c0 * level, sqrt_disc)
         gap = _root(d * w, beta * c0 * beta + u * a0 * w - d * rest, u * a0 * rest, sqrt_disc)
     return a0 - gap, y

@@ -156,16 +156,16 @@ DIGESTS = {
         "p.json": "bc87f5f36ba0ca03024cc2a4c68490687acfb95b332a4f2b3027ab70e18f8409",
     },
     "sweep-critical": {
-        "s.csv": "c8fe0aef1076800b3d225dbce1fee8268793a750026d4ff7a9cb9238e2a1cb20",
+        "s.csv": "c73b4f1a9daf909bbbfeee101f7d240f3b9dcc457b9ef2dfbe8e0815c5f4ff64",
     },
     "sweep-critical-half": {
-        "s.csv": "69fe9977e23273387154e245f63f7a3da1c5517a4290b772040631b77d5b6e55",
+        "s.csv": "54c5dd8e5401a09ac34173385aae8cd7b0b6c17c4373d7403806904344dabff5",
     },
     "sweep-four": {
-        "s.csv": "9451316d6d20368241332d74fcdfba098007f4a0fca86cc2ba530e2f3fe8c551",
+        "s.csv": "5ff6439a1a08f7f910bb66a3d518f3eee68e94c11dc8fddf14566762a736f523",
     },
     "sweep-four-critical-lines": {
-        "s.csv": "5e4afab7bac1b41210a45e0fe1403f5b7320b0758babbb0c3a69f9ab6b5e0e26",
+        "s.csv": "e28a7a7efbc4b1dc9f21e8dd2b2adebb364d40c66fbbad1b27dc849e9eebdfe0",
     },
     "sweep-four-fixed-start": {
         "s.csv": "458bb1017b3d9b07749c8e52d79a696511c2692ca0c78c1cc3745681fb281410",
