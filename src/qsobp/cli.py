@@ -677,7 +677,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (QsobpError, ValueError, MemoryError) as exc:  # MemoryError: inputs too large
+    except (QsobpError, ValueError, MemoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:
