@@ -224,7 +224,8 @@ CASES = {
         sweep_columns=(("x0", "y0"), ("limit_x", "limit_y")),
         grid_starts=lambda n: _grid([np.linspace(0.1, 0.9, n)] * 2, np.arange(n * n)).tolist(),
         verify_axes=("a", "b"),
-        planar=lambda p: (p.step, lambda s: two_types.jacobian_matrix(p, s), (1.0, 1.0)),
+        planar=lambda p: (p.step, lambda s: four_types.pair_jacobian(
+            0.0, p.a, 0.0, 1.0 - p.b, 1.0, 1.0, *s), (1.0, 1.0)),
         portrait=(("two-type", {}),),
     ),
     "four-type": Case(
@@ -239,7 +240,8 @@ CASES = {
         state_n=4,
         fixes=lambda s: dict(zip(("a0", "c0"), four_types.slice_sums(s)[::2])),  # its slice
         on_line=lambda p: np.equal(four_types.limit_branch(p), 0).any(axis=0),
-        planar=lambda p: (p.sub12_step, lambda s: four_types.sub12_jacobian(p, s), (p.a0, p.c0)),
+        planar=lambda p: (p.sub12_step, lambda s: four_types.pair_jacobian(
+            1.0 - p.a, p.a, p.c, 1.0 - p.c, p.a0, p.c0, *s), (p.a0, p.c0)),
         planar_unread=("b", "d"),  # the type-3/4 block's
         portrait=tuple(
             (regime, {"a": a, "c": c})
@@ -378,7 +380,7 @@ def cmd_fixed_points(args) -> int:
 
 
 def _verdict_doc(matrix, tol: Tolerance) -> dict:
-    verdict = dynamics.classify_fixed_point_2d(matrix, tol)
+    verdict = dynamics.classify_fixed_point(matrix, tol)
     return {"kind": verdict.kind.value, "eigen_moduli": list(verdict.eigen_moduli)}
 
 

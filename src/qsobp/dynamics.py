@@ -27,14 +27,13 @@ and convergence flag is the one the numpy loop gives.
 ``iterate_map`` (a bare coordinate map) and ``iterate`` (a bisexual
 operator) run one trajectory through the engine and return its thinned
 history as a ``Trajectory``.  Planar fixed points are found by one batched
-refinement of a seed lattice and classified from the moduli of the roots of
-their Jacobian's characteristic polynomial, that is, of its two eigenvalues.
+refinement of a seed lattice; a fixed point of any dimension is classified
+from the moduli of its Jacobian's eigenvalues.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -292,7 +291,7 @@ def iterate(op: BisexualOperator, female: Sequence[float], male: Sequence[float]
 
 
 # ---------------------------------------------------------------------------
-# Planar fixed-point classes.
+# Fixed-point classes.
 # ---------------------------------------------------------------------------
 
 
@@ -306,32 +305,24 @@ class StabilityKind(enum.Enum):
 @dataclass(frozen=True)
 class FixedPointClass:
     kind: StabilityKind
-    eigen_moduli: tuple[float, float]
+    eigen_moduli: tuple[float, ...]
 
 
-def classify_fixed_point_2d(
+def classify_fixed_point(
     matrix: Sequence[Sequence[float]], tol: Tolerance = DEFAULT_TOLERANCE
 ) -> FixedPointClass:
-    """Classify a planar fixed point from its 2x2 Jacobian.
+    """Classify a fixed point from its square Jacobian by the moduli of its eigenvalues.
 
     A point is hyperbolic when no eigenvalue modulus sits within
     ``tol.abs_eps`` of one; hyperbolic points are attracting, repelling or
-    saddle according to whether both, neither or exactly one modulus is
-    below one.  Near-unit moduli are reported as non-hyperbolic together
-    with both moduli so the caller can inspect the marginal direction.
+    saddle according to whether all, none or some of the moduli are below
+    one.  Near-unit moduli are reported as non-hyperbolic together with every
+    modulus, largest first, so the caller can inspect the marginal directions.
     """
     m = np.asarray(matrix, dtype=float)
-    if m.shape != (2, 2):
-        raise DimensionMismatchError(f"expected a 2x2 matrix, got {m.shape}")
-    trace, det = float(np.trace(m)), float(np.linalg.det(m))
-    disc = trace * trace - 4.0 * det
-    if disc >= 0.0:
-        s = math.sqrt(disc)
-        roots = ((trace + s) / 2.0, (trace - s) / 2.0)
-    else:
-        s = math.sqrt(-disc)
-        roots = (complex(trace / 2.0, s / 2.0), complex(trace / 2.0, -s / 2.0))
-    moduli = tuple(sorted((abs(r) for r in roots), reverse=True))
+    if m.ndim != 2 or not m.size or m.shape[0] != m.shape[1]:
+        raise DimensionMismatchError(f"expected a square matrix, got {m.shape}")
+    moduli = tuple(sorted(np.abs(np.linalg.eigvals(m)).tolist(), reverse=True))
     if any(abs(mod - 1.0) <= tol.abs_eps for mod in moduli):
         kind = StabilityKind.NON_HYPERBOLIC
     elif all(mod < 1.0 for mod in moduli):

@@ -7,16 +7,20 @@ dynamics splits into two independent planar blocks: the type-1/2 block in
 (x, y) = (x1, y1), and the type-3/4 block in (x3, y3), which is the first
 under the swap a<->b, c<->d, a0<->1-a0, c0<->1-c0.
 
-Each is the pair block of ``_pair_step``: (a, a, c, c) on the box
-[0, a0] x [0, c0], and (b, b, d, d) on the other.  Its M = [[a-1, a], [c, c-1]]
-has det M = 1-a-c, so the critical line a+c = 1 is det M = 0.  Off it the
-fixed points are the two corners, whose stability flips with the sign of
-det M, and every interior start goes to the corner ``pair_side`` names.  On
-it the fixed points form a curve and x+y is conserved, and every start goes
-to where its line x+y = k meets the curve, ``pair_point``.  The diagonal
-section x+y = 1 is a one-dimensional quadratic self-map of [0, 1] with a
-single attracting fixed point and no periodic orbits of period two or more;
-``CriticalMapParams.step`` is that map, on a number or on a numpy array.
+Each is a pair block, stated by the entries (u, beta, gamma, w) of its Metzler
+matrix M = [[-u, beta], [gamma, -w]]: one step moves (x, y) in its box by
+M (P, R), P = x (c0 - y), R = (a0 - x) y (``_pair_step``, ``pair_jacobian``).
+The type-1/2 block is (1-a, a, c, 1-c) on the box [0, a0] x [0, c0], the
+type-3/4 block (1-b, b, d, 1-d) on the other, and ``two_types`` is the block
+(0, a, 0, 1-b) on the unit square.  The type-1/2 block has det M = 1-a-c, so
+the critical line a+c = 1 is det M = 0.  Off it the fixed points are the two corners, whose
+stability flips with the sign of det M, and every interior start goes to the
+corner ``pair_side`` names.  On it the fixed points form a curve and x+y is
+conserved, and every start goes to where its line x+y = k meets the curve,
+``pair_point``.  The diagonal section x+y = 1 is the block (1-a, a, 1-a, a),
+a one-dimensional quadratic self-map of [0, 1] with a single attracting fixed
+point and no periodic orbits of period two or more; ``CriticalMapParams.step``
+is that map, on a number or on a numpy array.
 """
 
 from __future__ import annotations
@@ -58,34 +62,46 @@ class FourTypeParams:
     def step(self, coords: tuple) -> tuple:
         """One step on bare coordinates (x1..x4, y1..y4); pairwise sums conserved."""
         x1, x2, x3, x4, y1, y2, y3, y4 = coords
-        x1, x2, y1, y2 = _pair_step(self.a, self.a, self.c, self.c, x1, x2, y1, y2)
-        x3, x4, y3, y4 = _pair_step(self.b, self.b, self.d, self.d, x3, x4, y3, y4)
+        a, b, c, d = self.a, self.b, self.c, self.d
+        x1, x2, y1, y2 = _pair_step(1.0 - a, a, c, 1.0 - c, x1, x2, y1, y2)
+        x3, x4, y3, y4 = _pair_step(1.0 - b, b, d, 1.0 - d, x3, x4, y3, y4)
         return (x1, x2, x3, x4, y1, y2, y3, y4)
 
     def sub12_step(self, s: Point2) -> Point2:
         """Type-1/2 block: advance (x1, y1) inside the box [0,a0] x [0,c0]."""
         x, y = s
-        x, _, y, _ = _pair_step(self.a, self.a, self.c, self.c, x, self.a0 - x, y, self.c0 - y)
+        a, c = self.a, self.c
+        x, _, y, _ = _pair_step(1.0 - a, a, c, 1.0 - c, x, self.a0 - x, y, self.c0 - y)
         return (x, y)
 
 
-def _pair_step(alpha, beta, gamma, delta, x1, x2, y1, y2):
+def _pair_step(u, beta, gamma, w, x1, x2, y1, y2):
     """One step of a pair block's female pair (x1, x2) and male pair (y1, y2).  The
-    pairings (1, 1) and (2, 2) breed true; (type-1 mother, type-2 father) has type-1
-    daughters with probability ``alpha`` and type-1 sons with ``gamma``, (type-2 mother,
-    type-1 father) with ``beta`` and ``delta``.  With x = x1, y = y1, P = x1 y2 and
-    R = x2 y1 the step is (x, y) + M (P, R), M = [[alpha-1, beta], [gamma, delta-1]]."""
+    pairings (1, 1) and (2, 2) breed true; (type-1 mother, type-2 father) has type-2
+    daughters with probability ``u`` and type-1 sons with ``gamma``, (type-2 mother,
+    type-1 father) type-1 daughters with ``beta`` and type-2 sons with ``w``.  With
+    x = x1, y = y1, P = x1 y2 and R = x2 y1 the step is (x, y) + M (P, R),
+    M = [[-u, beta], [gamma, -w]]."""
     # The offspring mass each mixed pairing moves between the two types.
-    fa, fa_back = (1.0 - alpha) * x1 * y2, beta * x2 * y1
-    mc, mc_back = (1.0 - delta) * x2 * y1, gamma * x1 * y2
+    fa, fa_back = u * x1 * y2, beta * x2 * y1
+    mc, mc_back = w * x2 * y1, gamma * x1 * y2
     return (x1 - fa + fa_back, x2 - fa_back + fa, y1 - mc + mc_back, y2 - mc_back + mc)
 
 
-def pair_side(alpha, beta, gamma, delta):
+def pair_jacobian(u, beta, gamma, w, a0, c0, x, y):
+    """Jacobian of a pair block's step on the box [0, a0] x [0, c0] at (x, y):
+    I + M G, where G = [[c0 - y, -x], [-y, a0 - x]] is the Jacobian of (P, R).
+    On (B,) arrays x, y it is (2, 2, B)."""
+    px, py, rx, ry = c0 - y, -x, -y, a0 - x
+    return np.array([[1.0 - u * px + beta * rx, beta * ry - u * py],
+                     [gamma * px - w * rx, 1.0 + gamma * py - w * ry]])
+
+
+def pair_side(u, beta, gamma, w):
     """The corner that draws a pair block's interior starts: 1 for (a0, c0) when
-    det M < 0, -1 for (0, 0) when det M > 0, and 0 within ``CRITICAL_EPS`` of
-    det M = 0, where each start keeps its line (1 - delta) x + beta y."""
-    det = (alpha - 1.0) * (delta - 1.0) - beta * gamma
+    det M = u w - beta gamma < 0, -1 for (0, 0) when det M > 0, and 0 within
+    ``CRITICAL_EPS`` of det M = 0, where each start keeps its line w x + beta y."""
+    det = u * w - beta * gamma
     return (det < -CRITICAL_EPS) * 1 - (det > CRITICAL_EPS)
 
 
@@ -95,30 +111,30 @@ def _root(q, b, c, sqrt_disc):
     return np.where(b > 0.0, 2.0 * c / (b + sqrt_disc), (sqrt_disc - b) / (2.0 * q))
 
 
-def pair_point(alpha, beta, delta, a0, c0, level):
-    """Where the line (1-delta) x + beta y = ``level`` meets the fixed set
-    (1-alpha) x (c0-y) = beta (a0-x) y of a pair block on det M = 0, with beta in
-    (0, 1] and delta in [0, 1); not clipped to the box [0, a0] x [0, c0].
+def pair_point(u, beta, w, a0, c0, level):
+    """Where the line w x + beta y = ``level`` meets the fixed set
+    u x (c0-y) = beta (a0-x) y of a pair block on det M = 0, with beta in (0, 1]
+    and w in (0, 1]; not clipped to the box [0, a0] x [0, c0].
 
     y and a0 - x are each the root of their own quadratic, with the shared
-    discriminant (p - s - d level)^2 + 4ps, so at alpha = 1, where the fixed set
-    is the edges y = 0 and x = a0, a point on either has that coordinate exactly.
-    Each argument is a number or an array; rows outside the ranges may be NaN."""
-    u, w = 1.0 - alpha, 1.0 - delta
+    discriminant (p - s - d level)^2 + 4ps, taken as a ``hypot`` so that no square
+    underflows, and at u = 0, where the fixed set is the edges y = 0 and x = a0, a
+    point on either has that coordinate exactly.  Each argument is a number or an
+    array; rows outside the ranges may be NaN."""
     d, s, p = beta - u, u * c0 * beta, beta * a0 * w
     rest = w * a0 + beta * c0 - level  # the line's level below the corner (a0, c0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        sqrt_disc = np.sqrt((p - s - d * level) ** 2 + 4.0 * p * s)
+        sqrt_disc = np.hypot(p - s - d * level, 2.0 * np.sqrt(p) * np.sqrt(s))
         y = _root(d * beta, s + p - d * level, u * c0 * level, sqrt_disc)
         gap = _root(d * w, beta * c0 * beta + u * a0 * w - d * rest, u * a0 * rest, sqrt_disc)
     return a0 - gap, y
 
 
-def pair_limit(alpha, beta, gamma, delta, a0, c0, x, y):
+def pair_limit(u, beta, gamma, w, a0, c0, x, y):
     """The limit of a pair block from the start (x, y) in the box [0, a0] x [0, c0]: the
     corner ``pair_side`` names, or on det M = 0 the start line's ``pair_point``, clipped."""
-    side = pair_side(alpha, beta, gamma, delta)
-    point = pair_point(alpha, beta, delta, a0, c0, (1.0 - delta) * x + beta * y)
+    side = pair_side(u, beta, gamma, w)
+    point = pair_point(u, beta, w, a0, c0, w * x + beta * y)
     return tuple(np.where(side, (side > 0) * top, np.clip(v, 0.0, top))
                  for v, top in zip(point, (a0, c0)))
 
@@ -143,18 +159,6 @@ def lift_operator(p: FourTypeParams) -> BisexualOperator:
 # ---------------------------------------------------------------------------
 # The two decoupled planar subsystems on a slice.
 # ---------------------------------------------------------------------------
-
-
-def sub12_jacobian(p: FourTypeParams, s: Point2) -> np.ndarray:
-    """Jacobian of ``sub12_step`` at s = (x, y); on (B,) arrays x, y it is (2, 2, B)."""
-    x, y = s
-    a, c, a0, c0 = p.a, p.c, p.a0, p.c0
-    return np.array(
-        [
-            [1.0 - (1.0 - a) * c0 + (1.0 - 2.0 * a) * y, a * a0 + (1.0 - 2.0 * a) * x],
-            [c * c0 + (1.0 - 2.0 * c) * y, 1.0 - (1.0 - c) * a0 + (1.0 - 2.0 * c) * x],
-        ]
-    )
 
 
 def fixed_curve(p: FourTypeParams, x):
@@ -186,9 +190,9 @@ SURVIVOR_LABELS = tuple(
 
 
 def limit_branch(p: FourTypeParams) -> tuple:
-    """``pair_side`` of the blocks (a, a, c, c) and (b, b, d, d), whose det M are 1-a-c
-    and 1-b-d: 1 above the critical line, -1 below, 0 on it."""
-    return (pair_side(p.a, p.a, p.c, p.c), pair_side(p.b, p.b, p.d, p.d))
+    """``pair_side`` of the blocks (1-a, a, c, 1-c) and (1-b, b, d, 1-d), whose det M are
+    1-a-c and 1-b-d: 1 above the critical line, -1 below, 0 on it."""
+    return (pair_side(1.0 - p.a, p.a, p.c, 1.0 - p.c), pair_side(1.0 - p.b, p.b, p.d, 1.0 - p.d))
 
 
 def survivor_code(p: FourTypeParams):
@@ -206,9 +210,10 @@ def predict_limit(p: FourTypeParams, starts, tol: Tolerance = DEFAULT_TOLERANCE)
     off = (np.abs(sums[0] - p.a0) > tol.abs_eps) | (np.abs(sums[2] - p.c0) > tol.abs_eps)
     if off.any():
         raise ValueError(f"the slice sums of start {np.argmax(off)} miss its a0, c0")
-    x1, y1 = pair_limit(p.a, p.a, p.c, p.c, p.a0, p.c0, coords[0], coords[4])
-    x3, y3 = pair_limit(p.b, p.b, p.d, p.d, 1.0 - p.a0, 1.0 - p.c0, coords[2], coords[6])
-    limits = (x1, p.a0 - x1, x3, 1.0 - p.a0 - x3, y1, p.c0 - y1, y3, 1.0 - p.c0 - y3)
+    a0, c0 = p.a0, p.c0
+    x1, y1 = pair_limit(1.0 - p.a, p.a, p.c, 1.0 - p.c, a0, c0, coords[0], coords[4])
+    x3, y3 = pair_limit(1.0 - p.b, p.b, p.d, 1.0 - p.d, 1.0 - a0, 1.0 - c0, coords[2], coords[6])
+    limits = (x1, a0 - x1, x3, 1.0 - a0 - x3, y1, c0 - y1, y3, 1.0 - c0 - y3)
     return predicted(p, coords, limits, tol)
 
 
@@ -252,7 +257,7 @@ def critical_fixed_points(cp: CriticalMapParams):
     the fixed curve, ``pair_point``; it lies outside the box [0, a0] x [0, c0] when
     a0 + c0 < 1.  ``spurious`` lies outside [0, 1].  Both others are None at a = 1/2.
     """
-    point = float(pair_point(cp.a, cp.a, 1.0 - cp.a, cp.a0, cp.c0, cp.a)[0])
+    point = float(pair_point(1.0 - cp.a, cp.a, cp.a, cp.a0, cp.c0, cp.a)[0])
     if cp.is_affine:
         return point, None, None
     quad, big_k = 2.0 * cp.a - 1.0, 1.0 + cp.a * cp.a0 - (1.0 - cp.a) * (2.0 - cp.c0)
@@ -273,4 +278,5 @@ def predict_limit_critical(cp: CriticalMapParams, starts, tol: Tolerance = DEFAU
     ``critical_fixed_points``: the (B, 1) limits of the (B, 1) ``starts`` with the masks
     of ``dynamics.predicted``; ``cp`` may be stacked (B,) arrays."""
     coords = check_unit(np.asarray(starts, dtype=float), "[0, 1]").T
-    return predicted(cp, coords, (pair_point(cp.a, cp.a, 1.0 - cp.a, cp.a0, cp.c0, cp.a)[0],), tol)
+    point = pair_point(1.0 - cp.a, cp.a, cp.a, cp.a0, cp.c0, cp.a)[0]
+    return predicted(cp, coords, (point,), tol)

@@ -10,6 +10,7 @@ instead of being masked.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -111,13 +112,16 @@ def check_unit(start, domain: str):
 
 
 def check_open_unit(params):
-    """Where every field of the dataclass ``params`` lies strictly inside (0, 1): a
-    number field raises ``ValueError`` unless it does, and for fields stacked as (B,)
-    arrays, one row per trajectory, the result is the (B,) mask of rows inside."""
+    """Where every field of the dataclass ``params`` lies strictly inside (0, 1) and is
+    not subnormal, too small for the closed forms' products: a number field raises
+    ``ValueError`` unless it does, and for fields stacked as (B,) arrays, one row per
+    trajectory, the result is the (B,) mask of rows inside."""
     inside = True
     for name, v in vars(params).items():
-        ok = (0.0 < v) & (v < 1.0)
+        ok = (sys.float_info.min <= v) & (v < 1.0)
         if np.ndim(ok) == 0 and not ok:
+            if 0.0 < v < sys.float_info.min:
+                raise ValueError(f"{name} is subnormal, below {sys.float_info.min}, got {v}")
             raise ValueError(f"{name} must lie strictly inside (0,1), got {v}")
         inside = inside & ok
     return inside

@@ -6,14 +6,16 @@ x2 = 1 - x1 and y2 = 1 - y1, to a planar map on the unit square,
     x' = x + a (1 - x) y,        y' = y (x + b (1 - x)),
 
 driven by two mixing probabilities a, b in (0, 1).  It is the pair block
-(1, a, 0, b) of ``four_types._pair_step`` on the unit square, in which the
-pairing (type-1 mother, type-2 father) breeds true: the paper's reduced
-model, not an output of ``construct``, which no graph data is known to give.
-Its det M is 0 for every a and b.  The map fixes the whole segment y = 0 and
-the whole edge x = 1 (``FIXED_SEGMENTS``), conserves the linear level
-x / a + y / (1 - b), increases x and decreases y monotonically, and every
-other point converges to where its level line meets those segments,
-``four_types.pair_limit``.  The predictor tells a fixed start through the
+(u, beta, gamma, w) = (0, a, 0, 1-b) of ``four_types._pair_step`` on the unit
+square, M = [[0, a], [0, b-1]], in which the pairing (type-1 mother, type-2
+father) breeds true: the paper's reduced model, not an output of
+``construct``, which no graph data is known to give.  Its Jacobian is the
+block's ``four_types.pair_jacobian``, and its det M is 0 for every a and b.
+The map fixes the whole segment y = 0 and the whole edge x = 1
+(``FIXED_SEGMENTS``), conserves the linear level x / a + y / (1 - b), the
+block's w x + beta y over a (1 - b), increases x and decreases y
+monotonically, and every other point converges to where its level line meets
+those segments, ``four_types.pair_limit``.  The predictor tells a fixed start through the
 map itself, with ``dynamics.is_fixed``, not through membership in the
 segments.
 """
@@ -55,20 +57,6 @@ class TwoTypeParams:
         return (x + self.a * rest * y, y * (x + self.b * rest))
 
 
-def jacobian_matrix(p: TwoTypeParams, s: Point2) -> np.ndarray:
-    """Jacobian of the reduced map: [[1-ay, a(1-x)], [y(1-b), x(1-b)+b]].
-
-    On (B,) arrays x, y it is (2, 2, B).
-    """
-    x, y = s
-    return np.array(
-        [
-            [1.0 - p.a * y, p.a * (1.0 - x)],
-            [y * (1.0 - p.b), x * (1.0 - p.b) + p.b],
-        ]
-    )
-
-
 def lift_operator(p: TwoTypeParams) -> BisexualOperator:
     """The full 2x2-type operator whose reduction is ``TwoTypeParams.step``: the
     ``mixing_operator`` whose one mixed pair, (type-2 mother, type-1 father),
@@ -90,4 +78,4 @@ def predict_limit(p: TwoTypeParams, starts, tol: Tolerance = DEFAULT_TOLERANCE):
     when ac >= 1; at ac = 1 both expressions give the corner (1, 0).  Below ac = 1
     its y is exactly 0, above it its x exactly 1."""
     coords = check_unit(np.asarray(starts, dtype=float), "the unit square").T
-    return predicted(p, coords, pair_limit(1.0, p.a, 0.0, p.b, 1.0, 1.0, *coords), tol)
+    return predicted(p, coords, pair_limit(0.0, p.a, 0.0, 1.0 - p.b, 1.0, 1.0, *coords), tol)

@@ -12,6 +12,7 @@ step at a time.
 The package itself needs none of them.
 """
 
+import math
 from dataclasses import fields
 from functools import reduce
 from operator import add
@@ -179,6 +180,22 @@ def jacobian(op: BisexualOperator, state: np.ndarray) -> np.ndarray:
     jyx = np.einsum("ikl,k->li", pm, y)
     jyy = np.einsum("ikl,i->lk", pm, x)
     return np.block([[jxx, jxy], [jyx, jyy]])
+
+
+def trace_determinant_moduli(matrix) -> tuple[float, float]:
+    """The eigenvalue moduli of a 2x2 matrix, largest first, as the roots of
+    t^2 - trace t + det: the planar formula ``classify_fixed_point`` replaced,
+    kept as its reference.  Near a double root it loses half its digits."""
+    m = np.asarray(matrix, dtype=float)
+    trace, det = float(np.trace(m)), float(np.linalg.det(m))
+    disc = trace * trace - 4.0 * det
+    if disc >= 0.0:
+        s = math.sqrt(disc)
+        roots = ((trace + s) / 2.0, (trace - s) / 2.0)
+    else:
+        s = math.sqrt(-disc)
+        roots = (complex(trace / 2.0, s / 2.0), complex(trace / 2.0, -s / 2.0))
+    return tuple(sorted((abs(r) for r in roots), reverse=True))
 
 
 def scan_periodic_points(

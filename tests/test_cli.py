@@ -550,6 +550,26 @@ def test_a_parameter_value_in_exponent_form_below_zero_is_a_value(capsys):
     assert "a must lie strictly inside (0,1), got -0.001" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case, name, flags", [
+    ("two-type", "a", ["--a", "5e-324", "--b", "0.5", "--state", "0.25,0.5"]),
+    ("critical-line", "a0", ["--a", "0.3", "--a0", "1e-310", "--c0", "0.6", "--x0", "0.1"]),
+])
+def test_a_subnormal_parameter_is_an_input_error_that_names_it(capsys, case, name, flags):
+    assert main(["predict", "--case", case, *flags]) == 2
+    assert f"{name} is subnormal" in capsys.readouterr().err
+
+
+def test_tiny_parameters_keep_their_limits(tmp_path):
+    out = tmp_path / "p.json"
+    argv = ["predict", "--case", "two-type", "--a", "1e-170", "--b", "0.5", "--state", "0.25,0.5"]
+    assert main([*argv, "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["limit"] == [0.25, 0.0]
+    argv = ["predict", "--case", "critical-line", "--a", "1e-18", "--a0", "0.3", "--c0", "0.6",
+            "--x0", "0.1"]
+    assert main([*argv, "--output", str(out)]) == 0
+    assert abs(json.loads(out.read_text())["limit"] - 0.4) <= 1e-15
+
+
 @pytest.mark.parametrize("flags", [["--grid", "0"], ["--starts", "0"], ["--grid", "-1"]])
 def test_verify_rejects_empty_grids_and_starts(tmp_path, capsys, flags):
     report = tmp_path / "r.json"

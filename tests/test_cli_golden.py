@@ -112,7 +112,7 @@ CASES = {
 
 DIGESTS = {
     "classify-four": {
-        "c.json": "b1c91879f8b77018b8f5ade91a8ece7dafe4a72b1ffb3819f91f1a47977b970e",
+        "c.json": "7ce3ed537c17d1977cb81a806b5e3b65dcdfff77311f7b4afa075768b3c52026",
     },
     "classify-two": {
         "c.json": "7045e2c539173aa080504b3af6b505d823b6c572018867024b76b6eab041d62d",
@@ -127,13 +127,13 @@ DIGESTS = {
         "f.json": "b1b8b64d3e462cdbf8309cdab377973e587e8b0f971cb35b358af9d06240cee2",
     },
     "fixed-points-four": {
-        "f.json": "e3b541f052804d0cf00b784fd88eeceb590988a2f6db51a6360e870132682812",
+        "f.json": "78d9348340c395b93acfa84ec82de502a8472e52553da494d8fd2797c4c85605",
     },
     "fixed-points-four-on-line": {
         "f.json": "4ef38524aad2d27129e8941f4de2dd8792d50572ce5c2ac12266db6af9956d93",
     },
     "fixed-points-two": {
-        "f.json": "43daf07433a4d35333efa3d6209d71720de7b25746b8f1819f4d6a58dec2d8e0",
+        "f.json": "3213acfe938dbe7f7fd987b17f6c1811d3f1b5c3f0b1e198b2b545adf3caed52",
     },
     "iterate-four": {
         "s.json": "632343138c8ce07c1dbdb713e9c4f286b41b86617baa68a3d0c0e0e8180ded4d",
@@ -156,16 +156,16 @@ DIGESTS = {
         "p.json": "bc87f5f36ba0ca03024cc2a4c68490687acfb95b332a4f2b3027ab70e18f8409",
     },
     "sweep-critical": {
-        "s.csv": "c73b4f1a9daf909bbbfeee101f7d240f3b9dcc457b9ef2dfbe8e0815c5f4ff64",
+        "s.csv": "c8fe0aef1076800b3d225dbce1fee8268793a750026d4ff7a9cb9238e2a1cb20",
     },
     "sweep-critical-half": {
-        "s.csv": "54c5dd8e5401a09ac34173385aae8cd7b0b6c17c4373d7403806904344dabff5",
+        "s.csv": "69fe9977e23273387154e245f63f7a3da1c5517a4290b772040631b77d5b6e55",
     },
     "sweep-four": {
-        "s.csv": "5ff6439a1a08f7f910bb66a3d518f3eee68e94c11dc8fddf14566762a736f523",
+        "s.csv": "9451316d6d20368241332d74fcdfba098007f4a0fca86cc2ba530e2f3fe8c551",
     },
     "sweep-four-critical-lines": {
-        "s.csv": "e28a7a7efbc4b1dc9f21e8dd2b2adebb364d40c66fbbad1b27dc849e9eebdfe0",
+        "s.csv": "5e4afab7bac1b41210a45e0fe1403f5b7320b0758babbb0c3a69f9ab6b5e0e26",
     },
     "sweep-four-fixed-start": {
         "s.csv": "458bb1017b3d9b07749c8e52d79a696511c2692ca0c78c1cc3745681fb281410",

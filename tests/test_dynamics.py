@@ -7,7 +7,8 @@ Core claims:
     and reports fixed starting points as zero steps
   - the analytic Jacobian equals central finite differences of the
     quadratic form
-  - planar classification agrees with directly computed eigenvalues
+  - classification of any square Jacobian agrees with directly computed
+    eigenvalues and, on 2x2 matrices, with the trace/determinant roots
   - grid search finds exactly the isolated fixed points, and only points
     of the fixed set when that set is a continuum
 """
@@ -16,10 +17,11 @@ import numpy as np
 import pytest
 
 from qsobp import four_types, two_types
+from qsobp.cli import CASES
 from qsobp.dynamics import (
     TRAJECTORY_STORE_CAP,
     StabilityKind,
-    classify_fixed_point_2d,
+    classify_fixed_point,
     find_fixed_points_grid,
     iterate,
     iterate_batch,
@@ -36,6 +38,7 @@ from helpers import (
     quadratic_form,
     random_state,
     state_distance,
+    trace_determinant_moduli,
     uniform_weights,
 )
 
@@ -254,10 +257,10 @@ def test_jacobian_matches_central_differences():
 
 def test_classify_fixed_point_2d_kinds():
     tol = Tolerance()
-    assert classify_fixed_point_2d([[0.5, 0.1], [0.0, 0.3]], tol).kind is StabilityKind.ATTRACTING
-    assert classify_fixed_point_2d([[2.0, 0.0], [0.0, 0.5]], tol).kind is StabilityKind.SADDLE
-    assert classify_fixed_point_2d([[2.0, 0.0], [0.0, 3.0]], tol).kind is StabilityKind.REPELLING
-    verdict = classify_fixed_point_2d([[1.0, 0.0], [0.0, 0.5]], tol)
+    assert classify_fixed_point([[0.5, 0.1], [0.0, 0.3]], tol).kind is StabilityKind.ATTRACTING
+    assert classify_fixed_point([[2.0, 0.0], [0.0, 0.5]], tol).kind is StabilityKind.SADDLE
+    assert classify_fixed_point([[2.0, 0.0], [0.0, 3.0]], tol).kind is StabilityKind.REPELLING
+    verdict = classify_fixed_point([[1.0, 0.0], [0.0, 0.5]], tol)
     assert verdict.kind is StabilityKind.NON_HYPERBOLIC
     assert verdict.eigen_moduli == (1.0, 0.5)
 
@@ -269,10 +272,10 @@ def test_classify_fixed_point_2d_unit_circle_cases():
     # a root at one with its partner outside; a conjugate pair on the
     # circle; double roots at -1 and at +1
     for matrix in ([[1.0, 0.0], [0.0, 2.0]], rotation, [[-1.0, 0.0], [0.0, -1.0]], np.eye(2)):
-        verdict = classify_fixed_point_2d(matrix, tol)
+        verdict = classify_fixed_point(matrix, tol)
         assert verdict.kind is StabilityKind.NON_HYPERBOLIC
         assert min(abs(m - 1.0) for m in verdict.eigen_moduli) <= 1e-12
-    assert classify_fixed_point_2d([[1.0, 0.0], [0.0, 2.0]], tol).eigen_moduli == (2.0, 1.0)
+    assert classify_fixed_point([[1.0, 0.0], [0.0, 2.0]], tol).eigen_moduli == (2.0, 1.0)
 
 
 def test_classify_fixed_point_2d_agrees_with_eigvals():
@@ -286,7 +289,7 @@ def test_classify_fixed_point_2d_agrees_with_eigvals():
         moduli = sorted(np.abs(np.linalg.eigvals(m)), reverse=True)
         if any(abs(mod - 1.0) < 1e-6 for mod in moduli):
             continue  # stay away from the unit circle, where rounding decides
-        verdict = classify_fixed_point_2d(m, tol)
+        verdict = classify_fixed_point(m, tol)
         np.testing.assert_allclose(verdict.eigen_moduli, moduli, atol=1e-7)
         assert verdict.kind is expected_kind[sum(mod < 1.0 for mod in moduli)], m
         seen.add(verdict.kind)
@@ -294,10 +297,69 @@ def test_classify_fixed_point_2d_agrees_with_eigvals():
     assert seen == set(expected_kind.values())
 
 
+def _kind(moduli, tol):
+    """The kind ``classify_fixed_point`` gives to eigenvalue ``moduli``."""
+    if any(abs(m - 1.0) <= tol.abs_eps for m in moduli):
+        return StabilityKind.NON_HYPERBOLIC
+    below = sum(m < 1.0 for m in moduli)
+    return {len(moduli): StabilityKind.ATTRACTING, 0: StabilityKind.REPELLING}.get(
+        below, StabilityKind.SADDLE)
+
+
+def test_classify_fixed_point_matches_the_trace_determinant_roots():
+    rng = np.random.default_rng(2024)
+    tol = Tolerance()
+    checked = 0
+    while checked < 20_000:
+        m = rng.uniform(-2.0, 2.0, (2, 2))
+        reference = trace_determinant_moduli(m)
+        if any(abs(mod - 1.0) < 1e-6 for mod in reference):
+            continue
+        verdict = classify_fixed_point(m, tol)
+        assert np.abs(np.subtract(verdict.eigen_moduli, reference)).max() <= 1e-13, m
+        assert verdict.kind is _kind(reference, tol), m
+        checked += 1
+
+
+def test_classify_fixed_point_matches_the_trace_determinant_roots_on_the_planar_jacobians():
+    # Fixed points of random two-type maps (the segments) and four-type type-1/2 blocks
+    # (corners, and the curve on a + c = 1).  Points whose two moduli lie within 1e-2
+    # of each other are left out: there the reference loses digits, 1.4e-13 at 1e-3.
+    rng = np.random.default_rng(2025)
+    tol = Tolerance()
+    checked = 0
+    for _ in range(500):
+        a, b, c, d, a0, c0 = rng.uniform(0.01, 0.99, 6).tolist()
+        two = TwoTypeParams(a, b)
+        four = four_types.FourTypeParams(a, b, 1.0 - a if rng.uniform() < 0.5 else c, d, a0, c0)
+        cells = [(two, pt) for pt in ((rng.uniform(), 0.0), (1.0, rng.uniform()))]
+        cells += [(four, pt) for pt in four_types.sub12_fixed_points(four)]
+        for p, point in cells:
+            matrix = CASES["two-type" if p is two else "four-type"].planar(p)[1](point)
+            reference = trace_determinant_moduli(matrix)
+            if reference[0] - reference[1] < 1e-2:
+                continue
+            verdict = classify_fixed_point(matrix, tol)
+            assert np.abs(np.subtract(verdict.eigen_moduli, reference)).max() <= 1e-13
+            assert verdict.kind is _kind(reference, tol)
+            checked += 1
+    assert checked > 3_000
+
+
+def test_classify_fixed_point_takes_any_square_matrix():
+    verdict = classify_fixed_point(np.diag([0.5, -3.0, 0.25]))
+    assert verdict.kind is StabilityKind.SADDLE
+    assert verdict.eigen_moduli == (3.0, 0.5, 0.25)
+    assert classify_fixed_point([[0.5]]).kind is StabilityKind.ATTRACTING
+    for shape in ((2, 3), (0, 0), (4,)):
+        with pytest.raises(DimensionMismatchError):
+            classify_fixed_point(np.zeros(shape))
+
+
 def test_two_type_boundary_points_are_non_hyperbolic():
     p = TwoTypeParams(a=0.6, b=0.4)
     for point in ((0.2, 0.0), (0.7, 0.0), (1.0, 0.3), (1.0, 0.0)):
-        verdict = classify_fixed_point_2d(two_types.jacobian_matrix(p, point))
+        verdict = classify_fixed_point(CASES["two-type"].planar(p)[1](point))
         assert verdict.kind is StabilityKind.NON_HYPERBOLIC
 
 
@@ -306,9 +368,7 @@ def test_two_type_boundary_points_are_non_hyperbolic():
 
 def test_grid_finds_isolated_four_type_points():
     p = four_types.FourTypeParams(a=0.3, b=0.3, c=0.3, d=0.3, a0=0.5, c0=0.5)
-    points = find_fixed_points_grid(
-        p.sub12_step, lambda s: four_types.sub12_jacobian(p, s), (0.5, 0.5), grid=7
-    )
+    points = find_fixed_points_grid(*CASES["four-type"].planar(p), grid=7)
     assert len(points) == 2
     np.testing.assert_allclose(points[0], (0.0, 0.0), atol=1e-8)
     np.testing.assert_allclose(points[1], (0.5, 0.5), atol=1e-8)
@@ -316,9 +376,7 @@ def test_grid_finds_isolated_four_type_points():
 
 def test_grid_on_critical_line_lands_on_fixed_curve():
     p = four_types.FourTypeParams(a=0.4, b=0.3, c=0.6, d=0.3, a0=0.5, c0=0.5)
-    points = find_fixed_points_grid(
-        p.sub12_step, lambda s: four_types.sub12_jacobian(p, s), (0.5, 0.5), grid=8
-    )
+    points = find_fixed_points_grid(*CASES["four-type"].planar(p), grid=8)
     assert len(points) >= 8
     for x, y in points:
         assert abs(y - four_types.fixed_curve(p, x)) <= 1e-7
@@ -330,9 +388,7 @@ def test_grid_on_two_type_map_stays_in_fixed_segments():
     # 1e-6 set-distance guarantee.
     p = TwoTypeParams(a=0.45, b=0.55)
     points = find_fixed_points_grid(
-        p.step,
-        lambda s: two_types.jacobian_matrix(p, s),
-        (1.0, 1.0),
+        *CASES["two-type"].planar(p),
         grid=6,
         tol=Tolerance(abs_eps=1e-12),
     )

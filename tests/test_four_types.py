@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from qsobp import dynamics
-from qsobp.dynamics import StabilityKind, classify_fixed_point_2d
+from qsobp.cli import CASES
+from qsobp.dynamics import StabilityKind, classify_fixed_point
 from qsobp.errors import FixedPointInputError
 from qsobp.four_types import (
     CriticalMapParams,
@@ -33,7 +34,6 @@ from qsobp.four_types import (
     predict_limit_critical,
     slice_sums,
     sub12_fixed_points,
-    sub12_jacobian,
 )
 from qsobp.simplex import Tolerance, make_state
 
@@ -208,7 +208,8 @@ def test_fixed_curve_points_have_tiny_residual():
 
 def _verdicts(p):
     """Stability class of each fixed point of the type-1/2 block, as ``classify`` reports it."""
-    return {pt: classify_fixed_point_2d(sub12_jacobian(p, pt)) for pt in sub12_fixed_points(p)}
+    jacobian = CASES["four-type"].planar(p)[1]
+    return {pt: classify_fixed_point(jacobian(pt)) for pt in sub12_fixed_points(p)}
 
 
 def test_classification_below_critical_line():

@@ -1,7 +1,8 @@
 """The pair block: one closed form for the limits of both of the paper's cases.
 
 A pair block steps (x, y) in the box [0, a0] x [0, c0] by (x, y) + M (P, R),
-M = [[alpha - 1, beta], [gamma, delta - 1]], P = x (c0 - y), R = (a0 - x) y.
+M = [[-u, beta], [gamma, -w]], P = x (c0 - y), R = (a0 - x) y.  The draws are
+mixing probabilities alpha, beta, gamma, delta, and u = 1 - alpha, w = 1 - delta.
 
 Core claims, for alpha, gamma in [0, 1], beta in (0, 1], delta in [0, 1) and
 a0, c0 in (0, 1], each face value included:
@@ -9,17 +10,23 @@ a0, c0 in (0, 1], each face value included:
     step ends within 1e-6 of ``pair_limit`` from interior starts, on every
     cell whose limit contracts by at least ``MIN_CONTRACTION`` per step
   - every limit on det M = 0 lies in the box and meets the start's line
-    (1 - delta) x + beta y = L and the fixed set (1 - alpha) x (c0 - y) =
-    beta (a0 - x) y to 1e-15
-  - two-type limits, the block (1, a, 0, b) on the unit square, lie within
+    w x + beta y = L and the fixed set u x (c0 - y) = beta (a0 - x) y to 1e-15
+  - two-type limits, the block (0, a, 0, 1 - b) on the unit square, lie within
     1e-13 of the level formula computed in fractions.Fraction
+  - the critical section's point, the block (1 - a, a, 1 - a, a) on x + y = 1,
+    lies within 1e-15 of the root of its quadratic computed in decimal
+  - ``pair_jacobian`` is the Jacobian of the lifted operators through the slice
+    coordinates and of ``_pair_step`` by central differences
 
 and the edges: the two-type corner double root, the exact right edge, rows
-outside the ranges, and section points outside the box.
+outside the ranges, section points outside the box, and parameters down to the
+smallest normal float.
 """
 
+import sys
 import warnings
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -27,18 +34,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qsobp import dynamics
-from qsobp.four_types import _pair_step, pair_limit, pair_point
+from qsobp import dynamics, four_types, two_types
+from qsobp.four_types import (CriticalMapParams, FourTypeParams, _pair_step, critical_fixed_points,
+                              pair_jacobian, pair_limit, pair_point)
 from qsobp.simplex import Tolerance
+from qsobp.two_types import TwoTypeParams
 
-from helpers import stack_params
+from helpers import jacobian, stack_params
 
 PROPERTY = settings(max_examples=200, derandomize=True, database=None, deadline=None)
 
-# Each face value half the time.  Positive values reach down to 1e-50: the closed
-# form squares products of up to three of them, which smaller values would underflow.
+# Each face value half the time.  Positive values reach down to the smallest normal float.
 alphas = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
-positive = st.one_of(st.just(1.0), st.floats(1e-50, 1.0))
+positive = st.one_of(st.just(1.0), st.floats(sys.float_info.min, 1.0))
 deltas = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True))
 inner = st.floats(0.01, 0.99)
 # Steps a cell's limit needs: at a contraction of 5e-3 per step, about 3,200.
@@ -47,22 +55,22 @@ MIN_CONTRACTION = 5e-3
 
 @dataclass(frozen=True)
 class Block:
-    alpha: float
+    u: float
     beta: float
     gamma: float
-    delta: float
+    w: float
     a0: float
     c0: float
 
     def step(self, s):
         x, y = s
-        x, _, y, _ = _pair_step(self.alpha, self.beta, self.gamma, self.delta,
+        x, _, y, _ = _pair_step(self.u, self.beta, self.gamma, self.w,
                                 x, self.a0 - x, y, self.c0 - y)
         return (x, y)
 
     @property
     def det(self):
-        return (self.alpha - 1.0) * (self.delta - 1.0) - self.beta * self.gamma
+        return self.u * self.w - self.beta * self.gamma
 
     def limit(self, x, y):
         return tuple(map(float, pair_limit(*vars(self).values(), x, y)))
@@ -71,7 +79,7 @@ class Block:
         """1 less the largest modulus of the step's Jacobian I + M G at its fixed point
         (x, y), where G is the Jacobian of (P, R); on det M = 0 the unit modulus along
         the line is left out: there MG has the eigenvalues 0 and its trace."""
-        m = np.array([[self.alpha - 1.0, self.beta], [self.gamma, self.delta - 1.0]])
+        m = np.array([[-self.u, self.beta], [self.gamma, -self.w]])
         mg = m @ np.array([[self.c0 - y, -x], [-y, self.a0 - x]])
         mu = [np.trace(mg)] if abs(self.det) < 1e-2 else np.linalg.eigvals(mg)
         return 1.0 - max(abs(1.0 + np.asarray(mu)))
@@ -82,14 +90,15 @@ def blocks(draw, on_line):
     """A block exactly on det M = 0 (gamma or beta solved from the others), or at
     least 1e-2 off it."""
     alpha, beta, gamma, delta = draw(alphas), draw(positive), draw(alphas), draw(deltas)
+    u, w = 1.0 - alpha, 1.0 - delta
     if on_line:
-        product = (1.0 - alpha) * (1.0 - delta)
+        product = u * w
         if 0.0 < product <= gamma:
             beta = product / gamma
         else:
             gamma = product / beta
             assume(gamma <= 1.0)
-    block = Block(alpha, beta, gamma, delta, draw(positive), draw(positive))
+    block = Block(u, beta, gamma, w, draw(positive), draw(positive))
     assume(on_line or abs(block.det) >= 1e-2)
     return block
 
@@ -116,13 +125,13 @@ def test_pair_limits_are_where_iteration_ends(cells):
 @given(blocks(on_line=True), st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
 def test_a_limit_on_det_m_zero_is_in_the_box_on_its_line_and_fixed(block, fx, fy):
-    alpha, beta, _, delta, a0, c0 = vars(block).values()
+    u, beta, _, w, a0, c0 = vars(block).values()
     x0, y0 = fx * a0, fy * c0
     x, y = block.limit(x0, y0)
     assert 0.0 <= x <= a0 and 0.0 <= y <= c0
-    level = (1.0 - delta) * x0 + beta * y0
-    assert abs((1.0 - delta) * x + beta * y - level) <= 1e-15
-    assert abs((1.0 - alpha) * x * (c0 - y) - beta * (a0 - x) * y) <= 1e-15
+    level = w * x0 + beta * y0
+    assert abs(w * x + beta * y - level) <= 1e-15
+    assert abs(u * x * (c0 - y) - beta * (a0 - x) * y) <= 1e-15
 
 
 def _level_formula(a, b, x, y):
@@ -139,35 +148,118 @@ def _level_formula(a, b, x, y):
        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
 def test_two_type_limits_are_the_level_formula(a, b, x0, y0):
-    limit = Block(1.0, a, 0.0, b, 1.0, 1.0).limit(x0, y0)
+    limit = Block(0.0, a, 0.0, 1.0 - b, 1.0, 1.0).limit(x0, y0)
     exact = _level_formula(a, b, x0, y0)
     assert max(abs(Fraction(v) - e) for v, e in zip(limit, exact)) <= Fraction(1, 10**13)
 
 
 def test_the_two_type_corner_double_root_is_the_corner():
     # a = b = 1/2 from (0, 1): a * level = 1, where the two roots meet.
-    assert Block(1.0, 0.5, 0.0, 0.5, 1.0, 1.0).limit(0.0, 1.0) == (1.0, 0.0)
+    assert Block(0.0, 0.5, 0.0, 0.5, 1.0, 1.0).limit(0.0, 1.0) == (1.0, 0.0)
 
 
 @pytest.mark.parametrize("a, b, x0, y0", [(0.1, 0.9, 0.4, 0.8), (0.1, 0.8, 0.9, 0.6)])
 def test_the_right_edge_is_exact(a, b, x0, y0):
     # Here the root 2c / (B + sqrt(D)) of x's own quadratic -d w x^2 + B x = c rounds
     # to 1 + 2^-52 and to 1 - 2^-53.
-    assert Block(1.0, a, 0.0, b, 1.0, 1.0).limit(x0, y0)[0] == 1.0
+    assert Block(0.0, a, 0.0, 1.0 - b, 1.0, 1.0).limit(x0, y0)[0] == 1.0
 
 
 def test_rows_outside_the_ranges_give_nan_without_a_warning():
     values = np.array([0.0, 1.0, -0.5, np.nan, 0.3])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x, y = pair_limit(values, values, values, values[::-1], values, values, 0.2, 0.1)
-        point = pair_point(values, values[::-1], values, values, values, 0.0)
+        x, y = pair_limit(1.0 - values, values, values, 1.0 - values[::-1], values, values, 0.2, 0.1)
+        point = pair_point(1.0 - values, values[::-1], 1.0 - values, values, values, 0.0)
     assert np.isnan(x[3]) and np.isnan(y[3]) and np.isnan(point[0][3])
 
 
 def test_a_section_point_outside_the_box_is_not_clipped():
     # On a + c = 1 the line x + y = 1 misses the box [0, a0] x [0, c0] when a0 + c0 < 1.
     a, a0, c0 = 0.7, 0.3, 0.4
-    x, y = map(float, pair_point(a, a, 1.0 - a, a0, c0, a))
+    x, y = map(float, pair_point(1.0 - a, a, a, a0, c0, a))
     assert x > a0 and abs(x + y - 1.0) <= 1e-15
     assert abs((1.0 - a) * x * (c0 - y) - a * (a0 - x) * y) <= 1e-15
+
+
+def _section_root(a, a0, c0):
+    """The critical section's fixed point in 50-digit decimal: the root of
+    (2a-1) x^2 - K x + a a0 = 0, K = 1 + a a0 - (1-a)(2 - c0), at which the section
+    map's derivative is 1 - sqrt(D), in the form that adds no terms of opposite sign."""
+    a, a0, c0 = map(Fraction, (a, a0, c0))
+    quad, big_k = 2 * a - 1, 1 + a * a0 - (1 - a) * (2 - c0)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        exact = [Decimal(v.numerator) / Decimal(v.denominator)
+                 for v in (quad, big_k, big_k * big_k - 4 * quad * a * a0, a * a0)]
+        quad, big_k, disc, product = exact
+        root = disc.sqrt()
+        return 2 * product / (big_k + root) if big_k > 0 else (big_k - root) / (2 * quad)
+
+
+# a log-spaced over [1e-16, 1/2) and, by 1 - a, over (1/2, 1 - 1e-16], and within
+# 2^-52 to 2^-20 of 1/2 on either side.
+_SMALL = np.logspace(-16.0, np.log10(0.5), 80, endpoint=False)
+_NEAR_HALF = 0.5 + np.outer([-1.0, 1.0], 2.0 ** -np.arange(20.0, 53.0)).ravel()
+
+
+@pytest.mark.parametrize("a0, c0", [(0.3, 0.6), (0.7, 0.2), (0.45, 0.9)])
+def test_the_section_point_is_the_root_of_its_quadratic(a0, c0):
+    # The section block (1 - a, a, 1 - a, a) is exactly on det M = 0 for every a.
+    for a in np.concatenate([_SMALL, 1.0 - _SMALL, _NEAR_HALF]).tolist():
+        point = critical_fixed_points(CriticalMapParams(a, a0, c0))[0]
+        assert abs(Decimal(point) - _section_root(a, a0, c0)) <= Decimal("1e-15"), a
+
+
+def test_parameters_down_to_the_smallest_normal_float_keep_their_limits():
+    # The discriminant's squares would underflow here; its hypot does not.
+    for a in (1e-170, 1e-300, sys.float_info.min):
+        assert Block(0.0, a, 0.0, 0.5, 1.0, 1.0).limit(0.25, 0.5) == (0.25, 0.0)
+    assert abs(critical_fixed_points(CriticalMapParams(1e-200, 0.3, 0.6))[0] - 0.4) <= 2.3e-16
+
+
+def _through_slice(full, rows, columns):
+    """The 2 x 2 Jacobian of coordinates ``rows`` of a lifted map on a slice, from its
+    full Jacobian: each slice coordinate ``i`` moves coordinate i up and i + 1 down."""
+    return np.array([[full[r, c] - full[r, c + 1] for c in columns] for r in rows])
+
+
+@PROPERTY
+@given(inner, inner, inner, inner)
+def test_the_pair_jacobian_is_the_two_type_lift_through_its_slice(a, b, fx, fy):
+    p = TwoTypeParams(a, b)
+    full = jacobian(two_types.lift_operator(p), np.array([fx, 1.0 - fx, fy, 1.0 - fy]))
+    block = pair_jacobian(0.0, a, 0.0, 1.0 - b, 1.0, 1.0, fx, fy)
+    assert np.abs(block - _through_slice(full, (0, 2), (0, 2))).max() <= 1e-15
+
+
+@PROPERTY
+@given(st.tuples(*[inner] * 6), inner, inner, inner, inner)
+def test_the_pair_jacobian_is_the_four_type_lift_through_its_slice(values, f1, f3, g1, g3):
+    p = FourTypeParams(*values)
+    a0, c0 = p.a0, p.c0
+    x1, x3, y1, y3 = f1 * a0, f3 * (1.0 - a0), g1 * c0, g3 * (1.0 - c0)
+    state = np.array([x1, a0 - x1, x3, 1.0 - a0 - x3, y1, c0 - y1, y3, 1.0 - c0 - y3])
+    full = jacobian(four_types.lift_operator(p), state)
+    block12 = pair_jacobian(1.0 - p.a, p.a, p.c, 1.0 - p.c, a0, c0, x1, y1)
+    block34 = pair_jacobian(1.0 - p.b, p.b, p.d, 1.0 - p.d, 1.0 - a0, 1.0 - c0, x3, y3)
+    assert np.abs(block12 - _through_slice(full, (0, 4), (0, 4))).max() <= 1e-15
+    assert np.abs(block34 - _through_slice(full, (2, 6), (2, 6))).max() <= 1e-15
+
+
+# u and gamma on the face 0 half the time, beta and w in (0, 1], a0 and c0 in [0.01, 1].
+faces = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+rates = st.floats(1e-3, 1.0)
+
+
+@PROPERTY
+@given(faces, rates, faces, rates, st.floats(0.01, 1.0), st.floats(0.01, 1.0), inner, inner)
+def test_the_pair_jacobian_is_the_central_difference_of_the_step(u, beta, gamma, w, a0, c0,
+                                                                 fx, fy):
+    block = Block(u, beta, gamma, w, a0, c0)
+    point, h = np.array([fx * a0, fy * c0]), 1e-5
+    numeric = np.empty((2, 2))
+    for col in range(2):
+        step = np.eye(2)[col] * h
+        numeric[:, col] = np.subtract(block.step(point + step), block.step(point - step)) / (2 * h)
+    assert np.abs(pair_jacobian(u, beta, gamma, w, a0, c0, *point) - numeric).max() <= 1e-9

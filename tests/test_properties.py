@@ -81,7 +81,7 @@ from qsobp import cli, dynamics
 from qsobp.cli import CASES
 from qsobp.construction import (build_heredity, build_operator, compatible_sets, dump_json,
                                 load_json)
-from qsobp.dynamics import StabilityKind, classify_fixed_point_2d
+from qsobp.dynamics import StabilityKind, classify_fixed_point
 from qsobp.errors import FixedPointInputError
 from qsobp.four_types import (
     CriticalMapParams,
@@ -94,7 +94,6 @@ from qsobp.four_types import (
     predict_limit_critical,
     slice_sums,
     sub12_fixed_points,
-    sub12_jacobian,
 )
 from qsobp.simplex import Tolerance, check_states, float_texts, make_state
 from qsobp.two_types import TwoTypeParams, invariant_line_level
@@ -272,7 +271,7 @@ def predictor_grids(draw):
         else:
             a = draw(st.one_of(st.just(0.5), param))
             a0, c0 = draw(param), draw(param)
-            point = float(pair_point(*np.array([a, a, 1.0 - a, a0, c0, a]))[0])
+            point = float(pair_point(*np.array([1.0 - a, a, a, a0, c0, a]))[0])
             rows.append({"a": a, "a0": a0, "c0": c0})
             starts.append((point,) if fixed and 0.0 <= point <= 1.0 else (draw(fraction),))
     return CASES[case], rows, np.array(starts)
@@ -356,9 +355,8 @@ def off_line_blocks(draw):
 @PROPERTY
 @given(off_line_blocks())
 def test_off_the_critical_line_the_corner_on_the_side_of_a_plus_c_attracts(p):
-    zero, corner = (
-        classify_fixed_point_2d(sub12_jacobian(p, pt)).kind for pt in sub12_fixed_points(p)
-    )
+    jacobian = CASES["four-type"].planar(p)[1]
+    zero, corner = (classify_fixed_point(jacobian(pt)).kind for pt in sub12_fixed_points(p))
     attracting, other = (corner, zero) if p.a + p.c > 1.0 else (zero, corner)
     assert attracting is StabilityKind.ATTRACTING
     assert other in (StabilityKind.SADDLE, StabilityKind.REPELLING)
@@ -368,10 +366,10 @@ def test_off_the_critical_line_the_corner_on_the_side_of_a_plus_c_attracts(p):
 @given(unit, unit, unit, unit)
 def test_on_the_critical_line_every_fixed_point_has_one_unit_modulus(a, a0, c0, b):
     p = FourTypeParams(a, b, 1.0 - a, b, a0, c0)
-    points = sub12_fixed_points(p)
+    points, jacobian = sub12_fixed_points(p), CASES["four-type"].planar(p)[1]
     assert len(points) == 11
     for point in points:
-        verdict = classify_fixed_point_2d(sub12_jacobian(p, point))
+        verdict = classify_fixed_point(jacobian(point))
         assert verdict.kind is StabilityKind.NON_HYPERBOLIC
         assert sum(abs(m - 1.0) <= Tolerance().abs_eps for m in verdict.eigen_moduli) == 1
 

@@ -33,7 +33,6 @@ from helpers import (
 from qsobp.two_types import (
     TwoTypeParams,
     invariant_line_level,
-    jacobian_matrix,
     lift_operator,
     predict_limit,
 )
@@ -279,16 +278,17 @@ def test_jacobian_matches_closed_form():
             [y * (1.0 - p.b), x * (1.0 - p.b) + p.b],
         ]
     )
-    np.testing.assert_allclose(jacobian_matrix(p, (x, y)), expected)
+    np.testing.assert_allclose(CASES["two-type"].planar(p)[1]((x, y)), expected)
 
 
 def test_unit_eigenvalue_along_fixed_segments():
     p = TwoTypeParams(a=0.6, b=0.3)
+    jacobian = CASES["two-type"].planar(p)[1]
     for point in ((0.0, 0.0), (0.5, 0.0), (1.0, 0.4), (1.0, 1.0)):
-        eigs = np.linalg.eigvals(jacobian_matrix(p, point))
+        eigs = np.linalg.eigvals(jacobian(point))
         moduli = sorted(abs(eigs))
         assert abs(moduli[1] - 1.0) <= 1e-9
         assert moduli[0] < 1.0
     # at the corner both eigenvalues are one
-    corner = np.linalg.eigvals(jacobian_matrix(p, (1.0, 0.0)))
+    corner = np.linalg.eigvals(jacobian((1.0, 0.0)))
     np.testing.assert_allclose(sorted(abs(corner)), [1.0, 1.0], atol=1e-12)
