@@ -278,5 +278,4 @@ def predict_limit_critical(cp: CriticalMapParams, starts, tol: Tolerance = DEFAU
     ``critical_fixed_points``: the (B, 1) limits of the (B, 1) ``starts`` with the masks
     of ``dynamics.predicted``; ``cp`` may be stacked (B,) arrays."""
     coords = check_unit(np.asarray(starts, dtype=float), "[0, 1]").T
-    point = pair_point(1.0 - cp.a, cp.a, cp.a, cp.a0, cp.c0, cp.a)[0]
-    return predicted(cp, coords, (point,), tol)
+    return predicted(cp, coords, (pair_point(1.0 - cp.a, cp.a, cp.a, cp.a0, cp.c0, cp.a)[0],), tol)
