@@ -341,7 +341,7 @@ def cmd_iterate(args) -> int:
         "limit": None if limit is None else _state_doc(limit, n),
         "drifts": drifts,
         "seed": args.seed,
-        "tolerance": asdict(tol),
+        "tolerance": {"iter_eps": tol.iter_eps, "max_iters": tol.max_iters},
     }
     _write_json(summary, args.summary)
     return EXIT_OK

@@ -128,7 +128,6 @@ class ConfigurationSpace:
     entry of ``females`` (and likewise for males).
     """
 
-    graph: Graph
     allele_count: int
     cells: tuple[Cell, ...]
     components: tuple[tuple[int, ...], ...]
@@ -162,7 +161,6 @@ class ConfigurationSpace:
         cells = enumerate_cells(graph, allele_count)
         males = tuple(i for i in range(len(cells)) if i not in female_set)
         return cls(
-            graph=graph,
             allele_count=allele_count,
             cells=cells,
             components=connected_components(graph),

@@ -19,8 +19,9 @@ corner ``pair_side`` names.  On it the fixed points form a curve and x+y is
 conserved, and every start goes to where its line x+y = k meets the curve,
 ``pair_point``.  The diagonal section x+y = 1 is the block (1-a, a, 1-a, a),
 a one-dimensional quadratic self-map of [0, 1] with a single attracting fixed
-point and no periodic orbits of period two or more; ``CriticalMapParams.step``
-is that map, on a number or on a numpy array.
+point and no periodic orbits of period two or more.  ``CriticalMapParams.step``
+is that block's ``_pair_step`` and ``critical_slope`` is read from its
+``pair_jacobian``, so the section keeps no formula of its own.
 """
 
 from __future__ import annotations
@@ -162,17 +163,18 @@ def lift_operator(p: FourTypeParams) -> BisexualOperator:
 
 
 def fixed_curve(p: FourTypeParams, x):
-    """On the critical line a+c = 1: y at x along the fixed curve; x may be a numpy array."""
-    return p.c * p.c0 * x / (p.a * p.a0 + (p.c - p.a) * x)
+    """On the critical line a+c = 1: y at x along the fixed curve u x (c0-y) = a (a0-x) y
+    of the block's first row, u = 1-a, which ``pair_point`` solves; x may be a numpy array."""
+    u = 1.0 - p.a
+    return u * p.c0 * x / (p.a * p.a0 + (u - p.a) * x)
 
 
 def sub12_fixed_points(p: FourTypeParams) -> tuple[Point2, ...]:
     """Fixed points of the type-1/2 block, in increasing x.
 
     Off the critical line these are exactly the corners (0, 0) and
-    (a0, c0).  On it, every point of the curve y = c c0 x / (a a0 + (c-a) x)
-    is fixed; it is returned as 11 evenly sampled points (the curve passes
-    through both corners).
+    (a0, c0).  On it, every point of ``fixed_curve`` is fixed; it is returned
+    as 11 evenly sampled points (the curve passes through both corners).
     """
     if limit_branch(p)[0]:
         return ((0.0, 0.0), (p.a0, p.c0))
@@ -239,14 +241,14 @@ class CriticalMapParams:
         return abs(2.0 * self.a - 1.0) <= AFFINE_EPS
 
     def step(self, s: tuple) -> tuple:
-        """The section map x' = (2a-1) x^2 + ((1-a)(2-c0) - a a0) x + a a0 on 1-tuples.
+        """The section map x' = (2a-1) x^2 + ((1-a)(2-c0) - a a0) x + a a0 on 1-tuples:
+        ``_pair_step`` of the block (1-a, a, 1-a, a) at (x, 1-x).
 
         Maps [0, 1] into itself; the coordinate is a number or a numpy array.
         """
         (x,) = s
-        quad = 2.0 * self.a - 1.0
-        lin = (1.0 - self.a) * (2.0 - self.c0) - self.a * self.a0
-        return (quad * x * x + lin * x + self.a * self.a0,)
+        a, y = self.a, 1.0 - x
+        return (_pair_step(1.0 - a, a, 1.0 - a, a, x, self.a0 - x, y, self.c0 - y)[0],)
 
 
 def critical_fixed_points(cp: CriticalMapParams):
@@ -266,11 +268,13 @@ def critical_fixed_points(cp: CriticalMapParams):
 
 
 def critical_slope(cp: CriticalMapParams) -> float:
-    """Derivative of the section map at its in-range fixed point: 1 - sqrt(D), and
-    1 - (a0+c0)/2 in the affine case.  Its absolute value is below one for all valid
-    parameters, so the fixed point is always attracting."""
-    t = critical_fixed_points(cp)[0]
-    return 2.0 * (2.0 * cp.a - 1.0) * t + (1.0 - cp.a) * (2.0 - cp.c0) - cp.a * cp.a0
+    """Derivative of the section map at its in-range fixed point t: 1 - sqrt(D), and
+    1 - (a0+c0)/2 in the affine case.  On det M = 0 the block's ``pair_jacobian`` at
+    (t, 1-t) has the eigenvalues 1 and this slope, so it is the trace minus 1.  It lies
+    inside (-1, 1) for all valid parameters: the fixed point always attracts."""
+    t, a = critical_fixed_points(cp)[0], cp.a
+    jacobian = pair_jacobian(1.0 - a, a, 1.0 - a, a, cp.a0, cp.c0, t, 1.0 - t)
+    return float(jacobian[0, 0] + jacobian[1, 1] - 1.0)
 
 
 def predict_limit_critical(cp: CriticalMapParams, starts, tol: Tolerance = DEFAULT_TOLERANCE):

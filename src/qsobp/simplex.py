@@ -2,9 +2,9 @@
 
 A population state, one point of a product of simplexes, is the float array
 of its coordinates: the female block, then the male block.  ``make_state`` and
-``check_states`` raise the errors of one per-block check.  States are never
-silently renormalized, so conservation bugs surface as validation failures
-instead of being masked.
+``check_states`` raise the errors of one array check, ``rejected_rows``.  States
+are never silently renormalized, so conservation bugs surface as validation
+failures instead of being masked.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -26,40 +24,30 @@ NEGATIVITY_EPS = 1e-12
 NORMALIZATION_EPS = 1e-9
 
 
-def _checked_block(values: Sequence[float]) -> np.ndarray:
-    """``values`` as a float array if it is a point of a simplex.  Raises for no entry, then
-    a total off one by more than NORMALIZATION_EPS, then an entry below -NEGATIVITY_EPS."""
-    block = np.asarray(values, dtype=float)
-    if not block.size:
-        raise DimensionMismatchError("a distribution needs at least one entry")
-    total = reduce(add, block.tolist(), 0.0)  # in order, as ``block_totals`` adds
-    if not (abs(total - 1.0) <= NORMALIZATION_EPS):
-        raise NotNormalizedError(f"entries sum to {total}, expected 1")
-    smallest = float(block.min())
-    if not (smallest >= -NEGATIVITY_EPS):
-        raise NegativeEntryError(f"entry {smallest} < -{NEGATIVITY_EPS}")
-    return block
-
-
 def make_state(female: Sequence[float], male: Sequence[float]) -> np.ndarray:
     """The (n + ν,) coordinates of the state with blocks ``female`` and ``male``; raises
-    what ``_checked_block`` raises for the female block, then for the male block."""
-    return np.concatenate([_checked_block(female), _checked_block(male)])
+    what ``check_states`` raises for it as one row."""
+    female = np.asarray(female, dtype=float)
+    state = np.concatenate([female, np.asarray(male, dtype=float)])
+    check_states(state[None], female.size)
+    return state
 
 
 def block_totals(states: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The female and the male total of each (k, d) ``states`` row: the block's
-    running sum, which adds the entries in order, as ``_checked_block`` does; 0.0
-    for an empty block."""
-    # The copy frees each block's running sums before the next block's are taken.
-    return tuple(np.cumsum(b, axis=1)[:, -1].copy() if b.shape[1] else np.zeros(len(b))
-                 for b in (states[:, :n], states[:, n:]))
+    running sum, which adds the entries in order, from 0.0 as Python's ``sum`` does
+    (a block of -0.0 totals 0.0); 0.0 for an empty block."""
+    # Adding 0.0 frees each block's running sums before the next block's are taken.
+    # Entries of inf or 1e308 give inf or nan totals, which the check reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return tuple(np.cumsum(b, axis=1)[:, -1] + 0.0 if b.shape[1] else np.zeros(len(b))
+                     for b in (states[:, :n], states[:, n:]))
 
 
 def rejected_rows(states: np.ndarray, n: int) -> np.ndarray:
-    """Indices of the (k, d) ``states`` rows that ``make_state(row[:n], row[n:])``
-    rejects: one array test with ``_checked_block``'s tolerances, on the
-    ``block_totals`` and each block's minimum."""
+    """Indices of the (k, d) ``states`` rows whose female or male block is not a point
+    of a simplex: a ``block_totals`` entry off one by more than NORMALIZATION_EPS, or
+    an entry below -NEGATIVITY_EPS."""
     ok = np.ones(len(states), dtype=bool)
     for block, total in zip((states[:, :n], states[:, n:]), block_totals(states, n)):
         ok &= np.abs(total - 1.0) <= NORMALIZATION_EPS
@@ -68,11 +56,18 @@ def rejected_rows(states: np.ndarray, n: int) -> np.ndarray:
 
 
 def check_states(states: np.ndarray, n: int) -> None:
-    """Raise what ``make_state(row[:n], row[n:])`` raises for the first of the
-    (k, d) ``states`` rows that ``rejected_rows`` finds; only those rows are checked."""
-    for row in states[rejected_rows(states, n)]:
-        _checked_block(row[:n])
-        _checked_block(row[n:])
+    """Raise for the first of the (k, d) ``states`` rows that ``rejected_rows`` finds:
+    for its female block, then its male block, the first of no entry, a total off
+    one and an entry below -NEGATIVITY_EPS."""
+    for row in states[rejected_rows(states, n)[:1]]:
+        for block, (total,) in zip((row[:n], row[n:]), block_totals(row[None], n)):
+            if not block.size:
+                raise DimensionMismatchError("a distribution needs at least one entry")
+            if not (abs(total - 1.0) <= NORMALIZATION_EPS):
+                raise NotNormalizedError(f"entries sum to {float(total)}, expected 1")
+            smallest = float(block.min())
+            if not (smallest >= -NEGATIVITY_EPS):
+                raise NegativeEntryError(f"entry {smallest} < -{NEGATIVITY_EPS}")
 
 
 @dataclass(frozen=True)

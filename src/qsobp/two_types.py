@@ -52,6 +52,7 @@ class TwoTypeParams:
 
     def step(self, s: Point2) -> Point2:
         """One step of the reduced planar map; maps the unit square into itself."""
+        # Written out: ``_pair_step`` of (0, a, 0, 1-b) made two-type verify 8-33 % slower.
         x, y = s
         rest = 1.0 - x
         return (x + self.a * rest * y, y * (x + self.b * rest))

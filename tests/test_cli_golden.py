@@ -124,7 +124,7 @@ DIGESTS = {
         "op.json": "f1782073101cae88b5865499604f38e0e943730d41a1eda02bd6e58dcec3b456",
     },
     "fixed-points-critical": {
-        "f.json": "b1b8b64d3e462cdbf8309cdab377973e587e8b0f971cb35b358af9d06240cee2",
+        "f.json": "55601a27e9b596095d3c923250f717c51f4c864c4f405dc08d292c9ce16f4b3a",
     },
     "fixed-points-four": {
         "f.json": "78d9348340c395b93acfa84ec82de502a8472e52553da494d8fd2797c4c85605",
@@ -136,11 +136,11 @@ DIGESTS = {
         "f.json": "3213acfe938dbe7f7fd987b17f6c1811d3f1b5c3f0b1e198b2b545adf3caed52",
     },
     "iterate-four": {
-        "s.json": "632343138c8ce07c1dbdb713e9c4f286b41b86617baa68a3d0c0e0e8180ded4d",
+        "s.json": "616e3750c32fc62f3877f1549d6746752ff91e89ecc325680cb8adab35f76028",
         "t.csv": "777411711f19448e875bc4e47ba2f725a84011dc361a5ef00c31b9fdbb5a3353",
     },
     "iterate-two": {
-        "s.json": "ae88ff3135f80f5c3e3e5b5bd112e12a1b662a0d48b74c0c4313422114a6b49a",
+        "s.json": "27a0d30aadbde9fa0c0c5b3ac754c89d4c4b390d9b2418af7e4b80debf0e1bdc",
         "t.csv": "af4372440d5c6f570012fcb706541e22fa04f1992e87008bb3e468808a066530",
     },
     "predict-critical": {

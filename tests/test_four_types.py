@@ -11,6 +11,7 @@ Core claims:
     sign of a+c-1, and iterated limits match the four-branch prediction
   - on the critical line x+y is conserved, the fixed set is the stated
     curve, the predicted limit is the curve's point on the start's line x+y,
+    also inside the band |1-a-c| <= CRITICAL_EPS,
     and the one-dimensional section map has one attracting fixed point,
     correct slope, and no low-period cycles
 """
@@ -23,6 +24,7 @@ from qsobp.cli import CASES
 from qsobp.dynamics import StabilityKind, classify_fixed_point
 from qsobp.errors import FixedPointInputError
 from qsobp.four_types import (
+    CRITICAL_EPS,
     CriticalMapParams,
     FourTypeParams,
     critical_fixed_points,
@@ -286,6 +288,23 @@ def test_predict_limit_on_each_critical_line(p, label):
     run = dynamics.iterate_map(p.step, state, Tolerance(iter_eps=1e-15))
     assert max(abs(u - v) for u, v in zip(run.states[-1], limit)) <= 1e-12
     assert survivor_label(p) == label
+
+
+def test_limits_inside_the_critical_band_lie_on_the_fixed_curve():
+    # 0 < |1 - a - c| <= CRITICAL_EPS: the block counts as critical, its limit is
+    # ``pair_point`` of its first row, and ``fixed_curve`` is that row's curve.
+    rng = np.random.default_rng(43)
+    a, b, d, a0, c0 = rng.uniform(0.01, 0.99, (5, 2000))
+    c = 1.0 - a - rng.choice([-1.0, 1.0], 2000) * rng.uniform(0.01, 1.0, 2000) * CRITICAL_EPS
+    p = FourTypeParams(a, b, c, d, a0, c0)
+    det = 1.0 - a - c
+    assert np.all((det != 0.0) & (np.abs(det) <= CRITICAL_EPS)) and np.all(limit_branch(p)[0] == 0)
+    f, m = rng.uniform(0.05, 0.95, (2, 2, 2000))
+    starts = np.stack([f[0] * a0, (1 - f[0]) * a0, f[1] * (1 - a0), (1 - f[1]) * (1 - a0),
+                       m[0] * c0, (1 - m[0]) * c0, m[1] * (1 - c0), (1 - m[1]) * (1 - c0)], axis=1)
+    limits, fixed, invalid = predict_limit(p, starts)
+    assert not (fixed | invalid).any()
+    assert np.abs(limits[:, 4] - fixed_curve(p, limits[:, 0])).max() <= 1e-14
 
 
 def test_predict_limit_rejects_fixed_state():

@@ -14,7 +14,9 @@ a0, c0 in (0, 1], each face value included:
   - two-type limits, the block (0, a, 0, 1 - b) on the unit square, lie within
     1e-13 of the level formula computed in fractions.Fraction
   - the critical section's point, the block (1 - a, a, 1 - a, a) on x + y = 1,
-    lies within 1e-15 of the root of its quadratic computed in decimal
+    lies within 1e-15 of the root of its quadratic computed in decimal, its
+    slope within 1e-15 of 1 - sqrt(D) in decimal, and its map is the block's
+    step, within 1e-15 of the paper's quadratic in fractions.Fraction
   - ``pair_jacobian`` is the Jacobian of the lifted operators through the slice
     coordinates and of ``_pair_step`` by central differences
 
@@ -36,7 +38,7 @@ from hypothesis import strategies as st
 
 from qsobp import dynamics, four_types, two_types
 from qsobp.four_types import (CriticalMapParams, FourTypeParams, _pair_step, critical_fixed_points,
-                              pair_jacobian, pair_limit, pair_point)
+                              critical_slope, pair_jacobian, pair_limit, pair_point)
 from qsobp.simplex import Tolerance
 from qsobp.two_types import TwoTypeParams
 
@@ -209,6 +211,51 @@ def test_the_section_point_is_the_root_of_its_quadratic(a0, c0):
     for a in np.concatenate([_SMALL, 1.0 - _SMALL, _NEAR_HALF]).tolist():
         point = critical_fixed_points(CriticalMapParams(a, a0, c0))[0]
         assert abs(Decimal(point) - _section_root(a, a0, c0)) <= Decimal("1e-15"), a
+
+
+def _section_slope(a, a0, c0):
+    """The section map's slope at its point, 1 - sqrt(D), in 50-digit decimal."""
+    a, a0, c0 = map(Fraction, (a, a0, c0))
+    quad, big_k = 2 * a - 1, 1 + a * a0 - (1 - a) * (2 - c0)
+    disc = big_k * big_k - 4 * quad * a * a0
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return 1 - (Decimal(disc.numerator) / Decimal(disc.denominator)).sqrt()
+
+
+def test_the_section_slope_is_one_minus_the_root_of_the_discriminant():
+    # 226 values of a, down to 1e-16 from 0 and from 1, at 14 (a0, c0) pairs.
+    rng = np.random.default_rng(41)
+    cells = 0
+    for a0, c0 in rng.uniform(0.01, 0.99, (14, 2)).tolist():
+        for a in np.concatenate([_SMALL, 1.0 - _SMALL, _NEAR_HALF]).tolist():
+            slope = critical_slope(CriticalMapParams(a, a0, c0))
+            assert abs(Decimal(slope) - _section_slope(a, a0, c0)) <= Decimal("1e-15"), (a, a0, c0)
+            cells += 1
+    assert cells >= 3_000
+
+
+def _section_quadratic(a, a0, c0, x):
+    """The paper's section map (2a-1) x^2 + ((1-a)(2-c0) - a a0) x + a a0, term by term."""
+    quad, lin = 2.0 * a - 1.0, (1.0 - a) * (2.0 - c0) - a * a0
+    return quad * x * x + lin * x + a * a0
+
+
+def test_the_section_map_is_the_section_blocks_step():
+    # 10^6 rows in four blocks; the first 2,000 also against the quadratic in Fraction.
+    rng = np.random.default_rng(42)
+    for block in range(4):
+        a, a0, c0 = rng.uniform(1e-3, 1.0 - 1e-3, (3, 250_000))
+        x = rng.uniform(0.0, 1.0, 250_000)
+        (image,) = CriticalMapParams(a, a0, c0).step((x,))
+        y = 1.0 - x
+        np.testing.assert_array_equal(image, _pair_step(1.0 - a, a, 1.0 - a, a, x, a0 - x, y, c0 - y)[0])
+        assert np.abs(image - _section_quadratic(a, a0, c0, x)).max() <= 5.6e-16
+        if block == 0:
+            for row in np.stack([a, a0, c0, x, image], axis=1)[:2000].tolist():
+                A, A0, C0, X = map(Fraction, row[:4])
+                exact = (2 * A - 1) * X * X + ((1 - A) * (2 - C0) - A * A0) * X + A * A0
+                assert abs(Fraction(row[4]) - exact) <= Fraction(1, 10**15), row
 
 
 def test_parameters_down_to_the_smallest_normal_float_keep_their_limits():

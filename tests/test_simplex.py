@@ -81,9 +81,18 @@ def test_check_states_rejects_an_empty_block_as_make_state_does():
     ],
 )
 def test_make_state_raises_the_error_of_the_reference_rule(female, male):
+    # check_states raises the same for the row between two valid ones; inf and 1e308
+    # entries warn nothing, as pytest turns RuntimeWarning into an error.
     kind, message = simplex_violation(female, male)
     with pytest.raises(kind) as info:
         make_state(female, male)
+    assert str(info.value) == message
+    rows = [np.concatenate([np.asarray(female, dtype=float), np.asarray(male, dtype=float)])]
+    if female and male:
+        good = np.concatenate([np.full(len(block), 1.0 / len(block)) for block in (female, male)])
+        rows = [good, rows[0], good]
+    with pytest.raises(kind) as info:
+        check_states(np.stack(rows), len(female))
     assert str(info.value) == message
 
 
