@@ -7,9 +7,9 @@ Core claims:
     and reports fixed starting points as zero steps
   - the analytic Jacobian equals central finite differences of the
     quadratic form
-  - classification of any square Jacobian agrees with known eigenvalues and,
-    on 2x2 matrices, with the trace/determinant roots, over draws that reach
-    every hyperbolic kind
+  - classification of any square Jacobian agrees with directly computed
+    eigenvalues and, on 2x2 matrices, with the trace/determinant roots, over
+    draws that reach every hyperbolic kind
   - grid search finds exactly the isolated fixed points, and only points
     of the fixed set when that set is a continuum
 """
@@ -277,6 +277,25 @@ def test_classify_fixed_point_2d_unit_circle_cases():
         assert verdict.kind is StabilityKind.NON_HYPERBOLIC
         assert min(abs(m - 1.0) for m in verdict.eigen_moduli) <= 1e-12
     assert classify_fixed_point([[1.0, 0.0], [0.0, 2.0]], tol).eigen_moduli == (2.0, 1.0)
+
+
+def test_classify_fixed_point_2d_agrees_with_eigvals():
+    rng = np.random.default_rng(99)
+    tol = Tolerance()
+    expected_kind = {2: StabilityKind.ATTRACTING, 1: StabilityKind.SADDLE, 0: StabilityKind.REPELLING}
+    seen = set()
+    checked = 0
+    while checked < 2000:
+        m = rng.uniform(-2.0, 2.0, (2, 2))
+        moduli = sorted(np.abs(np.linalg.eigvals(m)), reverse=True)
+        if any(abs(mod - 1.0) < 1e-6 for mod in moduli):
+            continue  # stay away from the unit circle, where rounding decides
+        verdict = classify_fixed_point(m, tol)
+        np.testing.assert_allclose(verdict.eigen_moduli, moduli, atol=1e-7)
+        assert verdict.kind is expected_kind[sum(mod < 1.0 for mod in moduli)], m
+        seen.add(verdict.kind)
+        checked += 1
+    assert seen == set(expected_kind.values())
 
 
 def _kind(moduli, tol):
