@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import construction, dynamics, four_types, two_types
-from .errors import FixedPointInputError, QsobpError, SchemaError
+from .errors import FixedPointInputError, QsobpError, SchemaError, SizeOverflowError
 from .simplex import (Tolerance, block_totals, check_states, check_unit, float_texts, make_state,
                       rejected_rows)
 
@@ -30,6 +30,15 @@ EXIT_IO = 3
 
 # Report-level agreement threshold between iterated and predicted limits.
 DEFAULT_MATCH_EPS = 1e-6
+
+# verify holds all its grid**2 * starts rows at once, and fixed-points --grid its
+# grid**2 seeds.  Peak RSS grew by about 2.1 KB per verify row at one start per
+# cell (two-type and four-type, grids of 200 and 400) and by 0.46 KB per seed
+# (four-type, grids of 500 and 1000), measured in process on Python 3.11 and
+# numpy 2.4.  Runs above these counts, about 1 GiB each, are refused before any
+# array is allocated.
+VERIFY_ROWS_CAP = 2**19
+GRID_SEEDS_CAP = 2**21
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +366,9 @@ def cmd_fixed_points(args) -> int:
     case, p = CASES[args.case], _planar_params(args)
     if args.grid and case.planar is None:
         raise SchemaError("grid", f"--case {args.case} has no planar map to search; omit --grid")
+    if args.grid**2 > GRID_SEEDS_CAP:
+        raise SizeOverflowError(f"--grid {args.grid} makes {args.grid**2} seeds, "
+                                f"above the bound of {GRID_SEEDS_CAP}")
     if not args.grid:  # nothing compares to --abs-eps; the two-type segments hold for any a, b
         unread = ("a", "b", "abs_eps") if args.case == "two-type" else ("abs_eps",)
         _reject(args, unread, f"not read by fixed-points --case {args.case} without --grid; "
@@ -459,6 +471,10 @@ def cmd_verify(args) -> int:
         raise SchemaError(
             "grid", f"--grid and --starts must be >= 1, got {args.grid} and {args.starts}"
         )
+    rows = args.grid**2 * args.starts
+    if rows > VERIFY_ROWS_CAP:
+        raise SizeOverflowError(f"--grid {args.grid} and --starts {args.starts} make {rows} "
+                                f"rows, above the bound of {VERIFY_ROWS_CAP}")
     if not 0.0 <= args.match_eps < math.inf:
         raise SchemaError("match-eps", f"must be finite and >= 0, got {args.match_eps}")
     case = CASES[args.case]

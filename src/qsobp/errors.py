@@ -18,7 +18,8 @@ class DimensionMismatchError(QsobpError):
 
 
 class SizeOverflowError(QsobpError):
-    """A configuration space's operator tensors would exceed the memory bound."""
+    """A run's arrays, such as a configuration space's operator tensors or a grid's
+    rows, would exceed their memory bound."""
 
 
 class PartitionIndexError(QsobpError):

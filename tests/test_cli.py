@@ -19,6 +19,9 @@ Core claims:
     --a and --b, without --grid, a parameter flag the start fixes and a
     two-type classify point that is not fixed are input
     errors; no JSON document holds NaN or infinity
+  - a verify grid of more than VERIFY_ROWS_CAP rows (grid**2 * starts) and a
+    fixed-points grid of more than GRID_SEEDS_CAP seeds exit 2 with a message
+    naming the bound, before any array is allocated or file written
   - each command takes only the flags it reads: the iteration threshold and
     budget only where something iterates, the comparison epsilon everywhere
     but iterate
@@ -648,21 +651,58 @@ def test_a_string_or_boolean_tensor_entry_is_an_input_error(tmp_path, capsys, en
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["verify", "--case", "two-type", "--grid", "1", "--starts", "10000000000000000",
-         "--report", "{d}/r.json"],
-        ["sweep", "--case", "critical-line", "--a", "0:1:10000000000000000",
-         "--output", "{d}/s.csv"],
+        (["verify", "--case", "two-type", "--grid", "1", "--starts", "10000000000000000",
+          "--report", "{d}/r.json"],
+         "input error: --grid 1 and --starts 10000000000000000 make 10000000000000000 rows, "
+         f"above the bound of {cli.VERIFY_ROWS_CAP}\n"),
+        (["sweep", "--case", "critical-line", "--a", "0:1:10000000000000000",
+          "--output", "{d}/s.csv"],
+         "input error: Unable to allocate"),
     ],
     ids=["verify-starts", "sweep-range"],
 )
-def test_a_run_too_large_for_memory_is_an_input_error(tmp_path, capsys, argv):
-    # The first array of each needs 8e16 bytes (71 PiB), which no allocator grants.
+def test_a_run_too_large_for_memory_is_an_input_error(tmp_path, capsys, argv, message):
+    # verify refuses its 1e16 rows by their count; the sweep's first array needs
+    # 8e16 bytes (71 PiB), which no allocator grants.
     assert main([a.replace("{d}", str(tmp_path)) for a in argv]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("input error: Unable to allocate")
+    assert err.startswith(message)
     assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # 419**2 * 3 = 526,683 rows, the smallest three-start grid above 2**19.
+        (["verify", "--case", "two-type", "--grid", "419", "--report", "{d}/r.json"],
+         "--grid 419 and --starts 3 make 526683 rows, above the bound of 524288"),
+        (["verify", "--case", "four-type", "--grid", "3000", "--starts", "1",
+          "--portrait", "{d}/p.csv", "--report", "{d}/r.json"],
+         "--grid 3000 and --starts 1 make 9000000 rows, above the bound of 524288"),
+        # 1449**2 = 2,099,601 seeds, the smallest grid above 2**21.
+        (["fixed-points", "--case", "four-type", "--grid", "1449", "--output", "{d}/f.json"],
+         "--grid 1449 makes 2099601 seeds, above the bound of 2097152"),
+        (["fixed-points", "--case", "two-type", "--grid", "100000", "--output", "{d}/f.json"],
+         "--grid 100000 makes 10000000000 seeds, above the bound of 2097152"),
+    ],
+    ids=["verify-just-above", "verify-four-type", "fixed-points-just-above", "fixed-points-huge"],
+)
+def test_a_grid_above_its_row_bound_exits_2_before_allocating(tmp_path, capsys, argv, message):
+    """verify's grid**2 * starts rows and fixed-points' grid**2 seeds are counted against
+    VERIFY_ROWS_CAP and GRID_SEEDS_CAP before any array is made or file written."""
+    assert (cli.VERIFY_ROWS_CAP, cli.GRID_SEEDS_CAP) == (2**19, 2**21)
+    tracemalloc.start()
+    try:
+        code = main([a.replace("{d}", str(tmp_path)) for a in argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert peak < 2**20
     assert not list(tmp_path.iterdir())
 
 

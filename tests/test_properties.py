@@ -563,22 +563,33 @@ def tail_batches(draw):
     scalar tail or reaches it mid-run, and rows finish while it is still wide.  A third
     of the rows repeat an earlier row, so groups of rows finish on the same step; in half
     the others one parameter is 0, 1, -0.5 or NaN, which takes a four-type block or a
-    two-type coordinate to NaN."""
+    two-type coordinate to NaN.  In a third of the four-type rows the type-1/2 block
+    starts at a corner, fixed, so coordinate 0 passes every move test while the
+    type-3/4 block moves; in half of those b or d is NaN, which turns the type-3/4
+    block NaN while coordinate 0 stays put."""
     case = draw(st.sampled_from(["two-type", "four-type", "critical-line"]))
     rows = []
     for _ in range(draw(st.integers(dynamics.TAIL_WIDTH - 2, 4 * dynamics.TAIL_WIDTH + 8))):
         if rows and draw(st.integers(0, 2)) == 0:
             rows.append(draw(st.sampled_from(rows)))
             continue
+        cornered = False
         if case == "two-type":
             p, start = TwoTypeParams(draw(unit), draw(unit)), draw(st.tuples(fraction, fraction))
         elif case == "four-type":
             p, state = draw(four_type_cases())
             start = state.tolist()
+            if draw(st.integers(0, 2)) == 0:
+                cornered = True
+                at_a0 = draw(st.booleans())
+                start[0:2] = [p.a0, 0.0] if at_a0 else [0.0, p.a0]
+                start[4:6] = [p.c0, 0.0] if at_a0 else [0.0, p.c0]
         else:
             p, start = CriticalMapParams(draw(unit), draw(unit), draw(unit)), (draw(fraction),)
         values = dict(vars(p))
-        if draw(st.booleans()):
+        if cornered and draw(st.booleans()):
+            values[draw(st.sampled_from(["b", "d"]))] = math.nan
+        elif draw(st.booleans()):
             name = draw(st.sampled_from(sorted(values)))
             values[name] = draw(st.sampled_from([0.0, 1.0, -0.5, math.nan]))
         rows.append((values, start))
@@ -588,10 +599,16 @@ def tail_batches(draw):
 @settings(PROPERTY, max_examples=50)
 @given(tail_batches(), st.sampled_from([3, 40, 400]), st.sampled_from([1e-12, 1e-6]))
 def test_a_batch_with_a_scalar_tail_equals_its_rows_run_alone(batch, max_iters, iter_eps):
+    """Each row ends as it ends alone, and the batch as ``helpers.reference_batch`` ends
+    it, bit for bit; a row that ends holding NaN never converged."""
     kind, rows = batch
     columns = {name: [values[name] for values, _ in rows] for name in rows[0][0]}
     tol = Tolerance(iter_eps=iter_eps, max_iters=max_iters)
-    _batch_against_rows(kind, columns, [start for _, start in rows], tol)
+    starts = [start for _, start in rows]
+    run = _batch_against_rows(kind, columns, starts, tol)
+    params = kind(**{name: np.array(column, dtype=float) for name, column in columns.items()})
+    _assert_same_runs(run, reference_batch(kind.step, np.array(starts).T, tol, params=params))
+    assert not run.converged[np.isnan(run.end).any(axis=0)].any()
 
 
 @dataclass(frozen=True)
@@ -628,7 +645,11 @@ def engine_batches(draw):
     runs to 40 or, at d = 256, past two BLOCK_BYTES of states, so a block of steps runs
     from BLOCK_STEPS steps down to one.  A fifth of the columns start fixed (every y = 0), a
     parameter is 0, 1, -0.5, 1.5 or NaN a sixth of the time, and a fifth of the
-    columns repeat an earlier one, so groups of columns finish on one step."""
+    columns repeat an earlier one, so groups of columns finish on one step.  At d = 8
+    and 256, in a fifth of the columns only the first pair starts fixed (its y = 0), so
+    coordinate 0 passes every move test while later pairs move; in a third of those a
+    later pair starts at x = 10**2 to 10**300, which overflows and turns NaN while
+    coordinate 0 stays put.  The last value lists these settled-first columns."""
     d = draw(st.sampled_from([2, 8, 256]))
     width = draw(st.integers(1, dynamics.BLOCK_BYTES // (d * 8) + 32 if d == 256 else 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -642,7 +663,12 @@ def engine_batches(draw):
         if column:
             earlier = int(rng.integers(column))
             starts[:, column], a[column], b[column] = starts[:, earlier], a[earlier], b[earlier]
-    return starts, a, b
+    settled = np.flatnonzero(rng.random(width) < 0.2) if d > 2 else np.arange(0)
+    starts[1, settled] = 0.0
+    starts[3::2, settled] = rng.uniform(0.01, 1.0, (d // 2 - 1, settled.size))
+    blowup = settled[rng.random(settled.size) < 1 / 3]
+    starts[2 * rng.integers(1, d // 2, blowup.size), blowup] = 10.0 ** rng.uniform(2, 300, blowup.size)
+    return starts, a, b, settled
 
 
 @settings(PROPERTY, max_examples=150)
@@ -660,8 +686,10 @@ def test_the_engine_gives_what_its_rule_gives_one_step_at_a_time(
     """``iterate_batch`` against ``helpers.reference_batch``, bit for bit: end states,
     steps, flags and, with ``store_cap``, every stored state and its step.  With
     per-row parameters no column is stepped more than ``max_iters`` times, and
-    without them the map is called at most ``max_iters`` times."""
-    starts, a, b = batch
+    without them the map is called at most ``max_iters`` times.  A column that ends
+    holding NaN never converged, and up to 8 columns whose coordinate 0 settles first
+    end, run alone, as they end in the batch."""
+    starts, a, b, settled = batch
     width = starts.shape[1]
     tol = Tolerance(iter_eps=iter_eps, max_iters=max_iters)
     params = _Counted(a, b, np.arange(width, dtype=float)) if per_row else None
@@ -675,20 +703,38 @@ def test_the_engine_gives_what_its_rule_gives_one_step_at_a_time(
         run = dynamics.iterate_batch(step, starts, tol, params=params, store_cap=store_cap)
         stepped = counts.copy()
         ref = reference_batch(step, starts, tol, params=params, store_cap=store_cap)
-    assert run.end.tobytes() == ref.end.tobytes()
-    assert np.array_equal(run.steps_taken, ref.steps_taken)
-    assert np.array_equal(run.converged, ref.converged)
+    _assert_same_runs(run, ref)
     assert stepped.max() <= max_iters
-    if store_cap is None:
-        assert run.trajectories is None
+    assert not run.converged[np.isnan(run.end).any(axis=0)].any()
+    for column in settled[:8].tolist():
+        one_row = _Counted(a[[column]], b[[column]], np.zeros(1)) if per_row else None
+        with np.errstate(all="ignore"):
+            alone = dynamics.iterate_batch(
+                step, starts[:, [column]], tol, params=one_row, store_cap=store_cap
+            )
+        _assert_same_runs(alone, _column(run, column))
+
+
+def _column(run: dynamics.BatchRun, column: int) -> dynamics.BatchRun:
+    """The record of one column of ``run``, as a batch of that column alone."""
+    trajectories = None if run.trajectories is None else (run.trajectories[column],)
+    return dynamics.BatchRun(run.end[:, [column]], run.steps_taken[[column]],
+                             run.converged[[column]], trajectories)
+
+
+def _assert_same_runs(got: dynamics.BatchRun, want: dynamics.BatchRun) -> None:
+    """The two records agree bit for bit, stored histories included."""
+    assert got.end.tobytes() == want.end.tobytes()
+    assert np.array_equal(got.steps_taken, want.steps_taken)
+    assert np.array_equal(got.converged, want.converged)
+    if want.trajectories is None:
+        assert got.trajectories is None
         return
-    for got, want in zip(run.trajectories, ref.trajectories, strict=True):
-        assert got.states.tobytes() == want.states.tobytes()
-        assert got.states.shape == want.states.shape
-        assert got.state_steps == want.state_steps
-        assert (got.converged, got.steps_taken, got.limit) == (
-            want.converged, want.steps_taken, want.limit
-        )
+    for g, w in zip(got.trajectories, want.trajectories, strict=True):
+        assert g.states.tobytes() == w.states.tobytes()
+        assert g.states.shape == w.states.shape
+        assert g.state_steps == w.state_steps
+        assert (g.converged, g.steps_taken, g.limit) == (w.converged, w.steps_taken, w.limit)
 
 
 def _pairwise_tensors(space, weights):
