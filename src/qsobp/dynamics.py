@@ -63,7 +63,7 @@ TAIL_WIDTH = 16
 # of 16 to 64 and budgets of 128 to 512 KiB all ran within 5 % of these three.
 # With the tail's coordinate-0 test, tail widths of 12, 20, 24 and 32 won 4, 7,
 # 7 and 6 of 10 alternating pairs of in-process rounds against 16, and caps of
-# 16 and 64 won 5 of 10 each against 32, so neither changed.
+# 16 and 64 won 6 of 10 each against 32, so neither changed.
 BLOCK_STEPS = 32
 BLOCK_BYTES = 256 * 1024
 

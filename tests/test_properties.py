@@ -21,8 +21,10 @@ four-type and the critical-line case:
     convergence flag, whether the budget lets it converge or cuts it off;
     this holds for batches that start in the scalar tail or reach it mid-run,
     for rows that finish before, at or after the handoff, for groups of rows
-    that finish on one step while the batch is still wide, and for rows whose
-    parameters are 0, 1, -0.5 or NaN, which the numpy engine steps alone
+    that finish on one step while the batch is still wide, for rows whose
+    parameters are 0, 1, -0.5 or NaN, which the numpy engine steps alone, and
+    for rows whose coordinate 0 stays put while later coordinates move or turn
+    NaN; no row that ends holding NaN is converged
   - iterate_batch gives, bit for bit, what its rule stated one step at a time
     (helpers.reference_batch) gives, histories included, for blocks of one to
     BLOCK_STEPS steps and budgets on both sides of a block, and steps no column
