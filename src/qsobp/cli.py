@@ -10,7 +10,6 @@ byte-identical files.  Exit codes: 0 = ran (including non-convergence),
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -22,7 +21,7 @@ import numpy as np
 from . import construction, dynamics, four_types, two_types
 from .errors import FixedPointInputError, QsobpError, SchemaError, SizeOverflowError
 from .simplex import (Tolerance, block_totals, check_states, check_unit, float_texts, make_state,
-                      rejected_rows)
+                      rejected_rows, write_json)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -32,11 +31,12 @@ EXIT_IO = 3
 DEFAULT_MATCH_EPS = 1e-6
 
 # verify holds all its grid**2 * starts rows at once, and fixed-points --grid its
-# grid**2 seeds.  Peak RSS grew by about 2.1 KB per verify row at one start per
-# cell (two-type and four-type, grids of 200 and 400) and by 0.46 KB per seed
-# (four-type, grids of 500 and 1000), measured in process on Python 3.11 and
-# numpy 2.4.  Runs above these counts, about 1 GiB each, are refused before any
-# array is allocated.
+# grid**2 seeds.  Peak RSS grew by about 1.3 KB (two-type) and 1.6 KB (four-type)
+# per verify row at one start per cell, grids of 200 and 400, and by 0.46 KB
+# (four-type) and 0.68 KB (two-type, whose seeds nearly all stay distinct points)
+# per seed, grids of 500 and 1000; measured in process on Python 3.11 and numpy
+# 2.4.  Runs above these counts, which need up to about 0.8 GiB (verify) and 1.4
+# GiB (fixed-points), are refused before any array is allocated.
 VERIFY_ROWS_CAP = 2**19
 GRID_SEEDS_CAP = 2**21
 
@@ -92,16 +92,6 @@ def _parse_range(text: str) -> list[float]:
     if count < 0:
         raise SchemaError("range", "count must be >= 0")
     return np.linspace(lo, hi, count).tolist()
-
-
-def _write_json(doc: dict, path: str | None) -> None:
-    """Write ``doc``; ``ValueError``, before anything is written, on NaN or infinity."""
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 def _write_lines(path: str, header: Sequence[str], lines) -> None:
@@ -352,7 +342,7 @@ def cmd_iterate(args) -> int:
         "seed": args.seed,
         "tolerance": {"iter_eps": tol.iter_eps, "max_iters": tol.max_iters},
     }
-    _write_json(summary, args.summary)
+    write_json(summary, args.summary)
     return EXIT_OK
 
 
@@ -386,8 +376,8 @@ def cmd_fixed_points(args) -> int:
                "discriminant": discriminant, "slope": four_types.critical_slope(p)}
     if args.grid:
         found = dynamics.find_fixed_points_grid(*case.planar(p), args.grid, tol)
-        doc["grid_points"] = [list(pt) for pt in found]
-    _write_json(doc, args.output)
+        doc["grid_points"] = np.array(found)  # written as its rows, each row one join
+    write_json(doc, args.output)
     return EXIT_OK
 
 
@@ -412,7 +402,7 @@ def cmd_classify(args) -> int:
         fixed = four_types.sub12_fixed_points(p)
         points = [{"point": list(pt), **_verdict_doc(jacobian(pt), tol)} for pt in fixed]
         doc = {"case": "four-type", "points": points}
-    _write_json(doc, args.output)
+    write_json(doc, args.output)
     return EXIT_OK
 
 
@@ -450,20 +440,25 @@ def cmd_predict(args) -> int:
     limit = tuple(limits[0].tolist())
     label = case.labels[int(case.label(p, limits)[0])]
     doc = {"case": args.case, **case.doc(start, limit), "class": label}
-    _write_json(doc, args.output)
+    write_json(doc, args.output)
     return EXIT_OK
 
 
 def _portrait_rows(case: Case, regimes, tol: Tolerance):
-    """Trajectory point streams behind the phase-portrait ``regimes``, (name, parameters) pairs."""
+    """Trajectory point streams behind the phase-portrait ``regimes``, (name, parameters)
+    pairs: every regime's fan of starts in one batch, with each row's parameters."""
     short_tol = Tolerance(abs_eps=tol.abs_eps, iter_eps=tol.iter_eps, max_iters=20_000)
-    fan = [(0.05, 0.9), (0.3, 0.9), (0.6, 0.9), (0.9, 0.85), (0.9, 0.1), (0.6, 0.05), (0.3, 0.08), (0.08, 0.3)]
-    for regime, p in regimes:
-        step, _, (w, h) = case.planar(p)
-        starts = [[u * w for u, _ in fan], [v * h for _, v in fan]]
-        run = dynamics.iterate_batch(lambda _, s: step(s), starts, short_tol, store_cap=400)
-        for t, traj in enumerate(run.trajectories):
-            yield from _float_rows([f"{regime},{t},{i}" for i in traj.state_steps], traj.states)
+    fan = np.array([(0.05, 0.9), (0.3, 0.9), (0.6, 0.9), (0.9, 0.85),
+                    (0.9, 0.1), (0.6, 0.05), (0.3, 0.08), (0.08, 0.3)])
+    starts = np.concatenate([fan * case.planar(p)[2] for _, p in regimes])
+    params = case.params(**{name: np.repeat([getattr(p, name) for _, p in regimes], len(fan))
+                            for name in case.names})
+    run = dynamics.iterate_batch(lambda p, s: case.planar(p)[0](s), starts.T, short_tol,
+                                 params=params, store_cap=400)
+    names = [regime for regime, _ in regimes for _ in fan]
+    heads = [f"{names[k]},{k % len(fan)},{i}"
+             for k, traj in enumerate(run.trajectories) for i in traj.state_steps]
+    yield from _float_rows(heads, np.concatenate([traj.states for traj in run.trajectories]))
 
 
 def cmd_verify(args) -> int:
@@ -530,7 +525,7 @@ def cmd_verify(args) -> int:
         "max_mismatch": max((cell["max_mismatch"] for cell in cells), default=0.0),
         "pass": n_pass == len(cells),
     }
-    _write_json(report, args.report)
+    write_json(report, args.report)
     if args.portrait is not None:
         header = ["regime", "traj", "step", "x", "y"]
         _write_lines(args.portrait, header, _portrait_rows(case, regimes, tol))

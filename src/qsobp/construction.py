@@ -39,7 +39,7 @@ from .errors import (
     SchemaError,
     SizeOverflowError,
 )
-from .simplex import DEFAULT_TOLERANCE, Tolerance, float_texts
+from .simplex import DEFAULT_TOLERANCE, Tolerance, write_json
 
 # A cell maps each vertex (positionally) to a 1-based allele index.
 Cell = tuple[int, ...]
@@ -526,33 +526,7 @@ def load_json(path: str) -> dict:
         raise SchemaError("input", f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
-def dump_json(doc: dict, path: str) -> None:
-    """Write an operator document as ``json.dump(doc, fh, indent=2, sort_keys=True)``
-    and a final newline would, byte for byte.
-
-    ``json.dump`` with an indent runs the pure-Python encoder.  Here each
-    tensor, a nested list or an array, goes through ``float_texts`` once,
-    which formats its distinct entries with ``float.__repr__``, JSON's format
-    of a finite float; the text goes out one (i, ., .) plane at a time, each
-    row one join.  Tensor entries are finite floats, as ``HeredityTensors``
-    holds them.
-    """
-    # Planes sit at depth 2 of the document, rows at depth 3, entries at depth 4.
-    open_plane, close_plane = "\n    [\n      [\n        ", "\n      ]\n    ]"
-    row_sep, entry_sep = "\n      ],\n      [\n        ", ",\n        "
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("{")
-        for k, key in enumerate(sorted(doc)):
-            value = doc[key]
-            fh.write(("," if k else "") + "\n  " + json.dumps(key) + ": ")
-            if not isinstance(value, (list, np.ndarray)):
-                fh.write(json.dumps(value))
-                continue
-            # A generator: no leftover plane keeps these texts while the next tensor's are made.
-            fh.write("[")
-            fh.writelines(
-                ("," if i else "") + open_plane + row_sep.join(map(entry_sep.join, plane.tolist()))
-                + close_plane for i, plane in enumerate(float_texts(value))
-            )
-            fh.write("\n  ]")
-        fh.write("\n}\n")
+# ``construct`` writes its operator document through this name, which the
+# benchmark traces as the construction layer's writer; reports and summaries
+# call ``write_json`` itself, so that verify runs no construction code.
+dump_json = write_json

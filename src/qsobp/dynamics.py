@@ -40,6 +40,7 @@ from the moduli of its Jacobian's eigenvalues.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -394,9 +395,31 @@ def find_fixed_points_grid(
     x, y = p
     ok = (np.abs(r).max(axis=0) <= tol.abs_eps) & (-margin <= x) & (x <= w + margin)
     ok &= (-margin <= y) & (y <= h + margin)
-    kept: list[tuple[float, float]] = []
-    for pt in sorted(zip(np.clip(x[ok], 0.0, w).tolist(), np.clip(y[ok], 0.0, h).tolist())):
-        if all(max(abs(pt[0] - q[0]), abs(pt[1] - q[1])) > 10.0 * tol.abs_eps for q in kept):
-            kept.append(pt)
-    return kept
+    points = sorted(zip(np.clip(x[ok], 0.0, w).tolist(), np.clip(y[ok], 0.0, h).tolist()))
+    return _spread(points, 10.0 * tol.abs_eps)
 
+
+def _spread(points: list, radius: float) -> list:
+    """The planar ``points``, sorted and with coordinates >= 0, each kept unless a
+    point kept before it lies within Chebyshev distance ``radius``.
+
+    Kept points are filed by their cell, the floor of each coordinate over the
+    cell size, and a point is compared only with those up to two cells out on
+    each axis, and on the first axis only on its left, where the points before
+    it lie.  A point within ``radius`` lies at most one cell out, and the
+    rounding of the quotients moves a cell by at most one more: cells are no
+    finer than 2**-50 of the largest coordinate, so every quotient stays below
+    2**50, where it rounds by at most 1/8.
+    """
+    size = max(radius, 2.0**-50 * max(map(max, points), default=0.0))
+    near = [(di, dj) for di in (-2, -1, 0) for dj in (-2, -1, 0, 1, 2)]
+    cells: dict[tuple[int, int], list] = {}
+    kept = []
+    for pt in points:
+        x, y = pt
+        i, j = math.floor(x / size), math.floor(y / size)
+        if all(max(abs(x - u), abs(y - v)) > radius
+               for di, dj in near for u, v in cells.get((i + di, j + dj), ())):
+            kept.append(pt)
+            cells.setdefault((i, j), []).append(pt)
+    return kept

@@ -1,17 +1,21 @@
-"""Population states, tolerance settings and the text of floats.
+"""Population states, tolerance settings, and the text of floats and of JSON documents.
 
 A population state, one point of a product of simplexes, is the float array
 of its coordinates: the female block, then the male block.  ``make_state`` and
 ``check_states`` raise the errors of one array check, ``rejected_rows``.  States
 are never silently renormalized, so conservation bugs surface as validation
-failures instead of being masked.
+failures instead of being masked.  ``write_json`` writes every JSON document
+of the package.
 """
 
 from __future__ import annotations
 
+import itertools
+import json
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 import numpy as np
@@ -97,6 +101,125 @@ def float_texts(values) -> np.ndarray:
     bits, inverse = np.unique(values.ravel().view(np.int64), return_inverse=True)
     texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
     return texts[inverse].reshape(values.shape)
+
+
+def _finite(values) -> np.ndarray:
+    """``values`` as a float array; ``ValueError`` for NaN or infinity, as ``json.dumps``."""
+    values = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    return values
+
+
+def _bracket(texts, depth: int) -> str:
+    """The JSON list of the item ``texts`` at nesting ``depth``."""
+    if not texts:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return f"[{inner}{(',' + inner).join(texts)}\n{'  ' * depth}]"  # one copy of the items
+
+
+def _column(values, depth: int) -> list[str]:
+    """JSON's text of each of ``values`` at nesting ``depth``, formatted a column at a time.
+
+    Floats go through ``float_texts`` at once, and strings, ints and bools of one
+    kind through one ``map`` or comprehension.  Dicts with the same keys are
+    records: each field is one column, and each record one ``%`` format of its
+    field texts.  Anything else is formatted value by value.
+    """
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return float_texts(_finite(values)).tolist()
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds == {bool}:
+        return ["true" if value else "false" for value in values]
+    keys = values[0].keys() if kinds == {dict} else ()
+    if keys and all(map(keys.__eq__, map(dict.keys, values))):
+        names = sorted(keys)
+        inner = "\n" + "  " * (depth + 1)
+        labels = [encode_basestring_ascii(name).replace("%", "%%") for name in names]
+        record = "{" + ",".join(f"{inner}{label}: %s" for label in labels) + "\n" + "  " * depth + "}"
+        columns = [_column([value[name] for value in values], depth + 1) for name in names]
+        return [record % texts for texts in zip(*columns)]
+    return ["".join(_chained(_pieces(value, depth))) for value in values]
+
+
+def _pieces(value, depth: int) -> list:
+    """JSON's text of ``value`` at nesting ``depth``, as ``json.dumps`` with an indent
+    of 2 and sorted keys writes it: a list of strings, and of a generator for each
+    numpy array.
+
+    Every piece but an array's generator is made before this returns.  An
+    array's entries are checked for NaN and infinity here, and its generator
+    formats them one sub-array of its first axis at a time.
+    """
+    if isinstance(value, dict):
+        pieces = []
+        for k, key in enumerate(sorted(value)):
+            pieces.append(("," if k else "{") + "\n" + "  " * (depth + 1)
+                          + encode_basestring_ascii(key) + ": ")
+            pieces.extend(_pieces(value[key], depth + 1))
+        pieces.append("\n" + "  " * depth + "}" if value else "{}")
+        return pieces
+    if isinstance(value, np.ndarray):
+        return [_array_text(float_texts(_finite(value)), depth)]
+    if isinstance(value, (list, tuple)):
+        return [_bracket(_column(value, depth + 1), depth)]
+    return [json.dumps(value, allow_nan=False)]  # a string, number, bool or None
+
+
+def _array_text(texts: np.ndarray, depth: int):
+    """The JSON text of the nested lists of the string array ``texts`` at ``depth``,
+    one sub-array of its first axis at a time, each innermost list one join."""
+
+    def nested(items, depth):
+        if not items or isinstance(items[0], str):
+            return _bracket(items, depth)
+        if items[0] and isinstance(items[0][0], str):
+            # Rows of entries, all of one length: their brackets go in the separator
+            # of one join, so no row's text is copied twice.
+            inner, row = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
+            rows = f"{inner}],{inner}[{row}".join(map(("," + row).join, items))
+            return f"[{inner}[{row}{rows}{inner}]\n{'  ' * depth}]"
+        return _bracket([nested(item, depth + 1) for item in items], depth)
+
+    if texts.ndim < 2 or not len(texts):
+        yield nested(texts.tolist(), depth) if texts.ndim else texts.item()
+        return
+    inner = "\n" + "  " * (depth + 1)
+    for i, sub in enumerate(texts):
+        yield f"{',' if i else '['}{inner}{nested(sub.tolist(), depth + 1)}"
+    yield "\n" + "  " * depth + "]"
+
+
+def _chained(pieces):
+    """The strings of ``_pieces``' list, in order, a generator's as it makes them."""
+    return itertools.chain.from_iterable((piece,) if isinstance(piece, str) else piece
+                                         for piece in pieces)
+
+
+def write_json(doc, path: str | None = None) -> None:
+    """Write ``doc`` to the file ``path``, or to standard output when it is None, as
+    ``json.dumps(doc, indent=2, sort_keys=True)`` and a final newline would, byte
+    for byte; a numpy array of floats is written as its nested lists, and dict
+    keys are strings.  NaN or infinity raises ``ValueError`` before any byte is
+    written.
+
+    ``json.dumps`` with an indent runs the pure-Python encoder, one token at a
+    time.  Here the floats of a list, of an array or of one field of many records
+    go through ``float_texts`` together, which formats each distinct one with
+    ``float.__repr__``, JSON's text of a finite float.  An array's text, the bulk
+    of an operator document, goes out one (i, ., .) plane at a time.
+    """
+    text = _chained(_pieces(doc, 0) + ["\n"])
+    if path is None:
+        sys.stdout.writelines(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(text)
 
 
 def check_unit(start, domain: str):

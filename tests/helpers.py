@@ -7,8 +7,8 @@ trajectory, uniform weights, parameters from cell weights, rows of
 parameters stacked into one, the four-type parameter swap, the type-3/4
 block step and survivor label, a closed-form predictor on one start, the
 full operator Jacobian, a brute-force periodic-point scan, a hypothesis
-strategy of small constructions and the iteration engine's rule stated one
-step at a time.
+strategy of small constructions, the iteration engine's rule stated one
+step at a time and the grid search's dedupe against every kept point.
 The package itself needs none of them.
 """
 
@@ -300,3 +300,14 @@ def reference_batch(step, states, tol: Tolerance, *, params=None, store_cap=None
                 histories[column] = history(column, tol.max_iters, state[:, column], False)
     trajectories = tuple(histories) if store_cap is not None else None
     return BatchRun(end, steps_taken, converged, trajectories)
+
+
+def spread_reference(points, radius: float) -> list:
+    """What ``dynamics._spread`` must keep of the sorted ``points``: each point unless
+    a point kept before it lies within Chebyshev distance ``radius``, checked
+    against every kept point."""
+    kept = []
+    for pt in points:
+        if all(max(abs(pt[0] - q[0]), abs(pt[1] - q[1])) > radius for q in kept):
+            kept.append(pt)
+    return kept

@@ -43,7 +43,7 @@ import numpy as np
 import pytest
 
 import qsobp
-from qsobp import cli, construction, four_types, two_types
+from qsobp import cli, construction, four_types, simplex, two_types
 from qsobp.cli import main
 
 from test_cli_golden import FOUR_STATE, INPUTS
@@ -1002,7 +1002,7 @@ def test_json_documents_reject_nan_and_infinity(tmp_path):
     for value in (float("nan"), float("inf")):
         out = tmp_path / "d.json"
         with pytest.raises(ValueError):
-            cli._write_json({"x": value}, str(out))
+            simplex.write_json({"x": value}, str(out))
         assert not out.exists()
 
 

@@ -37,6 +37,9 @@ four-type and the critical-line case:
   - every point the grid search refines lies in its map's box and moves by
     at most abs_eps under one step; off a+c = 1 the four-type block's
     points are its two corners, on it they lie on its fixed curve to 1e-7
+  - the grid search's dedupe keeps exactly the points that the all-pairs
+    rule keeps, on lattices with pairs at exactly the radius and on clouds
+    anywhere in the unit square
 
 and, for random graphs, allele counts, female splits and weights:
   - build_heredity equals, bit for bit, the tensors normalized pair by pair
@@ -49,11 +52,18 @@ and for the writers and the trajectory check:
   - dump_json writes an operator document with the bytes of json.dump with
     indent 2 and sorted keys, and a final newline, whether its tensors are
     nested lists or arrays
+  - write_json writes any document of nested dicts, lists, tuples, strings,
+    ints, floats, bools and None, record lists whose later records miss a key
+    or hold a nested value included, with the bytes of json.dumps with indent
+    2 and sorted keys and a final newline, to a file and to standard output
   - load_json decodes an operator or construction document as json.load
     does, leaf types and the sign of zero included, with one float object
     per distinct number text
   - the rows of trajectory and portrait CSVs have the bytes csv.writer gives
     for the same rows, whatever the number of blocks they are formatted in
+  - the phase portrait, every regime's fan in one batch with per-row
+    parameters, has the bytes of one batch per regime, on random four-type
+    slices and with a regime whose trajectories are thinned
   - the CLI's parameter grid gives the rows of the product of its axes, the
     last axis fastest, at any run of flat indices
   - make_state raises the error type and message that helpers.simplex_violation
@@ -62,6 +72,7 @@ and for the writers and the trajectory check:
     one of the first row that has one
 """
 
+import contextlib
 import csv
 import io
 import itertools
@@ -97,12 +108,12 @@ from qsobp.four_types import (
     slice_sums,
     sub12_fixed_points,
 )
-from qsobp.simplex import Tolerance, check_states, float_texts, make_state
+from qsobp.simplex import Tolerance, check_states, float_texts, make_state, write_json
 from qsobp.two_types import TwoTypeParams, invariant_line_level
 from qsobp.two_types import predict_limit as predict_limit_two
 
 from helpers import (constructions, mirror_params, predict_one, quadratic_form, reference_batch,
-                     simplex_violation, stack_params)
+                     simplex_violation, spread_reference, stack_params)
 
 # Reproducible examples, and no example database written next to the tests.
 PROPERTY = settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -339,6 +350,20 @@ def test_grid_search_points_are_fixed_and_inside_the_box(case, grid):
         np.testing.assert_allclose(points, [(0.0, 0.0), (w, h)], rtol=0, atol=1e-7)
     else:
         assert max(abs(y - fixed_curve(p, x)) for x, y in points) <= 1e-7
+
+
+@PROPERTY
+@given(
+    st.sampled_from([2.0**-3, 2.0**-12, 1e-8, 5e-323]),
+    st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24)), max_size=60),
+    st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=20),
+)
+def test_the_grid_search_dedupe_keeps_what_the_all_pairs_rule_keeps(radius, lattice, points):
+    # Lattice points radius / 2 apart, so that many pairs lie at exactly the radius
+    # when it is a power of two, and points anywhere in the unit square; with the
+    # subnormal radius, cells are coarser than it.
+    cloud = sorted([(i * radius / 2, j * radius / 2) for i, j in lattice] + points)
+    assert dynamics._spread(cloud, radius) == spread_reference(cloud, radius)
 
 
 @st.composite
@@ -817,6 +842,58 @@ def test_dump_json_writes_the_same_bytes_from_arrays(doc):
     assert _written(lambda path: dump_json(arrays, path)) == from_lists
 
 
+# Keys and strings with a percent sign, a quote, a backslash, a line break and
+# non-ASCII characters, and any text.
+TEXT = st.one_of(st.text(st.sampled_from('a%"\\\né☃'), max_size=4), st.text(max_size=4))
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), TEXT,
+                    st.floats(allow_nan=False, allow_infinity=False), ENTRY)
+
+
+@st.composite
+def records(draw, values):
+    """A list of dicts with the same keys, each key's values of one kind, in which a
+    later record may miss a key or hold a nested ``values`` value."""
+    keys = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
+    # One kind mixes bools with the ints 0 and 1, equal to them but written apart.
+    kinds = st.sampled_from([ENTRY, st.floats(allow_nan=False, allow_infinity=False),
+                             st.integers(), st.booleans(), TEXT, st.none(),
+                             st.one_of(st.booleans(), st.integers(0, 1)),
+                             st.lists(ENTRY, max_size=3), st.lists(st.lists(ENTRY, max_size=2))])
+    columns = {key: draw(kinds) for key in keys}
+    rows = [{key: draw(kind) for key, kind in columns.items()}
+            for _ in range(draw(st.integers(1, 6)))]
+    if len(rows) > 1 and draw(st.booleans()):
+        row, key = rows[draw(st.integers(1, len(rows) - 1))], draw(st.sampled_from(keys))
+        if draw(st.booleans()):
+            del row[key]
+        else:
+            row[key] = draw(values)
+    return rows
+
+
+json_documents = st.recursive(
+    SCALARS,
+    lambda values: st.one_of(
+        st.lists(values, max_size=4),
+        st.lists(values, max_size=4).map(tuple),
+        st.dictionaries(TEXT, values, max_size=4),
+        records(values),
+    ),
+    max_leaves=40,
+)
+
+
+@PROPERTY
+@given(json_documents)
+def test_write_json_writes_the_bytes_of_json_dumps_to_a_file_and_to_stdout(doc):
+    expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert _written(lambda path: write_json(doc, path)) == expected.encode()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        write_json(doc)
+    assert out.getvalue() == expected
+
+
 def _loaded(text: str):
     """What ``load_json`` decodes from a fresh file that holds ``text``."""
     with tempfile.TemporaryDirectory() as directory:
@@ -901,6 +978,35 @@ def test_the_trajectory_csv_is_what_csv_writer_writes(states, head, block_floats
         blocks = list(cli._float_rows(texts, states))
     assert written == expected.getvalue().encode()
     assert len(blocks) == -(-len(states) // max(1, block_floats // width))
+
+
+@settings(PROPERTY, max_examples=10)
+@given(st.floats(0.05, 0.95), st.floats(0.05, 0.95), unit, unit, st.floats(0.1, 0.8),
+       st.floats(0.02, 0.05))
+def test_the_portrait_in_one_batch_has_the_bytes_of_one_batch_per_regime(a0, c0, b, d, a, gap):
+    # The four-type regimes on a random slice, and one that creeps to a corner
+    # near a+c = 1, whose trajectories store more than store_cap = 400 states.
+    case = CASES["four-type"]
+    regimes = [(name, FourTypeParams(b=b, d=d, a0=a0, c0=c0, **overrides))
+               for name, overrides in case.portrait]
+    regimes.append(("slow", FourTypeParams(a, b, 1.0 - a - gap, d, a0=a0, c0=c0)))
+    fan = [(0.05, 0.9), (0.3, 0.9), (0.6, 0.9), (0.9, 0.85),
+           (0.9, 0.1), (0.6, 0.05), (0.3, 0.08), (0.08, 0.3)]
+    header = ["regime", "traj", "step", "x", "y"]
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    for name, p in regimes:
+        step, _, (w, h) = case.planar(p)
+        starts = [[u * w for u, _ in fan], [v * h for _, v in fan]]
+        run = dynamics.iterate_batch(lambda _, s: step(s), starts, Tolerance(max_iters=20_000),
+                                     store_cap=400)
+        for t, traj in enumerate(run.trajectories):
+            rows = zip(traj.state_steps, traj.states.tolist())
+            writer.writerows([name, t, i, *s] for i, s in rows)
+    assert max(run.steps_taken) > 400  # the slow regime's run, the last
+    written = _written(cli._write_lines, header, cli._portrait_rows(case, regimes, Tolerance()))
+    assert written == expected.getvalue().encode()
 
 
 @PROPERTY
