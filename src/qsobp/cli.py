@@ -29,6 +29,12 @@ EXIT_IO = 3
 
 # Report-level agreement threshold between iterated and predicted limits.
 DEFAULT_MATCH_EPS = 1e-6
+# verify stops a row once its certified error bound is at most this share of --match-eps.
+BOUND_SHARE = 0.1
+# How far a row's observed rate may exceed its certified rate by rounding alone: the
+# rounding of the ratio of two moves, taken where the state nears its limit, and of
+# a two-type start's level over its steps.
+RATE_ALLOWANCE = 1e-12
 
 # verify holds all its grid**2 * starts rows at once, and fixed-points --grid its
 # grid**2 seeds.  Peak RSS grew by about 1.3 KB (two-type) and 1.6 KB (four-type)
@@ -157,6 +163,11 @@ class Case:
     planar: Callable | None = None  # params -> (planar map, its Jacobian, (w, h) of [0,w] x [0,h])
     planar_unread: tuple[str, ...] = ()  # the parameters that the planar map does not read
     portrait: tuple = ()  # (regime, parameter overrides) of each verify portrait regime
+    # (stacked params, (B, d) starts) -> each row's rate bound (NaN for none) and norm factor.
+    stop_rate: Callable | None = None
+    # (stacked params, starts, (d, B) ends) -> each row's rate (NaN for none), observed
+    # rate and error bound.
+    certificate: Callable | None = None
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -226,6 +237,8 @@ CASES = {
         planar=lambda p: (p.step, lambda s: four_types.pair_jacobian(
             0.0, p.a, 0.0, 1.0 - p.b, 1.0, 1.0, *s), (1.0, 1.0)),
         portrait=(("two-type", {}),),
+        stop_rate=two_types.stop_rate,
+        certificate=two_types.certificate,
     ),
     "four-type": Case(
         params=four_types.FourTypeParams,
@@ -246,6 +259,8 @@ CASES = {
             (regime, {"a": a, "c": c})
             for regime, a, c in (("below", 0.3, 0.3), ("above", 0.7, 0.7), ("critical", 0.4, 0.6))
         ),
+        stop_rate=four_types.stop_rate,
+        certificate=four_types.certificate,
     ),
     "critical-line": Case(
         params=four_types.CriticalMapParams,
@@ -461,7 +476,33 @@ def _portrait_rows(case: Case, regimes, tol: Tolerance):
     yield from _float_rows(heads, np.concatenate([traj.states for traj in run.trajectories]))
 
 
+def _certified_run(case: Case, params, starts: np.ndarray, tol: Tolerance, match_eps: float):
+    """verify's batch of the (B, d) ``starts`` under the stacked ``params``, each row
+    stopped on its own threshold: the run, the (B,) thresholds and each row's
+    ``case.certificate``.  A row's threshold is fixed from the map and the start
+    before iterating: the move at which its error bound, by ``case.stop_rate``, is
+    ``BOUND_SHARE`` of ``match_eps``, or ``tol.iter_eps`` when that is larger or the
+    row has no rate bound (NaN, which ``fmax`` passes over)."""
+    rate, kappa = case.stop_rate(params, starts)
+    eps = np.fmax(tol.iter_eps, BOUND_SHARE * match_eps * (1.0 - rate) / kappa)
+    run = dynamics.iterate_batch(case.params.step, starts.T, tol, params=params, eps=eps)
+    return run, eps, case.certificate(params, starts, run.end)
+
+
 def cmd_verify(args) -> int:
+    """Closed-form limits against brute-force iteration on a grid of parameter cells,
+    ``--starts`` random starts each, all stepped as one batch; ``VERIFY_HELP`` is the
+    command's help.
+
+    Each row stops on its own threshold, fixed before iterating (``_certified_run``):
+    the move at which its error bound by the case's ``stop_rate`` is ``BOUND_SHARE``
+    of ``--match-eps``.  Critical-line rows, rows with a block whose |det M| is at
+    most ``four_types.RATE_BAND``, and rows whose threshold would fall below
+    ``--iter-eps`` stop on ``--iter-eps``.  Each cell gains ``rate``,
+    ``observed_rate`` and ``error_bound``, the largest over its starts of the case's
+    ``certificate``, or None when a start has none; it passes only when every start
+    converged, its mismatch is at most ``--match-eps`` and no start's observed rate
+    exceeds its rate by more than ``RATE_ALLOWANCE``."""
     if args.grid < 1 or args.starts < 1:
         raise SchemaError(
             "grid", f"--grid and --starts must be >= 1, got {args.grid} and {args.starts}"
@@ -499,18 +540,27 @@ def cmd_verify(args) -> int:
     starts = case.sample(params, rng)
     limits = _predict(case, params, starts, tol)
     # One batch steps every start; each cell keeps its starts' largest coordinate
-    # gap to the closed form, their summed steps and whether all converged.
+    # gap to the closed form, their summed steps, whether all converged, whether
+    # every observed rate kept within its rate, and the largest rate, observed rate
+    # and error bound, or None when a start has no rate.
     per_cell = (len(cells), args.starts)
-    run = dynamics.iterate_batch(case.params.step, starts.T, tol, params=params)
+    run, _, (rate, observed, bound) = _certified_run(case, params, starts, tol, args.match_eps)
     gaps = np.abs(run.end - limits.T).max(axis=0)
-    for cell, gap, steps, converged in zip(
+    in_rate = ~(observed > rate + RATE_ALLOWANCE)  # and every row without a rate
+    certified = [np.where(np.isnan(rate), np.nan, values).reshape(per_cell).max(axis=1).tolist()
+                 for values in (rate, observed, bound)]
+    for cell, gap, steps, converged, within, *certificate in zip(
         cells,
         gaps.reshape(per_cell).max(axis=1).tolist(),
         run.steps_taken.reshape(per_cell).sum(axis=1).tolist(),
         run.converged.reshape(per_cell).all(axis=1).tolist(),
+        in_rate.reshape(per_cell).all(axis=1).tolist(),
+        *certified,
     ):
-        passed = converged and gap <= args.match_eps
+        passed = converged and gap <= args.match_eps and within
         cell.update({"max_mismatch": gap, "steps": steps, "converged": converged, "pass": passed})
+        cell.update({name: None if math.isnan(value) else value
+                     for name, value in zip(("rate", "observed_rate", "error_bound"), certificate)})
     n_pass = sum(1 for cell in cells if cell["pass"])
     report = {
         "case": args.case,
@@ -596,6 +646,28 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 SWEEP_BLOCK_ROWS = 4096  # rows of a sweep block; about the floats of a trajectory block
+VERIFY_HELP = f"""\
+Pair closed-form limits with brute-force iteration on a --grid x --grid grid of
+parameter cells, --starts random starts each, stepped as one batch.
+
+Stop rule: each start stops once one step moves it by at most its own
+threshold, fixed before iterating from the map and the start: the move m at
+which the error bound m / (1 - q) would be {BOUND_SHARE} of --match-eps.  q bounds the
+start's rate: 1 - |L - (1-b)| for a two-type start of level L = (1-b) x0 + a y0;
+for a four-type start, the larger spectral radius of its two blocks' Jacobians
+at their attracting corners, with moves measured in the norm of their left
+Perron vectors.  Critical-line starts, starts with a block whose |det M| is at
+most {four_types.RATE_BAND}, and starts whose threshold would fall below --iter-eps stop on
+--iter-eps.
+
+Each cell reports, as the largest over its starts and null when a start has
+no rate: rate, the certified rate at the end state; observed_rate, the ratio
+of the next two moves from the end state; and error_bound, the next move
+over one minus the rate, a bound on the end state's max-norm distance to the
+true limit.  A cell passes when every start converged within --max-iters,
+its max_mismatch to the closed form is at most --match-eps, and no start's
+observed_rate exceeds its rate by more than {RATE_ALLOWANCE}.
+"""
 CASE_DEFAULTS = {"a": 0.3, "b": 0.3, "c": 0.3, "d": 0.3, "a0": 0.5, "c0": 0.5}
 SWEEP_STARTS = {"state": "0.2,0.3", "x0": "0.2"}  # of a sweep whose start flag is not given
 NEGATIVE_VALUE = re.compile(r"-\.?\d")
@@ -670,6 +742,8 @@ def build_parser() -> argparse.ArgumentParser:
                   ["two-type", "four-type"], {"b": 0.3, "d": 0.4, "a0": 0.5, "c0": 0.5, "a": 0.3},
                   params_help="parameters the grid leaves fixed; two-type --a/--b set the portrait",
                   seed_help="seed of the random starts")
+    cmd.description = VERIFY_HELP
+    cmd.formatter_class = argparse.RawDescriptionHelpFormatter
     cmd.add_argument("--grid", type=int, default=10)
     cmd.add_argument("--starts", type=int, default=3, help="random starts per cell")
     cmd.add_argument("--match-eps", type=float, default=DEFAULT_MATCH_EPS)

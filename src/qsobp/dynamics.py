@@ -3,8 +3,13 @@
 One engine, ``iterate_batch``, steps every trajectory: a (d, B) array holds
 B states of d coordinates, one column per trajectory, and each step maps the
 whole array at once.  Each column stops on its own, when one step moves it by
-at most ``tol.iter_eps`` in the max norm (converged) or after
+at most its threshold eps in the max norm (converged) or after
 ``tol.max_iters`` steps (not converged; that is a result, not an error).
+The threshold is ``tol.iter_eps`` for every column, or the column's own entry
+of a (B,) array passed beside the per-row parameters and narrowed with them:
+a caller that can bound a row's distance to its limit by its last move, as
+``verify`` does with each case's closed-form rate, fixes each row's threshold
+before iterating.  Either way the rule is one, |move| <= eps.
 The batch takes a block of up to ``BLOCK_STEPS`` steps into one buffer, then
 tests every move of the block in one array pass; a NaN move fails the test,
 as ``np.maximum`` keeps it.  A column's end state, steps and flag are those
@@ -114,20 +119,22 @@ def _unchecked(params, values):
     return p
 
 
-def _narrowed(keep, rows, state, params):
-    """``rows``, the (d, B) ``state`` and the per-row ``params`` at the columns ``keep``."""
+def _narrowed(keep, rows, state, params, eps):
+    """``rows``, the (d, B) ``state``, the per-row ``params`` and the thresholds ``eps``,
+    a number or a (B,) array, at the columns ``keep``."""
     if params is not None:
         params = _unchecked(params, [(name, v[keep]) for name, v in vars(params).items()])
-    return rows[keep], state[:, keep], params
+    if isinstance(eps, np.ndarray):
+        eps = eps[keep]
+    return rows[keep], state[:, keep], params, eps
 
 
-def _finish(step, p, state: list, total: int, tol: Tolerance):
+def _finish(step, p, state: list, total: int, eps: float, max_iters: int):
     """``iterate_batch``'s loop for one row on Python floats, from step ``total``:
     its last state, ``steps_taken`` and ``converged``.  The move test is the
-    engine's: every |u - v| <= eps.  It tests coordinate 0 alone first, then, only
-    when that passes, every coordinate up to the first that fails, which a NaN does
-    (a ``max`` would drop it)."""
-    eps, max_iters = tol.iter_eps, tol.max_iters
+    engine's: every |u - v| <= eps, the row's threshold.  It tests coordinate 0
+    alone first, then, only when that passes, every coordinate up to the first
+    that fails, which a NaN does (a ``max`` would drop it)."""
     while total < max_iters:
         nxt = step(p, state)
         total += 1
@@ -160,19 +167,21 @@ def iterate_batch(
     *,
     params=None,
     store_cap: int | None = None,
+    eps=None,
 ) -> BatchRun:
     """Iterate ``step`` from each column of ``states`` until it stops moving.
 
-    Each column stops when one step moves it by at most ``tol.iter_eps`` in
-    the max norm (converged) or after ``tol.max_iters`` steps (not
-    converged).  Its ``steps_taken`` is the index of its first state that no
-    longer moves, so a fixed start reports zero steps.  The batch takes a
-    block of steps, then tests every move of the block at once; the columns
-    that finished in it are dropped at its end, and no result depends on
-    when.  With ``params`` and no ``store_cap``, the last ``TAIL_WIDTH`` rows
-    step one at a time on Python floats, with the same bits and steps; they
-    test each move on coordinate 0 before the others, and a block tests all
-    coordinates of all its moves at once (see the module docstring).
+    Each column stops when one step moves it by at most its threshold, its
+    entry of ``eps`` or else ``tol.iter_eps``, in the max norm (converged) or
+    after ``tol.max_iters`` steps (not converged).  Its ``steps_taken`` is the
+    index of its first state that no longer moves, so a fixed start reports
+    zero steps.  The batch takes a block of steps, then tests every move of
+    the block at once; the columns that finished in it are dropped at its end,
+    and no result depends on when.  With ``params`` and no ``store_cap``, the
+    last ``TAIL_WIDTH`` rows step one at a time on Python floats, with the same
+    bits and steps; they test each move on coordinate 0 before the others, and
+    a block tests all coordinates of all its moves at once (see the module
+    docstring).
 
     Args:
         step: The map, called as ``step(params, states)`` on the (d, B)
@@ -182,6 +191,8 @@ def iterate_batch(
         tol: Iteration thresholds and budget.
         params: Per-row parameters, a dataclass whose fields are (B,) arrays,
             narrowed with the columns; or None.
+        eps: Per-row thresholds, a (B,) array narrowed with the columns; or
+            None for ``tol.iter_eps`` in every column.
         store_cap: When given, every column's ``Trajectory`` is kept, thinned
             to every k-th state once it would hold more than ``store_cap``.
     """
@@ -198,7 +209,8 @@ def iterate_batch(
     stride = 1
     total = 0
     scalar_tail = params is not None and histories is None
-    tail, eps, max_iters = TAIL_WIDTH if scalar_tail else 0, tol.iter_eps, tol.max_iters
+    tail, max_iters = TAIL_WIDTH if scalar_tail else 0, tol.max_iters
+    eps = tol.iter_eps if eps is None else np.array(eps, dtype=float)
     while rows.size > tail and total < max_iters:
         k = min(BLOCK_STEPS, max(1, BLOCK_BYTES // state.nbytes), max_iters - total)
         block = np.empty((k + 1, *state.shape))
@@ -206,7 +218,7 @@ def iterate_batch(
         for j in range(1, k + 1):
             block[j] = step(params, block[j - 1])
         moves = np.subtract(block[1:], block[:-1])
-        # (k, B): whether each step moved each column by at most eps; NaN never does.
+        # (k, B): whether each step moved each column by at most its eps; NaN never does.
         still = np.maximum.reduce(np.abs(moves, out=moves), axis=1) <= eps
         done = still.any(axis=0)
         columns = np.flatnonzero(done)
@@ -232,14 +244,16 @@ def iterate_batch(
             converged[finished] = True
             if histories is not None:
                 stored = [(t, s[:, ~done]) for t, s in stored]
-            rows, state, params = _narrowed(~done, rows, state, params)
+            rows, state, params, eps = _narrowed(~done, rows, state, params, eps)
         total += k
     if scalar_tail:
         names = list(vars(params))
         values = zip(*(v.tolist() for v in vars(params).values()))
-        for row, start, row_values in zip(rows.tolist(), state.T.tolist(), values):
+        row_eps = np.broadcast_to(eps, rows.shape).tolist()
+        for row, start, row_values, e in zip(rows.tolist(), state.T.tolist(), values, row_eps):
             p = _unchecked(params, zip(names, row_values))  # the row's, as Python floats
-            end[:, row], steps_taken[row], converged[row] = _finish(step, p, start, total, tol)
+            end[:, row], steps_taken[row], converged[row] = _finish(
+                step, p, start, total, e, max_iters)
     else:
         end[:, rows] = state
         steps_taken[rows] = total

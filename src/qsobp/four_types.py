@@ -20,8 +20,21 @@ conserved, and every start goes to where its line x+y = k meets the curve,
 ``pair_point``.  The diagonal section x+y = 1 is the block (1-a, a, 1-a, a),
 a one-dimensional quadratic self-map of [0, 1] with a single attracting fixed
 point and no periodic orbits of period two or more.  ``CriticalMapParams.step``
-is that block's ``_pair_step`` and ``critical_slope`` is read from its
-``pair_jacobian``, so the section keeps no formula of its own.
+is that block's ``_pair_step`` and ``critical_slope`` is its ``pair_rate``, so
+the section keeps no formula of its own.
+
+A block's Jacobian is nonnegative everywhere in its box, so at an attracting
+corner its spectral radius rho is an eigenvalue with a left Perron vector
+v >= 0 (Berman and Plemmons, *Nonnegative Matrices in the Mathematical
+Sciences*, ch. 2).  Scaled so that its smaller entry is 1, v gives a norm
+v.|z| of a distance z >= 0 from the corner that is at least its max norm.
+Seen from the corner, which for (a0, c0) swaps both pairs' types, the step
+is F(z) = J z - z_x z_y M (1, 1), J the Jacobian there, so with s = v.M (1, 1), v.(z - F(z)) = (1 - rho) v.z +
+z_x z_y s, and v times the Jacobian at any point on the way to the corner is
+at most rate v, rate = rho + max(0, -s) v.z.  Where that rate is below 1, the
+next move m bounds the max-norm distance to the corner by v.|m| / (1 - rate),
+and no later move is more than rate times the one before it in that norm
+(``corner_bound``).  ``verify`` stops each four-type row on this bound.
 """
 
 from __future__ import annotations
@@ -35,6 +48,10 @@ from .simplex import DEFAULT_TOLERANCE, Tolerance, check_open_unit, check_unit
 
 # A pair block with |det M| within this distance of 0 is treated as critical.
 CRITICAL_EPS = 1e-9
+# A start of a block with |det M| at most this first runs to near the critical
+# line's fixed curve and then creeps along it, so the corner's rate describes
+# only its last steps: verify stops such rows on --iter-eps alone.
+RATE_BAND = 1e-2
 # A section map whose quadratic coefficient 2a-1 is this small is labelled affine.
 AFFINE_EPS = 1e-12
 
@@ -96,6 +113,61 @@ def pair_jacobian(u, beta, gamma, w, a0, c0, x, y):
     px, py, rx, ry = c0 - y, -x, -y, a0 - x
     return np.array([[1.0 - u * px + beta * rx, beta * ry - u * py],
                      [gamma * px - w * rx, 1.0 + gamma * py - w * ry]])
+
+
+def pair_rate(u, beta, gamma, w, a0, c0, x, y):
+    """The rate at which a pair block's starts close in on its fixed point (x, y), and
+    the left Perron vector (v0, v1) of its ``pair_jacobian`` J there, scaled so that
+    its smaller entry is 1.
+
+    J is nonnegative, so its spectral radius rho is an eigenvalue, and the rate is rho.
+    Within ``CRITICAL_EPS`` of det M = 0, J at a point of the fixed curve has the
+    eigenvalue 1 along the curve, and the rate is the other one, its trace minus 1.
+    v is rho's, from whichever of (rho - J11, J01) and (J10, rho - J00) adds no terms
+    of opposite sign."""
+    (j00, j01), (j10, j11) = pair_jacobian(u, beta, gamma, w, a0, c0, x, y)
+    # Off the box J may have a negative entry; rho and v are then NaN.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half = 0.5 * (j00 - j11)
+        root = np.hypot(half, np.sqrt(j01 * j10))  # j01 j10 >= 0: both eigenvalues are real
+        rho = 0.5 * (j00 + j11) + root
+        v0, v1 = np.where(half >= 0.0, (root + half, j01), (j10, root - half))
+        low = np.minimum(v0, v1)
+        v = (v0 / low, v1 / low)
+    return np.where(pair_side(u, beta, gamma, w), rho, j00 + j11 - 1.0), v
+
+
+def corner_rate(u, beta, gamma, w, a0, c0):
+    """A pair block's det M, computed from its entries, and its ``pair_rate`` at the
+    corner the sign of det M makes attracting: (0, 0) when det M > 0, (a0, c0) when
+    det M < 0.  Its rho is NaN within ``CRITICAL_EPS`` of det M = 0."""
+    det = u * w - beta * gamma
+    top = det < 0.0
+    rho, v = pair_rate(u, beta, gamma, w, a0, c0, top * a0, top * c0)
+    return det, np.where(np.abs(det) > CRITICAL_EPS, rho, np.nan), v
+
+
+def corner_bound(u, beta, gamma, w, a0, c0, x, y):
+    """A certified rate of a pair block at (x, y) and its next two moves, in the Perron
+    norm of its attracting corner (see the module docstring): (rate, m1, m2).  Where
+    rate < 1, m1 / (1 - rate) bounds the max-norm distance of (x, y) to the corner, and
+    m2 <= rate m1.  The block steps from the corner, where the state is small, and the
+    second move is the block's Jacobian at the middle of the first move times that
+    move, which the quadratic step makes exact: so m2 / m1 keeps its digits even where
+    the moves are far smaller than the state.  rate is NaN where ``corner_rate`` gives
+    no rho."""
+    det, rho, (v0, v1) = corner_rate(u, beta, gamma, w, a0, c0)
+    top = det < 0.0
+    # The block seen from (a0, c0) is the block with both pairs' types swapped.
+    seen = [np.where(top, b, a) for a, b in ((u, beta), (beta, u), (gamma, w), (w, gamma))]
+    zx, zy = np.abs(x - top * a0), np.abs(y - top * c0)
+    nx, _, ny, _ = _pair_step(*seen, zx, a0 - zx, zy, c0 - zy)
+    mx, my = nx - zx, ny - zy
+    (j00, j01), (j10, j11) = pair_jacobian(*seen, a0, c0, zx + 0.5 * mx, zy + 0.5 * my)
+    first = v0 * np.abs(mx) + v1 * np.abs(my)
+    second = v0 * np.abs(j00 * mx + j01 * my) + v1 * np.abs(j10 * mx + j11 * my)
+    s = v0 * (seen[1] - seen[0]) + v1 * (seen[2] - seen[3])  # v.M(1, 1), M the seen block's
+    return rho + np.maximum(0.0, -s) * (v0 * zx + v1 * zy), first, second
 
 
 def pair_side(u, beta, gamma, w):
@@ -191,10 +263,20 @@ SURVIVOR_LABELS = tuple(
 )
 
 
+def _blocks(p: FourTypeParams) -> tuple:
+    """The type-1/2 and the type-3/4 block of ``p``, (u, beta, gamma, w, a0, c0) each,
+    which step the coordinates ``_BLOCK_AXES`` of a state."""
+    return ((1.0 - p.a, p.a, p.c, 1.0 - p.c, p.a0, p.c0),
+            (1.0 - p.b, p.b, p.d, 1.0 - p.d, 1.0 - p.a0, 1.0 - p.c0))
+
+
+_BLOCK_AXES = ((0, 4), (2, 6))  # (x, y) of each block among (x1..x4, y1..y4)
+
+
 def limit_branch(p: FourTypeParams) -> tuple:
     """``pair_side`` of the blocks (1-a, a, c, 1-c) and (1-b, b, d, 1-d), whose det M are
     1-a-c and 1-b-d: 1 above the critical line, -1 below, 0 on it."""
-    return (pair_side(1.0 - p.a, p.a, p.c, 1.0 - p.c), pair_side(1.0 - p.b, p.b, p.d, 1.0 - p.d))
+    return tuple(pair_side(*block[:4]) for block in _blocks(p))
 
 
 def survivor_code(p: FourTypeParams):
@@ -213,10 +295,41 @@ def predict_limit(p: FourTypeParams, starts, tol: Tolerance = DEFAULT_TOLERANCE)
     if off.any():
         raise ValueError(f"the slice sums of start {np.argmax(off)} miss its a0, c0")
     a0, c0 = p.a0, p.c0
-    x1, y1 = pair_limit(1.0 - p.a, p.a, p.c, 1.0 - p.c, a0, c0, coords[0], coords[4])
-    x3, y3 = pair_limit(1.0 - p.b, p.b, p.d, 1.0 - p.d, 1.0 - a0, 1.0 - c0, coords[2], coords[6])
+    (x1, y1), (x3, y3) = (pair_limit(*block, coords[i], coords[k])
+                          for block, (i, k) in zip(_blocks(p), _BLOCK_AXES))
     limits = (x1, a0 - x1, x3, 1.0 - a0 - x3, y1, c0 - y1, y3, 1.0 - c0 - y3)
     return predicted(p, coords, limits, tol)
+
+
+def stop_rate(p: FourTypeParams, starts):
+    """The rate bound q and the norm factor kappa of each of the (B, 8) ``starts``, from
+    which ``verify`` fixes the row's threshold: q is the larger of its two blocks'
+    ``corner_rate`` rho, NaN where a block's |det M| is at most ``RATE_BAND``, and kappa
+    the larger of their v0 + v1, the most by which a move's Perron norm exceeds its max
+    norm.  Neither depends on the start: off the band every start goes to the corner."""
+    rates, kappas = [], []
+    for block in _blocks(p):
+        det, rho, (v0, v1) = corner_rate(*block)
+        rates.append(np.where(np.abs(det) > RATE_BAND, rho, np.nan))
+        kappas.append(v0 + v1)
+    return np.broadcast_to(np.maximum(*rates), len(starts)), np.maximum(*kappas)
+
+
+def certificate(p: FourTypeParams, starts, end):
+    """(rate, observed_rate, error_bound) of the rows that ended at the columns of the
+    (8, B) ``end``, from ``corner_bound`` of both blocks: the larger rate, the ratio of
+    the next two moves summed over both blocks, which is at most that rate, and the
+    larger of m1 / (1 - rate), which bounds the max-norm distance to the limit.  The
+    rate is NaN where a block has none or where it is not below 1."""
+    (rate12, first12, next12), (rate34, first34, next34) = (
+        corner_bound(*block, end[i], end[k]) for block, (i, k) in zip(_blocks(p), _BLOCK_AXES))
+    rate = np.maximum(rate12, rate34)
+    rate = np.where(rate < 1.0, rate, np.nan)
+    first = first12 + first34
+    with np.errstate(divide="ignore", invalid="ignore"):
+        observed = np.where(first > 0.0, (next12 + next34) / first, 0.0)
+        bound = np.maximum(first12 / (1.0 - rate12), first34 / (1.0 - rate34))
+    return rate, observed, bound
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +383,11 @@ def critical_fixed_points(cp: CriticalMapParams):
 def critical_slope(cp: CriticalMapParams) -> float:
     """Derivative of the section map at its in-range fixed point t: 1 - sqrt(D), and
     1 - (a0+c0)/2 in the affine case.  On det M = 0 the block's ``pair_jacobian`` at
-    (t, 1-t) has the eigenvalues 1 and this slope, so it is the trace minus 1.  It lies
-    inside (-1, 1) for all valid parameters: the fixed point always attracts."""
+    (t, 1-t) has the eigenvalues 1 and this slope, so it is the block's ``pair_rate``
+    there.  It lies inside (-1, 1) for all valid parameters: the fixed point always
+    attracts."""
     t, a = critical_fixed_points(cp)[0], cp.a
-    jacobian = pair_jacobian(1.0 - a, a, 1.0 - a, a, cp.a0, cp.c0, t, 1.0 - t)
-    return float(jacobian[0, 0] + jacobian[1, 1] - 1.0)
+    return float(pair_rate(1.0 - a, a, 1.0 - a, a, cp.a0, cp.c0, t, 1.0 - t)[0])
 
 
 def predict_limit_critical(cp: CriticalMapParams, starts, tol: Tolerance = DEFAULT_TOLERANCE):

@@ -18,6 +18,16 @@ monotonically, and every other point converges to where its level line meets
 those segments, ``four_types.pair_limit``.  The predictor tells a fixed start through the
 map itself, with ``dynamics.is_fixed``, not through membership in the
 segments.
+
+With u = 1 - x the map is u' = u (1 - a y), y' = y (x + b u), so each move is
+u y (a, b - 1) and the ratio of two moves is (1 - a y)(x + b u).  A start of
+level L = (1 - b) x0 + a y0, the block's w x + beta y, goes to the corner's
+left when L < 1 - b, where y closes in on 0 and x + b u <= b + L, and to its
+right otherwise, where u closes in on 0 and 1 - a y <= 1 - (L - (1 - b)).  So
+no move is more than q = 1 - |L - (1 - b)|, the rate of the limit itself,
+times the move before it, and at every point the next move m bounds the
+max-norm distance to the limit by m / (1 - q) (``certificate``); at the
+corner (1, 0) q is 1, and there is no such bound.
 """
 
 from __future__ import annotations
@@ -70,6 +80,27 @@ def invariant_line_level(p: TwoTypeParams, s: Point2) -> float:
     """The conserved level x/a + y/(1-b); constant along every trajectory."""
     x, y = s
     return x / p.a + y / (1.0 - p.b)
+
+
+def stop_rate(p: TwoTypeParams, starts):
+    """The rate bound q = 1 - |L - (1 - b)| of each of the (B, 2) ``starts``, from its
+    level L = (1 - b) x0 + a y0, and the norm factor kappa = 1: every move points along
+    the level line, so the max norm serves."""
+    x, y = np.asarray(starts, dtype=float).T
+    return 1.0 - np.abs((1.0 - p.b) * x + p.a * y - (1.0 - p.b)), 1.0
+
+
+def certificate(p: TwoTypeParams, starts, end):
+    """(rate, observed_rate, error_bound) of the rows that ended at the columns of the
+    (2, B) ``end``: the ``stop_rate`` q of the start, NaN where it is not below 1; the
+    ratio (1 - a y)(x + b u) of the next two moves; and m1 / (1 - q), m1 the next
+    move's max norm, which bounds the max-norm distance to the limit."""
+    q = stop_rate(p, starts)[0]
+    rate = np.where(q < 1.0, q, np.nan)
+    x, y = end
+    rest = 1.0 - x
+    bound = np.maximum(p.a, 1.0 - p.b) * rest * y / (1.0 - rate)
+    return rate, (1.0 - p.a * y) * (x + p.b * rest), bound
 
 
 def predict_limit(p: TwoTypeParams, starts, tol: Tolerance = DEFAULT_TOLERANCE):

@@ -248,11 +248,13 @@ def scan_periodic_points(
     return [r for r in roots if not is_fixed(lambda s: (step(s[0]),), (r,), DEFAULT_TOLERANCE)]
 
 
-def reference_batch(step, states, tol: Tolerance, *, params=None, store_cap=None) -> BatchRun:
+def reference_batch(step, states, tol: Tolerance, *, params=None, store_cap=None,
+                    eps=None) -> BatchRun:
     """What ``dynamics.iterate_batch`` must return, by its rule stated one step at a
     time: every column is stepped at full width, never narrowed, and each move is
     tested right after its step.  A column finishes at the first step t that moves
-    it by at most ``tol.iter_eps`` in every coordinate (a NaN move never does), with
+    it by at most its threshold, its entry of the (B,) ``eps`` or else
+    ``tol.iter_eps``, in every coordinate (a NaN move never does), with
     ``steps_taken`` t - 1, or after ``tol.max_iters`` steps, unconverged.  With
     ``store_cap`` the states of every column are stored at each multiple of a stride
     that starts at 1; once more than ``store_cap`` are stored, every other one is
@@ -266,6 +268,7 @@ def reference_batch(step, states, tol: Tolerance, *, params=None, store_cap=None
     finished = np.zeros(width, dtype=bool)
     histories = [None] * width
     stored, stride = [(0, state)], 1
+    threshold = tol.iter_eps if eps is None else np.asarray(eps, dtype=float)
 
     def history(column, t, last, converged):
         steps = [s for s, _ in stored]
@@ -287,7 +290,7 @@ def reference_batch(step, states, tol: Tolerance, *, params=None, store_cap=None
                 stored.append((t, nxt))
                 if len(stored) > store_cap:
                     stored, stride = stored[::2], 2 * stride
-            done = ~finished & (np.abs(nxt - state) <= tol.iter_eps).all(axis=0)
+            done = ~finished & (np.abs(nxt - state) <= threshold).all(axis=0)
             for column in np.flatnonzero(done).tolist():
                 end[:, column], steps_taken[column], converged[column] = nxt[:, column], t - 1, True
                 if store_cap is not None:

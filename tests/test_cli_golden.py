@@ -184,14 +184,14 @@ DIGESTS = {
     },
     "verify-four-portrait": {
         "p.csv": "ecea692027eb11b177132f75efb617692674a0616fc06c87d86613413bd41b27",
-        "r.json": "5931f69a182c1329dbbedb8ca6379896964c630e75df5d885068aaea10a179cd",
+        "r.json": "f30847f00eb2d1032d421679a1ca4b66f133fedb2b827db47196d2c835177938",
     },
     "verify-two": {
-        "r.json": "1e6c8905d469765ce224cdaee13438949dc9266bcc14ea24b3e7d6dc17e09661",
+        "r.json": "ee7c95514d733d7e9850810619ee7fce737696b30ee5efa7d225001d605560f2",
     },
     "verify-two-portrait": {
         "p.csv": "53d15a0952a799780b6c24ec9a45f65529d12bad16f36af8b3b8fe0a07345909",
-        "r.json": "db081dba6499d7eaffebf2ae1d51ff60947ff163b1fa50b153a50798c8b63525",
+        "r.json": "e69063b82e0aeb1a2b16434e72c07c045db4d05bb77d1df3d13d33db1cfa573b",
     },
 }
 

@@ -287,7 +287,7 @@ def test_classify_fixed_point_2d_agrees_with_eigvals():
     checked = 0
     while checked < 2000:
         m = rng.uniform(-2.0, 2.0, (2, 2))
-        moduli = sorted(np.abs(np.linalg.eigvals(m)), reverse=True)
+        moduli = trace_determinant_moduli(m)  # the planar formula, not eigvals again
         if any(abs(mod - 1.0) < 1e-6 for mod in moduli):
             continue  # stay away from the unit circle, where rounding decides
         verdict = classify_fixed_point(m, tol)

@@ -29,7 +29,9 @@ four-type and the critical-line case:
     (helpers.reference_batch) gives, histories included, for blocks of one to
     BLOCK_STEPS steps and budgets on both sides of a block, and steps no column
     more than max_iters times; a batch narrows only between blocks, which fit
-    BLOCK_BYTES, and shows the step no NaN that its parameters do not give
+    BLOCK_BYTES, and shows the step no NaN that its parameters do not give;
+    with a threshold per row, every row stops where its own threshold stops
+    it, in the numpy blocks and in the scalar tail
   - off a+c = 1 (by at least 1e-6) the four-type block's corner (a0, c0)
     attracts when a+c > 1 and (0, 0) when a+c < 1, and the other corner is a
     saddle or repelling; on the line every fixed point is non-hyperbolic
@@ -86,7 +88,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -742,6 +744,36 @@ def test_the_engine_gives_what_its_rule_gives_one_step_at_a_time(
         _assert_same_runs(alone, _column(run, column))
 
 
+@settings(PROPERTY, max_examples=40)
+@given(
+    engine_batches(),
+    st.sampled_from([1, dynamics.BLOCK_STEPS, 3 * dynamics.BLOCK_STEPS + 2, 400]),
+    st.sampled_from([None, 3]),
+    st.integers(0, 2**32 - 1),
+)
+def test_per_row_thresholds_stop_each_row_where_its_rule_does(batch, max_iters, store_cap, seed):
+    """With stacked parameters and a threshold per row, from 0 and 1e-14 up to 1e-1,
+    ``iterate_batch`` against ``helpers.reference_batch``, bit for bit: every row
+    stops at the step, with the state and the flag, that its own threshold gives, in
+    the numpy blocks and in the scalar tail.  A threshold array that holds
+    ``tol.iter_eps`` in every row gives the run of no array."""
+    starts, a, b, _ = batch
+    width = starts.shape[1]
+    rng = np.random.default_rng(seed)
+    eps = 10.0 ** rng.uniform(-14.0, -1.0, width)
+    eps[rng.random(width) < 0.1] = 0.0
+    params = _Counted(a, b, np.arange(width, dtype=float))
+    step = partial(_pairs_step, np.zeros(width, dtype=np.int64))
+    tol = Tolerance(max_iters=max_iters)
+    with np.errstate(all="ignore"):
+        run = dynamics.iterate_batch(step, starts, tol, params=params, store_cap=store_cap, eps=eps)
+        ref = reference_batch(step, starts, tol, params=params, store_cap=store_cap, eps=eps)
+        same = dynamics.iterate_batch(step, starts, tol, params=params, eps=np.full(width, 1e-12))
+        scalar = dynamics.iterate_batch(step, starts, tol, params=params)
+    _assert_same_runs(run, ref)
+    _assert_same_runs(same, scalar)
+
+
 def _column(run: dynamics.BatchRun, column: int) -> dynamics.BatchRun:
     """The record of one column of ``run``, as a batch of that column alone."""
     trajectories = None if run.trajectories is None else (run.trajectories[column],)
@@ -980,7 +1012,9 @@ def test_the_trajectory_csv_is_what_csv_writer_writes(states, head, block_floats
     assert len(blocks) == -(-len(states) // max(1, block_floats // width))
 
 
-@settings(PROPERTY, max_examples=10)
+# Every example reruns regimes of up to 20,000 steps, so a failure is reported as
+# found, without the shrink phase, which took minutes.
+@settings(PROPERTY, max_examples=10, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(st.floats(0.05, 0.95), st.floats(0.05, 0.95), unit, unit, st.floats(0.1, 0.8),
        st.floats(0.02, 0.05))
 def test_the_portrait_in_one_batch_has_the_bytes_of_one_batch_per_regime(a0, c0, b, d, a, gap):
