@@ -3,20 +3,22 @@
 ``four_types.pair_rate`` against the eigenvalues of ``pair_jacobian``; the
 critical section's slope as its block's rate, bit for bit; each case's rate
 bound against the Jacobian at the closed-form limit; and the gate: on random
-two-type and four-type rows, stopped as ``verify`` stops them, the reported
-error bound never falls short of the true distance to ``pair_limit`` by more
-than the closed form's own rounding, and no observed rate exceeds its rate.
+two-type and four-type rows, stopped as ``verify`` stops them, and on general
+pair blocks, the reported error bound never falls short of the true distance
+to ``pair_limit`` by more than the closed form's own rounding, and no
+observed rate exceeds its rate.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qsobp import cli, four_types, two_types
-from qsobp.four_types import (RATE_BAND, CriticalMapParams, FourTypeParams, pair_jacobian,
-                              pair_limit, pair_rate)
+from qsobp import cli, dynamics, four_types, two_types
+from qsobp.four_types import (RATE_BAND, CriticalMapParams, FourTypeParams, _pair_step,
+                              corner_bound, pair_jacobian, pair_limit, pair_rate)
 from qsobp.simplex import Tolerance
 from qsobp.two_types import TwoTypeParams
 
@@ -168,3 +170,43 @@ def test_the_four_type_error_bound_holds(rows, match_eps):
     for row, (p, _) in enumerate(rows):
         if min(abs(1.0 - p.a - p.c), abs(1.0 - p.b - p.d)) <= 0.5 * RATE_BAND:
             assert eps[row] == tol.iter_eps
+
+
+@dataclass(frozen=True)
+class _Block:
+    """A general pair block, (u, beta, gamma, w) on the box [0, a0] x [0, c0]."""
+
+    u: float
+    beta: float
+    gamma: float
+    w: float
+    a0: float
+    c0: float
+
+    def step(self, s):
+        x, y = s
+        nx, _, ny, _ = _pair_step(self.u, self.beta, self.gamma, self.w,
+                                  x, self.a0 - x, y, self.c0 - y)
+        return nx, ny
+
+
+@settings(PROPERTY, max_examples=100)
+@given(st.lists(st.tuples(*[unit] * 8), min_size=1, max_size=6),
+       st.sampled_from([1e-12, 1e-9, 1e-7]))
+def test_the_general_block_error_bound_holds(rows, iter_eps):
+    """Blocks whose four rates need not pair up as a four-type block's do, with
+    |det M| > RATE_BAND, stopped on a move of iter_eps or after 5,000 steps."""
+    rows = [row for row in rows if abs(row[0] * row[3] - row[1] * row[2]) > RATE_BAND]
+    assume(rows)
+    blocks = stack_params([_Block(*row[:6]) for row in rows])
+    starts = np.array([(row[6] * row[4], row[7] * row[5]) for row in rows]).T
+    tol = Tolerance(iter_eps=iter_eps, max_iters=5_000)
+    run = dynamics.iterate_batch(_Block.step, starts, tol, params=blocks)
+    block = tuple(vars(blocks).values())
+    limit = pair_limit(*block, *starts)
+    distance = np.abs(run.end - np.array(limit)).max(axis=0)
+    rate, first, second = corner_bound(*block, *run.end)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = first / (1.0 - rate)
+        observed = np.where(first > 0.0, second / first, 0.0)
+    _assert_certified(np.where(rate < 1.0, rate, np.nan), observed, bound, distance)
