@@ -38,13 +38,13 @@ RATE_ALLOWANCE = 1e-12
 
 # verify holds all its grid**2 * starts rows at once, and fixed-points --grid its
 # grid**2 seeds.  Peak RSS grew by about 1.3 KB (two-type) and 1.6 KB (four-type)
-# per verify row at one start per cell, grids of 200 and 400, and by 0.46 KB
-# (four-type) and 0.68 KB (two-type, whose seeds nearly all stay distinct points)
-# per seed, grids of 500 and 1000; measured in process on Python 3.11 and numpy
-# 2.4.  Runs above these counts, which need up to about 0.8 GiB (verify) and 1.4
-# GiB (fixed-points), are refused before any array is allocated.
+# per verify row at one start per cell, grids of 200 and 400, in process.  Two-type
+# seeds, which nearly all stay distinct points, cost more than four-type ones: a
+# fresh process ran fixed-points --case two-type --grid 1024, at the seed cap, at a
+# peak of 665 MiB (0.62 KB per seed); Python 3.11 and numpy 2.4.  Larger runs, which
+# need over about 0.8 GiB (verify) and 0.7 GiB (fixed-points), exit 2 unallocated.
 VERIFY_ROWS_CAP = 2**19
-GRID_SEEDS_CAP = 2**21
+GRID_SEEDS_CAP = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +158,7 @@ class Case:
     fixes: Callable[[tuple], dict] = lambda start: {}  # parameters a start determines
     sample: Callable | None = None  # (stacked params, rng) -> one random verify start per row
     verify_axes: tuple[str, str] = ("a", "c")
-    # Stacked parameters -> where verify names the cell critical-line, as a mask or one bool.
-    on_line: Callable = lambda p: False
-    planar: Callable | None = None  # params -> (planar map, its Jacobian, (w, h) of [0,w] x [0,h])
+    planar_block: Callable | None = None  # params -> (what steps its planar map, its PairBlock)
     planar_unread: tuple[str, ...] = ()  # the parameters that the planar map does not read
     portrait: tuple = ()  # (regime, parameter overrides) of each verify portrait regime
     # (stacked params, (B, d) starts) -> each row's rate bound (NaN for none) and norm factor.
@@ -172,6 +170,11 @@ class Case:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(f.name for f in fields(self.params))
+
+    def planar(self, p) -> tuple:
+        """The planar map of ``p``, its block's Jacobian, and the box (w, h) of the block."""
+        stepper, block = self.planar_block(p)
+        return stepper.step, lambda s: four_types.pair_jacobian(*block, *s), (block.a0, block.c0)
 
 
 def _reject(args, names, why: str) -> None:
@@ -234,8 +237,7 @@ CASES = {
         sweep_columns=(("x0", "y0"), ("limit_x", "limit_y")),
         grid_starts=lambda n: _grid([np.linspace(0.1, 0.9, n)] * 2, np.arange(n * n)).tolist(),
         verify_axes=("a", "b"),
-        planar=lambda p: (p.step, lambda s: four_types.pair_jacobian(
-            0.0, p.a, 0.0, 1.0 - p.b, 1.0, 1.0, *s), (1.0, 1.0)),
+        planar_block=lambda p: (p, p.blocks[0][0]),  # the map written out
         portrait=(("two-type", {}),),
         stop_rate=two_types.stop_rate,
         certificate=two_types.certificate,
@@ -251,9 +253,7 @@ CASES = {
         sweep_columns=(tuple(f"s0_{c}" for c in _COORDS8), tuple(f"limit_{c}" for c in _COORDS8)),
         state_n=4,
         fixes=lambda s: dict(zip(("a0", "c0"), four_types.slice_sums(s)[::2])),  # its slice
-        on_line=lambda p: np.equal(four_types.limit_branch(p), 0).any(axis=0),
-        planar=lambda p: (p.sub12_step, lambda s: four_types.pair_jacobian(
-            1.0 - p.a, p.a, p.c, 1.0 - p.c, p.a0, p.c0, *s), (p.a0, p.c0)),
+        planar_block=lambda p: (p.blocks[0][0],) * 2,  # the type-1/2 block's own step
         planar_unread=("b", "d"),  # the type-3/4 block's
         portrait=tuple(
             (regime, {"a": a, "c": c})
@@ -369,7 +369,7 @@ def cmd_iterate(args) -> int:
 def cmd_fixed_points(args) -> int:
     tol = _tolerance(args)
     case, p = CASES[args.case], _planar_params(args)
-    if args.grid and case.planar is None:
+    if args.grid and case.planar_block is None:
         raise SchemaError("grid", f"--case {args.case} has no planar map to search; omit --grid")
     if args.grid**2 > GRID_SEEDS_CAP:
         raise SizeOverflowError(f"--grid {args.grid} makes {args.grid**2} seeds, "
@@ -381,9 +381,10 @@ def cmd_fixed_points(args) -> int:
     if args.case == "two-type":
         doc = {"case": "two-type", "segments": two_types.FIXED_SEGMENTS}
     elif args.case == "four-type":
-        points = four_types.sub12_fixed_points(p)
-        residuals = [max(abs(n - o) for n, o in zip(p.sub12_step(pt), pt)) for pt in points]
-        doc = {"case": "four-type", "critical": four_types.limit_branch(p)[0] == 0,
+        block = case.planar_block(p)[1]
+        points = four_types.fixed_points(block)
+        residuals = [max(abs(n - o) for n, o in zip(block.step(pt), pt)) for pt in points]
+        doc = {"case": "four-type", "critical": four_types.pair_side(block.det) == 0,
                "points": [list(pt) for pt in points], "residuals": residuals}
     else:
         point, spurious, discriminant = four_types.critical_fixed_points(p)
@@ -403,8 +404,8 @@ def _verdict_doc(matrix, tol: Tolerance) -> dict:
 
 def cmd_classify(args) -> int:
     tol = _tolerance(args)
-    p = _planar_params(args)
-    step, jacobian, _ = CASES[args.case].planar(p)
+    case, p = CASES[args.case], _planar_params(args)
+    step, jacobian, _ = case.planar(p)
     if args.case == "two-type":
         point = _two_type_point("0,0" if args.state is None else args.state)
         if not dynamics.is_fixed(step, point, tol):
@@ -414,7 +415,7 @@ def cmd_classify(args) -> int:
         if args.state is not None:
             raise SchemaError("state", "--state is not read by --case four-type, which "
                               "classifies every fixed point of its slice")
-        fixed = four_types.sub12_fixed_points(p)
+        fixed = four_types.fixed_points(case.planar_block(p)[1])
         points = [{"point": list(pt), **_verdict_doc(jacobian(pt), tol)} for pt in fixed]
         doc = {"case": "four-type", "points": points}
     write_json(doc, args.output)
@@ -468,8 +469,9 @@ def _portrait_rows(case: Case, regimes, tol: Tolerance):
     starts = np.concatenate([fan * case.planar(p)[2] for _, p in regimes])
     params = case.params(**{name: np.repeat([getattr(p, name) for _, p in regimes], len(fan))
                             for name in case.names})
-    run = dynamics.iterate_batch(lambda p, s: case.planar(p)[0](s), starts.T, short_tol,
-                                 params=params, store_cap=400)
+    stepper = case.planar_block(params)[0]  # stacked, so no step builds a record
+    run = dynamics.iterate_batch(type(stepper).step, starts.T, short_tol, params=stepper,
+                                 store_cap=400)
     names = [regime for regime, _ in regimes for _ in fan]
     heads = [f"{names[k]},{k % len(fan)},{i}"
              for k, traj in enumerate(run.trajectories) for i in traj.state_steps]
@@ -477,12 +479,10 @@ def _portrait_rows(case: Case, regimes, tol: Tolerance):
 
 
 def _certified_run(case: Case, params, starts: np.ndarray, tol: Tolerance, match_eps: float):
-    """verify's batch of the (B, d) ``starts`` under the stacked ``params``, each row
-    stopped on its own threshold: the run, the (B,) thresholds and each row's
-    ``case.certificate``.  A row's threshold is fixed from the map and the start
-    before iterating: the move at which its error bound, by ``case.stop_rate``, is
-    ``BOUND_SHARE`` of ``match_eps``, or ``tol.iter_eps`` when that is larger or the
-    row has no rate bound (NaN, which ``fmax`` passes over)."""
+    """verify's batch of the (B, d) ``starts`` under the stacked ``params``: the run, the
+    (B,) thresholds and each row's ``case.certificate``.  A row stops on the move at which
+    its error bound by ``case.stop_rate`` is ``BOUND_SHARE`` of ``match_eps``, or on
+    ``tol.iter_eps`` when that is larger or the row has no rate (NaN, which ``fmax`` skips)."""
     rate, kappa = case.stop_rate(params, starts)
     eps = np.fmax(tol.iter_eps, BOUND_SHARE * match_eps * (1.0 - rate) / kappa)
     run = dynamics.iterate_batch(case.params.step, starts.T, tol, params=params, eps=eps)
@@ -491,18 +491,8 @@ def _certified_run(case: Case, params, starts: np.ndarray, tol: Tolerance, match
 
 def cmd_verify(args) -> int:
     """Closed-form limits against brute-force iteration on a grid of parameter cells,
-    ``--starts`` random starts each, all stepped as one batch; ``VERIFY_HELP`` is the
-    command's help.
-
-    Each row stops on its own threshold, fixed before iterating (``_certified_run``):
-    the move at which its error bound by the case's ``stop_rate`` is ``BOUND_SHARE``
-    of ``--match-eps``.  Critical-line rows, rows with a block whose |det M| is at
-    most ``four_types.RATE_BAND``, and rows whose threshold would fall below
-    ``--iter-eps`` stop on ``--iter-eps``.  Each cell gains ``rate``,
-    ``observed_rate`` and ``error_bound``, the largest over its starts of the case's
-    ``certificate``, or None when a start has none; it passes only when every start
-    converged, its mismatch is at most ``--match-eps`` and no start's observed rate
-    exceeds its rate by more than ``RATE_ALLOWANCE``."""
+    ``--starts`` random starts each, all stepped as one batch (``_certified_run``);
+    ``VERIFY_HELP``, the command's help, states its stop rule and its pass rule."""
     if args.grid < 1 or args.starts < 1:
         raise SchemaError(
             "grid", f"--grid and --starts must be >= 1, got {args.grid} and {args.starts}"
@@ -533,7 +523,9 @@ def cmd_verify(args) -> int:
     first = _params(args.case, args, **{u: axis[0].item(), v: axis[0].item()})
     axes = [axis if name in (u, v) else np.array([getattr(first, name)]) for name in case.names]
     columns = dict(zip(case.names, _grid(axes, np.arange(args.grid**2)).T))
-    on_line = np.broadcast_to(case.on_line(case.params(**columns)), args.grid**2).tolist()
+    # Critical-line: a block on det M = 0 with u > 0, whose fixed set crosses its box.
+    on_line = np.any([(four_types.pair_side(block.det) == 0) & (block.u > 0.0)
+                      for block, _ in case.params(**columns).blocks], axis=0).tolist()
     cells = [{u: x, v: y, "kind": "critical-line" if line else "closed-form"}
              for x, y, line in zip(columns[u].tolist(), columns[v].tolist(), on_line)]
     params = case.params(**{name: np.repeat(c, args.starts) for name, c in columns.items()})

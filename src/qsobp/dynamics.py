@@ -169,19 +169,10 @@ def iterate_batch(
     store_cap: int | None = None,
     eps=None,
 ) -> BatchRun:
-    """Iterate ``step`` from each column of ``states`` until it stops moving.
-
-    Each column stops when one step moves it by at most its threshold, its
-    entry of ``eps`` or else ``tol.iter_eps``, in the max norm (converged) or
-    after ``tol.max_iters`` steps (not converged).  Its ``steps_taken`` is the
-    index of its first state that no longer moves, so a fixed start reports
-    zero steps.  The batch takes a block of steps, then tests every move of
-    the block at once; the columns that finished in it are dropped at its end,
-    and no result depends on when.  With ``params`` and no ``store_cap``, the
-    last ``TAIL_WIDTH`` rows step one at a time on Python floats, with the same
-    bits and steps; they test each move on coordinate 0 before the others, and
-    a block tests all coordinates of all its moves at once (see the module
-    docstring).
+    """Iterate ``step`` from each column of ``states`` until it stops moving, in blocks
+    of steps and, with ``params`` and no ``store_cap``, a scalar tail, by the one rule
+    the module docstring states.  A column's ``steps_taken`` is the index of its first
+    state that no longer moves, so a fixed start reports zero steps.
 
     Args:
         step: The map, called as ``step(params, states)`` on the (d, B)

@@ -7,21 +7,21 @@ dynamics splits into two independent planar blocks: the type-1/2 block in
 (x, y) = (x1, y1), and the type-3/4 block in (x3, y3), which is the first
 under the swap a<->b, c<->d, a0<->1-a0, c0<->1-c0.
 
-Each is a pair block, stated by the entries (u, beta, gamma, w) of its Metzler
-matrix M = [[-u, beta], [gamma, -w]]: one step moves (x, y) in its box by
-M (P, R), P = x (c0 - y), R = (a0 - x) y (``_pair_step``, ``pair_jacobian``).
-The type-1/2 block is (1-a, a, c, 1-c) on the box [0, a0] x [0, c0], the
-type-3/4 block (1-b, b, d, 1-d) on the other, and ``two_types`` is the block
-(0, a, 0, 1-b) on the unit square.  The type-1/2 block has det M = 1-a-c, so
-the critical line a+c = 1 is det M = 0.  Off it the fixed points are the two corners, whose
-stability flips with the sign of det M, and every interior start goes to the
-corner ``pair_side`` names.  On it the fixed points form a curve and x+y is
-conserved, and every start goes to where its line x+y = k meets the curve,
-``pair_point``.  The diagonal section x+y = 1 is the block (1-a, a, 1-a, a),
-a one-dimensional quadratic self-map of [0, 1] with a single attracting fixed
-point and no periodic orbits of period two or more.  ``CriticalMapParams.step``
-is that block's ``_pair_step`` and ``critical_slope`` is its ``pair_rate``, so
-the section keeps no formula of its own.
+Each is a pair block, a ``PairBlock`` of the entries (u, beta, gamma, w) of its
+Metzler matrix M = [[-u, beta], [gamma, -w]] and its box: one step moves (x, y)
+in the box by M (P, R), P = x (c0 - y), R = (a0 - x) y.  Each case's parameters
+give its blocks, from which its step, predictor, rates, Jacobian and fixed set
+are read.  The type-1/2 block is (1-a, a, c, 1-c) on the box [0, a0] x [0, c0],
+the type-3/4 block (1-b, b, d, 1-d) on the other, and ``two_types`` is the block
+(0, a, 0, 1-b) on the unit square.  The type-1/2 block has det M = 1-a-c, so the
+critical line a+c = 1 is det M = 0.  Off it the fixed points are the two
+corners, whose stability flips with the sign of det M, and every interior start
+goes to the corner ``pair_side`` names.  On it the fixed points form a curve and
+x+y is conserved, and every start goes to where its line x+y = k meets the
+curve, ``pair_point``.  The diagonal section x+y = 1 is the block (1-a, a, 1-a,
+a), a one-dimensional quadratic self-map of [0, 1] with a single attracting
+fixed point and no periodic orbits of period two or more; its map and slope are
+that block's step and ``pair_rate``.
 
 A block's Jacobian is nonnegative everywhere in its box, so at an attracting
 corner its spectral radius rho is an eigenvalue with a left Perron vector
@@ -59,6 +59,31 @@ Point2 = tuple[float, float]
 
 
 @dataclass(frozen=True)
+class PairBlock:
+    """A pair block's entries of M and its box [0, a0] x [0, c0], numbers or (B,) arrays;
+    it unpacks as (u, beta, gamma, w, a0, c0), the block functions' first arguments."""
+
+    u: float
+    beta: float
+    gamma: float
+    w: float
+    a0: float
+    c0: float
+
+    def __iter__(self):
+        return iter((self.u, self.beta, self.gamma, self.w, self.a0, self.c0))
+
+    @property
+    def det(self):
+        return self.u * self.w - self.beta * self.gamma
+
+    def step(self, s: Point2) -> Point2:
+        """Advance (x, y) inside the box."""
+        (x, y), (u, beta, gamma, w, a0, c0) = s, self
+        return _pair_step(u, beta, gamma, w, x, a0 - x, y, c0 - y)[::2]
+
+
+@dataclass(frozen=True)
 class FourTypeParams:
     """Mixing probabilities a, b, c, d and slice sums a0, c0, all in (0, 1).
 
@@ -77,20 +102,25 @@ class FourTypeParams:
     def __post_init__(self):
         check_open_unit(self)
 
+    def rates(self) -> tuple:
+        """(u, beta, gamma, w) of each block, which ``step`` reads without building one."""
+        a, b, c, d = self.a, self.b, self.c, self.d
+        return (1.0 - a, a, c, 1.0 - c), (1.0 - b, b, d, 1.0 - d)
+
+    @property
+    def blocks(self) -> tuple:
+        """The type-1/2 and the type-3/4 ``PairBlock``, each with the coordinates (x, y)
+        it steps among (x1..x4, y1..y4)."""
+        (r12, r34), a0, c0 = self.rates(), self.a0, self.c0
+        return ((PairBlock(*r12, a0, c0), (0, 4)), (PairBlock(*r34, 1.0 - a0, 1.0 - c0), (2, 6)))
+
     def step(self, coords: tuple) -> tuple:
         """One step on bare coordinates (x1..x4, y1..y4); pairwise sums conserved."""
         x1, x2, x3, x4, y1, y2, y3, y4 = coords
-        a, b, c, d = self.a, self.b, self.c, self.d
-        x1, x2, y1, y2 = _pair_step(1.0 - a, a, c, 1.0 - c, x1, x2, y1, y2)
-        x3, x4, y3, y4 = _pair_step(1.0 - b, b, d, 1.0 - d, x3, x4, y3, y4)
+        (u, beta, gamma, w), (u34, beta34, gamma34, w34) = self.rates()
+        x1, x2, y1, y2 = _pair_step(u, beta, gamma, w, x1, x2, y1, y2)
+        x3, x4, y3, y4 = _pair_step(u34, beta34, gamma34, w34, x3, x4, y3, y4)
         return (x1, x2, x3, x4, y1, y2, y3, y4)
-
-    def sub12_step(self, s: Point2) -> Point2:
-        """Type-1/2 block: advance (x1, y1) inside the box [0,a0] x [0,c0]."""
-        x, y = s
-        a, c = self.a, self.c
-        x, _, y, _ = _pair_step(1.0 - a, a, c, 1.0 - c, x, self.a0 - x, y, self.c0 - y)
-        return (x, y)
 
 
 def _pair_step(u, beta, gamma, w, x1, x2, y1, y2):
@@ -134,7 +164,7 @@ def pair_rate(u, beta, gamma, w, a0, c0, x, y):
         v0, v1 = np.where(half >= 0.0, (root + half, j01), (j10, root - half))
         low = np.minimum(v0, v1)
         v = (v0 / low, v1 / low)
-    return np.where(pair_side(u, beta, gamma, w), rho, j00 + j11 - 1.0), v
+    return np.where(pair_side(u * w - beta * gamma), rho, j00 + j11 - 1.0), v
 
 
 def corner_rate(u, beta, gamma, w, a0, c0):
@@ -149,13 +179,10 @@ def corner_rate(u, beta, gamma, w, a0, c0):
 
 def corner_bound(u, beta, gamma, w, a0, c0, x, y):
     """A certified rate of a pair block at (x, y) and its next two moves, in the Perron
-    norm of its attracting corner (see the module docstring): (rate, m1, m2).  Where
-    rate < 1, m1 / (1 - rate) bounds the max-norm distance of (x, y) to the corner, and
-    m2 <= rate m1.  The block steps from the corner, where the state is small, and the
-    second move is the block's Jacobian at the middle of the first move times that
-    move, which the quadratic step makes exact: so m2 / m1 keeps its digits even where
-    the moves are far smaller than the state.  rate is NaN where ``corner_rate`` gives
-    no rho."""
+    norm of its attracting corner (see the module docstring): (rate, m1, m2); NaN rate
+    where ``corner_rate`` gives no rho.  The block steps from the corner, and the second
+    move is the Jacobian at the middle of the first times it, which the quadratic step
+    makes exact, so m2 / m1 keeps its digits where the moves are far below the state."""
     det, rho, (v0, v1) = corner_rate(u, beta, gamma, w, a0, c0)
     top = det < 0.0
     # The block seen from (a0, c0) is the block with both pairs' types swapped.
@@ -170,18 +197,19 @@ def corner_bound(u, beta, gamma, w, a0, c0, x, y):
     return rho + np.maximum(0.0, -s) * (v0 * zx + v1 * zy), first, second
 
 
-def pair_side(u, beta, gamma, w):
-    """The corner that draws a pair block's interior starts: 1 for (a0, c0) when
-    det M = u w - beta gamma < 0, -1 for (0, 0) when det M > 0, and 0 within
+def pair_side(det):
+    """The corner that draws a pair block's interior starts, by its det M = u w - beta
+    gamma: 1 for (a0, c0) when det M < 0, -1 for (0, 0) when det M > 0, and 0 within
     ``CRITICAL_EPS`` of det M = 0, where each start keeps its line w x + beta y."""
-    det = u * w - beta * gamma
     return (det < -CRITICAL_EPS) * 1 - (det > CRITICAL_EPS)
 
 
 def _root(q, b, c, sqrt_disc):
     """The root (sqrt_disc - b) / 2q of q t^2 + b t = c, sqrt_disc^2 = b^2 + 4qc, in the
-    form that adds no terms of opposite sign."""
-    return np.where(b > 0.0, 2.0 * c / (b + sqrt_disc), (sqrt_disc - b) / (2.0 * q))
+    form that adds no terms of opposite sign; 0 where b = 0 and q has underflowed to 0
+    (a rate below about 1e-154 at a corner), where that form is 0 / 0."""
+    root = np.where(b > 0.0, 2.0 * c / (b + sqrt_disc), (sqrt_disc - b) / (2.0 * q))
+    return np.where((q == 0.0) & (b == 0.0), 0.0, root)
 
 
 def pair_point(u, beta, w, a0, c0, level):
@@ -206,7 +234,7 @@ def pair_point(u, beta, w, a0, c0, level):
 def pair_limit(u, beta, gamma, w, a0, c0, x, y):
     """The limit of a pair block from the start (x, y) in the box [0, a0] x [0, c0]: the
     corner ``pair_side`` names, or on det M = 0 the start line's ``pair_point``, clipped."""
-    side = pair_side(u, beta, gamma, w)
+    side = pair_side(u * w - beta * gamma)
     point = pair_point(u, beta, w, a0, c0, w * x + beta * y)
     return tuple(np.where(side, (side > 0) * top, np.clip(v, 0.0, top))
                  for v, top in zip(point, (a0, c0)))
@@ -221,11 +249,13 @@ def slice_sums(coords) -> tuple:
 
 def lift_operator(p: FourTypeParams) -> BisexualOperator:
     """The 4x4-type operator as heredity tensors (uses a, b, c, d only): the
-    ``mixing_operator`` whose mixed pairings within a block redistribute the
-    offspring type inside the block."""
-    block12 = ((p.a, 1.0 - p.a, 0.0, 0.0), (p.c, 1.0 - p.c, 0.0, 0.0))
-    block34 = ((0.0, 0.0, p.b, 1.0 - p.b), (0.0, 0.0, p.d, 1.0 - p.d))
-    mixing = {(0, 1): block12, (1, 0): block12, (2, 3): block34, (3, 2): block34}
+    ``mixing_operator`` in which both mixed pairings of a block's types i, i+1 have
+    daughters by (beta, u) and sons by (gamma, w), which are (a, 1-a) and (c, 1-c)."""
+    mixing = {}
+    for block, (i, _) in p.blocks:
+        rows = np.zeros((2, 4))
+        rows[:, i : i + 2] = (block.beta, block.u), (block.gamma, block.w)
+        mixing[i, i + 1] = mixing[i + 1, i] = rows
     return mixing_operator(4, 4, mixing)
 
 
@@ -234,23 +264,15 @@ def lift_operator(p: FourTypeParams) -> BisexualOperator:
 # ---------------------------------------------------------------------------
 
 
-def fixed_curve(p: FourTypeParams, x):
-    """On the critical line a+c = 1: y at x along the fixed curve u x (c0-y) = a (a0-x) y
-    of the block's first row, u = 1-a, which ``pair_point`` solves; x may be a numpy array."""
-    u = 1.0 - p.a
-    return u * p.c0 * x / (p.a * p.a0 + (u - p.a) * x)
-
-
-def sub12_fixed_points(p: FourTypeParams) -> tuple[Point2, ...]:
-    """Fixed points of the type-1/2 block, in increasing x.
-
-    Off the critical line these are exactly the corners (0, 0) and
-    (a0, c0).  On it, every point of ``fixed_curve`` is fixed; it is returned
-    as 11 evenly sampled points (the curve passes through both corners).
-    """
-    if limit_branch(p)[0]:
-        return ((0.0, 0.0), (p.a0, p.c0))
-    return tuple((float(x), float(fixed_curve(p, x))) for x in np.linspace(0.0, p.a0, 11))
+def fixed_points(block: PairBlock, x=None) -> tuple[Point2, ...]:
+    """A pair block's fixed points in increasing x: off det M = 0 the corners; on it 11
+    points, evenly spaced in x over [0, a0], of the curve u x (c0-y) = beta (a0-x) y, the
+    block's first row.  Given ``x``, a number or an array, the curve's points at x."""
+    u, beta, _, _, a0, c0 = block
+    if x is None and pair_side(block.det):
+        return ((0.0, 0.0), (a0, c0))
+    x = np.linspace(0.0, a0, 11) if x is None else np.atleast_1d(x)
+    return tuple(zip(x.tolist(), (u * c0 * x / (beta * a0 + (u - beta) * x)).tolist()))
 
 
 # The types of a block that persist in the limit, by the block's side: the
@@ -263,25 +285,10 @@ SURVIVOR_LABELS = tuple(
 )
 
 
-def _blocks(p: FourTypeParams) -> tuple:
-    """The type-1/2 and the type-3/4 block of ``p``, (u, beta, gamma, w, a0, c0) each,
-    which step the coordinates ``_BLOCK_AXES`` of a state."""
-    return ((1.0 - p.a, p.a, p.c, 1.0 - p.c, p.a0, p.c0),
-            (1.0 - p.b, p.b, p.d, 1.0 - p.d, 1.0 - p.a0, 1.0 - p.c0))
-
-
-_BLOCK_AXES = ((0, 4), (2, 6))  # (x, y) of each block among (x1..x4, y1..y4)
-
-
-def limit_branch(p: FourTypeParams) -> tuple:
-    """``pair_side`` of the blocks (1-a, a, c, 1-c) and (1-b, b, d, 1-d), whose det M are
-    1-a-c and 1-b-d: 1 above the critical line, -1 below, 0 on it."""
-    return tuple(pair_side(*block[:4]) for block in _blocks(p))
-
-
 def survivor_code(p: FourTypeParams):
-    """Index into ``SURVIVOR_LABELS`` of which types persist in the predicted limit."""
-    side12, side34 = limit_branch(p)
+    """Index into ``SURVIVOR_LABELS`` of which types persist in the predicted limit, by
+    the blocks' ``pair_side``: 1 above their critical line, -1 below, 0 on it."""
+    side12, side34 = (pair_side(block.det) for block, _ in p.blocks)
     return 3 * side12 + side34 + 4
 
 
@@ -296,7 +303,7 @@ def predict_limit(p: FourTypeParams, starts, tol: Tolerance = DEFAULT_TOLERANCE)
         raise ValueError(f"the slice sums of start {np.argmax(off)} miss its a0, c0")
     a0, c0 = p.a0, p.c0
     (x1, y1), (x3, y3) = (pair_limit(*block, coords[i], coords[k])
-                          for block, (i, k) in zip(_blocks(p), _BLOCK_AXES))
+                          for block, (i, k) in p.blocks)
     limits = (x1, a0 - x1, x3, 1.0 - a0 - x3, y1, c0 - y1, y3, 1.0 - c0 - y3)
     return predicted(p, coords, limits, tol)
 
@@ -308,7 +315,7 @@ def stop_rate(p: FourTypeParams, starts):
     the larger of their v0 + v1, the most by which a move's Perron norm exceeds its max
     norm.  Neither depends on the start: off the band every start goes to the corner."""
     rates, kappas = [], []
-    for block in _blocks(p):
+    for block, _ in p.blocks:
         det, rho, (v0, v1) = corner_rate(*block)
         rates.append(np.where(np.abs(det) > RATE_BAND, rho, np.nan))
         kappas.append(v0 + v1)
@@ -322,7 +329,7 @@ def certificate(p: FourTypeParams, starts, end):
     larger of m1 / (1 - rate), which bounds the max-norm distance to the limit.  The
     rate is NaN where a block has none or where it is not below 1."""
     (rate12, first12, next12), (rate34, first34, next34) = (
-        corner_bound(*block, end[i], end[k]) for block, (i, k) in zip(_blocks(p), _BLOCK_AXES))
+        corner_bound(*block, end[i], end[k]) for block, (i, k) in p.blocks)
     rate = np.maximum(rate12, rate34)
     rate = np.where(rate < 1.0, rate, np.nan)
     first = first12 + first34
@@ -349,19 +356,29 @@ class CriticalMapParams:
         check_open_unit(self)
 
     @property
+    def block(self) -> PairBlock:
+        """The section block (1-a, a, 1-a, a), exactly on det M = 0 for every a."""
+        return PairBlock(1.0 - self.a, self.a, 1.0 - self.a, self.a, self.a0, self.c0)
+
+    @property
+    def point(self):
+        """x where x+y = 1 (w x + beta y = beta) meets the fixed curve, not clipped."""
+        u, beta, _, w, a0, c0 = self.block
+        return pair_point(u, beta, w, a0, c0, beta)[0]
+
+    @property
     def is_affine(self) -> bool:
         # The quadratic coefficient 2a-1 vanishes at a = 1/2.
         return abs(2.0 * self.a - 1.0) <= AFFINE_EPS
 
     def step(self, s: tuple) -> tuple:
         """The section map x' = (2a-1) x^2 + ((1-a)(2-c0) - a a0) x + a a0 on 1-tuples:
-        ``_pair_step`` of the block (1-a, a, 1-a, a) at (x, 1-x).
+        the section ``block``'s step at (x, 1-x).
 
         Maps [0, 1] into itself; the coordinate is a number or a numpy array.
         """
         (x,) = s
-        a, y = self.a, 1.0 - x
-        return (_pair_step(1.0 - a, a, 1.0 - a, a, x, self.a0 - x, y, self.c0 - y)[0],)
+        return (self.block.step((x, 1.0 - x))[0],)
 
 
 def critical_fixed_points(cp: CriticalMapParams):
@@ -372,7 +389,7 @@ def critical_fixed_points(cp: CriticalMapParams):
     the fixed curve, ``pair_point``; it lies outside the box [0, a0] x [0, c0] when
     a0 + c0 < 1.  ``spurious`` lies outside [0, 1].  Both others are None at a = 1/2.
     """
-    point = float(pair_point(1.0 - cp.a, cp.a, cp.a, cp.a0, cp.c0, cp.a)[0])
+    point = float(cp.point)
     if cp.is_affine:
         return point, None, None
     quad, big_k = 2.0 * cp.a - 1.0, 1.0 + cp.a * cp.a0 - (1.0 - cp.a) * (2.0 - cp.c0)
@@ -386,8 +403,8 @@ def critical_slope(cp: CriticalMapParams) -> float:
     (t, 1-t) has the eigenvalues 1 and this slope, so it is the block's ``pair_rate``
     there.  It lies inside (-1, 1) for all valid parameters: the fixed point always
     attracts."""
-    t, a = critical_fixed_points(cp)[0], cp.a
-    return float(pair_rate(1.0 - a, a, 1.0 - a, a, cp.a0, cp.c0, t, 1.0 - t)[0])
+    t = critical_fixed_points(cp)[0]
+    return float(pair_rate(*cp.block, t, 1.0 - t)[0])
 
 
 def predict_limit_critical(cp: CriticalMapParams, starts, tol: Tolerance = DEFAULT_TOLERANCE):
@@ -395,4 +412,4 @@ def predict_limit_critical(cp: CriticalMapParams, starts, tol: Tolerance = DEFAU
     ``critical_fixed_points``: the (B, 1) limits of the (B, 1) ``starts`` with the masks
     of ``dynamics.predicted``; ``cp`` may be stacked (B,) arrays."""
     coords = check_unit(np.asarray(starts, dtype=float), "[0, 1]").T
-    return predicted(cp, coords, (pair_point(1.0 - cp.a, cp.a, cp.a, cp.a0, cp.c0, cp.a)[0],), tol)
+    return predicted(cp, coords, (cp.point,), tol)

@@ -15,9 +15,7 @@ The map fixes the whole segment y = 0 and the whole edge x = 1
 (``FIXED_SEGMENTS``), conserves the linear level x / a + y / (1 - b), the
 block's w x + beta y over a (1 - b), increases x and decreases y
 monotonically, and every other point converges to where its level line meets
-those segments, ``four_types.pair_limit``.  The predictor tells a fixed start through the
-map itself, with ``dynamics.is_fixed``, not through membership in the
-segments.
+those segments, ``four_types.pair_limit``.
 
 With u = 1 - x the map is u' = u (1 - a y), y' = y (x + b u), so each move is
 u y (a, b - 1) and the ratio of two moves is (1 - a y)(x + b u).  A start of
@@ -38,7 +36,7 @@ import numpy as np
 
 from .construction import BisexualOperator, mixing_operator
 from .dynamics import predicted
-from .four_types import Point2, pair_limit
+from .four_types import PairBlock, Point2, pair_limit
 from .simplex import DEFAULT_TOLERANCE, Tolerance, check_open_unit, check_unit
 
 # The fixed-point set of the reduced map, for every a and b.
@@ -60,6 +58,11 @@ class TwoTypeParams:
     def __post_init__(self):
         check_open_unit(self)
 
+    @property
+    def blocks(self) -> tuple:
+        """The one ``PairBlock``, (0, a, 0, 1-b) on the unit square, stepping (x, y)."""
+        return ((PairBlock(0.0, self.a, 0.0, 1.0 - self.b, 1.0, 1.0), (0, 1)),)
+
     def step(self, s: Point2) -> Point2:
         """One step of the reduced planar map; maps the unit square into itself."""
         # Written out: ``_pair_step`` of (0, a, 0, 1-b) made two-type verify 8-33 % slower.
@@ -72,34 +75,29 @@ def lift_operator(p: TwoTypeParams) -> BisexualOperator:
     """The full 2x2-type operator whose reduction is ``TwoTypeParams.step``: the
     ``mixing_operator`` whose one mixed pair, (type-2 mother, type-1 father),
     yields type-1 daughters with probability ``a`` and type-1 sons with
-    probability ``b``."""
+    probability ``b``.  The rows are written as given: the block's sons row would
+    be (1 - w, w), and 1 - (1 - b) is not b for b = 0.1, 0.2 or 0.3."""
     return mixing_operator(2, 2, {(1, 0): ((p.a, 1.0 - p.a), (p.b, 1.0 - p.b))})
 
 
-def invariant_line_level(p: TwoTypeParams, s: Point2) -> float:
-    """The conserved level x/a + y/(1-b); constant along every trajectory."""
-    x, y = s
-    return x / p.a + y / (1.0 - p.b)
-
-
 def stop_rate(p: TwoTypeParams, starts):
-    """The rate bound q = 1 - |L - (1 - b)| of each of the (B, 2) ``starts``, from its
-    level L = (1 - b) x0 + a y0, and the norm factor kappa = 1: every move points along
-    the level line, so the max norm serves."""
+    """The rate bound q = 1 - |L - (1 - b)| of each of the (B, 2) ``starts`` of level L,
+    and the norm factor kappa = 1: every move points along the level line."""
     x, y = np.asarray(starts, dtype=float).T
-    return 1.0 - np.abs((1.0 - p.b) * x + p.a * y - (1.0 - p.b)), 1.0
+    (block, _), = p.blocks
+    return 1.0 - np.abs(block.w * x + block.beta * y - block.w), 1.0
 
 
 def certificate(p: TwoTypeParams, starts, end):
     """(rate, observed_rate, error_bound) of the rows that ended at the columns of the
-    (2, B) ``end``: the ``stop_rate`` q of the start, NaN where it is not below 1; the
-    ratio (1 - a y)(x + b u) of the next two moves; and m1 / (1 - q), m1 the next
-    move's max norm, which bounds the max-norm distance to the limit."""
+    (2, B) ``end``: the start's q, NaN where it is not below 1, the ratio (1 - a y)(x + b u)
+    of the next two moves, and m1 / (1 - q), m1 the next move's max norm."""
     q = stop_rate(p, starts)[0]
     rate = np.where(q < 1.0, q, np.nan)
     x, y = end
     rest = 1.0 - x
-    bound = np.maximum(p.a, 1.0 - p.b) * rest * y / (1.0 - rate)
+    (block, _), = p.blocks
+    bound = np.maximum(block.beta, block.w) * rest * y / (1.0 - rate)
     return rate, (1.0 - p.a * y) * (x + p.b * rest), bound
 
 
@@ -110,4 +108,5 @@ def predict_limit(p: TwoTypeParams, starts, tol: Tolerance = DEFAULT_TOLERANCE):
     when ac >= 1; at ac = 1 both expressions give the corner (1, 0).  Below ac = 1
     its y is exactly 0, above it its x exactly 1."""
     coords = check_unit(np.asarray(starts, dtype=float), "the unit square").T
-    return predicted(p, coords, pair_limit(0.0, p.a, 0.0, 1.0 - p.b, 1.0, 1.0, *coords), tol)
+    (block, _), = p.blocks
+    return predicted(p, coords, pair_limit(*block, *coords), tol)

@@ -131,14 +131,20 @@ def four_type_from_weights(
     )
 
 
+def invariant_line_level(p: TwoTypeParams, s) -> float:
+    """The two-type map's conserved level x/a + y/(1-b); constant along every trajectory."""
+    x, y = s
+    return x / p.a + y / (1.0 - p.b)
+
+
 def mirror_params(p: FourTypeParams) -> FourTypeParams:
     """The parameter swap turning the type-3/4 block into the type-1/2 block."""
     return FourTypeParams(a=p.b, b=p.a, c=p.d, d=p.c, a0=1.0 - p.a0, c0=1.0 - p.c0)
 
 
 def sub34_step(p: FourTypeParams, s):
-    """Type-3/4 block, by delegation to the type-1/2 block under the swap."""
-    return mirror_params(p).sub12_step(s)
+    """The type-3/4 block's step."""
+    return p.blocks[1][0].step(s)
 
 
 def survivor_label(p: FourTypeParams) -> str:

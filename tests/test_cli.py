@@ -682,18 +682,18 @@ def test_a_run_too_large_for_memory_is_an_input_error(tmp_path, capsys, argv, me
         (["verify", "--case", "four-type", "--grid", "3000", "--starts", "1",
           "--portrait", "{d}/p.csv", "--report", "{d}/r.json"],
          "--grid 3000 and --starts 1 make 9000000 rows, above the bound of 524288"),
-        # 1449**2 = 2,099,601 seeds, the smallest grid above 2**21.
-        (["fixed-points", "--case", "four-type", "--grid", "1449", "--output", "{d}/f.json"],
-         "--grid 1449 makes 2099601 seeds, above the bound of 2097152"),
+        # 1025**2 = 1,050,625 seeds, the smallest grid above 2**20.
+        (["fixed-points", "--case", "four-type", "--grid", "1025", "--output", "{d}/f.json"],
+         "--grid 1025 makes 1050625 seeds, above the bound of 1048576"),
         (["fixed-points", "--case", "two-type", "--grid", "100000", "--output", "{d}/f.json"],
-         "--grid 100000 makes 10000000000 seeds, above the bound of 2097152"),
+         "--grid 100000 makes 10000000000 seeds, above the bound of 1048576"),
     ],
     ids=["verify-just-above", "verify-four-type", "fixed-points-just-above", "fixed-points-huge"],
 )
 def test_a_grid_above_its_row_bound_exits_2_before_allocating(tmp_path, capsys, argv, message):
     """verify's grid**2 * starts rows and fixed-points' grid**2 seeds are counted against
     VERIFY_ROWS_CAP and GRID_SEEDS_CAP before any array is made or file written."""
-    assert (cli.VERIFY_ROWS_CAP, cli.GRID_SEEDS_CAP) == (2**19, 2**21)
+    assert (cli.VERIFY_ROWS_CAP, cli.GRID_SEEDS_CAP) == (2**19, 2**20)
     tracemalloc.start()
     try:
         code = main([a.replace("{d}", str(tmp_path)) for a in argv])

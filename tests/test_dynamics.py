@@ -17,7 +17,7 @@ Core claims:
 import numpy as np
 import pytest
 
-from qsobp import four_types, two_types
+from qsobp import four_types
 from qsobp.cli import CASES
 from qsobp.dynamics import (
     TRAJECTORY_STORE_CAP,
@@ -35,6 +35,7 @@ from qsobp.two_types import TwoTypeParams, lift_operator
 from helpers import (
     apply,
     conserved_quantity_drift,
+    invariant_line_level,
     jacobian,
     quadratic_form,
     random_state,
@@ -200,7 +201,7 @@ def test_iterate_map_tracks_functional_drift():
     run = iterate_map(p.step, (0.2, 0.25))
     assert run.converged
     assert len(run.states) < TRAJECTORY_STORE_CAP
-    drift = conserved_quantity_drift(run, lambda s: two_types.invariant_line_level(p, s))
+    drift = conserved_quantity_drift(run, lambda s: invariant_line_level(p, s))
     assert drift <= 1e-12
 
 
@@ -337,7 +338,7 @@ def test_classify_fixed_point_matches_the_trace_determinant_roots_on_the_planar_
         two = TwoTypeParams(a, b)
         four = four_types.FourTypeParams(a, b, 1.0 - a if rng.uniform() < 0.5 else c, d, a0, c0)
         cells = [(two, pt) for pt in ((rng.uniform(), 0.0), (1.0, rng.uniform()))]
-        cells += [(four, pt) for pt in four_types.sub12_fixed_points(four)]
+        cells += [(four, pt) for pt in four_types.fixed_points(four.blocks[0][0])]
         for p, point in cells:
             matrix = CASES["two-type" if p is two else "four-type"].planar(p)[1](point)
             reference = trace_determinant_moduli(matrix)
@@ -383,7 +384,7 @@ def test_grid_on_critical_line_lands_on_fixed_curve():
     points = find_fixed_points_grid(*CASES["four-type"].planar(p), grid=8)
     assert len(points) >= 8
     for x, y in points:
-        assert abs(y - four_types.fixed_curve(p, x)) <= 1e-7
+        assert abs(y - four_types.fixed_points(p.blocks[0][0], x)[0][1]) <= 1e-7
 
 
 def test_grid_on_two_type_map_stays_in_fixed_segments():
@@ -413,7 +414,7 @@ def test_constant_functional_has_zero_drift():
 def test_invariant_level_drift_is_tiny():
     p = TwoTypeParams(a=0.4, b=0.5)
     run = iterate_map(p.step, (0.2, 0.25))
-    drift = conserved_quantity_drift(run, lambda s: two_types.invariant_line_level(p, s))
+    drift = conserved_quantity_drift(run, lambda s: invariant_line_level(p, s))
     assert drift <= 1e-12
 
 

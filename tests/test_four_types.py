@@ -29,13 +29,12 @@ from qsobp.four_types import (
     FourTypeParams,
     critical_fixed_points,
     critical_slope,
-    fixed_curve,
+    fixed_points,
     lift_operator,
-    limit_branch,
+    pair_side,
     predict_limit,
     predict_limit_critical,
     slice_sums,
-    sub12_fixed_points,
 )
 from qsobp.simplex import Tolerance, make_state
 
@@ -129,13 +128,13 @@ def test_lift_tensors_are_the_literal_tables(a, b, c, d):
 
 def test_sub12_corners_are_fixed():
     p = params()
-    assert p.sub12_step((0.0, 0.0)) == (0.0, 0.0)
-    assert p.sub12_step((p.a0, p.c0)) == (p.a0, p.c0)
+    assert p.blocks[0][0].step((0.0, 0.0)) == (0.0, 0.0)
+    assert p.blocks[0][0].step((p.a0, p.c0)) == (p.a0, p.c0)
 
 
 def test_sub12_step_value():
     p = params(a=0.3, c=0.3, a0=0.5, c0=0.5)
-    x, y = p.sub12_step((0.25, 0.25))
+    x, y = p.blocks[0][0].step((0.25, 0.25))
     assert x == pytest.approx(0.225)
     assert y == pytest.approx(0.225)
 
@@ -146,7 +145,7 @@ def test_sub12_stays_in_box():
     for _ in range(200):
         x = float(rng.uniform(0, p.a0))
         y = float(rng.uniform(0, p.c0))
-        nx, ny = p.sub12_step((x, y))
+        nx, ny = p.blocks[0][0].step((x, y))
         assert -1e-15 <= nx <= p.a0 + 1e-15
         assert -1e-15 <= ny <= p.c0 + 1e-15
 
@@ -161,7 +160,7 @@ def test_sub34_is_the_mirrored_sub12():
     p = params(a=0.2, b=0.8, c=0.55, d=0.31, a0=0.35, c0=0.62)
     q = mirror_params(p)
     assert (q.a, q.b, q.c, q.d, q.a0, q.c0) == (p.b, p.a, p.d, p.c, 1 - p.a0, 1 - p.c0)
-    assert sub34_step(p, (0.2, 0.1)) == q.sub12_step((0.2, 0.1))
+    assert sub34_step(p, (0.2, 0.1)) == q.blocks[0][0].step((0.2, 0.1))
 
 
 def test_sub34_interior_converges_to_far_corner():
@@ -179,7 +178,7 @@ def test_block_trajectory_matches_full_trajectory():
     block = (full[0], full[4])
     for _ in range(200):
         full = p.step(full)
-        block = p.sub12_step(block)
+        block = p.blocks[0][0].step(block)
         assert abs(full[0] - block[0]) <= 1e-13
         assert abs(full[4] - block[1]) <= 1e-13
 
@@ -188,30 +187,32 @@ def test_block_trajectory_matches_full_trajectory():
 
 
 def test_isolated_fixed_points_off_critical_line():
-    assert sub12_fixed_points(params(a=0.3, c=0.3)) == ((0.0, 0.0), (0.5, 0.5))
+    assert fixed_points(params(a=0.3, c=0.3).blocks[0][0]) == ((0.0, 0.0), (0.5, 0.5))
 
 
 def test_fixed_curve_passes_through_both_corners():
     p = params(a=0.4, c=0.6, a0=0.5, c0=0.5)
-    assert fixed_curve(p, 0.0) == 0.0
-    assert fixed_curve(p, p.a0) == pytest.approx(p.c0)
+    block = p.blocks[0][0]
+    assert fixed_points(block, 0.0)[0][1] == 0.0
+    assert fixed_points(block, p.a0)[0][1] == pytest.approx(p.c0)
 
 
 def test_fixed_curve_points_have_tiny_residual():
     p = params(a=0.4, c=0.6, a0=0.5, c0=0.5)
     for x in np.linspace(0.0, p.a0, 21).tolist():
-        y = fixed_curve(p, x)
-        nx, ny = p.sub12_step((x, y))
+        y = fixed_points(p.blocks[0][0], x)[0][1]
+        nx, ny = p.blocks[0][0].step((x, y))
         assert max(abs(nx - x), abs(ny - y)) <= 1e-12
     # On the line the fixed points are 11 samples of that curve.
     samples = np.linspace(0.0, p.a0, 11).tolist()
-    assert sub12_fixed_points(p) == tuple((x, fixed_curve(p, x)) for x in samples)
+    block = p.blocks[0][0]
+    assert fixed_points(block) == tuple((x, fixed_points(block, x)[0][1]) for x in samples)
 
 
 def _verdicts(p):
     """Stability class of each fixed point of the type-1/2 block, as ``classify`` reports it."""
     jacobian = CASES["four-type"].planar(p)[1]
-    return {pt: classify_fixed_point(jacobian(pt)) for pt in sub12_fixed_points(p)}
+    return {pt: classify_fixed_point(jacobian(pt)) for pt in fixed_points(p.blocks[0][0])}
 
 
 def test_classification_below_critical_line():
@@ -280,10 +281,10 @@ def test_predict_limit_on_each_critical_line(p, label):
     limit = _predict(p, state)
     x, y = limit[:4], limit[4:]
     # A block on its line keeps its x+y and ends on its fixed curve.
-    for i, side, block in zip((0, 2), limit_branch(p), (p, mirror_params(p))):
-        if side == 0:
+    for block, (i, _) in p.blocks:
+        if pair_side(block.det) == 0:
             assert x[i] + y[i] == pytest.approx(state[i] + state[4 + i], rel=0, abs=1e-15)
-            assert y[i] == pytest.approx(fixed_curve(block, x[i]), rel=0, abs=1e-15)
+            assert y[i] == pytest.approx(fixed_points(block, x[i])[0][1], rel=0, abs=1e-15)
     assert max(abs(n - o) for n, o in zip(p.step(limit), limit)) <= 1e-15
     run = dynamics.iterate_map(p.step, state, Tolerance(iter_eps=1e-15))
     assert max(abs(u - v) for u, v in zip(run.states[-1], limit)) <= 1e-12
@@ -292,19 +293,21 @@ def test_predict_limit_on_each_critical_line(p, label):
 
 def test_limits_inside_the_critical_band_lie_on_the_fixed_curve():
     # 0 < |1 - a - c| <= CRITICAL_EPS: the block counts as critical, its limit is
-    # ``pair_point`` of its first row, and ``fixed_curve`` is that row's curve.
+    # ``pair_point`` of its first row, and ``fixed_points`` samples that row's curve.
     rng = np.random.default_rng(43)
     a, b, d, a0, c0 = rng.uniform(0.01, 0.99, (5, 2000))
     c = 1.0 - a - rng.choice([-1.0, 1.0], 2000) * rng.uniform(0.01, 1.0, 2000) * CRITICAL_EPS
     p = FourTypeParams(a, b, c, d, a0, c0)
     det = 1.0 - a - c
-    assert np.all((det != 0.0) & (np.abs(det) <= CRITICAL_EPS)) and np.all(limit_branch(p)[0] == 0)
+    assert np.all((det != 0.0) & (np.abs(det) <= CRITICAL_EPS))
+    assert np.all(pair_side(p.blocks[0][0].det) == 0)
     f, m = rng.uniform(0.05, 0.95, (2, 2, 2000))
     starts = np.stack([f[0] * a0, (1 - f[0]) * a0, f[1] * (1 - a0), (1 - f[1]) * (1 - a0),
                        m[0] * c0, (1 - m[0]) * c0, m[1] * (1 - c0), (1 - m[1]) * (1 - c0)], axis=1)
     limits, fixed, invalid = predict_limit(p, starts)
     assert not (fixed | invalid).any()
-    assert np.abs(limits[:, 4] - fixed_curve(p, limits[:, 0])).max() <= 1e-14
+    curve = np.array(fixed_points(p.blocks[0][0], limits[:, 0]))[:, 1]
+    assert np.abs(limits[:, 4] - curve).max() <= 1e-14
 
 
 def test_predict_limit_rejects_fixed_state():
@@ -340,7 +343,7 @@ def test_iterated_limits_match_prediction():
 
 def test_sum_conserved_on_critical_line():
     p = params(a=0.4, c=0.6, a0=0.5, c0=0.5)
-    run = dynamics.iterate_map(p.sub12_step, (0.3, 0.1))
+    run = dynamics.iterate_map(p.blocks[0][0].step, (0.3, 0.1))
     # Unthinned, so the drift below covers every step.
     assert len(run.states) < dynamics.TRAJECTORY_STORE_CAP
     assert conserved_quantity_drift(run, lambda s: s[0] + s[1]) <= 1e-12
@@ -351,9 +354,9 @@ def test_critical_trajectories_land_on_fixed_curve():
     rng = np.random.default_rng(15)
     for _ in range(10):
         s = (float(rng.uniform(0.02, 0.48)), float(rng.uniform(0.02, 0.48)))
-        run = dynamics.iterate_map(p.sub12_step, s)
+        run = dynamics.iterate_map(p.blocks[0][0].step, s)
         x_end, y_end = run.states[-1]
-        assert abs(y_end - fixed_curve(p, x_end)) <= 1e-6
+        assert abs(y_end - fixed_points(p.blocks[0][0], x_end)[0][1]) <= 1e-6
 
 
 # -- critical section map ----------------------------------------------------

@@ -27,7 +27,6 @@ smallest normal float.
 
 import sys
 import warnings
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -37,8 +36,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsobp import dynamics, four_types, two_types
-from qsobp.four_types import (CriticalMapParams, FourTypeParams, _pair_step, critical_fixed_points,
-                              critical_slope, pair_jacobian, pair_limit, pair_point)
+from qsobp.four_types import (CriticalMapParams, FourTypeParams, PairBlock, _pair_step,
+                              critical_fixed_points, critical_slope, pair_jacobian, pair_limit,
+                              pair_point)
 from qsobp.simplex import Tolerance
 from qsobp.two_types import TwoTypeParams
 
@@ -55,36 +55,18 @@ inner = st.floats(0.01, 0.99)
 MIN_CONTRACTION = 5e-3
 
 
-@dataclass(frozen=True)
-class Block:
-    u: float
-    beta: float
-    gamma: float
-    w: float
-    a0: float
-    c0: float
+def block_limit(block, x, y):
+    return tuple(map(float, pair_limit(*block, x, y)))
 
-    def step(self, s):
-        x, y = s
-        x, _, y, _ = _pair_step(self.u, self.beta, self.gamma, self.w,
-                                x, self.a0 - x, y, self.c0 - y)
-        return (x, y)
 
-    @property
-    def det(self):
-        return self.u * self.w - self.beta * self.gamma
-
-    def limit(self, x, y):
-        return tuple(map(float, pair_limit(*vars(self).values(), x, y)))
-
-    def contraction(self, x, y):
-        """1 less the largest modulus of the step's Jacobian I + M G at its fixed point
-        (x, y), where G is the Jacobian of (P, R); on det M = 0 the unit modulus along
-        the line is left out: there MG has the eigenvalues 0 and its trace."""
-        m = np.array([[-self.u, self.beta], [self.gamma, -self.w]])
-        mg = m @ np.array([[self.c0 - y, -x], [-y, self.a0 - x]])
-        mu = [np.trace(mg)] if abs(self.det) < 1e-2 else np.linalg.eigvals(mg)
-        return 1.0 - max(abs(1.0 + np.asarray(mu)))
+def contraction(block, x, y):
+    """1 less the largest modulus of the block step's Jacobian I + M G at its fixed
+    point (x, y), where G is the Jacobian of (P, R); on det M = 0 the unit modulus
+    along the line is left out: there MG has the eigenvalues 0 and its trace."""
+    m = np.array([[-block.u, block.beta], [block.gamma, -block.w]])
+    mg = m @ np.array([[block.c0 - y, -x], [-y, block.a0 - x]])
+    mu = [np.trace(mg)] if abs(block.det) < 1e-2 else np.linalg.eigvals(mg)
+    return 1.0 - max(abs(1.0 + np.asarray(mu)))
 
 
 @st.composite
@@ -100,7 +82,7 @@ def blocks(draw, on_line):
         else:
             gamma = product / beta
             assume(gamma <= 1.0)
-    block = Block(u, beta, gamma, w, draw(positive), draw(positive))
+    block = PairBlock(u, beta, gamma, w, draw(positive), draw(positive))
     assume(on_line or abs(block.det) >= 1e-2)
     return block
 
@@ -111,14 +93,14 @@ def test_pair_limits_are_where_iteration_ends(cells):
     rows, starts, limits = [], [], []
     for block, fx, fy in cells:
         start = (fx * block.a0, fy * block.c0)
-        limit = block.limit(*start)
-        if block.contraction(*limit) >= MIN_CONTRACTION:
+        limit = block_limit(block, *start)
+        if contraction(block, *limit) >= MIN_CONTRACTION:
             rows.append(block)
             starts.append(start)
             limits.append(limit)
     assume(rows)
     tol = Tolerance(iter_eps=1e-13, max_iters=20_000)
-    run = dynamics.iterate_batch(Block.step, np.array(starts).T, tol, params=stack_params(rows))
+    run = dynamics.iterate_batch(PairBlock.step, np.array(starts).T, tol, params=stack_params(rows))
     assert run.converged.all()
     assert np.abs(run.end.T - limits).max() <= 1e-6
 
@@ -129,7 +111,7 @@ def test_pair_limits_are_where_iteration_ends(cells):
 def test_a_limit_on_det_m_zero_is_in_the_box_on_its_line_and_fixed(block, fx, fy):
     u, beta, _, w, a0, c0 = vars(block).values()
     x0, y0 = fx * a0, fy * c0
-    x, y = block.limit(x0, y0)
+    x, y = block_limit(block, x0, y0)
     assert 0.0 <= x <= a0 and 0.0 <= y <= c0
     level = w * x0 + beta * y0
     assert abs(w * x + beta * y - level) <= 1e-15
@@ -150,21 +132,21 @@ def _level_formula(a, b, x, y):
        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
 def test_two_type_limits_are_the_level_formula(a, b, x0, y0):
-    limit = Block(0.0, a, 0.0, 1.0 - b, 1.0, 1.0).limit(x0, y0)
+    limit = block_limit(PairBlock(0.0, a, 0.0, 1.0 - b, 1.0, 1.0), x0, y0)
     exact = _level_formula(a, b, x0, y0)
     assert max(abs(Fraction(v) - e) for v, e in zip(limit, exact)) <= Fraction(1, 10**13)
 
 
 def test_the_two_type_corner_double_root_is_the_corner():
     # a = b = 1/2 from (0, 1): a * level = 1, where the two roots meet.
-    assert Block(0.0, 0.5, 0.0, 0.5, 1.0, 1.0).limit(0.0, 1.0) == (1.0, 0.0)
+    assert block_limit(PairBlock(0.0, 0.5, 0.0, 0.5, 1.0, 1.0), 0.0, 1.0) == (1.0, 0.0)
 
 
 @pytest.mark.parametrize("a, b, x0, y0", [(0.1, 0.9, 0.4, 0.8), (0.1, 0.8, 0.9, 0.6)])
 def test_the_right_edge_is_exact(a, b, x0, y0):
     # Here the root 2c / (B + sqrt(D)) of x's own quadratic -d w x^2 + B x = c rounds
     # to 1 + 2^-52 and to 1 - 2^-53.
-    assert Block(0.0, a, 0.0, 1.0 - b, 1.0, 1.0).limit(x0, y0)[0] == 1.0
+    assert block_limit(PairBlock(0.0, a, 0.0, 1.0 - b, 1.0, 1.0), x0, y0)[0] == 1.0
 
 
 def test_rows_outside_the_ranges_give_nan_without_a_warning():
@@ -261,8 +243,15 @@ def test_the_section_map_is_the_section_blocks_step():
 def test_parameters_down_to_the_smallest_normal_float_keep_their_limits():
     # The discriminant's squares would underflow here; its hypot does not.
     for a in (1e-170, 1e-300, sys.float_info.min):
-        assert Block(0.0, a, 0.0, 0.5, 1.0, 1.0).limit(0.25, 0.5) == (0.25, 0.0)
+        assert block_limit(PairBlock(0.0, a, 0.0, 0.5, 1.0, 1.0), 0.25, 0.5) == (0.25, 0.0)
     assert abs(critical_fixed_points(CriticalMapParams(1e-200, 0.3, 0.6))[0] - 0.4) <= 2.3e-16
+
+
+def test_a_fixed_corner_keeps_its_limit_where_a_rate_squared_underflows():
+    # beta^2 underflows to 0 at the corner (a0, c0) of u = 0, where y's quadratic is
+    # beta^2 y^2 = 0 and its root formula gave 0 / 0.
+    for beta in (1e-160, 2.7897025091871444e-175, sys.float_info.min):
+        assert block_limit(PairBlock(0.0, beta, 0.0, 1.0, 1.0, 1.0), 1.0, 0.0) == (1.0, 0.0)
 
 
 def _through_slice(full, rows, columns):
@@ -303,7 +292,7 @@ rates = st.floats(1e-3, 1.0)
 @given(faces, rates, faces, rates, st.floats(0.01, 1.0), st.floats(0.01, 1.0), inner, inner)
 def test_the_pair_jacobian_is_the_central_difference_of_the_step(u, beta, gamma, w, a0, c0,
                                                                  fx, fy):
-    block = Block(u, beta, gamma, w, a0, c0)
+    block = PairBlock(u, beta, gamma, w, a0, c0)
     point, h = np.array([fx * a0, fy * c0]), 1e-5
     numeric = np.empty((2, 2))
     for col in range(2):

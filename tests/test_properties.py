@@ -13,9 +13,10 @@ four-type and the critical-line case:
     x+y in the limit to 1e-12, and the limit is where iteration ends to 1e-9
   - one step conserves x/a + y/(1-b) (two-type) and the four slice sums
     (four-type) to 1e-12
-  - on a slice, coordinates 0 and 4 of the four-type step are sub12_step of
-    (x1, y1), and coordinates 2 and 6 the swapped block's sub12_step of
-    (x3, y3), bit for bit, for parameters as numbers and stacked
+  - on a slice, coordinates 0 and 4 of the four-type step are the type-1/2
+    block's step of (x1, y1), and coordinates 2 and 6 the swapped parameters'
+    type-1/2 block's step of (x3, y3), bit for bit, for parameters as numbers
+    and stacked
   - a batch of trajectories with per-row parameters ends each row where the
     row run alone ends, bit for bit, after as many steps and with the same
     convergence flag, whether the budget lets it converge or cuts it off;
@@ -102,20 +103,20 @@ from qsobp.four_types import (
     CriticalMapParams,
     FourTypeParams,
     critical_fixed_points,
-    fixed_curve,
-    limit_branch,
+    fixed_points,
     pair_point,
+    pair_side,
     predict_limit,
     predict_limit_critical,
     slice_sums,
-    sub12_fixed_points,
 )
 from qsobp.simplex import Tolerance, check_states, float_texts, make_state, write_json
-from qsobp.two_types import TwoTypeParams, invariant_line_level
+from qsobp.two_types import TwoTypeParams
 from qsobp.two_types import predict_limit as predict_limit_two
 
-from helpers import (constructions, mirror_params, predict_one, quadratic_form, reference_batch,
-                     simplex_violation, spread_reference, stack_params)
+from helpers import (constructions, invariant_line_level, mirror_params, predict_one,
+                     quadratic_form, reference_batch, simplex_violation, spread_reference,
+                     stack_params)
 
 # Reproducible examples, and no example database written next to the tests.
 PROPERTY = settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -180,8 +181,8 @@ def test_four_type_predictor(case, tol):
     if limit is not None:
         make_state(limit[:4], limit[4:])
         assert _moved(p.step, limit) <= 1e-12
-        for i, side in zip((0, 2), limit_branch(p)):
-            if side == 0:
+        for block, (i, _) in p.blocks:
+            if pair_side(block.det) == 0:
                 kept = limit[i] + limit[4 + i]
                 assert kept == pytest.approx(state[i] + state[4 + i], rel=0, abs=1e-12)
     after = p.step(state.tolist())
@@ -204,8 +205,8 @@ def test_the_four_type_step_is_its_type_12_block_and_the_swapped_block(rows):
     stacked = (stack_params(params), tuple(np.array(column) for column in zip(*coords)))
     for p, s in [*zip(params, coords), stacked]:
         out = p.step(s)
-        assert _bits(p.sub12_step((s[0], s[4]))) == _bits((out[0], out[4]))
-        assert _bits(mirror_params(p).sub12_step((s[2], s[6]))) == _bits((out[2], out[6]))
+        assert _bits(p.blocks[0][0].step((s[0], s[4]))) == _bits((out[0], out[4]))
+        assert _bits(mirror_params(p).blocks[0][0].step((s[2], s[6]))) == _bits((out[2], out[6]))
 
 
 @PROPERTY
@@ -348,10 +349,10 @@ def test_grid_search_points_are_fixed_and_inside_the_box(case, grid):
         assert _moved(step, (x, y)) <= tol.abs_eps
     if name == "two-type":
         return
-    if limit_branch(p)[0]:
+    if pair_side(p.blocks[0][0].det):
         np.testing.assert_allclose(points, [(0.0, 0.0), (w, h)], rtol=0, atol=1e-7)
     else:
-        assert max(abs(y - fixed_curve(p, x)) for x, y in points) <= 1e-7
+        assert max(abs(y - fixed_points(p.blocks[0][0], x)[0][1]) for x, y in points) <= 1e-7
 
 
 @PROPERTY
@@ -385,7 +386,7 @@ def off_line_blocks(draw):
 @given(off_line_blocks())
 def test_off_the_critical_line_the_corner_on_the_side_of_a_plus_c_attracts(p):
     jacobian = CASES["four-type"].planar(p)[1]
-    zero, corner = (classify_fixed_point(jacobian(pt)).kind for pt in sub12_fixed_points(p))
+    zero, corner = (classify_fixed_point(jacobian(pt)).kind for pt in fixed_points(p.blocks[0][0]))
     attracting, other = (corner, zero) if p.a + p.c > 1.0 else (zero, corner)
     assert attracting is StabilityKind.ATTRACTING
     assert other in (StabilityKind.SADDLE, StabilityKind.REPELLING)
@@ -395,7 +396,7 @@ def test_off_the_critical_line_the_corner_on_the_side_of_a_plus_c_attracts(p):
 @given(unit, unit, unit, unit)
 def test_on_the_critical_line_every_fixed_point_has_one_unit_modulus(a, a0, c0, b):
     p = FourTypeParams(a, b, 1.0 - a, b, a0, c0)
-    points, jacobian = sub12_fixed_points(p), CASES["four-type"].planar(p)[1]
+    points, jacobian = fixed_points(p.blocks[0][0]), CASES["four-type"].planar(p)[1]
     assert len(points) == 11
     for point in points:
         verdict = classify_fixed_point(jacobian(point))

@@ -10,14 +10,13 @@ observed rate exceeds its rate.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsobp import cli, dynamics, four_types, two_types
-from qsobp.four_types import (RATE_BAND, CriticalMapParams, FourTypeParams, _pair_step,
+from qsobp.four_types import (RATE_BAND, CriticalMapParams, FourTypeParams, PairBlock,
                               corner_bound, pair_jacobian, pair_limit, pair_rate)
 from qsobp.simplex import Tolerance
 from qsobp.two_types import TwoTypeParams
@@ -172,24 +171,6 @@ def test_the_four_type_error_bound_holds(rows, match_eps):
             assert eps[row] == tol.iter_eps
 
 
-@dataclass(frozen=True)
-class _Block:
-    """A general pair block, (u, beta, gamma, w) on the box [0, a0] x [0, c0]."""
-
-    u: float
-    beta: float
-    gamma: float
-    w: float
-    a0: float
-    c0: float
-
-    def step(self, s):
-        x, y = s
-        nx, _, ny, _ = _pair_step(self.u, self.beta, self.gamma, self.w,
-                                  x, self.a0 - x, y, self.c0 - y)
-        return nx, ny
-
-
 @settings(PROPERTY, max_examples=100)
 @given(st.lists(st.tuples(*[unit] * 8), min_size=1, max_size=6),
        st.sampled_from([1e-12, 1e-9, 1e-7]))
@@ -198,10 +179,10 @@ def test_the_general_block_error_bound_holds(rows, iter_eps):
     |det M| > RATE_BAND, stopped on a move of iter_eps or after 5,000 steps."""
     rows = [row for row in rows if abs(row[0] * row[3] - row[1] * row[2]) > RATE_BAND]
     assume(rows)
-    blocks = stack_params([_Block(*row[:6]) for row in rows])
+    blocks = stack_params([PairBlock(*row[:6]) for row in rows])
     starts = np.array([(row[6] * row[4], row[7] * row[5]) for row in rows]).T
     tol = Tolerance(iter_eps=iter_eps, max_iters=5_000)
-    run = dynamics.iterate_batch(_Block.step, starts, tol, params=blocks)
+    run = dynamics.iterate_batch(PairBlock.step, starts, tol, params=blocks)
     block = tuple(vars(blocks).values())
     limit = pair_limit(*block, *starts)
     distance = np.abs(run.end - np.array(limit)).max(axis=0)

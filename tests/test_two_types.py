@@ -26,13 +26,13 @@ from qsobp.simplex import Tolerance, make_state
 from helpers import (
     apply,
     conserved_quantity_drift,
+    invariant_line_level,
     predict_one,
     state_distance,
     two_type_from_weights,
 )
 from qsobp.two_types import (
     TwoTypeParams,
-    invariant_line_level,
     lift_operator,
     predict_limit,
 )
