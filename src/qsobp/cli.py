@@ -102,10 +102,25 @@ def _parse_range(text: str) -> list[float]:
 
 def _write_lines(path: str, header: Sequence[str], lines) -> None:
     """The CSV file ``csv.writer`` writes for ``header`` and rows whose fields it never quotes
-    (names, ints, ``float_texts``) or quotes as given; ``lines`` hold whole rows and CR LFs."""
+    (names, ints, ``float_texts``) or quotes as given; ``lines`` hold whole rows and CR LFs,
+    each item one ``_csv_block`` of a field table."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(lines)
+
+
+def _csv_block(table: np.ndarray) -> str:
+    """The CSV rows of the (rows, fields) object array ``table`` of field texts: its
+    texts interleaved with "," between fields and CR LF after each row, in one join."""
+    pieces = np.empty((len(table), 2 * table.shape[1]), dtype=object)
+    pieces[:, ::2], pieces[:, 1::2] = table, ","
+    pieces[:, -1] = "\r\n"
+    return "".join(pieces.ravel().tolist())
+
+
+def _joined(texts: np.ndarray) -> np.ndarray:
+    """The object array of each row of the 2-D field texts ``texts`` joined by commas."""
+    return np.array(list(map(",".join, texts.tolist())), dtype=object)
 
 
 def _float_rows(heads: Sequence, states):
@@ -115,8 +130,10 @@ def _float_rows(heads: Sequence, states):
     per_block = max(1, SWEEP_BLOCK_ROWS // max(1, states[:1].size))  # at least one row
     for first in range(0, len(states), per_block):
         block = slice(first, first + per_block)
-        texts = float_texts(states[block]).tolist()
-        yield "".join(f"{head}," + ",".join(s) + "\r\n" for head, s in zip(heads[block], texts))
+        texts = float_texts(states[block])
+        table = np.empty((len(texts), 1 + texts.shape[1]), dtype=object)
+        table[:, 0], table[:, 1:] = list(map(str, heads[block])), texts
+        yield _csv_block(table)
 
 
 def _grid(axes: Sequence[np.ndarray], index) -> np.ndarray:
@@ -267,7 +284,7 @@ CASES = {
         parse_start=lambda text: (check_unit(float(text), "[0, 1]"),),
         predict=lambda p, x, tol: four_types.predict_limit_critical(p, x, tol),
         labels=("quadratic", "affine"),
-        label=lambda p, lim: np.broadcast_to(p.is_affine, len(lim)),
+        label=lambda p, lim: np.broadcast_to(p.is_affine, len(lim)).astype(np.intp),
         doc=lambda x, lim: {"x0": x[0], "limit": lim[0]},
         sweep_columns=(("x0",), ("limit",)),
         start_flag="x0",
@@ -579,10 +596,14 @@ def cmd_sweep(args) -> int:
     predicted and written ``SWEEP_BLOCK_ROWS`` rows at a time, so that no step holds
     the whole grid: a block builds only its own parameter rows, from its row indices.
 
-    The status is ``ValueError`` for parameters outside (0, 1), else
+    Each block is one field table, which ``_csv_block`` writes in one join.  A row's
+    fields are its cell's parameter texts and its start's texts, each group joined
+    once and picked by index, its status, the ``float_texts`` of its limits and its
+    class label.  The status is ``ValueError`` for parameters outside (0, 1), else
     ``FixedPointInputError`` for a start that one step moves by at most
     ``--abs-eps``, else the name of the error ``make_state`` raises for a
-    four-type limit off the simplexes, else ``ok``, the one status with limits.
+    four-type limit off the simplexes, else ``ok``, the one status with limits:
+    other rows leave the limit and class fields empty.
     """
     case = CASES[args.case]
     tol = _tolerance(args)
@@ -599,9 +620,10 @@ def cmd_sweep(args) -> int:
     start_array = np.array(starts).reshape(len(starts), len(start_columns))
     # Each start and label as text once.  The labels hold no quote or line
     # break, so only a comma makes csv quote one.
-    start_texts = list(map(",".join, float_texts(start_array).tolist()))
-    labels = [f'"{label}"' if "," in label else label for label in case.labels]
-    blank = "," * len(limit_columns)
+    start_texts = _joined(float_texts(start_array))
+    labels = np.array([f'"{label}"' if "," in label else label for label in case.labels],
+                      dtype=object)
+    statuses = np.array(["ok", "FixedPointInputError", "ValueError"], dtype=object)
 
     def lines():
         total = math.prod(map(len, axes)) * len(starts)
@@ -609,24 +631,24 @@ def cmd_sweep(args) -> int:
             rows = np.arange(first, min(first + SWEEP_BLOCK_ROWS, total))
             head, start = np.divmod(rows, len(starts))
             table = _grid(axes, np.arange(head[0], head[-1] + 1))
-            heads = list(map(",".join, float_texts(table).tolist()))
-            head -= head[0]  # each row's index into ``table`` and ``heads``
+            head -= head[0]  # each row's index into ``table``
             p = case.params(**dict(zip(case.names, table[head].T)))
             limits, fixed_rows, invalid = case.predict(p, start_array[start], tol)
-            status = np.where(fixed_rows, "FixedPointInputError", "ok")
-            status = np.where(invalid, "ValueError", status).tolist()
+            blank = invalid | fixed_rows  # the rows without limits
+            status = statuses[np.where(invalid, 2, fixed_rows)]
             if case.state_n:
-                predicted = np.flatnonzero(~(invalid | fixed_rows))
+                predicted = np.flatnonzero(~blank)
                 for row in predicted[rejected_rows(limits[predicted], case.state_n)].tolist():
                     try:
                         check_states(limits[row : row + 1], case.state_n)
                     except QsobpError as exc:
-                        status[row] = type(exc).__name__
-            texts = map(",".join, float_texts(limits).tolist())
-            rows = zip(head.tolist(), start.tolist(), status, texts, case.label(p, limits).tolist())
-            yield "".join([f"{heads[i]},{start_texts[j]},ok,{text},{labels[c]}\r\n" if s == "ok"
-                           else f"{heads[i]},{start_texts[j]},{s},{blank}\r\n"
-                           for i, j, s, text, c in rows])
+                        status[row], blank[row] = type(exc).__name__, True
+            fields = np.concatenate([_joined(float_texts(table))[head, None],
+                                     start_texts[start, None], status[:, None],
+                                     float_texts(limits), labels[case.label(p, limits), None]],
+                                    axis=1)
+            fields[blank, -1 - len(limit_columns):] = ""  # no limit and no class
+            yield _csv_block(fields)
 
     header = [*case.names, *start_columns, "status", *limit_columns, "class"]
     _write_lines(args.output, header, lines())

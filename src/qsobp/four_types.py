@@ -267,12 +267,17 @@ def lift_operator(p: FourTypeParams) -> BisexualOperator:
 def fixed_points(block: PairBlock, x=None) -> tuple[Point2, ...]:
     """A pair block's fixed points in increasing x: off det M = 0 the corners; on it 11
     points, evenly spaced in x over [0, a0], of the curve u x (c0-y) = beta (a0-x) y, the
-    block's first row.  Given ``x``, a number or an array, the curve's points at x."""
+    block's first row.  Given ``x``, a number or an array, the curve's points at x.
+
+    On the face u = 0 the curve is the edge y = 0, and (a0, 0) is its point at x = a0;
+    there the edge x = a0 is fixed too, and it is not sampled."""
     u, beta, _, _, a0, c0 = block
     if x is None and pair_side(block.det):
         return ((0.0, 0.0), (a0, c0))
     x = np.linspace(0.0, a0, 11) if x is None else np.atleast_1d(x)
-    return tuple(zip(x.tolist(), (u * c0 * x / (beta * a0 + (u - beta) * x)).tolist()))
+    num, den = u * c0 * x, beta * a0 + (u - beta) * x  # den is 0 only where num is
+    y = np.divide(num, den, out=np.zeros(np.broadcast(num, den).shape), where=den != 0.0)
+    return tuple(zip(x.tolist(), y.tolist()))
 
 
 # The types of a block that persist in the limit, by the block's side: the

@@ -122,14 +122,18 @@ def _bracket(texts, depth: int) -> str:
 def _column(values, depth: int) -> list[str]:
     """JSON's text of each of ``values`` at nesting ``depth``, formatted a column at a time.
 
-    Floats go through ``float_texts`` at once, and strings, ints and bools of one
-    kind through one ``map`` or comprehension.  Dicts with the same keys are
-    records: each field is one column, and each record one ``%`` format of its
-    field texts.  Anything else is formatted value by value.
+    Floats, alone or among Nones, go through ``float_texts`` at once, and strings,
+    ints and bools of one kind through one ``map`` or comprehension.  Dicts with
+    the same keys are records: each field is one column, and each record one
+    ``%`` format of its field texts.  Anything else is formatted value by value.
     """
     kinds = set(map(type, values))
     if kinds == {float}:
         return float_texts(_finite(values)).tolist()
+    if kinds == {float, type(None)}:
+        floats = [value for value in values if value is not None]
+        texts = iter(float_texts(_finite(floats)).tolist())
+        return ["null" if value is None else next(texts) for value in values]
     if kinds == {str}:
         return list(map(encode_basestring_ascii, values))
     if kinds == {int}:

@@ -999,11 +999,14 @@ def test_start_flags_left_out_take_their_defaults(tmp_path):
 
 
 def test_json_documents_reject_nan_and_infinity(tmp_path):
+    # Alone, in a list of floats among Nones, and in a record column of floats and Nones.
     for value in (float("nan"), float("inf")):
-        out = tmp_path / "d.json"
-        with pytest.raises(ValueError):
-            simplex.write_json({"x": value}, str(out))
-        assert not out.exists()
+        for doc in ({"x": value}, {"x": [1.0, None, value]},
+                    {"x": [{"r": 1.0}, {"r": None}, {"r": value}]}):
+            out = tmp_path / "d.json"
+            with pytest.raises(ValueError):
+                simplex.write_json(doc, str(out))
+            assert not out.exists()
 
 
 @pytest.mark.parametrize(

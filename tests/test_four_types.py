@@ -14,6 +14,8 @@ Core claims:
     also inside the band |1-a-c| <= CRITICAL_EPS,
     and the one-dimensional section map has one attracting fixed point,
     correct slope, and no low-period cycles
+  - on the face u = 0 (the two-type block) the sampled fixed points are the
+    edge y = 0, each fixed, and so is the edge x = a0
 """
 
 import numpy as np
@@ -37,6 +39,7 @@ from qsobp.four_types import (
     slice_sums,
 )
 from qsobp.simplex import Tolerance, make_state
+from qsobp.two_types import TwoTypeParams
 
 from helpers import (
     apply,
@@ -207,6 +210,16 @@ def test_fixed_curve_points_have_tiny_residual():
     samples = np.linspace(0.0, p.a0, 11).tolist()
     block = p.blocks[0][0]
     assert fixed_points(block) == tuple((x, fixed_points(block, x)[0][1]) for x in samples)
+
+
+def test_on_the_face_u_0_the_curve_is_the_edge_y_0_and_the_edge_x_a0_is_fixed():
+    # The two-type block (0, a, 0, 1 - b): the curve's formula is 0/0 at x = a0.
+    block = TwoTypeParams(0.3, 0.4).blocks[0][0]
+    samples = np.linspace(0.0, block.a0, 11).tolist()
+    assert fixed_points(block) == tuple((x, 0.0) for x in samples)
+    assert fixed_points(block, block.a0) == ((block.a0, 0.0),)
+    for point in [*fixed_points(block), *((block.a0, y) for y in samples)]:
+        assert block.step(point) == point
 
 
 def _verdicts(p):

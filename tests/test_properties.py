@@ -57,13 +57,18 @@ and for the writers and the trajectory check:
     nested lists or arrays
   - write_json writes any document of nested dicts, lists, tuples, strings,
     ints, floats, bools and None, record lists whose later records miss a key
-    or hold a nested value included, with the bytes of json.dumps with indent
-    2 and sorted keys and a final newline, to a file and to standard output
+    or hold a nested value and record fields of floats among Nones included,
+    with the bytes of json.dumps with indent 2 and sorted keys and a final
+    newline, to a file and to standard output
   - load_json decodes an operator or construction document as json.load
     does, leaf types and the sign of zero included, with one float object
     per distinct number text
   - the rows of trajectory and portrait CSVs have the bytes csv.writer gives
     for the same rows, whatever the number of blocks they are formatted in
+  - a sweep's CSV has the bytes csv.writer gives for its header and for rows
+    from one-row predictor calls, on small grids of every case whose blocks
+    mix ok, ValueError and FixedPointInputError rows, four-type labels that
+    need quotes included, whatever the number of blocks
   - the phase portrait, every regime's fan in one batch with per-row
     parameters, has the bytes of one batch per regime, on random four-type
     slices and with a regime whose trajectories are thinned
@@ -89,7 +94,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -98,7 +103,7 @@ from qsobp.cli import CASES
 from qsobp.construction import (build_heredity, build_operator, compatible_sets, dump_json,
                                 load_json)
 from qsobp.dynamics import StabilityKind, classify_fixed_point
-from qsobp.errors import FixedPointInputError
+from qsobp.errors import FixedPointInputError, QsobpError
 from qsobp.four_types import (
     CriticalMapParams,
     FourTypeParams,
@@ -888,7 +893,9 @@ def records(draw, values):
     later record may miss a key or hold a nested ``values`` value."""
     keys = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
     # One kind mixes bools with the ints 0 and 1, equal to them but written apart.
+    # One kind mixes floats with None, as a report's rates where a row has none.
     kinds = st.sampled_from([ENTRY, st.floats(allow_nan=False, allow_infinity=False),
+                             st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)),
                              st.integers(), st.booleans(), TEXT, st.none(),
                              st.one_of(st.booleans(), st.integers(0, 1)),
                              st.lists(ENTRY, max_size=3), st.lists(st.lists(ENTRY, max_size=2))])
@@ -1011,6 +1018,85 @@ def test_the_trajectory_csv_is_what_csv_writer_writes(states, head, block_floats
         blocks = list(cli._float_rows(texts, states))
     assert written == expected.getvalue().encode()
     assert len(blocks) == -(-len(states) // max(1, block_floats // width))
+
+
+# A parameter value: inside (0, 1), or 0 or 1, outside it.
+SWEEP_VALUE = st.one_of(unit, st.sampled_from([0.0, 1.0]))
+
+
+@st.composite
+def sweeps(draw):
+    """A sweep's case, its parameter ranges and its start flag: up to three values per
+    axis, which may be 0 or 1 (ValueError rows), and starts that may be fixed."""
+    name = draw(st.sampled_from(sorted(CASES)))
+    case = CASES[name]
+    start, fixed = None, {}
+    if name == "four-type":  # each slice weight 0, 1, 2 or 5; a0 or c0 may be 0 or 1
+        female, male = (draw(st.lists(st.sampled_from([0, 1, 2, 5]), min_size=4, max_size=4)
+                             .filter(any)) for _ in range(2))
+        start = ";".join(",".join(repr(w / sum(block)) for w in block) for block in (female, male))
+        fixed = case.fixes(case.parse_start(start))
+    # Each axis runs from a value inside (0, 1) to one that may be 0 or 1.
+    ranges = {n: (draw(unit), draw(SWEEP_VALUE), draw(st.integers(1, 3)))
+              for n in case.names if n not in fixed}
+    if start is None and draw(st.booleans()):
+        start = f"grid:{draw(st.integers(1, 3))}"
+    elif name == "two-type":  # fixed where x = 1 or y = 0
+        start = f"{draw(fraction)!r},{draw(fraction)!r}"
+    elif name == "critical-line":  # a start, or the fixed point of the axes' first cell
+        start = repr(draw(st.sampled_from([_section_point(ranges), draw(fraction)])))
+    return name, ranges, start
+
+
+def _section_point(ranges) -> float:
+    """The fixed point of the critical-line section map of the first values of ``ranges``."""
+    return float(CriticalMapParams(*(lo for lo, _, _ in ranges.values())).point)
+
+
+def _sweep_row(case, cell, start, tol):
+    """The row ``csv.writer`` takes for one sweep cell and start, by one-row predictor calls."""
+    p = case.params(**{name: np.array([value]) for name, value in zip(case.names, cell)})
+    limits, fixed, invalid = case.predict(p, np.array([start]), tol)
+    status = "ValueError" if invalid[0] else "FixedPointInputError" if fixed[0] else "ok"
+    if status == "ok" and case.state_n:
+        try:
+            check_states(limits, case.state_n)
+        except QsobpError as exc:
+            status = type(exc).__name__
+    if status != "ok":
+        return [*cell, *start, status] + [""] * (len(case.sweep_columns[1]) + 1)
+    return [*cell, *start, status, *limits[0].tolist(), case.labels[int(case.label(p, limits)[0])]]
+
+
+# Rows of each status in one block, and a block end between them.
+CRITICAL_CELLS = {"a": (0.3, 1.0, 3), "a0": (0.4, 0.6, 2), "c0": (0.5, 0.5, 1)}
+
+
+@settings(PROPERTY, max_examples=100)
+@given(sweeps(), st.integers(1, 12))
+@example(("critical-line", CRITICAL_CELLS, repr(_section_point(CRITICAL_CELLS))), 6)
+@example(("critical-line", CRITICAL_CELLS, repr(_section_point(CRITICAL_CELLS))), 4)
+def test_the_sweep_csv_is_what_csv_writer_writes(sweep, block_rows):
+    name, ranges, start = sweep
+    case = CASES[name]
+    starts = (case.grid_starts(int(start[5:])) if start.startswith("grid:")
+              else [case.parse_start(start)])
+    fixed = case.fixes(starts[0]) if starts else {}
+    axes = [[fixed[n]] if n in fixed else np.linspace(*ranges[n]).tolist() for n in case.names]
+    tol = Tolerance()
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow([*case.names, *case.sweep_columns[0], "status", *case.sweep_columns[1],
+                     "class"])
+    writer.writerows(_sweep_row(case, cell, s, tol)
+                     for cell in itertools.product(*axes) for s in starts)
+    argv = ["sweep", "--case", name, *(f"--{n}={lo!r}:{hi!r}:{count}"
+                                       for n, (lo, hi, count) in ranges.items()),
+            f"--{case.start_flag}={start}"]
+    # A block of block_rows rows, so that rows of every status cross block ends.
+    with patch.object(cli, "SWEEP_BLOCK_ROWS", block_rows):
+        written = _written(lambda path: cli.main([*argv, "--output", path]))
+    assert written == expected.getvalue().encode()
 
 
 # Every example reruns regimes of up to 20,000 steps, so a failure is reported as
