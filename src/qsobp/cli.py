@@ -20,8 +20,7 @@ import numpy as np
 
 from . import construction, dynamics, four_types, two_types
 from .errors import FixedPointInputError, QsobpError, SchemaError, SizeOverflowError
-from .simplex import (Tolerance, block_totals, check_states, check_unit, float_texts, make_state,
-                      rejected_rows, write_json)
+from .simplex import Tolerance, block_totals, check_unit, float_texts, make_state, write_json
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -88,16 +87,15 @@ def _two_type_point(text: str) -> tuple[float, float]:
 
 
 def _parse_range(text: str) -> list[float]:
-    """A single value, or an inclusive range 'lo:hi:count'."""
-    if ":" not in text:
-        return [float(text)]
-    pieces = text.split(":")
-    if len(pieces) != 3:
-        raise SchemaError("range", f"expected 'lo:hi:count', got {text!r}")
-    lo, hi, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
-    if count < 0:
-        raise SchemaError("range", "count must be >= 0")
-    return np.linspace(lo, hi, count).tolist()
+    """A single value, or an inclusive range 'lo:hi:count' of count >= 0 values."""
+    try:
+        if ":" not in text:
+            return [float(text)]
+        lo, hi, count = text.split(":")
+        return np.linspace(float(lo), float(hi), int(count)).tolist()
+    except ValueError:  # the unpacking's, a conversion's or linspace's for count < 0
+        raise SchemaError("range", f"expected a number or 'lo:hi:count' with count >= 0, "
+                          f"got {text!r}") from None
 
 
 def _write_lines(path: str, header: Sequence[str], lines) -> None:
@@ -170,7 +168,6 @@ class Case:
     doc: Callable  # (start, limit) -> the start and limit fields of the predict document
     sweep_columns: tuple[tuple[str, ...], tuple[str, ...]]  # start and limit columns
     start_flag: str = "state"
-    state_n: int = 0  # the female block's size when starts and limits are population states
     grid_starts: Callable[[int], list] | None = None  # sweep starts for 'grid:N'
     fixes: Callable[[tuple], dict] = lambda start: {}  # parameters a start determines
     sample: Callable | None = None  # (stacked params, rng) -> one random verify start per row
@@ -268,7 +265,6 @@ CASES = {
         doc=lambda s, lim: {"start": _state_doc(s, 4), "limit": _state_doc(lim, 4)},
         sample=_four_type_sample,
         sweep_columns=(tuple(f"s0_{c}" for c in _COORDS8), tuple(f"limit_{c}" for c in _COORDS8)),
-        state_n=4,
         fixes=lambda s: dict(zip(("a0", "c0"), four_types.slice_sums(s)[::2])),  # its slice
         planar_block=lambda p: (p.blocks[0][0],) * 2,  # the type-1/2 block's own step
         planar_unread=("b", "d"),  # the type-3/4 block's
@@ -295,13 +291,11 @@ CASES = {
 
 def _predict(case: Case, p, starts: np.ndarray, tol: Tolerance) -> np.ndarray:
     """The limits of the (B, d) ``starts`` under valid ``p``; ``FixedPointInputError``
-    names the first fixed start; ``check_states`` checks starts and limits that are states."""
+    names the first fixed start."""
     limits, fixed, _ = case.predict(p, starts, tol)
     if fixed.any():
         start = tuple(starts[np.argmax(fixed)].tolist())
         raise FixedPointInputError(f"the start {start} is already a fixed point")
-    if case.state_n:
-        check_states(np.concatenate([starts, limits]), case.state_n)
     return limits
 
 
@@ -386,6 +380,8 @@ def cmd_iterate(args) -> int:
 def cmd_fixed_points(args) -> int:
     tol = _tolerance(args)
     case, p = CASES[args.case], _planar_params(args)
+    if args.grid < 0 or args.grid == 1:
+        raise SchemaError("grid", f"--grid must be 0 or >= 2, got {args.grid}")
     if args.grid and case.planar_block is None:
         raise SchemaError("grid", f"--case {args.case} has no planar map to search; omit --grid")
     if args.grid**2 > GRID_SEEDS_CAP:
@@ -601,15 +597,18 @@ def cmd_sweep(args) -> int:
     once and picked by index, its status, the ``float_texts`` of its limits and its
     class label.  The status is ``ValueError`` for parameters outside (0, 1), else
     ``FixedPointInputError`` for a start that one step moves by at most
-    ``--abs-eps``, else the name of the error ``make_state`` raises for a
-    four-type limit off the simplexes, else ``ok``, the one status with limits:
-    other rows leave the limit and class fields empty.
+    ``--abs-eps``, else ``ok``, the one status with limits: other rows leave the
+    limit and class fields empty.
     """
     case = CASES[args.case]
     tol = _tolerance(args)
     text = _start_text(args, SWEEP_STARTS)
     if text.startswith("grid:") and case.grid_starts is not None:
-        starts = case.grid_starts(int(text.split(":", 1)[1]))
+        try:
+            starts = case.grid_starts(int(text[5:]))
+        except ValueError:  # int's, or linspace's for a count < 0
+            raise SchemaError(case.start_flag, f"expected 'grid:N' with N >= 0, "
+                              f"got {text!r}") from None
     else:
         starts = [case.parse_start(text)]
     # Only the four-type case has start-determined parameters, and its sweep takes one start.
@@ -636,13 +635,6 @@ def cmd_sweep(args) -> int:
             limits, fixed_rows, invalid = case.predict(p, start_array[start], tol)
             blank = invalid | fixed_rows  # the rows without limits
             status = statuses[np.where(invalid, 2, fixed_rows)]
-            if case.state_n:
-                predicted = np.flatnonzero(~blank)
-                for row in predicted[rejected_rows(limits[predicted], case.state_n)].tolist():
-                    try:
-                        check_states(limits[row : row + 1], case.state_n)
-                    except QsobpError as exc:
-                        status[row], blank[row] = type(exc).__name__, True
             fields = np.concatenate([_joined(float_texts(table))[head, None],
                                      start_texts[start, None], status[:, None],
                                      float_texts(limits), labels[case.label(p, limits), None]],

@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    EmptyCompatibleSetError,
     PartitionIndexError,
     SchemaError,
     SizeOverflowError,
@@ -114,8 +113,6 @@ def connected_components(graph: Graph) -> tuple[tuple[int, ...], ...]:
 
 def enumerate_cells(graph: Graph, allele_count: int) -> tuple[Cell, ...]:
     """All allele assignments over the vertices, in lexicographic order."""
-    if allele_count < 1:
-        raise ValueError("allele_count must be positive")
     return tuple(itertools.product(range(1, allele_count + 1), repeat=graph.vertex_count))
 
 
@@ -209,8 +206,6 @@ def compatible_sets(
 
     female_side = tuple(i for i in space.females if is_compatible(space.cells[i]))
     male_side = tuple(j for j in space.males if is_compatible(space.cells[j]))
-    if f_idx not in female_side or m_idx not in male_side:
-        raise EmptyCompatibleSetError("a parent fell out of its own compatible set")
     return female_side, male_side
 
 
@@ -305,11 +300,6 @@ def build_heredity(space: ConfigurationSpace, weights: WeightPair) -> HeredityTe
         compatible &= (child[:, k] == mother[:, None, None, k]) | (
             child[:, k] == father[None, :, None, k]
         )
-    if not (
-        compatible[np.arange(n), :, np.arange(n)].all()
-        and compatible[:, np.arange(nu), n + np.arange(nu)].all()
-    ):
-        raise EmptyCompatibleSetError("a parent fell out of its own compatible set")
     wf = np.array([weights.female_weights[c] for c in space.females], dtype=float)
     wm = np.array([weights.male_weights[c] for c in space.males], dtype=float)
     pf = _normalized_rows(compatible[:, :, :n], wf)
@@ -426,10 +416,6 @@ def _require(doc: Mapping, field: str, kind: type):
     if field not in doc:
         raise SchemaError(field, "missing required field")
     value = doc[field]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SchemaError(field, f"expected a number, got {type(value).__name__}")
-        return float(value)
     if not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise SchemaError(field, f"expected {kind.__name__}, got {type(value).__name__}")
     return value

@@ -5,11 +5,11 @@ B states of d coordinates, one column per trajectory, and each step maps the
 whole array at once.  Each column stops on its own, when one step moves it by
 at most its threshold eps in the max norm (converged) or after
 ``tol.max_iters`` steps (not converged; that is a result, not an error).
-The threshold is ``tol.iter_eps`` for every column, or the column's own entry
-of a (B,) array passed beside the per-row parameters and narrowed with them:
-a caller that can bound a row's distance to its limit by its last move, as
-``verify`` does with each case's closed-form rate, fixes each row's threshold
-before iterating.  Either way the rule is one, |move| <= eps.
+Each column's threshold is its entry of a (B,) array, narrowed with the
+columns and the per-row parameters: ``tol.iter_eps`` in every entry, or the
+caller's own array when it can bound a row's distance to its limit by its last
+move, as ``verify`` does with each case's closed-form rate, before iterating.
+Either way the rule is one, |move| <= eps.
 The batch takes a block of up to ``BLOCK_STEPS`` steps into one buffer, then
 tests every move of the block in one array pass; a NaN move fails the test,
 as ``np.maximum`` keeps it.  A column's end state, steps and flag are those
@@ -120,13 +120,11 @@ def _unchecked(params, values):
 
 
 def _narrowed(keep, rows, state, params, eps):
-    """``rows``, the (d, B) ``state``, the per-row ``params`` and the thresholds ``eps``,
-    a number or a (B,) array, at the columns ``keep``."""
+    """``rows``, the (d, B) ``state``, the per-row ``params`` and the (B,) thresholds
+    ``eps`` at the columns ``keep``."""
     if params is not None:
         params = _unchecked(params, [(name, v[keep]) for name, v in vars(params).items()])
-    if isinstance(eps, np.ndarray):
-        eps = eps[keep]
-    return rows[keep], state[:, keep], params, eps
+    return rows[keep], state[:, keep], params, eps[keep]
 
 
 def _finish(step, p, state: list, total: int, eps: float, max_iters: int):
@@ -201,7 +199,7 @@ def iterate_batch(
     total = 0
     scalar_tail = params is not None and histories is None
     tail, max_iters = TAIL_WIDTH if scalar_tail else 0, tol.max_iters
-    eps = tol.iter_eps if eps is None else np.array(eps, dtype=float)
+    eps = np.full(width, tol.iter_eps) if eps is None else np.array(eps, dtype=float)
     while rows.size > tail and total < max_iters:
         k = min(BLOCK_STEPS, max(1, BLOCK_BYTES // state.nbytes), max_iters - total)
         block = np.empty((k + 1, *state.shape))
@@ -240,8 +238,7 @@ def iterate_batch(
     if scalar_tail:
         names = list(vars(params))
         values = zip(*(v.tolist() for v in vars(params).values()))
-        row_eps = np.broadcast_to(eps, rows.shape).tolist()
-        for row, start, row_values, e in zip(rows.tolist(), state.T.tolist(), values, row_eps):
+        for row, start, row_values, e in zip(rows.tolist(), state.T.tolist(), values, eps.tolist()):
             p = _unchecked(params, zip(names, row_values))  # the row's, as Python floats
             end[:, row], steps_taken[row], converged[row] = _finish(
                 step, p, start, total, e, max_iters)
@@ -373,8 +370,6 @@ def find_fixed_points_grid(
     are clipped into the box and deduplicated within ``10 * abs_eps``, so a
     continuum of fixed points comes back as a cloud, one point per basin.
     """
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
     w, h = box
     xs, ys = np.meshgrid(np.linspace(0.0, w, grid), np.linspace(0.0, h, grid), indexing="ij")
     p = np.stack([xs.ravel(), ys.ravel()])

@@ -26,14 +26,6 @@ class PartitionIndexError(QsobpError):
     """A cell index does not belong to the expected partition class."""
 
 
-class EmptyCompatibleSetError(QsobpError):
-    """Internal invariant violation: a compatible set came out empty.
-
-    Cannot happen for valid inputs, since the mother cell is always
-    compatible with itself; raised defensively.
-    """
-
-
 class FixedPointInputError(QsobpError):
     """A limit predictor was called with an initial point that is already fixed."""
 

@@ -300,7 +300,9 @@ def survivor_code(p: FourTypeParams):
 def predict_limit(p: FourTypeParams, starts, tol: Tolerance = DEFAULT_TOLERANCE):
     """Closed-form limits of the full operator from the (B, 8) slice ``starts``, as
     ``dynamics.predicted`` returns them; ``p`` may be stacked.  ``ValueError`` when a
-    start's slice sums miss its a0, c0; ``simplex.check_states`` checks the limits."""
+    start's slice sums miss its a0, c0.  Each limit is a state: ``pair_limit`` clips
+    each block's point into its box, and each pair is completed by a difference from
+    its box side, so no entry is negative and each block total is one to a few ulps."""
     coords = np.asarray(starts, dtype=float).T
     sums = slice_sums(coords)
     off = (np.abs(sums[0] - p.a0) > tol.abs_eps) | (np.abs(sums[2] - p.c0) > tol.abs_eps)

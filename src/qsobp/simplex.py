@@ -128,9 +128,7 @@ def _column(values, depth: int) -> list[str]:
     ``%`` format of its field texts.  Anything else is formatted value by value.
     """
     kinds = set(map(type, values))
-    if kinds == {float}:
-        return float_texts(_finite(values)).tolist()
-    if kinds == {float, type(None)}:
+    if kinds <= {float, type(None)}:
         floats = [value for value in values if value is not None]
         texts = iter(float_texts(_finite(floats)).tolist())
         return ["null" if value is None else next(texts) for value in values]

@@ -10,6 +10,10 @@ Core claims:
   - sweep emits deterministic CSV, flipping branches exactly at the
     critical parameter sum, where the limit keeps the block's x+y; it
     writes -0.0 and 0.0 as given, and its memory does not grow with the grid
+  - an input error names its flag or document field: bad states, ranges,
+    grid starts, operator sources, construction and operator documents, and
+    fixed-points grids of 1 or below 0 each exit 2 with one line
+    'input error: <field>: ...' and no output file
   - exit codes: 0 ran, 2 input error, 3 i/o error; malformed JSON, a file
     that is not UTF-8, non-finite weights and tensor entries, tensor
     entries that are not JSON numbers, --seed on a
@@ -739,6 +743,64 @@ def test_a_file_that_is_not_json_is_an_input_error(tmp_path, capsys, content, me
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+# An operator document on two female and two male types in which every pair breeds true.
+IDENTITY_DOC = {"n": 2, "nu": 2, "pf": [[[1.0, 0.0]] * 2, [[0.0, 1.0]] * 2],
+                "pm": [[[1.0, 0.0], [0.0, 1.0]]] * 2}
+CONSTRUCT = ["construct", "--input", "{f}", "--output", "{o}"]
+ITERATE = ["iterate", "--operator", "{f}", "--state", "0.5,0.5;0.5,0.5", "--summary", "{o}"]
+
+
+@pytest.mark.parametrize(
+    "doc, argv, field",
+    [
+        pytest.param(None, ["predict", "--case", "four-type", "--state", "0.1,x;0.5,0.5",
+                            "--output", "{o}"], "state", id="state-not-a-number"),
+        pytest.param(None, ["iterate", "--two-type", "--state", "0.25,0.25,0.25,0.25",
+                            "--summary", "{o}"], "state", id="state-without-semicolon"),
+        pytest.param(None, ["predict", "--case", "two-type", "--state", "0.1,0.2,0.3",
+                            "--output", "{o}"], "state", id="state-three-two-type-coordinates"),
+        *(pytest.param(None, ["sweep", "--case", "two-type", "--a", text, "--output", "{o}"],
+                       "range", id=f"range-{text}")
+          for text in ("0.1:0.2", "0.1:0.2:-1", "0.1:0.2:x", "abc")),
+        *(pytest.param(None, ["sweep", "--case", case, f"--{flag}", text, "--output", "{o}"],
+                       flag, id=f"{flag}-{text}")
+          for case, flag in (("two-type", "state"), ("critical-line", "x0"))
+          for text in ("grid:x", "grid:-1")),
+        pytest.param(None, ["iterate", "--state", "0.5,0.5;0.5,0.5", "--summary", "{o}"],
+                     "operator", id="iterate-without-a-source"),
+        pytest.param(None, ["iterate", "--two-type", "--four-type", "--state", "0.5,0.5;0.5,0.5",
+                            "--summary", "{o}"], "operator", id="iterate-with-two-sources"),
+        pytest.param(None, ["predict", "--case", "two-type", "--output", "{o}"], "state",
+                     id="predict-without-state"),
+        pytest.param(dict(TWO_TYPE_DOC, vertices=0), CONSTRUCT, "construction", id="vertices-0"),
+        pytest.param(dict(TWO_TYPE_DOC, edges=[[1, 5]]), CONSTRUCT, "construction",
+                     id="edge-off-the-graph"),
+        pytest.param(dict(TWO_TYPE_DOC, alleles=0), CONSTRUCT, "construction", id="alleles-0"),
+        pytest.param(dict(TWO_TYPE_DOC, female_weights={"x": 1.0, "2": 1.0}), CONSTRUCT,
+                     "female_weights", id="weight-key-not-an-integer"),
+        pytest.param(dict(TWO_TYPE_DOC, male_weights={"3": 1.0, "4": 1.0, "9": 1.0}), CONSTRUCT,
+                     "male_weights", id="extra-weight-cell"),
+        pytest.param(dict(IDENTITY_DOC, pm=[[[1.0, 0.0, 0.0]] * 2] * 2), ITERATE, "pm",
+                     id="pm-of-the-wrong-shape"),
+        pytest.param(dict(IDENTITY_DOC, pf=[[[1.5, -0.5]] * 2, [[0.0, 1.0]] * 2]), ITERATE,
+                     "tensors", id="negative-pf-entry"),
+        *(pytest.param(None, ["fixed-points", "--case", "four-type", "--grid", grid,
+                              "--output", "{o}"], "grid", id=f"fixed-points-grid-{grid}")
+          for grid in ("1", "-3")),
+    ],
+)
+def test_an_input_error_names_its_input(tmp_path, capsys, doc, argv, field):
+    """Bad flags and documents exit 2 with one line that names the flag or field, and
+    write no output file."""
+    path = None if doc is None else _write(tmp_path / "in.json", doc)
+    out = tmp_path / "out"
+    assert main([a.replace("{f}", str(path)).replace("{o}", str(out)) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {field}: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
