@@ -96,6 +96,15 @@ def _parse_range(text: str) -> list[float]:
     except ValueError:  # the unpacking's, a conversion's or linspace's for count < 0
         raise SchemaError("range", f"expected a number or 'lo:hi:count' with count >= 0, "
                           f"got {text!r}") from None
+    except MemoryError:
+        raise SchemaError("range", f"{text!r} has more values than memory holds") from None
+
+
+def _number(text: str, flag: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise SchemaError(flag, f"expected a number, got {text!r}") from None
 
 
 def _write_lines(path: str, header: Sequence[str], lines) -> None:
@@ -277,7 +286,7 @@ CASES = {
     ),
     "critical-line": Case(
         params=four_types.CriticalMapParams,
-        parse_start=lambda text: (check_unit(float(text), "[0, 1]"),),
+        parse_start=lambda text: (check_unit(_number(text, "x0"), "[0, 1]"),),
         predict=lambda p, x, tol: four_types.predict_limit_critical(p, x, tol),
         labels=("quadratic", "affine"),
         label=lambda p, lim: np.broadcast_to(p.is_affine, len(lim)).astype(np.intp),
@@ -538,9 +547,7 @@ def cmd_verify(args) -> int:
     columns = dict(zip(case.names, _grid(axes, np.arange(args.grid**2)).T))
     # Critical-line: a block on det M = 0 with u > 0, whose fixed set crosses its box.
     on_line = np.any([(four_types.pair_side(block.det) == 0) & (block.u > 0.0)
-                      for block, _ in case.params(**columns).blocks], axis=0).tolist()
-    cells = [{u: x, v: y, "kind": "critical-line" if line else "closed-form"}
-             for x, y, line in zip(columns[u].tolist(), columns[v].tolist(), on_line)]
+                      for block, _ in case.params(**columns).blocks], axis=0)
     params = case.params(**{name: np.repeat(c, args.starts) for name, c in columns.items()})
     starts = case.sample(params, rng)
     limits = _predict(case, params, starts, tol)
@@ -548,25 +555,21 @@ def cmd_verify(args) -> int:
     # gap to the closed form, their summed steps, whether all converged, whether
     # every observed rate kept within its rate, and the largest rate, observed rate
     # and error bound, or None when a start has no rate.
-    per_cell = (len(cells), args.starts)
+    per_cell = (len(on_line), args.starts)
     run, _, (rate, observed, bound) = _certified_run(case, params, starts, tol, args.match_eps)
-    gaps = np.abs(run.end - limits.T).max(axis=0)
+    gaps = np.abs(run.end - limits.T).max(axis=0).reshape(per_cell).max(axis=1)
+    converged = run.converged.reshape(per_cell).all(axis=1)
     in_rate = ~(observed > rate + RATE_ALLOWANCE)  # and every row without a rate
-    certified = [np.where(np.isnan(rate), np.nan, values).reshape(per_cell).max(axis=1).tolist()
-                 for values in (rate, observed, bound)]
-    for cell, gap, steps, converged, within, *certificate in zip(
-        cells,
-        gaps.reshape(per_cell).max(axis=1).tolist(),
-        run.steps_taken.reshape(per_cell).sum(axis=1).tolist(),
-        run.converged.reshape(per_cell).all(axis=1).tolist(),
-        in_rate.reshape(per_cell).all(axis=1).tolist(),
-        *certified,
-    ):
-        passed = converged and gap <= args.match_eps and within
-        cell.update({"max_mismatch": gap, "steps": steps, "converged": converged, "pass": passed})
-        cell.update({name: None if math.isnan(value) else value
-                     for name, value in zip(("rate", "observed_rate", "error_bound"), certificate)})
-    n_pass = sum(1 for cell in cells if cell["pass"])
+    fields = {u: columns[u].tolist(), v: columns[v].tolist(),
+              "kind": np.where(on_line, "critical-line", "closed-form").tolist(),
+              "max_mismatch": gaps.tolist(), "converged": converged.tolist(),
+              "steps": run.steps_taken.reshape(per_cell).sum(axis=1).tolist(),
+              "pass": (converged & (gaps <= args.match_eps)
+                       & in_rate.reshape(per_cell).all(axis=1)).tolist()}
+    for name, values in zip(("rate", "observed_rate", "error_bound"), (rate, observed, bound)):
+        values = np.where(np.isnan(rate), np.nan, values).reshape(per_cell).max(axis=1).tolist()
+        fields[name] = [None if math.isnan(value) else value for value in values]
+    cells = [dict(zip(fields, row)) for row in zip(*fields.values())]
     report = {
         "case": args.case,
         "grid": args.grid,
@@ -576,9 +579,9 @@ def cmd_verify(args) -> int:
         "tolerance": asdict(tol),
         "cells": cells,
         "n_cells": len(cells),
-        "n_pass": n_pass,
-        "max_mismatch": max((cell["max_mismatch"] for cell in cells), default=0.0),
-        "pass": n_pass == len(cells),
+        "n_pass": sum(fields["pass"]),
+        "max_mismatch": max(fields["max_mismatch"], default=0.0),
+        "pass": all(fields["pass"]),
     }
     write_json(report, args.report)
     if args.portrait is not None:

@@ -447,11 +447,17 @@ def construction_from_json(doc: Mapping) -> tuple[ConfigurationSpace, WeightPair
     edges = _require(doc, "edges", list)
     alleles = _require(doc, "alleles", int)
     females_raw = _require(doc, "females", list)
+    for field, value in (("vertices", vertices), ("alleles", alleles)):
+        if value < 1:
+            raise SchemaError(field, f"expected a positive integer, got {value}")
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(_is_int(v) for v in e)):
-            raise SchemaError("edges", f"edge {e!r} is not a pair of integers")
-    if not all(_is_int(i) for i in females_raw):
-        raise SchemaError("females", "cell indices must be integers")
+        if not (isinstance(e, list) and len(e) == 2 and all(_is_int(v) for v in e)
+                and all(1 <= v <= vertices for v in e)):
+            raise SchemaError("edges", f"edge {e!r} is not a pair of integers in 1..{vertices}")
+    cells = alleles**vertices
+    for i in females_raw:
+        if not (_is_int(i) and 1 <= i <= cells):
+            raise SchemaError("females", f"{i!r} is not an integer in 1..{alleles}**{vertices}")
     try:
         graph = make_graph(vertices, edges)
         space = ConfigurationSpace.build(graph, alleles, [i - 1 for i in females_raw])

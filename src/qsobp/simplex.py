@@ -1,8 +1,8 @@
 """Population states, tolerance settings, and the text of floats and of JSON documents.
 
 A population state, one point of a product of simplexes, is the float array
-of its coordinates: the female block, then the male block.  ``make_state`` and
-``check_states`` raise the errors of one array check, ``rejected_rows``.  States
+of its coordinates: the female block, then the male block.  ``check_states``
+checks a (k, d) array of them in one pass, and ``make_state`` one state.  States
 are never silently renormalized, so conservation bugs surface as validation
 failures instead of being masked.  ``write_json`` writes every JSON document
 of the package.
@@ -48,30 +48,22 @@ def block_totals(states: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
                      for b in (states[:, :n], states[:, n:]))
 
 
-def rejected_rows(states: np.ndarray, n: int) -> np.ndarray:
-    """Indices of the (k, d) ``states`` rows whose female or male block is not a point
-    of a simplex: a ``block_totals`` entry off one by more than NORMALIZATION_EPS, or
-    an entry below -NEGATIVITY_EPS."""
-    ok = np.ones(len(states), dtype=bool)
-    for block, total in zip((states[:, :n], states[:, n:]), block_totals(states, n)):
-        ok &= np.abs(total - 1.0) <= NORMALIZATION_EPS
-        ok &= block.min(axis=1, initial=math.inf) >= -NEGATIVITY_EPS
-    return np.flatnonzero(~ok)
-
-
 def check_states(states: np.ndarray, n: int) -> None:
-    """Raise for the first of the (k, d) ``states`` rows that ``rejected_rows`` finds:
-    for its female block, then its male block, the first of no entry, a total off
-    one and an entry below -NEGATIVITY_EPS."""
-    for row in states[rejected_rows(states, n)[:1]]:
-        for block, (total,) in zip((row[:n], row[n:]), block_totals(row[None], n)):
-            if not block.size:
+    """Raise for the first of the (k, d) ``states`` rows whose female or male block is
+    not a point of a simplex: for its female block, then its male block, the first of
+    no entry, a ``block_totals`` entry off one by more than NORMALIZATION_EPS (NaN
+    included) and an entry below -NEGATIVITY_EPS."""
+    blocks, totals = (states[:, :n], states[:, n:]), block_totals(states, n)
+    off = [~(np.abs(total - 1.0) <= NORMALIZATION_EPS) for total in totals]
+    low = [block.min(axis=1, initial=math.inf) < -NEGATIVITY_EPS for block in blocks]
+    for row in np.flatnonzero(np.any([*off, *low], axis=0))[:1]:
+        for block, total, block_off, block_low in zip(blocks, totals, off, low):
+            if not block.shape[1]:
                 raise DimensionMismatchError("a distribution needs at least one entry")
-            if not (abs(total - 1.0) <= NORMALIZATION_EPS):
-                raise NotNormalizedError(f"entries sum to {float(total)}, expected 1")
-            smallest = float(block.min())
-            if not (smallest >= -NEGATIVITY_EPS):
-                raise NegativeEntryError(f"entry {smallest} < -{NEGATIVITY_EPS}")
+            if block_off[row]:
+                raise NotNormalizedError(f"entries sum to {float(total[row])}, expected 1")
+            if block_low[row]:
+                raise NegativeEntryError(f"entry {float(block[row].min())} < -{NEGATIVITY_EPS}")
 
 
 @dataclass(frozen=True)
@@ -124,8 +116,11 @@ def _column(values, depth: int) -> list[str]:
 
     Floats, alone or among Nones, go through ``float_texts`` at once, and strings,
     ints and bools of one kind through one ``map`` or comprehension.  Dicts with
-    the same keys are records: each field is one column, and each record one
-    ``%`` format of its field texts.  Anything else is formatted value by value.
+    the same keys are records, a lone dict a record of one: each field is one
+    column, and each record one ``%`` format of its field texts.  Values of mixed
+    kinds are columns of one value each.  A lone list is the bracket of its items'
+    column, a lone numpy array the nested lists of its ``float_texts``, and any
+    other value, such as ``{}`` or a float subclass, ``json.dumps``' text.
     """
     kinds = set(map(type, values))
     if kinds <= {float, type(None)}:
@@ -138,7 +133,7 @@ def _column(values, depth: int) -> list[str]:
         return list(map(int.__repr__, values))
     if kinds == {bool}:
         return ["true" if value else "false" for value in values]
-    keys = values[0].keys() if kinds == {dict} else ()
+    keys = values[0].keys() if all(issubclass(kind, dict) for kind in kinds) else ()
     if keys and all(map(keys.__eq__, map(dict.keys, values))):
         names = sorted(keys)
         inner = "\n" + "  " * (depth + 1)
@@ -146,31 +141,14 @@ def _column(values, depth: int) -> list[str]:
         record = "{" + ",".join(f"{inner}{label}: %s" for label in labels) + "\n" + "  " * depth + "}"
         columns = [_column([value[name] for value in values], depth + 1) for name in names]
         return [record % texts for texts in zip(*columns)]
-    return ["".join(_chained(_pieces(value, depth))) for value in values]
-
-
-def _pieces(value, depth: int) -> list:
-    """JSON's text of ``value`` at nesting ``depth``, as ``json.dumps`` with an indent
-    of 2 and sorted keys writes it: a list of strings, and of a generator for each
-    numpy array.
-
-    Every piece but an array's generator is made before this returns.  An
-    array's entries are checked for NaN and infinity here, and its generator
-    formats them one sub-array of its first axis at a time.
-    """
-    if isinstance(value, dict):
-        pieces = []
-        for k, key in enumerate(sorted(value)):
-            pieces.append(("," if k else "{") + "\n" + "  " * (depth + 1)
-                          + encode_basestring_ascii(key) + ": ")
-            pieces.extend(_pieces(value[key], depth + 1))
-        pieces.append("\n" + "  " * depth + "}" if value else "{}")
-        return pieces
-    if isinstance(value, np.ndarray):
-        return [_array_text(float_texts(_finite(value)), depth)]
+    if len(values) > 1:
+        return [text for value in values for text in _column([value], depth)]
+    (value,) = values
     if isinstance(value, (list, tuple)):
         return [_bracket(_column(value, depth + 1), depth)]
-    return [json.dumps(value, allow_nan=False)]  # a string, number, bool or None
+    if isinstance(value, np.ndarray):
+        return ["".join(_array_text(float_texts(_finite(value)), depth))]
+    return [json.dumps(value, allow_nan=False)]
 
 
 def _array_text(texts: np.ndarray, depth: int):
@@ -197,12 +175,6 @@ def _array_text(texts: np.ndarray, depth: int):
     yield "\n" + "  " * depth + "]"
 
 
-def _chained(pieces):
-    """The strings of ``_pieces``' list, in order, a generator's as it makes them."""
-    return itertools.chain.from_iterable((piece,) if isinstance(piece, str) else piece
-                                         for piece in pieces)
-
-
 def write_json(doc, path: str | None = None) -> None:
     """Write ``doc`` to the file ``path``, or to standard output when it is None, as
     ``json.dumps(doc, indent=2, sort_keys=True)`` and a final newline would, byte
@@ -212,11 +184,21 @@ def write_json(doc, path: str | None = None) -> None:
 
     ``json.dumps`` with an indent runs the pure-Python encoder, one token at a
     time.  Here the floats of a list, of an array or of one field of many records
-    go through ``float_texts`` together, which formats each distinct one with
-    ``float.__repr__``, JSON's text of a finite float.  An array's text, the bulk
-    of an operator document, goes out one (i, ., .) plane at a time.
+    go through ``float_texts`` together (``_column``), which formats each distinct
+    one with ``float.__repr__``, JSON's text of a finite float.  A dict document
+    is written a field at a time, and the text of an array that is one of its own
+    fields, the bulk of an operator document, one (i, ., .) plane at a time.
     """
-    text = _chained(_pieces(doc, 0) + ["\n"])
+    if isinstance(doc, dict) and doc:
+        pieces = []  # iterables of strings, every field's made before any byte is written
+        for k, key in enumerate(sorted(doc)):
+            value, head = doc[key], ("," if k else "{") + "\n  " + encode_basestring_ascii(key)
+            pieces += [[head + ": "], _array_text(float_texts(_finite(value)), 1)
+                       if isinstance(value, np.ndarray) else _column([value], 1)]
+        pieces.append(["\n}\n"])
+    else:
+        pieces = [_column([doc], 0), ["\n"]]
+    text = itertools.chain.from_iterable(pieces)
     if path is None:
         sys.stdout.writelines(text)
         return

@@ -663,13 +663,13 @@ def test_a_string_or_boolean_tensor_entry_is_an_input_error(tmp_path, capsys, en
          f"above the bound of {cli.VERIFY_ROWS_CAP}\n"),
         (["sweep", "--case", "critical-line", "--a", "0:1:10000000000000000",
           "--output", "{d}/s.csv"],
-         "input error: Unable to allocate"),
+         "input error: range: "),
     ],
     ids=["verify-starts", "sweep-range"],
 )
 def test_a_run_too_large_for_memory_is_an_input_error(tmp_path, capsys, argv, message):
     # verify refuses its 1e16 rows by their count; the sweep's first array needs
-    # 8e16 bytes (71 PiB), which no allocator grants.
+    # 8e16 bytes (71 PiB), which no allocator grants, and its error names the range.
     assert main([a.replace("{d}", str(tmp_path)) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith(message)
@@ -768,16 +768,21 @@ ITERATE = ["iterate", "--operator", "{f}", "--state", "0.5,0.5;0.5,0.5", "--summ
                        flag, id=f"{flag}-{text}")
           for case, flag in (("two-type", "state"), ("critical-line", "x0"))
           for text in ("grid:x", "grid:-1")),
+        pytest.param(None, ["sweep", "--case", "critical-line", "--x0", "abc", "--output", "{o}"],
+                     "x0", id="x0-not-a-number"),
         pytest.param(None, ["iterate", "--state", "0.5,0.5;0.5,0.5", "--summary", "{o}"],
                      "operator", id="iterate-without-a-source"),
         pytest.param(None, ["iterate", "--two-type", "--four-type", "--state", "0.5,0.5;0.5,0.5",
                             "--summary", "{o}"], "operator", id="iterate-with-two-sources"),
         pytest.param(None, ["predict", "--case", "two-type", "--output", "{o}"], "state",
                      id="predict-without-state"),
-        pytest.param(dict(TWO_TYPE_DOC, vertices=0), CONSTRUCT, "construction", id="vertices-0"),
-        pytest.param(dict(TWO_TYPE_DOC, edges=[[1, 5]]), CONSTRUCT, "construction",
+        pytest.param(dict(TWO_TYPE_DOC, vertices=0), CONSTRUCT, "vertices", id="vertices-0"),
+        pytest.param(dict(TWO_TYPE_DOC, edges=[[1, 5]]), CONSTRUCT, "edges",
                      id="edge-off-the-graph"),
-        pytest.param(dict(TWO_TYPE_DOC, alleles=0), CONSTRUCT, "construction", id="alleles-0"),
+        pytest.param(dict(TWO_TYPE_DOC, alleles=0), CONSTRUCT, "alleles", id="alleles-0"),
+        # The document's own 1-based cell number, not the space's 0-based index 8.
+        pytest.param(dict(TWO_TYPE_DOC, females=[1, 9]), CONSTRUCT, ("females", "9"),
+                     id="female-cell-off-the-space"),
         pytest.param(dict(TWO_TYPE_DOC, female_weights={"x": 1.0, "2": 1.0}), CONSTRUCT,
                      "female_weights", id="weight-key-not-an-integer"),
         pytest.param(dict(TWO_TYPE_DOC, male_weights={"3": 1.0, "4": 1.0, "9": 1.0}), CONSTRUCT,
@@ -793,12 +798,15 @@ ITERATE = ["iterate", "--operator", "{f}", "--state", "0.5,0.5;0.5,0.5", "--summ
 )
 def test_an_input_error_names_its_input(tmp_path, capsys, doc, argv, field):
     """Bad flags and documents exit 2 with one line that names the flag or field, and
-    write no output file."""
+    write no output file.  A ``field`` given as a tuple is the field and texts that
+    the message must hold."""
+    field, *texts = (field,) if isinstance(field, str) else field
     path = None if doc is None else _write(tmp_path / "in.json", doc)
     out = tmp_path / "out"
     assert main([a.replace("{f}", str(path)).replace("{o}", str(out)) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"input error: {field}: ") and err.count("\n") == 1, err
+    assert all(text in err for text in texts), err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -1061,10 +1069,13 @@ def test_start_flags_left_out_take_their_defaults(tmp_path):
 
 
 def test_json_documents_reject_nan_and_infinity(tmp_path):
-    # Alone, in a list of floats among Nones, and in a record column of floats and Nones.
+    # Alone, in a list of floats among Nones, in a record column of floats and Nones, in
+    # an array field, whose text is written a plane at a time, and in an array in a list.
     for value in (float("nan"), float("inf")):
+        array = np.array([[[0.5, 0.5]], [[1.0, value]]])
         for doc in ({"x": value}, {"x": [1.0, None, value]},
-                    {"x": [{"r": 1.0}, {"r": None}, {"r": value}]}):
+                    {"x": [{"r": 1.0}, {"r": None}, {"r": value}]},
+                    {"a": "first", "x": array}, {"x": [array]}):
             out = tmp_path / "d.json"
             with pytest.raises(ValueError):
                 simplex.write_json(doc, str(out))

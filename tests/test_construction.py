@@ -43,7 +43,7 @@ from qsobp.construction import (
     make_graph,
     operator_from_json,
 )
-from qsobp.errors import PartitionIndexError, SchemaError, SizeOverflowError
+from qsobp.errors import DimensionMismatchError, PartitionIndexError, SchemaError, SizeOverflowError
 from qsobp.simplex import block_totals, check_states
 
 from helpers import (apply, constructions, four_type_from_weights, quadratic_form, random_state,
@@ -190,6 +190,15 @@ def test_compatible_sets_rejects_wrong_partition():
 
 
 # -- heredity tensors --------------------------------------------------------
+
+
+@pytest.mark.parametrize("pf_shape, pm_shape", [((2, 2, 2), (2, 2, 3)), ((2, 3, 2), (2, 2, 2)),
+                                                 ((2, 2), (2, 2, 2)), ((2, 2, 3), (2, 2, 2))])
+def test_heredity_tensors_of_mismatched_shapes_are_refused(pf_shape, pm_shape):
+    # pf must be (n, nu, n) and pm (n, nu, nu); each tensor is otherwise stochastic.
+    pf, pm = (np.full(shape, 1.0 / shape[-1]) for shape in (pf_shape, pm_shape))
+    with pytest.raises(DimensionMismatchError, match="tensor shapes"):
+        construction.HeredityTensors(pf, pm)
 
 
 def test_uniform_weights_give_half():

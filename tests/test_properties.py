@@ -941,11 +941,16 @@ def test_write_json_writes_the_bytes_of_json_dumps_to_a_file_and_to_stdout(doc):
 @given(arrays(np.float64, array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3),
               elements=ENTRY))
 def test_write_json_writes_an_array_as_json_dumps_writes_its_lists(value):
-    # Alone, as a field and as a list item: arrays at each depth, empty ones included.
+    # Alone, as a field and as a list item: arrays at each depth, empty ones included,
+    # to a file and to standard output.
     lists = value.tolist()
     for doc, plain in ((value, lists), ({"a": value, "b": [value]}, {"a": lists, "b": [lists]})):
         expected = json.dumps(plain, indent=2, sort_keys=True) + "\n"
         assert _written(lambda path: write_json(doc, path)) == expected.encode()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            write_json(doc)
+        assert out.getvalue() == expected
 
 
 def _loaded(text: str):
