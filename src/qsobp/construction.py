@@ -116,6 +116,17 @@ def enumerate_cells(graph: Graph, allele_count: int) -> tuple[Cell, ...]:
     return tuple(itertools.product(range(1, allele_count + 1), repeat=graph.vertex_count))
 
 
+def cell_count(vertex_count: int, allele_count: int) -> int:
+    """allele_count**vertex_count, the number of cells S; ``SizeOverflowError`` when even one
+    female cell, 16 S (S - 1) bytes, exceeds ``TENSOR_BYTES_CAP``, found from a power over at
+    most the cap's bit length of vertices: past it, two or more alleles give too many cells."""
+    size = allele_count ** min(vertex_count, TENSOR_BYTES_CAP.bit_length())
+    if 16 * size * (size - 1) > TENSOR_BYTES_CAP:
+        raise SizeOverflowError(f"{allele_count}**{vertex_count} cells: the tensors of every split "
+                                f"of them need more than the bound of {TENSOR_BYTES_CAP} bytes")
+    return size
+
+
 @dataclass(frozen=True)
 class ConfigurationSpace:
     """Enumerated cells of a graph plus a female/male split of them.
@@ -142,28 +153,22 @@ class ConfigurationSpace:
         female_set = set(int(i) for i in females)
         if allele_count < 1:
             raise ValueError("allele_count must be positive")
-        size = allele_count**graph.vertex_count
         for i in female_set:
-            if not (0 <= i < size):
+            # Past i's bit length in vertices, two or more alleles give more than i cells.
+            if not (0 <= i < allele_count ** min(graph.vertex_count, i.bit_length())):
                 raise PartitionIndexError(f"female cell index {i} out of range")
-        if not female_set or len(female_set) == size:
+        size = cell_count(graph.vertex_count, allele_count) if female_set else 0
+        if len(female_set) in (0, size):
             raise PartitionIndexError("both partition classes must be nonempty")
         n, nu = len(female_set), size - len(female_set)
         needed = 2 * n * nu * (n + nu) * 8
         if needed > TENSOR_BYTES_CAP:
-            raise SizeOverflowError(
-                f"n={n}, nu={nu}: the operator tensors need {needed} bytes, "
-                f"above the bound of {TENSOR_BYTES_CAP}"
-            )
+            raise SizeOverflowError(f"n={n}, nu={nu}: the operator tensors need {needed} bytes, "
+                                    f"above the bound of {TENSOR_BYTES_CAP}")
         cells = enumerate_cells(graph, allele_count)
         males = tuple(i for i in range(len(cells)) if i not in female_set)
-        return cls(
-            allele_count=allele_count,
-            cells=cells,
-            components=connected_components(graph),
-            females=tuple(sorted(female_set)),
-            males=males,
-        )
+        return cls(allele_count=allele_count, cells=cells, components=connected_components(graph),
+                   females=tuple(sorted(female_set)), males=males)
 
     @property
     def n(self) -> int:
@@ -370,19 +375,6 @@ def build_operator(space: ConfigurationSpace, weights: WeightPair) -> BisexualOp
     return BisexualOperator(build_heredity(space, weights))
 
 
-def mixing_operator(n: int, nu: int, mixing: Mapping) -> BisexualOperator:
-    """The operator on n female and nu male types in which every parent pair
-    breeds true, a daughter of the mother's type and a son of the father's,
-    except each pair (i, k) in ``mixing``, whose daughter and son rows are
-    ``mixing[i, k]``."""
-    pf, pm = np.zeros((n, nu, n)), np.zeros((n, nu, nu))
-    pf[np.arange(n), :, np.arange(n)] = 1.0
-    pm[:, np.arange(nu), np.arange(nu)] = 1.0
-    for (i, k), (female, male) in mixing.items():
-        pf[i, k], pm[i, k] = female, male
-    return BisexualOperator.from_tensors(pf, pm)
-
-
 def is_identity(op: BisexualOperator, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Decide whether the operator is the identity map on the product of simplexes.
 
@@ -450,11 +442,14 @@ def construction_from_json(doc: Mapping) -> tuple[ConfigurationSpace, WeightPair
     for field, value in (("vertices", vertices), ("alleles", alleles)):
         if value < 1:
             raise SchemaError(field, f"expected a positive integer, got {value}")
+    try:  # an empty female list is refused as such by the build, whatever the size
+        cells = cell_count(vertices, alleles) if females_raw else 0
+    except SizeOverflowError as exc:
+        raise SchemaError("vertices", str(exc)) from exc
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2 and all(_is_int(v) for v in e)
                 and all(1 <= v <= vertices for v in e)):
             raise SchemaError("edges", f"edge {e!r} is not a pair of integers in 1..{vertices}")
-    cells = alleles**vertices
     for i in females_raw:
         if not (_is_int(i) and 1 <= i <= cells):
             raise SchemaError("females", f"{i!r} is not an integer in 1..{alleles}**{vertices}")
@@ -463,11 +458,8 @@ def construction_from_json(doc: Mapping) -> tuple[ConfigurationSpace, WeightPair
         space = ConfigurationSpace.build(graph, alleles, [i - 1 for i in females_raw])
     except (ValueError, PartitionIndexError, SizeOverflowError) as exc:
         raise SchemaError("construction", str(exc)) from exc
-    weights = WeightPair(
-        _weights_from_json(doc, "female_weights", space.females),
-        _weights_from_json(doc, "male_weights", space.males),
-    )
-    return space, weights
+    return space, WeightPair(_weights_from_json(doc, "female_weights", space.females),
+                             _weights_from_json(doc, "male_weights", space.males))
 
 
 def operator_from_json(doc: Mapping) -> BisexualOperator:

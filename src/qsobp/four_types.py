@@ -1,11 +1,11 @@
 """Closed-form dynamics of the four-type bisexual population.
 
-The operator on two 3-simplexes conserves the pairwise sums x1+x2, x3+x4,
-y1+y2, y3+y4, so after one step every trajectory lives on a slice where
-these sums are fixed constants (a0, 1-a0, c0, 1-c0).  On a slice the
-dynamics splits into two independent planar blocks: the type-1/2 block in
-(x, y) = (x1, y1), and the type-3/4 block in (x3, y3), which is the first
-under the swap a<->b, c<->d, a0<->1-a0, c0<->1-c0.
+The operator on two 3-simplexes, which ``lift_operator`` builds by the construction
+from the document ``construction_doc``, conserves the pairwise sums x1+x2, x3+x4,
+y1+y2, y3+y4, so after one step every trajectory lives on a slice where these sums
+are fixed constants (a0, 1-a0, c0, 1-c0).  On a slice the dynamics splits into two
+independent planar blocks: the type-1/2 block in (x, y) = (x1, y1), and the type-3/4
+block in (x3, y3), which is the first under the swap a<->b, c<->d, a0<->1-a0, c0<->1-c0.
 
 Each is a pair block, a ``PairBlock`` of the entries (u, beta, gamma, w) of its
 Metzler matrix M = [[-u, beta], [gamma, -w]] and its box: one step moves (x, y)
@@ -23,18 +23,17 @@ a), a one-dimensional quadratic self-map of [0, 1] with a single attracting
 fixed point and no periodic orbits of period two or more; its map and slope are
 that block's step and ``pair_rate``.
 
-A block's Jacobian is nonnegative everywhere in its box, so at an attracting
-corner its spectral radius rho is an eigenvalue with a left Perron vector
-v >= 0 (Berman and Plemmons, *Nonnegative Matrices in the Mathematical
-Sciences*, ch. 2).  Scaled so that its smaller entry is 1, v gives a norm
-v.|z| of a distance z >= 0 from the corner that is at least its max norm.
-Seen from the corner, which for (a0, c0) swaps both pairs' types, the step
-is F(z) = J z - z_x z_y M (1, 1), J the Jacobian there, so with s = v.M (1, 1), v.(z - F(z)) = (1 - rho) v.z +
-z_x z_y s, and v times the Jacobian at any point on the way to the corner is
-at most rate v, rate = rho + max(0, -s) v.z.  Where that rate is below 1, the
-next move m bounds the max-norm distance to the corner by v.|m| / (1 - rate),
-and no later move is more than rate times the one before it in that norm
-(``corner_bound``).  ``verify`` stops each four-type row on this bound.
+A block's Jacobian is nonnegative everywhere in its box, so at an attracting corner its
+spectral radius rho is an eigenvalue with a left Perron vector v >= 0 (Berman and
+Plemmons, *Nonnegative Matrices in the Mathematical Sciences*, ch. 2).  Scaled so that
+its smaller entry is 1, v gives a norm v.|z| of a distance z >= 0 from the corner that
+is at least its max norm.  Seen from the corner, which for (a0, c0) swaps both pairs'
+types, the step is F(z) = J z - z_x z_y M (1, 1), J the Jacobian there, so with
+s = v.M (1, 1), v.(z - F(z)) = (1 - rho) v.z + z_x z_y s, and v times the Jacobian at
+any point on the way to the corner is at most rate v, rate = rho + max(0, -s) v.z.
+Where that rate is below 1, the next move m bounds the max-norm distance to the corner
+by v.|m| / (1 - rate), and no later move is more than rate times the one before it in
+that norm (``corner_bound``).  ``verify`` stops each four-type row on this bound.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .construction import BisexualOperator, mixing_operator
+from .construction import BisexualOperator, build_operator, construction_from_json
 from .dynamics import predicted
 from .simplex import DEFAULT_TOLERANCE, Tolerance, check_open_unit, check_unit
 
@@ -247,16 +246,19 @@ def slice_sums(coords) -> tuple:
     return (x1 + x2, x3 + x4, y1 + y2, y3 + y4)
 
 
+def construction_doc(p: FourTypeParams) -> dict:
+    """The four-type operator's construction document (a, b, c, d only), which ``construct
+    --input`` reads: females are cells 1, 3, 6, 8 (x1..x4), weighted (a, 1-a, b, 1-b), males
+    cells 2, 4, 5, 7 (y1..y4), weighted (c, 1-c, d, 1-d).  A block's two mixed pairings have
+    daughters by (beta, u) and sons by (gamma, w); all other pairs breed true."""
+    return {"vertices": 3, "edges": [[1, 2]], "alleles": 2, "females": [1, 3, 6, 8],
+            "female_weights": {"1": p.a, "3": 1.0 - p.a, "6": p.b, "8": 1.0 - p.b},
+            "male_weights": {"2": p.c, "4": 1.0 - p.c, "5": p.d, "7": 1.0 - p.d}}
+
+
 def lift_operator(p: FourTypeParams) -> BisexualOperator:
-    """The 4x4-type operator as heredity tensors (uses a, b, c, d only): the
-    ``mixing_operator`` in which both mixed pairings of a block's types i, i+1 have
-    daughters by (beta, u) and sons by (gamma, w), which are (a, 1-a) and (c, 1-c)."""
-    mixing = {}
-    for block, (i, _) in p.blocks:
-        rows = np.zeros((2, 4))
-        rows[:, i : i + 2] = (block.beta, block.u), (block.gamma, block.w)
-        mixing[i, i + 1] = mixing[i + 1, i] = rows
-    return mixing_operator(4, 4, mixing)
+    """The 4x4-type operator, the construction's from the document ``construction_doc(p)``."""
+    return build_operator(*construction_from_json(construction_doc(p)))
 
 
 # ---------------------------------------------------------------------------

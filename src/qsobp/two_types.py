@@ -8,9 +8,10 @@ x2 = 1 - x1 and y2 = 1 - y1, to a planar map on the unit square,
 driven by two mixing probabilities a, b in (0, 1).  It is the pair block
 (u, beta, gamma, w) = (0, a, 0, 1-b) of ``four_types._pair_step`` on the unit
 square, M = [[0, a], [0, b-1]], in which the pairing (type-1 mother, type-2
-father) breeds true: the paper's reduced model, not an output of
-``construct``, which no graph data is known to give.  Its Jacobian is the
-block's ``four_types.pair_jacobian``, and its det M is 0 for every a and b.
+father) breeds true: the paper's reduced model, not an output of ``construct``,
+which no graph data is known to give, so ``lift_operator`` writes its tables
+out.  Its Jacobian is the block's ``four_types.pair_jacobian``, and its det M
+is 0 for every a and b.
 The map fixes the whole segment y = 0 and the whole edge x = 1
 (``FIXED_SEGMENTS``), conserves the linear level x / a + y / (1 - b), the
 block's w x + beta y over a (1 - b), increases x and decreases y
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import BisexualOperator, mixing_operator
+from .construction import BisexualOperator
 from .dynamics import predicted
 from .four_types import PairBlock, Point2, pair_limit
 from .simplex import DEFAULT_TOLERANCE, Tolerance, check_open_unit, check_unit
@@ -72,12 +73,12 @@ class TwoTypeParams:
 
 
 def lift_operator(p: TwoTypeParams) -> BisexualOperator:
-    """The full 2x2-type operator whose reduction is ``TwoTypeParams.step``: the
-    ``mixing_operator`` whose one mixed pair, (type-2 mother, type-1 father),
-    yields type-1 daughters with probability ``a`` and type-1 sons with
-    probability ``b``.  The rows are written as given: the block's sons row would
-    be (1 - w, w), and 1 - (1 - b) is not b for b = 0.1, 0.2 or 0.3."""
-    return mixing_operator(2, 2, {(1, 0): ((p.a, 1.0 - p.a), (p.b, 1.0 - p.b))})
+    """The full 2x2-type operator whose reduction is ``TwoTypeParams.step``, its tables written
+    out: every pair breeds true but (type-2 mother, type-1 father), whose daughters and sons
+    are type 1 with probabilities a and b; b as given, as 1 - (1 - b) is not b for b = 0.1."""
+    a, b = p.a, p.b
+    return BisexualOperator.from_tensors([[[1.0, 0.0], [1.0, 0.0]], [[a, 1.0 - a], [0.0, 1.0]]],
+                                         [[[1.0, 0.0], [0.0, 1.0]], [[b, 1.0 - b], [0.0, 1.0]]])
 
 
 def stop_rate(p: TwoTypeParams, starts):

@@ -780,6 +780,11 @@ ITERATE = ["iterate", "--operator", "{f}", "--state", "0.5,0.5;0.5,0.5", "--summ
         pytest.param(dict(TWO_TYPE_DOC, edges=[[1, 5]]), CONSTRUCT, "edges",
                      id="edge-off-the-graph"),
         pytest.param(dict(TWO_TYPE_DOC, alleles=0), CONSTRUCT, "alleles", id="alleles-0"),
+        # Too many cells for any split: refused before 3**vertices is taken, whose text
+        # alone would exceed Python's integer string limit.
+        *(pytest.param(dict(TWO_TYPE_DOC, vertices=v, alleles=3), CONSTRUCT,
+                       ("vertices", f"3**{v} cells"), id=f"vertices-{v}-with-3-alleles")
+          for v in (100_000, 10_000_000)),
         # The document's own 1-based cell number, not the space's 0-based index 8.
         pytest.param(dict(TWO_TYPE_DOC, females=[1, 9]), CONSTRUCT, ("females", "9"),
                      id="female-cell-off-the-space"),

@@ -7,7 +7,9 @@ Core claims:
     invariant under rescaling all weights of one sex
   - a connected graph yields the identity operator, a disconnected one
     does not (checked exhaustively on small graphs)
-  - the four-type space reproduces the closed-form four-type operator
+  - the four-type space reproduces the closed-form four-type operator, and
+    four of the six two-female splits of two isolated vertices give the pair
+    block (1 - a, a, c, 1 - c) on the full square, the other two the identity
   - a built operator keeps 300 steps from any start on the product of
     simplexes, with both block totals within 1e-12 of one
   - at n = nu = 64 a step agrees with the tensor contraction to 1e-15, and a
@@ -121,6 +123,19 @@ def test_enumerate_cells_overflow(monkeypatch):
     assert ConfigurationSpace.build(make_graph(7, []), 2, range(64)).n == 64
 
 
+def test_a_space_too_large_for_any_split_is_refused_from_a_bounded_power():
+    # 3**10_000_000 has 4.8 million digits; its cells are refused from 3**29, and each
+    # female index is checked against a power over its own bit length of vertices.
+    with pytest.raises(SizeOverflowError, match=r"^3\*\*10000000 cells: "):
+        ConfigurationSpace.build(make_graph(10_000_000, []), 3, [0, 2**64])
+    with pytest.raises(PartitionIndexError, match="index 9 out of range"):
+        ConfigurationSpace.build(make_graph(2, []), 3, [0, 9])
+    assert construction.cell_count(10_000_000, 1) == 1
+    assert construction.cell_count(12, 2) == 4096
+    with pytest.raises(SizeOverflowError):
+        construction.cell_count(1, 4097)
+
+
 # -- compatible sets ---------------------------------------------------------
 
 
@@ -230,6 +245,26 @@ def test_two_vertex_tensor_pattern():
     )
     np.testing.assert_allclose(tensors.pf, expected_pf, atol=1e-15)
     np.testing.assert_allclose(tensors.pm, expected_pm, atol=1e-15)
+
+
+@pytest.mark.parametrize("females", list(itertools.combinations(range(4), 2)))
+def test_the_edgeless_two_vertex_splits_give_the_full_square_block_or_the_identity(females):
+    # The paper's n = nu = 2 class: of the six two-female splits of the cells (1,1), (1,2),
+    # (2,1), (2,2), four give the pair block (1 - a, a, c, 1 - c) on the full square, with
+    # a and c the first type's share of its sex's weight, and {(1,1), (2,2)} and
+    # {(1,2), (2,1)} give the identity.
+    rng = np.random.default_rng(20 + sum(females))
+    space = ConfigurationSpace.build(make_graph(2, []), 2, females)
+    wf, wm = rng.uniform(0.5, 3.0, 2), rng.uniform(0.5, 3.0, 2)
+    op = build_operator(space, WeightPair(dict(zip(space.females, wf)), dict(zip(space.males, wm))))
+    if females in ((0, 3), (1, 2)):
+        assert is_identity(op)
+        return
+    a, c = wf[0] / (wf[0] + wf[1]), wm[0] / (wm[0] + wm[1])
+    for _ in range(200):
+        s = random_state(rng, 2, 2)
+        block_step = four_types._pair_step(1.0 - a, a, c, 1.0 - c, *s)
+        assert np.abs(op.apply_raw(s) - block_step).max() <= 1e-15
 
 
 def test_four_type_tensors_match_closed_form_pattern():

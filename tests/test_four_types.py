@@ -4,7 +4,8 @@ Core claims:
   - the full step conserves all four pairwise sums and fixes the predicted
     corner states
   - the lifted tensors are the literal tables of the four mixed pairings,
-    byte for byte
+    byte for byte, also over drawn parameters and through ``construct`` on the
+    lift's construction document
   - the type-1/2 block trajectory equals the (x1, y1) coordinates of the
     full trajectory, and the type-3/4 block is its parameter-swapped twin
   - off the critical line the fixed points and their stability follow the
@@ -18,11 +19,19 @@ Core claims:
     edge y = 0, each fixed, and so is the edge x = a0
 """
 
+import json
+import os
+import sys
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qsobp import dynamics
-from qsobp.cli import CASES
+from qsobp.cli import CASES, main
+from qsobp.construction import load_json, operator_from_json
 from qsobp.dynamics import StabilityKind, classify_fixed_point
 from qsobp.errors import FixedPointInputError
 from qsobp.four_types import (
@@ -31,6 +40,7 @@ from qsobp.four_types import (
     FourTypeParams,
     critical_fixed_points,
     critical_slope,
+    construction_doc,
     fixed_points,
     lift_operator,
     pair_side,
@@ -102,12 +112,9 @@ def test_full_step_agrees_with_lifted_tensors():
         assert max(abs(u - v) for u, v in zip(p.step(s), apply(op, s))) <= 1e-15
 
 
-@pytest.mark.parametrize(
-    "a, b, c, d",
-    [(0.35, 0.65, 0.52, 0.18), (0.3, 0.3, 0.3, 0.3), (0.7, 0.3, 0.7, 0.2), (0.1, 0.9, 0.9, 0.1)],
-)
-def test_lift_tensors_are_the_literal_tables(a, b, c, d):
-    # pf[i, k] and pm[i, k]: the daughter and the son rows of mother i and father k.
+def literal_tables(a, b, c, d):
+    """pf and pm of the four-type operator, written out: pf[i, k] and pm[i, k] are the
+    daughter and the son rows of mother i and father k."""
     pf = np.array([
         [[1.0, 0.0, 0.0, 0.0], [a, 1.0 - a, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]],
         [[a, 1.0 - a, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]],
@@ -120,10 +127,48 @@ def test_lift_tensors_are_the_literal_tables(a, b, c, d):
         [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, d, 1.0 - d]],
         [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, d, 1.0 - d], [0.0, 0.0, 0.0, 1.0]],
     ])
+    return pf, pm
+
+
+@pytest.mark.parametrize(
+    "a, b, c, d",
+    [(0.35, 0.65, 0.52, 0.18), (0.3, 0.3, 0.3, 0.3), (0.7, 0.3, 0.7, 0.2), (0.1, 0.9, 0.9, 0.1)],
+)
+def test_lift_tensors_are_the_literal_tables(a, b, c, d):
+    pf, pm = literal_tables(a, b, c, d)
     tensors = lift_operator(params(a=a, b=b, c=c, d=d)).tensors
     for built, table in ((tensors.pf, pf), (tensors.pm, pm)):
         assert built.dtype == table.dtype and built.shape == table.shape
         assert built.tobytes() == table.tobytes()
+
+
+# Parameters in (0, 1) from the smallest normal float up; FourTypeParams refuses subnormals.
+OPEN_UNIT = st.floats(sys.float_info.min, 1.0, exclude_max=True)
+NEAR_ONE = 1.0 - 2.0**-53  # the largest float below 1
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.tuples(OPEN_UNIT, OPEN_UNIT, OPEN_UNIT, OPEN_UNIT))
+@example((1e-12, 1.0 - 1e-12, 5e-13, NEAR_ONE))
+@example((1.0 - 1e-12, 1e-12, NEAR_ONE, 5e-13))
+@example((sys.float_info.min,) * 4)
+@example((sys.float_info.min, NEAR_ONE, 1e-12, 1.0 - 1e-12))
+def test_the_construction_and_its_document_give_the_literal_tables(abcd):
+    # The lift is the construction's, and ``construct`` on the lift's document writes an
+    # operator document with the same tensor bytes.
+    tables = literal_tables(*abcd)
+    p = params(*abcd)
+    lifted = lift_operator(p).tensors
+    with tempfile.TemporaryDirectory() as tmp:
+        doc, out = os.path.join(tmp, "doc.json"), os.path.join(tmp, "op.json")
+        with open(doc, "w", encoding="utf-8") as fh:
+            json.dump(construction_doc(p), fh)
+        assert main(["construct", "--input", doc, "--output", out]) == 0
+        loaded = operator_from_json(load_json(out)).tensors
+    for tensors in (lifted, loaded):
+        for built, table in zip((tensors.pf, tensors.pm), tables):
+            assert built.dtype == table.dtype and built.shape == table.shape
+            assert built.tobytes() == table.tobytes()
 
 
 # -- decoupled blocks --------------------------------------------------------
