@@ -23,17 +23,18 @@ a), a one-dimensional quadratic self-map of [0, 1] with a single attracting
 fixed point and no periodic orbits of period two or more; its map and slope are
 that block's step and ``pair_rate``.
 
-A block's Jacobian is nonnegative everywhere in its box, so at an attracting corner its
-spectral radius rho is an eigenvalue with a left Perron vector v >= 0 (Berman and
-Plemmons, *Nonnegative Matrices in the Mathematical Sciences*, ch. 2).  Scaled so that
-its smaller entry is 1, v gives a norm v.|z| of a distance z >= 0 from the corner that
-is at least its max norm.  Seen from the corner, which for (a0, c0) swaps both pairs'
-types, the step is F(z) = J z - z_x z_y M (1, 1), J the Jacobian there, so with
-s = v.M (1, 1), v.(z - F(z)) = (1 - rho) v.z + z_x z_y s, and v times the Jacobian at
-any point on the way to the corner is at most rate v, rate = rho + max(0, -s) v.z.
-Where that rate is below 1, the next move m bounds the max-norm distance to the corner
-by v.|m| / (1 - rate), and no later move is more than rate times the one before it in
-that norm (``corner_bound``).  ``verify`` stops each four-type row on this bound.
+A block's Jacobian is nonnegative everywhere in its box, so at an attracting
+corner its spectral radius rho is an eigenvalue with a left Perron vector
+v >= 0 (Berman and Plemmons, *Nonnegative Matrices in the Mathematical
+Sciences*, ch. 2).  Scaled so that its smaller entry is 1, v gives a norm
+v.|z| of a distance z >= 0 from the corner that is at least its max norm.
+Seen from the corner, which for (a0, c0) swaps both pairs' types, the step
+is F(z) = J z - z_x z_y M (1, 1), J the Jacobian there, so with s = v.M (1, 1), v.(z - F(z)) = (1 - rho) v.z +
+z_x z_y s, and v times the Jacobian at any point on the way to the corner is
+at most rate v, rate = rho + max(0, -s) v.z.  Where that rate is below 1, the
+next move m bounds the max-norm distance to the corner by v.|m| / (1 - rate),
+and no later move is more than rate times the one before it in that norm
+(``corner_bound``).  ``verify`` stops each four-type row on this bound.
 """
 
 from __future__ import annotations
