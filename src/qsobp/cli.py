@@ -235,10 +235,10 @@ def _planar_params(args):
 
 def _four_type_sample(p: four_types.FourTypeParams, rng) -> np.ndarray:
     """A random state on each row's slice (a0, c0): each pair split at a uniform fraction."""
-    a0, c0 = p.a0, p.c0
-    widths = np.stack([a0, 1.0 - a0, c0, 1.0 - c0], axis=1)
-    x1, x3, y1, y3 = (widths * rng.uniform(0.05, 0.95, widths.shape)).T
-    return np.stack([x1, a0 - x1, x3, 1.0 - a0 - x3, y1, c0 - y1, y3, 1.0 - c0 - y3], axis=1)
+    blocks = p.blocks
+    widths = np.stack([block.a0 for block, _ in blocks] + [block.c0 for block, _ in blocks], axis=1)
+    xs, ys = np.split((widths * rng.uniform(0.05, 0.95, widths.shape)).T, 2)
+    return np.stack(four_types.block_state(blocks, zip(xs, ys), 8), axis=1)
 
 
 _COORDS8 = [f"x{i+1}" for i in range(4)] + [f"y{k+1}" for k in range(4)]

@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -121,8 +122,9 @@ def cell_count(vertex_count: int, allele_count: int) -> int:
     female cell, 16 S (S - 1) bytes, exceeds ``TENSOR_BYTES_CAP``, found from a power over at
     most the cap's bit length of vertices: past it, two or more alleles give too many cells."""
     size = allele_count ** min(vertex_count, TENSOR_BYTES_CAP.bit_length())
-    if 16 * size * (size - 1) > TENSOR_BYTES_CAP:
-        raise SizeOverflowError(f"{allele_count}**{vertex_count} cells: the tensors of every split "
+    if 16 * size * (size - 1) > TENSOR_BYTES_CAP:  # a count past 20 digits is named by its length
+        a, v = (n if n < 1e20 else f"<{len(str(n))} digits>" for n in (allele_count, vertex_count))
+        raise SizeOverflowError(f"{a}**{v} cells: the tensors of every split "
                                 f"of them need more than the bound of {TENSOR_BYTES_CAP} bytes")
     return size
 
@@ -444,12 +446,13 @@ def construction_from_json(doc: Mapping) -> tuple[ConfigurationSpace, WeightPair
             raise SchemaError(field, f"expected a positive integer, got {value}")
     try:  # an empty female list is refused as such by the build, whatever the size
         cells = cell_count(vertices, alleles) if females_raw else 0
-    except SizeOverflowError as exc:
-        raise SchemaError("vertices", str(exc)) from exc
+    except SizeOverflowError as exc:  # the alleles' fault when one vertex alone has too many cells
+        field = "alleles" if 16 * alleles * (alleles - 1) > TENSOR_BYTES_CAP else "vertices"
+        raise SchemaError(field, str(exc)) from exc
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2 and all(_is_int(v) for v in e)
-                and all(1 <= v <= vertices for v in e)):
-            raise SchemaError("edges", f"edge {e!r} is not a pair of integers in 1..{vertices}")
+                and all(1 <= v <= vertices for v in e) and e[0] != e[1]):
+            raise SchemaError("edges", f"edge {e!r} is not two distinct integers in 1..{vertices}")
     for i in females_raw:
         if not (_is_int(i) and 1 <= i <= cells):
             raise SchemaError("females", f"{i!r} is not an integer in 1..{alleles}**{vertices}")
@@ -499,8 +502,8 @@ class _SharedFloats(dict):
 def load_json(path: str) -> dict:
     """The JSON document in the file ``path``, equal to what ``json.load`` gives, with
     one float object per distinct number text: tensors of mostly ``0.0`` cost one
-    reference per entry.  Malformed JSON and text that is not UTF-8 raise
-    ``SchemaError``."""
+    reference per entry.  Malformed JSON, text that is not UTF-8 and an integer past
+    Python's limit on the digits of integer text raise ``SchemaError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, parse_float=_SharedFloats().__getitem__)
@@ -508,6 +511,9 @@ def load_json(path: str) -> dict:
         raise SchemaError("input", f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError("input", f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    except ValueError as exc:  # the one left: int() refuses text past Python's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise SchemaError("input", f"an integer has more than {limit} digits") from exc
 
 
 # ``construct`` writes its operator document through this name, which the

@@ -158,15 +158,8 @@ def _trajectory(stored: list, column: int, total: int, last: np.ndarray, converg
     return Trajectory(np.stack(states), tuple(steps), converged, steps_taken, limit)
 
 
-def iterate_batch(
-    step: BatchStep,
-    states,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-    *,
-    params=None,
-    store_cap: int | None = None,
-    eps=None,
-) -> BatchRun:
+def iterate_batch(step: BatchStep, states, tol: Tolerance = DEFAULT_TOLERANCE, *, params=None,
+                  store_cap: int | None = None, eps=None) -> BatchRun:
     """Iterate ``step`` from each column of ``states`` until it stops moving, in blocks
     of steps and, with ``params`` and no ``store_cap``, a scalar tail, by the one rule
     the module docstring states.  A column's ``steps_taken`` is the index of its first
@@ -248,12 +241,7 @@ def iterate_batch(
     if histories is not None:
         for column, row in enumerate(rows):
             histories[row] = _trajectory(stored, column, total, state[:, column], False)
-    return BatchRun(
-        end=end,
-        steps_taken=steps_taken,
-        converged=converged,
-        trajectories=tuple(histories) if histories is not None else None,
-    )
+    return BatchRun(end, steps_taken, converged, None if histories is None else tuple(histories))
 
 
 def iterate_map(

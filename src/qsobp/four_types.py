@@ -6,6 +6,9 @@ y1+y2, y3+y4, so after one step every trajectory lives on a slice where these su
 are fixed constants (a0, 1-a0, c0, 1-c0).  On a slice the dynamics splits into two
 independent planar blocks: the type-1/2 block in (x, y) = (x1, y1), and the type-3/4
 block in (x3, y3), which is the first under the swap a<->b, c<->d, a0<->1-a0, c0<->1-c0.
+``FourTypeParams.blocks`` records each block with the indices (f1, f2, m1, m2) of its
+four types, and every per-block loop reads that record; ``block_state`` completes a
+state from the blocks' points (x, y), giving f2 and m2 the rest of the box, a0-x and c0-y.
 
 Each is a pair block, a ``PairBlock`` of the entries (u, beta, gamma, w) of its
 Metzler matrix M = [[-u, beta], [gamma, -w]] and its box: one step moves (x, y)
@@ -109,10 +112,11 @@ class FourTypeParams:
 
     @property
     def blocks(self) -> tuple:
-        """The type-1/2 and the type-3/4 ``PairBlock``, each with the coordinates (x, y)
-        it steps among (x1..x4, y1..y4)."""
+        """The type-1/2 and the type-3/4 ``PairBlock``, each with the indices (f1, f2, m1, m2)
+        of its four types among (x1..x4, y1..y4): (0, 1, 4, 5) and (2, 3, 6, 7)."""
         (r12, r34), a0, c0 = self.rates(), self.a0, self.c0
-        return ((PairBlock(*r12, a0, c0), (0, 4)), (PairBlock(*r34, 1.0 - a0, 1.0 - c0), (2, 6)))
+        return ((PairBlock(*r12, a0, c0), (0, 1, 4, 5)),
+                (PairBlock(*r34, 1.0 - a0, 1.0 - c0), (2, 3, 6, 7)))
 
     def step(self, coords: tuple) -> tuple:
         """One step on bare coordinates (x1..x4, y1..y4); pairwise sums conserved."""
@@ -247,6 +251,16 @@ def slice_sums(coords) -> tuple:
     return (x1 + x2, x3 + x4, y1 + y2, y3 + y4)
 
 
+def block_state(blocks, points, d: int) -> list:
+    """The d coordinates of the state at which each of the ``blocks``, a record as
+    ``FourTypeParams.blocks`` gives it, sits at its (x, y) of ``points``: x at its f1 and
+    y at its m1, and the rest of its box, a0 - x and c0 - y, at its f2 and m2."""
+    state = [None] * d
+    for (block, (f1, f2, m1, m2)), (x, y) in zip(blocks, points):
+        state[f1], state[f2], state[m1], state[m2] = x, block.a0 - x, y, block.c0 - y
+    return state
+
+
 def construction_doc(p: FourTypeParams) -> dict:
     """The four-type operator's construction document (a, b, c, d only), which ``construct
     --input`` reads: females are cells 1, 3, 6, 8 (x1..x4), weighted (a, 1-a, b, 1-b), males
@@ -311,41 +325,35 @@ def predict_limit(p: FourTypeParams, starts, tol: Tolerance = DEFAULT_TOLERANCE)
     off = (np.abs(sums[0] - p.a0) > tol.abs_eps) | (np.abs(sums[2] - p.c0) > tol.abs_eps)
     if off.any():
         raise ValueError(f"the slice sums of start {np.argmax(off)} miss its a0, c0")
-    a0, c0 = p.a0, p.c0
-    (x1, y1), (x3, y3) = (pair_limit(*block, coords[i], coords[k])
-                          for block, (i, k) in p.blocks)
-    limits = (x1, a0 - x1, x3, 1.0 - a0 - x3, y1, c0 - y1, y3, 1.0 - c0 - y3)
-    return predicted(p, coords, limits, tol)
+    blocks = p.blocks
+    points = [pair_limit(*block, coords[f1], coords[m1]) for block, (f1, _, m1, _) in blocks]
+    return predicted(p, coords, block_state(blocks, points, len(coords)), tol)
 
 
 def stop_rate(p: FourTypeParams, starts):
     """The rate bound q and the norm factor kappa of each of the (B, 8) ``starts``, from
-    which ``verify`` fixes the row's threshold: q is the larger of its two blocks'
+    which ``verify`` fixes the row's threshold: q is the largest of its blocks'
     ``corner_rate`` rho, NaN where a block's |det M| is at most ``RATE_BAND``, and kappa
-    the larger of their v0 + v1, the most by which a move's Perron norm exceeds its max
+    the largest of their v0 + v1, the most by which a move's Perron norm exceeds its max
     norm.  Neither depends on the start: off the band every start goes to the corner."""
-    rates, kappas = [], []
-    for block, _ in p.blocks:
-        det, rho, (v0, v1) = corner_rate(*block)
-        rates.append(np.where(np.abs(det) > RATE_BAND, rho, np.nan))
-        kappas.append(v0 + v1)
-    return np.broadcast_to(np.maximum(*rates), len(starts)), np.maximum(*kappas)
+    det, rho, v = map(np.array, zip(*(corner_rate(*block) for block, _ in p.blocks)))
+    rate = np.max(np.where(np.abs(det) > RATE_BAND, rho, np.nan), axis=0)
+    return np.broadcast_to(rate, len(starts)), np.max(np.sum(v, axis=1), axis=0)
 
 
 def certificate(p: FourTypeParams, starts, end):
     """(rate, observed_rate, error_bound) of the rows that ended at the columns of the
-    (8, B) ``end``, from ``corner_bound`` of both blocks: the larger rate, the ratio of
-    the next two moves summed over both blocks, which is at most that rate, and the
-    larger of m1 / (1 - rate), which bounds the max-norm distance to the limit.  The
+    (8, B) ``end``, from ``corner_bound`` of each block: the largest rate, the ratio of
+    the next two moves summed over the blocks, which is at most that rate, and the
+    largest m1 / (1 - rate), which bounds the max-norm distance to the limit.  The
     rate is NaN where a block has none or where it is not below 1."""
-    (rate12, first12, next12), (rate34, first34, next34) = (
-        corner_bound(*block, end[i], end[k]) for block, (i, k) in p.blocks)
-    rate = np.maximum(rate12, rate34)
-    rate = np.where(rate < 1.0, rate, np.nan)
-    first = first12 + first34
+    rates, firsts, seconds = map(np.array, zip(*(corner_bound(*block, end[f1], end[m1])
+                                                 for block, (f1, _, m1, _) in p.blocks)))
+    rate = np.max(np.where(rates < 1.0, rates, np.nan), axis=0)
+    first = np.sum(firsts, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        observed = np.where(first > 0.0, (next12 + next34) / first, 0.0)
-        bound = np.maximum(first12 / (1.0 - rate12), first34 / (1.0 - rate34))
+        observed = np.where(first > 0.0, np.sum(seconds, axis=0) / first, 0.0)
+        bound = np.max(firsts / (1.0 - rates), axis=0)
     return rate, observed, bound
 
 

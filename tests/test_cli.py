@@ -13,7 +13,9 @@ Core claims:
   - an input error names its flag or document field: bad states, ranges,
     grid starts, operator sources, construction and operator documents, and
     fixed-points grids of 1 or below 0 each exit 2 with one line
-    'input error: <field>: ...' and no output file
+    'input error: <field>: ...' and no output file; an integer past Python's
+    limit on integer text is an error of the document, 'input', and a count of
+    cells too large is named by its number of digits
   - exit codes: 0 ran, 2 input error, 3 i/o error; malformed JSON, a file
     that is not UTF-8, non-finite weights and tensor entries, tensor
     entries that are not JSON numbers, --seed on a
@@ -81,7 +83,8 @@ CONNECTED_DOC = {
 
 
 def _write(path, doc):
-    path.write_text(json.dumps(doc))
+    """Write ``doc`` as JSON, or bytes as given."""
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     return str(path)
 
 
@@ -750,6 +753,10 @@ IDENTITY_DOC = {"n": 2, "nu": 2, "pf": [[[1.0, 0.0]] * 2, [[0.0, 1.0]] * 2],
                 "pm": [[[1.0, 0.0], [0.0, 1.0]]] * 2}
 CONSTRUCT = ["construct", "--input", "{f}", "--output", "{o}"]
 ITERATE = ["iterate", "--operator", "{f}", "--state", "0.5,0.5;0.5,0.5", "--summary", "{o}"]
+# Integer texts of 5,000 digits, past the 4,300 that ``json.load`` converts by default.
+DIGIT_LIMIT = ("input", f"more than {sys.get_int_max_str_digits()} digits")
+LONG_ALLELES = json.dumps(TWO_TYPE_DOC).replace('"alleles": 2', '"alleles": ' + "1" * 5000).encode()
+LONG_N = json.dumps(IDENTITY_DOC).replace('"n": 2', '"n": ' + "2" * 5000).encode()
 
 
 @pytest.mark.parametrize(
@@ -780,6 +787,13 @@ ITERATE = ["iterate", "--operator", "{f}", "--state", "0.5,0.5;0.5,0.5", "--summ
         pytest.param(dict(TWO_TYPE_DOC, edges=[[1, 5]]), CONSTRUCT, "edges",
                      id="edge-off-the-graph"),
         pytest.param(dict(TWO_TYPE_DOC, alleles=0), CONSTRUCT, "alleles", id="alleles-0"),
+        pytest.param(dict(TWO_TYPE_DOC, edges=[[1, 1]]), CONSTRUCT, ("edges", "[1, 1]"),
+                     id="loop-edge"),
+        pytest.param(LONG_ALLELES, CONSTRUCT, DIGIT_LIMIT, id="alleles-of-5000-digits"),
+        pytest.param(LONG_N, ITERATE, DIGIT_LIMIT, id="operator-n-of-5000-digits"),
+        # One vertex: the alleles alone are too many cells, named by their digit count.
+        pytest.param(dict(TWO_TYPE_DOC, vertices=1, alleles=int("1" * 4000)), CONSTRUCT,
+                     ("alleles", "<4000 digits>**1 cells"), id="alleles-of-4000-digits"),
         # Too many cells for any split: refused before 3**vertices is taken, whose text
         # alone would exceed Python's integer string limit.
         *(pytest.param(dict(TWO_TYPE_DOC, vertices=v, alleles=3), CONSTRUCT,
@@ -811,6 +825,7 @@ def test_an_input_error_names_its_input(tmp_path, capsys, doc, argv, field):
     assert main([a.replace("{f}", str(path)).replace("{o}", str(out)) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"input error: {field}: ") and err.count("\n") == 1, err
+    assert len(err) < 300, err  # no long input echoed
     assert all(text in err for text in texts), err
     assert "Traceback" not in err
     assert not out.exists()

@@ -46,7 +46,7 @@ def fixed_set_basis(pairs):
 
 
 def four_type_pairs(p):
-    return [(block, (STATE[i], STATE[i + 1], STATE[k], STATE[k + 1])) for block, (i, k) in p.blocks]
+    return [(block, tuple(STATE[i] for i in at)) for block, at in p.blocks]
 
 
 def test_the_two_type_fixed_set_is_the_segment_and_the_edge():

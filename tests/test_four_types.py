@@ -17,6 +17,9 @@ Core claims:
     correct slope, and no low-period cycles
   - on the face u = 0 (the two-type block) the sampled fixed points are the
     edge y = 0, each fixed, and so is the edge x = a0
+  - the block record names each of the eight types once, ``block_state`` of
+    the blocks' limits is the hand-written completion bit for bit, and every
+    sampled verify start puts each block's pair totals on its box
 """
 
 import json
@@ -38,11 +41,13 @@ from qsobp.four_types import (
     CRITICAL_EPS,
     CriticalMapParams,
     FourTypeParams,
+    block_state,
     critical_fixed_points,
     critical_slope,
     construction_doc,
     fixed_points,
     lift_operator,
+    pair_limit,
     pair_side,
     predict_limit,
     predict_limit_critical,
@@ -57,6 +62,7 @@ from helpers import (
     mirror_params,
     predict_one,
     scan_periodic_points,
+    stack_params,
     state_distance,
     sub34_step,
     survivor_label,
@@ -169,6 +175,45 @@ def test_the_construction_and_its_document_give_the_literal_tables(abcd):
         for built, table in zip((tensors.pf, tensors.pm), tables):
             assert built.dtype == table.dtype and built.shape == table.shape
             assert built.tobytes() == table.tobytes()
+
+
+# -- the block record --------------------------------------------------------
+
+RECORD = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+PARAMS = st.builds(FourTypeParams, *(OPEN_UNIT,) * 6)
+
+
+@RECORD
+@given(PARAMS)
+def test_the_block_record_names_each_type_once(p):
+    # (f1, f2, m1, m2): two female types among x1..x4, then two male types among y1..y4.
+    at = [types for _, types in p.blocks]
+    assert sorted(i for types in at for i in types) == list(range(8))
+    assert all(f < 4 <= m for f1, f2, m1, m2 in at for f in (f1, f2) for m in (m1, m2))
+
+
+@RECORD
+@given(PARAMS, st.tuples(*(st.floats(0.0, 1.0),) * 4))
+def test_block_state_of_the_limits_is_the_written_out_completion(p, fractions):
+    fx12, fy12, fx34, fy34 = fractions
+    blocks = p.blocks
+    points = [pair_limit(*block, fx * block.a0, fy * block.c0)
+              for (block, _), fx, fy in zip(blocks, (fx12, fx34), (fy12, fy34))]
+    (x1, y1), (x3, y3) = points
+    a0, c0 = p.a0, p.c0
+    written = (x1, a0 - x1, x3, 1.0 - a0 - x3, y1, c0 - y1, y3, 1.0 - c0 - y3)
+    assert np.array(block_state(blocks, points, 8)).tobytes() == np.array(written).tobytes()
+
+
+@RECORD
+@given(st.lists(st.tuples(*(OPEN_UNIT,) * 6), min_size=1, max_size=8), st.integers(0, 2**32 - 1))
+def test_each_sampled_start_puts_each_block_on_its_box(rows, seed):
+    p = stack_params([FourTypeParams(*row) for row in rows])
+    starts = CASES["four-type"].sample(p, np.random.default_rng(seed))
+    assert starts.shape == (len(rows), 8)
+    for block, (f1, f2, m1, m2) in p.blocks:
+        for first, second, side in ((f1, f2, block.a0), (m1, m2, block.c0)):
+            assert np.all(np.abs(starts[:, first] + starts[:, second] - side) <= np.spacing(side))
 
 
 # -- decoupled blocks --------------------------------------------------------
@@ -339,7 +384,7 @@ def test_predict_limit_on_each_critical_line(p, label):
     limit = _predict(p, state)
     x, y = limit[:4], limit[4:]
     # A block on its line keeps its x+y and ends on its fixed curve.
-    for block, (i, _) in p.blocks:
+    for block, (i, *_) in p.blocks:
         if pair_side(block.det) == 0:
             assert x[i] + y[i] == pytest.approx(state[i] + state[4 + i], rel=0, abs=1e-15)
             assert y[i] == pytest.approx(fixed_points(block, x[i])[0][1], rel=0, abs=1e-15)

@@ -189,7 +189,7 @@ def test_four_type_predictor(case, tol):
     if limit is not None:
         make_state(limit[:4], limit[4:])
         assert _moved(p.step, limit) <= 1e-12
-        for block, (i, _) in p.blocks:
+        for block, (i, *_) in p.blocks:
             if pair_side(block.det) == 0:
                 kept = limit[i] + limit[4 + i]
                 assert kept == pytest.approx(state[i] + state[4 + i], rel=0, abs=1e-12)
