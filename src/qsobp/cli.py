@@ -419,26 +419,29 @@ def cmd_fixed_points(args) -> int:
     return EXIT_OK
 
 
-def _verdict_doc(matrix, tol: Tolerance) -> dict:
-    verdict = dynamics.classify_fixed_point(matrix, tol)
-    return {"kind": verdict.kind.value, "eigen_moduli": list(verdict.eigen_moduli)}
+def _kind_doc(block: four_types.PairBlock, point) -> dict:
+    """A fixed point's ``fixed_kind`` and its Jacobian's eigenvalue moduli, largest first."""
+    moduli = np.abs(np.linalg.eigvals(four_types.pair_jacobian(*block, *point)))
+    return {"kind": four_types.fixed_kind(block, point),
+            "eigen_moduli": sorted(moduli.tolist(), reverse=True)}
 
 
 def cmd_classify(args) -> int:
-    tol = _tolerance(args)
     case, p = CASES[args.case], _planar_params(args)
-    step, jacobian, _ = case.planar(p)
+    stepper, block = case.planar_block(p)
     if args.case == "two-type":
         point = _two_type_point("0,0" if args.state is None else args.state)
-        if not dynamics.is_fixed(step, point, tol):
+        if not dynamics.is_fixed(stepper.step, point, _tolerance(args)):
             raise ValueError(f"{point} is not fixed: one step moves it by more than --abs-eps")
-        doc = {"case": "two-type", "state": list(point), **_verdict_doc(jacobian(point), tol)}
+        doc = {"case": "two-type", "state": list(point), **_kind_doc(block, point)}
     else:
         if args.state is not None:
             raise SchemaError("state", "--state is not read by --case four-type, which "
                               "classifies every fixed point of its slice")
-        fixed = four_types.fixed_points(case.planar_block(p)[1])
-        points = [{"point": list(pt), **_verdict_doc(jacobian(pt), tol)} for pt in fixed]
+        _reject(args, ("abs_eps",), "not read by classify --case four-type, whose kinds "
+                "come from the sign of det M")
+        points = [{"point": list(pt), **_kind_doc(block, pt)}
+                  for pt in four_types.fixed_points(block)]
         doc = {"case": "four-type", "points": points}
     write_json(doc, args.output)
     return EXIT_OK
@@ -736,8 +739,8 @@ def build_parser() -> argparse.ArgumentParser:
                      "per axis of the numerical fixed-point search (≥ 2; 0 skips it)")
     cmd.add_argument("--output", default=None)
 
-    cmd = command("classify", cmd_classify, "stability classes of fixed points",
-                  ["two-type", "four-type"], CASE_DEFAULTS)
+    cmd = command("classify", cmd_classify, "stability classes of fixed points, from the "
+                  "sign of their pair block's det M", ["two-type", "four-type"], CASE_DEFAULTS)
     cmd.add_argument("--state", default=None, help="two-type: point to classify at (default 0,0)")
     cmd.add_argument("--output", default=None)
 

@@ -122,11 +122,18 @@ def cell_count(vertex_count: int, allele_count: int) -> int:
     female cell, 16 S (S - 1) bytes, exceeds ``TENSOR_BYTES_CAP``, found from a power over at
     most the cap's bit length of vertices: past it, two or more alleles give too many cells."""
     size = allele_count ** min(vertex_count, TENSOR_BYTES_CAP.bit_length())
-    if 16 * size * (size - 1) > TENSOR_BYTES_CAP:  # a count past 20 digits is named by its length
-        a, v = (n if n < 1e20 else f"<{len(str(n))} digits>" for n in (allele_count, vertex_count))
+    if 16 * size * (size - 1) > TENSOR_BYTES_CAP:
+        a, v = int_text(allele_count), int_text(vertex_count)
         raise SizeOverflowError(f"{a}**{v} cells: the tensors of every split "
                                 f"of them need more than the bound of {TENSOR_BYTES_CAP} bytes")
     return size
+
+
+def int_text(n) -> str:
+    """An integer or its text, whole up to 20 digits, past them by its sign and digit count."""
+    text = str(n)
+    digits = text.lstrip("-")
+    return text if len(digits) <= 20 else f"{text[:len(text) - len(digits)]}<{len(digits)} digits>"
 
 
 @dataclass(frozen=True)
@@ -419,6 +426,8 @@ def _weights_from_json(doc: Mapping, field: str, expected: tuple[int, ...]) -> d
     raw = _require(doc, field, dict)
     weights: dict[int, float] = {}
     for key, value in raw.items():
+        if len(key) > 20:  # no cell number has as many digits
+            raise SchemaError(field, f"cell index {int_text(key)} is too long")
         try:
             idx = int(key) - 1
         except ValueError:
@@ -443,7 +452,7 @@ def construction_from_json(doc: Mapping) -> tuple[ConfigurationSpace, WeightPair
     females_raw = _require(doc, "females", list)
     for field, value in (("vertices", vertices), ("alleles", alleles)):
         if value < 1:
-            raise SchemaError(field, f"expected a positive integer, got {value}")
+            raise SchemaError(field, f"expected a positive integer, got {int_text(value)}")
     try:  # an empty female list is refused as such by the build, whatever the size
         cells = cell_count(vertices, alleles) if females_raw else 0
     except SizeOverflowError as exc:  # the alleles' fault when one vertex alone has too many cells

@@ -1,4 +1,4 @@
-"""Trajectory iteration, fixed-point classification and fixed-point search.
+"""Trajectory iteration and fixed-point search.
 
 One engine, ``iterate_batch``, steps every trajectory: a (d, B) array holds
 B states of d coordinates, one column per trajectory, and each step maps the
@@ -38,13 +38,11 @@ blocks (d = 2) and no faster at d = 8.
 ``iterate_map`` (a bare coordinate map) and ``iterate`` (a bisexual
 operator) run one trajectory through the engine and return its thinned
 history as a ``Trajectory``.  Planar fixed points are found by one batched
-refinement of a seed lattice; a fixed point of any dimension is classified
-from the moduli of its Jacobian's eigenvalues.
+refinement of a seed lattice.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -291,50 +289,6 @@ def iterate(op: BisexualOperator, female: Sequence[float], male: Sequence[float]
     run = iterate_map(op.apply_raw, start, tol)
     check_states(run.states, op.n)
     return run
-
-
-# ---------------------------------------------------------------------------
-# Fixed-point classes.
-# ---------------------------------------------------------------------------
-
-
-class StabilityKind(enum.Enum):
-    ATTRACTING = "attracting"
-    REPELLING = "repelling"
-    SADDLE = "saddle"
-    NON_HYPERBOLIC = "non_hyperbolic"
-
-
-@dataclass(frozen=True)
-class FixedPointClass:
-    kind: StabilityKind
-    eigen_moduli: tuple[float, ...]
-
-
-def classify_fixed_point(
-    matrix: Sequence[Sequence[float]], tol: Tolerance = DEFAULT_TOLERANCE
-) -> FixedPointClass:
-    """Classify a fixed point from its square Jacobian by the moduli of its eigenvalues.
-
-    A point is hyperbolic when no eigenvalue modulus sits within
-    ``tol.abs_eps`` of one; hyperbolic points are attracting, repelling or
-    saddle according to whether all, none or some of the moduli are below
-    one.  Near-unit moduli are reported as non-hyperbolic together with every
-    modulus, largest first, so the caller can inspect the marginal directions.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or not m.size or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got {m.shape}")
-    moduli = tuple(sorted(np.abs(np.linalg.eigvals(m)).tolist(), reverse=True))
-    if any(abs(mod - 1.0) <= tol.abs_eps for mod in moduli):
-        kind = StabilityKind.NON_HYPERBOLIC
-    elif all(mod < 1.0 for mod in moduli):
-        kind = StabilityKind.ATTRACTING
-    elif all(mod > 1.0 for mod in moduli):
-        kind = StabilityKind.REPELLING
-    else:
-        kind = StabilityKind.SADDLE
-    return FixedPointClass(kind=kind, eigen_moduli=moduli)
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,13 @@ are read.  The type-1/2 block is (1-a, a, c, 1-c) on the box [0, a0] x [0, c0],
 the type-3/4 block (1-b, b, d, 1-d) on the other, and ``two_types`` is the block
 (0, a, 0, 1-b) on the unit square.  The type-1/2 block has det M = 1-a-c, so the
 critical line a+c = 1 is det M = 0.  Off it the fixed points are the two
-corners, whose stability flips with the sign of det M, and every interior start
-goes to the corner ``pair_side`` names.  On it the fixed points form a curve and
-x+y is conserved, and every start goes to where its line x+y = k meets the
-curve, ``pair_point``.  The diagonal section x+y = 1 is the block (1-a, a, 1-a,
-a), a one-dimensional quadratic self-map of [0, 1] with a single attracting
-fixed point and no periodic orbits of period two or more; its map and slope are
-that block's step and ``pair_rate``.
+corners: every interior start goes to the corner ``pair_side`` names, and
+``fixed_kind`` reads every fixed point's stability from the sign of det M.  On
+the line the fixed points form a curve and x+y is conserved, and every start
+goes to where its line x+y = k meets the curve, ``pair_point``.  The diagonal
+section x+y = 1 is the block (1-a, a, 1-a, a), a one-dimensional quadratic
+self-map of [0, 1] with a single attracting fixed point and no periodic orbits
+of period two or more; its map and slope are that block's step and ``pair_rate``.
 
 A block's Jacobian is nonnegative everywhere in its box, so at an attracting
 corner its spectral radius rho is an eigenvalue with a left Perron vector
@@ -206,6 +206,18 @@ def pair_side(det):
     gamma: 1 for (a0, c0) when det M < 0, -1 for (0, 0) when det M > 0, and 0 within
     ``CRITICAL_EPS`` of det M = 0, where each start keeps its line w x + beta y."""
     return (det < -CRITICAL_EPS) * 1 - (det > CRITICAL_EPS)
+
+
+def fixed_kind(block: PairBlock, point: Point2) -> str:
+    """The stability class of ``point``, one of a pair block's ``fixed_points``.  Within
+    ``pair_side``'s band every one is non-hyperbolic.  Off it the corner that ``pair_side``
+    names attracts, and the other is a saddle: there J - I = M G has the determinant
+    -a0 c0 |det M| and a negative trace, so J has an eigenvalue on each side of 1, both
+    above -1 as J's entries lie in [0, 1]."""
+    side = pair_side(block.det)
+    if not side:
+        return "non_hyperbolic"
+    return "attracting" if (point[0] > 0.0) == (side > 0) else "saddle"  # (a0, c0) or (0, 0)
 
 
 def _root(q, b, c, sqrt_disc):

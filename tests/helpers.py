@@ -190,8 +190,8 @@ def jacobian(op: BisexualOperator, state: np.ndarray) -> np.ndarray:
 
 def trace_determinant_moduli(matrix) -> tuple[float, float]:
     """The eigenvalue moduli of a 2x2 matrix, largest first, as the roots of
-    t^2 - trace t + det: the planar formula ``classify_fixed_point`` replaced,
-    kept as its reference.  Near a double root it loses half its digits."""
+    t^2 - trace t + det: the reference for the moduli that ``classify`` reports.
+    Near a double root it loses half its digits."""
     m = np.asarray(matrix, dtype=float)
     trace, det = float(np.trace(m)), float(np.linalg.det(m))
     disc = trace * trace - 4.0 * det

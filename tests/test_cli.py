@@ -15,15 +15,16 @@ Core claims:
     fixed-points grids of 1 or below 0 each exit 2 with one line
     'input error: <field>: ...' and no output file; an integer past Python's
     limit on integer text is an error of the document, 'input', and a count of
-    cells too large is named by its number of digits
+    cells too large, a weight key too long and a count below 1 are named by
+    their number of digits once past 20
   - exit codes: 0 ran, 2 input error, 3 i/o error; malformed JSON, a file
     that is not UTF-8, non-finite weights and tensor entries, tensor
     entries that are not JSON numbers, --seed on a
     command that draws nothing, --grid on a case without a planar map, a
     start or parameter flag the case (or, for classify and fixed-points, its
     planar map) does not read, fixed-points' --abs-eps, and its two-type
-    --a and --b, without --grid, a parameter flag the start fixes and a
-    two-type classify point that is not fixed are input
+    --a and --b, without --grid, four-type classify's --abs-eps, a parameter
+    flag the start fixes and a two-type classify point that is not fixed are input
     errors; no JSON document holds NaN or infinity
   - a verify grid of more than VERIFY_ROWS_CAP rows (grid**2 * starts) and a
     fixed-points grid of more than GRID_SEEDS_CAP seeds exit 2 with a message
@@ -324,7 +325,6 @@ def test_fixed_points_four_type_with_grid(tmp_path):
         (["fixed-points", "--case", "four-type", "--grid", "5"], ["--abs-eps", "1e-9"]),
         (["fixed-points", "--case", "two-type", "--grid", "3"],
          ["--a", "0.3", "--b", "0.3", "--abs-eps", "1e-9"]),
-        (["classify", "--case", "four-type"], ["--abs-eps", "1e-9"]),
     ],
 )
 def test_a_tolerance_or_parameter_flag_given_its_default_writes_the_same_bytes(
@@ -804,6 +804,12 @@ LONG_N = json.dumps(IDENTITY_DOC).replace('"n": 2', '"n": ' + "2" * 5000).encode
                      id="female-cell-off-the-space"),
         pytest.param(dict(TWO_TYPE_DOC, female_weights={"x": 1.0, "2": 1.0}), CONSTRUCT,
                      "female_weights", id="weight-key-not-an-integer"),
+        # Keys and counts past 20 digits are named by their digit count, not echoed.
+        pytest.param(dict(TWO_TYPE_DOC, female_weights={"1" * 5000: 1.0, "2": 1.0}), CONSTRUCT,
+                     ("female_weights", "cell index <5000 digits> is too long"),
+                     id="weight-key-of-5000-digits"),
+        pytest.param(dict(TWO_TYPE_DOC, alleles=-int("1" * 4000)), CONSTRUCT,
+                     ("alleles", "got -<4000 digits>"), id="alleles-of-minus-4000-digits"),
         pytest.param(dict(TWO_TYPE_DOC, male_weights={"3": 1.0, "4": 1.0, "9": 1.0}), CONSTRUCT,
                      "male_weights", id="extra-weight-cell"),
         pytest.param(dict(IDENTITY_DOC, pm=[[[1.0, 0.0, 0.0]] * 2] * 2), ITERATE, "pm",
@@ -1022,6 +1028,9 @@ def test_a_start_flag_the_case_does_not_read_is_an_input_error(argv, flag, tmp_p
          "--abs-eps is not read by fixed-points"),
         (["fixed-points", "--case", "two-type", "--abs-eps", "0.5"],
          "--abs-eps is not read by fixed-points"),
+        # A four-type kind comes from the sign of det M; nothing compares to --abs-eps.
+        (["classify", "--case", "four-type", "--abs-eps", "1e-9"],
+         "--abs-eps is not read by classify --case four-type"),
     ],
 )
 def test_a_parameter_flag_the_case_does_not_read_is_an_input_error(

@@ -35,7 +35,6 @@ from hypothesis import strategies as st
 from qsobp import dynamics
 from qsobp.cli import CASES, main
 from qsobp.construction import load_json, operator_from_json
-from qsobp.dynamics import StabilityKind, classify_fixed_point
 from qsobp.errors import FixedPointInputError
 from qsobp.four_types import (
     CRITICAL_EPS,
@@ -45,6 +44,7 @@ from qsobp.four_types import (
     critical_fixed_points,
     critical_slope,
     construction_doc,
+    fixed_kind,
     fixed_points,
     lift_operator,
     pair_limit,
@@ -312,29 +312,26 @@ def test_on_the_face_u_0_the_curve_is_the_edge_y_0_and_the_edge_x_a0_is_fixed():
         assert block.step(point) == point
 
 
-def _verdicts(p):
-    """Stability class of each fixed point of the type-1/2 block, as ``classify`` reports it."""
-    jacobian = CASES["four-type"].planar(p)[1]
-    return {pt: classify_fixed_point(jacobian(pt)) for pt in fixed_points(p.blocks[0][0])}
+def _kinds(p):
+    """``fixed_kind`` of each fixed point of the type-1/2 block, as ``classify`` reports it."""
+    block = p.blocks[0][0]
+    return {pt: fixed_kind(block, pt) for pt in fixed_points(block)}
 
 
 def test_classification_below_critical_line():
-    verdicts = _verdicts(params(a=0.3, c=0.3))
-    assert verdicts[(0.0, 0.0)].kind is StabilityKind.ATTRACTING
-    assert verdicts[(0.5, 0.5)].kind is StabilityKind.SADDLE
+    kinds = _kinds(params(a=0.3, c=0.3))
+    assert kinds == {(0.0, 0.0): "attracting", (0.5, 0.5): "saddle"}
 
 
 def test_classification_above_critical_line():
-    verdicts = _verdicts(params(a=0.7, c=0.7))
-    assert verdicts[(0.0, 0.0)].kind is StabilityKind.SADDLE
-    assert verdicts[(0.5, 0.5)].kind is StabilityKind.ATTRACTING
+    kinds = _kinds(params(a=0.7, c=0.7))
+    assert kinds == {(0.0, 0.0): "saddle", (0.5, 0.5): "attracting"}
 
 
 def test_classification_on_critical_line_is_non_hyperbolic():
-    verdicts = _verdicts(params(a=0.4, c=0.6))
-    assert len(verdicts) == 11
-    for verdict in verdicts.values():
-        assert verdict.kind is StabilityKind.NON_HYPERBOLIC
+    kinds = _kinds(params(a=0.4, c=0.6))
+    assert len(kinds) == 11
+    assert set(kinds.values()) == {"non_hyperbolic"}
 
 
 # -- limit prediction --------------------------------------------------------

@@ -33,10 +33,13 @@ four-type and the critical-line case:
     BLOCK_BYTES, and shows the step no NaN that its parameters do not give;
     with a threshold per row, every row stops where its own threshold stops
     it, in the numpy blocks and in the scalar tail
-  - off a+c = 1 (by at least 1e-6) the four-type block's corner (a0, c0)
-    attracts when a+c > 1 and (0, 0) when a+c < 1, and the other corner is a
-    saddle or repelling; on the line every fixed point is non-hyperbolic
-    with exactly one modulus within abs_eps of one
+  - for a+c-1 of 1e-12 to 1e-2 either way, through pair_side's band, classify
+    and fixed-points agree: inside the band fixed-points reports "critical" and
+    classify every fixed point non-hyperbolic; off it the corner (a0, c0)
+    attracts when a+c > 1 and (0, 0) when a+c < 1, the other corner is a
+    saddle, and each point's eigenvalue moduli lie on its kind's side of one
+    wherever rounding resolves them; on the line every fixed point is
+    non-hyperbolic with exactly one modulus within abs_eps of one
   - every point the grid search refines lies in its map's box and moves by
     at most abs_eps under one step; off a+c = 1 the four-type block's
     points are its two corners, on it they lie on its fixed curve to 1e-7
@@ -105,12 +108,12 @@ from qsobp import cli, dynamics
 from qsobp.cli import CASES
 from qsobp.construction import (build_heredity, build_operator, compatible_sets, dump_json,
                                 load_json)
-from qsobp.dynamics import StabilityKind, classify_fixed_point
 from qsobp.errors import FixedPointInputError
 from qsobp.four_types import (
     CriticalMapParams,
     FourTypeParams,
     critical_fixed_points,
+    fixed_kind,
     fixed_points,
     pair_point,
     pair_side,
@@ -378,38 +381,55 @@ def test_the_grid_search_dedupe_keeps_what_the_all_pairs_rule_keeps(radius, latt
 
 
 @st.composite
-def off_line_blocks(draw):
-    """Four-type parameters whose type-1/2 block lies at least 1e-6 off a+c = 1,
-    half the time within 1e-2 of it.  Closer, a corner's modulus is within abs_eps of one."""
+def near_line_blocks(draw):
+    """Four-type parameters, half of them with a+c-1 of 1e-12 to 1e-2 either way, so
+    that the type-1/2 block may lie inside ``pair_side``'s band of 1e-9 or just off it."""
     a, a0, c0 = draw(unit), draw(unit), draw(unit)
     if draw(st.booleans()):
         c = draw(unit)
     else:
-        c = 1.0 - a + draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-6.0, -2.0))
-    assume(0.0 < c < 1.0 and abs(a + c - 1.0) >= 1e-6)
+        c = 1.0 - a + draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-12.0, -2.0))
+    assume(0.0 < c < 1.0)
     return FourTypeParams(a, draw(unit), c, draw(unit), a0, c0)
 
 
 @PROPERTY
-@given(off_line_blocks())
+@given(near_line_blocks())
 def test_off_the_critical_line_the_corner_on_the_side_of_a_plus_c_attracts(p):
-    jacobian = CASES["four-type"].planar(p)[1]
-    zero, corner = (classify_fixed_point(jacobian(pt)).kind for pt in fixed_points(p.blocks[0][0]))
-    attracting, other = (corner, zero) if p.a + p.c > 1.0 else (zero, corner)
-    assert attracting is StabilityKind.ATTRACTING
-    assert other in (StabilityKind.SADDLE, StabilityKind.REPELLING)
+    flags = [f"--{name}={getattr(p, name)!r}" for name in ("a", "c", "a0", "c0")]
+    classified, fixed = (
+        json.loads(_written(lambda path: cli.main([command, "--case", "four-type", *flags,
+                                                   "--output", path])))
+        for command in ("classify", "fixed-points"))
+    side = pair_side(p.blocks[0][0].det)
+    kinds = [point["kind"] for point in classified["points"]]
+    assert [point["point"] for point in classified["points"]] == fixed["points"]
+    assert fixed["critical"] is (side == 0)
+    if not side:
+        assert set(kinds) == {"non_hyperbolic"}
+        return
+    assert (side > 0) is (p.a + p.c > 1.0)
+    assert kinds == (["saddle", "attracting"] if side > 0 else ["attracting", "saddle"])
+    for point, kind in zip(classified["points"], kinds):
+        # J's eigenvalue far from 1 lies in (-1, 1); the one near it, 1 + O(det M), is
+        # below 1 at the attracting corner and above it at the saddle.  eigvals rounds it
+        # by under 3e-16 here, and off the band it lies 1e-11 or more from 1.
+        near, far = sorted(point["eigen_moduli"], key=lambda m: abs(m - 1.0))
+        assert far < 1.0
+        if abs(near - 1.0) > 1e-14:
+            assert (near < 1.0) is (kind == "attracting")
 
 
 @PROPERTY
 @given(unit, unit, unit, unit)
 def test_on_the_critical_line_every_fixed_point_has_one_unit_modulus(a, a0, c0, b):
-    p = FourTypeParams(a, b, 1.0 - a, b, a0, c0)
-    points, jacobian = fixed_points(p.blocks[0][0]), CASES["four-type"].planar(p)[1]
+    block = FourTypeParams(a, b, 1.0 - a, b, a0, c0).blocks[0][0]
+    points = fixed_points(block)
     assert len(points) == 11
     for point in points:
-        verdict = classify_fixed_point(jacobian(point))
-        assert verdict.kind is StabilityKind.NON_HYPERBOLIC
-        assert sum(abs(m - 1.0) <= Tolerance().abs_eps for m in verdict.eigen_moduli) == 1
+        doc = cli._kind_doc(block, point)
+        assert doc["kind"] == fixed_kind(block, point) == "non_hyperbolic"
+        assert sum(abs(m - 1.0) <= Tolerance().abs_eps for m in doc["eigen_moduli"]) == 1
 
 
 @st.composite
