@@ -265,9 +265,10 @@ def test_classify_fixed_point_matches_the_trace_determinant_roots_on_the_planar_
     for _ in range(500):
         a, b, c, d, a0, c0 = rng.uniform(0.01, 0.99, 6).tolist()
         two = TwoTypeParams(a, b).blocks[0][0]
-        four = four_types.FourTypeParams(a, b, 1.0 - a if rng.uniform() < 0.5 else c, d, a0, c0)
+        p = four_types.FourTypeParams(a, b, 1.0 - a if rng.uniform() < 0.5 else c, d, a0, c0)
+        four = p.blocks[0][0]
         cells = [(two, pt) for pt in ((rng.uniform(), 0.0), (1.0, rng.uniform()))]
-        cells += [(four.blocks[0][0], pt) for pt in four_types.fixed_points(four.blocks[0][0])]
+        cells += [(four, pt) for pt in four_types.fixed_points(four)]
         for block, point in cells:
             reference = trace_determinant_moduli(four_types.pair_jacobian(*block, *point))
             if reference[0] - reference[1] < 1e-2:
