@@ -5,6 +5,8 @@ reports to JSON with sorted keys, so identical invocations produce
 byte-identical files.  Exit codes: 0 = ran (including non-convergence),
 2 = input error (a grid or range too large to hold in memory included),
 3 = I/O error.
+
+Of the commands, only ``construct`` and ``iterate`` load ``qsobp.construction``.
 """
 
 from __future__ import annotations
@@ -14,13 +16,15 @@ import math
 import re
 import sys
 from dataclasses import asdict, dataclass, fields
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from . import construction, dynamics, four_types, two_types
+from . import dynamics, four_types, two_types
 from .errors import FixedPointInputError, QsobpError, SchemaError, SizeOverflowError
 from .simplex import Tolerance, block_totals, check_unit, float_texts, make_state, write_json
+if TYPE_CHECKING:
+    from .construction import BisexualOperator
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -315,11 +319,13 @@ def _predict(case: Case, p, starts: np.ndarray, tol: Tolerance) -> np.ndarray:
 
 def _construct(path: str):
     """The configuration space and the operator built from a construction JSON file."""
+    from . import construction
     space, weights = construction.construction_from_json(construction.load_json(path))
     return space, construction.build_operator(space, weights)
 
 
 def cmd_construct(args) -> int:
+    from . import construction
     space, op = _construct(args.input)
     connected = len(space.components) == 1
     identity = construction.is_identity(op, _tolerance(args))
@@ -331,7 +337,8 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _operator_from_args(args) -> tuple[construction.BisexualOperator, dict]:
+def _operator_from_args(args) -> tuple[BisexualOperator, dict]:
+    from . import construction
     files = {"operator": args.operator, "construction": args.construction}
     if sum(v is not None for v in files.values()) + args.two_type + args.four_type != 1:
         raise SchemaError(

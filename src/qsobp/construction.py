@@ -478,10 +478,14 @@ def operator_from_json(doc: Mapping) -> BisexualOperator:
     n = _require(doc, "n", int)
     nu = _require(doc, "nu", int)
     raw = {"pf": _require(doc, "pf", list), "pm": _require(doc, "pm", list)}
-    try:
-        pf, pm = np.asarray(raw["pf"], dtype=float), np.asarray(raw["pm"], dtype=float)
-    except TypeError as exc:
-        raise SchemaError("tensors", f"expected nested lists of numbers ({exc})") from exc
+    tensors = {}
+    for field, tensor in raw.items():
+        try:
+            tensors[field] = np.asarray(tensor, dtype=float)
+        except (TypeError, ValueError) as exc:  # numpy's own message names no field
+            message = f"expected nested lists of numbers in {field} ({exc})"
+            raise SchemaError("tensors", message) from exc
+    pf, pm = tensors["pf"], tensors["pm"]
     if pf.shape != (n, nu, n):
         raise SchemaError("pf", f"expected shape {(n, nu, n)}, got {pf.shape}")
     if pm.shape != (n, nu, nu):

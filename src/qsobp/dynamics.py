@@ -45,13 +45,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .construction import BisexualOperator
 from .errors import DimensionMismatchError
 from .simplex import DEFAULT_TOLERANCE, Tolerance, check_open_unit, check_states, make_state
+if TYPE_CHECKING:
+    from .construction import BisexualOperator
 
 # At most this many states are kept per trajectory; longer runs are thinned
 # to every k-th state, always retaining the first and the last.

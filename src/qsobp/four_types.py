@@ -43,11 +43,13 @@ and no later move is more than rate times the one before it in that norm
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 import numpy as np
 
-from .construction import BisexualOperator, build_operator, construction_from_json
 from .dynamics import predicted
 from .simplex import DEFAULT_TOLERANCE, Tolerance, check_open_unit, check_unit
+if TYPE_CHECKING:
+    from .construction import BisexualOperator
 
 # A pair block with |det M| within this distance of 0 is treated as critical.
 CRITICAL_EPS = 1e-9
@@ -285,6 +287,7 @@ def construction_doc(p: FourTypeParams) -> dict:
 
 def lift_operator(p: FourTypeParams) -> BisexualOperator:
     """The 4x4-type operator, the construction's from the document ``construction_doc(p)``."""
+    from .construction import build_operator, construction_from_json
     return build_operator(*construction_from_json(construction_doc(p)))
 
 

@@ -32,13 +32,15 @@ corner (1, 0) q is 1, and there is no such bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .construction import BisexualOperator
 from .dynamics import predicted
 from .four_types import PairBlock, Point2, pair_limit
 from .simplex import DEFAULT_TOLERANCE, Tolerance, check_open_unit, check_unit
+if TYPE_CHECKING:
+    from .construction import BisexualOperator
 
 # The fixed-point set of the reduced map, for every a and b.
 FIXED_SEGMENTS = {"horizontal": "y = 0, x in [0, 1)", "right_edge": "x = 1, y in [0, 1]"}
@@ -76,6 +78,7 @@ def lift_operator(p: TwoTypeParams) -> BisexualOperator:
     """The full 2x2-type operator whose reduction is ``TwoTypeParams.step``, its tables written
     out: every pair breeds true but (type-2 mother, type-1 father), whose daughters and sons
     are type 1 with probabilities a and b; b as given, as 1 - (1 - b) is not b for b = 0.1."""
+    from .construction import BisexualOperator
     a, b = p.a, p.b
     return BisexualOperator.from_tensors([[[1.0, 0.0], [1.0, 0.0]], [[a, 1.0 - a], [0.0, 1.0]]],
                                          [[[1.0, 0.0], [0.0, 1.0]], [[b, 1.0 - b], [0.0, 1.0]]])

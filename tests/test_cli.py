@@ -19,7 +19,7 @@ Core claims:
     their number of digits once past 20
   - exit codes: 0 ran, 2 input error, 3 i/o error; malformed JSON, a file
     that is not UTF-8, non-finite weights and tensor entries, tensor
-    entries that are not JSON numbers, --seed on a
+    entries that are not JSON numbers, ragged tensors, --seed on a
     command that draws nothing, --grid on a case without a planar map, a
     start or parameter flag the case (or, for classify and fixed-points, its
     planar map) does not read, fixed-points' --abs-eps, and its two-type
@@ -36,6 +36,9 @@ Core claims:
   - a value that starts with '-' and a digit, such as the range -1:2:7, is a
     value after its flag as after '='
   - trajectory files do not depend on the number of BLAS threads
+  - predict, classify, fixed-points, verify and sweep never load
+    qsobp.construction; construct and iterate reach its functions through the
+    module when they run, so a wrapper of a module attribute sees every call
 """
 
 import argparse
@@ -637,14 +640,23 @@ def test_iterate_rejects_boolean_operator_sizes(tmp_path):
     assert main(["iterate", "--operator", op_path, "--state", "1;1"]) == 2
 
 
-@pytest.mark.parametrize("field", ["pf", "pm"])
-def test_a_tensor_entry_that_is_not_a_number_is_an_input_error(tmp_path, capsys, field):
+@pytest.mark.parametrize(
+    "field, tensor",
+    [
+        pytest.param("pf", [[[{}]]], id="pf"),
+        pytest.param("pm", [[[{}]]], id="pm"),
+        # numpy's own messages for these two name no field.
+        pytest.param("pf", [[["abc"]]], id="pf-text"),
+        pytest.param("pm", [[[1.0], [1.0, 2.0]]], id="pm-ragged"),
+    ],
+)
+def test_a_tensor_entry_that_is_not_a_number_is_an_input_error(tmp_path, capsys, field, tensor):
     doc = {"n": 1, "nu": 1, "pf": [[[1]]], "pm": [[[1]]]}
-    doc[field] = [[[{}]]]
+    doc[field] = tensor
     assert main(["iterate", "--operator", _write(tmp_path / "op.json", doc), "--state", "1;1"]) == 2
     err = capsys.readouterr().err
-    assert "tensors: expected nested lists of numbers" in err
-    assert "Traceback" not in err
+    assert err.startswith(f"input error: tensors: expected nested lists of numbers in {field} (")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("entries", [{"pf": [[["1"]]], "pm": [[["1"]]]}, {"pf": [[[True]]]}])
@@ -854,6 +866,79 @@ def test_predictors_are_looked_up_in_their_module_at_call_time(
     state = ["--state", "0.1,0.4,0.2,0.3;0.2,0.3,0.25,0.25"] if case == "four-type" else []
     assert main(["sweep", "--case", case, *state, "--output", str(tmp_path / "s.csv")]) == 0
     assert len(calls) == 1
+
+
+ITERATE_FOUR = ["iterate", "--state", "0.1,0.3,0.4,0.2;0.25,0.25,0.3,0.2"]
+
+
+@pytest.mark.parametrize(
+    "argv, counts",
+    [
+        pytest.param(["construct", "--input", "{doc}", "--output", "{out}"],
+                     {"load_json": 1, "build_operator": 1, "dump_json": 1}, id="construct"),
+        pytest.param([*ITERATE_FOUR, "--operator", "{op}"],
+                     {"load_json": 1, "operator_from_json": 1}, id="iterate-operator"),
+        pytest.param([*ITERATE_FOUR, "--construction", "{doc}"],
+                     {"load_json": 1, "build_operator": 1}, id="iterate-construction"),
+        pytest.param([*ITERATE_FOUR, "--four-type", "--a", "0.7", "--b", "0.3", "--c", "0.7",
+                      "--d", "0.2"], {"build_operator": 1}, id="iterate-four-type"),
+    ],
+)
+def test_the_construction_layer_is_looked_up_in_its_module_at_call_time(
+    tmp_path, monkeypatch, argv, counts
+):
+    # The commands import qsobp.construction only when they run; tools that wrap its
+    # attributes (tracers, profilers) must still see every call.
+    paths = {"{doc}": _write(tmp_path / "c.json", four_types.construction_doc(
+        four_types.FourTypeParams(0.7, 0.3, 0.7, 0.2, 0.5, 0.5))),
+        "{op}": str(tmp_path / "op.json"), "{out}": str(tmp_path / "out.json")}
+    assert main(["construct", "--input", paths["{doc}"], "--output", paths["{op}"]]) == 0
+    calls = dict.fromkeys(["load_json", "operator_from_json", "build_operator", "dump_json"], 0)
+
+    def counted(name, original):
+        return lambda *args: calls.update({name: calls[name] + 1}) or original(*args)
+
+    for name in calls:
+        monkeypatch.setattr(construction, name, counted(name, getattr(construction, name)))
+    assert main([paths.get(a, a) for a in argv]) == 0
+    assert calls == {name: counts.get(name, 0) for name in calls}
+
+
+# Run in a fresh interpreter: prints the construction layer's presence after the
+# imports and after each command of argv (a JSON list of command lines).
+LAYERING_SCRIPT = """
+import json, sys
+import qsobp.dynamics, qsobp.two_types, qsobp.four_types
+from qsobp.cli import main
+print("imports", "qsobp.construction" in sys.modules)
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    print(argv[0], code, "qsobp.construction" in sys.modules)
+"""
+
+
+def test_the_closed_form_commands_never_load_the_construction_layer(tmp_path):
+    out = str(tmp_path / "out")
+    commands = [
+        ["predict", "--case", "two-type", "--a", "0.4", "--b", "0.5", "--state", "0.2,0.25",
+         "--output", out],
+        ["classify", "--case", "four-type", "--a", "0.7", "--c", "0.6", "--a0", "0.4",
+         "--c0", "0.6", "--output", out],
+        ["fixed-points", "--case", "critical-line", "--a", "0.75", "--a0", "0.4", "--c0", "0.6",
+         "--output", out],
+        ["verify", "--case", "two-type", "--grid", "2", "--starts", "1", "--report", out],
+        ["verify", "--case", "four-type", "--grid", "3", "--starts", "1", "--report", out],
+        ["sweep", "--case", "two-type", "--output", out],
+        # The check itself sees the layer once a command loads it.
+        ["iterate", "--two-type", "--state", "0.2,0.8;0.25,0.75", "--summary", out],
+    ]
+    src = os.path.dirname(os.path.dirname(qsobp.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", LAYERING_SCRIPT, json.dumps(commands)], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120,
+    )
+    assert done.stdout.splitlines() == [
+        "imports False", *(f"{argv[0]} 0 {argv[0] == 'iterate'}" for argv in commands)]
 
 
 @pytest.mark.parametrize(
