@@ -12,6 +12,7 @@ Of the commands, only ``construct`` and ``iterate`` load ``qsobp.construction``.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -213,28 +214,28 @@ def _reject(args, names, why: str) -> None:
             raise SchemaError(flag, f"--{flag} is {why}")
 
 
-def _param_values(case_name: str, args, fixed=()) -> dict:
-    """Each case parameter the command has a flag for and the start does not fix:
-    the flag's value, or the default when not given.  A ``SchemaError`` names any
-    other parameter flag that was given."""
-    names = CASES[case_name].names
-    unread = [n for n in args.param_defaults if n not in names]
-    _reject(args, unread, f"not read by --case {case_name}")
-    _reject(args, fixed, f"fixed by the start in --case {case_name}")
+def _param_values(args, names, fixed=(), source=None) -> dict:
+    """Each of the parameters ``names`` that the command has a flag for and the start does
+    not fix: the flag's value, or the default when not given.  A ``SchemaError`` names any
+    other parameter flag given, and ``source``, what reads ``names`` (the ``--case`` given)."""
+    source = source or f"--case {args.case}"
+    _reject(args, [n for n in args.param_defaults if n not in names], f"not read by {source}")
+    _reject(args, fixed, f"fixed by the start in {source}")
     return {n: args.param_defaults[n] if getattr(args, n) is None else getattr(args, n)
             for n in names if n in args.param_defaults and n not in fixed}
 
 
-def _params(case_name: str, args, **values):
-    """The parameters of a case from the flags in ``args``, overridden by ``values``."""
-    return CASES[case_name].params(**{**_param_values(case_name, args), **values})
+def _params(args, **values):
+    """The parameters of ``--case`` from the flags in ``args``, overridden by ``values``."""
+    case = CASES[args.case]
+    return case.params(**{**_param_values(args, case.names), **values})
 
 
 def _planar_params(args):
     """``_params`` for a command that reads the case's planar map and no other parameter."""
     why = f"not read by the planar map of --case {args.case}"
     _reject(args, CASES[args.case].planar_unread, why)
-    return _params(args.case, args)
+    return _params(args)
 
 
 def _four_type_sample(p: four_types.FourTypeParams, rng) -> np.ndarray:
@@ -328,7 +329,7 @@ def cmd_construct(args) -> int:
     from . import construction
     space, op = _construct(args.input)
     connected = len(space.components) == 1
-    identity = construction.is_identity(op, _tolerance(args))
+    identity = construction.is_identity(op)
     pf, pm = op.tensors.pf, op.tensors.pm  # as arrays: dump_json formats each tensor once
     construction.dump_json({"n": op.n, "nu": op.nu, "pf": pf, "pm": pm}, args.output)
     print(f"n={op.n} nu={op.nu}")
@@ -339,27 +340,26 @@ def cmd_construct(args) -> int:
 
 def _operator_from_args(args) -> tuple[BisexualOperator, dict]:
     from . import construction
-    files = {"operator": args.operator, "construction": args.construction}
-    if sum(v is not None for v in files.values()) + args.two_type + args.four_type != 1:
-        raise SchemaError(
-            "operator", "exactly one of --operator, --construction, --two-type, --four-type"
-        )
-    for flag, path in files.items():
-        if path is not None:  # the file holds the operator: no parameter flag reaches it
-            _reject(args, args.param_defaults, f"not read by --{flag}")
-    if args.operator is not None:
+    # The parameters each source reads: a file holds its own heredity.
+    reads = dict(operator=(), construction=(), two_type=("a", "b"), four_type=("a", "b", "c", "d"))
+    given = [name for name in reads if getattr(args, name) not in (None, False)]
+    if len(given) != 1:
+        raise SchemaError("operator", "exactly one of --operator, --construction, --two-type, "
+                          "--four-type")
+    source = given[0].replace("_", "-")  # its flag's name
+    values = _param_values(args, reads[given[0]], source=f"--{source}")
+    if source == "operator":
         doc = construction.load_json(args.operator)
         return construction.operator_from_json(doc), {"kind": "operator-json", "path": args.operator}
-    if args.construction is not None:
+    if source == "construction":
         _, op = _construct(args.construction)
         return op, {"kind": "construction-json", "path": args.construction}
-    kind = "two-type" if args.two_type else "four-type"
-    # The slice sums a0, c0 are not part of the four-type operator.
-    _reject(args, ("a0", "c0"), "not read by --four-type, whose operator acts on every slice")
-    p = _params(kind, args)
-    module = two_types if args.two_type else four_types
-    meta = {n: getattr(p, n) for n in CASES[kind].names if n not in ("a0", "c0")}
-    return module.lift_operator(p), {"kind": kind, **meta}
+    if source == "two-type":
+        op = two_types.lift_operator(two_types.TwoTypeParams(**values))
+    else:  # the four-type operator acts on every slice: ``construction_doc`` reads no slice sum
+        p = four_types.FourTypeParams(**values, a0=CASE_DEFAULTS["a0"], c0=CASE_DEFAULTS["c0"])
+        op = four_types.lift_operator(p)
+    return op, {"kind": source, **values}
 
 
 def cmd_iterate(args) -> int:
@@ -405,8 +405,8 @@ def cmd_fixed_points(args) -> int:
                                 f"above the bound of {GRID_SEEDS_CAP}")
     if not args.grid:  # nothing compares to --abs-eps; the two-type segments hold for any a, b
         unread = ("a", "b", "abs_eps") if args.case == "two-type" else ("abs_eps",)
-        _reject(args, unread, f"not read by fixed-points --case {args.case} without --grid; "
-                "only --grid reads it")
+        grid = "" if case.planar_block is None else " without --grid; only --grid reads it"
+        _reject(args, unread, f"not read by fixed-points --case {args.case}{grid}")
     if args.case == "two-type":
         doc = {"case": "two-type", "segments": two_types.FIXED_SEGMENTS}
     elif args.case == "four-type":
@@ -483,7 +483,7 @@ def cmd_predict(args) -> int:
     tol = _tolerance(args)
     start = case.parse_start(_start_text(args))
     fixed = case.fixes(start)
-    p = case.params(**_param_values(args.case, args, fixed), **fixed)
+    p = case.params(**_param_values(args, case.names, fixed), **fixed)
     limits = _predict(case, p, np.array([start]), tol)
     limit = tuple(limits[0].tolist())
     label = case.labels[int(case.label(p, limits)[0])]
@@ -545,14 +545,14 @@ def cmd_verify(args) -> int:
         _reject(args, sorted(axes), why)
     tol = _tolerance(args)
     # Every regime's parameters are checked before any file is written.
-    regimes = [(regime, _params(args.case, args, **overrides))
+    regimes = [(regime, _params(args, **overrides))
                for regime, overrides in (case.portrait if args.portrait is not None else ())]
     rng = np.random.default_rng(args.seed)
     axis = np.linspace(0.05, 0.95, args.grid)
     u, v = case.verify_axes
     # The first cell's parameters check the flags that every cell shares.  Then one
     # (cells,) array per field, and one row per start, a cell's starts together.
-    first = _params(args.case, args, **{u: axis[0].item(), v: axis[0].item()})
+    first = _params(args, **{u: axis[0].item(), v: axis[0].item()})
     axes = [axis if name in (u, v) else np.array([getattr(first, name)]) for name in case.names]
     columns = dict(zip(case.names, _grid(axes, np.arange(args.grid**2)).T))
     # Critical-line: a block on det M = 0 with u > 0, whose fixed set crosses its box.
@@ -626,7 +626,7 @@ def cmd_sweep(args) -> int:
         starts = [case.parse_start(text)]
     # Only the four-type case has start-determined parameters, and its sweep takes one start.
     fixed = case.fixes(starts[0]) if starts else {}
-    ranges = _param_values(args.case, args, fixed)
+    ranges = _param_values(args, case.names, fixed)
     axes = [np.array([fixed[n]] if n in fixed else _parse_range(ranges[n])) for n in case.names]
     start_columns, limit_columns = case.sweep_columns
     start_array = np.array(starts).reshape(len(starts), len(start_columns))
@@ -692,6 +692,7 @@ SWEEP_STARTS = {"state": "0.2,0.3", "x0": "0.2"}  # of a sweep whose start flag 
 NEGATIVE_VALUE = re.compile(r"-\.?\d")
 
 
+@functools.cache  # one per process: its many add_argument calls cost more than a predict
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsobp",
@@ -700,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, about, cases=None, params=None, kind=float, params_help=None,
+    def command(name, about, cases=None, params=None, kind=float, params_help=None,
                 seed_help=None):
         """A subcommand with its --case choices, parameter flags (None when left
         out; ``params``, their defaults, becomes ``args.param_defaults``),
@@ -709,13 +710,14 @@ def build_parser() -> argparse.ArgumentParser:
         # Read '-' then a digit, as in the range -1:2:7 or -1e-3, as a value, not an
         # option; argparse's own pattern takes only plain negative numbers so.
         cmd._negative_number_matcher = NEGATIVE_VALUE
-        cmd.set_defaults(func=func, param_defaults=params or {})
+        cmd.set_defaults(param_defaults=params or {})
         if cases is not None:
             cmd.add_argument("--case", choices=cases, required=True)
         for flag in params or {}:
             cmd.add_argument(f"--{flag}", type=kind, default=None, help=params_help)
-        # Tolerance flags left out are None, and take ``Tolerance``'s defaults.
-        if name != "iterate":  # iterate tests only its moves, against --iter-eps
+        # Tolerance flags left out are None, and take ``Tolerance``'s defaults.  iterate
+        # tests only its moves, against --iter-eps; construct's identity line uses the default.
+        if name not in ("construct", "iterate"):
             cmd.add_argument("--abs-eps", type=float, help="comparison epsilon")
         if name in ("iterate", "verify"):  # the commands that iterate
             cmd.add_argument("--iter-eps", type=float, help="iteration stop threshold")
@@ -724,13 +726,13 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--seed", type=int, default=42, help=seed_help)
         return cmd
 
-    cmd = command("construct", cmd_construct, "build an operator from a construction JSON",
+    cmd = command("construct", "build an operator from a construction JSON",
                   seed_help="ignored: the construction draws nothing at random")
     cmd.add_argument("--input", required=True, help="construction JSON path")
     cmd.add_argument("--output", required=True, help="operator JSON path")
 
-    cmd = command("iterate", cmd_iterate, "iterate an operator from a state",
-                  params=dict.fromkeys(CASE_DEFAULTS, 0.5),
+    cmd = command("iterate", "iterate an operator from a state",
+                  params=dict.fromkeys("abcd", 0.5),
                   seed_help="recorded in the summary; iteration draws nothing at random")
     cmd.add_argument("--operator", default=None, help="operator JSON path")
     cmd.add_argument("--construction", default=None, help="construction JSON path")
@@ -740,24 +742,23 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--trajectory", default=None, help="trajectory CSV path")
     cmd.add_argument("--summary", default=None, help="summary JSON path (default stdout)")
 
-    cmd = command("fixed-points", cmd_fixed_points, "fixed points of a case map", list(CASES),
-                  CASE_DEFAULTS)
+    cmd = command("fixed-points", "fixed points of a case map", list(CASES), CASE_DEFAULTS)
     cmd.add_argument("--grid", type=int, default=0, help="two-type and four-type only: seeds "
                      "per axis of the numerical fixed-point search (≥ 2; 0 skips it)")
     cmd.add_argument("--output", default=None)
 
-    cmd = command("classify", cmd_classify, "stability classes of fixed points, from the "
+    cmd = command("classify", "stability classes of fixed points, from the "
                   "sign of their pair block's det M", ["two-type", "four-type"], CASE_DEFAULTS)
     cmd.add_argument("--state", default=None, help="two-type: point to classify at (default 0,0)")
     cmd.add_argument("--output", default=None)
 
-    cmd = command("predict", cmd_predict, "closed-form trajectory limit; a start that one step "
+    cmd = command("predict", "closed-form trajectory limit; a start that one step "
                   "moves by at most --abs-eps is fixed and exits 2", list(CASES), CASE_DEFAULTS)
     cmd.add_argument("--state", default=None, help="initial state")
     cmd.add_argument("--x0", type=float, default=None, help="critical-line start")
     cmd.add_argument("--output", default=None)
 
-    cmd = command("verify", cmd_verify, "pair closed-form limits with brute-force iteration",
+    cmd = command("verify", "pair closed-form limits with brute-force iteration",
                   ["two-type", "four-type"], {"b": 0.3, "d": 0.4, "a0": 0.5, "c0": 0.5, "a": 0.3},
                   params_help="parameters the grid leaves fixed; two-type --a/--b set the portrait",
                   seed_help="seed of the random starts")
@@ -769,7 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--report", required=True, help="report JSON path")
     cmd.add_argument("--portrait", default=None, help="phase-portrait CSV path")
 
-    cmd = command("sweep", cmd_sweep, "batch closed-form predictions over parameter grids",
+    cmd = command("sweep", "batch closed-form predictions over parameter grids",
                   list(CASES), dict.fromkeys(CASE_DEFAULTS, "0.3"), str, "value or lo:hi:count")
     cmd.add_argument("--state", default=None,
                      help="start state or grid:N (two-type); default 0.2,0.3")
@@ -779,10 +780,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Looked up at each call, not held by the one parser: a wrapper set on the module sees it.
+    run = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return run(args)
     except (QsobpError, ValueError, MemoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

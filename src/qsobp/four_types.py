@@ -176,11 +176,11 @@ def pair_rate(u, beta, gamma, w, a0, c0, x, y):
 def corner_rate(u, beta, gamma, w, a0, c0):
     """A pair block's det M, computed from its entries, and its ``pair_rate`` at the
     corner the sign of det M makes attracting: (0, 0) when det M > 0, (a0, c0) when
-    det M < 0.  Its rho is NaN within ``CRITICAL_EPS`` of det M = 0."""
+    det M < 0.  Its rho is NaN where ``pair_side`` names no corner."""
     det = u * w - beta * gamma
     top = det < 0.0
     rho, v = pair_rate(u, beta, gamma, w, a0, c0, top * a0, top * c0)
-    return det, np.where(np.abs(det) > CRITICAL_EPS, rho, np.nan), v
+    return det, np.where(pair_side(det) != 0, rho, np.nan), v
 
 
 def corner_bound(u, beta, gamma, w, a0, c0, x, y):

@@ -75,11 +75,9 @@ class Tolerance:
     max_iters: int = 10**6
 
     def __post_init__(self):
-        values = (self.abs_eps, self.iter_eps, self.max_iters)
-        if not all(0 < v < math.inf for v in values):
-            raise ValueError(
-                f"all tolerance fields must be finite and strictly positive, got {values}"
-            )
+        for name, value in vars(self).items():
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive, got {value}")
 
 
 DEFAULT_TOLERANCE = Tolerance()

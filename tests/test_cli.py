@@ -31,7 +31,12 @@ Core claims:
     naming the bound, before any array is allocated or file written
   - each command takes only the flags it reads: the iteration threshold and
     budget only where something iterates, the comparison epsilon everywhere
-    but iterate
+    but construct and iterate, and no slice sum on iterate
+  - every parameter and tolerance flag a command takes either runs or is
+    refused with a message that names the flag and the --case X or iterate
+    source given, and nothing the user did not give: no other case or source,
+    no --case on iterate, no --grid for a case without a grid search
+  - a tolerance out of range names its field
   - classify reads a two-type point as predict does, as x,y or a state
   - a value that starts with '-' and a digit, such as the range -1:2:7, is a
     value after its flag as after '='
@@ -39,6 +44,8 @@ Core claims:
   - predict, classify, fixed-points, verify and sweep never load
     qsobp.construction; construct and iterate reach its functions through the
     module when they run, so a wrapper of a module attribute sees every call
+  - the parser is built once per process, and main looks each command's
+    function up in the module at every call, so a wrapper of it sees every call
 """
 
 import argparse
@@ -868,6 +875,19 @@ def test_predictors_are_looked_up_in_their_module_at_call_time(
     assert len(calls) == 1
 
 
+def test_commands_are_looked_up_in_the_module_at_call_time(tmp_path, monkeypatch):
+    # The parser is built once per process.  A wrapper set on a command's function after
+    # the first run, as bench/spans.py sets one on cmd_verify, must still see every call.
+    argv = ["predict", "--case", "two-type", "--state", "0.2,0.3", "--output",
+            str(tmp_path / "p.json")]
+    assert main(argv) == 0
+    original, calls = cli.cmd_predict, []
+    monkeypatch.setattr(cli, "cmd_predict", lambda args: calls.append(args) or original(args))
+    assert main(argv) == 0
+    assert len(calls) == 1
+    assert cli.build_parser() is cli.build_parser()
+
+
 ITERATE_FOUR = ["iterate", "--state", "0.1,0.3,0.4,0.2;0.25,0.25,0.3,0.2"]
 
 
@@ -1130,9 +1150,9 @@ def test_a_parameter_flag_the_case_does_not_read_is_an_input_error(
 @pytest.mark.parametrize(
     "argv, output, message",
     [
-        # The four-type operator acts on every slice: a0 and c0 are the start's.
-        (["iterate", "--four-type", "--a0", "0.9", "--state", FOUR_STATE], "--summary",
-         "--a0 is not read by --four-type"),
+        # The two-type operator has no type-3/4 block.
+        (["iterate", "--two-type", "--d", "0.3", "--state", "0.5,0.5;0.5,0.5"], "--summary",
+         "--d is not read by --two-type"),
         # An operator file holds its own heredity: no parameter flag reaches it.
         (["iterate", "--operator", "{d}/op.json", "--a", "0.9", "--state", "0.5,0.5;0.5,0.5"],
          "--summary", "--a is not read by --operator"),
@@ -1159,6 +1179,19 @@ def test_a_parameter_flag_that_no_source_reads_is_an_input_error(
     flag = message.split()[0]
     at = argv.index(flag)
     assert main([*argv[:at], *argv[at + 2:], output, str(out)]) == 0
+
+
+@pytest.mark.parametrize("flag", ["--a0", "--c0"])
+def test_iterate_refuses_a_slice_sum_before_it_runs(flag, tmp_path, capsys):
+    # The four-type operator acts on every slice: a0 and c0 are the start's, and no
+    # iterate source has a flag for them.
+    summary = tmp_path / "s.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["iterate", "--four-type", flag, "0.9", "--state", FOUR_STATE,
+              "--summary", str(summary)])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} 0.9" in capsys.readouterr().err
+    assert not summary.exists()
 
 
 def test_classify_two_type_reads_a_point_or_a_state_as_predict_does(tmp_path):
@@ -1253,8 +1286,8 @@ def test_iterate_trajectory_does_not_depend_on_blas_threads(tmp_path):
 
 PARAMETER_FLAGS = {"--a", "--a0", "--b", "--c", "--c0", "--d"}
 COMMAND_FLAGS = {
-    "construct": {"--abs-eps", "--input", "--output", "--seed"},
-    "iterate": PARAMETER_FLAGS | {
+    "construct": {"--input", "--output", "--seed"},
+    "iterate": PARAMETER_FLAGS - {"--a0", "--c0"} | {
         "--construction", "--four-type", "--iter-eps", "--max-iters", "--operator", "--seed",
         "--state", "--summary", "--trajectory", "--two-type",
     },
@@ -1271,7 +1304,9 @@ COMMAND_FLAGS = {
 
 def test_each_command_takes_only_the_flags_it_reads():
     # Only iterate and verify iterate, so only they take --iter-eps and --max-iters;
-    # iterate tests only its moves, so it alone takes no --abs-eps.
+    # iterate tests only its moves and construct's identity line takes the default
+    # comparison epsilon, so they alone take no --abs-eps.  No iterate source reads
+    # the slice sums --a0 and --c0.
     parser = cli.build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     flags = {
@@ -1279,4 +1314,96 @@ def test_each_command_takes_only_the_flags_it_reads():
         for name, cmd in commands.choices.items()
     }
     assert flags == COMMAND_FLAGS
-    assert sum(map(len, flags.values())) == 77
+    assert sum(map(len, flags.values())) == 74
+
+
+# Each iterate source with a state of its size, each case's start where the command
+# needs one, and the modes that read more flags: fixed-points --grid (for a case with
+# a planar map) and verify --portrait.  {d} is the run's directory.
+TWO_STATE = "0.2,0.8;0.3,0.7"
+SOURCE_RUNS = {
+    "--operator": ["--operator", "{d}/op.json", "--state", TWO_STATE],
+    "--construction": ["--construction", "{d}/c.json", "--state", TWO_STATE],
+    "--two-type": ["--two-type", "--state", TWO_STATE],
+    "--four-type": ["--four-type", "--state", FOUR_STATE],
+}
+CASE_STARTS = {"two-type": ["--state", "0.2,0.3"], "four-type": ["--state", FOUR_STATE],
+               "critical-line": ["--x0", "0.2"]}
+CASE_MODES = {
+    "fixed-points": {"": [], "grid": ["--grid", "3"]},
+    "verify": {"": ["--grid", "2", "--starts", "1"],
+               "portrait": ["--grid", "2", "--starts", "1", "--portrait", "{d}/p.csv"]},
+}
+OUTPUT_FLAGS = {"iterate": "--summary", "verify": "--report"}  # the others take --output
+# Each tolerance flag at its default value; each parameter flag at 0.4.
+FLAG_VALUES = {f"--{name.replace('_', '-')}": repr(value)
+               for name, value in vars(simplex.Tolerance()).items()}
+
+
+def _flag_runs():
+    """(argv, flag, given) for every command, each of its cases or iterate sources in
+    each mode, and each parameter and tolerance flag it accepts; ``given`` is the
+    ``--case X`` or ``--<source>`` of ``argv``."""
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for name, cmd in commands.items():
+        accepted = {flag for action in cmd._actions for flag in action.option_strings}
+        runs = [(source, "", argv) for source, argv in SOURCE_RUNS.items() if name == "iterate"]
+        for case in next((a.choices for a in cmd._actions if "--case" in a.option_strings), []):
+            start = CASE_STARTS[case] if name in ("predict", "sweep") else []
+            for mode, extra in CASE_MODES.get(name, {"": []}).items():
+                if mode != "grid" or cli.CASES[case].planar_block is not None:
+                    runs.append((f"--case {case}", mode, ["--case", case, *start, *extra]))
+        for given, mode, argv in runs:
+            for flag in sorted(accepted & (PARAMETER_FLAGS | set(FLAG_VALUES))):
+                run_id = ":".join(filter(None, (name, given.replace(" ", "="), mode, flag)))
+                yield pytest.param([name, *argv], flag, given, id=run_id)
+
+
+@pytest.mark.parametrize("argv, flag, given", list(_flag_runs()))
+def test_a_flag_runs_or_is_refused_by_the_case_or_source_given(
+    argv, flag, given, tmp_path, capsys
+):
+    # A refusal names the flag and the case or source given, and nothing else that the
+    # user might have given: no other case or source, no --case where the command has
+    # none, and no --grid where the case has no grid search.
+    construction_path = _write(tmp_path / "c.json", TWO_TYPE_DOC)
+    assert main(["construct", "--input", construction_path,
+                 "--output", str(tmp_path / "op.json")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = [arg.replace("{d}", str(tmp_path)) for arg in argv]
+    code = main([*argv, flag, FLAG_VALUES.get(flag, "0.4"),
+                 OUTPUT_FLAGS.get(argv[0], "--output"), str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 2), err
+    assert out.exists() == (code == 0), err
+    if code == 0:
+        return
+    assert err.startswith(f"input error: {flag[2:]}: {flag} is ") and err.count("\n") == 1, err
+    assert given in err, err
+    others = [f"--case {case}" for case in cli.CASES] + list(SOURCE_RUNS)
+    assert not [other for other in others if other != given and other in err], err
+    if not given.startswith("--case "):
+        assert "--case" not in err, err
+    elif cli.CASES[given.split()[1]].planar_block is None:
+        assert "--grid" not in err, err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["predict", "--case", "critical-line", "--x0", "0.2", "--abs-eps", "0", "--output"],
+         "abs_eps must be finite and strictly positive, got 0.0"),
+        (["verify", "--case", "two-type", "--grid", "2", "--iter-eps", "nan", "--report"],
+         "iter_eps must be finite and strictly positive, got nan"),
+        (["iterate", "--two-type", "--state", TWO_STATE, "--max-iters", "0", "--summary"],
+         "max_iters must be finite and strictly positive, got 0"),
+    ],
+    ids=["abs-eps", "iter-eps", "max-iters"],
+)
+def test_a_tolerance_out_of_range_names_its_field(argv, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, str(out)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()

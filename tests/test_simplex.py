@@ -138,7 +138,9 @@ def test_tolerance_defaults_and_validation():
     assert tol.abs_eps == 1e-9
     assert tol.iter_eps == 1e-12
     assert tol.max_iters == 10**6
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^abs_eps must be finite and strictly positive, got 0.0$"):
         Tolerance(abs_eps=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^iter_eps must be finite and strictly positive, got inf$"):
+        Tolerance(iter_eps=float("inf"))
+    with pytest.raises(ValueError, match="^max_iters must be finite and strictly positive, got 0$"):
         Tolerance(max_iters=0)
