@@ -780,7 +780,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        print(f"input error: {args.command}: unrecognized arguments: {' '.join(unknown)}",
+              file=sys.stderr)
+        return EXIT_INPUT
     # Looked up at each call, not held by the one parser: a wrapper set on the module sees it.
     run = globals()["cmd_" + args.command.replace("-", "_")]
     try:

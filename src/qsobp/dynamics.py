@@ -30,7 +30,13 @@ step runs the same operations in the same order, so every state, step count
 and convergence flag is the one the numpy loop gives.  The tail tests a move
 on coordinate 0 first and on every coordinate only when that passes: most
 steps of a slow row fail on coordinate 0 already, and a move that fails there
-fails the whole test, so the rule is the numpy loop's.  The numpy blocks test
+fails the whole test, so the rule is the numpy loop's.  A params class with a
+``finish`` method, the two-type row loop ``TwoTypeParams.finish``, finishes its
+rows there when the batch steps its own ``step``: that loop holds the map with
+the row's a and b as locals and the move test written for d = 2, and gives what
+``_finish`` gives.  It exists because two-type verify's slowest rows take
+thousands of tail steps each, at about 125 ns a step there against 250 ns
+through ``_finish``'s call of ``step``.  The numpy blocks test
 every coordinate in one pass; testing coordinate 0 first there, and gathering
 only the columns that pass it, was measured slower on the benchmark's verify
 blocks (d = 2) and no faster at d = 8.
@@ -43,6 +49,7 @@ refinement of a seed lattice.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -230,10 +237,13 @@ def iterate_batch(step: BatchStep, states, tol: Tolerance = DEFAULT_TOLERANCE, *
     if scalar_tail:
         names = list(vars(params))
         values = zip(*(v.tolist() for v in vars(params).values()))
+        finish = getattr(type(params), "finish", None)  # its own step's loop, written out
+        if finish is None or step is not type(params).step:
+            finish = functools.partial(_finish, step)
         for row, start, row_values, e in zip(rows.tolist(), state.T.tolist(), values, eps.tolist()):
             p = _unchecked(params, zip(names, row_values))  # the row's, as Python floats
-            end[:, row], steps_taken[row], converged[row] = _finish(
-                step, p, start, total, e, max_iters)
+            end[:, row], steps_taken[row], converged[row] = finish(
+                p, start, total, e, max_iters)
     else:
         end[:, rows] = state
         steps_taken[rows] = total
@@ -267,13 +277,16 @@ def is_fixed(step: MapStep, point, tol: Tolerance):
     return np.maximum.reduce(np.abs(np.subtract(step(point), point))) <= tol.abs_eps
 
 
-def predicted(p, coords: np.ndarray, limits, tol: Tolerance):
+def predicted(p, coords: np.ndarray, limits: Callable[[], Sequence], tol: Tolerance):
     """What a closed-form predictor returns for the columns of the (d, B) ``coords``
-    under ``p``: the (B, d) limits of the d ``limits`` columns, NaN in the rows of the
-    (B,) mask of starts that ``is_fixed`` and of the (B,) mask of ``p`` outside (0, 1)."""
+    under ``p``: the (B, d) limits of the d columns ``limits()`` gives, NaN in the rows
+    of the (B,) mask of starts that ``is_fixed`` and of the (B,) mask of ``p`` outside
+    (0, 1).  Both are evaluated with numpy's warnings off, as a row outside (0, 1) may
+    overflow or give NaN there, and is blanked."""
     invalid = ~np.broadcast_to(check_open_unit(p), coords.shape[1:])
-    fixed = is_fixed(p.step, coords, tol) & ~invalid
-    limits = np.stack(np.broadcast_arrays(*limits, coords[0])[:-1], axis=1)
+    with np.errstate(all="ignore"):
+        fixed = is_fixed(p.step, coords, tol) & ~invalid
+        limits = np.stack(np.broadcast_arrays(*limits(), coords[0])[:-1], axis=1)
     limits[invalid | fixed] = np.nan
     return limits, fixed, invalid
 

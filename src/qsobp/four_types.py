@@ -341,8 +341,12 @@ def predict_limit(p: FourTypeParams, starts, tol: Tolerance = DEFAULT_TOLERANCE)
     if off.any():
         raise ValueError(f"the slice sums of start {np.argmax(off)} miss its a0, c0")
     blocks = p.blocks
-    points = [pair_limit(*block, coords[f1], coords[m1]) for block, (f1, _, m1, _) in blocks]
-    return predicted(p, coords, block_state(blocks, points, len(coords)), tol)
+
+    def limits():
+        points = [pair_limit(*block, coords[f1], coords[m1]) for block, (f1, _, m1, _) in blocks]
+        return block_state(blocks, points, len(coords))
+
+    return predicted(p, coords, limits, tol)
 
 
 def stop_rate(p: FourTypeParams, starts):
@@ -445,4 +449,4 @@ def predict_limit_critical(cp: CriticalMapParams, starts, tol: Tolerance = DEFAU
     ``critical_fixed_points``: the (B, 1) limits of the (B, 1) ``starts`` with the masks
     of ``dynamics.predicted``; ``cp`` may be stacked (B,) arrays."""
     coords = check_unit(np.asarray(starts, dtype=float), "[0, 1]").T
-    return predicted(cp, coords, (cp.point,), tol)
+    return predicted(cp, coords, lambda: (cp.point,), tol)

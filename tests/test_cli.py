@@ -37,6 +37,8 @@ Core claims:
     source given, and nothing the user did not give: no other case or source,
     no --case on iterate, no --grid for a case without a grid search
   - a tolerance out of range names its field
+  - a flag or argument the command lacks exits 2 with one line
+    'input error: <command>: unrecognized arguments: <arguments>'
   - classify reads a two-type point as predict does, as x,y or a state
   - a value that starts with '-' and a digit, such as the range -1:2:7, is a
     value after its flag as after '='
@@ -541,6 +543,25 @@ def test_sweep_writes_value_error_rows_for_invalid_parameters(
             assert row[status] == "ValueError"
             assert row[status + 1 :] == [""] * (limit_columns + 1)
     assert [float(row[0]) for row in rows] == [0.0] * starts + [0.5] * starts + [1.0] * starts
+
+
+@pytest.mark.parametrize(
+    "case, args",
+    [
+        ("two-type", ["--a", "1e308"]),  # overflows the closed form's discriminant
+        ("critical-line", ["--x0", "grid:3", "--a", "0.5", "--a0", "inf"]),  # inf - inf
+    ],
+)
+def test_sweep_blanks_rows_far_outside_the_unit_interval_without_a_warning(
+    tmp_path, capsys, case, args
+):
+    # Under the suite's error::RuntimeWarning a numpy warning would raise here.
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--case", case, *args, "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(out, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert rows and {row[header.index("status")] for row in rows} == {"ValueError"}
 
 
 @pytest.mark.parametrize(
@@ -1186,12 +1207,29 @@ def test_iterate_refuses_a_slice_sum_before_it_runs(flag, tmp_path, capsys):
     # The four-type operator acts on every slice: a0 and c0 are the start's, and no
     # iterate source has a flag for them.
     summary = tmp_path / "s.json"
-    with pytest.raises(SystemExit) as exit_info:
-        main(["iterate", "--four-type", flag, "0.9", "--state", FOUR_STATE,
-              "--summary", str(summary)])
-    assert exit_info.value.code == 2
-    assert f"unrecognized arguments: {flag} 0.9" in capsys.readouterr().err
+    assert main(["iterate", "--four-type", flag, "0.9", "--state", FOUR_STATE,
+                 "--summary", str(summary)]) == 2
+    assert capsys.readouterr().err == f"input error: iterate: unrecognized arguments: {flag} 0.9\n"
     assert not summary.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, unknown",
+    [
+        (["iterate", "--two-type", "--a0", "0.3", "--state", "0.2,0.8;0.3,0.7",
+          "--summary", "{d}/out"], "--a0 0.3"),
+        (["verify", "--case", "two-type", "--grid", "2", "--starts", "1",
+          "--report", "{d}/out", "--gridd", "3"], "--gridd 3"),
+        (["predict", "--case", "two-type", "stray", "--state", "0.2,0.3",
+          "--output", "{d}/out"], "stray"),
+    ],
+)
+def test_an_argument_the_command_lacks_is_one_input_error_line(argv, unknown, tmp_path, capsys):
+    # Not argparse's top-level usage: one line that names the command and the arguments.
+    command = argv[0]
+    assert main([arg.replace("{d}", str(tmp_path)) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"input error: {command}: unrecognized arguments: {unknown}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_classify_two_type_reads_a_point_or_a_state_as_predict_does(tmp_path):
@@ -1239,9 +1277,7 @@ def test_json_documents_reject_nan_and_infinity(tmp_path):
     ],
 )
 def test_commands_that_draw_nothing_reject_seed(argv, capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        main([*argv, "--seed", "1"])
-    assert exit_info.value.code == 2
+    assert main([*argv, "--seed", "1"]) == 2
     assert "--seed" in capsys.readouterr().err
 
 

@@ -75,6 +75,10 @@ CASES = {
                        "--a0", "0.4", "--c0", "0.6", "--output", "{d}/c.json"], ["c.json"]),
     "verify-two": (["verify", "--case", "two-type", "--grid", "4", "--starts", "2",
                     "--report", "{d}/r.json"], ["r.json"]),
+    # The benchmark's two-type verify: 16 rows finish in the scalar tail, one after
+    # 14,639 steps there, where verify-two's take at most 1,290.
+    "verify-two-wide": (["verify", "--case", "two-type", "--grid", "20", "--starts", "3",
+                         "--report", "{d}/r.json"], ["r.json"]),
     "verify-two-portrait": (["verify", "--case", "two-type", "--grid", "2", "--starts", "1",
                              "--a", "0.6", "--b", "0.4", "--report", "{d}/r.json",
                              "--portrait", "{d}/p.csv"], ["r.json", "p.csv"]),
@@ -188,6 +192,9 @@ DIGESTS = {
     },
     "verify-two": {
         "r.json": "ee7c95514d733d7e9850810619ee7fce737696b30ee5efa7d225001d605560f2",
+    },
+    "verify-two-wide": {
+        "r.json": "9cd16c799478f317abd3180947ae36721d042e39a00f99af33b0c963da122354",
     },
     "verify-two-portrait": {
         "p.csv": "53d15a0952a799780b6c24ec9a45f65529d12bad16f36af8b3b8fe0a07345909",

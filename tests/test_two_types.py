@@ -11,7 +11,12 @@ Core claims:
     above it the limit's x is exactly 1 and the class f2-extinct
   - the Jacobian along the fixed segments has one unit eigenvalue, except
     at the corner (1, 0) where both are one
+  - the row loop TwoTypeParams.finish ends a row as the engine's scalar loop
+    ends it with TwoTypeParams.step, bit for bit, with the same steps and flag,
+    and a batch that steps TwoTypeParams.step finishes its tail rows in it
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -234,6 +239,48 @@ def test_iterated_limits_match_prediction():
         run = dynamics.iterate_map(p.step, s, tol)
         end = run.states[-1]
         assert max(abs(u - v) for u, v in zip(end, predicted)) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "a, b, start, total, max_iters, outcome",
+    [
+        (0.3, 0.3, [0.7, 0.695], 0, 10**6, (10_536, True)),  # near the corner
+        (0.3, 0.3, [0.7, 0.695], 37, 5_000, (5_000, False)),  # the budget ends the row
+        (math.nan, 0.3, [0.4, 0.5], 32, 200, (200, False)),  # x moves by NaN
+        (0.3, math.nan, [0.4, 0.5], 32, 200, (200, False)),  # y by NaN, x finitely
+    ],
+)
+def test_the_row_loop_ends_as_the_engines_scalar_loop_ends(a, b, start, total, max_iters,
+                                                          outcome):
+    # The row's parameters as the engine's tail holds them: Python floats, unchecked.
+    p = dynamics._unchecked(TwoTypeParams(0.5, 0.5), [("a", a), ("b", b)])
+    eps = 1e-12
+    end, steps, converged = p.finish(list(start), total, eps, max_iters)
+    ref_end, ref_steps, ref_converged = dynamics._finish(
+        TwoTypeParams.step, p, list(start), total, eps, max_iters)
+    assert np.array(end, dtype=float).tobytes() == np.array(ref_end, dtype=float).tobytes()
+    assert (steps, converged) == (ref_steps, ref_converged) == outcome
+
+
+def test_a_two_type_batch_finishes_its_tail_rows_in_the_row_loop(monkeypatch):
+    # With TwoTypeParams.step the tail runs TwoTypeParams.finish; with any other step, _finish.
+    calls = []
+    finish = TwoTypeParams.finish
+
+    def counted(p, *args):
+        calls.append(p)
+        return finish(p, *args)
+
+    monkeypatch.setattr(TwoTypeParams, "finish", counted)
+    starts = np.array([[0.2, 0.4, 0.7], [0.3, 0.5, 0.6]])
+    params = TwoTypeParams(np.array([0.3, 0.4, 0.5]), np.array([0.6, 0.5, 0.4]))
+    run = dynamics.iterate_batch(TwoTypeParams.step, starts, params=params)
+    assert len(calls) == 3
+    wrapped = dynamics.iterate_batch(lambda q, s: TwoTypeParams.step(q, s), starts, params=params)
+    assert len(calls) == 3
+    assert run.end.tobytes() == wrapped.end.tobytes()
+    assert (run.steps_taken.tolist(), run.converged.tolist()) == (
+        wrapped.steps_taken.tolist(), wrapped.converged.tolist())
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
